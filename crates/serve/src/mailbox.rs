@@ -23,15 +23,24 @@ pub(crate) enum Push {
 /// cycle of full mailboxes can never deadlock the worker pool —
 /// overflow is counted, not fatal.
 pub(crate) struct Mailbox<T> {
-    q: Mutex<VecDeque<T>>,
+    q: Mutex<Queue<T>>,
     not_full: Condvar,
     cap: usize,
+}
+
+struct Queue<T> {
+    events: VecDeque<T>,
+    /// Senders blocked on `not_full`; a drain signals only for them.
+    stalled: usize,
 }
 
 impl<T> Mailbox<T> {
     pub(crate) fn new(cap: usize) -> Self {
         Mailbox {
-            q: Mutex::new(VecDeque::new()),
+            q: Mutex::new(Queue {
+                events: VecDeque::new(),
+                stalled: 0,
+            }),
             not_full: Condvar::new(),
             cap: cap.max(1),
         }
@@ -59,24 +68,26 @@ impl<T> Mailbox<T> {
             }
         };
         let mut q = self.q.lock().expect("mailbox poisoned");
-        if q.len() < self.cap {
-            insert(&mut q, v);
+        if q.events.len() < self.cap {
+            insert(&mut q.events, v);
             return Push::Fit;
         }
         let deadline = Instant::now() + patience;
         loop {
             let now = Instant::now();
             if now >= deadline {
-                insert(&mut q, v);
+                insert(&mut q.events, v);
                 return Push::Forced;
             }
+            q.stalled += 1;
             let (guard, _) = self
                 .not_full
                 .wait_timeout(q, deadline - now)
                 .expect("mailbox poisoned");
             q = guard;
-            if q.len() < self.cap {
-                insert(&mut q, v);
+            q.stalled -= 1;
+            if q.events.len() < self.cap {
+                insert(&mut q.events, v);
                 return Push::Stalled;
             }
         }
@@ -86,16 +97,16 @@ impl<T> Mailbox<T> {
     /// space opens up.
     pub(crate) fn drain(&self, out: &mut Vec<T>, max: usize) -> usize {
         let mut q = self.q.lock().expect("mailbox poisoned");
-        let n = max.min(q.len());
-        out.extend(q.drain(..n));
-        if q.len() < self.cap {
+        let n = max.min(q.events.len());
+        out.extend(q.events.drain(..n));
+        if q.stalled > 0 && q.events.len() < self.cap {
             self.not_full.notify_all();
         }
         n
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.q.lock().expect("mailbox poisoned").is_empty()
+        self.q.lock().expect("mailbox poisoned").events.is_empty()
     }
 }
 

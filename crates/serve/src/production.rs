@@ -136,46 +136,62 @@ struct Task<P: Protocol> {
 }
 
 /// FIFO run queue feeding the worker pool.
+#[derive(Default)]
 struct RunQueue {
-    state: Mutex<(VecDeque<usize>, bool)>,
+    state: Mutex<RunQueueState>,
     cv: Condvar,
 }
 
-impl RunQueue {
-    fn new() -> Self {
-        RunQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
+#[derive(Default)]
+struct RunQueueState {
+    ready: VecDeque<usize>,
+    closed: bool,
+    /// Workers waiting on `cv`. A busy worker looks at `ready` again
+    /// before it parks, so a push signals only when this is non-zero.
+    parked: usize,
+}
 
+impl RunQueue {
     fn push(&self, t: usize) {
         let mut st = self.state.lock().expect("runq poisoned");
-        if st.1 {
+        if st.closed {
             return; // shutting down; stray wakeups are fine to drop
         }
-        st.0.push_back(t);
-        self.cv.notify_one();
+        st.ready.push_back(t);
+        if st.parked > 0 {
+            self.cv.notify_one();
+        }
     }
 
     fn pop(&self) -> Option<usize> {
         let mut st = self.state.lock().expect("runq poisoned");
         loop {
-            if let Some(t) = st.0.pop_front() {
+            if let Some(t) = st.ready.pop_front() {
                 return Some(t);
             }
-            if st.1 {
+            if st.closed {
                 return None;
             }
+            st.parked += 1;
             st = self.cv.wait(st).expect("runq poisoned");
+            st.parked -= 1;
         }
     }
 
     fn close(&self) {
         let mut st = self.state.lock().expect("runq poisoned");
-        st.1 = true;
+        st.closed = true;
         self.cv.notify_all();
     }
+}
+
+/// Resolved requests and ended calls, waiting for a handle to take them.
+#[derive(Default)]
+struct Answers {
+    confirms: VecDeque<Confirm>,
+    indications: VecDeque<Indication>,
+    /// Handles parked in `recv_confirm`; a push signals only for them.
+    waiting: usize,
 }
 
 #[derive(Default)]
@@ -201,8 +217,8 @@ struct Inner<P: Protocol> {
     /// under the covering stripe locks).
     ground: GroundTruth,
     tickets: Mutex<Vec<TicketRec>>,
-    confirms: Mutex<VecDeque<Confirm>>,
-    indications: Mutex<VecDeque<Indication>>,
+    answers: Mutex<Answers>,
+    answered: Condvar,
     violations: Mutex<Vec<String>>,
     wheel: OnceLock<TimerWheel<(usize, WheelKind)>>,
     counters: Counters,
@@ -223,6 +239,16 @@ where
 
     fn elapsed_ticks(&self, since: Instant) -> u64 {
         since.elapsed().as_nanos() as u64 / self.cfg.ns_per_tick.max(1)
+    }
+
+    /// Queues one confirm or indication and wakes a parked
+    /// `recv_confirm`, if there is one.
+    fn answer(&self, push: impl FnOnce(&mut Answers)) {
+        let mut answers = self.answers.lock().expect("answers poisoned");
+        push(&mut answers);
+        if answers.waiting > 0 {
+            self.answered.notify_one();
+        }
     }
 
     /// Enqueues `ev` for cell `to` and makes sure the task will run.
@@ -340,15 +366,13 @@ where
         node.on_release(ch, &mut ctx);
     }
     inner.counters.completed.fetch_add(1, Ordering::Relaxed);
-    inner
-        .indications
-        .lock()
-        .expect("indications poisoned")
-        .push_back(Indication::Released {
+    inner.answer(|a| {
+        a.indications.push_back(Indication::Released {
             ticket: Ticket(ticket),
             cell: me,
             channel: ch,
-        });
+        })
+    });
 }
 
 /// The [`CtxBackend`] protocol nodes see on the production executor.
@@ -420,16 +444,14 @@ where
         }
         self.inner.counters.granted.fetch_add(1, Ordering::Relaxed);
         self.inner.counters.pending.fetch_sub(1, Ordering::Relaxed);
-        self.inner
-            .confirms
-            .lock()
-            .expect("confirms poisoned")
-            .push_back(Confirm::Granted {
+        self.inner.answer(|a| {
+            a.confirms.push_back(Confirm::Granted {
                 ticket: Ticket(req.0),
                 cell: self.me,
                 channel: ch,
                 latency,
-            });
+            })
+        });
         let after = self.inner.ticks_to_duration(hold);
         self.inner
             .wheel
@@ -455,15 +477,13 @@ where
         }
         self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
         self.inner.counters.pending.fetch_sub(1, Ordering::Relaxed);
-        self.inner
-            .confirms
-            .lock()
-            .expect("confirms poisoned")
-            .push_back(Confirm::Rejected {
+        self.inner.answer(|a| {
+            a.confirms.push_back(Confirm::Rejected {
                 ticket: Ticket(req.0),
                 cell: self.me,
                 cause,
-            });
+            })
+        });
     }
 
     fn set_timer(&mut self, delay: u64, tag: u64) {
@@ -538,10 +558,10 @@ where
             cfg,
             epoch: Instant::now(),
             tasks,
-            runq: RunQueue::new(),
+            runq: RunQueue::default(),
             tickets: Mutex::new(Vec::new()),
-            confirms: Mutex::new(VecDeque::new()),
-            indications: Mutex::new(VecDeque::new()),
+            answers: Mutex::default(),
+            answered: Condvar::new(),
             violations: Mutex::new(Vec::new()),
             wheel: OnceLock::new(),
             counters: Counters::default(),
@@ -683,15 +703,13 @@ where
                 TaskEvent::Relinquish { ch: src_ch },
                 self.inner.cfg.stall_patience,
             );
-            self.inner
-                .indications
-                .lock()
-                .expect("indications poisoned")
-                .push_back(Indication::Released {
+            self.inner.answer(|a| {
+                a.indications.push_back(Indication::Released {
                     ticket: src,
                     cell: src_cell,
                     channel: src_ch,
-                });
+                })
+            });
         }
         self.inner.counters.offered.fetch_add(1, Ordering::Relaxed);
         self.inner.counters.pending.fetch_add(1, Ordering::Relaxed);
@@ -740,19 +758,38 @@ where
     }
 
     fn confirm(&mut self) -> Option<Confirm> {
-        self.inner
-            .confirms
-            .lock()
-            .expect("confirms poisoned")
-            .pop_front()
+        let mut answers = self.inner.answers.lock().expect("answers poisoned");
+        answers.confirms.pop_front()
     }
 
     fn indication(&mut self) -> Option<Indication> {
-        self.inner
-            .indications
-            .lock()
-            .expect("indications poisoned")
-            .pop_front()
+        let mut answers = self.inner.answers.lock().expect("answers poisoned");
+        answers.indications.pop_front()
+    }
+
+    /// A real wait in place of the default's sleep-poll. It also ends,
+    /// with `None`, as soon as an indication is queued, so that one
+    /// thread can serve both queues: take the indications, call again.
+    fn recv_confirm(&mut self, timeout: Duration) -> Option<Confirm> {
+        let deadline = Instant::now() + timeout;
+        let mut answers = self.inner.answers.lock().expect("answers poisoned");
+        loop {
+            if let Some(c) = answers.confirms.pop_front() {
+                return Some(c);
+            }
+            let now = Instant::now();
+            if !answers.indications.is_empty() || now >= deadline {
+                return None;
+            }
+            answers.waiting += 1;
+            answers = self
+                .inner
+                .answered
+                .wait_timeout(answers, deadline - now)
+                .expect("answers poisoned")
+                .0;
+            answers.waiting -= 1;
+        }
     }
 
     fn quiesce(&mut self, limit: Duration) -> bool {

@@ -405,7 +405,8 @@ pub trait AllocService {
     /// Blocking variant of [`confirm`]: polls until a confirm is
     /// available or `timeout` elapses. The default implementation polls
     /// with a short sleep; live backends may override it with a real
-    /// wait.
+    /// wait, and may then return `None` before `timeout` when an
+    /// [`Indication`] is waiting to be taken instead.
     ///
     /// ```
     /// use adca_baselines::FixedNode;

@@ -4,9 +4,12 @@
 //! protocol timer — fine for a validation driver, hopeless for a
 //! serving backend where every borrow round arms a retry timer. The
 //! [`TimerWheel`] replaces that with a single thread parked on a
-//! deadline min-heap: [`TimerWheel::schedule`] is a heap push plus a
-//! condvar wake, and the dispatcher invokes one caller-supplied
-//! callback per expired timer, in deadline order (FIFO among ties).
+//! deadline min-heap: [`TimerWheel::schedule`] is a heap push, plus a
+//! condvar wake only when the new timer becomes the earliest deadline
+//! (the dispatcher is asleep until the old earliest one and must be
+//! told to get up sooner; a later timer is found when it gets there).
+//! The dispatcher invokes one caller-supplied callback per expired
+//! timer, in deadline order (FIFO among ties).
 //!
 //! Both the thread-per-cell driver in this crate and the production
 //! backend in `adca-serve` arm their timers here.
@@ -127,15 +130,20 @@ impl<T: Send + 'static> TimerWheel<T> {
 
     /// Arms one timer: `dispatch(payload)` fires after `after` elapses.
     pub fn schedule(&self, after: Duration, payload: T) {
+        self.schedule_at(Instant::now() + after, payload);
+    }
+
+    /// Arms one timer: `dispatch(payload)` fires once `due` has passed.
+    pub fn schedule_at(&self, due: Instant, payload: T) {
         let mut st = self.inner.state.lock().expect("wheel poisoned");
         let seq = st.seq;
         st.seq += 1;
-        st.heap.push(Entry {
-            due: Instant::now() + after,
-            seq,
-            payload,
-        });
-        self.inner.cv.notify_one();
+        st.heap.push(Entry { due, seq, payload });
+        // The dispatcher sleeps until the earliest deadline it saw, so
+        // it needs a wake only when this one is earlier still.
+        if st.heap.peek().is_some_and(|e| e.seq == seq) {
+            self.inner.cv.notify_one();
+        }
     }
 
     /// Number of armed, not-yet-fired timers.
@@ -171,7 +179,7 @@ impl<T: Send + 'static> Drop for TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, OnceLock, Weak};
 
     #[test]
     fn fires_in_deadline_order() {
@@ -187,6 +195,60 @@ mod tests {
             got.push(rx.recv_timeout(Duration::from_secs(5)).expect("fired"));
         }
         assert_eq!(got, vec![1, 2, 3]);
+        assert_eq!(wheel.pending(), 0);
+    }
+
+    /// A later timer does not wake the dispatcher; an earlier one must,
+    /// or it would sleep through it until the hour is up.
+    #[test]
+    fn earlier_timer_cuts_a_long_sleep_short() {
+        let (tx, rx) = mpsc::channel();
+        let wheel = TimerWheel::new(move |v: u32| {
+            let _ = tx.send(v);
+        });
+        wheel.schedule(Duration::from_secs(3600), 60);
+        wheel.schedule(Duration::from_secs(7200), 120);
+        wheel.schedule(Duration::from_millis(10), 1);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(1));
+        assert_eq!(wheel.pending(), 2);
+    }
+
+    #[test]
+    fn shared_deadline_fires_fifo() {
+        const N: u32 = 10_000;
+        let (tx, rx) = mpsc::channel();
+        let wheel = TimerWheel::new(move |v: u32| {
+            let _ = tx.send(v);
+        });
+        let due = Instant::now() + Duration::from_millis(50);
+        for v in 0..N {
+            wheel.schedule_at(due, v);
+        }
+        for v in 0..N {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(v));
+        }
+        assert_eq!(wheel.pending(), 0);
+    }
+
+    /// The callback runs on the dispatcher itself, which is awake and
+    /// gets no wake: it has to find the new timer on its way back.
+    #[test]
+    fn callback_can_schedule() {
+        let (tx, rx) = mpsc::channel();
+        let slot: Arc<OnceLock<Weak<TimerWheel<u32>>>> = Arc::default();
+        let in_callback = slot.clone();
+        let wheel = Arc::new(TimerWheel::new(move |v: u32| {
+            if v < 3 {
+                let wheel = in_callback.get().and_then(Weak::upgrade).expect("set");
+                wheel.schedule(Duration::from_millis(1), v + 1);
+            }
+            let _ = tx.send(v);
+        }));
+        slot.set(Arc::downgrade(&wheel)).expect("set once");
+        wheel.schedule(Duration::from_millis(1), 0);
+        for v in 0..=3 {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(v));
+        }
         assert_eq!(wheel.pending(), 0);
     }
 

@@ -5,13 +5,16 @@
 //! the connection concurrently; answers surface through
 //! [`WireClient::recv`] in whatever order the protocol resolves them.
 //!
-//! Every request carries a deadline on a shared
-//! [`TimerWheel`] — one wheel (and one dispatcher thread) serves every
-//! client in the process. When the deadline fires the request is
-//! retransmitted under the **same id** with the next delay from its
-//! bounded [`Backoff`] schedule; the server's idempotency layer
-//! guarantees the retry can never double-commit a grant, and a request
-//! whose budget runs dry resolves as [`WireEvent::TimedOut`].
+//! Every request carries a deadline. The client keeps them itself,
+//! earliest first, and keeps **one** entry armed on a shared
+//! [`TimerWheel`] — for the oldest unanswered request — so one wheel
+//! (and one dispatcher thread) serves every client in the process and
+//! holds one timer a client, not one a request. When a deadline passes
+//! the request is retransmitted under the **same id** with the next
+//! delay from its bounded [`Backoff`] schedule; the server's
+//! idempotency layer guarantees the retry can never double-commit a
+//! grant, and a request whose budget runs dry resolves as
+//! [`WireEvent::TimedOut`].
 //!
 //! [`WireServer`]: crate::WireServer
 
@@ -105,24 +108,23 @@ pub enum WireEvent {
     },
 }
 
-/// Payload armed on the shared deadline wheel: *which request of which
-/// client* just ran out of patience.
+/// Payload armed on the shared deadline wheel: *which client's* oldest
+/// unanswered request was due to run out of patience.
 pub struct WireDeadline {
     client: Weak<ClientShared>,
-    id: u64,
 }
 
 /// Builds the shared deadline wheel every [`WireClient`] in a process
-/// should be handed. The dispatch callback only flags the request as
-/// due and wakes its client — cheap and non-blocking, as the wheel
-/// requires; the actual retransmit happens on the client's own thread
-/// inside [`WireClient::recv`].
+/// should be handed. The dispatch callback only disarms its client and
+/// wakes it — cheap and non-blocking, as the wheel requires; the
+/// retransmit, and arming the entry for the next deadline, happen on
+/// the client's own thread inside [`WireClient::recv`].
 pub fn deadline_wheel() -> Arc<TimerWheel<WireDeadline>> {
     Arc::new(TimerWheel::new(|d: WireDeadline| {
         if let Some(shared) = d.client.upgrade() {
             let mut st = shared.st.lock().expect("client poisoned");
-            if st.pending.contains_key(&d.id) {
-                st.due.push(d.id);
+            st.armed = false;
+            if st.receiving {
                 shared.cv.notify_all();
             }
         }
@@ -137,10 +139,74 @@ struct PendingReq {
 
 struct ClientState {
     pending: HashMap<u64, PendingReq>,
-    /// Requests whose deadline fired, awaiting a retry/timeout decision.
-    due: Vec<u64>,
+    /// When the latest transmission of each request runs out of
+    /// patience, earliest first. A first transmission's entry goes on
+    /// the back, so this is submit order but for retries. An answered
+    /// request's entry is dropped when it reaches the front.
+    deadlines: VecDeque<(Instant, u64)>,
+    /// Whether this client's one entry on the wheel is armed.
+    armed: bool,
     events: VecDeque<WireEvent>,
+    /// Whether `recv` is parked on the condvar.
+    receiving: bool,
     closed: bool,
+}
+
+impl ClientState {
+    fn set_deadline(&mut self, due: Instant, id: u64) {
+        let at = self.deadlines.partition_point(|&(d, _)| d <= due);
+        self.deadlines.insert(at, (due, id));
+    }
+
+    /// Drops the entries of answered requests off the front.
+    fn trim_deadlines(&mut self) {
+        while let Some(&(_, id)) = self.deadlines.front() {
+            if self.pending.contains_key(&id) {
+                break;
+            }
+            self.deadlines.pop_front();
+        }
+    }
+
+    /// Takes every request whose deadline has passed at `now`: one with
+    /// budget left gets its next deadline (`patience` plus its next
+    /// backoff delay) and its frame is returned for retransmission, one
+    /// without resolves as a timeout.
+    fn expire(&mut self, now: Instant, patience: Duration, timeouts: &mut u64) -> Vec<Vec<u8>> {
+        let mut resend = Vec::new();
+        while let Some(&(due, id)) = self.deadlines.front() {
+            if due > now {
+                break;
+            }
+            self.deadlines.pop_front();
+            let Some(p) = self.pending.get_mut(&id) else {
+                continue; // answered in the meantime
+            };
+            match p.backoff.next_delay() {
+                Some(delay) => {
+                    resend.push(p.frame.clone());
+                    self.set_deadline(now + patience + delay, id);
+                }
+                None => {
+                    self.pending.remove(&id);
+                    self.events.push_back(WireEvent::TimedOut { id });
+                    *timeouts += 1;
+                }
+            }
+        }
+        resend
+    }
+
+    /// The instant to arm the wheel for, when it is not armed and a
+    /// request is waiting; the caller must then arm it.
+    fn arm(&mut self) -> Option<Instant> {
+        if self.armed {
+            return None;
+        }
+        let &(due, _) = self.deadlines.front()?;
+        self.armed = true;
+        Some(due)
+    }
 }
 
 /// State shared between the driver thread, the reader thread, and the
@@ -177,8 +243,10 @@ impl WireClient {
         let shared = Arc::new(ClientShared {
             st: Mutex::new(ClientState {
                 pending: HashMap::new(),
-                due: Vec::new(),
+                deadlines: VecDeque::new(),
+                armed: false,
                 events: VecDeque::new(),
+                receiving: false,
                 closed: false,
             }),
             cv: Condvar::new(),
@@ -215,7 +283,8 @@ impl WireClient {
             hold: req.hold,
             handoff_of: req.handoff_of.map(|t| t.0),
         });
-        {
+        let due = Instant::now() + self.cfg.deadline;
+        let arm = {
             let mut st = self.shared.st.lock().expect("client poisoned");
             if st.closed {
                 return Err(io::Error::new(
@@ -234,19 +303,22 @@ impl WireClient {
                     ),
                 },
             );
-        }
+            st.set_deadline(due, id);
+            st.arm()
+        };
         self.stream.write_all(&frame)?;
         if self.cfg.inject_dup_first_send {
             self.stream.write_all(&frame)?;
         }
-        self.wheel.schedule(
-            self.cfg.deadline,
-            WireDeadline {
-                client: Arc::downgrade(&self.shared),
-                id,
-            },
-        );
+        self.arm_wheel(arm);
         Ok(id)
+    }
+
+    fn arm_wheel(&self, due: Option<Instant>) {
+        if let Some(due) = due {
+            let client = Arc::downgrade(&self.shared);
+            self.wheel.schedule_at(due, WireDeadline { client });
+        }
     }
 
     /// Ends the call behind server `ticket` early (fire and forget; the
@@ -261,54 +333,39 @@ impl WireClient {
     /// without resolves as [`WireEvent::TimedOut`]. Returns `None` on
     /// timeout, or when the connection is closed and fully drained.
     pub fn recv(&mut self, wait: Duration) -> Option<WireEvent> {
-        let deadline = Instant::now() + wait;
+        let mut now = Instant::now();
+        let give_up = now + wait;
+        let mut st = self.shared.st.lock().expect("client poisoned");
         loop {
-            let mut resend: Vec<(u64, Vec<u8>, Duration)> = Vec::new();
-            let (ev, closed) = {
-                let mut st = self.shared.st.lock().expect("client poisoned");
-                let due = std::mem::take(&mut st.due);
-                for id in due {
-                    let Some(p) = st.pending.get_mut(&id) else {
-                        continue; // answered in the meantime
-                    };
-                    match p.backoff.next_delay() {
-                        Some(delay) => resend.push((id, p.frame.clone(), delay)),
-                        None => {
-                            st.pending.remove(&id);
-                            st.events.push_back(WireEvent::TimedOut { id });
-                            self.timeouts += 1;
-                        }
+            let resend = st.expire(now, self.cfg.deadline, &mut self.timeouts);
+            let arm = st.arm();
+            if !resend.is_empty() || arm.is_some() {
+                drop(st);
+                for frame in resend {
+                    self.retries += 1;
+                    if self.stream.write_all(&frame).is_err() {
+                        // The reader will observe the broken stream and
+                        // close; the request's next deadline times it out.
                     }
                 }
-                (st.events.pop_front(), st.closed)
-            };
-            for (id, frame, delay) in resend {
-                self.retries += 1;
-                if self.stream.write_all(&frame).is_err() {
-                    // The reader will observe the broken stream and
-                    // close; the request's next deadline times it out.
-                }
-                self.wheel.schedule(
-                    self.cfg.deadline + delay,
-                    WireDeadline {
-                        client: Arc::downgrade(&self.shared),
-                        id,
-                    },
-                );
+                self.arm_wheel(arm);
+                st = self.shared.st.lock().expect("client poisoned");
             }
-            if let Some(ev) = ev {
+            if let Some(ev) = st.events.pop_front() {
                 return Some(ev);
             }
-            if closed || Instant::now() >= deadline {
+            if st.closed || now >= give_up {
                 return None;
             }
-            let st = self.shared.st.lock().expect("client poisoned");
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let _ = self
+            st.receiving = true;
+            st = self
                 .shared
                 .cv
-                .wait_timeout(st, remaining.min(Duration::from_millis(5)))
-                .expect("client poisoned");
+                .wait_timeout(st, (give_up - now).min(Duration::from_millis(5)))
+                .expect("client poisoned")
+                .0;
+            st.receiving = false;
+            now = Instant::now();
         }
     }
 
@@ -344,32 +401,47 @@ impl Drop for WireClient {
     }
 }
 
-/// Decodes server frames into events. An answer whose id is no longer
-/// pending — it already timed out, or a retry raced its original
-/// response — is dropped: exactly-once delivery to the driver.
+/// Decodes server frames into events: every frame of one socket read,
+/// then one lock and at most one wake for all of them.
 fn run_reader(shared: &ClientShared, mut stream: TcpStream) {
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
-    'conn: loop {
+    let mut msgs = Vec::new();
+    loop {
         let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break 'conn,
+            Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
         dec.extend(&buf[..n]);
-        loop {
+        let broken = loop {
             match dec.next_frame() {
-                Ok(Some(msg)) => deliver(shared, msg),
-                Ok(None) => break,
-                Err(_) => break 'conn,
+                Ok(Some(msg)) => msgs.push(msg),
+                Ok(None) => break false,
+                Err(_) => break true,
             }
+        };
+        let mut st = shared.st.lock().expect("client poisoned");
+        let had = st.events.len();
+        for msg in msgs.drain(..) {
+            deliver(&mut st, msg);
+        }
+        st.trim_deadlines();
+        if st.receiving && st.events.len() > had {
+            shared.cv.notify_all();
+        }
+        drop(st);
+        if broken {
+            break;
         }
     }
     shared.st.lock().expect("client poisoned").closed = true;
     shared.cv.notify_all();
 }
 
-fn deliver(shared: &ClientShared, msg: WireMsg) {
-    let mut st = shared.st.lock().expect("client poisoned");
+/// Queues the event `msg` stands for. An answer whose id is no longer
+/// pending — it already timed out, or a retry raced its original
+/// response — is dropped: exactly-once delivery to the driver.
+fn deliver(st: &mut ClientState, msg: WireMsg) {
     let ev = match msg {
         WireMsg::Granted {
             id,
@@ -424,5 +496,4 @@ fn deliver(shared: &ClientShared, msg: WireMsg) {
         WireMsg::Request { .. } | WireMsg::Release { .. } => return,
     };
     st.events.push_back(ev);
-    shared.cv.notify_all();
 }

@@ -15,8 +15,9 @@
 //!   window — backpressure propagates socket-deep with no unbounded
 //!   queue anywhere.
 //! * [`WireClient`] — a pipelining client with per-request deadlines
-//!   on a process-shared [`TimerWheel`](adca_threadnet::TimerWheel)
-//!   and bounded retry-with-backoff. Requests carry idempotency ids;
+//!   (one entry a client on a process-shared
+//!   [`TimerWheel`](adca_threadnet::TimerWheel)) and bounded
+//!   retry-with-backoff. Requests carry idempotency ids;
 //!   the server answers a retried id from its response cache, so a
 //!   retry can never double-commit a grant.
 //! * [`closed_loop_wire`] — a multi-driver closed-loop load generator

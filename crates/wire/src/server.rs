@@ -27,7 +27,7 @@
 use crate::frame::{encode, FrameDecoder, WireMsg};
 use adca_hexgrid::CellId;
 use adca_serve::{AllocService, ChannelRequest, Confirm, Indication, ServeError, Ticket};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,12 +40,22 @@ use std::time::{Duration, Instant};
 /// `request_channel` returning on the reader and the route insert).
 const PARK_TTL: Duration = Duration::from_secs(5);
 
+/// How often the dispatcher retries answers parked on a route that the
+/// reader is about to register (nothing signals that insert).
+const PARK_RETRY: Duration = Duration::from_micros(200);
+
+/// Longest the idle dispatcher waits for the backend before it looks at
+/// the `stopping` flag again (nothing of the server's can wake it out
+/// of the backend's wait, and `shutdown` joins it).
+const IDLE_WAIT: Duration = Duration::from_millis(1);
+
 /// Object-safe face of `AllocService + Clone`, so [`WireServer`] need
 /// not be generic over the backend.
 trait DynService: Send {
     fn request_channel(&mut self, req: ChannelRequest) -> Result<Ticket, ServeError>;
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError>;
     fn confirm(&mut self) -> Option<Confirm>;
+    fn recv_confirm(&mut self, timeout: Duration) -> Option<Confirm>;
     fn indication(&mut self) -> Option<Indication>;
     fn clone_box(&self) -> Box<dyn DynService>;
 }
@@ -59,6 +69,9 @@ impl<S: AllocService + Clone + Send + 'static> DynService for S {
     }
     fn confirm(&mut self) -> Option<Confirm> {
         AllocService::confirm(self)
+    }
+    fn recv_confirm(&mut self, timeout: Duration) -> Option<Confirm> {
+        AllocService::recv_confirm(self, timeout)
     }
     fn indication(&mut self) -> Option<Indication> {
         AllocService::indication(self)
@@ -77,7 +90,8 @@ struct Route {
     granted: bool,
 }
 
-/// Per-connection outbound queue, drained by the writer worker.
+/// Per-connection outbound bytes: whole frames back to back, taken by
+/// the writer worker all at once.
 #[derive(Default)]
 struct Outbox {
     q: Mutex<OutboxState>,
@@ -86,16 +100,21 @@ struct Outbox {
 
 #[derive(Default)]
 struct OutboxState {
-    frames: VecDeque<Vec<u8>>,
+    bytes: Vec<u8>,
     closed: bool,
 }
 
 impl Outbox {
-    fn send(&self, frame: Vec<u8>) {
+    fn send(&self, frame: &[u8]) {
         let mut st = self.q.lock().expect("outbox poisoned");
         if !st.closed {
-            st.frames.push_back(frame);
-            self.cv.notify_one();
+            // The writer waits only on an empty outbox, so only the
+            // frame that ends the emptiness can find it parked.
+            let wake = st.bytes.is_empty();
+            st.bytes.extend_from_slice(frame);
+            if wake {
+                self.cv.notify_one();
+            }
         }
     }
 
@@ -264,6 +283,12 @@ fn run_accept(
             .lock()
             .expect("conns poisoned")
             .insert(conn_id, conn.clone());
+        // `shutdown` closes the connections it finds registered, once.
+        // One that registers after that pass has to close itself, or
+        // `shutdown` would join a reader that nobody ever unblocks.
+        if shared.stopping.load(Ordering::SeqCst) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
 
         let reader = {
             let shared = shared.clone();
@@ -345,10 +370,8 @@ fn handle_frame(
                         return true;
                     }
                     Some(Dedup::Done(bytes)) => {
-                        let replay = bytes.clone();
                         shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                        drop(dedup);
-                        conn.out.send(replay);
+                        conn.out.send(bytes);
                         return true;
                     }
                 }
@@ -378,11 +401,11 @@ fn handle_frame(
                         id,
                         reason: e.to_string(),
                     });
+                    conn.out.send(&frame);
                     conn.dedup
                         .lock()
                         .expect("dedup poisoned")
-                        .insert(id, Dedup::Done(frame.clone()));
-                    conn.out.send(frame);
+                        .insert(id, Dedup::Done(frame));
                 }
             }
             true
@@ -403,25 +426,31 @@ fn handle_frame(
     }
 }
 
+/// Writes whatever the outbox holds each time it looks, in one
+/// `write_all`: one frame when one is queued, hundreds under load.
 fn run_writer(conn: Arc<ConnState>, mut stream: TcpStream) {
+    let mut batch = Vec::new();
     loop {
-        let frame = {
+        {
             let mut st = conn.out.q.lock().expect("outbox poisoned");
-            loop {
-                if let Some(f) = st.frames.pop_front() {
-                    break f;
-                }
+            while st.bytes.is_empty() {
                 if st.closed {
                     return;
                 }
                 st = conn.out.cv.wait(st).expect("outbox poisoned");
             }
-        };
-        if stream.write_all(&frame).is_err() {
+            // `batch` is empty: the outbox keeps filling into its
+            // allocation while this one is on its way out.
+            std::mem::swap(&mut st.bytes, &mut batch);
+        }
+        if stream.write_all(&batch).is_err() {
             conn.out.close();
             let _ = conn.stream.shutdown(Shutdown::Both);
             return;
         }
+        batch.clear();
+        // One burst must not pin its size for the connection's life.
+        batch.shrink_to(64 * 1024);
     }
 }
 
@@ -437,11 +466,11 @@ enum Parked {
 /// each to the connection that owns the ticket.
 fn run_dispatcher(shared: &Shared, svc: &mut dyn DynService) {
     let mut parked: Vec<(Instant, Parked)> = Vec::new();
+    // The confirm that ended the last wait, if any.
+    let mut woken_by: Option<Confirm> = None;
     loop {
         let stopping = shared.stopping.load(Ordering::SeqCst);
-        let mut worked = false;
-        while let Some(c) = svc.confirm() {
-            worked = true;
+        while let Some(c) = woken_by.take().or_else(|| svc.confirm()) {
             if let Some(p) = relay_confirm(shared, c) {
                 parked.push((Instant::now(), p));
             }
@@ -452,7 +481,6 @@ fn run_dispatcher(shared: &Shared, svc: &mut dyn DynService) {
             channel,
         }) = svc.indication()
         {
-            worked = true;
             if let Some(p) = relay_released(shared, ticket, cell, channel) {
                 parked.push((Instant::now(), p));
             }
@@ -470,9 +498,14 @@ fn run_dispatcher(shared: &Shared, svc: &mut dyn DynService) {
         if stopping {
             return;
         }
-        if !worked {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        // Both queues were just seen empty: wait for the backend to
+        // push to either (the production backend signals, others poll).
+        let wait = if parked.is_empty() {
+            IDLE_WAIT
+        } else {
+            PARK_RETRY
+        };
+        woken_by = svc.recv_confirm(wait);
     }
 }
 
@@ -554,7 +587,7 @@ fn relay_released(
                 .get(&conn_id)
                 .cloned()
             {
-                conn.out.send(frame);
+                conn.out.send(&frame);
             }
             None
         }
@@ -573,9 +606,89 @@ fn deliver(shared: &Shared, conn_id: u64, client_id: u64, frame: Vec<u8>) {
         .get(&conn_id)
         .cloned();
     let Some(conn) = conn else { return };
+    conn.out.send(&frame);
     conn.dedup
         .lock()
         .expect("dedup poisoned")
-        .insert(client_id, Dedup::Done(frame.clone()));
-    conn.out.send(frame);
+        .insert(client_id, Dedup::Done(frame));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// A connection as the accept loop would register it, its writer
+    /// running, and the peer's end of the socket.
+    fn connection_with_queued(frames: u64) -> (Arc<ConnState>, mpsc::Receiver<()>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let write_half = stream.try_clone().expect("clone");
+        let conn = Arc::new(ConnState {
+            out: Outbox::default(),
+            dedup: Mutex::default(),
+            stream,
+        });
+        // Queued before the writer starts, so it takes them as one batch.
+        for ticket in 0..frames {
+            conn.out.send(&encode(&WireMsg::Released {
+                ticket,
+                cell: 1,
+                channel: 2,
+            }));
+        }
+        let (done, finished) = mpsc::channel();
+        let writer = conn.clone();
+        std::thread::spawn(move || {
+            run_writer(writer, write_half);
+            let _ = done.send(());
+        });
+        (conn, finished, peer)
+    }
+
+    /// A batch of 3.4 MB, many times what one `write(2)` moves: every
+    /// frame arrives whole and in order.
+    #[test]
+    fn writer_splits_a_large_batch_without_tearing_a_frame() {
+        const FRAMES: u64 = 100_000;
+        let (conn, finished, mut peer) = connection_with_queued(FRAMES);
+        let mut dec = FrameDecoder::new();
+        let mut buf = [0u8; 4096];
+        let mut next = 0;
+        while next < FRAMES {
+            let n = peer.read(&mut buf).expect("read");
+            assert!(n > 0, "closed after {next} frames");
+            dec.extend(&buf[..n]);
+            while let Some(msg) = dec.next_frame().expect("sound frame") {
+                let WireMsg::Released { ticket, .. } = msg else {
+                    panic!("unexpected {msg:?}");
+                };
+                assert_eq!(ticket, next);
+                next += 1;
+            }
+        }
+        assert_eq!(dec.buffered(), 0);
+        conn.out.close();
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a closed, empty outbox ends the writer");
+    }
+
+    /// The peer reads a little and goes away with most of the batch
+    /// unsent: the write fails, and the writer closes the outbox and the
+    /// socket (which unblocks the connection's reader) and ends.
+    #[test]
+    fn writer_closes_the_connection_when_the_peer_leaves_mid_batch() {
+        let (conn, finished, mut peer) = connection_with_queued(400_000);
+        let mut buf = [0u8; 1024];
+        peer.read_exact(&mut buf).expect("the batch has started");
+        drop(peer);
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the failed write ends the writer");
+        assert!(conn.out.q.lock().expect("outbox poisoned").closed);
+        let n = (&conn.stream).read(&mut buf).unwrap_or(0);
+        assert_eq!(n, 0, "the reader's half was shut down");
+    }
 }
