@@ -218,6 +218,7 @@ fn write_json(
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"e14_checkpoint\",\n");
+    s.push_str(&adca_bench::perf::provenance_lines());
     s.push_str("  \"workload\": \"e9_scalability grid sweep\",\n");
     let _ = writeln!(s, "  \"rho\": {RHO},");
     let _ = writeln!(s, "  \"horizon_ticks\": {HORIZON},");

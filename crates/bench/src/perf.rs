@@ -30,6 +30,33 @@ pub struct BenchRow {
     pub speedup: Option<f64>,
 }
 
+/// Two header lines saying where a baseline was measured: the host's CPU
+/// model and core count, and `git describe --always --dirty` of the
+/// checkout (`unknown` where either cannot be read). The gate compares
+/// rows; these lines tell a reader whether two files are comparable.
+pub fn provenance_lines() -> String {
+    // Both values land between JSON quotes.
+    let clean = |s: &str| s.trim().replace(['"', '\\'], "'");
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(clean(line.split_once(':')?.1))
+        });
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| clean(&String::from_utf8_lossy(&out.stdout)));
+    format!(
+        "  \"host\": \"{}, {cores} cores\",\n  \"commit\": \"{}\",\n",
+        cpu.as_deref().unwrap_or("unknown"),
+        commit.as_deref().unwrap_or("unknown"),
+    )
+}
+
 /// Writes `rows` as `BENCH_engine.json`-style JSON to `path`.
 pub fn write_json(
     path: &str,
@@ -41,6 +68,7 @@ pub fn write_json(
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"engine_throughput\",\n");
+    s.push_str(&provenance_lines());
     s.push_str("  \"workload\": \"e9_scalability grid sweep\",\n");
     let _ = writeln!(s, "  \"rho\": {rho},");
     let _ = writeln!(s, "  \"horizon_ticks\": {horizon},");
@@ -104,6 +132,7 @@ pub fn write_shard_json(
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"e15_sharding\",\n");
+    s.push_str(&provenance_lines());
     s.push_str("  \"workload\": \"uniform load, grids sized for shard scaling\",\n");
     let _ = writeln!(s, "  \"rho\": {rho},");
     let _ = writeln!(s, "  \"repeat\": {repeat},");

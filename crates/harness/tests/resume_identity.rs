@@ -18,6 +18,7 @@
 use adca_harness::{Scenario, SchemeKind};
 use adca_hexgrid::CellId;
 use adca_simkit::{AuditMode, DecodeError, FaultPlan};
+use adca_traffic::WorkloadSpec;
 
 const HORIZON: u64 = 24_000;
 
@@ -109,6 +110,28 @@ fn resume_after_periodic_checkpoints_is_bit_identical() {
     // same report.
     let resumed = sc.resume_from(SchemeKind::Adaptive, &path).unwrap();
     assert_eq!(cold.report, resumed.report, "resume_from diverged");
+}
+
+#[test]
+fn resume_above_the_dense_link_limit_is_bit_identical() {
+    // Past 256 cells the engine's link horizons use the region layout
+    // (its own snapshot tag and slot numbering): 18×18 round-trips it,
+    // for the paper's scheme and for the message-heaviest baseline.
+    // A mean hold of a third of the horizon, so that cells fill up and
+    // borrow (adaptive is message-free until they do).
+    let horizon = 3_000;
+    let sc = Scenario::uniform(0.9, horizon)
+        .with_grid(18, 18)
+        .with_workload(WorkloadSpec::uniform(0.9, 1_000.0, horizon));
+    for kind in [SchemeKind::Adaptive, SchemeKind::BasicUpdate] {
+        let cold = sc.run(kind);
+        let split = sc.run_split(kind, horizon / 2);
+        assert_eq!(
+            cold.report, split.report,
+            "{kind}: 18×18 snapshot/restore at T/2 diverged from the cold run"
+        );
+        assert!(cold.report.messages_total > 0, "{kind}: no link was used");
+    }
 }
 
 #[test]

@@ -13,6 +13,7 @@
 use adca_harness::{Scenario, SchemeKind};
 use adca_hexgrid::CellId;
 use adca_simkit::{AuditMode, FaultPlan};
+use adca_traffic::WorkloadSpec;
 
 const HORIZON: u64 = 12_000;
 
@@ -117,6 +118,33 @@ fn sharded_snapshot_roundtrip_matches_cold_sequential_run() {
         assert_eq!(
             cold.report, split.report,
             "{kind}: sharded snapshot/restore at T/2 diverged from the cold sequential run"
+        );
+    }
+}
+
+#[test]
+fn invariance_holds_above_the_dense_link_limit() {
+    // Past 256 cells the link horizons switch to the region layout; the
+    // lanes' deferred sends replay through it at the barrier, and the
+    // split run round-trips its snapshot tag.
+    // A mean hold of a third of the horizon, so that cells fill up and
+    // borrow (adaptive is message-free until they do).
+    let horizon = 2_000;
+    let sc = Scenario::uniform(0.9, horizon)
+        .with_grid(18, 18)
+        .with_workload(WorkloadSpec::uniform(0.9, 700.0, horizon));
+    for kind in [SchemeKind::Adaptive, SchemeKind::BasicUpdate] {
+        let cold = sc.run(kind);
+        assert!(cold.report.messages_total > 0, "{kind}: no link was used");
+        let sharded = sc.run_sharded(kind, 3);
+        assert_eq!(
+            cold.report, sharded.report,
+            "{kind}: 3-shard 18×18 run diverged from sequential"
+        );
+        let split = sc.run_split_sharded(kind, 3, horizon / 2);
+        assert_eq!(
+            cold.report, split.report,
+            "{kind}: sharded 18×18 snapshot/restore at T/2 diverged from the cold run"
         );
     }
 }

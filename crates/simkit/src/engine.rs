@@ -160,12 +160,13 @@ pub struct ReqOutcome {
 /// that preceded it); under jittered latency the clamp enforces it.
 ///
 /// The engine probes this table on **every** message send, so the old
-/// `HashMap<(CellId, CellId), SimTime>` hash was pure per-event tax. For
-/// topologies up to ~1k cells a dense `n × n` array is small enough
-/// (8 MB at n = 1024) to index directly; beyond that the table compresses
-/// to interference-region links only — the only links any of the paper's
-/// protocols use — with a spill map for protocols that message outside
-/// their region.
+/// `HashMap<(CellId, CellId), SimTime>` hash was pure per-event tax. Up
+/// to 256 cells a dense `n × n` array (at most 512 KB) is indexed
+/// directly. Beyond that the dense table outgrows the cache — 8 MB at
+/// 32×32, one miss a send — so the table holds interference-region links
+/// only (CSR, ~30 a cell: 245 KB at 32×32) — the only links any of the
+/// paper's protocols use — with a spill map for protocols that message
+/// outside their region.
 pub(crate) enum LinkHorizons {
     Dense {
         n: usize,
@@ -174,7 +175,7 @@ pub(crate) enum LinkHorizons {
     Region {
         /// CSR offsets: links of `from` live at `starts[from]..starts[from+1]`.
         starts: Vec<u32>,
-        /// Region members of each `from`, sorted by id (binary-searchable).
+        /// Region members of each `from`, sorted by id.
         targets: Vec<CellId>,
         slots: Vec<SimTime>,
         spill: HashMap<(CellId, CellId), SimTime>,
@@ -182,18 +183,27 @@ pub(crate) enum LinkHorizons {
 }
 
 /// Largest `n × n` slot table we are willing to allocate densely.
-const DENSE_LINK_LIMIT: usize = 1 << 20;
+const DENSE_LINK_LIMIT: usize = 1 << 16;
 
 impl LinkHorizons {
     fn new(topo: &Topology) -> Self {
         let n = topo.num_cells();
         if n.saturating_mul(n) <= DENSE_LINK_LIMIT {
-            return LinkHorizons::Dense {
-                n,
-                slots: vec![SimTime::ZERO; n * n],
-            };
+            Self::dense(n)
+        } else {
+            Self::region(topo)
         }
-        let mut starts = Vec::with_capacity(n + 1);
+    }
+
+    fn dense(n: usize) -> Self {
+        LinkHorizons::Dense {
+            n,
+            slots: vec![SimTime::ZERO; n * n],
+        }
+    }
+
+    fn region(topo: &Topology) -> Self {
+        let mut starts = Vec::with_capacity(topo.num_cells() + 1);
         let mut targets = Vec::new();
         for cell in topo.cells() {
             starts.push(targets.len() as u32);
@@ -223,10 +233,15 @@ impl LinkHorizons {
                 spill,
             } => {
                 let lo = starts[from.index()] as usize;
-                let hi = starts[from.index() + 1] as usize;
-                match targets[lo..hi].binary_search(&to) {
-                    Ok(i) => &mut slots[lo + i],
-                    Err(_) => spill.entry((from, to)).or_insert(SimTime::ZERO),
+                let row = &targets[lo..starts[from.index() + 1] as usize];
+                // A row is a few dozen sorted ids: counting the smaller
+                // ones is branch-free and vectorizes, where a binary
+                // search is a chain of dependent loads.
+                let i = row.iter().filter(|&&t| t < to).count();
+                if row.get(i) == Some(&to) {
+                    &mut slots[lo + i]
+                } else {
+                    spill.entry((from, to)).or_insert(SimTime::ZERO)
                 }
             }
         };
@@ -771,8 +786,8 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
             per_cell_grants: vec![0; n],
             ..Default::default()
         };
-        // Every arrival and hop is pushed up front (mostly landing in the
-        // queue's far-future overflow) and later becomes one request.
+        // Every arrival and hop is pushed up front (into the queue's slab,
+        // at horizons inside its ring) and later becomes one request.
         let total_hops: usize = arrivals.iter().map(|a| a.hops.len()).sum();
         let faults_on = cfg.faults.is_active();
         if faults_on {
@@ -2105,7 +2120,10 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             });
         }
 
-        let mut queue: EventQueue<Ev<P::Msg>> = EventQueue::with_capacity(entries.len());
+        // The slab is sized as `Engine::with_sink` sizes it, so a warm
+        // engine regrows it no more often than a cold one.
+        let mut queue: EventQueue<Ev<P::Msg>> =
+            EventQueue::with_capacity(entries.len().max(ncalls + total_hops));
         queue.restore_cursor(now, queue_seq);
         for (at, seq, ev) in entries {
             queue.push_with_seq(at, seq, ev);
@@ -2602,5 +2620,47 @@ mod tests {
         );
         engine.run().assert_clean();
         assert_eq!(engine.node(CellId(0)).fired, vec![1, 2, 3]);
+    }
+
+    proptest::proptest! {
+        /// The dense table below `DENSE_LINK_LIMIT` and the region table
+        /// above it are two layouts of one function: driven by the same
+        /// jittered send sequence — in-region links and, through the
+        /// spill map, out-of-region ones — they clamp every delivery to
+        /// the same tick.
+        #[test]
+        fn link_layouts_agree(
+            // 18×18 = 324 cells, from a few senders so that links are
+            // revisited and the clamp actually bites.
+            sends in proptest::collection::vec(
+                (0u32..12, 0usize..64, 0u32..324, 0u8..4, 0u64..3, 1u64..40),
+                1..600,
+            ),
+        ) {
+            let topo = Topology::default_paper(18, 18);
+            let n = topo.num_cells();
+            let mut dense = LinkHorizons::dense(n);
+            let mut region = LinkHorizons::region(&topo);
+            let mut now = 0u64;
+            for (from, pick, anywhere, out_of_region, step, latency) in sends {
+                let from = CellId(from * 27);
+                let members = topo.region(from);
+                let to = if out_of_region == 0 {
+                    CellId(anywhere)
+                } else {
+                    members[pick % members.len()]
+                };
+                now += step;
+                let at = SimTime(now + latency);
+                assert_eq!(dense.clamp(from, to, at), region.clamp(from, to, at));
+            }
+        }
+    }
+
+    #[test]
+    fn link_layout_follows_grid_size() {
+        let layout = |rows, cols| LinkHorizons::new(&Topology::default_paper(rows, cols));
+        assert!(matches!(layout(16, 16), LinkHorizons::Dense { .. }));
+        assert!(matches!(layout(18, 18), LinkHorizons::Region { .. }));
     }
 }

@@ -1,30 +1,37 @@
-//! The engine's event queue: a calendar queue with an overflow heap.
+//! The engine's event queue: per-tick FIFO lists over one slab, with an
+//! overflow heap for the far future.
 //!
-//! The engine previously used `BinaryHeap<Reverse<QEntry>>`, paying
-//! `O(log n)` sift-up/sift-down per event with cache-hostile access
-//! patterns. Discrete-event workloads are strongly *near-future* biased
-//! (message latencies of ~`T` ticks, call ends within a few mean holding
-//! times), which is exactly the access pattern calendar queues exploit:
+//! Discrete-event workloads are strongly *near-future* biased (message
+//! latencies of ~`T` ticks, call ends within a few mean holding times),
+//! and the clock is an integer tick. So the queue writes each event once
+//! and reads it once:
 //!
-//! * Virtual time is partitioned into fixed-width *days* of
-//!   `2^DAY_SHIFT` ticks; a ring of `NUM_BUCKETS` day buckets covers
-//!   the near future (`DAY_TICKS × NUM_BUCKETS` ticks ahead).
-//! * A push lands in its day's bucket as an unsorted append — `O(1)`.
-//! * When the serving cursor enters a day, that one bucket is put in
-//!   order by a *stable distribution sort* over the `2^DAY_SHIFT`
-//!   possible ticks-within-day — `O(b)` with no comparisons, exploiting
-//!   the fact that pushes arrive in ascending `seq` order — and drained
-//!   back-to-front; a push *into the serving day* keeps the bucket
-//!   sorted with a binary-search insert.
-//! * Events beyond the ring (initial arrival schedules, very long call
-//!   ends) go to a sorted overflow heap and migrate into their bucket
-//!   when the cursor reaches their day.
+//! * Events live in a **slab** of slots `{next, entry}`. A popped slot
+//!   goes on a LIFO free list and is the next one written, so the slab
+//!   grows only to the *peak number of ring-resident events*: memory
+//!   follows what is in flight, not what was ever scheduled.
+//! * A **ring** of `RING` per-tick `(head, tail)` pairs covers the window
+//!   `[cur, cur + RING)` ahead of the serving cursor. A push inside the
+//!   window appends its slot to its tick's list — `O(1)`, no sort.
+//! * An **occupancy bitmap** (one bit a tick) marks the non-empty lists;
+//!   the cursor skips empty ticks a 64-tick word at a time.
+//! * Events beyond the window (long call ends, arrival schedules of long
+//!   horizons) wait in a sorted **overflow heap**.
+//!
+//! # Why per-tick FIFO is `(at, seq)` order
 //!
 //! The pop order is **exactly** the `(time, seq)` lexicographic order of
-//! the heap it replaces — equal-time events pop in push order — so every
-//! `SimReport` is bit-identical to the `BinaryHeap` engine's. A property
-//! test (`tests/equeue_props.rs`) pins this against a reference heap for
-//! random push/pop interleavings.
+//! a binary heap — equal-time events pop in push order — so every
+//! `SimReport` is bit-identical to a heap-scheduled engine's. `seq`
+//! values ascend in push order, so appending keeps a tick's list in
+//! ascending `seq`. An overflow entry for tick `t` was pushed while
+//! `t ≥ cur + RING`, a ring entry for `t` while `t < cur + RING`; the
+//! cursor only moves forward, so every overflow entry of a tick is older
+//! than every ring entry of it. Hence the **overflow-first rule**: when
+//! the cursor enters a tick, that tick's overflow entries come off the
+//! heap in `seq` order and are linked *in front of* the list already
+//! there. A property test (`tests/equeue_props.rs`) pins all of this
+//! against a reference heap for random push/pop interleavings.
 //!
 //! # Same-tick tie-break across event classes
 //!
@@ -43,26 +50,20 @@ use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Width of one calendar day in ticks (as a shift): 16 ticks.
-///
-/// Narrow days keep the serving bucket small, which bounds the two
-/// `O(bucket)` costs: the binary-insert memmove for a push into the
-/// serving day (common — exponentially distributed call holding times
-/// put many `End` events within a few ticks of `now`) and each bucket
-/// sort. Wider days would amortize the day-advance step better, but that
-/// step is a trivial counter increment.
-const DAY_SHIFT: u32 = 4;
-/// Ticks per day, and the modulus of the distribution sort.
-const DAY_TICKS: usize = 1 << DAY_SHIFT;
-/// Mask extracting the tick-within-day from a time.
-const TICK_MASK: u64 = (DAY_TICKS as u64) - 1;
-/// Number of day buckets in the ring (must stay a power of two). The
-/// ring spans `2^DAY_SHIFT × NUM_BUCKETS` = 16k ticks ahead; beyond it
-/// events overflow to the heap (mean call durations are ~`T`, so the
-/// exponential tail past the ring is negligible).
-const NUM_BUCKETS: usize = 1024;
-/// Ring index mask.
-const DAY_MASK: u64 = (NUM_BUCKETS as u64) - 1;
+/// Ticks covered by the ring (a power of two). Mean call durations are
+/// ~`T` and benchmark horizons a few thousand ticks: little lies beyond.
+const RING: usize = 1 << 14;
+const RING_MASK: u64 = RING as u64 - 1;
+/// End-of-list / empty-free-list marker; also bounds the slab's size.
+const NIL: u32 = u32::MAX;
+
+/// Where `tick` lives: its index in the ring, and its word and mask in
+/// the occupancy bitmap.
+#[inline]
+fn ring_pos(tick: u64) -> (usize, usize, u64) {
+    let i = (tick & RING_MASK) as usize;
+    (i, i / 64, 1 << (i % 64))
+}
 
 /// One scheduled event: `(at, seq)` is the total pop order.
 #[derive(Debug, Clone)]
@@ -99,34 +100,36 @@ impl<T> Ord for EqEntry<T> {
     }
 }
 
+/// One slab slot: a ring-resident event linked into its tick's list, or
+/// a free slot (`entry` is `None`) linked into the free list.
+struct Slot<T> {
+    next: u32,
+    entry: Option<EqEntry<T>>,
+}
+
 /// A monotone priority queue over `(SimTime, seq)` keys.
 ///
 /// "Monotone" is the engine's contract: every push is at or after the
-/// time of the last pop (`debug_assert`ed). This is what lets the
-/// serving cursor only ever move forward.
+/// serving cursor — the time of the last pop, or wherever a peek walked
+/// to (`debug_assert`ed). This is what lets the cursor only ever move
+/// forward.
 pub struct EventQueue<T> {
-    /// The day-bucket ring. Only the serving day's bucket is sorted
-    /// (descending, so popping from the back yields ascending order).
-    buckets: Vec<Vec<EqEntry<T>>>,
-    /// The day currently being served.
-    cur_day: u64,
-    /// Whether the serving day's bucket has been sorted yet.
-    cur_sorted: bool,
-    /// Entries across all ring buckets.
+    slots: Vec<Slot<T>>,
+    /// Head of the LIFO free list through `Slot::next`.
+    free: u32,
+    /// `(head, tail)` slot of each tick's list, by `tick & RING_MASK`;
+    /// meaningful only where the tick's `occupied` bit is set.
+    ticks: Vec<(u32, u32)>,
+    /// One bit a ring tick: its list is non-empty.
+    occupied: Vec<u64>,
+    /// The tick being served; the ring covers `[cur, cur + RING)`.
+    cur: u64,
+    /// Entries in the slab (all ring-resident).
     ring_len: usize,
-    /// Entries in `overflow`.
+    /// Entries due at or beyond `cur + RING` when they were pushed.
     overflow: BinaryHeap<Reverse<EqEntry<T>>>,
-    /// Scratch: overflow entries migrating into the serving day.
-    migrating: Vec<EqEntry<T>>,
-    /// Scratch: one FIFO per tick-within-day for the distribution sort.
-    tick_lists: Vec<Vec<EqEntry<T>>>,
     /// Monotone sequence counter for tie-breaks.
     seq: u64,
-}
-
-#[inline]
-fn day_of(at: SimTime) -> u64 {
-    at.ticks() >> DAY_SHIFT
 }
 
 impl<T> EventQueue<T> {
@@ -135,17 +138,18 @@ impl<T> EventQueue<T> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue with `far` slots pre-reserved in the overflow heap
-    /// (for workloads whose whole arrival schedule is pushed up front).
-    pub fn with_capacity(far: usize) -> Self {
+    /// An empty queue with `resident` slab slots pre-reserved (for
+    /// workloads whose whole arrival schedule is pushed up front).
+    pub fn with_capacity(resident: usize) -> Self {
+        assert!(resident < NIL as usize, "slot indices are u32");
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            cur_day: 0,
-            cur_sorted: false,
+            slots: Vec::with_capacity(resident),
+            free: NIL,
+            ticks: vec![(0, 0); RING],
+            occupied: vec![0; RING / 64],
+            cur: 0,
             ring_len: 0,
-            overflow: BinaryHeap::with_capacity(far),
-            migrating: Vec::new(),
-            tick_lists: (0..DAY_TICKS).map(|_| Vec::new()).collect(),
+            overflow: BinaryHeap::new(),
             seq: 0,
         }
     }
@@ -175,44 +179,71 @@ impl<T> EventQueue<T> {
     /// The engine uses this to keep one global event-sequence counter.
     ///
     /// `seq` values must be monotone in push order (as a single shared
-    /// counter guarantees): the day-entry distribution sort is stable
-    /// and relies on same-day entries arriving in ascending `seq`.
+    /// counter guarantees): a tick's list is FIFO and relies on same-tick
+    /// entries arriving in ascending `seq`.
     pub fn push_with_seq(&mut self, at: SimTime, seq: u64, item: T) {
-        let day = day_of(at);
         debug_assert!(
-            day >= self.cur_day,
-            "monotonicity violated: pushed day {day} before serving day {}",
-            self.cur_day
+            at.ticks() >= self.cur,
+            "monotonicity violated: pushed tick {} before serving tick {}",
+            at.ticks(),
+            self.cur
         );
         let entry = EqEntry { at, seq, item };
-        if day >= self.cur_day + NUM_BUCKETS as u64 {
+        if at.ticks() - self.cur >= RING as u64 {
             self.overflow.push(Reverse(entry));
-            return;
-        }
-        let bucket = &mut self.buckets[(day & DAY_MASK) as usize];
-        if day == self.cur_day && self.cur_sorted {
-            // The serving day's bucket is sorted descending and drained
-            // from the back; keep the order exact.
-            let key = entry.key();
-            let pos = bucket.partition_point(|e| e.key() > key);
-            bucket.insert(pos, entry);
         } else {
-            bucket.push(entry);
+            self.append(entry);
+        }
+    }
+
+    /// Writes the event into a slot (the most recently freed one, else a
+    /// new one) and links it at the tail of its tick's list.
+    #[inline]
+    fn append(&mut self, entry: EqEntry<T>) {
+        let (i, word, bit) = ring_pos(entry.at.ticks());
+        let (seq, entry) = (entry.seq, Some(entry));
+        let slot = Slot { next: NIL, entry };
+        let idx = match self.free {
+            NIL => {
+                assert!(self.slots.len() < NIL as usize, "event slab is full");
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+            idx => {
+                self.free = std::mem::replace(&mut self.slots[idx as usize], slot).next;
+                idx
+            }
+        };
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            self.ticks[i] = (idx, idx);
+        } else {
+            let tail = &mut self.slots[std::mem::replace(&mut self.ticks[i].1, idx) as usize];
+            debug_assert!(
+                tail.entry.as_ref().is_some_and(|t| t.seq < seq),
+                "seq values not monotone within a tick"
+            );
+            tail.next = idx;
         }
         self.ring_len += 1;
     }
 
-    /// `(ring_resident, overflow_resident)` entry counts — diagnostics
-    /// for the restore path, which must land near-future events in the
-    /// calendar ring (the O(1) serving structure), not the heap.
+    /// `(ring_resident, overflow_resident)` entry counts — diagnostics for
+    /// the restore path, which must land near-future events in the ring.
     pub fn residency(&self) -> (usize, usize) {
         (self.ring_len, self.overflow.len())
     }
 
-    /// Whether `at` falls inside the calendar ring's current window; a
-    /// push due then would be ring-resident, not overflow.
+    /// Slab slots ever allocated: at most the peak ring residency, since
+    /// freed slots are reused before the slab grows.
+    pub fn slab_slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether `at` falls inside the ring's current window; a push due
+    /// then would be ring-resident, not overflow.
     pub fn ring_covers(&self, at: SimTime) -> bool {
-        day_of(at) < self.cur_day + NUM_BUCKETS as u64
+        at.ticks().saturating_sub(self.cur) < RING as u64
     }
 
     /// The current value of the internal tie-break counter (the `seq` the
@@ -227,25 +258,20 @@ impl<T> EventQueue<T> {
     /// disturbing the queue. Snapshot encoding sorts the collected
     /// entries by `(at, seq)` itself.
     pub fn iter_entries(&self) -> impl Iterator<Item = &EqEntry<T>> {
-        self.buckets
-            .iter()
-            .flatten()
-            .chain(self.migrating.iter())
-            .chain(self.tick_lists.iter().flatten())
-            .chain(self.overflow.iter().map(|Reverse(e)| e))
+        let ring = self.slots.iter().filter_map(|s| s.entry.as_ref());
+        ring.chain(self.overflow.iter().map(|Reverse(e)| e))
     }
 
     /// Positions a freshly built queue for a checkpoint restore: the
-    /// serving cursor moves to `now`'s day and the tie-break counter to
-    /// `seq`. Must be called on an empty queue, *before* replaying the
+    /// serving cursor moves to `now` and the tie-break counter to `seq`.
+    /// Must be called on an empty queue, *before* replaying the
     /// snapshot's entries (in ascending `(at, seq)` order, via
     /// [`EventQueue::push_with_seq`]) — replayed pushes land relative to
-    /// this cursor just as the original pushes did, and pop order depends
-    /// only on `(at, seq)`, so the restored queue drains identically.
+    /// this cursor just as live pushes would, and pop order depends only
+    /// on `(at, seq)`, so the restored queue drains identically.
     pub fn restore_cursor(&mut self, now: SimTime, seq: u64) {
         assert!(self.is_empty(), "restore_cursor on a non-empty queue");
-        self.cur_day = day_of(now);
-        self.cur_sorted = false;
+        self.cur = now.ticks();
         self.seq = seq;
     }
 
@@ -253,130 +279,102 @@ impl<T> EventQueue<T> {
     /// if the queue is empty. Shares the serving-cursor advance with
     /// [`EventQueue::pop`], so `peek_key` then `pop` is not extra work.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            if !self.cur_sorted {
-                self.enter_day();
-            }
-            let bucket = &self.buckets[(self.cur_day & DAY_MASK) as usize];
-            if let Some(entry) = bucket.last() {
-                return Some(entry.key());
-            }
-            if self.ring_len > 0 {
-                self.cur_day += 1;
-            } else if let Some(Reverse(head)) = self.overflow.peek() {
-                self.cur_day = day_of(head.at);
-            } else {
-                return None;
-            }
-            self.cur_sorted = false;
-        }
+        self.peek_key_within(SimTime(u64::MAX))
     }
 
     /// The earliest `(at, seq)` key if it is at or before `last`, else
-    /// `None` — without advancing the serving cursor past `last`'s day.
+    /// `None` — without advancing the serving cursor past `last`.
     ///
     /// [`EventQueue::peek_key`] walks the cursor to the next populated
-    /// day, however far ahead; after such a walk, a push into the gap
+    /// tick, however far ahead; after such a walk, a push into the gap
     /// would land *behind* the cursor and break monotonicity. The
     /// sharded engine peeks with this method instead while it still has
     /// window-barrier pushes to make (all due at or after its window
-    /// end, hence at or after any cursor position this peek leaves).
+    /// end, hence after any cursor position this peek leaves).
     pub fn peek_key_within(&mut self, last: SimTime) -> Option<(SimTime, u64)> {
-        let limit_day = day_of(last);
-        loop {
-            if !self.cur_sorted {
-                self.enter_day();
-            }
-            let bucket = &self.buckets[(self.cur_day & DAY_MASK) as usize];
-            if let Some(entry) = bucket.last() {
-                let key = entry.key();
-                return if key.0 <= last { Some(key) } else { None };
-            }
-            if self.cur_day >= limit_day {
-                return None;
-            }
-            if self.ring_len > 0 {
-                self.cur_day += 1;
-            } else if let Some(Reverse(head)) = self.overflow.peek() {
-                let day = day_of(head.at);
-                if day > limit_day {
-                    return None;
-                }
-                self.cur_day = day;
-            } else {
-                return None;
-            }
-            self.cur_sorted = false;
-        }
+        let head = self.head_within(last.ticks())?;
+        self.slots[head as usize].entry.as_ref().map(EqEntry::key)
     }
 
     /// Removes and returns the earliest `(at, seq)` event.
     pub fn pop(&mut self) -> Option<EqEntry<T>> {
-        loop {
-            if !self.cur_sorted {
-                self.enter_day();
-            }
-            let bucket = &mut self.buckets[(self.cur_day & DAY_MASK) as usize];
-            if let Some(entry) = bucket.pop() {
-                self.ring_len -= 1;
-                return Some(entry);
-            }
-            // Serving day exhausted: advance to the next populated day.
-            if self.ring_len > 0 {
-                self.cur_day += 1;
-            } else if let Some(Reverse(head)) = self.overflow.peek() {
-                self.cur_day = day_of(head.at);
-            } else {
-                return None;
-            }
-            self.cur_sorted = false;
+        let head = self.head_within(u64::MAX)?;
+        let slot = &mut self.slots[head as usize];
+        let entry = slot.entry.take().expect("a linked slot holds an event");
+        let next = std::mem::replace(&mut slot.next, self.free);
+        self.free = head;
+        let (i, word, bit) = ring_pos(self.cur);
+        if next == NIL {
+            self.occupied[word] &= !bit;
+        } else {
+            self.ticks[i].0 = next;
         }
+        self.ring_len -= 1;
+        Some(entry)
     }
 
-    /// Prepares `cur_day` for serving: migrate its overflow entries into
-    /// the bucket and order it descending so pops come off the back in
-    /// ascending `(at, seq)` order.
-    ///
-    /// Ordering is a stable distribution sort over the `DAY_TICKS`
-    /// possible ticks-within-day — `O(b)`, no comparisons. Stability is
-    /// what makes it correct: ring appends arrive in ascending `seq`,
-    /// and every overflow entry bound for this day was pushed while
-    /// `cur_day` was still more than a ring-length behind it, i.e.
-    /// *before* any ring append for the day — so listing migrated
-    /// entries first keeps each tick's FIFO in ascending `seq`.
-    fn enter_day(&mut self) {
-        debug_assert!(self.migrating.is_empty());
-        while let Some(Reverse(head)) = self.overflow.peek() {
-            if day_of(head.at) != self.cur_day {
-                break;
+    /// The head slot of the earliest populated tick, if that tick is at
+    /// or before `last`; walks the cursor there, but never past `last`.
+    #[inline]
+    fn head_within(&mut self, last: u64) -> Option<u32> {
+        let (_, word, bit) = ring_pos(self.cur);
+        if self.occupied[word] & bit == 0 {
+            // Serving tick exhausted: move to the next populated one.
+            let far = self.overflow.peek().map(|Reverse(e)| e.at.ticks());
+            let next = match (self.next_ring_tick(), far) {
+                (Some(ring), Some(far)) => ring.min(far),
+                (ring, far) => ring.or(far)?,
+            };
+            if next > last {
+                return None;
             }
+            self.enter_tick(next);
+        }
+        (self.cur <= last).then(|| self.ticks[ring_pos(self.cur).0].0)
+    }
+
+    /// The earliest populated ring tick after `cur`, whose own list is
+    /// empty: a circular scan of the bitmap from `cur`'s bit.
+    fn next_ring_tick(&self) -> Option<u64> {
+        if self.ring_len == 0 {
+            return None;
+        }
+        let (start, mut w, bit) = ring_pos(self.cur);
+        let mut word = self.occupied[w] & bit.wrapping_neg();
+        for _ in 0..=self.occupied.len() {
+            if word != 0 {
+                let pos = w * 64 + word.trailing_zeros() as usize;
+                return Some(self.cur + (pos.wrapping_sub(start) as u64 & RING_MASK));
+            }
+            w = (w + 1) % self.occupied.len();
+            word = self.occupied[w];
+        }
+        unreachable!("ring_len > 0 but no occupied tick")
+    }
+
+    /// Moves the cursor to `tick` and links the overflow entries due then
+    /// *in front of* the tick's list (the overflow-first rule).
+    fn enter_tick(&mut self, tick: u64) {
+        self.cur = tick;
+        let due = |q: &Self| {
+            q.overflow
+                .peek()
+                .is_some_and(|Reverse(e)| e.at.ticks() == tick)
+        };
+        if !due(self) {
+            return;
+        }
+        let (i, word, bit) = ring_pos(tick);
+        let later = (self.occupied[word] & bit != 0).then(|| self.ticks[i]);
+        self.occupied[word] &= !bit;
+        while due(self) {
             let Reverse(entry) = self.overflow.pop().expect("peeked");
-            self.migrating.push(entry);
-            self.ring_len += 1;
+            self.append(entry);
         }
-        let Self {
-            buckets,
-            migrating,
-            tick_lists,
-            ..
-        } = self;
-        let bucket = &mut buckets[(self.cur_day & DAY_MASK) as usize];
-        if bucket.len() + migrating.len() > 1 {
-            for e in migrating.drain(..).chain(bucket.drain(..)) {
-                tick_lists[(e.at.ticks() & TICK_MASK) as usize].push(e);
-            }
-            for list in tick_lists.iter_mut().rev() {
-                // Descending seq within a tick = reversed FIFO order.
-                bucket.extend(list.drain(..).rev());
-            }
-            debug_assert!(
-                bucket.windows(2).all(|w| w[0].key() > w[1].key()),
-                "non-monotone seq values broke the distribution sort"
-            );
-        } else {
-            bucket.append(migrating);
+        if let Some((head, tail)) = later {
+            let migrated_tail = std::mem::replace(&mut self.ticks[i].1, tail);
+            self.slots[migrated_tail as usize].next = head;
         }
-        self.cur_sorted = true;
     }
 }
 
@@ -416,7 +414,7 @@ mod tests {
     #[test]
     fn far_future_goes_through_overflow() {
         let mut q = EventQueue::new();
-        let far = (NUM_BUCKETS as u64) << DAY_SHIFT; // beyond the ring
+        let far = RING as u64; // beyond the ring
         q.push(SimTime(10 * far), 1);
         q.push(SimTime(3), 2);
         q.push(SimTime(far + 7), 3);
@@ -427,21 +425,21 @@ mod tests {
     }
 
     #[test]
-    fn push_into_serving_day_keeps_order() {
+    fn push_into_serving_tick_keeps_order() {
         let mut q = EventQueue::new();
         q.push(SimTime(5), 1);
         q.push(SimTime(6), 2);
         let first = q.pop().unwrap();
         assert_eq!(first.at, SimTime(5));
-        // Same-day pushes after serving started, including one equal to
-        // a queued time (seq breaks the tie).
+        // Pushes at the serving tick and at a queued later one, after
+        // serving started (seq breaks the tie).
         q.push(SimTime(6), 3);
         q.push(SimTime(5), 4);
         assert_eq!(drain(&mut q), vec![(5, 3, 4), (6, 1, 2), (6, 2, 3)]);
     }
 
     #[test]
-    fn interleaved_push_pop_across_days() {
+    fn interleaved_push_pop_across_ticks() {
         let mut q = EventQueue::new();
         q.push(SimTime(0), 0);
         let mut now = 0;
@@ -492,7 +490,7 @@ mod tests {
     fn restore_replay_drains_identically() {
         // Build a queue, drain it halfway, then rebuild the remainder via
         // restore_cursor + push_with_seq and check the drains match.
-        let far = (NUM_BUCKETS as u64) << DAY_SHIFT;
+        let far = RING as u64;
         let mut q = EventQueue::new();
         for (at, item) in [(5u64, 1u32), (5, 2), (90, 3), (far * 2, 4), (91, 5)] {
             q.push(SimTime(at), item);

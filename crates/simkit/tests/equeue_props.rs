@@ -6,6 +6,7 @@
 //! event, so every `SimReport` stays byte-for-byte stable.
 
 use adca_simkit::equeue::{EqEntry, EventQueue};
+use adca_simkit::rng::SplitMix64;
 use adca_simkit::SimTime;
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -19,9 +20,9 @@ enum Op {
 }
 
 /// Delta mix exercising every queue path: `0` forces equal-time seq
-/// tie-breaks and serving-day inserts, small deltas stay within the
-/// bucket ring, the `16Ki` band straddles the ring edge, and the huge
-/// band lands deep in the overflow heap (and forces idle-gap jumps).
+/// tie-breaks and pushes into the tick being served, small deltas stay
+/// within the ring, the `16Ki` band straddles the ring edge, and the
+/// huge band lands deep in the overflow heap (and forces idle-gap jumps).
 fn delta_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..16,
@@ -32,8 +33,69 @@ fn delta_strategy() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// The ring's width in ticks (private to the queue; `ring_edges_across_wraps`
+/// checks this copy against [`EventQueue::ring_covers`]).
+const RING: u64 = 1 << 14;
+
+/// The queue under test and its reference heap, fed in lockstep: every
+/// pop and bounded peek is compared, so any reordering fails at the
+/// first divergent event.
+struct Lockstep {
+    q: EventQueue<u64>,
+    reference: BinaryHeap<Reverse<EqEntry<u64>>>,
+    /// Time of the last pop: the earliest legal push.
+    now: u64,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            q: EventQueue::new(),
+            reference: BinaryHeap::new(),
+            now: 0,
+        }
+    }
+
+    fn push(&mut self, at: u64) {
+        let seq = self.q.push(SimTime(at), at);
+        self.reference.push(Reverse(EqEntry {
+            at: SimTime(at),
+            seq,
+            item: at,
+        }));
+    }
+
+    /// Pops both; `false` once both are empty.
+    fn pop(&mut self) -> bool {
+        let got = self.q.pop().map(|e| (e.at, e.seq, e.item));
+        let want = self.reference.pop().map(|Reverse(e)| (e.at, e.seq, e.item));
+        assert_eq!(got, want);
+        assert_eq!(self.q.len(), self.reference.len());
+        if let Some((at, _, _)) = got {
+            self.now = at.ticks();
+        }
+        got.is_some()
+    }
+
+    /// A bounded peek must report the reference head iff it is due by
+    /// `last`.
+    fn peek_within(&mut self, last: u64) {
+        let want = self
+            .reference
+            .peek()
+            .map(|Reverse(e)| (e.at, e.seq))
+            .filter(|&(at, _)| at.ticks() <= last);
+        assert_eq!(self.q.peek_key_within(SimTime(last)), want);
+    }
+
+    fn drain(&mut self) {
+        while self.pop() {}
+        assert!(self.q.is_empty());
+    }
+}
+
 /// Push-biased op stream (3 pushes : 2 pops on average) so runs grow
-/// deep enough to populate many days and the overflow heap.
+/// deep enough to populate many ticks and the overflow heap.
 fn op_strategy() -> impl Strategy<Value = Op> {
     (0u8..5, delta_strategy()).prop_map(
         |(sel, delta)| {
@@ -208,5 +270,154 @@ proptest! {
             popped.push(e.item);
         }
         prop_assert_eq!(popped, scheduled, "same-tick pops must preserve push order");
+    }
+
+    /// The overflow-first rule: entries that went to the overflow heap
+    /// for a tick pop before entries pushed for the same tick once the
+    /// ring had reached it — they were scheduled earlier.
+    #[test]
+    fn overflow_entries_pop_before_ring_entries_of_their_tick(
+        beyond in 0u64..(3 * RING),
+        back in 1u64..RING,
+        far_pushes in 1usize..6,
+        near_pushes in 1usize..6,
+    ) {
+        let mut l = Lockstep::new();
+        let tick = RING + beyond;
+        for _ in 0..far_pushes {
+            l.push(tick);
+        }
+        prop_assert_eq!(l.q.residency(), (0, far_pushes));
+        // A stepping stone less than a ring-width before `tick`: popping
+        // it brings `tick` inside the window.
+        l.push(tick - back);
+        prop_assert!(l.pop());
+        for _ in 0..near_pushes {
+            l.push(tick);
+        }
+        prop_assert_eq!(l.q.residency(), (near_pushes, far_pushes));
+        l.drain();
+    }
+
+    /// The last tick the ring covers and the first it does not, pushed
+    /// again and again while the window wraps around the ring several
+    /// times. Each round also re-pushes the previous round's first
+    /// uncovered tick, which the ring has reached by then: a ring entry
+    /// behind an overflow entry of the same tick.
+    #[test]
+    fn ring_edges_across_wraps(
+        rounds in proptest::collection::vec(((RING / 4)..RING, 0u64..3), 16..32),
+    ) {
+        let mut l = Lockstep::new();
+        let mut uncovered: Option<u64> = None;
+        for (advance, repeats) in rounds {
+            let start = l.now;
+            prop_assert!(l.q.ring_covers(SimTime(start + RING - 1)));
+            prop_assert!(!l.q.ring_covers(SimTime(start + RING)));
+            for _ in 0..=repeats {
+                let (ring, overflow) = l.q.residency();
+                l.push(start + RING - 1);
+                l.push(start + RING);
+                prop_assert_eq!(l.q.residency(), (ring + 1, overflow + 1));
+            }
+            if let Some(tick) = uncovered.filter(|&tick| tick >= start) {
+                let (ring, overflow) = l.q.residency();
+                l.push(tick);
+                prop_assert_eq!(l.q.residency(), (ring + 1, overflow));
+            }
+            uncovered = Some(start + RING);
+            l.push(start + advance);
+            while l.now < start + advance {
+                prop_assert!(l.pop());
+            }
+        }
+        prop_assert!(l.now >= 4 * RING, "the window must wrap several times");
+        l.drain();
+    }
+
+    /// A push at `now` while `now`'s list is being drained goes behind
+    /// what is still queued for `now` — whether that list came from ring
+    /// pushes or was linked in from the overflow heap.
+    #[test]
+    fn push_at_now_while_draining_now(
+        tick in prop_oneof![0u64..RING, RING..(1u64 << 30)],
+        queued in 2usize..12,
+        refills in proptest::collection::vec(0usize..3, 1..12),
+    ) {
+        let mut l = Lockstep::new();
+        for _ in 0..queued {
+            l.push(tick);
+        }
+        l.push(tick + 1);
+        for extra in refills {
+            if !l.pop() || l.now != tick {
+                break;
+            }
+            for _ in 0..extra {
+                l.push(tick);
+            }
+        }
+        l.drain();
+    }
+
+    /// The sharded engine's contract: a bounded peek that finds nothing
+    /// due leaves the cursor at or before its bound, so a push at the
+    /// bound (or just after it) is still legal — in debug builds an
+    /// overrun trips the queue's monotonicity assert, in release builds
+    /// it shows as a reordering against the reference heap.
+    #[test]
+    fn bounded_peek_leaves_the_gap_pushable(
+        ops in proptest::collection::vec((op_strategy(), 0u64..40_000, 0u64..3), 1..300),
+    ) {
+        let mut l = Lockstep::new();
+        for (op, ahead, after) in ops {
+            match op {
+                Op::Push(delta) => l.push(l.now.saturating_add(delta)),
+                Op::Pop => {
+                    let bound = l.now + ahead;
+                    l.peek_within(bound);
+                    l.push(bound + after);
+                    l.peek_within(bound);
+                    l.pop();
+                }
+            }
+        }
+        l.drain();
+    }
+
+    /// The memory bound the queue's resident-set claim rests on: over a
+    /// long hold-model run (pop the earliest, push it back a random delay
+    /// later) the slab never holds more slots than the most events that
+    /// were ever ring-resident at once.
+    #[test]
+    fn slab_is_bounded_by_peak_residency(
+        resident in 1usize..400,
+        spread in 1u64..5_000,
+        far_every in 2u64..50,
+    ) {
+        let mut l = Lockstep::new();
+        let mut rng = SplitMix64::new(resident as u64 ^ spread << 20);
+        for _ in 0..resident {
+            l.push(rng.range_inclusive(0, spread));
+        }
+        let mut peak = l.q.residency().0;
+        for i in 0..20_000u64 {
+            prop_assert!(l.pop());
+            // Now and then a delay past the ring, so slots also free up
+            // and refill through the overflow heap.
+            let delay = if i % far_every == 0 {
+                RING + rng.range_inclusive(0, RING)
+            } else {
+                rng.range_inclusive(1, spread)
+            };
+            l.push(l.now + delay);
+            peak = peak.max(l.q.residency().0);
+        }
+        prop_assert!(
+            l.q.slab_slots() <= peak,
+            "{} slots for a peak of {} resident events", l.q.slab_slots(), peak
+        );
+        prop_assert!(peak <= resident);
+        l.drain();
     }
 }
