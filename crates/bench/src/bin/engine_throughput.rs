@@ -1,9 +1,10 @@
 //! `engine_throughput` — the machine-readable engine perf baseline.
 //!
 //! Runs every scheme over the `e9_scalability` grid sweep (constant
-//! per-cell load, growing system size) and writes `BENCH_engine.json`
-//! with events/sec per `(scheme, grid)` cell. Future PRs hold their hot
-//! paths against this trajectory:
+//! per-cell load, growing system size), then basic-update and adaptive
+//! over two grids past the cache (48×48, 104×104, at shorter horizons),
+//! and writes `BENCH_engine.json` with events/sec per `(scheme, grid)`
+//! cell. Future PRs hold their hot paths against this trajectory:
 //!
 //! ```text
 //! cargo run --release -p adca-bench --bin engine_throughput -- \
@@ -25,9 +26,24 @@
 use adca_bench::perf::{write_json, BenchRow, PerfBaseline};
 use adca_harness::{Scenario, SchemeKind};
 
-const HORIZON: u64 = 100_000;
 const RHO: f64 = 0.9;
-const GRIDS: [(u32, u32); 6] = [(6, 6), (9, 9), (12, 12), (16, 16), (20, 20), (24, 24)];
+const HORIZON: u64 = 100_000;
+/// The message-heaviest baseline and the paper's scheme.
+const BIG_GRID_SCHEMES: &[SchemeKind] = &[SchemeKind::BasicUpdate, SchemeKind::Adaptive];
+/// `(rows, cols, horizon_ticks, schemes)`. The two largest grids get
+/// shorter horizons so one cell stays in the seconds range; throughput
+/// is only ever compared within a `(scheme, grid)` cell, where the
+/// horizon is constant.
+const GRIDS: [(u32, u32, u64, &[SchemeKind]); 8] = [
+    (6, 6, HORIZON, &SchemeKind::ALL),
+    (9, 9, HORIZON, &SchemeKind::ALL),
+    (12, 12, HORIZON, &SchemeKind::ALL),
+    (16, 16, HORIZON, &SchemeKind::ALL),
+    (20, 20, HORIZON, &SchemeKind::ALL),
+    (24, 24, HORIZON, &SchemeKind::ALL),
+    (48, 48, 24_000, BIG_GRID_SCHEMES),
+    (104, 104, 6_000, BIG_GRID_SCHEMES),
+];
 
 fn main() {
     let mut smoke = false;
@@ -57,15 +73,15 @@ fn main() {
     let baseline = baseline_path.as_deref().map(|p| {
         PerfBaseline::load(p).unwrap_or_else(|e| panic!("cannot read baseline `{p}`: {e}"))
     });
-    let grids: &[(u32, u32)] = if smoke { &GRIDS[..2] } else { &GRIDS[..] };
+    let grids = if smoke { &GRIDS[..2] } else { &GRIDS[..] };
 
-    println!("engine_throughput: e9 workload (rho={RHO}, horizon={HORIZON}), repeat={repeat}");
+    println!("engine_throughput: e9 workload (rho={RHO}), repeat={repeat}");
     let mut rows: Vec<BenchRow> = Vec::new();
-    for &(r, c) in grids {
-        let sc = Scenario::uniform(RHO, HORIZON).with_grid(r, c);
+    for &(r, c, horizon, kinds) in grids {
+        let sc = Scenario::uniform(RHO, horizon).with_grid(r, c);
         let topo = sc.topology();
         let arrivals = sc.arrivals(&topo);
-        for kind in SchemeKind::ALL {
+        for &kind in kinds {
             if only_scheme.as_deref().is_some_and(|s| s != kind.name()) {
                 continue;
             }
@@ -89,6 +105,7 @@ fn main() {
                 scheme: kind.name().to_string(),
                 grid: grid.clone(),
                 cells: (r * c) as u64,
+                horizon,
                 events: s.report.events_processed,
                 wall_s: s.wall.as_secs_f64(),
                 events_per_sec: s.events_per_sec(),
@@ -115,7 +132,7 @@ fn main() {
             rows.push(row);
         }
     }
-    write_json(&out_path, RHO, HORIZON, repeat, &rows)
+    write_json(&out_path, RHO, repeat, &rows)
         .unwrap_or_else(|e| panic!("cannot write `{out_path}`: {e}"));
     println!("wrote {out_path} ({} rows)", rows.len());
 }

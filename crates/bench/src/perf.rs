@@ -18,6 +18,9 @@ pub struct BenchRow {
     pub grid: String,
     /// Cell count of the grid.
     pub cells: u64,
+    /// Horizon of this grid's workload, ticks (the largest grids run
+    /// shorter ones).
+    pub horizon: u64,
     /// Events processed by the run (identical across repeats).
     pub events: u64,
     /// Best wall clock over the repeats, seconds.
@@ -58,28 +61,22 @@ pub fn provenance_lines() -> String {
 }
 
 /// Writes `rows` as `BENCH_engine.json`-style JSON to `path`.
-pub fn write_json(
-    path: &str,
-    rho: f64,
-    horizon: u64,
-    repeat: u32,
-    rows: &[BenchRow],
-) -> io::Result<()> {
+pub fn write_json(path: &str, rho: f64, repeat: u32, rows: &[BenchRow]) -> io::Result<()> {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"engine_throughput\",\n");
     s.push_str(&provenance_lines());
     s.push_str("  \"workload\": \"e9_scalability grid sweep\",\n");
     let _ = writeln!(s, "  \"rho\": {rho},");
-    let _ = writeln!(s, "  \"horizon_ticks\": {horizon},");
     let _ = writeln!(s, "  \"repeat\": {repeat},");
     s.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"scheme\": \"{}\", \"grid\": \"{}\", \"cells\": {}, \"events\": {}, \
-             \"wall_s\": {:.6}, \"events_per_sec\": {:.1}",
-            r.scheme, r.grid, r.cells, r.events, r.wall_s, r.events_per_sec
+            "    {{\"scheme\": \"{}\", \"grid\": \"{}\", \"cells\": {}, \
+             \"horizon_ticks\": {}, \"events\": {}, \"wall_s\": {:.6}, \
+             \"events_per_sec\": {:.1}",
+            r.scheme, r.grid, r.cells, r.horizon, r.events, r.wall_s, r.events_per_sec
         );
         if let (Some(b), Some(x)) = (r.baseline_events_per_sec, r.speedup) {
             let _ = write!(
@@ -88,72 +85,6 @@ pub fn write_json(
             );
         }
         s.push('}');
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-/// One `(scheme, grid, shards)` measurement row of the sharding bench
-/// (`BENCH_shard.json`).
-#[derive(Debug, Clone)]
-pub struct ShardRow {
-    /// Scheme name (`SchemeKind::name`).
-    pub scheme: String,
-    /// Grid label, e.g. `"48x48"`.
-    pub grid: String,
-    /// Shard count the engine ran with (1 = sequential engine).
-    pub shards: usize,
-    /// Cell count of the grid.
-    pub cells: u64,
-    /// Horizon of this grid's workload, ticks.
-    pub horizon: u64,
-    /// Events processed (bit-identical across shard counts by contract).
-    pub events: u64,
-    /// Best wall clock over the repeats, seconds.
-    pub wall_s: f64,
-    /// Engine throughput at the best wall clock.
-    pub events_per_sec: f64,
-    /// This row's throughput over the same `(scheme, grid)`'s
-    /// sequential-engine (shards = 1) throughput in the same run.
-    pub speedup_vs_sequential: f64,
-}
-
-/// Writes `rows` as `BENCH_shard.json`-style JSON to `path`. The header
-/// records `host_parallelism` — a speedup table is only meaningful
-/// relative to the cores the measuring host actually had.
-pub fn write_shard_json(
-    path: &str,
-    rho: f64,
-    repeat: u32,
-    host_parallelism: usize,
-    rows: &[ShardRow],
-) -> io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"e15_sharding\",\n");
-    s.push_str(&provenance_lines());
-    s.push_str("  \"workload\": \"uniform load, grids sized for shard scaling\",\n");
-    let _ = writeln!(s, "  \"rho\": {rho},");
-    let _ = writeln!(s, "  \"repeat\": {repeat},");
-    let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"scheme\": \"{}\", \"grid\": \"{}\", \"shards\": {}, \"cells\": {}, \
-             \"horizon_ticks\": {}, \"events\": {}, \"wall_s\": {:.6}, \
-             \"events_per_sec\": {:.1}, \"speedup_vs_sequential\": {:.3}}}",
-            r.scheme,
-            r.grid,
-            r.shards,
-            r.cells,
-            r.horizon,
-            r.events,
-            r.wall_s,
-            r.events_per_sec,
-            r.speedup_vs_sequential
-        );
         s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ]\n}\n");
@@ -392,6 +323,7 @@ mod tests {
             scheme: scheme.into(),
             grid: grid.into(),
             cells: 36,
+            horizon: 100_000,
             events: 1000,
             wall_s: 0.5,
             events_per_sec: eps,
@@ -407,11 +339,37 @@ mod tests {
         let path = dir.join("bench.json");
         let path = path.to_str().unwrap();
         let rows = vec![row("adaptive", "6x6", 123456.7), row("fixed", "9x9", 9e6)];
-        write_json(path, 0.9, 100_000, 3, &rows).unwrap();
+        write_json(path, 0.9, 3, &rows).unwrap();
         let base = PerfBaseline::load(path).unwrap();
         assert_eq!(base.events_per_sec("adaptive", "6x6"), Some(123456.7));
         assert_eq!(base.events_per_sec("fixed", "9x9"), Some(9_000_000.0));
         assert_eq!(base.events_per_sec("fixed", "6x6"), None);
+    }
+
+    #[test]
+    fn rows_with_their_own_horizons_key_on_scheme_and_grid() {
+        let dir = std::env::temp_dir().join("adca_perf_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench_horizons.json");
+        let path = path.to_str().unwrap();
+        let mut big = row("adaptive", "104x104", 1.1e6);
+        big.horizon = 6_000;
+        let rows = vec![row("adaptive", "24x24", 5.0e6), big];
+        write_json(path, 0.9, 3, &rows).unwrap();
+        let base = PerfBaseline::load(path).unwrap();
+        assert_eq!(base.events_per_sec("adaptive", "24x24"), Some(5_000_000.0));
+        assert_eq!(
+            base.events_per_sec("adaptive", "104x104"),
+            Some(1_100_000.0)
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let horizons: Vec<_> = text
+            .lines()
+            .filter_map(|l| Some((find_str(l, "grid")?, find_num(l, "horizon_ticks")?)))
+            .collect();
+        assert_eq!(horizons, [("24x24", 100_000.0), ("104x104", 6_000.0)]);
+        // The horizon is a property of a row; the header carries none.
+        assert_eq!(text.matches("horizon_ticks").count(), 2);
     }
 
     #[test]
@@ -423,7 +381,7 @@ mod tests {
         let mut r = row("adaptive", "24x24", 3.0e6);
         r.baseline_events_per_sec = Some(1.5e6);
         r.speedup = Some(2.0);
-        write_json(path, 0.9, 100_000, 1, &[r]).unwrap();
+        write_json(path, 0.9, 1, &[r]).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
         assert!(text.contains("\"speedup\": 2.000"));
         assert!(text.contains("\"baseline_events_per_sec\": 1500000.0"));

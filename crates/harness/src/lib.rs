@@ -19,7 +19,4 @@ pub mod sweep;
 pub use checkpoint::{ckpt_every, CheckpointError, CKPT_EVERY_ENV, DEFAULT_CKPT_EVERY};
 pub use scenario::{CheckpointProbe, Scenario, SchemeKind};
 pub use summary::RunSummary;
-pub use sweep::{
-    run_jobs, run_jobs_on, shard_count, worker_count, Replicated, SweepRunner, SHARDS_ENV,
-    THREADS_ENV,
-};
+pub use sweep::{run_jobs, run_jobs_on, worker_count, Replicated, SweepRunner, THREADS_ENV};

@@ -7,7 +7,7 @@ use adca_baselines::{
     BasicUpdateNode, FixedNode,
 };
 use adca_core::{AdaptiveConfig, AdaptiveNode};
-use adca_hexgrid::{Partition, Topology};
+use adca_hexgrid::Topology;
 use adca_serve::{
     AllocService, DesAllocService, LoadReport, LoadSpec, ProductionAllocService, ProductionConfig,
     ServeStats,
@@ -392,61 +392,6 @@ impl Scenario {
             let stats = svc.stats();
             Ok((report, stats, server.dedup_hits()))
         })
-    }
-
-    /// Runs one scheme on the sharded conservative-PDES engine (see
-    /// [`adca_simkit::shard`]): the grid is split into `shards` row
-    /// bands (clamped to the row count) executed by parallel worker
-    /// threads, synchronized at lookahead windows derived from the
-    /// latency floor `T`. The report is **bit-identical** to
-    /// [`Scenario::run`]'s — sharding changes wall-clock, never results
-    /// (pinned by the `shard_invariance` integration tests).
-    pub fn run_sharded(&self, kind: SchemeKind, shards: usize) -> RunSummary {
-        let topo = self.topology();
-        let arrivals = self.arrivals(&topo);
-        self.run_sharded_with(kind, shards, topo, arrivals)
-    }
-
-    /// [`Scenario::run_sharded`] over a pre-built topology and workload
-    /// (lets sweeps share the workload across schemes).
-    pub fn run_sharded_with(
-        &self,
-        kind: SchemeKind,
-        shards: usize,
-        topo: Arc<Topology>,
-        arrivals: Vec<Arrival>,
-    ) -> RunSummary {
-        let part = Partition::row_bands(self.rows, self.cols, shards);
-        let cfg = self.sim_config();
-        let started = Instant::now();
-        let report = dispatch_scheme!(self, kind, factory => {
-            Engine::new(topo, cfg, factory, arrivals).run_sharded(&part)
-        });
-        RunSummary::new(kind, report, self.t_ticks).with_wall(started.elapsed())
-    }
-
-    /// Test helper mirroring [`Scenario::run_split`] on the sharded
-    /// engine: runs `shards`-way sharded to tick `at`, snapshots,
-    /// restores into a fresh engine, and finishes sharded there. The
-    /// resume-identity contract extends to sharded runs: the result
-    /// equals [`Scenario::run`]'s, bit for bit.
-    pub fn run_split_sharded(&self, kind: SchemeKind, shards: usize, at: u64) -> RunSummary {
-        let topo = self.topology();
-        let arrivals = self.arrivals(&topo);
-        let part = Partition::row_bands(self.rows, self.cols, shards);
-        let cfg = self.sim_config();
-        let started = Instant::now();
-        let report = dispatch_scheme!(self, kind, factory => {
-            #[allow(clippy::clone_on_copy)]
-            let restore_factory = factory.clone();
-            let mut engine = Engine::new(topo.clone(), cfg.clone(), factory, arrivals);
-            engine.run_sharded_until(&part, SimTime(at));
-            let snap = engine.snapshot();
-            Engine::restore(topo, cfg, restore_factory, &snap)
-                .expect("a sharded engine's own snapshot restores under the same scenario")
-                .run_sharded(&part)
-        });
-        RunSummary::new(kind, report, self.t_ticks).with_wall(started.elapsed())
     }
 
     /// Runs one scheme with a [`TraceSink`] attached, returning the

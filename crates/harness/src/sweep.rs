@@ -23,10 +23,6 @@ use std::sync::{Arc, Mutex};
 /// Environment variable controlling the sweep worker-pool size.
 pub const THREADS_ENV: &str = "ADCA_THREADS";
 
-/// Environment variable controlling how many engine shards a sharded
-/// run uses (see [`crate::Scenario::run_sharded`]).
-pub const SHARDS_ENV: &str = "ADCA_SHARDS";
-
 /// Environment variable controlling how many closed-loop subscribers
 /// the serving bench drives (see [`subscriber_count`]).
 pub const SUBSCRIBERS_ENV: &str = "ADCA_SUBSCRIBERS";
@@ -79,16 +75,6 @@ fn available_desc() -> String {
 pub fn worker_count() -> usize {
     static WARNED: std::sync::Once = std::sync::Once::new();
     env_count(THREADS_ENV, &WARNED, available_desc).unwrap_or_else(available)
-}
-
-/// Shard count for sharded engine runs: `ADCA_SHARDS` if set to a
-/// positive integer, otherwise the machine's available parallelism (1
-/// if unknown). `ADCA_SHARDS=1` recovers the sequential engine.
-/// Invalid values warn once and fall back, exactly like
-/// [`worker_count`] does for `ADCA_THREADS`.
-pub fn shard_count() -> usize {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    env_count(SHARDS_ENV, &WARNED, available_desc).unwrap_or_else(available)
 }
 
 /// Closed-loop subscriber count for the serving bench:
@@ -190,7 +176,6 @@ where
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     workers: usize,
-    shards_per_run: usize,
 }
 
 impl Default for SweepRunner {
@@ -201,62 +186,22 @@ impl Default for SweepRunner {
 
 impl SweepRunner {
     /// A runner sized by [`worker_count`] (i.e. `ADCA_THREADS` or the
-    /// machine's available parallelism), running each cell on the
-    /// sequential engine.
+    /// machine's available parallelism).
     pub fn new() -> Self {
         SweepRunner {
             workers: worker_count(),
-            shards_per_run: 1,
         }
     }
 
-    /// A runner whose cells run on the sharded engine, sized by
-    /// [`shard_count`] (i.e. `ADCA_SHARDS` or the machine's available
-    /// parallelism), with the worker pool capped against
-    /// oversubscription (see [`SweepRunner::with_sharded_runs`]).
-    /// `ADCA_SHARDS=1` recovers [`SweepRunner::new`] exactly.
-    pub fn new_sharded() -> Self {
-        Self::new().with_sharded_runs(shard_count())
-    }
-
-    /// Overrides the worker count (clamped to at least 1). Re-applies
-    /// the [`SweepRunner::with_sharded_runs`] oversubscription cap if
-    /// sharding was already requested.
+    /// Overrides the worker count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        if self.shards_per_run > 1 {
-            let shards = self.shards_per_run;
-            self = self.with_sharded_runs(shards);
-        }
-        self
-    }
-
-    /// Runs every matrix cell on the sharded engine with `shards` row
-    /// bands (see [`crate::Scenario::run_sharded_with`]); results stay
-    /// bit-identical, only wall-clock changes. Because each run now
-    /// occupies up to `shards` cores itself, the worker pool is capped
-    /// so `workers × shards` never exceeds the machine's available
-    /// parallelism (but never below one worker) — two stacked layers of
-    /// fan-out would otherwise oversubscribe the host and slow both
-    /// down.
-    pub fn with_sharded_runs(mut self, shards: usize) -> Self {
-        self.shards_per_run = shards.max(1);
-        if self.shards_per_run > 1 {
-            let cap = (available() / self.shards_per_run).max(1);
-            self.workers = self.workers.clamp(1, cap);
-        }
         self
     }
 
     /// The worker-pool size this runner fans out over.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// How many engine shards each individual run uses (1 = sequential
-    /// engine).
-    pub fn shards_per_run(&self) -> usize {
-        self.shards_per_run
     }
 
     /// Runs `kinds` over every scenario, in parallel across all
@@ -275,19 +220,12 @@ impl SweepRunner {
                 (topo, arrivals)
             })
             .collect();
-        let shards = self.shards_per_run;
         let mut jobs = Vec::with_capacity(scenarios.len() * kinds.len());
         for (sc, (topo, arrivals)) in scenarios.iter().zip(&prepared) {
             for &kind in kinds {
                 let topo = topo.clone();
                 let arrivals = arrivals.clone();
-                jobs.push(move || {
-                    if shards > 1 {
-                        sc.run_sharded_with(kind, shards, topo, (*arrivals).clone())
-                    } else {
-                        sc.run_with(kind, topo, (*arrivals).clone())
-                    }
-                });
+                jobs.push(move || sc.run_with(kind, topo, (*arrivals).clone()));
             }
         }
         let flat = run_jobs_on(self.workers, jobs);
@@ -579,63 +517,14 @@ mod tests {
         // Can't set the env var here without racing other tests; just pin
         // the fallback contract.
         assert!(worker_count() >= 1);
-        assert!(shard_count() >= 1);
         assert!(subscriber_count(256) >= 1);
         assert!(driver_count(4) >= 1);
         assert!(SweepRunner::new().workers() >= 1);
+    }
+
+    #[test]
+    fn with_workers_sets_the_pool_size() {
+        assert_eq!(SweepRunner::new().with_workers(64).workers(), 64);
         assert_eq!(SweepRunner::new().with_workers(0).workers(), 1);
-        let sharded = SweepRunner::new_sharded();
-        assert!(sharded.shards_per_run() >= 1);
-        assert!(sharded.workers() >= 1);
-    }
-
-    /// Stacked fan-out (worker pool × shards per run) must not
-    /// oversubscribe the host: `workers × shards ≤ available
-    /// parallelism`, except for the one-worker floor.
-    #[test]
-    fn sharded_runs_cap_the_worker_pool() {
-        let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Sequential runs (shards = 1) leave the pool size alone.
-        assert_eq!(
-            SweepRunner::new()
-                .with_workers(64)
-                .with_sharded_runs(1)
-                .workers(),
-            64
-        );
-        for shards in [2usize, 4, 16] {
-            let r = SweepRunner::new()
-                .with_workers(64)
-                .with_sharded_runs(shards);
-            assert_eq!(r.shards_per_run(), shards);
-            assert!(
-                r.workers() == 1 || r.workers() * shards <= avail,
-                "workers {} × shards {shards} oversubscribes {avail}",
-                r.workers()
-            );
-            // Order of the builder calls must not matter.
-            let swapped = SweepRunner::new()
-                .with_sharded_runs(shards)
-                .with_workers(64);
-            assert_eq!(swapped.workers(), r.workers());
-        }
-    }
-
-    /// A sharded sweep matrix is cell-for-cell bit-identical to the
-    /// sequential one — sharding is a wall-clock knob, not a semantic
-    /// one.
-    #[test]
-    fn sharded_matrix_matches_sequential() {
-        let scenarios = vec![small()];
-        let kinds = [SchemeKind::BasicUpdate, SchemeKind::Adaptive];
-        let sharded = SweepRunner::new()
-            .with_workers(2)
-            .with_sharded_runs(3)
-            .run_matrix(&scenarios, &kinds);
-        let sequential = scenarios[0].run_all(&kinds);
-        for (p, s) in sharded[0].iter().zip(&sequential) {
-            assert_eq!(p.scheme, s.scheme);
-            assert_eq!(p.report, s.report, "{} diverged under sharding", p.scheme);
-        }
     }
 }

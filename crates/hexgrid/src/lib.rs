@@ -18,8 +18,6 @@
 //!   protocol hot path ([`channels`]),
 //! * classic cellular *reuse patterns* (cluster colorings such as the
 //!   7-cell cluster) and primary-channel partitioning ([`reuse`]),
-//! * row-band partitioning of grids into contiguous shards for the
-//!   parallel engine, with boundary-cell enumeration ([`partition`]),
 //! * a [`Topology`] bundling all of the above for the simulator
 //!   ([`topology`]), and
 //! * ASCII rendering of grids and colorings, used to regenerate the paper's
@@ -31,7 +29,6 @@
 pub mod channels;
 pub mod coords;
 pub mod grid;
-pub mod partition;
 pub mod render;
 pub mod reuse;
 pub mod topology;
@@ -39,6 +36,5 @@ pub mod topology;
 pub use channels::{Channel, ChannelSet, Spectrum};
 pub use coords::{Axial, Cube};
 pub use grid::{CellId, HexGrid};
-pub use partition::Partition;
 pub use reuse::{partition_spectrum, ReuseError, ReusePattern};
 pub use topology::{Topology, TopologyBuilder};

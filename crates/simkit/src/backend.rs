@@ -1,14 +1,17 @@
 //! The context backend abstraction.
 //!
 //! Protocol state machines act on the world exclusively through
-//! [`crate::Ctx`], which delegates to a [`CtxBackend`]. Two backends
+//! [`crate::Ctx`], which delegates to a [`CtxBackend`]. Four backends
 //! exist in the workspace:
 //!
 //! * the deterministic discrete-event engine in this crate
-//!   ([`crate::engine::Engine`]), and
+//!   ([`crate::engine::Engine`]),
 //! * the OS-thread + crossbeam driver in `adca-threadnet`, which runs the
 //!   *same unmodified* protocol code under real nondeterministic
-//!   interleavings.
+//!   interleavings,
+//! * the bounded-mailbox production service in `adca-serve`, and
+//! * the scripted single-node harness for unit tests
+//!   ([`crate::testing::MockNet`]).
 
 use crate::protocol::RequestId;
 use crate::report::DropCause;

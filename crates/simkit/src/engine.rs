@@ -54,7 +54,7 @@ impl Default for SimConfig {
     }
 }
 
-pub(crate) enum Ev<M> {
+enum Ev<M> {
     Deliver {
         from: CellId,
         to: CellId,
@@ -91,7 +91,7 @@ pub(crate) enum Ev<M> {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CallState {
+enum CallState {
     /// Waiting on an acquisition request.
     Waiting(RequestId),
     /// Holding a channel.
@@ -100,28 +100,28 @@ pub(crate) enum CallState {
     Done,
 }
 
-pub(crate) struct CallRecord {
-    pub(crate) cell: CellId,
-    pub(crate) duration: u64,
-    pub(crate) state: CallState,
+struct CallRecord {
+    cell: CellId,
+    duration: u64,
+    state: CallState,
     /// Absolute end time, fixed at first grant.
-    pub(crate) end_at: Option<SimTime>,
+    end_at: Option<SimTime>,
     /// Absolute hop times and targets.
-    pub(crate) hops: Vec<(SimTime, CellId)>,
+    hops: Vec<(SimTime, CellId)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReqState {
+enum ReqState {
     Pending,
     Done,
 }
 
-pub(crate) struct ReqRecord {
-    pub(crate) call: u32,
-    pub(crate) cell: CellId,
-    pub(crate) issued: SimTime,
-    pub(crate) kind: RequestKind,
-    pub(crate) state: ReqState,
+struct ReqRecord {
+    call: u32,
+    cell: CellId,
+    issued: SimTime,
+    kind: RequestKind,
+    state: ReqState,
 }
 
 /// The resolution of one channel request, in resolution order.
@@ -134,8 +134,7 @@ pub(crate) struct ReqRecord {
 /// log is deliberately kept *out* of [`SimReport`] (reports stay
 /// bit-identical whether or not anyone drains outcomes) and out of
 /// snapshots (a restored engine starts with an empty log). Drain it with
-/// [`Engine::take_outcomes`]. The sharded executor does not record
-/// outcomes; serve adapts the sequential engine only.
+/// [`Engine::take_outcomes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReqOutcome {
     /// The request this record resolves.
@@ -167,7 +166,7 @@ pub struct ReqOutcome {
 /// only (CSR, ~30 a cell: 245 KB at 32×32) — the only links any of the
 /// paper's protocols use — with a spill map for protocols that message
 /// outside their region.
-pub(crate) enum LinkHorizons {
+enum LinkHorizons {
     Dense {
         n: usize,
         slots: Vec<SimTime>,
@@ -261,11 +260,11 @@ impl LinkHorizons {
 /// totals fold into the report's sorted [`CounterMap`] once at the end of
 /// the run, so the report is byte-for-byte what the maps produced.
 #[derive(Default)]
-pub(crate) struct SlotCounters(pub(crate) Vec<(&'static str, u64)>);
+struct SlotCounters(Vec<(&'static str, u64)>);
 
 impl SlotCounters {
     #[inline]
-    pub(crate) fn add(&mut self, name: &'static str, n: u64) {
+    fn add(&mut self, name: &'static str, n: u64) {
         for (k, v) in &mut self.0 {
             if std::ptr::eq(*k, name) {
                 *v += n;
@@ -284,11 +283,11 @@ impl SlotCounters {
     }
 
     #[inline]
-    pub(crate) fn incr(&mut self, name: &'static str) {
+    fn incr(&mut self, name: &'static str) {
         self.add(name, 1);
     }
 
-    pub(crate) fn fold_into(&self, map: &mut CounterMap) {
+    fn fold_into(&self, map: &mut CounterMap) {
         for &(k, v) in &self.0 {
             map.add(k, v);
         }
@@ -297,11 +296,11 @@ impl SlotCounters {
 
 /// Same idea as [`SlotCounters`] for `ctx.sample` series.
 #[derive(Default)]
-pub(crate) struct SlotSamples(pub(crate) Vec<(&'static str, SampleSeries)>);
+struct SlotSamples(Vec<(&'static str, SampleSeries)>);
 
 impl SlotSamples {
     #[inline]
-    pub(crate) fn push(&mut self, name: &'static str, value: f64) {
+    fn push(&mut self, name: &'static str, value: f64) {
         for (k, s) in &mut self.0 {
             if std::ptr::eq(*k, name) {
                 s.push(value);
@@ -326,51 +325,51 @@ impl SlotSamples {
 /// Generic over the attached [`TraceSink`]; the default [`NoopSink`]
 /// monomorphizes every trace branch to dead code.
 pub struct Shared<M, S: TraceSink = NoopSink> {
-    pub(crate) topo: Arc<Topology>,
-    pub(crate) cfg: SimConfig,
-    pub(crate) now: SimTime,
-    pub(crate) msg_seq: u64,
-    pub(crate) queue: EventQueue<Ev<M>>,
-    pub(crate) rng: SplitMix64,
+    topo: Arc<Topology>,
+    cfg: SimConfig,
+    now: SimTime,
+    msg_seq: u64,
+    queue: EventQueue<Ev<M>>,
+    rng: SplitMix64,
     /// Dedicated RNG stream for fault decisions. Kept apart from the
     /// latency RNG so enabling faults never perturbs latency draws (and
     /// a disabled plan never touches either).
-    pub(crate) fault_rng: SplitMix64,
+    fault_rng: SplitMix64,
     /// Whether the fault plan can inject anything (`faults.is_active()`,
     /// cached). All fault branches are behind this flag.
-    pub(crate) faults_on: bool,
+    faults_on: bool,
     /// Which cells are currently crashed (all `false` unless the plan
     /// schedules crashes).
-    pub(crate) down: Vec<bool>,
+    down: Vec<bool>,
     /// Ground-truth channel usage per cell (for the Theorem-1 audit).
-    pub(crate) usage: Vec<ChannelSet>,
-    pub(crate) link_horizon: LinkHorizons,
-    pub(crate) calls: Vec<CallRecord>,
-    pub(crate) reqs: Vec<ReqRecord>,
-    pub(crate) pending_reqs: u64,
+    usage: Vec<ChannelSet>,
+    link_horizon: LinkHorizons,
+    calls: Vec<CallRecord>,
+    reqs: Vec<ReqRecord>,
+    pending_reqs: u64,
     /// Whether the `on_start` hooks have fired (exactly once per engine
     /// lifetime; a restored engine skips them).
-    pub(crate) started: bool,
+    started: bool,
     /// Whether the event-budget guard tripped; pumping never resumes.
-    pub(crate) halted: bool,
+    halted: bool,
     /// Events processed so far (across `run_until` calls and, via
     /// snapshots, across engine lifetimes).
-    pub(crate) events_processed: u64,
+    events_processed: u64,
     /// Per-event counters, folded into `report` at the end of the run.
-    pub(crate) msg_kinds: SlotCounters,
-    pub(crate) custom: SlotCounters,
-    pub(crate) custom_samples: SlotSamples,
-    pub(crate) report: SimReport,
+    msg_kinds: SlotCounters,
+    custom: SlotCounters,
+    custom_samples: SlotSamples,
+    report: SimReport,
     /// Per-request resolution log (see [`ReqOutcome`]). Always recorded;
-    /// excluded from reports, snapshots, and the sharded path.
-    pub(crate) outcomes: Vec<ReqOutcome>,
+    /// excluded from reports and snapshots.
+    outcomes: Vec<ReqOutcome>,
     /// Structured trace destination (observes; never influences).
-    pub(crate) sink: S,
+    sink: S,
 }
 
 impl<M, S: TraceSink> Shared<M, S> {
     #[inline]
-    pub(crate) fn push(&mut self, at: SimTime, ev: Ev<M>) {
+    fn push(&mut self, at: SimTime, ev: Ev<M>) {
         self.queue.push(at, ev);
     }
 
@@ -378,24 +377,21 @@ impl<M, S: TraceSink> Shared<M, S> {
     /// it only if the sink is enabled. With `S = NoopSink` the whole
     /// call — check, closure, record — compiles away.
     #[inline]
-    pub(crate) fn trace_with(&mut self, f: impl FnOnce() -> TraceEvent) {
+    fn trace_with(&mut self, f: impl FnOnce() -> TraceEvent) {
         if self.sink.enabled() {
             let ev = f();
             self.sink.record(self.now, ev);
         }
     }
 
-    pub(crate) fn violation(&mut self, v: Violation) {
+    fn violation(&mut self, v: Violation) {
         if self.cfg.audit == AuditMode::Panic {
             panic!("simulation invariant violated: {v}");
         }
         self.report.violations.push(v);
     }
 
-    pub(crate) fn finish_request(
-        &mut self,
-        req: RequestId,
-    ) -> Option<(u32, CellId, RequestKind, u64)> {
+    fn finish_request(&mut self, req: RequestId) -> Option<(u32, CellId, RequestKind, u64)> {
         let rec = &mut self.reqs[req.0 as usize];
         if rec.state == ReqState::Done {
             return None;
@@ -409,7 +405,7 @@ impl<M, S: TraceSink> Shared<M, S> {
     /// Appends one [`ReqOutcome`] record (every resolution path calls
     /// this exactly once, right after [`Shared::finish_request`]).
     #[inline]
-    pub(crate) fn record_outcome(
+    fn record_outcome(
         &mut self,
         req: RequestId,
         call: u32,
@@ -429,12 +425,7 @@ impl<M, S: TraceSink> Shared<M, S> {
         });
     }
 
-    pub(crate) fn issue_request(
-        &mut self,
-        call: u32,
-        cell: CellId,
-        kind: RequestKind,
-    ) -> RequestId {
+    fn issue_request(&mut self, call: u32, cell: CellId, kind: RequestKind) -> RequestId {
         let id = RequestId(self.reqs.len() as u64);
         self.reqs.push(ReqRecord {
             call,
@@ -452,7 +443,7 @@ impl<M, S: TraceSink> Shared<M, S> {
         id
     }
 
-    pub(crate) fn count_drop_cause(&mut self, cause: DropCause) {
+    fn count_drop_cause(&mut self, cause: DropCause) {
         match cause {
             DropCause::Blocked => self.report.drops_blocked += 1,
             DropCause::RetryExhausted => self.report.drops_retry_exhausted += 1,
@@ -462,7 +453,7 @@ impl<M, S: TraceSink> Shared<M, S> {
 
     /// Force-resolves `req` as a drop attributed to `cause` — the crash
     /// paths, where no protocol node is up to answer the request.
-    pub(crate) fn force_reject(&mut self, req: RequestId, cause: DropCause) {
+    fn force_reject(&mut self, req: RequestId, cause: DropCause) {
         let Some((call, cell, kind, latency)) = self.finish_request(req) else {
             return;
         };
@@ -482,9 +473,9 @@ impl<M, S: TraceSink> Shared<M, S> {
 }
 
 /// The deterministic-engine backend behind [`Ctx`].
-pub(crate) struct DesCtx<'a, M, S: TraceSink> {
-    pub(crate) sh: &'a mut Shared<M, S>,
-    pub(crate) me: CellId,
+struct DesCtx<'a, M, S: TraceSink> {
+    sh: &'a mut Shared<M, S>,
+    me: CellId,
 }
 
 impl<M: Clone, S: TraceSink> CtxBackend<M> for DesCtx<'_, M, S> {
@@ -747,8 +738,8 @@ impl<M: Clone, S: TraceSink> CtxBackend<M> for DesCtx<'_, M, S> {
 /// with [`Engine::into_sink`]; sinks are pure observers, so traced and
 /// untraced runs produce equal [`SimReport`]s.
 pub struct Engine<P: Protocol, S: TraceSink = NoopSink> {
-    pub(crate) nodes: Vec<P>,
-    pub(crate) sh: Shared<P::Msg, S>,
+    nodes: Vec<P>,
+    sh: Shared<P::Msg, S>,
 }
 
 impl<P: Protocol> Engine<P> {
@@ -893,7 +884,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
     /// Fires the `on_start` hooks exactly once per engine *lifetime* — a
     /// restored engine skips them, because they already ran before the
     /// snapshot was taken (their effects are part of the captured state).
-    pub(crate) fn ensure_started(&mut self) {
+    fn ensure_started(&mut self) {
         if self.sh.started {
             return;
         }
@@ -946,7 +937,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
     }
 
     /// Handles one event. `self.sh.now` is already the event's time.
-    pub(crate) fn dispatch(&mut self, item: Ev<P::Msg>) {
+    fn dispatch(&mut self, item: Ev<P::Msg>) {
         {
             match item {
                 Ev::Deliver { from, to, msg, .. } => {
@@ -1128,7 +1119,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
     }
 
     /// Seals the run: liveness audit, slot-counter folds, final totals.
-    pub(crate) fn finalize(&mut self) -> SimReport {
+    fn finalize(&mut self) -> SimReport {
         if self.sh.pending_reqs > 0 {
             let pending = self.sh.pending_reqs;
             self.sh.violation(Violation::Liveness { pending });

@@ -279,26 +279,13 @@ impl<T> EventQueue<T> {
     /// if the queue is empty. Shares the serving-cursor advance with
     /// [`EventQueue::pop`], so `peek_key` then `pop` is not extra work.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.peek_key_within(SimTime(u64::MAX))
-    }
-
-    /// The earliest `(at, seq)` key if it is at or before `last`, else
-    /// `None` — without advancing the serving cursor past `last`.
-    ///
-    /// [`EventQueue::peek_key`] walks the cursor to the next populated
-    /// tick, however far ahead; after such a walk, a push into the gap
-    /// would land *behind* the cursor and break monotonicity. The
-    /// sharded engine peeks with this method instead while it still has
-    /// window-barrier pushes to make (all due at or after its window
-    /// end, hence after any cursor position this peek leaves).
-    pub fn peek_key_within(&mut self, last: SimTime) -> Option<(SimTime, u64)> {
-        let head = self.head_within(last.ticks())?;
+        let head = self.head()?;
         self.slots[head as usize].entry.as_ref().map(EqEntry::key)
     }
 
     /// Removes and returns the earliest `(at, seq)` event.
     pub fn pop(&mut self) -> Option<EqEntry<T>> {
-        let head = self.head_within(u64::MAX)?;
+        let head = self.head()?;
         let slot = &mut self.slots[head as usize];
         let entry = slot.entry.take().expect("a linked slot holds an event");
         let next = std::mem::replace(&mut slot.next, self.free);
@@ -313,10 +300,10 @@ impl<T> EventQueue<T> {
         Some(entry)
     }
 
-    /// The head slot of the earliest populated tick, if that tick is at
-    /// or before `last`; walks the cursor there, but never past `last`.
+    /// The head slot of the earliest populated tick; walks the cursor
+    /// there.
     #[inline]
-    fn head_within(&mut self, last: u64) -> Option<u32> {
+    fn head(&mut self) -> Option<u32> {
         let (_, word, bit) = ring_pos(self.cur);
         if self.occupied[word] & bit == 0 {
             // Serving tick exhausted: move to the next populated one.
@@ -325,12 +312,9 @@ impl<T> EventQueue<T> {
                 (Some(ring), Some(far)) => ring.min(far),
                 (ring, far) => ring.or(far)?,
             };
-            if next > last {
-                return None;
-            }
             self.enter_tick(next);
         }
-        (self.cur <= last).then(|| self.ticks[ring_pos(self.cur).0].0)
+        Some(self.ticks[ring_pos(self.cur).0].0)
     }
 
     /// The earliest populated ring tick after `cur`, whose own list is
@@ -508,25 +492,6 @@ mod tests {
         }
         assert_eq!(restored.next_seq(), next_seq);
         assert_eq!(drain(&mut restored), drain(&mut q));
-    }
-
-    #[test]
-    fn bounded_peek_never_overruns_its_limit() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(5), 1);
-        q.push(SimTime(900), 2);
-        assert_eq!(q.peek_key_within(SimTime(99)), Some((SimTime(5), 0)));
-        assert_eq!(q.pop().unwrap().item, 1);
-        // Head (at 900) is beyond the bound: None, and — the point of
-        // the method — a push into the gap is still legal afterwards.
-        assert_eq!(q.peek_key_within(SimTime(99)), None);
-        q.push(SimTime(100), 3);
-        assert_eq!(q.peek_key_within(SimTime(100)), Some((SimTime(100), 2)));
-        assert_eq!(drain(&mut q), vec![(100, 2, 3), (900, 1, 2)]);
-        // Empty queue: still None, still pushable afterwards.
-        assert_eq!(q.peek_key_within(SimTime(5000)), None);
-        q.push(SimTime(4000), 4);
-        assert_eq!(q.pop().unwrap().item, 4);
     }
 
     #[test]

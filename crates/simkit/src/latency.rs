@@ -63,22 +63,6 @@ impl LatencyModel {
             LatencyModel::Custom(_) => None,
         }
     }
-
-    /// A lower bound on message latency if the model provides one
-    /// (`None` for custom models, whose closures cannot be interrogated).
-    ///
-    /// This is the conservative-PDES lookahead: no send at time `t` can
-    /// deliver before `t + min_latency()`, so events less than one bound
-    /// apart in virtual time and in different cells cannot influence each
-    /// other. The sharded engine derives its synchronization window from
-    /// this value and refuses to shard when it is `None` or zero.
-    pub fn min_latency(&self) -> Option<u64> {
-        match self {
-            LatencyModel::Fixed(t) => Some(*t),
-            LatencyModel::Jitter { min, .. } => Some(*min),
-            LatencyModel::Custom(_) => None,
-        }
-    }
 }
 
 impl std::fmt::Debug for LatencyModel {
@@ -138,18 +122,5 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         assert_eq!(m.latency(&meta(), &mut rng), 7);
         assert_eq!(m.upper_bound(), None);
-    }
-
-    #[test]
-    fn min_latency_bounds() {
-        assert_eq!(LatencyModel::Fixed(100).min_latency(), Some(100));
-        assert_eq!(
-            LatencyModel::Jitter { min: 50, max: 150 }.min_latency(),
-            Some(50)
-        );
-        assert_eq!(
-            LatencyModel::Custom(Arc::new(|_: &MsgMeta| 7)).min_latency(),
-            None
-        );
     }
 }

@@ -23,11 +23,7 @@
 //! * a zero-cost-when-disabled structured trace layer ([`trace`]):
 //!   typed per-message / per-mode-transition / per-borrow events into a
 //!   pluggable [`trace::TraceSink`] (no-op, bounded ring, or JSONL),
-//!   plus per-cell mode-occupancy timelines ([`trace::CellTimeline`]),
-//! * sharded conservative-PDES execution over a grid
-//!   [`Partition`](adca_hexgrid::Partition):
-//!   multi-core runs whose reports are bit-identical to the sequential
-//!   engine's ([`shard`]).
+//!   plus per-cell mode-occupancy timelines ([`trace::CellTimeline`]).
 //!
 //! Determinism: two runs with the same topology, workload, seed and
 //! configuration produce identical event interleavings and identical
@@ -44,7 +40,6 @@ pub mod latency;
 pub mod protocol;
 pub mod report;
 pub mod rng;
-pub mod shard;
 pub mod sm;
 pub mod snapshot;
 pub mod testing;
