@@ -25,7 +25,7 @@ use adca_core::{CallQueue, LamportClock, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{
-    Ctx, DecodeError, Protocol, ProtocolState, Reader, RequestId, RequestKind, Writer,
+    DecodeError, Effects, ProtocolState, Reader, RequestId, RequestKind, StateMachine, Writer,
 };
 use std::collections::{BTreeSet, VecDeque};
 
@@ -162,10 +162,6 @@ impl AdvancedSearchNode {
         &self.used
     }
 
-    fn send(&self, ctx: &mut Ctx<'_, AdvancedSearchMsg>, to: CellId, msg: AdvancedSearchMsg) {
-        ctx.send_kind(to, Self::msg_kind(&msg), msg);
-    }
-
     /// The sets reported to searchers: lent channels stay visible as
     /// allocated **and** busy until the transfer handshake resolves.
     fn response_msg(&self) -> AdvancedSearchMsg {
@@ -175,7 +171,7 @@ impl AdvancedSearchNode {
         }
     }
 
-    fn try_start_next(&mut self, ctx: &mut Ctx<'_, AdvancedSearchMsg>) {
+    fn try_start_next(&mut self, ctx: &mut Effects<AdvancedSearchMsg>) {
         if self.search.is_some() {
             return;
         }
@@ -226,11 +222,11 @@ impl AdvancedSearchNode {
         }
         for idx in 0..self.region.len() {
             let j = self.region[idx];
-            self.send(ctx, j, AdvancedSearchMsg::Request { ts });
+            ctx.send(j, AdvancedSearchMsg::Request { ts });
         }
     }
 
-    fn conclude_collect(&mut self, ctx: &mut Ctx<'_, AdvancedSearchMsg>) {
+    fn conclude_collect(&mut self, ctx: &mut Effects<AdvancedSearchMsg>) {
         enum Decision {
             Claim(Channel),
             Transfer(VecDeque<(Channel, Vec<CellId>)>),
@@ -295,7 +291,7 @@ impl AdvancedSearchNode {
         &mut self,
         mut candidates: VecDeque<(Channel, Vec<CellId>)>,
         req: RequestId,
-        ctx: &mut Ctx<'_, AdvancedSearchMsg>,
+        ctx: &mut Effects<AdvancedSearchMsg>,
     ) {
         let Some((ch, owners)) = candidates.pop_front() else {
             self.finish(None, req, ctx);
@@ -313,7 +309,7 @@ impl AdvancedSearchNode {
             attempt: 1,
         });
         for &owner in &owners {
-            self.send(ctx, owner, AdvancedSearchMsg::Transfer { ch });
+            ctx.send(owner, AdvancedSearchMsg::Transfer { ch });
         }
         self.search.as_mut().expect("search in flight").phase = SearchPhase::Transfer {
             ch,
@@ -330,14 +326,14 @@ impl AdvancedSearchNode {
         from: CellId,
         ch: Channel,
         kept_reply: bool,
-        ctx: &mut Ctx<'_, AdvancedSearchMsg>,
+        ctx: &mut Effects<AdvancedSearchMsg>,
     ) {
         let conclude = {
             let Some(search) = self.search.as_mut() else {
                 ctx.count("stale_responses");
                 // Never strand ownership: a stray AGREE is repaid.
                 if !kept_reply {
-                    self.send(ctx, from, AdvancedSearchMsg::Confirm { ch, take: false });
+                    ctx.send(from, AdvancedSearchMsg::Confirm { ch, take: false });
                 }
                 return;
             };
@@ -351,14 +347,14 @@ impl AdvancedSearchNode {
             else {
                 ctx.count("stale_responses");
                 if !kept_reply {
-                    self.send(ctx, from, AdvancedSearchMsg::Confirm { ch, take: false });
+                    ctx.send(from, AdvancedSearchMsg::Confirm { ch, take: false });
                 }
                 return;
             };
             if *cur != ch {
                 ctx.count("stale_responses");
                 if !kept_reply {
-                    self.send(ctx, from, AdvancedSearchMsg::Confirm { ch, take: false });
+                    ctx.send(from, AdvancedSearchMsg::Confirm { ch, take: false });
                 }
                 return;
             }
@@ -377,7 +373,7 @@ impl AdvancedSearchNode {
     }
 
     /// All owners of the current transfer group answered.
-    fn conclude_transfer(&mut self, ctx: &mut Ctx<'_, AdvancedSearchMsg>) {
+    fn conclude_transfer(&mut self, ctx: &mut Effects<AdvancedSearchMsg>) {
         let (req, ch, agreed, kept, candidates) = {
             let search = self.search.as_mut().expect("search in flight");
             let SearchPhase::Transfer {
@@ -401,7 +397,7 @@ impl AdvancedSearchNode {
         if !kept {
             // Finalize the hand-over with every owner, then use it.
             for owner in agreed {
-                self.send(ctx, owner, AdvancedSearchMsg::Confirm { ch, take: true });
+                ctx.send(owner, AdvancedSearchMsg::Confirm { ch, take: true });
             }
             self.allocated.insert(ch);
             self.used.insert(ch);
@@ -412,7 +408,7 @@ impl AdvancedSearchNode {
         // Give the channel back to everyone who agreed, then try the next
         // candidate.
         for owner in agreed {
-            self.send(ctx, owner, AdvancedSearchMsg::Confirm { ch, take: false });
+            ctx.send(owner, AdvancedSearchMsg::Confirm { ch, take: false });
         }
         self.next_transfer(candidates, req, ctx);
     }
@@ -422,7 +418,7 @@ impl AdvancedSearchNode {
         &mut self,
         ch: Option<Channel>,
         req: RequestId,
-        ctx: &mut Ctx<'_, AdvancedSearchMsg>,
+        ctx: &mut Effects<AdvancedSearchMsg>,
     ) {
         if let Some(search) = self.search.take() {
             ctx.sample(
@@ -453,14 +449,14 @@ impl AdvancedSearchNode {
         }
         while let Some(j) = self.deferred.pop_front() {
             let msg = self.response_msg();
-            self.send(ctx, j, msg);
+            ctx.send(j, msg);
         }
         self.call_q.pop();
         self.try_start_next(ctx);
     }
 }
 
-impl Protocol for AdvancedSearchNode {
+impl StateMachine for AdvancedSearchNode {
     type Msg = AdvancedSearchMsg;
 
     fn msg_kind(msg: &AdvancedSearchMsg) -> &'static str {
@@ -474,12 +470,12 @@ impl Protocol for AdvancedSearchNode {
         }
     }
 
-    fn on_acquire(&mut self, req: RequestId, kind: RequestKind, ctx: &mut Ctx<'_, Self::Msg>) {
+    fn acquire(&mut self, req: RequestId, kind: RequestKind, ctx: &mut Effects<Self::Msg>) {
         self.call_q.push(req, kind);
         self.try_start_next(ctx);
     }
 
-    fn on_release(&mut self, ch: Channel, ctx: &mut Ctx<'_, Self::Msg>) {
+    fn release(&mut self, ch: Channel, ctx: &mut Effects<Self::Msg>) {
         // Silent: the channel stays allocated here (the scheme's load
         // adaptation — and the hoarding Section 6 criticizes).
         let was = self.used.remove(ch);
@@ -493,7 +489,7 @@ impl Protocol for AdvancedSearchNode {
         });
     }
 
-    fn on_message(&mut self, from: CellId, msg: AdvancedSearchMsg, ctx: &mut Ctx<'_, Self::Msg>) {
+    fn message(&mut self, from: CellId, msg: AdvancedSearchMsg, ctx: &mut Effects<Self::Msg>) {
         match msg {
             AdvancedSearchMsg::Request { ts } => {
                 self.clock.observe(ts);
@@ -509,7 +505,7 @@ impl Protocol for AdvancedSearchNode {
                     });
                 } else {
                     let msg = self.response_msg();
-                    self.send(ctx, from, msg);
+                    ctx.send(from, msg);
                 }
             }
             AdvancedSearchMsg::Response { allocated, used } => {
@@ -546,10 +542,10 @@ impl Protocol for AdvancedSearchNode {
                     self.allocated.remove(ch);
                     self.lent.insert(ch);
                     ctx.count("transfers_agreed");
-                    self.send(ctx, from, AdvancedSearchMsg::Agree { ch });
+                    ctx.send(from, AdvancedSearchMsg::Agree { ch });
                 } else {
                     ctx.count("transfers_kept");
-                    self.send(ctx, from, AdvancedSearchMsg::Keep { ch });
+                    ctx.send(from, AdvancedSearchMsg::Keep { ch });
                 }
             }
             AdvancedSearchMsg::Confirm { ch, take } => {

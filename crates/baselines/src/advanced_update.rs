@@ -34,7 +34,8 @@ use adca_core::{CallQueue, LamportClock, NeighborView, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{
-    Ctx, DecodeError, Protocol, ProtocolState, Reader, RequestId, RequestKind, SimTime, Writer,
+    DecodeError, Effects, ProtocolState, Reader, RequestId, RequestKind, SimTime, StateMachine,
+    Writer,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -187,10 +188,6 @@ impl AdvancedUpdateNode {
         &self.used
     }
 
-    fn send(&self, ctx: &mut Ctx<'_, AdvancedUpdateMsg>, to: CellId, msg: AdvancedUpdateMsg) {
-        ctx.send_kind(to, Self::msg_kind(&msg), msg);
-    }
-
     /// The primary cells of `ch` within our region, with their indices.
     fn primaries_of(&self, ch: Channel) -> Vec<CellId> {
         self.region
@@ -210,7 +207,7 @@ impl AdvancedUpdateNode {
         free.first().map(|ch| (ch, self.primaries_of(ch)))
     }
 
-    fn try_start_next(&mut self, ctx: &mut Ctx<'_, AdvancedUpdateMsg>) {
+    fn try_start_next(&mut self, ctx: &mut Effects<AdvancedUpdateMsg>) {
         if self.attempt.is_some() {
             return;
         }
@@ -237,7 +234,7 @@ impl AdvancedUpdateNode {
             });
             for idx in 0..self.region.len() {
                 let j = self.region[idx];
-                self.send(ctx, j, AdvancedUpdateMsg::Acquisition { ch });
+                ctx.send(j, AdvancedUpdateMsg::Acquisition { ch });
             }
             ctx.grant(req, ch);
             self.call_q.pop();
@@ -253,7 +250,7 @@ impl AdvancedUpdateNode {
         req: RequestId,
         attempts_so_far: u32,
         tried: ChannelSet,
-        ctx: &mut Ctx<'_, AdvancedUpdateMsg>,
+        ctx: &mut Effects<AdvancedUpdateMsg>,
     ) {
         if attempts_so_far >= self.max_attempts {
             ctx.count("update_gaveup");
@@ -281,7 +278,7 @@ impl AdvancedUpdateNode {
             attempt: attempt_no,
         });
         for &p in &owners {
-            self.send(ctx, p, AdvancedUpdateMsg::Request { ch, ts });
+            ctx.send(p, AdvancedUpdateMsg::Request { ch, ts });
         }
         ctx.sample("np_contacted", owners.len() as f64);
         self.attempt = Some(Attempt {
@@ -295,7 +292,7 @@ impl AdvancedUpdateNode {
         });
     }
 
-    fn finish_failure(&mut self, ctx: &mut Ctx<'_, AdvancedUpdateMsg>) {
+    fn finish_failure(&mut self, ctx: &mut Effects<AdvancedUpdateMsg>) {
         let (req, _) = self.call_q.pop().expect("head request present");
         if let Some(started) = self.serving_since.take() {
             ctx.sample("attempt_ticks", ctx.now().saturating_since(started) as f64);
@@ -312,7 +309,7 @@ impl AdvancedUpdateNode {
         self.try_start_next(ctx);
     }
 
-    fn conclude(&mut self, ctx: &mut Ctx<'_, AdvancedUpdateMsg>) {
+    fn conclude(&mut self, ctx: &mut Effects<AdvancedUpdateMsg>) {
         let a = self.attempt.take().expect("attempt in flight");
         if !a.failed {
             self.used.insert(a.ch);
@@ -331,7 +328,7 @@ impl AdvancedUpdateNode {
             }
             for idx in 0..self.region.len() {
                 let j = self.region[idx];
-                self.send(ctx, j, AdvancedUpdateMsg::Acquisition { ch: a.ch });
+                ctx.send(j, AdvancedUpdateMsg::Acquisition { ch: a.ch });
             }
             ctx.grant(a.req, a.ch);
             self.call_q.pop();
@@ -340,7 +337,7 @@ impl AdvancedUpdateNode {
         }
         ctx.count("update_rounds_failed");
         for &p in &a.granted {
-            self.send(ctx, p, AdvancedUpdateMsg::Release { ch: a.ch });
+            ctx.send(p, AdvancedUpdateMsg::Release { ch: a.ch });
         }
         let mut tried = a.tried;
         tried.insert(a.ch);
@@ -348,7 +345,7 @@ impl AdvancedUpdateNode {
     }
 }
 
-impl Protocol for AdvancedUpdateNode {
+impl StateMachine for AdvancedUpdateNode {
     type Msg = AdvancedUpdateMsg;
 
     fn msg_kind(msg: &AdvancedUpdateMsg) -> &'static str {
@@ -362,12 +359,12 @@ impl Protocol for AdvancedUpdateNode {
         }
     }
 
-    fn on_acquire(&mut self, req: RequestId, kind: RequestKind, ctx: &mut Ctx<'_, Self::Msg>) {
+    fn acquire(&mut self, req: RequestId, kind: RequestKind, ctx: &mut Effects<Self::Msg>) {
         self.call_q.push(req, kind);
         self.try_start_next(ctx);
     }
 
-    fn on_release(&mut self, ch: Channel, ctx: &mut Ctx<'_, Self::Msg>) {
+    fn release(&mut self, ch: Channel, ctx: &mut Effects<Self::Msg>) {
         let was = self.used.remove(ch);
         debug_assert!(was, "released channel {ch} not in use");
         let me = self.me;
@@ -379,11 +376,11 @@ impl Protocol for AdvancedUpdateNode {
         });
         for idx in 0..self.region.len() {
             let j = self.region[idx];
-            self.send(ctx, j, AdvancedUpdateMsg::Release { ch });
+            ctx.send(j, AdvancedUpdateMsg::Release { ch });
         }
     }
 
-    fn on_message(&mut self, from: CellId, msg: AdvancedUpdateMsg, ctx: &mut Ctx<'_, Self::Msg>) {
+    fn message(&mut self, from: CellId, msg: AdvancedUpdateMsg, ctx: &mut Effects<Self::Msg>) {
         match msg {
             AdvancedUpdateMsg::Request { ch, ts } => {
                 self.clock.observe(ts);
@@ -392,17 +389,17 @@ impl Protocol for AdvancedUpdateNode {
                     "advanced update asks only primary owners"
                 );
                 if self.used.contains(ch) || self.view.interference().contains(ch) {
-                    self.send(ctx, from, AdvancedUpdateMsg::Reject { ch });
+                    ctx.send(from, AdvancedUpdateMsg::Reject { ch });
                 } else if let Some(&holder) = self.pending_grants.get(&ch) {
                     // A concurrent earlier request holds the channel: the
                     // newcomer gets only a conditional grant — even if its
                     // timestamp is older (the Figure 11 unfairness).
                     debug_assert_ne!(holder, from);
                     ctx.count("cond_grants");
-                    self.send(ctx, from, AdvancedUpdateMsg::CondGrant { ch });
+                    ctx.send(from, AdvancedUpdateMsg::CondGrant { ch });
                 } else {
                     self.pending_grants.insert(ch, from);
-                    self.send(ctx, from, AdvancedUpdateMsg::Grant { ch });
+                    ctx.send(from, AdvancedUpdateMsg::Grant { ch });
                 }
             }
             AdvancedUpdateMsg::Grant { ch } => {

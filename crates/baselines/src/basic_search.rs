@@ -17,7 +17,7 @@
 use adca_core::codec;
 use adca_core::{CallQueue, LamportClock, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
-use adca_simkit::sm::{Action, Effects, StateMachine};
+use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, Writer};
 use std::collections::BTreeSet;
@@ -112,9 +112,6 @@ pub struct BasicSearchNode {
     /// Monotonic timer tag; `armed` holds the one live deadline's tag.
     timer_epoch: u64,
     armed: Option<u64>,
-    /// Reusable action buffer lent to the engine adapter; always empty
-    /// between events and excluded from the snapshot codec.
-    fx_buf: Vec<Action<BasicSearchMsg>>,
 }
 
 impl BasicSearchNode {
@@ -139,17 +136,12 @@ impl BasicSearchNode {
             deferred: VecDeque::new(),
             timer_epoch: 0,
             armed: None,
-            fx_buf: Vec::new(),
         }
     }
 
     /// Channels currently in use.
     pub fn used(&self) -> &ChannelSet {
         &self.used
-    }
-
-    fn send(&self, ctx: &mut Effects<BasicSearchMsg>, to: CellId, msg: BasicSearchMsg) {
-        ctx.send_kind(to, Self::msg_kind(&msg), msg);
     }
 
     /// Arms the response deadline (no-op unless `retry_ticks` is set).
@@ -186,7 +178,7 @@ impl BasicSearchNode {
         }
         for idx in 0..self.region.len() {
             let j = self.region[idx];
-            self.send(ctx, j, BasicSearchMsg::Request { ts });
+            ctx.send(j, BasicSearchMsg::Request { ts });
         }
         self.search = Some(Search {
             req,
@@ -263,8 +255,7 @@ impl BasicSearchNode {
             ctx.trace_with(|| TraceEvent::DeferDrain { cell: me, drained });
         }
         while let Some((j, ts)) = self.deferred.pop_front() {
-            self.send(
-                ctx,
+            ctx.send(
                 j,
                 BasicSearchMsg::Response {
                     used: self.used.clone(),
@@ -328,11 +319,10 @@ impl StateMachine for BasicSearchNode {
                         });
                     }
                     if self.cfg.retry_ticks.is_some() {
-                        self.send(ctx, from, BasicSearchMsg::Busy { ts });
+                        ctx.send(from, BasicSearchMsg::Busy { ts });
                     }
                 } else {
-                    self.send(
-                        ctx,
+                    ctx.send(
                         from,
                         BasicSearchMsg::Response {
                             used: self.used.clone(),
@@ -407,7 +397,7 @@ impl StateMachine for BasicSearchNode {
             // request, and the deferral order is unchanged.
             ctx.count("search_retries");
             for j in remaining {
-                self.send(ctx, j, BasicSearchMsg::Request { ts });
+                ctx.send(j, BasicSearchMsg::Request { ts });
             }
             self.arm(ctx);
         } else {
@@ -429,17 +419,7 @@ impl StateMachine for BasicSearchNode {
         self.deferred.clear();
         self.armed = None;
     }
-
-    fn take_scratch(&mut self) -> Vec<Action<BasicSearchMsg>> {
-        std::mem::take(&mut self.fx_buf)
-    }
-
-    fn put_scratch(&mut self, buf: Vec<Action<BasicSearchMsg>>) {
-        self.fx_buf = buf;
-    }
 }
-
-adca_simkit::impl_protocol_via_machine!(BasicSearchNode);
 
 impl ProtocolState for BasicSearchNode {
     const STATE_ID: &'static str = "basic-search/v1";

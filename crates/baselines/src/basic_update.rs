@@ -16,7 +16,7 @@
 use adca_core::codec;
 use adca_core::{CallQueue, LamportClock, NeighborView, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
-use adca_simkit::sm::{Action, Effects, StateMachine};
+use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{
     DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, SimTime, Writer,
@@ -129,9 +129,6 @@ pub struct BasicUpdateNode {
     /// Monotonic timer tag; `armed` holds the one live deadline's tag.
     timer_epoch: u64,
     armed: Option<u64>,
-    /// Reusable action buffer lent to the engine adapter; always empty
-    /// between events and excluded from the snapshot codec.
-    fx_buf: Vec<Action<BasicUpdateMsg>>,
 }
 
 impl BasicUpdateNode {
@@ -151,7 +148,6 @@ impl BasicUpdateNode {
             serving_since: None,
             timer_epoch: 0,
             armed: None,
-            fx_buf: Vec::new(),
             region,
         }
     }
@@ -159,10 +155,6 @@ impl BasicUpdateNode {
     /// Channels currently in use.
     pub fn used(&self) -> &ChannelSet {
         &self.used
-    }
-
-    fn send(&self, ctx: &mut Effects<BasicUpdateMsg>, to: CellId, msg: BasicUpdateMsg) {
-        ctx.send_kind(to, Self::msg_kind(&msg), msg);
     }
 
     /// Arms the round's response deadline (no-op unless `retry_ticks`).
@@ -209,7 +201,7 @@ impl BasicUpdateNode {
         }
         for idx in 0..self.region.len() {
             let j = self.region[idx];
-            self.send(ctx, j, BasicUpdateMsg::Request { ch, ts });
+            ctx.send(j, BasicUpdateMsg::Request { ch, ts });
         }
         self.attempt = Some(Attempt {
             req,
@@ -261,7 +253,7 @@ impl BasicUpdateNode {
                 // Tell the whole region so their mirrors stay fresh.
                 for idx in 0..self.region.len() {
                     let j = self.region[idx];
-                    self.send(ctx, j, BasicUpdateMsg::Acquisition { ch });
+                    ctx.send(j, BasicUpdateMsg::Acquisition { ch });
                 }
                 ctx.grant(req, ch);
             }
@@ -305,12 +297,12 @@ impl BasicUpdateNode {
             // (`clear_used` is an idempotent no-op for non-granters).
             for idx in 0..self.region.len() {
                 let j = self.region[idx];
-                self.send(ctx, j, BasicUpdateMsg::Release { ch: attempt.ch });
+                ctx.send(j, BasicUpdateMsg::Release { ch: attempt.ch });
             }
         } else {
             // Release whoever granted us.
             for j in attempt.granted {
-                self.send(ctx, j, BasicUpdateMsg::Release { ch: attempt.ch });
+                ctx.send(j, BasicUpdateMsg::Release { ch: attempt.ch });
             }
         }
         // Retry with another channel. We exclude the just-rejected channel
@@ -351,7 +343,7 @@ impl StateMachine for BasicUpdateNode {
         });
         for idx in 0..self.region.len() {
             let j = self.region[idx];
-            self.send(ctx, j, BasicUpdateMsg::Release { ch });
+            ctx.send(j, BasicUpdateMsg::Release { ch });
         }
     }
 
@@ -360,7 +352,7 @@ impl StateMachine for BasicUpdateNode {
             BasicUpdateMsg::Request { ch, ts } => {
                 self.clock.observe(ts);
                 if self.used.contains(ch) {
-                    self.send(ctx, from, BasicUpdateMsg::Reject { ch, ts });
+                    ctx.send(from, BasicUpdateMsg::Reject { ch, ts });
                     return;
                 }
                 // Conflict with our own pending attempt for the same
@@ -369,7 +361,7 @@ impl StateMachine for BasicUpdateNode {
                 if conflict {
                     let my_ts = self.attempt.as_ref().expect("checked").ts;
                     if my_ts < ts {
-                        self.send(ctx, from, BasicUpdateMsg::Reject { ch, ts });
+                        ctx.send(from, BasicUpdateMsg::Reject { ch, ts });
                         return;
                     }
                     // Grant the older request and abandon our own attempt
@@ -381,7 +373,7 @@ impl StateMachine for BasicUpdateNode {
                         ctx.count("update_self_aborts");
                     }
                 }
-                self.send(ctx, from, BasicUpdateMsg::Grant { ch, ts });
+                ctx.send(from, BasicUpdateMsg::Grant { ch, ts });
                 self.view.set_used(from, ch);
             }
             BasicUpdateMsg::Grant { ch, ts } => {
@@ -464,7 +456,7 @@ impl StateMachine for BasicUpdateNode {
             // conflict resolution is unchanged.
             ctx.count("update_retries");
             for j in remaining {
-                self.send(ctx, j, BasicUpdateMsg::Request { ch, ts });
+                ctx.send(j, BasicUpdateMsg::Request { ch, ts });
             }
             self.arm(ctx);
         } else {
@@ -475,7 +467,7 @@ impl StateMachine for BasicUpdateNode {
             let attempt = self.attempt.take().expect("attempt in flight");
             for idx in 0..self.region.len() {
                 let j = self.region[idx];
-                self.send(ctx, j, BasicUpdateMsg::Release { ch: attempt.ch });
+                ctx.send(j, BasicUpdateMsg::Release { ch: attempt.ch });
             }
             self.finish(
                 None,
@@ -501,17 +493,7 @@ impl StateMachine for BasicUpdateNode {
         self.serving_since = None;
         self.armed = None;
     }
-
-    fn take_scratch(&mut self) -> Vec<Action<BasicUpdateMsg>> {
-        std::mem::take(&mut self.fx_buf)
-    }
-
-    fn put_scratch(&mut self, buf: Vec<Action<BasicUpdateMsg>>) {
-        self.fx_buf = buf;
-    }
 }
-
-adca_simkit::impl_protocol_via_machine!(BasicUpdateNode);
 
 impl ProtocolState for BasicUpdateNode {
     const STATE_ID: &'static str = "basic-update/v1";

@@ -10,7 +10,7 @@
 use adca_hexgrid::{CellId, Channel, ChannelSet, Topology};
 use adca_simkit::trace::{AcqPath, TraceEvent};
 use adca_simkit::{
-    Ctx, DecodeError, Protocol, ProtocolState, Reader, RequestId, RequestKind, Writer,
+    DecodeError, Effects, ProtocolState, Reader, RequestId, RequestKind, StateMachine, Writer,
 };
 
 /// A mobile service station running fixed allocation.
@@ -39,14 +39,14 @@ impl FixedNode {
 
 /// Fixed allocation sends no messages; the message type is uninhabited
 /// in spirit (unit, never constructed).
-impl Protocol for FixedNode {
+impl StateMachine for FixedNode {
     type Msg = ();
 
     fn msg_kind(_: &()) -> &'static str {
         "NONE"
     }
 
-    fn on_acquire(&mut self, req: RequestId, _kind: RequestKind, ctx: &mut Ctx<'_, ()>) {
+    fn acquire(&mut self, req: RequestId, _kind: RequestKind, ctx: &mut Effects<()>) {
         let me = self.me;
         match self.primary.difference(&self.used).first() {
             Some(ch) => {
@@ -74,7 +74,7 @@ impl Protocol for FixedNode {
         }
     }
 
-    fn on_release(&mut self, ch: Channel, ctx: &mut Ctx<'_, ()>) {
+    fn release(&mut self, ch: Channel, ctx: &mut Effects<()>) {
         let was = self.used.remove(ch);
         debug_assert!(was, "released channel {ch} not in use");
         let me = self.me;
@@ -85,7 +85,7 @@ impl Protocol for FixedNode {
         });
     }
 
-    fn on_message(&mut self, _from: CellId, _msg: (), _ctx: &mut Ctx<'_, ()>) {
+    fn message(&mut self, _from: CellId, _msg: (), _ctx: &mut Effects<()>) {
         unreachable!("fixed allocation exchanges no messages");
     }
 }

@@ -8,7 +8,7 @@
 //! | [`AdvancedUpdateNode`] | Dong & Lai, TR OSU-CISRC-10/96-TR48 | update variant asking only a channel's primary cells (exhibits the paper's Figure 11 unfairness) |
 //! | [`AdvancedSearchNode`] | Prakash, Shivaratri & Singhal, PODC '95 | dynamic *allocated* sets with TRANSFER/AGREE/KEEP hand-over |
 //!
-//! All five implement [`adca_simkit::Protocol`] against the same engine
+//! All five implement [`adca_simkit::StateMachine`] against the same engine
 //! and auditor as the adaptive scheme, so Tables 1–3 and the extended
 //! experiments compare like against like.
 

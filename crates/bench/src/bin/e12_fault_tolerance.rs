@@ -11,7 +11,7 @@
 //!    drops are split by cause (capacity vs retry exhaustion).
 //! 2. **Crash/recovery** — scheduled cell crashes (plus background
 //!    loss); down cells lose their calls, restarted cells recover via
-//!    `on_restart` (the adaptive scheme resyncs through a forced search
+//!    `restart` (the adaptive scheme resyncs through a forced search
 //!    round before trusting its view again).
 //!
 //! Run with `--smoke` for the CI-sized subset.

@@ -9,8 +9,7 @@
 //! queueing and retry correlation); the comparison is about shape: who
 //! costs what, and how the costs scale.
 
-use adca_analysis::SchemeModel;
-use adca_bench::{banner, f2, measured_inputs, perf_footer, TextTable};
+use adca_bench::{banner, f2, measured_inputs, perf_footer, scheme_model, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -61,13 +60,7 @@ fn main() {
             ("time_T(meas)", 13),
         ]);
         for s in summaries {
-            let model = match s.scheme {
-                SchemeKind::BasicSearch => SchemeModel::BasicSearch,
-                SchemeKind::BasicUpdate => SchemeModel::BasicUpdate,
-                SchemeKind::AdvancedUpdate => SchemeModel::AdvancedUpdate,
-                SchemeKind::Adaptive => SchemeModel::Adaptive,
-                _ => unreachable!("table schemes only"),
-            };
+            let model = scheme_model(s.scheme);
             // Per-scheme model inputs: xi/m are scheme-specific where the
             // formula uses them.
             let mut pi = p;

@@ -4,8 +4,7 @@
 //! Paper's claim (per acquisition): basic search 2N msgs / 2T, basic
 //! update 4N / 2T, advanced update 2N / 0, adaptive **0 / 0**.
 
-use adca_analysis::SchemeModel;
-use adca_bench::{banner, f2, perf_footer, TextTable};
+use adca_bench::{banner, f2, perf_footer, scheme_model, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -30,13 +29,7 @@ fn main() {
     ]);
     for s in &summaries {
         s.report.assert_clean();
-        let model = match s.scheme {
-            SchemeKind::BasicSearch => SchemeModel::BasicSearch,
-            SchemeKind::BasicUpdate => SchemeModel::BasicUpdate,
-            SchemeKind::AdvancedUpdate => SchemeModel::AdvancedUpdate,
-            SchemeKind::Adaptive => SchemeModel::Adaptive,
-            _ => unreachable!("table schemes only"),
-        };
+        let model = scheme_model(s.scheme);
         let (msgs, time) = model.low_load(n, alpha, 3.0);
         table.row(&[
             s.scheme.name().to_string(),

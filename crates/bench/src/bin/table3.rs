@@ -8,8 +8,7 @@
 //! extremes of *per-acquisition* cost (protocol scope: attempt latency,
 //! excluding MSS queueing).
 
-use adca_analysis::SchemeModel;
-use adca_bench::{banner, f2, opt2, perf_footer, TextTable};
+use adca_bench::{banner, f2, opt2, perf_footer, scheme_model, TextTable};
 use adca_harness::{RunSummary, Scenario, SchemeKind, SweepRunner};
 use adca_metrics::StreamingStats;
 
@@ -95,13 +94,7 @@ fn main() {
         ("T_max(meas)", 12),
     ]);
     for (i, &kind) in schemes.iter().enumerate() {
-        let model = match kind {
-            SchemeKind::BasicSearch => SchemeModel::BasicSearch,
-            SchemeKind::BasicUpdate => SchemeModel::BasicUpdate,
-            SchemeKind::AdvancedUpdate => SchemeModel::AdvancedUpdate,
-            SchemeKind::Adaptive => SchemeModel::Adaptive,
-            _ => unreachable!("table schemes only"),
-        };
+        let model = scheme_model(kind);
         let b = model.bounds(n, alpha);
         let e = &per_scheme[i];
         let inf = |x: Option<f64>| x.map(f2).unwrap_or_else(|| "inf".into());

@@ -10,7 +10,7 @@
 
 pub mod perf;
 
-use adca_harness::{sweep, RunSummary};
+use adca_harness::{sweep, RunSummary, SchemeKind};
 
 /// Prints the standard experiment banner.
 pub fn banner(id: &str, paper_artifact: &str, what: &str) {
@@ -142,6 +142,18 @@ where
         n += 1;
     }
     println!("  total: {n} run(s), {total_events} events, {total_wall:.3}s summed run wall-clock");
+}
+
+/// The analytic model of one of [`SchemeKind::TABLE_SCHEMES`].
+pub fn scheme_model(kind: SchemeKind) -> adca_analysis::SchemeModel {
+    use adca_analysis::SchemeModel;
+    match kind {
+        SchemeKind::BasicSearch => SchemeModel::BasicSearch,
+        SchemeKind::BasicUpdate => SchemeModel::BasicUpdate,
+        SchemeKind::AdvancedUpdate => SchemeModel::AdvancedUpdate,
+        SchemeKind::Adaptive => SchemeModel::Adaptive,
+        _ => unreachable!("table schemes only"),
+    }
 }
 
 /// The measured Section 5 model inputs extracted from an adaptive run.

@@ -4,9 +4,10 @@
 //! Explores every message delivery order, loss, duplication, timer
 //! firing, crash/restart point, and link-partition window on 2–4-cell
 //! strips for the adaptive scheme and the two basic baselines, within
-//! bounded fault budgets. Rows marked `exhaustive` are completed
-//! breadth-first exhaustions: zero violations over the printed state
-//! count *proves* Theorem 1 safety, resolution discipline, and
+//! bounded fault budgets, plus the fault-free two-cell interleavings of
+//! the fixed and the two advanced schemes. Rows marked `exhaustive` are
+//! completed breadth-first exhaustions: zero violations over the printed
+//! state count *proves* Theorem 1 safety, resolution discipline, and
 //! terminal-state request resolution for that scheme/topology/budget
 //! combination. Rows marked `bounded` hit the per-row state cap first
 //! (the hardened schemes' retry deadline timers and Lamport clocks
@@ -18,10 +19,13 @@
 //! results file (`e16_counterexample.sched`) for artifact upload, and
 //! the process exits non-zero.
 
-use adca_baselines::{BasicSearchConfig, BasicSearchNode, BasicUpdateConfig, BasicUpdateNode};
-use adca_checker::{Budgets, CheckOutcome, Model, Op};
+use adca_baselines::{
+    AdvancedSearchNode, AdvancedUpdateNode, BasicSearchConfig, BasicSearchNode, BasicUpdateConfig,
+    BasicUpdateNode, FixedNode,
+};
+use adca_checker::{Budgets, CheckNode, CheckOutcome, Model, Op};
 use adca_core::{AdaptiveConfig, AdaptiveNode};
-use adca_hexgrid::{ReusePattern, Topology};
+use adca_hexgrid::{CellId, ReusePattern, Topology};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,6 +54,9 @@ enum Scheme {
     Adaptive,
     BasicSearch,
     BasicUpdate,
+    Fixed,
+    AdvancedUpdate,
+    AdvancedSearch,
 }
 
 impl Scheme {
@@ -58,6 +65,9 @@ impl Scheme {
             Scheme::Adaptive => "adaptive",
             Scheme::BasicSearch => "basic-search",
             Scheme::BasicUpdate => "basic-update",
+            Scheme::Fixed => "fixed",
+            Scheme::AdvancedUpdate => "advanced-update",
+            Scheme::AdvancedSearch => "advanced-search",
         }
     }
 }
@@ -80,62 +90,55 @@ struct Row {
 }
 
 fn explore(spec: &Spec) -> CheckOutcome {
-    // Must-exhaust rows still get a backstop cap so a regression fails
-    // fast instead of eating all memory.
-    let cap = spec.cap.unwrap_or(4_000_000);
-    let topo = strip(spec.cells, 3);
-    let hardened = spec.hardened;
-    let model: Box<dyn Fn() -> CheckOutcome> = match spec.scheme {
-        Scheme::Adaptive => {
-            let m = Model::new(topo, move |cell, t| {
-                AdaptiveNode::new(
-                    cell,
-                    t,
-                    AdaptiveConfig {
-                        retry_ticks: hardened.then_some(DEADLINE),
-                        ..AdaptiveConfig::default()
-                    },
-                )
-            })
-            .with_uniform_script(spec.script)
-            .with_budgets(spec.budgets)
-            .with_max_states(cap);
-            Box::new(move || m.explore())
-        }
-        Scheme::BasicSearch => {
-            let m = Model::new(topo, move |cell, t| {
-                BasicSearchNode::with_config(
-                    cell,
-                    t,
-                    BasicSearchConfig {
-                        retry_ticks: hardened.then_some(DEADLINE),
-                        ..BasicSearchConfig::default()
-                    },
-                )
-            })
-            .with_uniform_script(spec.script)
-            .with_budgets(spec.budgets)
-            .with_max_states(cap);
-            Box::new(move || m.explore())
-        }
-        Scheme::BasicUpdate => {
-            let m = Model::new(topo, move |cell, t| {
-                BasicUpdateNode::new(
-                    cell,
-                    t,
-                    BasicUpdateConfig {
-                        retry_ticks: hardened.then_some(DEADLINE),
-                        ..BasicUpdateConfig::default()
-                    },
-                )
-            })
-            .with_uniform_script(spec.script)
-            .with_budgets(spec.budgets)
-            .with_max_states(cap);
-            Box::new(move || m.explore())
-        }
-    };
-    model()
+    let retry_ticks = spec.hardened.then_some(DEADLINE);
+    match spec.scheme {
+        Scheme::Adaptive => run(spec, move |cell, t| {
+            AdaptiveNode::new(
+                cell,
+                t,
+                AdaptiveConfig {
+                    retry_ticks,
+                    ..AdaptiveConfig::default()
+                },
+            )
+        }),
+        Scheme::BasicSearch => run(spec, move |cell, t| {
+            BasicSearchNode::with_config(
+                cell,
+                t,
+                BasicSearchConfig {
+                    retry_ticks,
+                    ..BasicSearchConfig::default()
+                },
+            )
+        }),
+        Scheme::BasicUpdate => run(spec, move |cell, t| {
+            BasicUpdateNode::new(
+                cell,
+                t,
+                BasicUpdateConfig {
+                    retry_ticks,
+                    ..BasicUpdateConfig::default()
+                },
+            )
+        }),
+        Scheme::Fixed => run(spec, FixedNode::new),
+        Scheme::AdvancedUpdate => run(spec, AdvancedUpdateNode::new),
+        Scheme::AdvancedSearch => run(spec, AdvancedSearchNode::new),
+    }
+}
+
+fn run<N: CheckNode>(
+    spec: &Spec,
+    factory: impl Fn(CellId, &Topology) -> N + Send + Sync + 'static,
+) -> CheckOutcome {
+    Model::new(strip(spec.cells, 3), factory)
+        .with_uniform_script(spec.script)
+        .with_budgets(spec.budgets)
+        // Must-exhaust rows still get a backstop cap so a regression
+        // fails fast instead of eating all memory.
+        .with_max_states(spec.cap.unwrap_or(4_000_000))
+        .explore()
 }
 
 fn label(spec: &Spec) -> String {
@@ -202,19 +205,28 @@ fn main() {
     let crash_cap = Some(if smoke { 150_000 } else { 500_000 });
 
     let mut specs: Vec<Spec> = Vec::new();
-    // Pure interleavings, unhardened, exhaustive.
+    // Pure interleavings, unhardened, exhaustive: all six schemes on two
+    // cells, the three with fault budgets below on the larger strips too.
+    let pure = |scheme, cells| Spec {
+        scheme,
+        hardened: false,
+        cells,
+        script: CALL,
+        budgets: zero,
+        cap: None,
+    };
     let sizes: &[u32] = if smoke { &[2, 3] } else { &[2, 3, 4] };
     for &cells in sizes {
         for scheme in [Scheme::Adaptive, Scheme::BasicSearch, Scheme::BasicUpdate] {
-            specs.push(Spec {
-                scheme,
-                hardened: false,
-                cells,
-                script: CALL,
-                budgets: zero,
-                cap: None,
-            });
+            specs.push(pure(scheme, cells));
         }
+    }
+    for scheme in [
+        Scheme::Fixed,
+        Scheme::AdvancedUpdate,
+        Scheme::AdvancedSearch,
+    ] {
+        specs.push(pure(scheme, 2));
     }
     // Loss+dup budget, hardened. Only the adaptive scheme's fault space
     // is exhaustible — its deferral rule quiesces rounds quickly, while

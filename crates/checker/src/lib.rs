@@ -56,8 +56,7 @@
 use adca_hexgrid::{CellId, Channel, ChannelSet, Topology};
 use adca_simkit::sm::{Action, Effects, Input, StateMachine};
 use adca_simkit::{
-    Protocol, ProtocolState, Reader, RequestId, RequestKind, SimTime, TraceEvent, TraceRecord,
-    Writer,
+    ProtocolState, Reader, RequestId, RequestKind, SimTime, TraceEvent, TraceRecord, Writer,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -420,21 +419,13 @@ pub struct Replay {
 }
 
 /// A node type the checker can drive: a pure [`StateMachine`] whose
-/// state and wire messages serialize through the snapshot codec, with
-/// the `Protocol` and `StateMachine` message types agreeing (which
-/// `impl_protocol_via_machine!` guarantees for every scheme). Blanket-
-/// implemented; never implement it by hand.
-pub trait CheckNode:
-    StateMachine + ProtocolState + Protocol<Msg = <Self as StateMachine>::Msg>
-{
-}
+/// state and wire messages serialize through the snapshot codec — all
+/// six schemes. Blanket-implemented; never implement it by hand.
+pub trait CheckNode: StateMachine + ProtocolState {}
 
-impl<T> CheckNode for T where
-    T: StateMachine + ProtocolState + Protocol<Msg = <T as StateMachine>::Msg>
-{
-}
+impl<T> CheckNode for T where T: StateMachine + ProtocolState {}
 
-type MsgOf<N> = <N as Protocol>::Msg;
+type MsgOf<N> = <N as StateMachine>::Msg;
 
 /// Node-builder closure: the same shape the engine's factories have.
 type Factory<N> = Box<dyn Fn(CellId, &Topology) -> N + Send + Sync>;
@@ -606,7 +597,8 @@ impl<N: CheckNode> Model<N> {
         st.nodes[i] = Self::encode_node(&node);
         for act in fx.into_actions() {
             match act {
-                Action::Send { to, kind, msg } => {
+                Action::Send { to, msg } => {
+                    let kind = N::msg_kind(&msg);
                     if st.cuts.contains(&norm_link(cell, to)) {
                         // Partition: dropped at send time, both
                         // directions, exactly like the engine.

@@ -1,10 +1,13 @@
 //! Exhaustive exploration suites: clean proofs on tiny topologies, the
 //! seeded-mutation counterexample, and the loss-stranding demonstration.
 
-use adca_baselines::{BasicSearchNode, BasicUpdateConfig, BasicUpdateNode};
-use adca_checker::{Budgets, Defect, Model, Op, Schedule};
+use adca_baselines::{
+    AdvancedSearchNode, AdvancedUpdateNode, BasicSearchNode, BasicUpdateConfig, BasicUpdateNode,
+    FixedNode,
+};
+use adca_checker::{Budgets, CheckNode, Defect, Model, Op, Schedule};
 use adca_core::{AdaptiveConfig, AdaptiveNode, Mutation};
-use adca_hexgrid::{ReusePattern, Topology};
+use adca_hexgrid::{CellId, ReusePattern, Topology};
 use std::sync::Arc;
 
 /// A 1×n strip with 3-cell reuse at radius 1: every cell interferes
@@ -44,10 +47,13 @@ fn adaptive_two_cell_interleavings_are_clean() {
     }
 }
 
-#[test]
-fn basic_search_two_cell_interleavings_are_clean() {
-    let model = Model::new(strip(2, 3), BasicSearchNode::new).with_uniform_script(CALL);
-    let out = model.explore();
+/// Fault-free exhaustion of one call per cell on the two-cell strip.
+fn assert_two_cell_call_is_clean<N: CheckNode>(
+    factory: impl Fn(CellId, &Topology) -> N + Send + Sync + 'static,
+) {
+    let out = Model::new(strip(2, 3), factory)
+        .with_uniform_script(CALL)
+        .explore();
     assert!(
         out.violation.is_none(),
         "unexpected violation: {:?}",
@@ -58,19 +64,30 @@ fn basic_search_two_cell_interleavings_are_clean() {
 }
 
 #[test]
+fn basic_search_two_cell_interleavings_are_clean() {
+    assert_two_cell_call_is_clean(BasicSearchNode::new);
+}
+
+#[test]
 fn basic_update_two_cell_interleavings_are_clean() {
-    let model = Model::new(strip(2, 3), |cell, topo| {
+    assert_two_cell_call_is_clean(|cell, topo| {
         BasicUpdateNode::new(cell, topo, BasicUpdateConfig::default())
-    })
-    .with_uniform_script(CALL);
-    let out = model.explore();
-    assert!(
-        out.violation.is_none(),
-        "unexpected violation: {:?}",
-        out.violation
-    );
-    assert!(!out.truncated);
-    assert!(out.terminals > 0);
+    });
+}
+
+#[test]
+fn fixed_two_cell_interleavings_are_clean() {
+    assert_two_cell_call_is_clean(FixedNode::new);
+}
+
+#[test]
+fn advanced_update_two_cell_interleavings_are_clean() {
+    assert_two_cell_call_is_clean(AdvancedUpdateNode::new);
+}
+
+#[test]
+fn advanced_search_two_cell_interleavings_are_clean() {
+    assert_two_cell_call_is_clean(AdvancedSearchNode::new);
 }
 
 #[test]

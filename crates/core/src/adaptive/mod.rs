@@ -48,7 +48,7 @@ use crate::nfc::NfcWindow;
 use crate::queue::CallQueue;
 use crate::view::NeighborView;
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
-use adca_simkit::sm::{Action, Effects, StateMachine};
+use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{
     DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, SimTime, Writer,
@@ -338,10 +338,6 @@ pub struct AdaptiveNode {
     /// deadline, so stale timer firings are ignored by tag mismatch.
     timer_epoch: u64,
     armed: Option<u64>,
-    /// Reusable action buffer lent to the engine adapter
-    /// ([`StateMachine::take_scratch`]); always empty between events and
-    /// excluded from the snapshot codec.
-    fx_buf: Vec<Action<AdaptiveMsg>>,
 }
 
 impl AdaptiveNode {
@@ -376,7 +372,6 @@ impl AdaptiveNode {
             force_search: false,
             timer_epoch: 0,
             armed: None,
-            fx_buf: Vec::new(),
             region,
             cfg,
         }
@@ -462,10 +457,6 @@ impl AdaptiveNode {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
-
-    fn send(&self, ctx: &mut Effects<AdaptiveMsg>, to: CellId, msg: AdaptiveMsg) {
-        ctx.send_kind(to, Self::msg_kind(&msg), msg);
-    }
 
     /// The timestamp of the node's pending request, if any (`ts_i`).
     fn my_ts(&self) -> Option<Timestamp> {
@@ -577,7 +568,7 @@ impl AdaptiveNode {
             });
             for idx in 0..self.region.len() {
                 let j = self.region[idx];
-                self.send(ctx, j, AdaptiveMsg::ChangeMode { borrowing: true });
+                ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: true });
             }
         } else if self.mode == Mode::Borrowing && next >= self.cfg.theta_h {
             self.mode = Mode::Local;
@@ -595,7 +586,7 @@ impl AdaptiveNode {
             });
             for idx in 0..self.region.len() {
                 let j = self.region[idx];
-                self.send(ctx, j, AdaptiveMsg::ChangeMode { borrowing: false });
+                ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: false });
             }
         }
     }
@@ -728,7 +719,7 @@ impl AdaptiveNode {
                 });
                 for idx in 0..self.region.len() {
                     let j = self.region[idx];
-                    self.send(ctx, j, AdaptiveMsg::ChangeMode { borrowing: true });
+                    ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: true });
                 }
             } else {
                 if let Some(r) = self.free_primary() {
@@ -799,8 +790,7 @@ impl AdaptiveNode {
                     let remaining = RegionMask::full(self.region.len());
                     for idx in 0..self.region.len() {
                         let j = self.region[idx];
-                        self.send(
-                            ctx,
+                        ctx.send(
                             j,
                             AdaptiveMsg::Request {
                                 update: Some(ch),
@@ -872,8 +862,7 @@ impl AdaptiveNode {
         }
         for idx in 0..self.region.len() {
             let j = self.region[idx];
-            self.send(
-                ctx,
+            ctx.send(
                 j,
                 AdaptiveMsg::Request {
                     update: None,
@@ -915,8 +904,7 @@ impl AdaptiveNode {
                 if let Some(r) = ch {
                     let subs: Vec<CellId> = self.update_subs.iter().copied().collect();
                     for j in subs {
-                        self.send(
-                            ctx,
+                        ctx.send(
                             j,
                             AdaptiveMsg::Acquisition {
                                 search: false,
@@ -944,7 +932,7 @@ impl AdaptiveNode {
                 // `waiting` (deviation note #4).
                 for idx in 0..self.region.len() {
                     let j = self.region[idx];
-                    self.send(ctx, j, AdaptiveMsg::Acquisition { search: true, ch });
+                    ctx.send(j, AdaptiveMsg::Acquisition { search: true, ch });
                 }
                 self.mode = Mode::Borrowing;
                 let me = self.me;
@@ -971,17 +959,16 @@ impl AdaptiveNode {
                     round,
                 } => {
                     if self.used.contains(ch) {
-                        self.send(ctx, from, AdaptiveMsg::Reject { ch, ts, round });
+                        ctx.send(from, AdaptiveMsg::Reject { ch, ts, round });
                     } else {
-                        self.send(ctx, from, AdaptiveMsg::Grant { ch, ts, round });
+                        ctx.send(from, AdaptiveMsg::Grant { ch, ts, round });
                         self.view.pledge(from, ch);
                     }
                 }
                 Deferred::Search { from, ts, round } => {
                     let now = ctx.now();
                     self.owe_push(from, ts, now);
-                    self.send(
-                        ctx,
+                    ctx.send(
                         from,
                         AdaptiveMsg::SearchUse {
                             used: self.used.clone(),
@@ -1069,11 +1056,11 @@ impl AdaptiveNode {
             // is an idempotent no-op at members who pledged nothing.
             for idx in 0..self.region.len() {
                 let j = self.region[idx];
-                self.send(ctx, j, AdaptiveMsg::Release { ch });
+                ctx.send(j, AdaptiveMsg::Release { ch });
             }
         } else {
             for j in granted {
-                self.send(ctx, j, AdaptiveMsg::Release { ch });
+                ctx.send(j, AdaptiveMsg::Release { ch });
                 // The granter recorded `U_i ∋ ch`; the release clears it.
             }
         }
@@ -1107,9 +1094,9 @@ impl AdaptiveNode {
         match self.mode {
             Mode::Local | Mode::Borrowing => {
                 if self.used.contains(ch) {
-                    self.send(ctx, from, AdaptiveMsg::Reject { ch, ts, round });
+                    ctx.send(from, AdaptiveMsg::Reject { ch, ts, round });
                 } else {
-                    self.send(ctx, from, AdaptiveMsg::Grant { ch, ts, round });
+                    ctx.send(from, AdaptiveMsg::Grant { ch, ts, round });
                     self.view.pledge(from, ch);
                     self.check_mode(ctx);
                 }
@@ -1128,9 +1115,9 @@ impl AdaptiveNode {
                         )
                 };
                 if self.used.contains(ch) || conflict {
-                    self.send(ctx, from, AdaptiveMsg::Reject { ch, ts, round });
+                    ctx.send(from, AdaptiveMsg::Reject { ch, ts, round });
                 } else {
-                    self.send(ctx, from, AdaptiveMsg::Grant { ch, ts, round });
+                    ctx.send(from, AdaptiveMsg::Grant { ch, ts, round });
                     self.view.pledge(from, ch);
                     self.check_mode(ctx);
                 }
@@ -1155,15 +1142,15 @@ impl AdaptiveNode {
                         });
                     }
                     if self.cfg.retry_ticks.is_some() {
-                        self.send(ctx, from, AdaptiveMsg::Busy { ts, round });
+                        ctx.send(from, AdaptiveMsg::Busy { ts, round });
                     }
                 } else {
                     // An older request than our search: answer now. (It
                     // cannot be granted a channel we hold.)
                     if self.used.contains(ch) {
-                        self.send(ctx, from, AdaptiveMsg::Reject { ch, ts, round });
+                        ctx.send(from, AdaptiveMsg::Reject { ch, ts, round });
                     } else {
-                        self.send(ctx, from, AdaptiveMsg::Grant { ch, ts, round });
+                        ctx.send(from, AdaptiveMsg::Grant { ch, ts, round });
                         self.view.pledge(from, ch);
                         self.check_mode(ctx);
                     }
@@ -1206,7 +1193,7 @@ impl AdaptiveNode {
                 });
             }
             if self.cfg.retry_ticks.is_some() {
-                self.send(ctx, from, AdaptiveMsg::Busy { ts, round });
+                ctx.send(from, AdaptiveMsg::Busy { ts, round });
             }
         } else {
             let now = ctx.now();
@@ -1215,8 +1202,7 @@ impl AdaptiveNode {
                 // still await: answer again, don't double-count the owe.
                 ctx.count("search_reqs_reanswered");
             }
-            self.send(
-                ctx,
+            ctx.send(
                 from,
                 AdaptiveMsg::SearchUse {
                     used: self.used.clone(),
@@ -1483,7 +1469,7 @@ impl StateMachine for AdaptiveNode {
                 for idx in 0..self.region.len() {
                     if remaining.contains(idx) {
                         let j = self.region[idx];
-                        self.send(ctx, j, AdaptiveMsg::ChangeMode { borrowing: true });
+                        ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: true });
                     }
                 }
                 self.arm_retry(ctx);
@@ -1505,7 +1491,7 @@ impl StateMachine for AdaptiveNode {
                 for idx in 0..self.region.len() {
                     if remaining.contains(idx) {
                         let j = self.region[idx];
-                        self.send(ctx, j, AdaptiveMsg::Request { update, ts, round });
+                        ctx.send(j, AdaptiveMsg::Request { update, ts, round });
                     }
                 }
                 self.arm_retry(ctx);
@@ -1586,12 +1572,12 @@ impl StateMachine for AdaptiveNode {
         if self.mode == Mode::Local {
             let subs: Vec<CellId> = self.update_subs.iter().copied().collect();
             for j in subs {
-                self.send(ctx, j, AdaptiveMsg::Release { ch });
+                ctx.send(j, AdaptiveMsg::Release { ch });
             }
         } else {
             for idx in 0..self.region.len() {
                 let j = self.region[idx];
-                self.send(ctx, j, AdaptiveMsg::Release { ch });
+                ctx.send(j, AdaptiveMsg::Release { ch });
             }
         }
         self.check_mode(ctx);
@@ -1654,8 +1640,7 @@ impl StateMachine for AdaptiveNode {
                 } else {
                     self.update_subs.remove(&from);
                 }
-                self.send(
-                    ctx,
+                ctx.send(
                     from,
                     AdaptiveMsg::Status {
                         used: self.used.clone(),
@@ -1700,17 +1685,7 @@ impl StateMachine for AdaptiveNode {
             }
         }
     }
-
-    fn take_scratch(&mut self) -> Vec<Action<AdaptiveMsg>> {
-        std::mem::take(&mut self.fx_buf)
-    }
-
-    fn put_scratch(&mut self, buf: Vec<Action<AdaptiveMsg>>) {
-        self.fx_buf = buf;
-    }
 }
-
-adca_simkit::impl_protocol_via_machine!(AdaptiveNode);
 
 fn put_phase(w: &mut Writer, phase: &Phase) {
     match phase {

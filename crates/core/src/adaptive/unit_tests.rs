@@ -1,10 +1,9 @@
 //! Message-level state-machine tests: one [`AdaptiveNode`] driven
-//! event-by-event through a recording backend, asserting each reaction
+//! event-by-event, its actions recorded, asserting each reaction
 //! against Figures 2–10.
 
 use super::*;
-use adca_simkit::testing::{Action, MockNet};
-use adca_simkit::{Ctx, Protocol};
+use adca_simkit::sm::{Action, Input};
 
 /// Echo timestamp for handcrafted responses. The default (unhardened)
 /// config matches responses laxly, so any value works.
@@ -23,21 +22,54 @@ fn world() -> (Topology, CellId) {
     (topo, me)
 }
 
+/// What the node did to the world, in emission order (metric and trace
+/// actions are not recorded).
+#[derive(Default)]
+struct Recorded {
+    actions: Vec<Action<AdaptiveMsg>>,
+}
+
+impl Recorded {
+    fn take_actions(&mut self) -> Vec<Action<AdaptiveMsg>> {
+        std::mem::take(&mut self.actions)
+    }
+
+    /// The messages sent (kind, to) in order, ignoring other actions.
+    fn sends(&self) -> Vec<(&'static str, CellId)> {
+        self.actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send { to, msg } => Some((AdaptiveNode::msg_kind(msg), *to)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The first grant recorded, if any.
+    fn granted(&self) -> Option<(RequestId, Channel)> {
+        self.actions.iter().find_map(|a| match a {
+            Action::Grant { req, ch } => Some((*req, *ch)),
+            _ => None,
+        })
+    }
+
+    fn rejected(&self) -> bool {
+        self.actions
+            .iter()
+            .any(|a| matches!(a, Action::Reject { .. }))
+    }
+}
+
 struct Tester {
     node: AdaptiveNode,
-    mock: MockNet<AdaptiveMsg>,
+    me: CellId,
+    mock: Recorded,
     next_req: u64,
 }
 
 impl Tester {
     fn new() -> Self {
-        let (topo, me) = world();
-        let node = AdaptiveNode::new(me, &topo, AdaptiveConfig::default());
-        Tester {
-            node,
-            mock: MockNet::new(me, topo),
-            next_req: 0,
-        }
+        Tester::with_alpha(AdaptiveConfig::default().alpha)
     }
 
     fn with_alpha(alpha: u32) -> Self {
@@ -52,27 +84,44 @@ impl Tester {
         );
         Tester {
             node,
-            mock: MockNet::new(me, topo),
+            me,
+            mock: Recorded::default(),
             next_req: 0,
         }
+    }
+
+    fn step(&mut self, input: Input<AdaptiveMsg>) {
+        let mut fx = Effects::new(self.me, adca_simkit::SimTime::ZERO, false);
+        self.node.step(input, &mut fx);
+        self.mock
+            .actions
+            .extend(fx.into_actions().into_iter().filter(|a| {
+                matches!(
+                    a,
+                    Action::Send { .. }
+                        | Action::Grant { .. }
+                        | Action::Reject { .. }
+                        | Action::SetTimer { .. }
+                )
+            }));
     }
 
     fn acquire(&mut self) -> RequestId {
         let req = RequestId(self.next_req);
         self.next_req += 1;
-        let mut ctx = Ctx::new(&mut self.mock);
-        self.node.on_acquire(req, RequestKind::NewCall, &mut ctx);
+        self.step(Input::Acquire {
+            req,
+            kind: RequestKind::NewCall,
+        });
         req
     }
 
     fn deliver(&mut self, from: CellId, msg: AdaptiveMsg) {
-        let mut ctx = Ctx::new(&mut self.mock);
-        self.node.on_message(from, msg, &mut ctx);
+        self.step(Input::Message { from, msg });
     }
 
     fn release(&mut self, ch: Channel) {
-        let mut ctx = Ctx::new(&mut self.mock);
-        self.node.on_release(ch, &mut ctx);
+        self.step(Input::Release { ch });
     }
 
     /// Saturate all 10 primaries (silently, in local mode).
@@ -186,7 +235,7 @@ fn await_status_path_when_snapshots_eat_primaries() {
             matches!(
                 a,
                 Action::Send {
-                    kind: "CHANGE_MODE",
+                    msg: AdaptiveMsg::ChangeMode { .. },
                     ..
                 }
             )
@@ -223,7 +272,6 @@ fn to_update_round(t: &mut Tester) -> Channel {
     let mut req_count = 0;
     for a in &actions {
         if let Action::Send {
-            kind: "REQUEST",
             msg: AdaptiveMsg::Request {
                 update: Some(ch), ..
             },
@@ -307,8 +355,7 @@ fn one_reject_releases_granters_and_retries() {
         .filter_map(|a| match a {
             Action::Send {
                 to,
-                kind: "RELEASE",
-                ..
+                msg: AdaptiveMsg::Release { .. },
             } => Some(*to),
             _ => None,
         })
@@ -322,7 +369,7 @@ fn one_reject_releases_granters_and_retries() {
             matches!(
                 a,
                 Action::Send {
-                    kind: "REQUEST",
+                    msg: AdaptiveMsg::Request { .. },
                     ..
                 }
             )
@@ -349,7 +396,6 @@ fn alpha_zero_goes_straight_to_search() {
             matches!(
                 a,
                 Action::Send {
-                    kind: "REQUEST",
                     msg: AdaptiveMsg::Request { update: None, .. },
                     ..
                 }
@@ -389,7 +435,6 @@ fn failed_search_drops_and_broadcasts_minus_one() {
             matches!(
                 a,
                 Action::Send {
-                    kind: "ACQUISITION",
                     msg: AdaptiveMsg::Acquisition {
                         search: true,
                         ch: None
@@ -426,7 +471,6 @@ fn grants_own_free_primary_to_borrower_and_avoids_it() {
         actions.iter().any(|a| matches!(
             a,
             Action::Send {
-                kind: "RESPONSE",
                 msg: AdaptiveMsg::Grant { ch, .. },
                 ..
             } if *ch == my_lowest
@@ -459,7 +503,6 @@ fn rejects_update_request_for_channel_in_use() {
     assert!(matches!(
         t.mock.actions.as_slice(),
         [Action::Send {
-            kind: "RESPONSE",
             msg: AdaptiveMsg::Reject { .. },
             ..
         }]
@@ -485,7 +528,6 @@ fn search_response_sets_waiting_and_blocks_local_grant() {
     assert!(matches!(
         t.mock.take_actions().as_slice(),
         [Action::Send {
-            kind: "RESPONSE",
             msg: AdaptiveMsg::SearchUse { .. },
             ..
         }]

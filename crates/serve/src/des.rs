@@ -5,7 +5,7 @@ use crate::service::{
 };
 use adca_hexgrid::{CellId, Channel, Topology};
 use adca_simkit::engine::Engine;
-use adca_simkit::{Arrival, DropCause, Protocol, RequestKind, SimConfig, SimReport};
+use adca_simkit::{Arrival, DropCause, RequestKind, SimConfig, SimReport, StateMachine};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -62,7 +62,7 @@ pub struct DesAllocService<P, F> {
 
 impl<P, F> DesAllocService<P, F>
 where
-    P: Protocol,
+    P: StateMachine,
     F: FnMut(CellId, &Topology) -> P,
 {
     /// A fresh deterministic service over `topo`, running one
@@ -95,7 +95,7 @@ where
 
 impl<P, F> AllocService for DesAllocService<P, F>
 where
-    P: Protocol,
+    P: StateMachine,
     F: FnMut(CellId, &Topology) -> P,
 {
     fn request_channel(&mut self, req: ChannelRequest) -> Result<Ticket, ServeError> {

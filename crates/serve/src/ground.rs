@@ -112,21 +112,6 @@ impl GroundTruth {
         g[cell.index() / self.stripes].remove(ch);
     }
 
-    /// Whether `ch` is unused at `cell` and throughout its interference
-    /// region, read atomically under the covering stripe locks.
-    pub(crate) fn truly_free(&self, topo: &Topology, cell: CellId, ch: Channel) -> bool {
-        let region = topo.region(cell);
-        let ids =
-            self.covering(std::iter::once(cell.index()).chain(region.iter().map(|j| j.index())));
-        let guards = self.lock(&ids);
-        if self.set(&ids, &guards, cell.index()).contains(ch) {
-            return false;
-        }
-        region
-            .iter()
-            .all(|&j| !self.set(&ids, &guards, j.index()).contains(ch))
-    }
-
     /// Snapshot of every cell's usage set (test hook; takes the stripes
     /// one at a time, so only consistent when callers are quiet).
     #[cfg(test)]
@@ -231,19 +216,5 @@ mod tests {
         }
         let sets = g.snapshot_sets(n);
         assert!(sets.iter().all(|s| s.is_empty()), "all grants were vacated");
-    }
-
-    #[test]
-    fn truly_free_sees_region_usage() {
-        let topo = topo();
-        let g = GroundTruth::new(&topo, 3);
-        let cell = CellId(14);
-        let ch = Channel(9);
-        assert!(g.truly_free(&topo, cell, ch));
-        let neighbor = topo.region(cell)[0];
-        assert_eq!(g.commit_grant(&topo, neighbor, ch), None);
-        assert!(!g.truly_free(&topo, cell, ch), "region usage must block");
-        g.remove(neighbor, ch);
-        assert!(g.truly_free(&topo, cell, ch));
     }
 }

@@ -13,9 +13,8 @@
 //! messaging pattern. Protocol timers and call-hold expirations share
 //! one [`TimerWheel`].
 //!
-//! Grants are audited exactly like the thread-per-cell validation
-//! driver: the Theorem-1 check and the ground-truth commit happen
-//! atomically under the covering stripe locks of the sharded
+//! Grants are audited: the Theorem-1 check and the ground-truth commit
+//! happen atomically under the covering stripe locks of the sharded
 //! ground-truth table (`crate::ground`), so no interleaving can
 //! produce a false-clean run — but grants in non-interfering regions
 //! no longer serialize on one global mutex.
@@ -33,7 +32,9 @@ use crate::service::{
     AllocService, ChannelRequest, Confirm, Indication, ServeError, ServeStats, Ticket,
 };
 use adca_hexgrid::{CellId, Channel, Topology};
-use adca_simkit::{Ctx, CtxBackend, DropCause, Protocol, RequestId, RequestKind, SimTime};
+use adca_simkit::{
+    Action, DropCause, Effects, Input, RequestId, RequestKind, SimTime, StateMachine,
+};
 use adca_threadnet::TimerWheel;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -89,8 +90,8 @@ enum TaskEvent<M> {
     End {
         ticket: u64,
     },
-    /// A handoff away from this cell committed at its target: run
-    /// `on_release` for the vacated channel *without* ending the call
+    /// A handoff away from this cell committed at its target: feed
+    /// [`Input::Release`] for the vacated channel *without* ending the call
     /// (the call lives on under the handoff ticket).
     Relinquish {
         ch: Channel,
@@ -126,7 +127,7 @@ struct TicketRec {
     state: TicketState,
 }
 
-struct Task<P: Protocol> {
+struct Task<P: StateMachine> {
     mailbox: Mailbox<TaskEvent<P::Msg>>,
     /// True while the task is queued or running; cleared after a drain
     /// quantum, then re-checked against the mailbox so no wakeup is
@@ -207,7 +208,7 @@ struct Counters {
     stopping: AtomicBool,
 }
 
-struct Inner<P: Protocol> {
+struct Inner<P: StateMachine> {
     topo: Arc<Topology>,
     cfg: ProductionConfig,
     epoch: Instant,
@@ -228,9 +229,12 @@ struct Inner<P: Protocol> {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
+/// The buffer a worker lends to every transition it runs.
+type FxBuf<P> = Vec<Action<<P as StateMachine>::Msg>>;
+
 impl<P> Inner<P>
 where
-    P: Protocol + Send + 'static,
+    P: StateMachine + Send + 'static,
     P::Msg: Send + 'static,
 {
     fn ticks_to_duration(&self, ticks: u64) -> Duration {
@@ -291,34 +295,28 @@ where
 
     /// One task activation: drain up to a quantum of events into the
     /// node under its lock, then clear `scheduled` and re-check.
-    fn run_task(self: &Arc<Self>, t: usize, batch: &mut Vec<TaskEvent<P::Msg>>) {
+    fn run_task(&self, t: usize, batch: &mut Vec<TaskEvent<P::Msg>>, fx: &mut FxBuf<P>) {
         let task = &self.tasks[t];
         batch.clear();
         task.mailbox.drain(batch, self.cfg.quantum);
         if !batch.is_empty() {
             let me = CellId(t as u32);
             let mut node = task.node.lock().expect("node poisoned");
-            let mut backend = ProdCtx { inner: self, me };
             for ev in batch.drain(..) {
-                match ev {
-                    TaskEvent::Acquire { ticket, kind } => {
-                        let mut ctx = Ctx::new(&mut backend);
-                        node.on_acquire(RequestId(ticket), kind, &mut ctx);
+                let input = match ev {
+                    TaskEvent::Acquire { ticket, kind } => Input::Acquire {
+                        req: RequestId(ticket),
+                        kind,
+                    },
+                    TaskEvent::End { ticket } => {
+                        self.end_call(ticket, me, &mut node, fx);
+                        continue;
                     }
-                    TaskEvent::End { ticket } => end_call(self, ticket, me, &mut *node),
-                    TaskEvent::Relinquish { ch } => {
-                        let mut ctx = Ctx::new(&mut backend);
-                        node.on_release(ch, &mut ctx);
-                    }
-                    TaskEvent::Msg { from, msg } => {
-                        let mut ctx = Ctx::new(&mut backend);
-                        node.on_message(from, msg, &mut ctx);
-                    }
-                    TaskEvent::Timer { tag } => {
-                        let mut ctx = Ctx::new(&mut backend);
-                        node.on_timer(tag, &mut ctx);
-                    }
-                }
+                    TaskEvent::Relinquish { ch } => Input::Release { ch },
+                    TaskEvent::Msg { from, msg } => Input::Message { from, msg },
+                    TaskEvent::Timer { tag } => Input::Timer { tag },
+                };
+                self.step(me, &mut node, input, fx);
             }
         }
         task.scheduled.store(false, Ordering::Release);
@@ -337,175 +335,138 @@ where
             let _ = h.join();
         }
     }
-}
 
-/// Returns an active ticket's channel to the pool (hold expiry and
-/// explicit release both land here, on the owning cell's task).
-fn end_call<P>(inner: &Arc<Inner<P>>, ticket: u64, me: CellId, node: &mut P)
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send + 'static,
-{
-    let ch = {
-        let mut tickets = inner.tickets.lock().expect("tickets poisoned");
-        let rec = &mut tickets[ticket as usize];
-        match rec.state {
-            TicketState::Active(ch) => {
-                rec.state = TicketState::Done;
-                ch
+    /// Feeds `input` to `me`'s node (the caller holds its lock), then
+    /// applies the actions it emitted, in emission order.
+    fn step(&self, me: CellId, node: &mut P, input: Input<P::Msg>, buf: &mut FxBuf<P>) {
+        let now = SimTime(self.elapsed_ticks(self.epoch));
+        let mut fx = Effects::reusing(std::mem::take(buf), me, now, false);
+        node.step(input, &mut fx);
+        *buf = fx.into_actions();
+        for act in buf.drain(..) {
+            match act {
+                Action::Send { to, msg } => {
+                    self.counters.messages.fetch_add(1, Ordering::Relaxed);
+                    self.deliver(
+                        to.index(),
+                        TaskEvent::Msg { from: me, msg },
+                        self.cfg.stall_patience,
+                    );
+                }
+                Action::Grant { req, ch } => self.grant(me, req, ch),
+                Action::Reject { req, cause } => self.reject(me, req, cause),
+                Action::SetTimer { delay, tag } => {
+                    let after = self.ticks_to_duration(delay);
+                    self.wheel
+                        .get()
+                        .expect("wheel set at construction")
+                        .schedule(after, (me.index(), WheelKind::Timer(tag)));
+                }
+                // Protocol-local metrics and trace events are not
+                // collected by this backend (the service-level counters
+                // in `ServeStats` are); they stay observable through the
+                // deterministic backend's `SimReport`.
+                Action::Count { .. }
+                | Action::Add { .. }
+                | Action::Sample { .. }
+                | Action::Trace(_) => {}
             }
-            // Benign race: released twice, or released while still
-            // pending (the release path truncated the hold instead).
-            _ => return,
         }
-    };
-    inner.ground.remove(me, ch);
-    {
-        let mut backend = ProdCtx { inner, me };
-        let mut ctx = Ctx::new(&mut backend);
-        node.on_release(ch, &mut ctx);
-    }
-    inner.counters.completed.fetch_add(1, Ordering::Relaxed);
-    inner.answer(|a| {
-        a.indications.push_back(Indication::Released {
-            ticket: Ticket(ticket),
-            cell: me,
-            channel: ch,
-        })
-    });
-}
-
-/// The [`CtxBackend`] protocol nodes see on the production executor.
-struct ProdCtx<'a, P: Protocol> {
-    inner: &'a Arc<Inner<P>>,
-    me: CellId,
-}
-
-impl<P> CtxBackend<P::Msg> for ProdCtx<'_, P>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send + 'static,
-{
-    fn me(&self) -> CellId {
-        self.me
     }
 
-    fn now(&self) -> SimTime {
-        SimTime(self.inner.elapsed_ticks(self.inner.epoch))
+    /// Returns an active ticket's channel to the pool (hold expiry and
+    /// explicit release both land here, on the owning cell's task).
+    fn end_call(&self, ticket: u64, me: CellId, node: &mut P, buf: &mut FxBuf<P>) {
+        let ch = {
+            let mut tickets = self.tickets.lock().expect("tickets poisoned");
+            let rec = &mut tickets[ticket as usize];
+            match rec.state {
+                TicketState::Active(ch) => {
+                    rec.state = TicketState::Done;
+                    ch
+                }
+                // Benign race: released twice, or released while still
+                // pending (the release path truncated the hold instead).
+                _ => return,
+            }
+        };
+        self.ground.remove(me, ch);
+        self.step(me, node, Input::Release { ch }, buf);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.answer(|a| {
+            a.indications.push_back(Indication::Released {
+                ticket: Ticket(ticket),
+                cell: me,
+                channel: ch,
+            })
+        });
     }
 
-    fn topo(&self) -> &Topology {
-        &self.inner.topo
-    }
-
-    fn send_kind(&mut self, to: CellId, _kind: &'static str, msg: P::Msg) {
-        self.inner.counters.messages.fetch_add(1, Ordering::Relaxed);
-        self.inner.deliver(
-            to.index(),
-            TaskEvent::Msg { from: self.me, msg },
-            self.inner.cfg.stall_patience,
-        );
-    }
-
-    fn grant(&mut self, req: RequestId, ch: Channel) {
+    fn grant(&self, me: CellId, req: RequestId, ch: Channel) {
         // Claim the ticket first (guards against a buggy protocol
         // resolving one request twice, which would corrupt the pending
         // counter), then audit + commit. The End timer is armed last,
         // so no release can race this grant's ground commit.
         let (latency, hold) = {
-            let mut tickets = self.inner.tickets.lock().expect("tickets poisoned");
+            let mut tickets = self.tickets.lock().expect("tickets poisoned");
             let rec = &mut tickets[req.0 as usize];
-            debug_assert_eq!(rec.cell, self.me, "grant from the wrong cell");
+            debug_assert_eq!(rec.cell, me, "grant from the wrong cell");
             if rec.state != TicketState::Pending {
                 drop(tickets);
-                self.inner
-                    .violations
+                self.violations
                     .lock()
                     .expect("violations poisoned")
-                    .push(format!("{} resolved ticket#{} twice", self.me, req.0));
+                    .push(format!("{} resolved ticket#{} twice", me, req.0));
                 return;
             }
             rec.state = TicketState::Active(ch);
-            (self.inner.elapsed_ticks(rec.issued), rec.hold)
+            (self.elapsed_ticks(rec.issued), rec.hold)
         };
-        // Audit + commit atomically under the covering stripe locks,
-        // exactly like the threadnet driver: no interleaving can slip an
-        // interfering grant past the check.
-        if let Some(v) = self
-            .inner
-            .ground
-            .commit_grant(&self.inner.topo, self.me, ch)
-        {
-            self.inner
-                .violations
-                .lock()
-                .expect("violations poisoned")
-                .push(v);
+        // Audit + commit atomically under the covering stripe locks, so
+        // no interleaving can slip an interfering grant past the check.
+        if let Some(v) = self.ground.commit_grant(&self.topo, me, ch) {
+            self.violations.lock().expect("violations poisoned").push(v);
         }
-        self.inner.counters.granted.fetch_add(1, Ordering::Relaxed);
-        self.inner.counters.pending.fetch_sub(1, Ordering::Relaxed);
-        self.inner.answer(|a| {
+        self.counters.granted.fetch_add(1, Ordering::Relaxed);
+        self.counters.pending.fetch_sub(1, Ordering::Relaxed);
+        self.answer(|a| {
             a.confirms.push_back(Confirm::Granted {
                 ticket: Ticket(req.0),
-                cell: self.me,
+                cell: me,
                 channel: ch,
                 latency,
             })
         });
-        let after = self.inner.ticks_to_duration(hold);
-        self.inner
-            .wheel
+        let after = self.ticks_to_duration(hold);
+        self.wheel
             .get()
             .expect("wheel set at construction")
-            .schedule(after, (self.me.index(), WheelKind::End(req.0)));
+            .schedule(after, (me.index(), WheelKind::End(req.0)));
     }
 
-    fn reject(&mut self, req: RequestId, cause: DropCause) {
+    fn reject(&self, me: CellId, req: RequestId, cause: DropCause) {
         {
-            let mut tickets = self.inner.tickets.lock().expect("tickets poisoned");
+            let mut tickets = self.tickets.lock().expect("tickets poisoned");
             let rec = &mut tickets[req.0 as usize];
             if rec.state != TicketState::Pending {
                 drop(tickets);
-                self.inner
-                    .violations
+                self.violations
                     .lock()
                     .expect("violations poisoned")
-                    .push(format!("{} resolved ticket#{} twice", self.me, req.0));
+                    .push(format!("{} resolved ticket#{} twice", me, req.0));
                 return;
             }
             rec.state = TicketState::Done;
         }
-        self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        self.inner.counters.pending.fetch_sub(1, Ordering::Relaxed);
-        self.inner.answer(|a| {
+        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        self.counters.pending.fetch_sub(1, Ordering::Relaxed);
+        self.answer(|a| {
             a.confirms.push_back(Confirm::Rejected {
                 ticket: Ticket(req.0),
-                cell: self.me,
+                cell: me,
                 cause,
             })
         });
-    }
-
-    fn set_timer(&mut self, delay: u64, tag: u64) {
-        let after = self.inner.ticks_to_duration(delay);
-        self.inner
-            .wheel
-            .get()
-            .expect("wheel set at construction")
-            .schedule(after, (self.me.index(), WheelKind::Timer(tag)));
-    }
-
-    // Protocol-local metric counters are not collected by this backend
-    // (the service-level counters in `ServeStats` are); they stay
-    // observable through the deterministic backend's `SimReport`.
-    fn count(&mut self, _name: &'static str) {}
-
-    fn add(&mut self, _name: &'static str, _n: u64) {}
-
-    fn sample(&mut self, _name: &'static str, _value: f64) {}
-
-    fn truly_free_here(&self, ch: Channel) -> bool {
-        self.inner.ground.truly_free(&self.inner.topo, self.me, ch)
     }
 }
 
@@ -522,7 +483,7 @@ where
 /// handle. Each queued confirm is observed by exactly one handle. The
 /// executor shuts down (stops the workers and discards unfired timers)
 /// when the last handle drops, or on an explicit [`Self::shutdown`].
-pub struct ProductionAllocService<P: Protocol + Send + 'static>
+pub struct ProductionAllocService<P: StateMachine + Send + 'static>
 where
     P::Msg: Send + 'static,
 {
@@ -531,11 +492,11 @@ where
 
 impl<P> ProductionAllocService<P>
 where
-    P: Protocol + Send + 'static,
+    P: StateMachine + Send + 'static,
     P::Msg: Send + 'static,
 {
     /// Starts the executor: builds one `factory`-made node per cell,
-    /// fires every node's `on_start` (before any request can be
+    /// feeds every node [`Input::Start`] (before any request can be
     /// observed), arms the shared timer wheel, and spawns the worker
     /// pool.
     pub fn new<F>(topo: Arc<Topology>, cfg: ProductionConfig, mut factory: F) -> Self
@@ -582,22 +543,20 @@ where
             }
         });
         let _ = inner.wheel.set(wheel);
-        // on_start before the workers exist: startup sends enqueue, and
-        // no node can observe a message before its own on_start ran.
+        // Start before the workers exist: startup sends enqueue, and no
+        // node can observe a message before its own start ran.
+        let mut fx = Vec::new();
         for t in 0..n {
-            let me = CellId(t as u32);
             let mut node = inner.tasks[t].node.lock().expect("node poisoned");
-            let mut backend = ProdCtx { inner: &inner, me };
-            let mut ctx = Ctx::new(&mut backend);
-            node.on_start(&mut ctx);
+            inner.step(CellId(t as u32), &mut node, Input::Start, &mut fx);
         }
         let handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|_| {
                 let inner = inner.clone();
                 std::thread::spawn(move || {
-                    let mut batch = Vec::new();
+                    let (mut batch, mut fx) = (Vec::new(), Vec::new());
                     while let Some(t) = inner.runq.pop() {
-                        inner.run_task(t, &mut batch);
+                        inner.run_task(t, &mut batch, &mut fx);
                     }
                 })
             })
@@ -615,7 +574,7 @@ where
 
 impl<P> Clone for ProductionAllocService<P>
 where
-    P: Protocol + Send + 'static,
+    P: StateMachine + Send + 'static,
     P::Msg: Send + 'static,
 {
     fn clone(&self) -> Self {
@@ -628,7 +587,7 @@ where
 
 impl<P> Drop for ProductionAllocService<P>
 where
-    P: Protocol + Send + 'static,
+    P: StateMachine + Send + 'static,
     P::Msg: Send + 'static,
 {
     fn drop(&mut self) {
@@ -643,7 +602,7 @@ where
 
 impl<P> AllocService for ProductionAllocService<P>
 where
-    P: Protocol + Send + 'static,
+    P: StateMachine + Send + 'static,
     P::Msg: Send + 'static,
 {
     fn request_channel(&mut self, req: ChannelRequest) -> Result<Ticket, ServeError> {

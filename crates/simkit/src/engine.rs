@@ -1,12 +1,11 @@
 //! The deterministic discrete-event engine.
 
-use crate::backend::{Ctx, CtxBackend};
 use crate::equeue::{EqEntry, EventQueue};
 use crate::faults::{Crash, FaultPlan, Partition};
 use crate::latency::{LatencyModel, MsgMeta};
-use crate::protocol::{Protocol, RequestId, RequestKind};
 use crate::report::{AuditMode, DropCause, MsgTrace, SimReport, Violation};
 use crate::rng::SplitMix64;
+use crate::sm::{Action, Effects, Input, RequestId, RequestKind, StateMachine};
 use crate::snapshot::{fnv1a, DecodeError, ProtocolState, Reader, Writer, FNV_OFFSET};
 use crate::time::SimTime;
 use crate::trace::{NoopSink, TraceEvent, TraceSink};
@@ -294,7 +293,7 @@ impl SlotCounters {
     }
 }
 
-/// Same idea as [`SlotCounters`] for `ctx.sample` series.
+/// Same idea as [`SlotCounters`] for `Effects::sample` series.
 #[derive(Default)]
 struct SlotSamples(Vec<(&'static str, SampleSeries)>);
 
@@ -320,7 +319,8 @@ impl SlotSamples {
     }
 }
 
-/// Engine state shared with protocol nodes through [`Ctx`].
+/// Everything the engine owns besides the protocol nodes: the world the
+/// nodes' [`Action`]s are applied to.
 ///
 /// Generic over the attached [`TraceSink`]; the default [`NoopSink`]
 /// monomorphizes every trace branch to dead code.
@@ -347,7 +347,7 @@ pub struct Shared<M, S: TraceSink = NoopSink> {
     calls: Vec<CallRecord>,
     reqs: Vec<ReqRecord>,
     pending_reqs: u64,
-    /// Whether the `on_start` hooks have fired (exactly once per engine
+    /// Whether the `Input::Start` hooks have fired (exactly once per engine
     /// lifetime; a restored engine skips them).
     started: bool,
     /// Whether the event-budget guard tripped; pumping never resumes.
@@ -472,100 +472,77 @@ impl<M, S: TraceSink> Shared<M, S> {
     }
 }
 
-/// The deterministic-engine backend behind [`Ctx`].
-struct DesCtx<'a, M, S: TraceSink> {
-    sh: &'a mut Shared<M, S>,
-    me: CellId,
-}
-
-impl<M: Clone, S: TraceSink> CtxBackend<M> for DesCtx<'_, M, S> {
-    #[inline]
-    fn me(&self) -> CellId {
-        self.me
-    }
-
-    #[inline]
-    fn now(&self) -> SimTime {
-        self.sh.now
-    }
-
-    #[inline]
-    fn topo(&self) -> &Topology {
-        &self.sh.topo
-    }
-
-    fn send_kind(&mut self, to: CellId, kind: &'static str, msg: M) {
+/// The four [`Action`]s with engine-side consequences, applied on behalf
+/// of node `me`.
+impl<M: Clone, S: TraceSink> Shared<M, S> {
+    fn send(&mut self, me: CellId, to: CellId, kind: &'static str, msg: M) {
         let meta = MsgMeta {
-            from: self.me,
+            from: me,
             to,
             kind,
-            sent_at: self.sh.now,
-            seq: self.sh.msg_seq,
+            sent_at: self.now,
+            seq: self.msg_seq,
         };
-        self.sh.msg_seq += 1;
+        self.msg_seq += 1;
         // Latency is always drawn (and the FIFO horizon advanced) before
         // any fault decision, so the latency RNG stream — and with it
         // every fault-free delivery time — is independent of the plan.
-        let lat = self.sh.cfg.latency.latency(&meta, &mut self.sh.rng);
-        let at = self.sh.link_horizon.clamp(self.me, to, self.sh.now + lat);
-        self.sh.report.messages_total += 1;
-        self.sh.msg_kinds.incr(kind);
-        self.sh.report.per_cell_msgs[self.me.index()] += 1;
-        let from = self.me;
-        self.sh.trace_with(|| TraceEvent::MsgSend {
+        let lat = self.cfg.latency.latency(&meta, &mut self.rng);
+        let at = self.link_horizon.clamp(me, to, self.now + lat);
+        self.report.messages_total += 1;
+        self.msg_kinds.incr(kind);
+        self.report.per_cell_msgs[me.index()] += 1;
+        let from = me;
+        self.trace_with(|| TraceEvent::MsgSend {
             from,
             to,
             kind,
             deliver_at: at,
         });
-        if self.sh.faults_on {
+        if self.faults_on {
             // A down cell sends nothing (its handlers should not run at
             // all; this is a defensive backstop for drained sends).
-            if self.sh.down[from.index()] {
-                self.sh.report.messages_crash_dropped += 1;
+            if self.down[from.index()] {
+                self.report.messages_crash_dropped += 1;
                 return;
             }
             // Partition cuts are deterministic and consume no fault RNG,
             // so adding a partition schedule to a lossy plan perturbs
             // neither the loss nor the duplication stream for messages on
             // healthy links.
-            if !self.sh.cfg.faults.partitions.is_empty()
-                && self.sh.cfg.faults.link_cut(from, to, self.sh.now.0)
+            if !self.cfg.faults.partitions.is_empty()
+                && self.cfg.faults.link_cut(from, to, self.now.0)
             {
-                self.sh.custom.incr("partition_dropped");
-                self.sh
-                    .trace_with(|| TraceEvent::MsgLost { from, to, kind });
+                self.custom.incr("partition_dropped");
+                self.trace_with(|| TraceEvent::MsgLost { from, to, kind });
                 return;
             }
-            if self.sh.cfg.faults.loss > 0.0
-                && self.sh.fault_rng.next_f64() < self.sh.cfg.faults.loss
-            {
-                self.sh.report.messages_lost += 1;
-                self.sh
-                    .trace_with(|| TraceEvent::MsgLost { from, to, kind });
+            if self.cfg.faults.loss > 0.0 && self.fault_rng.next_f64() < self.cfg.faults.loss {
+                self.report.messages_lost += 1;
+                self.trace_with(|| TraceEvent::MsgLost { from, to, kind });
                 return;
             }
         }
-        if self.sh.cfg.trace {
-            self.sh.report.trace.push(MsgTrace {
-                sent_at: self.sh.now,
+        if self.cfg.trace {
+            self.report.trace.push(MsgTrace {
+                sent_at: self.now,
                 recv_at: at,
-                from: self.me,
+                from: me,
                 to,
                 kind,
             });
         }
-        let dup = self.sh.faults_on
-            && self.sh.cfg.faults.duplicate > 0.0
-            && self.sh.fault_rng.next_f64() < self.sh.cfg.faults.duplicate;
+        let dup = self.faults_on
+            && self.cfg.faults.duplicate > 0.0
+            && self.fault_rng.next_f64() < self.cfg.faults.duplicate;
         if dup {
             // The copy lands at the same tick; seq order puts it right
             // after the original, preserving per-link FIFO.
-            self.sh.report.messages_duplicated += 1;
-            self.sh.trace_with(|| TraceEvent::MsgDup { from, to, kind });
+            self.report.messages_duplicated += 1;
+            self.trace_with(|| TraceEvent::MsgDup { from, to, kind });
             let copy = msg.clone();
-            self.sh.push(at, Ev::Deliver { from, to, msg });
-            self.sh.push(
+            self.push(at, Ev::Deliver { from, to, msg });
+            self.push(
                 at,
                 Ev::Deliver {
                     from,
@@ -574,58 +551,56 @@ impl<M: Clone, S: TraceSink> CtxBackend<M> for DesCtx<'_, M, S> {
                 },
             );
         } else {
-            self.sh.push(at, Ev::Deliver { from, to, msg });
+            self.push(at, Ev::Deliver { from, to, msg });
         }
     }
 
-    fn grant(&mut self, req: RequestId, ch: Channel) {
-        let Some((call, cell, kind, latency)) = self.sh.finish_request(req) else {
+    fn grant(&mut self, me: CellId, req: RequestId, ch: Channel) {
+        let Some((call, cell, kind, latency)) = self.finish_request(req) else {
             // Double resolution is a protocol bug.
             panic!("request {req:?} resolved twice");
         };
-        debug_assert_eq!(cell, self.me, "grant from the wrong node");
+        debug_assert_eq!(cell, me, "grant from the wrong node");
         // Recorded before the stale-grant check: the protocol *did*
         // grant, even if the call has since ended and the channel is
         // auto-released a moment later.
-        self.sh
-            .record_outcome(req, call, cell, kind, latency, Ok(ch));
-        self.sh
-            .trace_with(|| TraceEvent::Granted { cell, ch, latency });
-        if let Some(bound) = self.sh.cfg.watchdog_ticks {
+        self.record_outcome(req, call, cell, kind, latency, Ok(ch));
+        self.trace_with(|| TraceEvent::Granted { cell, ch, latency });
+        if let Some(bound) = self.cfg.watchdog_ticks {
             if latency > bound {
-                self.sh.violation(Violation::Watchdog {
+                self.violation(Violation::Watchdog {
                     cell,
                     latency,
                     bound,
                 });
             }
         }
-        let call_rec = &self.sh.calls[call as usize];
+        let call_rec = &self.calls[call as usize];
         let stale = call_rec.state != CallState::Waiting(req);
         if stale {
             // The call ended or moved while we were acquiring; release the
             // channel right away (as a fresh event so the node's current
             // handler finishes first).
-            self.sh.custom.incr("stale_grants");
-            let now = self.sh.now;
-            self.sh.push(now, Ev::AutoRelease { node: cell, ch });
+            self.custom.incr("stale_grants");
+            let now = self.now;
+            self.push(now, Ev::AutoRelease { node: cell, ch });
             return;
         }
         // Theorem 1 audit: the channel must be unused in the whole
         // interference region, and in this cell.
-        if self.sh.usage[cell.index()].contains(ch) {
-            let at = self.sh.now;
-            self.sh.violation(Violation::DoubleAssign {
+        if self.usage[cell.index()].contains(ch) {
+            let at = self.now;
+            self.violation(Violation::DoubleAssign {
                 at,
                 cell,
                 channel: ch,
             });
         }
-        for idx in 0..self.sh.topo.region(cell).len() {
-            let j = self.sh.topo.region(cell)[idx];
-            if self.sh.usage[j.index()].contains(ch) {
-                let at = self.sh.now;
-                self.sh.violation(Violation::Interference {
+        for idx in 0..self.topo.region(cell).len() {
+            let j = self.topo.region(cell)[idx];
+            if self.usage[j.index()].contains(ch) {
+                let at = self.now;
+                self.violation(Violation::Interference {
                     at,
                     cell,
                     conflicting: j,
@@ -633,98 +608,61 @@ impl<M: Clone, S: TraceSink> CtxBackend<M> for DesCtx<'_, M, S> {
                 });
             }
         }
-        self.sh.usage[cell.index()].insert(ch);
-        let now = self.sh.now;
-        let call_rec = &mut self.sh.calls[call as usize];
+        self.usage[cell.index()].insert(ch);
+        let now = self.now;
+        let call_rec = &mut self.calls[call as usize];
         call_rec.state = CallState::Active(ch);
         if call_rec.end_at.is_none() {
             let end = now + call_rec.duration;
             call_rec.end_at = Some(end);
-            self.sh.push(end, Ev::End { call });
+            self.push(end, Ev::End { call });
         }
-        self.sh.report.granted += 1;
-        self.sh.report.per_cell_grants[cell.index()] += 1;
-        self.sh.report.acq_latency.push(latency as f64);
+        self.report.granted += 1;
+        self.report.per_cell_grants[cell.index()] += 1;
+        self.report.acq_latency.push(latency as f64);
         match kind {
-            RequestKind::NewCall => self.sh.custom.incr("grant_new"),
-            RequestKind::Handoff => self.sh.custom.incr("grant_handoff"),
+            RequestKind::NewCall => self.custom.incr("grant_new"),
+            RequestKind::Handoff => self.custom.incr("grant_handoff"),
         }
     }
 
-    fn reject(&mut self, req: RequestId, cause: DropCause) {
-        let Some((call, cell, kind, latency)) = self.sh.finish_request(req) else {
+    fn reject(&mut self, me: CellId, req: RequestId, cause: DropCause) {
+        let Some((call, cell, kind, latency)) = self.finish_request(req) else {
             panic!("request {req:?} resolved twice");
         };
-        debug_assert_eq!(cell, self.me, "reject from the wrong node");
-        self.sh
-            .record_outcome(req, call, cell, kind, latency, Err(cause));
-        self.sh.trace_with(|| TraceEvent::Rejected {
+        debug_assert_eq!(cell, me, "reject from the wrong node");
+        self.record_outcome(req, call, cell, kind, latency, Err(cause));
+        self.trace_with(|| TraceEvent::Rejected {
             cell,
             cause: cause.label(),
         });
         // The liveness contract bounds *resolution*, not just grants: a
         // reject that took longer than the watchdog is as much a wedged
         // request as a slow grant.
-        if let Some(bound) = self.sh.cfg.watchdog_ticks {
+        if let Some(bound) = self.cfg.watchdog_ticks {
             if latency > bound {
-                self.sh.violation(Violation::Watchdog {
+                self.violation(Violation::Watchdog {
                     cell,
                     latency,
                     bound,
                 });
             }
         }
-        let call_rec = &mut self.sh.calls[call as usize];
+        let call_rec = &mut self.calls[call as usize];
         if call_rec.state == CallState::Waiting(req) {
             call_rec.state = CallState::Done;
-            self.sh.report.per_cell_drops[cell.index()] += 1;
-            self.sh.count_drop_cause(cause);
+            self.report.per_cell_drops[cell.index()] += 1;
+            self.count_drop_cause(cause);
             match kind {
-                RequestKind::NewCall => self.sh.report.dropped_new += 1,
-                RequestKind::Handoff => self.sh.report.dropped_handoff += 1,
+                RequestKind::NewCall => self.report.dropped_new += 1,
+                RequestKind::Handoff => self.report.dropped_handoff += 1,
             }
         }
     }
 
-    fn set_timer(&mut self, delay: u64, tag: u64) {
-        let at = self.sh.now + delay;
-        let me = self.me;
-        self.sh.push(at, Ev::Timer { node: me, tag });
-    }
-
-    #[inline]
-    fn count(&mut self, name: &'static str) {
-        self.sh.custom.incr(name);
-    }
-
-    #[inline]
-    fn add(&mut self, name: &'static str, n: u64) {
-        self.sh.custom.add(name, n);
-    }
-
-    fn sample(&mut self, name: &'static str, value: f64) {
-        self.sh.custom_samples.push(name, value);
-    }
-
-    fn truly_free_here(&self, ch: Channel) -> bool {
-        !self.sh.usage[self.me.index()].contains(ch)
-            && self
-                .sh
-                .topo
-                .region(self.me)
-                .iter()
-                .all(|j| !self.sh.usage[j.index()].contains(ch))
-    }
-
-    #[inline]
-    fn trace_enabled(&self) -> bool {
-        self.sh.sink.enabled()
-    }
-
-    #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        let now = self.sh.now;
-        self.sh.sink.record(now, ev);
+    fn set_timer(&mut self, me: CellId, delay: u64, tag: u64) {
+        let at = self.now + delay;
+        self.push(at, Ev::Timer { node: me, tag });
     }
 }
 
@@ -737,12 +675,15 @@ impl<M: Clone, S: TraceSink> CtxBackend<M> for DesCtx<'_, M, S> {
 /// recording sink with [`Engine::with_sink`] and recover it afterwards
 /// with [`Engine::into_sink`]; sinks are pure observers, so traced and
 /// untraced runs produce equal [`SimReport`]s.
-pub struct Engine<P: Protocol, S: TraceSink = NoopSink> {
+pub struct Engine<P: StateMachine, S: TraceSink = NoopSink> {
     nodes: Vec<P>,
     sh: Shared<P::Msg, S>,
+    /// The action buffer every transition writes to; empty between
+    /// events, its capacity amortized over the run.
+    actions: Vec<Action<P::Msg>>,
 }
 
-impl<P: Protocol> Engine<P> {
+impl<P: StateMachine> Engine<P> {
     /// Builds an engine over `topo` running one `P` per cell (constructed
     /// by `factory`) against the given workload, with tracing compiled
     /// out ([`NoopSink`]).
@@ -754,7 +695,7 @@ impl<P: Protocol> Engine<P> {
     }
 }
 
-impl<P: Protocol, S: TraceSink> Engine<P, S> {
+impl<P: StateMachine, S: TraceSink> Engine<P, S> {
     /// Builds an engine like [`Engine::new`], recording structured trace
     /// events into `sink`.
     pub fn with_sink<F>(
@@ -846,7 +787,11 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
             });
             sh.push(at, Ev::Arrive { call });
         }
-        Engine { nodes, sh }
+        Engine {
+            nodes,
+            sh,
+            actions: Vec::new(),
+        }
     }
 
     /// Immutable access to a node's protocol state (for tests).
@@ -881,7 +826,29 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
         self.sh.now
     }
 
-    /// Fires the `on_start` hooks exactly once per engine *lifetime* — a
+    /// Feeds `input` to `me`'s node, then applies the actions it emitted,
+    /// in emission order.
+    fn step(&mut self, me: CellId, input: Input<P::Msg>) {
+        let buf = std::mem::take(&mut self.actions);
+        let mut fx = Effects::reusing(buf, me, self.sh.now, self.sh.sink.enabled());
+        self.nodes[me.index()].step(input, &mut fx);
+        let mut actions = fx.into_actions();
+        for act in actions.drain(..) {
+            match act {
+                Action::Send { to, msg } => self.sh.send(me, to, P::msg_kind(&msg), msg),
+                Action::Grant { req, ch } => self.sh.grant(me, req, ch),
+                Action::Reject { req, cause } => self.sh.reject(me, req, cause),
+                Action::SetTimer { delay, tag } => self.sh.set_timer(me, delay, tag),
+                Action::Count { name } => self.sh.custom.incr(name),
+                Action::Add { name, n } => self.sh.custom.add(name, n),
+                Action::Sample { name, value } => self.sh.custom_samples.push(name, value),
+                Action::Trace(ev) => self.sh.sink.record(self.sh.now, ev),
+            }
+        }
+        self.actions = actions;
+    }
+
+    /// Fires the [`Input::Start`] hooks exactly once per engine *lifetime* — a
     /// restored engine skips them, because they already ran before the
     /// snapshot was taken (their effects are part of the captured state).
     fn ensure_started(&mut self) {
@@ -890,13 +857,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
         }
         self.sh.started = true;
         for i in 0..self.nodes.len() {
-            let me = CellId(i as u32);
-            let mut backend = DesCtx {
-                sh: &mut self.sh,
-                me,
-            };
-            let mut ctx = Ctx::new(&mut backend);
-            self.nodes[i].on_start(&mut ctx);
+            self.step(CellId(i as u32), Input::Start);
         }
     }
 
@@ -956,12 +917,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
                         to,
                         kind: P::msg_kind(&msg),
                     });
-                    let mut backend = DesCtx {
-                        sh: &mut self.sh,
-                        me: to,
-                    };
-                    let mut ctx = Ctx::new(&mut backend);
-                    self.nodes[to.index()].on_message(from, msg, &mut ctx);
+                    self.step(to, Input::Message { from, msg });
                 }
                 Ev::Arrive { call } => {
                     let cell = self.sh.calls[call as usize].cell;
@@ -973,12 +929,13 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
                         self.sh.force_reject(req, DropCause::Crashed);
                         return;
                     }
-                    let mut backend = DesCtx {
-                        sh: &mut self.sh,
-                        me: cell,
-                    };
-                    let mut ctx = Ctx::new(&mut backend);
-                    self.nodes[cell.index()].on_acquire(req, RequestKind::NewCall, &mut ctx);
+                    self.step(
+                        cell,
+                        Input::Acquire {
+                            req,
+                            kind: RequestKind::NewCall,
+                        },
+                    );
                 }
                 Ev::End { call } => {
                     let rec = &mut self.sh.calls[call as usize];
@@ -988,12 +945,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
                             rec.state = CallState::Done;
                             self.sh.usage[cell.index()].remove(ch);
                             self.sh.report.completed_calls += 1;
-                            let mut backend = DesCtx {
-                                sh: &mut self.sh,
-                                me: cell,
-                            };
-                            let mut ctx = Ctx::new(&mut backend);
-                            self.nodes[cell.index()].on_release(ch, &mut ctx);
+                            self.step(cell, Input::Release { ch });
                         }
                         CallState::Waiting(_) => {
                             // Ended while a (handoff) acquisition was in
@@ -1017,12 +969,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
                             // handoff: relinquish in the old cell, acquire
                             // in the new one).
                             self.sh.usage[old.index()].remove(ch);
-                            let mut backend = DesCtx {
-                                sh: &mut self.sh,
-                                me: old,
-                            };
-                            let mut ctx = Ctx::new(&mut backend);
-                            self.nodes[old.index()].on_release(ch, &mut ctx);
+                            self.step(old, Input::Release { ch });
                             let req = self.sh.issue_request(call, target, RequestKind::Handoff);
                             if self.sh.down[target.index()] {
                                 // Handoff into a crashed cell: the call is
@@ -1030,15 +977,12 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
                                 self.sh.force_reject(req, DropCause::Crashed);
                                 return;
                             }
-                            let mut backend = DesCtx {
-                                sh: &mut self.sh,
-                                me: target,
-                            };
-                            let mut ctx = Ctx::new(&mut backend);
-                            self.nodes[target.index()].on_acquire(
-                                req,
-                                RequestKind::Handoff,
-                                &mut ctx,
+                            self.step(
+                                target,
+                                Input::Acquire {
+                                    req,
+                                    kind: RequestKind::Handoff,
+                                },
                             );
                         }
                         _ => {
@@ -1049,16 +993,11 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
                 Ev::Timer { node, tag } => {
                     if self.sh.down[node.index()] {
                         // Timers die with the cell; restart re-arms what
-                        // it needs via `on_restart`.
+                        // it needs via `restart`.
                         self.sh.custom.incr("crash_dropped_timers");
                         return;
                     }
-                    let mut backend = DesCtx {
-                        sh: &mut self.sh,
-                        me: node,
-                    };
-                    let mut ctx = Ctx::new(&mut backend);
-                    self.nodes[node.index()].on_timer(tag, &mut ctx);
+                    self.step(node, Input::Timer { tag });
                 }
                 Ev::AutoRelease { node, ch } => {
                     if self.sh.down[node.index()] {
@@ -1066,12 +1005,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
                         // anyway; nothing to free.
                         return;
                     }
-                    let mut backend = DesCtx {
-                        sh: &mut self.sh,
-                        me: node,
-                    };
-                    let mut ctx = Ctx::new(&mut backend);
-                    self.nodes[node.index()].on_release(ch, &mut ctx);
+                    self.step(node, Input::Release { ch });
                 }
                 Ev::CrashDown { node } => {
                     if self.sh.down[node.index()] {
@@ -1107,12 +1041,7 @@ impl<P: Protocol, S: TraceSink> Engine<P, S> {
                     self.sh.down[node.index()] = false;
                     self.sh.report.restarts += 1;
                     self.sh.trace_with(|| TraceEvent::Recover { cell: node });
-                    let mut backend = DesCtx {
-                        sh: &mut self.sh,
-                        me: node,
-                    };
-                    let mut ctx = Ctx::new(&mut backend);
-                    self.nodes[node.index()].on_restart(&mut ctx);
+                    self.step(node, Input::Restart);
                 }
             }
         }
@@ -2224,12 +2153,16 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             }
         }
 
-        Ok(Engine { nodes, sh })
+        Ok(Engine {
+            nodes,
+            sh,
+            actions: Vec::new(),
+        })
     }
 }
 
 /// Convenience wrapper: build, run, and return the report in one call.
-pub fn run_protocol<P: Protocol, F>(
+pub fn run_protocol<P: StateMachine, F>(
     topo: Arc<Topology>,
     cfg: SimConfig,
     factory: F,
@@ -2243,7 +2176,7 @@ where
 
 /// Like [`run_protocol`], but recording into `sink`; returns the report
 /// together with the (filled) sink.
-pub fn run_traced<P: Protocol, S: TraceSink, F>(
+pub fn run_traced<P: StateMachine, S: TraceSink, F>(
     topo: Arc<Topology>,
     cfg: SimConfig,
     factory: F,
@@ -2279,14 +2212,14 @@ mod tests {
         }
     }
 
-    impl Protocol for LocalOnly {
+    impl StateMachine for LocalOnly {
         type Msg = ();
 
         fn msg_kind(_: &()) -> &'static str {
             "UNUSED"
         }
 
-        fn on_acquire(&mut self, req: RequestId, _kind: RequestKind, ctx: &mut Ctx<'_, ()>) {
+        fn acquire(&mut self, req: RequestId, _kind: RequestKind, ctx: &mut Effects<()>) {
             let free = self.primary.difference(&self.used);
             match free.first() {
                 Some(ch) => {
@@ -2297,11 +2230,11 @@ mod tests {
             }
         }
 
-        fn on_release(&mut self, ch: Channel, _ctx: &mut Ctx<'_, ()>) {
+        fn release(&mut self, ch: Channel, _ctx: &mut Effects<()>) {
             assert!(self.used.remove(ch), "released unknown channel");
         }
 
-        fn on_message(&mut self, _from: CellId, _msg: (), _ctx: &mut Ctx<'_, ()>) {
+        fn message(&mut self, _from: CellId, _msg: (), _ctx: &mut Effects<()>) {
             unreachable!("LocalOnly never sends");
         }
     }
@@ -2429,16 +2362,16 @@ mod tests {
     /// channel 0 to everyone. The audit must catch it.
     struct Broken;
 
-    impl Protocol for Broken {
+    impl StateMachine for Broken {
         type Msg = ();
         fn msg_kind(_: &()) -> &'static str {
             "UNUSED"
         }
-        fn on_acquire(&mut self, req: RequestId, _kind: RequestKind, ctx: &mut Ctx<'_, ()>) {
+        fn acquire(&mut self, req: RequestId, _kind: RequestKind, ctx: &mut Effects<()>) {
             ctx.grant(req, Channel(0));
         }
-        fn on_release(&mut self, _ch: Channel, _ctx: &mut Ctx<'_, ()>) {}
-        fn on_message(&mut self, _from: CellId, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
+        fn release(&mut self, _ch: Channel, _ctx: &mut Effects<()>) {}
+        fn message(&mut self, _from: CellId, _msg: (), _ctx: &mut Effects<()>) {}
     }
 
     #[test]
@@ -2493,14 +2426,14 @@ mod tests {
     /// A protocol that never resolves requests: the liveness audit fires.
     struct Sitter;
 
-    impl Protocol for Sitter {
+    impl StateMachine for Sitter {
         type Msg = ();
         fn msg_kind(_: &()) -> &'static str {
             "UNUSED"
         }
-        fn on_acquire(&mut self, _req: RequestId, _kind: RequestKind, _ctx: &mut Ctx<'_, ()>) {}
-        fn on_release(&mut self, _ch: Channel, _ctx: &mut Ctx<'_, ()>) {}
-        fn on_message(&mut self, _from: CellId, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
+        fn acquire(&mut self, _req: RequestId, _kind: RequestKind, _ctx: &mut Effects<()>) {}
+        fn release(&mut self, _ch: Channel, _ctx: &mut Effects<()>) {}
+        fn message(&mut self, _from: CellId, _msg: (), _ctx: &mut Effects<()>) {}
     }
 
     #[test]
@@ -2581,24 +2514,24 @@ mod tests {
         struct TimerProto {
             fired: Vec<u64>,
         }
-        impl Protocol for TimerProto {
+        impl StateMachine for TimerProto {
             type Msg = ();
             fn msg_kind(_: &()) -> &'static str {
                 "UNUSED"
             }
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            fn start(&mut self, ctx: &mut Effects<()>) {
                 if ctx.me() == CellId(0) {
                     ctx.set_timer(30, 3);
                     ctx.set_timer(10, 1);
                     ctx.set_timer(20, 2);
                 }
             }
-            fn on_acquire(&mut self, req: RequestId, _k: RequestKind, ctx: &mut Ctx<'_, ()>) {
+            fn acquire(&mut self, req: RequestId, _k: RequestKind, ctx: &mut Effects<()>) {
                 ctx.reject(req);
             }
-            fn on_release(&mut self, _ch: Channel, _ctx: &mut Ctx<'_, ()>) {}
-            fn on_message(&mut self, _from: CellId, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
-            fn on_timer(&mut self, tag: u64, _ctx: &mut Ctx<'_, ()>) {
+            fn release(&mut self, _ch: Channel, _ctx: &mut Effects<()>) {}
+            fn message(&mut self, _from: CellId, _msg: (), _ctx: &mut Effects<()>) {}
+            fn timer(&mut self, tag: u64, _ctx: &mut Effects<()>) {
                 self.fired.push(tag);
             }
         }

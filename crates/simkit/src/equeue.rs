@@ -40,7 +40,7 @@
 //! queue and one `seq` counter, so the `(time, seq)` order is also the
 //! contract between classes: a timer and a message delivery scheduled
 //! for the same tick fire in the order they were *scheduled* (`set_timer`
-//! vs. `send_kind` call order), not in any class-priority order. The
+//! vs. `send` call order), not in any class-priority order. The
 //! timeout/retry hardening leans on this: a response arriving at exactly
 //! its deadline tick beats the timeout iff its delivery was scheduled
 //! before the timer was armed. The property test exercises mixed

@@ -23,7 +23,7 @@
 //!   arrivals/handoffs into it are dropped with
 //!   [`DropCause::Crashed`](crate::report::DropCause::Crashed). On
 //!   restart the engine calls
-//!   [`Protocol::on_restart`](crate::protocol::Protocol::on_restart) so
+//!   [`StateMachine::restart`](crate::StateMachine::restart) so
 //!   the node re-initializes its volatile state.
 //!
 //! All fault decisions are drawn from a dedicated [`SplitMix64`] stream

@@ -11,8 +11,9 @@
 //! * a message bus with pluggable latency models — fixed `T`, jittered, or
 //!   scripted per-message latencies for adversarial scenarios like the
 //!   paper's Figure 11 ([`latency`]),
-//! * the [`Protocol`] trait implemented by every allocation scheme
-//!   ([`protocol`]),
+//! * the [`StateMachine`] trait implemented by every allocation scheme
+//!   and the [`Input`] / [`Action`] vocabulary every driver speaks
+//!   ([`sm`]),
 //! * call lifecycle management (arrival → acquisition → holding → release,
 //!   plus mobility handoffs) driven by a [`workload::Arrival`] list,
 //! * an *auditor* that checks the paper's Theorem 1 (no co-channel
@@ -32,28 +33,23 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod engine;
 pub mod equeue;
 pub mod faults;
 pub mod latency;
-pub mod protocol;
 pub mod report;
 pub mod rng;
 pub mod sm;
 pub mod snapshot;
-pub mod testing;
 pub mod time;
 pub mod trace;
 pub mod workload;
 
-pub use backend::{Ctx, CtxBackend};
 pub use engine::{Engine, ReqOutcome, SimConfig};
 pub use faults::{Crash, FaultPlan, Partition};
 pub use latency::LatencyModel;
-pub use protocol::{Protocol, RequestId, RequestKind};
 pub use report::{AuditMode, DropCause, SimReport, Violation};
-pub use sm::{Action, Effects, Input, StateMachine};
+pub use sm::{Action, Effects, Input, RequestId, RequestKind, StateMachine};
 pub use snapshot::{DecodeError, ProtocolState, Reader, Writer};
 pub use time::SimTime;
 pub use trace::{

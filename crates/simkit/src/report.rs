@@ -183,9 +183,9 @@ pub struct SimReport {
     pub restarts: u64,
     /// Grants per cell.
     pub per_cell_grants: Vec<u64>,
-    /// Protocol-specific counters (`ctx.count`).
+    /// Protocol-specific counters (`Effects::count`).
     pub custom: CounterMap,
-    /// Protocol-specific sample series (`ctx.sample`).
+    /// Protocol-specific sample series (`Effects::sample`).
     pub custom_samples: BTreeMap<&'static str, SampleSeries>,
     /// Invariant violations (empty on a clean run).
     pub violations: Vec<Violation>,

@@ -34,7 +34,7 @@
 //! node state is decoded, so restoring a snapshot under the wrong scheme
 //! fails fast with [`DecodeError::Mismatch`].
 
-use crate::protocol::Protocol;
+use crate::sm::StateMachine;
 use crate::time::SimTime;
 use adca_hexgrid::{CellId, Channel, ChannelSet};
 use std::collections::{BTreeMap, BTreeSet};
@@ -496,7 +496,7 @@ impl<'a> Reader<'a> {
 /// The contract is *bit-identical resume*: running a simulation to `T`
 /// must produce the same [`SimReport`](crate::report::SimReport) as
 /// snapshotting at any midpoint, restoring, and running on to `T`.
-pub trait ProtocolState: Protocol {
+pub trait ProtocolState: StateMachine {
     /// Stable identifier of this scheme's serialized layout (bump the
     /// suffix on any layout change), checked before decoding any state.
     const STATE_ID: &'static str;

@@ -24,10 +24,11 @@
 //! ([`crate::engine::Engine`]`<P, S>`), so with the default [`NoopSink`]
 //! every engine-side trace branch is behind `NoopSink::enabled()` — a
 //! constant `false` the optimizer deletes. Protocol-side emissions go
-//! through [`crate::Ctx::trace_with`], which closes the event
-//! construction behind a single `trace_enabled()` check; under a
-//! `NoopSink` engine that check is one always-false, perfectly predicted
-//! branch per trace point and the event is never built. Either way the
+//! through [`crate::Effects::trace_with`], which closes the event
+//! construction behind the `enabled()` flag the engine captured at event
+//! entry; under a `NoopSink` engine that check is one always-false,
+//! perfectly predicted branch per trace point and the event is never
+//! built. Either way the
 //! event *stream* cannot perturb results: sinks observe the simulation
 //! but never touch its RNGs or event ordering, so trace-on and trace-off
 //! runs produce equal [`crate::SimReport`]s (pinned by
@@ -105,7 +106,7 @@ impl AcqPath {
 /// Engine-level variants (`Msg*`, `Granted`, `Rejected`, `Crash`,
 /// `Recover`) are emitted by the deterministic engine itself; the rest
 /// are emitted by protocol state machines through
-/// [`crate::Ctx::trace_with`]. Modes are the paper's `mode_i ∈ {0, 1, 2,
+/// [`crate::Effects::trace_with`]. Modes are the paper's `mode_i ∈ {0, 1, 2,
 /// 3}` (local / borrowing / borrow-update / borrow-search) as a raw `u8`
 /// so this crate stays independent of the protocol crates.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +117,7 @@ pub enum TraceEvent {
         from: CellId,
         /// Destination cell.
         to: CellId,
-        /// Protocol label (`Protocol::msg_kind`).
+        /// Protocol label (`StateMachine::msg_kind`).
         kind: &'static str,
         /// Scheduled delivery time (after latency + FIFO clamp).
         deliver_at: SimTime,
@@ -444,7 +445,7 @@ impl TraceRecord {
 /// trace-determinism tests pin `SimReport` equality across sinks).
 pub trait TraceSink {
     /// Whether events should be constructed and recorded at all. The
-    /// engine (and [`crate::Ctx::trace_with`]) consult this before
+    /// engine (and [`crate::Effects::trace_with`]) consult this before
     /// building an event, so a `false` here short-circuits all trace
     /// cost except the check itself.
     fn enabled(&self) -> bool;

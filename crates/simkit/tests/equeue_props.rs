@@ -234,7 +234,7 @@ proptest! {
     /// Same-tick entries of *mixed kinds* pop in scheduling order.
     /// The engine pushes `Ev::Deliver` and `Ev::Timer` into this one
     /// queue, so this is the executable form of the documented rule
-    /// (see `equeue.rs` and `CtxBackend::set_timer`): a timer and a
+    /// (see `equeue.rs` and `Effects::set_timer`): a timer and a
     /// message landing on the same tick fire in the order they were
     /// scheduled — neither class gets priority.
     #[test]

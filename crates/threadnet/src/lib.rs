@@ -1,33 +1,14 @@
-//! OS-thread driver for adca protocol state machines.
+//! Wall-clock timing primitives for the threaded serving stack.
 //!
-//! The deterministic engine in `adca-simkit` explores one interleaving
-//! per seed. This crate runs the *same unmodified* [`Protocol`]
-//! implementations with one OS thread per cell and crossbeam channels as
-//! links, so the scheduler produces genuinely nondeterministic
-//! interleavings — a complementary safety validation (and the
-//! "async/channels" execution style natural to this kind of distributed
-//! protocol).
+//! The threaded runtime for the protocols is `adca-serve`'s production
+//! backend; this crate holds the two timing primitives it and the wire
+//! layer share:
 //!
-//! What is checked:
-//!
-//! * **Theorem 1** — every grant is audited atomically against shared
-//!   ground truth: no two cells within the interference distance may hold
-//!   one channel.
-//! * **Theorem 2 / liveness** — the run fails if requests are still
-//!   pending when the drivers go quiet (bounded by a wall-clock
-//!   deadline).
-//! * **Conservation** — every offered call resolves exactly once.
-//!
-//! Scope: new-call traffic only (no mobility), immediate message
-//! delivery (FIFO per link by channel order), wall-clock time scaled by
-//! [`ThreadNetConfig::ns_per_tick`]. Protocol timers are supported:
-//! `set_timer` arms an entry on a shared [`TimerWheel`] (one dispatcher
-//! thread for the whole run) that posts a `Timer` event back to the
-//! owning node after the scaled delay. Optional fault injection:
-//! [`ThreadNetConfig::drop_prob`] drops each sent message independently
-//! at the sender (deterministic per-node RNG stream, but the
-//! interleaving stays nondeterministic), exercising the protocols'
-//! timeout/retry hardening under real threads.
+//! * [`TimerWheel`] — one dispatcher thread over a deadline min-heap;
+//!   the production backend arms protocol timers and call-hold
+//!   expirations on it, and the wire layer its retry deadlines.
+//! * [`Backoff`] — the bounded, capped exponential retry schedule the
+//!   wire client advances from its timer callback.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,576 +18,3 @@ pub mod timer;
 
 pub use backoff::Backoff;
 pub use timer::TimerWheel;
-
-use adca_hexgrid::{CellId, Channel, ChannelSet, Topology};
-use adca_metrics::CounterMap;
-use adca_simkit::rng::SplitMix64;
-use adca_simkit::{Ctx, CtxBackend, DropCause, Protocol, RequestId, RequestKind, SimTime};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Configuration of a threaded run.
-#[derive(Debug, Clone)]
-pub struct ThreadNetConfig {
-    /// Wall-clock nanoseconds per simulated tick (default 500).
-    pub ns_per_tick: u64,
-    /// Give up and report a liveness violation after this much wall time.
-    pub deadline: Duration,
-    /// Per-message loss probability in `[0, 1)`, applied independently
-    /// at the sender (default 0.0 = lossless). Non-zero values require
-    /// protocols with timeout/retry hardening, or the liveness deadline
-    /// will trip.
-    pub drop_prob: f64,
-    /// Seed for the per-node loss RNG streams (node `i` uses
-    /// `fault_seed ^ i`).
-    pub fault_seed: u64,
-}
-
-impl Default for ThreadNetConfig {
-    fn default() -> Self {
-        ThreadNetConfig {
-            ns_per_tick: 500,
-            deadline: Duration::from_secs(20),
-            drop_prob: 0.0,
-            fault_seed: 0xFA_0175,
-        }
-    }
-}
-
-/// One offered call: arrival tick, cell, holding ticks.
-#[derive(Debug, Clone)]
-pub struct ThreadArrival {
-    /// Arrival tick.
-    pub at: u64,
-    /// Originating cell.
-    pub cell: CellId,
-    /// Holding time in ticks.
-    pub duration: u64,
-}
-
-impl ThreadArrival {
-    /// Convenience constructor.
-    pub fn new(at: u64, cell: CellId, duration: u64) -> Self {
-        ThreadArrival { at, cell, duration }
-    }
-}
-
-/// Outcome of a threaded run.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadReport {
-    /// Calls offered.
-    pub offered: u64,
-    /// Successful acquisitions.
-    pub granted: u64,
-    /// Denied calls.
-    pub rejected: u64,
-    /// Calls that completed their holding time.
-    pub completed: u64,
-    /// Total control messages sent.
-    pub messages_total: u64,
-    /// Messages dropped by fault injection (`drop_prob`).
-    pub messages_lost: u64,
-    /// Message counts by protocol label.
-    pub msg_kinds: CounterMap,
-    /// Protocol-specific counters, merged across nodes.
-    pub custom: CounterMap,
-    /// Invariant violations (empty on a clean run).
-    pub violations: Vec<String>,
-}
-
-impl ThreadReport {
-    /// Panics with diagnostics if the run had violations.
-    pub fn assert_clean(&self) {
-        assert!(
-            self.violations.is_empty(),
-            "threadnet violations: {:?}",
-            self.violations
-        );
-    }
-}
-
-enum NodeEvent<M> {
-    Acquire(RequestId, RequestKind),
-    Release(Channel),
-    Msg(CellId, M),
-    Timer(u64),
-    Stop,
-}
-
-enum CoordMsg {
-    Granted {
-        req: RequestId,
-        cell: CellId,
-        ch: Channel,
-        violation: Option<String>,
-    },
-    Rejected {
-        req: RequestId,
-    },
-}
-
-/// Ground truth shared by all node backends and the coordinator.
-struct Ground {
-    usage: Vec<ChannelSet>,
-}
-
-struct ThreadBackend<M> {
-    me: CellId,
-    topo: Arc<Topology>,
-    peers: Vec<Sender<NodeEvent<M>>>,
-    coord: Sender<CoordMsg>,
-    ground: Arc<Mutex<Ground>>,
-    wheel: Arc<TimerWheel<(usize, u64)>>,
-    epoch: Instant,
-    ns_per_tick: u64,
-    counters: CounterMap,
-    msg_kinds: CounterMap,
-    messages: u64,
-    drop_prob: f64,
-    fault_rng: SplitMix64,
-    lost: u64,
-}
-
-impl<M: Send + 'static> CtxBackend<M> for ThreadBackend<M> {
-    fn me(&self) -> CellId {
-        self.me
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_nanos() as u64 / self.ns_per_tick)
-    }
-
-    fn topo(&self) -> &Topology {
-        &self.topo
-    }
-
-    fn send_kind(&mut self, to: CellId, kind: &'static str, msg: M) {
-        self.messages += 1;
-        self.msg_kinds.incr(kind);
-        // Fault injection: lose the message at the sender (it still
-        // counts as sent, mirroring the deterministic engine).
-        if self.drop_prob > 0.0 && self.fault_rng.next_f64() < self.drop_prob {
-            self.lost += 1;
-            return;
-        }
-        // A closed peer means the run is shutting down; drop silently.
-        let _ = self.peers[to.index()].send(NodeEvent::Msg(self.me, msg));
-    }
-
-    fn grant(&mut self, req: RequestId, ch: Channel) {
-        // Audit + commit atomically under the ground-truth lock: no
-        // interleaving can produce a false-clean run.
-        let violation = {
-            let mut g = self.ground.lock();
-            let mut v = None;
-            if g.usage[self.me.index()].contains(ch) {
-                v = Some(format!("{} double-assigned {ch}", self.me));
-            }
-            for &j in self.topo.region(self.me) {
-                if g.usage[j.index()].contains(ch) {
-                    v = Some(format!(
-                        "{} granted {ch} already used by {j} (interference)",
-                        self.me
-                    ));
-                }
-            }
-            g.usage[self.me.index()].insert(ch);
-            v
-        };
-        let _ = self.coord.send(CoordMsg::Granted {
-            req,
-            cell: self.me,
-            ch,
-            violation,
-        });
-    }
-
-    fn reject(&mut self, req: RequestId, cause: DropCause) {
-        self.counters.incr(match cause {
-            DropCause::Blocked => "drops_blocked",
-            DropCause::RetryExhausted => "drops_retry_exhausted",
-            DropCause::Crashed => "drops_crashed",
-        });
-        let _ = self.coord.send(CoordMsg::Rejected { req });
-    }
-
-    fn set_timer(&mut self, delay: u64, tag: u64) {
-        // One shared wheel for the whole run. Stale firings are the
-        // protocol's problem (every workspace protocol tags timers with
-        // an epoch and ignores mismatches), and a send after shutdown is
-        // a silent no-op on the closed channel.
-        let dur = Duration::from_nanos(delay.saturating_mul(self.ns_per_tick));
-        self.wheel.schedule(dur, (self.me.index(), tag));
-    }
-
-    fn count(&mut self, name: &'static str) {
-        self.counters.incr(name);
-    }
-
-    fn add(&mut self, name: &'static str, n: u64) {
-        self.counters.add(name, n);
-    }
-
-    fn sample(&mut self, _name: &'static str, _value: f64) {
-        // Sample series are a deterministic-engine feature; the threaded
-        // driver only validates safety/liveness.
-    }
-
-    fn trace_enabled(&self) -> bool {
-        // Tracing is a deterministic-engine feature: wall-clock timestamps
-        // would make event streams non-reproducible, and the threaded
-        // driver exists only to cross-validate safety/liveness. Protocols'
-        // `trace_with` closures are therefore never even built here.
-        false
-    }
-
-    fn trace(&mut self, _ev: adca_simkit::trace::TraceEvent) {
-        // Unreachable in practice (`trace_enabled` is false); kept as an
-        // explicit no-op so the intent survives refactors.
-    }
-
-    fn truly_free_here(&self, ch: Channel) -> bool {
-        let g = self.ground.lock();
-        !g.usage[self.me.index()].contains(ch)
-            && self
-                .topo
-                .region(self.me)
-                .iter()
-                .all(|j| !g.usage[j.index()].contains(ch))
-    }
-}
-
-/// Heap entry for scheduled call ends.
-struct EndAt {
-    at: Instant,
-    cell: CellId,
-    ch: Channel,
-}
-
-impl PartialEq for EndAt {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at
-    }
-}
-impl Eq for EndAt {}
-impl PartialOrd for EndAt {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EndAt {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at) // min-heap
-    }
-}
-
-/// Runs `factory`-built protocol nodes on one OS thread per cell against
-/// the given arrivals.
-pub fn run_threaded<P, F>(
-    topo: Arc<Topology>,
-    cfg: ThreadNetConfig,
-    mut factory: F,
-    mut arrivals: Vec<ThreadArrival>,
-) -> ThreadReport
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send + 'static,
-    F: FnMut(CellId, &Topology) -> P,
-{
-    arrivals.sort_by_key(|a| a.at);
-    let n = topo.num_cells();
-    let ground = Arc::new(Mutex::new(Ground {
-        usage: vec![topo.spectrum().empty_set(); n],
-    }));
-    let (coord_tx, coord_rx) = unbounded::<CoordMsg>();
-    let mut node_txs: Vec<Sender<NodeEvent<P::Msg>>> = Vec::with_capacity(n);
-    let mut node_rxs: Vec<Receiver<NodeEvent<P::Msg>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        node_txs.push(tx);
-        node_rxs.push(rx);
-    }
-    let epoch = Instant::now();
-    // One wheel for every protocol timer in the run; its dispatcher
-    // posts back into the owning node's mailbox. Dropped (and joined)
-    // when this function returns, discarding stale timers.
-    let wheel = {
-        let txs = node_txs.clone();
-        Arc::new(TimerWheel::new(move |(idx, tag): (usize, u64)| {
-            let _ = txs[idx].send(NodeEvent::Timer(tag));
-        }))
-    };
-    let mut handles = Vec::with_capacity(n);
-    for (idx, rx) in node_rxs.into_iter().enumerate() {
-        let me = CellId(idx as u32);
-        let mut node = factory(me, &topo);
-        let mut backend = ThreadBackend {
-            me,
-            topo: topo.clone(),
-            peers: node_txs.clone(),
-            coord: coord_tx.clone(),
-            ground: ground.clone(),
-            wheel: wheel.clone(),
-            epoch,
-            ns_per_tick: cfg.ns_per_tick,
-            counters: CounterMap::new(),
-            msg_kinds: CounterMap::new(),
-            messages: 0,
-            drop_prob: cfg.drop_prob,
-            fault_rng: SplitMix64::new(cfg.fault_seed ^ idx as u64),
-            lost: 0,
-        };
-        handles.push(std::thread::spawn(move || {
-            {
-                let mut ctx = Ctx::new(&mut backend);
-                node.on_start(&mut ctx);
-            }
-            while let Ok(ev) = rx.recv() {
-                let mut ctx = Ctx::new(&mut backend);
-                match ev {
-                    NodeEvent::Acquire(req, kind) => node.on_acquire(req, kind, &mut ctx),
-                    NodeEvent::Release(ch) => node.on_release(ch, &mut ctx),
-                    NodeEvent::Msg(from, msg) => node.on_message(from, msg, &mut ctx),
-                    NodeEvent::Timer(tag) => node.on_timer(tag, &mut ctx),
-                    NodeEvent::Stop => break,
-                }
-            }
-            (
-                backend.counters,
-                backend.msg_kinds,
-                backend.messages,
-                backend.lost,
-            )
-        }));
-    }
-    drop(coord_tx);
-
-    // Coordinator: inject arrivals on schedule, resolve grants/rejects,
-    // schedule call ends, detect quiescence.
-    let mut report = ThreadReport {
-        offered: arrivals.len() as u64,
-        ..Default::default()
-    };
-    let tick = |t: u64| Duration::from_nanos(t * cfg.ns_per_tick);
-    let mut next_arrival = 0usize;
-    let mut req_meta: Vec<(CellId, u64)> = arrivals.iter().map(|a| (a.cell, a.duration)).collect();
-    let mut pending: u64 = 0;
-    let mut ends: BinaryHeap<EndAt> = BinaryHeap::new();
-    let hard_deadline = epoch + cfg.deadline;
-    loop {
-        let now = Instant::now();
-        // Inject due arrivals.
-        while next_arrival < arrivals.len() && epoch + tick(arrivals[next_arrival].at) <= now {
-            let a = &arrivals[next_arrival];
-            let req = RequestId(next_arrival as u64);
-            pending += 1;
-            let _ = node_txs[a.cell.index()].send(NodeEvent::Acquire(req, RequestKind::NewCall));
-            next_arrival += 1;
-        }
-        // Process due call ends.
-        while ends.peek().is_some_and(|e| e.at <= now) {
-            let e = ends.pop().expect("peeked");
-            {
-                let mut g = ground.lock();
-                g.usage[e.cell.index()].remove(e.ch);
-            }
-            report.completed += 1;
-            let _ = node_txs[e.cell.index()].send(NodeEvent::Release(e.ch));
-        }
-        // Quiescent?
-        if next_arrival == arrivals.len() && pending == 0 && ends.is_empty() {
-            break;
-        }
-        if now > hard_deadline {
-            report
-                .violations
-                .push(format!("liveness: {pending} requests pending at deadline"));
-            break;
-        }
-        // Wait for the next coordinator message or the next deadline.
-        let mut next_wake = hard_deadline;
-        if next_arrival < arrivals.len() {
-            next_wake = next_wake.min(epoch + tick(arrivals[next_arrival].at));
-        }
-        if let Some(e) = ends.peek() {
-            next_wake = next_wake.min(e.at);
-        }
-        let timeout = next_wake.saturating_duration_since(now);
-        match coord_rx.recv_timeout(timeout) {
-            Ok(CoordMsg::Granted {
-                req,
-                cell,
-                ch,
-                violation,
-            }) => {
-                pending -= 1;
-                report.granted += 1;
-                if let Some(v) = violation {
-                    report.violations.push(v);
-                }
-                let (expect_cell, duration) = req_meta[req.0 as usize];
-                debug_assert_eq!(expect_cell, cell);
-                req_meta[req.0 as usize].1 = 0;
-                ends.push(EndAt {
-                    at: Instant::now() + tick(duration),
-                    cell,
-                    ch,
-                });
-            }
-            Ok(CoordMsg::Rejected { req }) => {
-                debug_assert!((req.0 as usize) < req_meta.len());
-                pending -= 1;
-                report.rejected += 1;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    for tx in &node_txs {
-        let _ = tx.send(NodeEvent::Stop);
-    }
-    for h in handles {
-        if let Ok((counters, kinds, msgs, lost)) = h.join() {
-            report.custom.merge(&counters);
-            report.msg_kinds.merge(&kinds);
-            report.messages_total += msgs;
-            report.messages_lost += lost;
-        }
-    }
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adca_baselines::{BasicSearchNode, BasicUpdateConfig, BasicUpdateNode};
-    use adca_core::{AdaptiveConfig, AdaptiveNode};
-
-    fn topo() -> Arc<Topology> {
-        Arc::new(Topology::builder(5, 5).channels(70).build())
-    }
-
-    /// Burst arrivals across the whole grid: maximal thread contention.
-    fn burst(calls_per_cell: u64, duration: u64) -> Vec<ThreadArrival> {
-        let mut v = Vec::new();
-        for c in 0..25u32 {
-            for k in 0..calls_per_cell {
-                v.push(ThreadArrival::new(k, CellId(c), duration));
-            }
-        }
-        v
-    }
-
-    fn cfg() -> ThreadNetConfig {
-        ThreadNetConfig {
-            ns_per_tick: 500,
-            deadline: Duration::from_secs(30),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn adaptive_is_safe_under_real_threads() {
-        let t = topo();
-        let ac = AdaptiveConfig::default();
-        let report = run_threaded(
-            t,
-            cfg(),
-            move |c, topo| AdaptiveNode::new(c, topo, ac.clone()),
-            burst(12, 40_000),
-        );
-        report.assert_clean();
-        assert_eq!(report.offered, 300);
-        assert_eq!(report.granted + report.rejected, 300);
-        assert_eq!(report.completed, report.granted);
-        assert!(report.granted >= 250, "granted {}", report.granted);
-    }
-
-    #[test]
-    fn basic_update_is_safe_under_real_threads() {
-        let t = topo();
-        let report = run_threaded(
-            t,
-            cfg(),
-            |c, topo| BasicUpdateNode::new(c, topo, BasicUpdateConfig::default()),
-            burst(6, 30_000),
-        );
-        report.assert_clean();
-        assert_eq!(report.granted + report.rejected, 150);
-        assert!(report.messages_total > 0);
-    }
-
-    #[test]
-    fn basic_search_is_safe_under_real_threads() {
-        let t = topo();
-        let report = run_threaded(t, cfg(), BasicSearchNode::new, burst(6, 30_000));
-        report.assert_clean();
-        assert_eq!(report.granted + report.rejected, 150);
-    }
-
-    #[test]
-    fn adaptive_survives_message_loss_with_retries() {
-        // 5% of all control messages vanish; the hardened protocol must
-        // still resolve every request (liveness) without a single
-        // interference violation (Theorem 1 audit stays on).
-        let t = topo();
-        let ac = AdaptiveConfig {
-            retry_ticks: Some(2_000),
-            ..Default::default()
-        };
-        let report = run_threaded(
-            t,
-            ThreadNetConfig {
-                drop_prob: 0.05,
-                ..cfg()
-            },
-            move |c, topo| AdaptiveNode::new(c, topo, ac.clone()),
-            burst(12, 40_000),
-        );
-        report.assert_clean();
-        assert_eq!(report.granted + report.rejected, 300);
-        assert!(report.messages_lost > 0, "5% loss must actually drop");
-    }
-
-    #[test]
-    fn basic_search_survives_message_loss_with_retries() {
-        let t = topo();
-        let bc = adca_baselines::BasicSearchConfig {
-            retry_ticks: Some(2_000),
-            max_retries: 8,
-        };
-        let report = run_threaded(
-            t,
-            ThreadNetConfig {
-                drop_prob: 0.05,
-                ..cfg()
-            },
-            move |c, topo| BasicSearchNode::with_config(c, topo, bc.clone()),
-            burst(4, 20_000),
-        );
-        report.assert_clean();
-        assert_eq!(report.granted + report.rejected, 100);
-        assert!(report.messages_lost > 0);
-    }
-
-    #[test]
-    fn staggered_load_completes() {
-        let t = topo();
-        let mut arrivals = Vec::new();
-        for k in 0..200u64 {
-            arrivals.push(ThreadArrival::new(k * 50, CellId((k % 25) as u32), 5_000));
-        }
-        let ac = AdaptiveConfig::default();
-        let report = run_threaded(
-            t,
-            cfg(),
-            move |c, topo| AdaptiveNode::new(c, topo, ac.clone()),
-            arrivals,
-        );
-        report.assert_clean();
-        assert_eq!(report.granted, 200, "light load must grant everything");
-    }
-}

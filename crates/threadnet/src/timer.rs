@@ -1,9 +1,8 @@
 //! A shared timer wheel: one dispatcher thread, many timers.
 //!
-//! The first cut of this crate spawned one sleeper OS thread per
-//! protocol timer — fine for a validation driver, hopeless for a
-//! serving backend where every borrow round arms a retry timer. The
-//! [`TimerWheel`] replaces that with a single thread parked on a
+//! One sleeper OS thread per protocol timer is hopeless for a serving
+//! backend where every borrow round arms a retry timer. The
+//! [`TimerWheel`] is a single thread parked on a
 //! deadline min-heap: [`TimerWheel::schedule`] is a heap push, plus a
 //! condvar wake only when the new timer becomes the earliest deadline
 //! (the dispatcher is asleep until the old earliest one and must be
@@ -11,8 +10,8 @@
 //! The dispatcher invokes one caller-supplied callback per expired
 //! timer, in deadline order (FIFO among ties).
 //!
-//! Both the thread-per-cell driver in this crate and the production
-//! backend in `adca-serve` arm their timers here.
+//! The production backend in `adca-serve` and the wire client in
+//! `adca-wire` arm their timers here.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
