@@ -21,13 +21,13 @@
 //! sets, which transfers and claims preserve.
 
 use adca_core::codec;
-use adca_core::{CallQueue, LamportClock, Timestamp};
+use adca_core::{CallQueue, LamportClock, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{
     DecodeError, Effects, ProtocolState, Reader, RequestId, RequestKind, StateMachine, Writer,
 };
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Wire messages of the advanced search scheme.
 #[derive(Debug, Clone)]
@@ -80,7 +80,7 @@ pub enum AdvancedSearchMsg {
 #[derive(Debug, Clone)]
 enum SearchPhase {
     Collect {
-        remaining: BTreeSet<CellId>,
+        remaining: RegionMask,
         /// Union of region allocated sets.
         alloc_union: ChannelSet,
         /// Union of region used sets.
@@ -92,7 +92,7 @@ enum SearchPhase {
         /// The channel currently being transferred.
         ch: Channel,
         /// Owners that have not answered yet.
-        remaining: BTreeSet<CellId>,
+        remaining: RegionMask,
         /// Owners that sent AGREE (must be repaid with RELEASE if the
         /// group fails).
         agreed: Vec<CellId>,
@@ -119,6 +119,7 @@ pub struct AdvancedSearchNode {
     /// The initial (reuse-pattern) allotment — channels outside it are
     /// flagged as borrowed in trace events.
     initial: ChannelSet,
+    /// `IN_i`, sorted: a member's index is its [`RegionMask`] slot.
     region: Vec<CellId>,
     /// Channels this cell owns.
     allocated: ChannelSet,
@@ -137,6 +138,7 @@ impl AdvancedSearchNode {
     /// Creates the node for `cell`; the initial allocation is the reuse
     /// pattern's primary set.
     pub fn new(cell: CellId, topo: &Topology) -> Self {
+        RegionMask::assert_fits(cell, topo.region(cell).len());
         AdvancedSearchNode {
             me: cell,
             spectrum: topo.spectrum(),
@@ -198,7 +200,7 @@ impl AdvancedSearchNode {
         }
         // Query the region.
         let ts = self.clock.tick();
-        let remaining: BTreeSet<CellId> = self.region.iter().copied().collect();
+        let remaining = RegionMask::full(self.region.len());
         ctx.count("searches_started");
         let me = self.me;
         ctx.trace_with(|| TraceEvent::RoundStart {
@@ -220,8 +222,7 @@ impl AdvancedSearchNode {
             self.conclude_collect(ctx);
             return;
         }
-        for idx in 0..self.region.len() {
-            let j = self.region[idx];
+        for &j in &self.region {
             ctx.send(j, AdvancedSearchMsg::Request { ts });
         }
     }
@@ -308,12 +309,18 @@ impl AdvancedSearchNode {
             ch,
             attempt: 1,
         });
+        let mut remaining = RegionMask::default();
         for &owner in &owners {
             ctx.send(owner, AdvancedSearchMsg::Transfer { ch });
+            remaining.insert(
+                self.region
+                    .binary_search(&owner)
+                    .expect("transfer owners answered the collect round"),
+            );
         }
         self.search.as_mut().expect("search in flight").phase = SearchPhase::Transfer {
             ch,
-            remaining: owners.into_iter().collect(),
+            remaining,
             agreed: Vec::new(),
             kept: false,
             candidates,
@@ -328,6 +335,7 @@ impl AdvancedSearchNode {
         kept_reply: bool,
         ctx: &mut Effects<AdvancedSearchMsg>,
     ) {
+        let from_slot = self.region.binary_search(&from);
         let conclude = {
             let Some(search) = self.search.as_mut() else {
                 ctx.count("stale_responses");
@@ -358,7 +366,7 @@ impl AdvancedSearchNode {
                 }
                 return;
             }
-            if remaining.remove(&from) {
+            if from_slot.is_ok_and(|s| remaining.remove(s)) {
                 if kept_reply {
                     *kept = true;
                 } else {
@@ -524,7 +532,8 @@ impl StateMachine for AdvancedSearchNode {
                         ctx.count("stale_responses");
                         return;
                     };
-                    if !remaining.remove(&from) {
+                    let from_slot = self.region.binary_search(&from);
+                    if !from_slot.is_ok_and(|s| remaining.remove(s)) {
                         ctx.count("stale_responses");
                         return;
                     }
@@ -588,10 +597,7 @@ impl ProtocolState for AdvancedSearchNode {
                         idle_by_owner,
                     } => {
                         w.put_u8(0);
-                        w.put_len(remaining.len());
-                        for &j in remaining {
-                            w.put_cell(j);
-                        }
+                        codec::put_region_mask(w, *remaining, &self.region);
                         w.put_channel_set(alloc_union);
                         w.put_channel_set(used_union);
                         w.put_len(idle_by_owner.len());
@@ -609,10 +615,7 @@ impl ProtocolState for AdvancedSearchNode {
                     } => {
                         w.put_u8(1);
                         w.put_channel(*ch);
-                        w.put_len(remaining.len());
-                        for &j in remaining {
-                            w.put_cell(j);
-                        }
+                        codec::put_region_mask(w, *remaining, &self.region);
                         w.put_len(agreed.len());
                         for &j in agreed {
                             w.put_cell(j);
@@ -649,11 +652,7 @@ impl ProtocolState for AdvancedSearchNode {
             let started = r.get_time()?;
             let phase = match r.get_u8()? {
                 0 => {
-                    let n = r.get_len()?;
-                    let mut remaining = BTreeSet::new();
-                    for _ in 0..n {
-                        remaining.insert(r.get_cell()?);
-                    }
+                    let remaining = codec::get_region_mask(r, &self.region)?;
                     let alloc_union = r.get_channel_set()?;
                     let used_union = r.get_channel_set()?;
                     let k = r.get_len()?;
@@ -672,11 +671,7 @@ impl ProtocolState for AdvancedSearchNode {
                 }
                 1 => {
                     let ch = r.get_channel()?;
-                    let n = r.get_len()?;
-                    let mut remaining = BTreeSet::new();
-                    for _ in 0..n {
-                        remaining.insert(r.get_cell()?);
-                    }
+                    let remaining = codec::get_region_mask(r, &self.region)?;
                     let g = r.get_len()?;
                     let mut agreed = Vec::with_capacity(g);
                     for _ in 0..g {
@@ -690,7 +685,13 @@ impl ProtocolState for AdvancedSearchNode {
                         let o = r.get_len()?;
                         let mut owners = Vec::with_capacity(o);
                         for _ in 0..o {
-                            owners.push(r.get_cell()?);
+                            let owner = r.get_cell()?;
+                            if self.region.binary_search(&owner).is_err() {
+                                return Err(DecodeError::Corrupt(
+                                    "transfer owner outside the region",
+                                ));
+                            }
+                            owners.push(owner);
                         }
                         candidates.push_back((cand, owners));
                     }

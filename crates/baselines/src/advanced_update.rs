@@ -30,14 +30,14 @@
 //! and only affects boundary cells.
 
 use adca_core::codec;
-use adca_core::{CallQueue, LamportClock, NeighborView, Timestamp};
+use adca_core::{CallQueue, LamportClock, NeighborView, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{
     DecodeError, Effects, ProtocolState, Reader, RequestId, RequestKind, SimTime, StateMachine,
     Writer,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Wire messages of the advanced update scheme.
 #[derive(Debug, Clone)]
@@ -81,7 +81,7 @@ pub enum AdvancedUpdateMsg {
 struct Attempt {
     req: RequestId,
     ch: Channel,
-    remaining: BTreeSet<CellId>,
+    remaining: RegionMask,
     granted: Vec<CellId>,
     /// Any CondGrant or Reject seen.
     failed: bool,
@@ -94,12 +94,12 @@ struct Attempt {
 pub struct AdvancedUpdateNode {
     me: CellId,
     spectrum: Spectrum,
-    region: Vec<CellId>,
+    /// The shared system model: `PR_j` of region members.
+    topo: Topology,
     /// `PR_i`.
     primary: ChannelSet,
-    /// `PR_j` per region member (parallel to `region`).
-    pr_of: Vec<ChannelSet>,
     used: ChannelSet,
+    /// The region mirror; its `members()` is `IN_i`, sorted.
     view: NeighborView,
     clock: LamportClock,
     call_q: CallQueue,
@@ -119,16 +119,16 @@ pub struct AdvancedUpdateNode {
 impl AdvancedUpdateNode {
     /// Creates the node for `cell`.
     pub fn new(cell: CellId, topo: &Topology) -> Self {
-        let region = topo.region(cell).to_vec();
-        let pr_of: Vec<ChannelSet> = region.iter().map(|&j| topo.primary(j).clone()).collect();
+        let region = topo.region(cell);
+        RegionMask::assert_fits(cell, region.len());
         let borrowable = Self::compute_borrowable(cell, topo);
         AdvancedUpdateNode {
             me: cell,
             spectrum: topo.spectrum(),
+            topo: topo.clone(),
             primary: topo.primary(cell).clone(),
-            pr_of,
             used: topo.spectrum().empty_set(),
-            view: NeighborView::new(topo.spectrum(), &region),
+            view: NeighborView::new(topo.spectrum(), region),
             clock: LamportClock::new(cell),
             call_q: CallQueue::new(),
             attempt: None,
@@ -136,7 +136,6 @@ impl AdvancedUpdateNode {
             borrowable,
             serving_since: None,
             max_attempts: 16,
-            region,
         }
     }
 
@@ -188,19 +187,20 @@ impl AdvancedUpdateNode {
         &self.used
     }
 
-    /// The primary cells of `ch` within our region, with their indices.
-    fn primaries_of(&self, ch: Channel) -> Vec<CellId> {
-        self.region
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| self.pr_of[*idx].contains(ch))
-            .map(|(_, &j)| j)
-            .collect()
+    /// The primary cells of `ch` within our region, as region slots.
+    fn primaries_of(&self, ch: Channel) -> RegionMask {
+        let mut owners = RegionMask::default();
+        for (s, &j) in self.view.members().iter().enumerate() {
+            if self.topo.primary(j).contains(ch) {
+                owners.insert(s);
+            }
+        }
+        owners
     }
 
     /// Next borrowable candidate: free per local info, not yet tried, and
     /// in the precomputed witness-safe borrowable set.
-    fn pick_borrow(&self, tried: &ChannelSet) -> Option<(Channel, Vec<CellId>)> {
+    fn pick_borrow(&self, tried: &ChannelSet) -> Option<(Channel, RegionMask)> {
         let mut free = self.used.union(self.view.interference()).complement();
         free.intersect_with(&self.borrowable);
         free.subtract(tried);
@@ -232,8 +232,7 @@ impl AdvancedUpdateNode {
                 via: AcqPath::Local,
                 borrowed: false,
             });
-            for idx in 0..self.region.len() {
-                let j = self.region[idx];
+            for &j in self.view.members() {
                 ctx.send(j, AdvancedUpdateMsg::Acquisition { ch });
             }
             ctx.grant(req, ch);
@@ -263,7 +262,11 @@ impl AdvancedUpdateNode {
         };
         let ts = self.clock.tick();
         let me = self.me;
-        let lender = owners[0];
+        let region = self.view.members();
+        let lender = region[owners
+            .iter()
+            .next()
+            .expect("a borrowable channel has an owner in the region")];
         let attempt_no = attempts_so_far + 1;
         ctx.trace_with(|| TraceEvent::RoundStart {
             cell: me,
@@ -277,15 +280,15 @@ impl AdvancedUpdateNode {
             ch,
             attempt: attempt_no,
         });
-        for &p in &owners {
-            ctx.send(p, AdvancedUpdateMsg::Request { ch, ts });
+        for s in owners.iter() {
+            ctx.send(region[s], AdvancedUpdateMsg::Request { ch, ts });
         }
         ctx.sample("np_contacted", owners.len() as f64);
         self.attempt = Some(Attempt {
             req,
             ch,
-            remaining: owners.into_iter().collect(),
-            granted: Vec::new(),
+            remaining: owners,
+            granted: Vec::with_capacity(owners.len()),
             failed: false,
             attempts_so_far: attempts_so_far + 1,
             tried,
@@ -326,8 +329,7 @@ impl AdvancedUpdateNode {
             if let Some(started) = self.serving_since.take() {
                 ctx.sample("attempt_ticks", ctx.now().saturating_since(started) as f64);
             }
-            for idx in 0..self.region.len() {
-                let j = self.region[idx];
+            for &j in self.view.members() {
                 ctx.send(j, AdvancedUpdateMsg::Acquisition { ch: a.ch });
             }
             ctx.grant(a.req, a.ch);
@@ -374,8 +376,7 @@ impl StateMachine for AdvancedUpdateNode {
             ch,
             borrowed,
         });
-        for idx in 0..self.region.len() {
-            let j = self.region[idx];
+        for &j in self.view.members() {
             ctx.send(j, AdvancedUpdateMsg::Release { ch });
         }
     }
@@ -403,6 +404,7 @@ impl StateMachine for AdvancedUpdateNode {
                 }
             }
             AdvancedUpdateMsg::Grant { ch } => {
+                let from_slot = self.view.slot(from);
                 let conclude = {
                     let Some(a) = self.attempt.as_mut() else {
                         ctx.count("stale_responses");
@@ -412,7 +414,8 @@ impl StateMachine for AdvancedUpdateNode {
                         ctx.count("stale_responses");
                         return;
                     }
-                    if a.remaining.remove(&from) {
+                    // A grant from outside the owner set credits nobody.
+                    if from_slot.is_some_and(|s| a.remaining.remove(s)) {
                         a.granted.push(from);
                     }
                     a.remaining.is_empty()
@@ -422,6 +425,7 @@ impl StateMachine for AdvancedUpdateNode {
                 }
             }
             AdvancedUpdateMsg::CondGrant { ch } | AdvancedUpdateMsg::Reject { ch } => {
+                let from_slot = self.view.slot(from);
                 let conclude = {
                     let Some(a) = self.attempt.as_mut() else {
                         ctx.count("stale_responses");
@@ -431,7 +435,9 @@ impl StateMachine for AdvancedUpdateNode {
                         ctx.count("stale_responses");
                         return;
                     }
-                    a.remaining.remove(&from);
+                    if let Some(s) = from_slot {
+                        a.remaining.remove(s);
+                    }
                     a.failed = true;
                     a.remaining.is_empty()
                 };
@@ -474,10 +480,7 @@ impl ProtocolState for AdvancedUpdateNode {
                 w.put_bool(true);
                 w.put_u64(a.req.0);
                 w.put_channel(a.ch);
-                w.put_len(a.remaining.len());
-                for &j in &a.remaining {
-                    w.put_cell(j);
-                }
+                codec::put_region_mask(w, a.remaining, self.view.members());
                 w.put_len(a.granted.len());
                 for &j in &a.granted {
                     w.put_cell(j);
@@ -504,11 +507,7 @@ impl ProtocolState for AdvancedUpdateNode {
         self.attempt = if r.get_bool()? {
             let req = RequestId(r.get_u64()?);
             let ch = r.get_channel()?;
-            let n = r.get_len()?;
-            let mut remaining = BTreeSet::new();
-            for _ in 0..n {
-                remaining.insert(r.get_cell()?);
-            }
+            let remaining = codec::get_region_mask(r, self.view.members())?;
             let g = r.get_len()?;
             let mut granted = Vec::with_capacity(g);
             for _ in 0..g {

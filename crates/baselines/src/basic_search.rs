@@ -15,12 +15,11 @@
 //! (Table 1).
 
 use adca_core::codec;
-use adca_core::{CallQueue, LamportClock, Timestamp};
+use adca_core::{CallQueue, LamportClock, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, Writer};
-use std::collections::BTreeSet;
 use std::collections::VecDeque;
 
 /// Timeout/retry hardening knobs for the basic search scheme.
@@ -84,7 +83,7 @@ struct Search {
     req: RequestId,
     ts: Timestamp,
     started: adca_simkit::SimTime,
-    remaining: BTreeSet<CellId>,
+    remaining: RegionMask,
     /// Union of collected `Use_j` sets.
     seen_used: ChannelSet,
     /// Deadline expiries consumed so far.
@@ -101,6 +100,7 @@ pub struct BasicSearchNode {
     /// logic, kept so trace events can flag borrowed (non-primary)
     /// channels.
     primary: ChannelSet,
+    /// `IN_i`, sorted: a member's index is its [`RegionMask`] slot.
     region: Vec<CellId>,
     used: ChannelSet,
     clock: LamportClock,
@@ -123,6 +123,7 @@ impl BasicSearchNode {
 
     /// Creates the node for `cell` with explicit hardening knobs.
     pub fn with_config(cell: CellId, topo: &Topology, cfg: BasicSearchConfig) -> Self {
+        RegionMask::assert_fits(cell, topo.region(cell).len());
         BasicSearchNode {
             me: cell,
             cfg,
@@ -162,7 +163,7 @@ impl BasicSearchNode {
         };
         let ts = self.clock.tick();
         let started = ctx.now();
-        let remaining: BTreeSet<CellId> = self.region.iter().copied().collect();
+        let remaining = RegionMask::full(self.region.len());
         if remaining.is_empty() {
             // Degenerate: no interference region; pick from the spectrum.
             self.search = Some(Search {
@@ -176,8 +177,7 @@ impl BasicSearchNode {
             self.conclude(ctx);
             return;
         }
-        for idx in 0..self.region.len() {
-            let j = self.region[idx];
+        for &j in &self.region {
             ctx.send(j, BasicSearchMsg::Request { ts });
         }
         self.search = Some(Search {
@@ -346,7 +346,8 @@ impl StateMachine for BasicSearchNode {
                         return;
                     }
                     search.seen_used.union_with(&used);
-                    if search.remaining.remove(&from) {
+                    let from_slot = self.region.binary_search(&from);
+                    if from_slot.is_ok_and(|s| search.remaining.remove(s)) {
                         // Progress signal: with hardening on, reset the
                         // retry budget so exhaustion means consecutive
                         // *silent* deadlines, never a slow-but-advancing
@@ -389,15 +390,15 @@ impl StateMachine for BasicSearchNode {
             if retry {
                 s.retries += 1;
             }
-            (retry, s.ts, s.remaining.clone())
+            (retry, s.ts, s.remaining)
         };
         if retry {
             // Resend with the original timestamp so responders that
             // already answered see a duplicate, not a new younger
             // request, and the deferral order is unchanged.
             ctx.count("search_retries");
-            for j in remaining {
-                ctx.send(j, BasicSearchMsg::Request { ts });
+            for s in remaining.iter() {
+                ctx.send(self.region[s], BasicSearchMsg::Request { ts });
             }
             self.arm(ctx);
         } else {
@@ -437,10 +438,7 @@ impl ProtocolState for BasicSearchNode {
                 w.put_u64(s.req.0);
                 codec::put_timestamp(w, s.ts);
                 w.put_time(s.started);
-                w.put_len(s.remaining.len());
-                for &j in &s.remaining {
-                    w.put_cell(j);
-                }
+                codec::put_region_mask(w, s.remaining, &self.region);
                 w.put_channel_set(&s.seen_used);
                 w.put_u32(s.retries);
             }
@@ -463,11 +461,7 @@ impl ProtocolState for BasicSearchNode {
             let req = RequestId(r.get_u64()?);
             let ts = codec::get_timestamp(r)?;
             let started = r.get_time()?;
-            let n = r.get_len()?;
-            let mut remaining = BTreeSet::new();
-            for _ in 0..n {
-                remaining.insert(r.get_cell()?);
-            }
+            let remaining = codec::get_region_mask(r, &self.region)?;
             Some(Search {
                 req,
                 ts,

@@ -14,14 +14,13 @@
 //! the starvation the adaptive scheme's `α` bound eliminates.
 
 use adca_core::codec;
-use adca_core::{CallQueue, LamportClock, NeighborView, Timestamp};
+use adca_core::{CallQueue, LamportClock, NeighborView, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{
     DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, SimTime, Writer,
 };
-use std::collections::BTreeSet;
 
 /// Configuration of the basic update baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +97,7 @@ struct Attempt {
     req: RequestId,
     ts: Timestamp,
     ch: Channel,
-    remaining: BTreeSet<CellId>,
+    remaining: RegionMask,
     granted: Vec<CellId>,
     rejected: bool,
     /// We granted an older request for the same channel mid-round; our
@@ -118,8 +117,8 @@ pub struct BasicUpdateNode {
     /// Nominal primary allotment — unused by the scheme's logic, kept so
     /// trace events can flag borrowed (non-primary) channels.
     primary: ChannelSet,
-    region: Vec<CellId>,
     used: ChannelSet,
+    /// The region mirror; its `members()` is `IN_i`, sorted.
     view: NeighborView,
     clock: LamportClock,
     call_q: CallQueue,
@@ -134,21 +133,21 @@ pub struct BasicUpdateNode {
 impl BasicUpdateNode {
     /// Creates the node for `cell`.
     pub fn new(cell: CellId, topo: &Topology, cfg: BasicUpdateConfig) -> Self {
-        let region = topo.region(cell).to_vec();
+        let region = topo.region(cell);
+        RegionMask::assert_fits(cell, region.len());
         BasicUpdateNode {
             me: cell,
             cfg,
             spectrum: topo.spectrum(),
             primary: topo.primary(cell).clone(),
             used: topo.spectrum().empty_set(),
-            view: NeighborView::new(topo.spectrum(), &region),
+            view: NeighborView::new(topo.spectrum(), region),
             clock: LamportClock::new(cell),
             call_q: CallQueue::new(),
             attempt: None,
             serving_since: None,
             timer_epoch: 0,
             armed: None,
-            region,
         }
     }
 
@@ -192,15 +191,14 @@ impl BasicUpdateNode {
             return;
         };
         let ts = self.clock.tick();
-        let remaining: BTreeSet<CellId> = self.region.iter().copied().collect();
+        let remaining = RegionMask::full(self.view.members().len());
         if remaining.is_empty() {
             // No region: take it.
             self.used.insert(ch);
             self.finish(Some(ch), attempts_so_far + 1, DropCause::Blocked, ctx);
             return;
         }
-        for idx in 0..self.region.len() {
-            let j = self.region[idx];
+        for &j in self.view.members() {
             ctx.send(j, BasicUpdateMsg::Request { ch, ts });
         }
         self.attempt = Some(Attempt {
@@ -208,7 +206,7 @@ impl BasicUpdateNode {
             ts,
             ch,
             remaining,
-            granted: Vec::new(),
+            granted: Vec::with_capacity(remaining.len()),
             rejected: false,
             aborted: false,
             attempts_so_far: attempts_so_far + 1,
@@ -251,8 +249,7 @@ impl BasicUpdateNode {
                 ctx.count("acq_update");
                 ctx.sample("update_attempts", attempts as f64);
                 // Tell the whole region so their mirrors stay fresh.
-                for idx in 0..self.region.len() {
-                    let j = self.region[idx];
+                for &j in self.view.members() {
                     ctx.send(j, BasicUpdateMsg::Acquisition { ch });
                 }
                 ctx.grant(req, ch);
@@ -295,8 +292,7 @@ impl BasicUpdateNode {
             // Hardened: a Grant to us may have been lost after the
             // granter recorded the pledge; release to the whole region
             // (`clear_used` is an idempotent no-op for non-granters).
-            for idx in 0..self.region.len() {
-                let j = self.region[idx];
+            for &j in self.view.members() {
                 ctx.send(j, BasicUpdateMsg::Release { ch: attempt.ch });
             }
         } else {
@@ -341,8 +337,7 @@ impl StateMachine for BasicUpdateNode {
             ch,
             borrowed,
         });
-        for idx in 0..self.region.len() {
-            let j = self.region[idx];
+        for &j in self.view.members() {
             ctx.send(j, BasicUpdateMsg::Release { ch });
         }
     }
@@ -381,6 +376,8 @@ impl StateMachine for BasicUpdateNode {
                 // match the live round (timestamps are fresh per round);
                 // unhardened runs keep the original lax matching.
                 let strict = self.cfg.retry_ticks.is_some();
+                // `None`: a response from outside the region credits nobody.
+                let from_slot = self.view.slot(from);
                 let conclude = {
                     let Some(a) = self.attempt.as_mut() else {
                         ctx.count("stale_responses");
@@ -390,7 +387,7 @@ impl StateMachine for BasicUpdateNode {
                         ctx.count("stale_responses");
                         return;
                     }
-                    if a.remaining.remove(&from) {
+                    if from_slot.is_some_and(|s| a.remaining.remove(s)) {
                         a.granted.push(from);
                         // Progress: with hardening on, reset the retry
                         // budget so exhaustion means consecutive silent
@@ -406,6 +403,8 @@ impl StateMachine for BasicUpdateNode {
             }
             BasicUpdateMsg::Reject { ch, ts } => {
                 let strict = self.cfg.retry_ticks.is_some();
+                // `None`: a response from outside the region credits nobody.
+                let from_slot = self.view.slot(from);
                 let conclude = {
                     let Some(a) = self.attempt.as_mut() else {
                         ctx.count("stale_responses");
@@ -415,7 +414,7 @@ impl StateMachine for BasicUpdateNode {
                         ctx.count("stale_responses");
                         return;
                     }
-                    if a.remaining.remove(&from) {
+                    if from_slot.is_some_and(|s| a.remaining.remove(s)) {
                         a.retries = 0;
                     }
                     a.rejected = true;
@@ -448,14 +447,15 @@ impl StateMachine for BasicUpdateNode {
             if retry {
                 a.retries += 1;
             }
-            (retry, a.ch, a.ts, a.remaining.clone())
+            (retry, a.ch, a.ts, a.remaining)
         };
         if retry {
             // Resend with the original channel and timestamp: responders
             // that already answered see a duplicate, and the timestamp
             // conflict resolution is unchanged.
             ctx.count("update_retries");
-            for j in remaining {
+            for s in remaining.iter() {
+                let j = self.view.members()[s];
                 ctx.send(j, BasicUpdateMsg::Request { ch, ts });
             }
             self.arm(ctx);
@@ -465,8 +465,7 @@ impl StateMachine for BasicUpdateNode {
             // region-wide Release.
             ctx.count("update_retry_exhausted");
             let attempt = self.attempt.take().expect("attempt in flight");
-            for idx in 0..self.region.len() {
-                let j = self.region[idx];
+            for &j in self.view.members() {
                 ctx.send(j, BasicUpdateMsg::Release { ch: attempt.ch });
             }
             self.finish(
@@ -487,7 +486,7 @@ impl StateMachine for BasicUpdateNode {
         // pick is caught by the holder's Reject (`used.contains`), which
         // is the scheme's intrinsic conflict check.
         self.used = self.spectrum.empty_set();
-        self.view = NeighborView::new(self.spectrum, &self.region);
+        self.view.clear();
         self.call_q = CallQueue::new();
         self.attempt = None;
         self.serving_since = None;
@@ -513,10 +512,7 @@ impl ProtocolState for BasicUpdateNode {
                 w.put_u64(a.req.0);
                 codec::put_timestamp(w, a.ts);
                 w.put_channel(a.ch);
-                w.put_len(a.remaining.len());
-                for &j in &a.remaining {
-                    w.put_cell(j);
-                }
+                codec::put_region_mask(w, a.remaining, self.view.members());
                 w.put_len(a.granted.len());
                 for &j in &a.granted {
                     w.put_cell(j);
@@ -541,11 +537,7 @@ impl ProtocolState for BasicUpdateNode {
             let req = RequestId(r.get_u64()?);
             let ts = codec::get_timestamp(r)?;
             let ch = r.get_channel()?;
-            let n = r.get_len()?;
-            let mut remaining = BTreeSet::new();
-            for _ in 0..n {
-                remaining.insert(r.get_cell()?);
-            }
+            let remaining = codec::get_region_mask(r, self.view.members())?;
             let g = r.get_len()?;
             let mut granted = Vec::with_capacity(g);
             for _ in 0..g {

@@ -60,12 +60,26 @@ pub fn provenance_lines() -> String {
     )
 }
 
-/// Writes `rows` as `BENCH_engine.json`-style JSON to `path`.
+/// The process's peak resident set (`VmHWM`), MiB; `None` where
+/// `/proc/self/status` cannot be read.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// Writes `rows` as `BENCH_engine.json`-style JSON to `path`. The header
+/// carries the writing process's peak RSS so far — for a whole sweep,
+/// that of its largest grid.
 pub fn write_json(path: &str, rho: f64, repeat: u32, rows: &[BenchRow]) -> io::Result<()> {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"engine_throughput\",\n");
     s.push_str(&provenance_lines());
+    if let Some(mib) = peak_rss_mib() {
+        let _ = writeln!(s, "  \"peak_rss_mb\": {mib:.1},");
+    }
     s.push_str("  \"workload\": \"e9_scalability grid sweep\",\n");
     let _ = writeln!(s, "  \"rho\": {rho},");
     let _ = writeln!(s, "  \"repeat\": {repeat},");

@@ -44,6 +44,7 @@
 use crate::codec;
 use crate::config::{AdaptiveConfig, Mutation};
 use crate::lamport::{LamportClock, Timestamp};
+use crate::mask::RegionMask;
 use crate::nfc::NfcWindow;
 use crate::queue::CallQueue;
 use crate::view::NeighborView;
@@ -202,44 +203,6 @@ impl Deferred {
     }
 }
 
-/// Outstanding-response tracking for one protocol round: a bitmask over
-/// indices into the node's sorted `region` slice (interference regions
-/// are small — at most a few dozen members). Replaces a per-round
-/// `BTreeSet<CellId>` allocation on the hot path.
-#[derive(Debug, Clone, Copy)]
-struct RegionMask(u64);
-
-impl RegionMask {
-    /// All `n` region members outstanding.
-    fn full(n: usize) -> Self {
-        debug_assert!(n <= 64, "interference region exceeds mask width");
-        RegionMask(if n >= 64 { u64::MAX } else { (1u64 << n) - 1 })
-    }
-
-    /// Clears member `idx`; returns whether it was still outstanding.
-    fn remove(&mut self, idx: usize) -> bool {
-        let bit = 1u64 << idx;
-        let had = self.0 & bit != 0;
-        self.0 &= !bit;
-        had
-    }
-
-    /// Whether every member has responded.
-    fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Whether member `idx` is still outstanding.
-    fn contains(self, idx: usize) -> bool {
-        self.0 & (1u64 << idx) != 0
-    }
-
-    /// Outstanding member count.
-    fn len(self) -> u32 {
-        self.0.count_ones()
-    }
-}
-
 /// How the current acquisition attempt is waiting.
 #[derive(Debug, Clone)]
 enum Phase {
@@ -290,17 +253,14 @@ pub struct AdaptiveNode {
     cfg: AdaptiveConfig,
     me: CellId,
     spectrum: Spectrum,
-    /// `IN_i`, sorted.
-    region: Vec<CellId>,
+    /// The shared system model: `PR_j` and `IN_j` of region members,
+    /// for `Best()`.
+    topo: Topology,
     /// `PR_i`.
     pr: ChannelSet,
-    /// `PR_j` for each region member (parallel to `region`).
-    pr_of: Vec<ChannelSet>,
-    /// `IN_j` for each region member (parallel to `region`), for `Best()`.
-    region_of: Vec<Vec<CellId>>,
     /// `Use_i`.
     used: ChannelSet,
-    /// `U_j` and derived `I_i`.
+    /// `U_j` and derived `I_i`; its `members()` is `IN_i`, sorted.
     view: NeighborView,
     /// `NFC_i`.
     nfc: NfcWindow,
@@ -344,22 +304,15 @@ impl AdaptiveNode {
     /// Creates the node for `cell` with the given tunables.
     pub fn new(cell: CellId, topo: &Topology, cfg: AdaptiveConfig) -> Self {
         cfg.validate();
-        let region = topo.region(cell).to_vec();
-        assert!(
-            region.len() <= 64,
-            "interference region of {cell} has {} members; RegionMask holds 64",
-            region.len()
-        );
-        let pr_of = region.iter().map(|&j| topo.primary(j).clone()).collect();
-        let region_of = region.iter().map(|&j| topo.region(j).to_vec()).collect();
+        let region = topo.region(cell);
+        RegionMask::assert_fits(cell, region.len());
         AdaptiveNode {
             me: cell,
             spectrum: topo.spectrum(),
+            topo: topo.clone(),
             pr: topo.primary(cell).clone(),
-            pr_of,
-            region_of,
             used: topo.spectrum().empty_set(),
-            view: NeighborView::new(topo.spectrum(), &region),
+            view: NeighborView::new(topo.spectrum(), region),
             nfc: NfcWindow::new(cfg.window),
             mode: Mode::Local,
             update_subs: BTreeSet::new(),
@@ -372,7 +325,6 @@ impl AdaptiveNode {
             force_search: false,
             timer_epoch: 0,
             armed: None,
-            region,
             cfg,
         }
     }
@@ -566,8 +518,7 @@ impl AdaptiveNode {
                 cell: me,
                 borrowing: true,
             });
-            for idx in 0..self.region.len() {
-                let j = self.region[idx];
+            for &j in self.view.members() {
                 ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: true });
             }
         } else if self.mode == Mode::Borrowing && next >= self.cfg.theta_h {
@@ -584,8 +535,7 @@ impl AdaptiveNode {
                 cell: me,
                 borrowing: false,
             });
-            for idx in 0..self.region.len() {
-                let j = self.region[idx];
+            for &j in self.view.members() {
                 ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: false });
             }
         }
@@ -598,19 +548,22 @@ impl AdaptiveNode {
     fn best(&self) -> Option<(CellId, Channel)> {
         let mut best: Option<(CellId, Channel)> = None;
         let mut best_bn = usize::MAX;
-        for (idx, &j) in self.region.iter().enumerate() {
+        for &j in self.view.members() {
             if self.update_subs.contains(&j) {
                 continue; // j is itself borrowing
             }
             // PR_j ∩ Free_i = PR_j − Use_i − I_i, fused (no allocation).
-            let Some(ch) = self.pr_of[idx].first_excluding(&self.used, self.view.interference())
+            let Some(ch) = self
+                .topo
+                .primary(j)
+                .first_excluding(&self.used, self.view.interference())
             else {
                 continue;
             };
             let common_bn = self
                 .update_subs
                 .iter()
-                .filter(|b| self.region_of[idx].contains(b))
+                .filter(|b| self.topo.region(j).contains(b))
                 .count();
             if common_bn < best_bn {
                 best_bn = common_bn;
@@ -717,8 +670,7 @@ impl AdaptiveNode {
                     cell: me,
                     borrowing: true,
                 });
-                for idx in 0..self.region.len() {
-                    let j = self.region[idx];
+                for &j in self.view.members() {
                     ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: true });
                 }
             } else {
@@ -735,7 +687,7 @@ impl AdaptiveNode {
                     "θ_l ≥ 1 guarantees the switch when no primary is free"
                 );
             }
-            let remaining = RegionMask::full(self.region.len());
+            let remaining = RegionMask::full(self.view.members().len());
             if remaining.is_empty() {
                 // Degenerate single-cell system: retry immediately in
                 // borrowing mode.
@@ -787,9 +739,8 @@ impl AdaptiveNode {
                         a.round_seq += 1;
                         (a.ts, a.round_seq)
                     };
-                    let remaining = RegionMask::full(self.region.len());
-                    for idx in 0..self.region.len() {
-                        let j = self.region[idx];
+                    let remaining = RegionMask::full(self.view.members().len());
+                    for &j in self.view.members() {
                         ctx.send(
                             j,
                             AdaptiveMsg::Request {
@@ -803,7 +754,7 @@ impl AdaptiveNode {
                     a.phase = Phase::Update {
                         ch,
                         remaining,
-                        granted: Vec::new(),
+                        granted: Vec::with_capacity(remaining.len()),
                         rejected: false,
                     };
                     a.retries = 0;
@@ -847,7 +798,7 @@ impl AdaptiveNode {
             a.round_seq += 1;
             (a.ts, a.round_seq)
         };
-        let remaining = RegionMask::full(self.region.len());
+        let remaining = RegionMask::full(self.view.members().len());
         if remaining.is_empty() {
             // No interference region at all: anything free locally works
             // (and with nobody to resync from, recovery is trivially
@@ -860,8 +811,7 @@ impl AdaptiveNode {
             }
             return;
         }
-        for idx in 0..self.region.len() {
-            let j = self.region[idx];
+        for &j in self.view.members() {
             ctx.send(
                 j,
                 AdaptiveMsg::Request {
@@ -930,8 +880,7 @@ impl AdaptiveNode {
                 // ACQUISITION(1, i, r) to the whole region — including the
                 // failed-search r = −1 (ch = None) so responders decrement
                 // `waiting` (deviation note #4).
-                for idx in 0..self.region.len() {
-                    let j = self.region[idx];
+                for &j in self.view.members() {
                     ctx.send(j, AdaptiveMsg::Acquisition { search: true, ch });
                 }
                 self.mode = Mode::Borrowing;
@@ -1054,8 +1003,7 @@ impl AdaptiveNode {
             // leaving a pledge (`U_i ∋ ch`) at a granter not in our
             // `granted` list. Release to the whole region — `clear_used`
             // is an idempotent no-op at members who pledged nothing.
-            for idx in 0..self.region.len() {
-                let j = self.region[idx];
+            for &j in self.view.members() {
                 ctx.send(j, AdaptiveMsg::Release { ch });
             }
         } else {
@@ -1241,10 +1189,9 @@ impl AdaptiveNode {
             Search,
             StatusComplete,
         }
-        // `region` is sorted, so the sender's mask index is a binary
-        // search away; `None` means a response from outside the region
-        // (a no-op on `remaining`, as `BTreeSet::remove` used to be).
-        let from_slot = self.region.binary_search(&from).ok();
+        // `None` means a response from outside the region: a no-op on
+        // `remaining`.
+        let from_slot = self.view.slot(from);
         // Any credited response is a progress signal: with hardening on
         // it resets the retry budget, so exhaustion means α consecutive
         // deadlines with *no* signal for the live round (genuine loss or
@@ -1466,11 +1413,9 @@ impl StateMachine for AdaptiveNode {
             }
             Act::ResendStatus { remaining } => {
                 ctx.count("status_retries");
-                for idx in 0..self.region.len() {
-                    if remaining.contains(idx) {
-                        let j = self.region[idx];
-                        ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: true });
-                    }
+                for s in remaining.iter() {
+                    let j = self.view.members()[s];
+                    ctx.send(j, AdaptiveMsg::ChangeMode { borrowing: true });
                 }
                 self.arm_retry(ctx);
             }
@@ -1488,11 +1433,9 @@ impl StateMachine for AdaptiveNode {
                     let a = self.attempt.as_ref().expect("attempt set");
                     (a.ts, a.round_seq)
                 };
-                for idx in 0..self.region.len() {
-                    if remaining.contains(idx) {
-                        let j = self.region[idx];
-                        ctx.send(j, AdaptiveMsg::Request { update, ts, round });
-                    }
+                for s in remaining.iter() {
+                    let j = self.view.members()[s];
+                    ctx.send(j, AdaptiveMsg::Request { update, ts, round });
                 }
                 self.arm_retry(ctx);
             }
@@ -1531,7 +1474,7 @@ impl StateMachine for AdaptiveNode {
         // than pre-crash requests still in flight, inverting the
         // timestamp-deferral order that mutual exclusion rests on.
         self.used = self.spectrum.empty_set();
-        self.view = NeighborView::new(self.spectrum, &self.region);
+        self.view.clear();
         self.nfc = NfcWindow::new(self.cfg.window);
         let me = self.me;
         let from_mode = self.mode.index();
@@ -1575,8 +1518,7 @@ impl StateMachine for AdaptiveNode {
                 ctx.send(j, AdaptiveMsg::Release { ch });
             }
         } else {
-            for idx in 0..self.region.len() {
-                let j = self.region[idx];
+            for &j in self.view.members() {
                 ctx.send(j, AdaptiveMsg::Release { ch });
             }
         }
@@ -1692,7 +1634,7 @@ fn put_phase(w: &mut Writer, phase: &Phase) {
         Phase::WaitQuiet => w.put_u8(0),
         Phase::AwaitStatus { remaining } => {
             w.put_u8(1);
-            w.put_u64(remaining.0);
+            w.put_u64(remaining.bits());
         }
         Phase::Update {
             ch,
@@ -1702,7 +1644,7 @@ fn put_phase(w: &mut Writer, phase: &Phase) {
         } => {
             w.put_u8(2);
             w.put_channel(*ch);
-            w.put_u64(remaining.0);
+            w.put_u64(remaining.bits());
             w.put_len(granted.len());
             for &j in granted {
                 w.put_cell(j);
@@ -1711,18 +1653,15 @@ fn put_phase(w: &mut Writer, phase: &Phase) {
         }
         Phase::Search { remaining } => {
             w.put_u8(3);
-            w.put_u64(remaining.0);
+            w.put_u64(remaining.bits());
         }
     }
 }
 
 fn get_phase(r: &mut Reader<'_>, region_len: usize) -> Result<Phase, DecodeError> {
     let get_mask = |r: &mut Reader<'_>| -> Result<RegionMask, DecodeError> {
-        let bits = r.get_u64()?;
-        if bits & !RegionMask::full(region_len).0 != 0 {
-            return Err(DecodeError::Corrupt("region mask out of range"));
-        }
-        Ok(RegionMask(bits))
+        RegionMask::from_bits(r.get_u64()?, region_len)
+            .ok_or(DecodeError::Corrupt("region mask out of range"))
     };
     Ok(match r.get_u8()? {
         0 => Phase::WaitQuiet,
@@ -1888,7 +1827,7 @@ impl ProtocolState for AdaptiveNode {
                 req: RequestId(r.get_u64()?),
                 ts: codec::get_timestamp(r)?,
                 started: r.get_time()?,
-                phase: get_phase(r, self.region.len())?,
+                phase: get_phase(r, self.view.members().len())?,
                 retries: r.get_u32()?,
                 round_seq: r.get_u32()?,
             })

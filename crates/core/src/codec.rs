@@ -13,7 +13,7 @@
 //! returns [`DecodeError::Corrupt`] rather than panicking on malformed
 //! input.
 
-use crate::{CallQueue, LamportClock, NeighborView, NfcWindow, Timestamp};
+use crate::{CallQueue, LamportClock, NeighborView, NfcWindow, RegionMask, Timestamp};
 use adca_hexgrid::CellId;
 use adca_simkit::{DecodeError, Reader, RequestId, RequestKind, Writer};
 
@@ -113,8 +113,8 @@ pub fn put_view(w: &mut Writer, view: &NeighborView) {
     w.put_len(view.members().len());
     for &j in view.members() {
         w.put_cell(j);
-        w.put_channel_set(view.used_by(j));
-        w.put_channel_set(view.pledged_to(j));
+        w.put_channel_set(&view.used_by(j));
+        w.put_channel_set(&view.pledged_to(j));
     }
 }
 
@@ -142,6 +142,28 @@ pub fn get_view(r: &mut Reader<'_>, fresh: &mut NeighborView) -> Result<(), Deco
         }
     }
     Ok(())
+}
+
+/// Encodes the members of the sorted `region` still outstanding in
+/// `mask`, as a count and their ascending cell ids (the bytes the
+/// `BTreeSet<CellId>` this mask replaced produced).
+pub fn put_region_mask(w: &mut Writer, mask: RegionMask, region: &[CellId]) {
+    w.put_len(mask.len());
+    for s in mask.iter() {
+        w.put_cell(region[s]);
+    }
+}
+
+/// Decodes a [`put_region_mask`] list back into slots of `region`.
+pub fn get_region_mask(r: &mut Reader<'_>, region: &[CellId]) -> Result<RegionMask, DecodeError> {
+    let mut mask = RegionMask::default();
+    for _ in 0..r.get_len()? {
+        let slot = region
+            .binary_search(&r.get_cell()?)
+            .map_err(|_| DecodeError::Corrupt("outstanding cell outside the region"))?;
+        mask.insert(slot);
+    }
+    Ok(mask)
 }
 
 #[cfg(test)]
@@ -216,6 +238,40 @@ mod tests {
             assert_eq!(fresh.pledged_to(j), v.pledged_to(j), "pledges of {j}");
         }
         assert_eq!(fresh.interference(), v.interference());
+    }
+
+    #[test]
+    fn region_mask_round_trips_as_ascending_ids() {
+        let region = [CellId(1), CellId(2), CellId(5), CellId(9)];
+        let mut mask = RegionMask::full(4);
+        mask.remove(1);
+        let got = round_trip(
+            |w| put_region_mask(w, mask, &region),
+            |r| get_region_mask(r, &region),
+        );
+        assert_eq!(got, mask);
+        // The wire form is the id list a `BTreeSet<CellId>` wrote.
+        let mut by_mask = Writer::new();
+        put_region_mask(&mut by_mask, mask, &region);
+        let mut by_ids = Writer::new();
+        by_ids.put_len(3);
+        for j in [CellId(1), CellId(5), CellId(9)] {
+            by_ids.put_cell(j);
+        }
+        assert_eq!(by_mask.finish(), by_ids.finish());
+    }
+
+    #[test]
+    fn region_mask_rejects_a_foreign_cell() {
+        let mut w = Writer::new();
+        w.put_len(1);
+        w.put_cell(CellId(3));
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes).unwrap();
+        assert!(matches!(
+            get_region_mask(&mut r, &[CellId(1), CellId(5)]),
+            Err(DecodeError::Corrupt(_))
+        ));
     }
 
     #[test]

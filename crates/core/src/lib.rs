@@ -20,7 +20,8 @@
 //!
 //! Shared protocol infrastructure used by the baseline schemes as well
 //! lives here: Lamport timestamps ([`lamport`]), the reference-counted
-//! interference view `I_i`/`U_j` ([`view`]), and the per-node FIFO of
+//! interference view `I_i`/`U_j` ([`view`]), the per-round mask of region
+//! members still to answer ([`mask`]), and the per-node FIFO of
 //! outstanding call requests ([`queue`]).
 //!
 //! See `DESIGN.md` at the repository root for the list of documented
@@ -34,6 +35,7 @@ pub mod adaptive;
 pub mod codec;
 pub mod config;
 pub mod lamport;
+pub mod mask;
 pub mod nfc;
 pub mod queue;
 pub mod view;
@@ -41,6 +43,7 @@ pub mod view;
 pub use adaptive::{AdaptiveMsg, AdaptiveNode, Mode};
 pub use config::{AdaptiveConfig, Mutation};
 pub use lamport::{LamportClock, Timestamp};
+pub use mask::RegionMask;
 pub use nfc::NfcWindow;
 pub use queue::CallQueue;
 pub use view::NeighborView;

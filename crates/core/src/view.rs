@@ -22,78 +22,137 @@
 //!    therefore tracked as *pledges*: they count toward `I_i`, survive
 //!    snapshot replacement, and are resolved by the requester's
 //!    ACQUISITION (upgrade to a real use) or RELEASE (cancelled round).
+//!
+//! # Layout
+//!
+//! A member's index in the sorted `IN_i` is its **region slot** — the one
+//! address for per-neighbour state here and in [`RegionMask`](crate::RegionMask).
+//! Every receive in an update-style scheme resolves a sender to its slot
+//! and touches that member's words, one refcount and `I_i`, so all of it
+//! sits in one `u64` block per cell (bytes packed eight to a word):
+//!
+//! ```text
+//! [ (U_j, pledged_j) word pairs, slot-major | refcount bytes | slot bytes ]
+//! ```
+//!
+//! The slot bytes cover only the region's *id span* (`max − min + 1` ids:
+//! `4·cols + 5` on an open grid, about `n` on a torus), not every cell
+//! id, so a run's views grow linearly with the grid.
 
+use crate::mask::set_bits;
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum};
+use std::sync::Arc;
 
 /// Tracks `U_j` (uses + pledges) for every `j ∈ IN_i` and derives
 /// `I_i = ∪_j (U_j ∪ pledged_j)` with per-channel reference counts.
 #[derive(Debug, Clone)]
 pub struct NeighborView {
-    /// Region members, sorted by id (binary-searchable).
-    members: Vec<CellId>,
-    /// Member id → slot index (`NOT_A_MEMBER` for foreign cells). Every
-    /// broadcast receive resolves a sender to its slot, so this is a
-    /// dense O(1) table instead of a binary search.
-    slot_of: Vec<u16>,
-    /// Confirmed `U_j` per member, parallel to `members`.
-    used: Vec<ChannelSet>,
-    /// Granted-but-unconfirmed channels per member.
-    pledged: Vec<ChannelSet>,
-    /// How many members currently use-or-hold each channel.
-    refcount: Vec<u16>,
-    /// Cached `I_i`: channels with `refcount > 0`.
+    /// Region members, sorted by id; shared by clones (it never changes).
+    members: Arc<[CellId]>,
+    /// The flat state block (see the module docs).
+    block: Box<[u64]>,
+    /// Words per channel set.
+    set_words: usize,
+    /// Word offset of the refcount bytes: how many members currently
+    /// use-or-hold each channel.
+    rc_off: usize,
+    /// Word offset of the slot bytes: `slot + 1` for the member whose id
+    /// is `lo + i`, `0` for a foreign id.
+    slot_off: usize,
+    /// Lowest member id and the number of ids the slot bytes cover.
+    lo: usize,
+    span: usize,
+    /// Cached `I_i`: channels with a non-zero refcount.
     interference: ChannelSet,
 }
 
-const NOT_A_MEMBER: u16 = u16::MAX;
+/// Slots and refcounts are bytes (`slot + 1 ≤ 255`, refcount ≤ members).
+const MAX_MEMBERS: usize = 255;
+
+#[inline]
+fn byte_at(block: &[u64], base: usize, i: usize) -> u8 {
+    (block[base + i / 8] >> (i % 8 * 8)) as u8
+}
 
 impl NeighborView {
     /// Creates an empty view over a sorted region membership list.
+    ///
+    /// # Panics
+    /// Panics if `region` is not strictly ascending or has more than 255
+    /// members.
     pub fn new(spectrum: Spectrum, region: &[CellId]) -> Self {
-        debug_assert!(
+        assert!(
             region.windows(2).all(|w| w[0] < w[1]),
             "region must be sorted"
         );
-        let table_len = region.last().map_or(0, |c| c.index() + 1);
-        let mut slot_of = vec![NOT_A_MEMBER; table_len];
+        assert!(
+            region.len() <= MAX_MEMBERS,
+            "interference region has {} members; NeighborView packs slots and refcounts into bytes",
+            region.len()
+        );
+        let set_words = (spectrum.len() as usize).div_ceil(64);
+        let lo = region.first().map_or(0, |c| c.index());
+        let span = region.last().map_or(0, |c| c.index() - lo + 1);
+        let rc_off = 2 * set_words * region.len();
+        let slot_off = rc_off + (spectrum.len() as usize).div_ceil(8);
+        let mut block = vec![0u64; slot_off + span.div_ceil(8)].into_boxed_slice();
         for (s, j) in region.iter().enumerate() {
-            slot_of[j.index()] = s as u16;
+            let i = j.index() - lo;
+            block[slot_off + i / 8] |= (s as u64 + 1) << (i % 8 * 8);
         }
         NeighborView {
-            members: region.to_vec(),
-            slot_of,
-            used: vec![spectrum.empty_set(); region.len()],
-            pledged: vec![spectrum.empty_set(); region.len()],
-            refcount: vec![0; spectrum.len() as usize],
+            members: region.into(),
+            block,
+            set_words,
+            rc_off,
+            slot_off,
+            lo,
+            span,
             interference: spectrum.empty_set(),
         }
     }
 
+    /// The region slot of `j` (its index in [`members`](Self::members)),
+    /// or `None` for a cell outside the region. O(1).
     #[inline]
-    fn slot(&self, j: CellId) -> usize {
-        match self.slot_of.get(j.index()) {
-            Some(&s) if s != NOT_A_MEMBER => s as usize,
-            _ => panic!("{j} is not in this interference region"),
+    pub fn slot(&self, j: CellId) -> Option<usize> {
+        let i = j.index().wrapping_sub(self.lo);
+        if i >= self.span {
+            return None;
         }
+        (byte_at(&self.block, self.slot_off, i) as usize).checked_sub(1)
     }
 
     #[inline]
-    fn holds(&self, s: usize, ch: Channel) -> bool {
-        self.used[s].contains(ch) || self.pledged[s].contains(ch)
+    fn member_slot(&self, j: CellId) -> usize {
+        self.slot(j)
+            .unwrap_or_else(|| panic!("{j} is not in this interference region"))
+    }
+
+    /// Block index of the `U_j` word holding `ch` for slot `s` (its
+    /// pledged twin is the next word) and the channel's bit in it.
+    #[inline]
+    fn locate(&self, s: usize, ch: Channel) -> (usize, u64) {
+        debug_assert!(
+            ch.0 < self.interference.capacity(),
+            "channel {ch} out of range {}",
+            self.interference.capacity()
+        );
+        let i = 2 * (s * self.set_words + ch.index() / 64);
+        (i, 1u64 << (ch.index() % 64))
     }
 
     #[inline]
     fn incr(&mut self, ch: Channel) {
-        self.refcount[ch.index()] += 1;
+        self.block[self.rc_off + ch.index() / 8] += 1 << (ch.index() % 8 * 8);
         self.interference.insert(ch);
     }
 
     #[inline]
     fn decr(&mut self, ch: Channel) {
-        let rc = &mut self.refcount[ch.index()];
-        debug_assert!(*rc > 0);
-        *rc -= 1;
-        if *rc == 0 {
+        debug_assert!(byte_at(&self.block, self.rc_off, ch.index()) > 0);
+        self.block[self.rc_off + ch.index() / 8] -= 1 << (ch.index() % 8 * 8);
+        if byte_at(&self.block, self.rc_off, ch.index()) == 0 {
             self.interference.remove(ch);
         }
     }
@@ -102,14 +161,14 @@ impl NeighborView {
     /// grant in schemes without snapshot messages). Upgrades an existing
     /// pledge in place. Idempotent.
     pub fn set_used(&mut self, j: CellId, ch: Channel) -> bool {
-        let s = self.slot(j);
-        let held_before = self.holds(s, ch);
-        self.pledged[s].remove(ch);
-        let inserted = self.used[s].insert(ch);
-        if inserted && !held_before {
+        let (i, bit) = self.locate(self.member_slot(j), ch);
+        let fresh = (self.block[i] | self.block[i + 1]) & bit == 0;
+        self.block[i] |= bit;
+        self.block[i + 1] &= !bit;
+        if fresh {
             self.incr(ch);
         }
-        inserted && !held_before
+        fresh
     }
 
     /// Records a *pledge*: `ch` granted to `j` but not yet confirmed.
@@ -123,25 +182,24 @@ impl NeighborView {
     /// snapshot, un-protecting an in-flight grant; that exact interleaving
     /// produced an audited interference violation in simulation.)
     pub fn pledge(&mut self, j: CellId, ch: Channel) -> bool {
-        let s = self.slot(j);
-        if self.pledged[s].contains(ch) {
-            return false;
+        let (i, bit) = self.locate(self.member_slot(j), ch);
+        let fresh = (self.block[i] | self.block[i + 1]) & bit == 0;
+        // A demotion keeps union membership: no recount.
+        self.block[i] &= !bit;
+        self.block[i + 1] |= bit;
+        if fresh {
+            self.incr(ch);
         }
-        if self.used[s].remove(ch) {
-            // Demotion: union membership unchanged, no recount.
-            self.pledged[s].insert(ch);
-            return false;
-        }
-        self.pledged[s].insert(ch);
-        self.incr(ch);
-        true
+        fresh
     }
 
     /// Clears channel `ch` for `j` — whether a confirmed use or a pledge
     /// (a RELEASE message covers both cases). Idempotent.
     pub fn clear_used(&mut self, j: CellId, ch: Channel) -> bool {
-        let s = self.slot(j);
-        let held = self.used[s].remove(ch) | self.pledged[s].remove(ch);
+        let (i, bit) = self.locate(self.member_slot(j), ch);
+        let held = (self.block[i] | self.block[i + 1]) & bit != 0;
+        self.block[i] &= !bit;
+        self.block[i + 1] &= !bit;
         if held {
             self.decr(ch);
         }
@@ -152,41 +210,34 @@ impl NeighborView {
     /// full `Use_j`). Pledges survive unless the snapshot confirms them
     /// (in which case they upgrade to uses).
     pub fn replace(&mut self, j: CellId, new_set: &ChannelSet) {
-        let s = self.slot(j);
-        // Split borrows: the diff walks `used[s]`/`new_set` while the
-        // pledge set and refcounts update — no temporaries needed. (A
-        // pledge confirmed by the snapshot is necessarily in
-        // `new − old`, because uses and pledges are disjoint.)
-        let NeighborView {
-            used,
-            pledged,
-            refcount,
-            interference,
-            ..
-        } = self;
-        let old = &mut used[s];
-        let pl = &mut pledged[s];
-        // Channels the snapshot adds: confirm the pledge (pledged → used
-        // keeps union membership, so no recount) or count a fresh use.
-        for ch in new_set.iter_difference(old) {
-            if !pl.remove(ch) {
-                refcount[ch.index()] += 1;
-                interference.insert(ch);
+        debug_assert_eq!(new_set.capacity(), self.interference.capacity());
+        let base = 2 * self.member_slot(j) * self.set_words;
+        for (w, &new) in new_set.words().iter().enumerate() {
+            let i = base + 2 * w;
+            let (old, pledged) = (self.block[i], self.block[i + 1]);
+            // Channels the snapshot adds: confirm the pledge (pledged →
+            // used keeps union membership, so no recount) or count a
+            // fresh use. Channels it drops: uncount unless pledged
+            // (pledges survive snapshot replacement — see the module
+            // docs).
+            let added = new & !old;
+            let dropped = old & !new & !pledged;
+            self.block[i] = new;
+            self.block[i + 1] = pledged & !added;
+            let channels = |bits: u64| set_bits(bits).map(move |b| Channel((w * 64 + b) as u16));
+            for ch in channels(added & !pledged) {
+                self.incr(ch);
+            }
+            for ch in channels(dropped) {
+                self.decr(ch);
             }
         }
-        // Channels the snapshot drops: uncount unless pledged (pledges
-        // survive snapshot replacement — see the module docs).
-        for ch in old.iter_difference(new_set) {
-            if !pl.contains(ch) {
-                let rc = &mut refcount[ch.index()];
-                debug_assert!(*rc > 0);
-                *rc -= 1;
-                if *rc == 0 {
-                    interference.remove(ch);
-                }
-            }
-        }
-        old.copy_from(new_set);
+    }
+
+    /// Forgets every use and pledge (a restarted node's view).
+    pub fn clear(&mut self) {
+        self.block[..self.slot_off].fill(0);
+        self.interference.clear();
     }
 
     /// The derived interference set `I_i` (uses ∪ pledges).
@@ -195,44 +246,61 @@ impl NeighborView {
         &self.interference
     }
 
+    fn set_of(&self, j: CellId, pledged: usize) -> ChannelSet {
+        let base = 2 * self.member_slot(j) * self.set_words + pledged;
+        ChannelSet::from_words(
+            self.interference.capacity(),
+            (0..self.set_words).map(|w| self.block[base + 2 * w]),
+        )
+    }
+
     /// The tracked confirmed `U_j` for member `j`.
-    pub fn used_by(&self, j: CellId) -> &ChannelSet {
-        &self.used[self.slot(j)]
+    pub fn used_by(&self, j: CellId) -> ChannelSet {
+        self.set_of(j, 0)
     }
 
     /// The outstanding pledges to member `j`.
-    pub fn pledged_to(&self, j: CellId) -> &ChannelSet {
-        &self.pledged[self.slot(j)]
+    pub fn pledged_to(&self, j: CellId) -> ChannelSet {
+        self.set_of(j, 1)
     }
 
-    /// The region membership.
+    /// The region membership, sorted by id (index = region slot).
+    #[inline]
     pub fn members(&self) -> &[CellId] {
         &self.members
     }
 
     /// Whether `j` is a region member.
+    #[inline]
     pub fn contains_member(&self, j: CellId) -> bool {
-        self.slot_of
-            .get(j.index())
-            .is_some_and(|&s| s != NOT_A_MEMBER)
+        self.slot(j).is_some()
     }
 
     /// Internal consistency check (used by tests/proptests): refcounts
-    /// and the cached set match the per-member sets, and no channel is
-    /// both used and pledged for one member.
+    /// and the cached set match the per-member sets, no channel is both
+    /// used and pledged for one member, and the slot bytes are exactly
+    /// the member list.
     pub fn check_invariants(&self) -> bool {
-        let mut counts = vec![0u16; self.refcount.len()];
-        for (u, p) in self.used.iter().zip(&self.pledged) {
-            if !u.is_disjoint(p) {
+        let nch = self.interference.capacity() as usize;
+        let mut counts = vec![0u8; nch];
+        for &j in self.members.iter() {
+            let (u, p) = (self.used_by(j), self.pledged_to(j));
+            if !u.is_disjoint(&p) {
                 return false;
             }
-            for ch in u.union(p).iter() {
+            for ch in u.union(&p).iter() {
                 counts[ch.index()] += 1;
             }
         }
-        counts == self.refcount
-            && (0..self.refcount.len())
-                .all(|i| (self.refcount[i] > 0) == self.interference.contains(Channel(i as u16)))
+        let slots_ok = (0..self.span).all(|i| {
+            let id = CellId((self.lo + i) as u32);
+            self.slot(id) == self.members.binary_search(&id).ok()
+        });
+        slots_ok
+            && (0..nch).all(|c| {
+                let rc = byte_at(&self.block, self.rc_off, c);
+                rc == counts[c] && (rc > 0) == self.interference.contains(Channel(c as u16))
+            })
     }
 }
 
@@ -285,7 +353,7 @@ mod tests {
         assert!(!v.interference().contains(Channel(1)), "1 dropped");
         assert!(v.interference().contains(Channel(2)), "2 kept (both)");
         assert!(v.interference().contains(Channel(9)), "9 added");
-        assert_eq!(v.used_by(CellId(2)), &new_set);
+        assert_eq!(v.used_by(CellId(2)), new_set);
         assert!(v.check_invariants());
         // Replacing with empty clears only cell2's contribution.
         v.replace(CellId(2), &ChannelSet::new(16));
@@ -393,6 +461,54 @@ mod tests {
         assert!(v.contains_member(CellId(2)));
         assert!(!v.contains_member(CellId(3)));
         assert_eq!(v.members(), &[CellId(1), CellId(2), CellId(5)]);
+    }
+
+    #[test]
+    fn slots_follow_the_sorted_member_list() {
+        let v = view();
+        assert_eq!(v.slot(CellId(1)), Some(0));
+        assert_eq!(v.slot(CellId(2)), Some(1));
+        assert_eq!(v.slot(CellId(5)), Some(2));
+        for foreign in [0, 3, 4, 6, 1_000_000] {
+            assert_eq!(v.slot(CellId(foreign)), None);
+        }
+    }
+
+    #[test]
+    fn clear_forgets_uses_and_pledges() {
+        let mut v = view();
+        v.set_used(CellId(1), Channel(3));
+        v.set_used(CellId(5), Channel(3));
+        v.pledge(CellId(2), Channel(9));
+        v.clear();
+        assert!(v.interference().is_empty());
+        assert!(v.used_by(CellId(1)).is_empty() && v.pledged_to(CellId(2)).is_empty());
+        assert!(v.check_invariants());
+        assert_eq!(v.slot(CellId(5)), Some(2), "membership survives");
+        assert!(
+            v.set_used(CellId(5), Channel(3)),
+            "counts restart from zero"
+        );
+    }
+
+    #[test]
+    fn byte_widths_are_enforced_at_construction() {
+        let ids = |n: u32| (0..n).map(|i| CellId(2 * i)).collect::<Vec<_>>();
+        let mut v = NeighborView::new(Spectrum::new(8), &ids(255));
+        // Every member on one channel: the refcount byte reaches 255.
+        for j in ids(255) {
+            assert!(v.set_used(j, Channel(7)));
+        }
+        assert!(v.check_invariants());
+        assert_eq!(v.slot(CellId(508)), Some(254));
+        let too_many = std::panic::catch_unwind(|| NeighborView::new(Spectrum::new(8), &ids(256)));
+        assert!(too_many.is_err(), "256 members do not fit byte slots");
+    }
+
+    #[test]
+    #[should_panic(expected = "region must be sorted")]
+    fn unsorted_region_panics() {
+        NeighborView::new(Spectrum::new(16), &[CellId(2), CellId(1)]);
     }
 
     #[test]

@@ -135,6 +135,32 @@ fn resume_above_the_dense_link_limit_is_bit_identical() {
 }
 
 #[test]
+fn resume_on_a_torus_is_bit_identical() {
+    // On a wrapped grid a region reaches both ends of the id range, so
+    // a `NeighborView`'s slot table spans about all n ids (on an open
+    // grid it spans 4·cols + 5): 14×14 round-trips that shape through
+    // every scheme that keeps a view.
+    let horizon = 4_000;
+    let sc = Scenario::uniform(0.9, horizon)
+        .with_grid(14, 14)
+        .with_wrap()
+        .with_workload(WorkloadSpec::uniform(0.9, 1_000.0, horizon));
+    for kind in [
+        SchemeKind::Adaptive,
+        SchemeKind::BasicUpdate,
+        SchemeKind::AdvancedUpdate,
+    ] {
+        let cold = sc.run(kind);
+        let split = sc.run_split(kind, horizon / 2);
+        assert_eq!(
+            cold.report, split.report,
+            "{kind}: 14×14 torus snapshot/restore at T/2 diverged from the cold run"
+        );
+        assert!(cold.report.messages_total > 0, "{kind}: no link was used");
+    }
+}
+
+#[test]
 fn resume_with_partitions_is_bit_identical() {
     // Partitions use an *optional* snapshot section (absent on
     // partition-free runs); this pins that the section round-trips: a

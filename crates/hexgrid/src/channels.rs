@@ -130,9 +130,12 @@ impl ChannelSet {
         (self.nbits as usize).div_ceil(WORD_BITS)
     }
 
-    /// The live storage words (exactly `nwords()` of them).
+    /// The live storage words, least-significant channel first: exactly
+    /// `capacity().div_ceil(64)` of them, bits past `capacity()` zero.
+    /// For callers that keep many sets in one flat block (`adca-core`'s
+    /// per-cell `NeighborView`).
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[u64] {
         match &self.words {
             Words::Inline(a) => &a[..self.nwords()],
             Words::Spill(v) => v,
@@ -147,6 +150,27 @@ impl ChannelSet {
             Words::Inline(a) => &mut a[..n],
             Words::Spill(v) => v,
         }
+    }
+
+    /// Builds a set from its storage words (the inverse of
+    /// [`words`](Self::words)); missing words are empty, bits past
+    /// `nbits` are dropped.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use adca_hexgrid::{Channel, ChannelSet};
+    ///
+    /// let s = ChannelSet::from_iter_sized(70, [1, 64, 69].map(Channel));
+    /// assert_eq!(ChannelSet::from_words(70, s.words().iter().copied()), s);
+    /// ```
+    pub fn from_words<I: IntoIterator<Item = u64>>(nbits: u16, words: I) -> Self {
+        let mut s = ChannelSet::new(nbits);
+        for (dst, w) in s.words_mut().iter_mut().zip(words) {
+            *dst = w;
+        }
+        s.mask_tail();
+        s
     }
 
     /// Builds a set from an iterator of channels.

@@ -11,10 +11,20 @@
 use crate::channels::{ChannelSet, Spectrum};
 use crate::grid::{CellId, HexGrid};
 use crate::reuse::{partition_spectrum, ReusePattern};
+use std::sync::Arc;
 
 /// Immutable description of the cellular system under simulation.
+///
+/// A handle onto shared tables: `clone()` is a reference-count bump, so
+/// a protocol node that needs its neighbours' regions or primary sets
+/// keeps a clone instead of copying rows per cell.
 #[derive(Debug, Clone)]
 pub struct Topology {
+    inner: Arc<Tables>,
+}
+
+#[derive(Debug)]
+struct Tables {
     grid: HexGrid,
     spectrum: Spectrum,
     pattern: ReusePattern,
@@ -51,61 +61,61 @@ impl Topology {
     /// The underlying hex grid.
     #[inline]
     pub fn grid(&self) -> &HexGrid {
-        &self.grid
+        &self.inner.grid
     }
 
     /// Number of cells.
     #[inline]
     pub fn num_cells(&self) -> usize {
-        self.grid.len()
+        self.inner.grid.len()
     }
 
     /// Iterates over all cells.
     pub fn cells(&self) -> impl Iterator<Item = CellId> {
-        self.grid.cells()
+        self.inner.grid.cells()
     }
 
     /// The channel spectrum.
     #[inline]
     pub fn spectrum(&self) -> Spectrum {
-        self.spectrum
+        self.inner.spectrum
     }
 
     /// The reuse pattern in force.
     #[inline]
     pub fn pattern(&self) -> ReusePattern {
-        self.pattern
+        self.inner.pattern
     }
 
     /// The interference radius (minimum reuse distance) in cells.
     #[inline]
     pub fn interference_radius(&self) -> u32 {
-        self.interference_radius
+        self.inner.interference_radius
     }
 
     /// The interference region `IN_i`: all cells within the reuse distance
     /// of `cell`, excluding `cell`, sorted by id.
     #[inline]
     pub fn region(&self, cell: CellId) -> &[CellId] {
-        &self.regions[cell.index()]
+        &self.inner.regions[cell.index()]
     }
 
     /// Whether `other ∈ IN_cell`.
     #[inline]
     pub fn in_region(&self, cell: CellId, other: CellId) -> bool {
-        self.in_region[cell.index()][other.index()]
+        self.inner.in_region[cell.index()][other.index()]
     }
 
     /// The reuse color of `cell`.
     #[inline]
     pub fn color(&self, cell: CellId) -> u32 {
-        self.colors[cell.index()]
+        self.inner.colors[cell.index()]
     }
 
     /// The primary channel set `PR_cell`.
     #[inline]
     pub fn primary(&self, cell: CellId) -> &ChannelSet {
-        &self.primary[cell.index()]
+        &self.inner.primary[cell.index()]
     }
 
     /// The cells for which `other`'s color makes them primary owners of
@@ -126,13 +136,13 @@ impl Topology {
     /// The largest interference region size in this topology (the paper's
     /// `N`; 18 for interior cells at radius 2).
     pub fn max_region_size(&self) -> usize {
-        self.regions.iter().map(Vec::len).max().unwrap_or(0)
+        self.inner.regions.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Hex distance between two cells.
     #[inline]
     pub fn distance(&self, a: CellId, b: CellId) -> u32 {
-        self.grid.distance(a, b)
+        self.inner.grid.distance(a, b)
     }
 }
 
@@ -230,14 +240,16 @@ impl TopologyBuilder {
         let sets = partition_spectrum(self.spectrum, self.pattern.cluster_size());
         let primary: Vec<ChannelSet> = colors.iter().map(|&c| sets[c as usize].clone()).collect();
         Topology {
-            grid,
-            spectrum: self.spectrum,
-            pattern: self.pattern,
-            interference_radius: self.interference_radius,
-            regions,
-            in_region,
-            colors,
-            primary,
+            inner: Arc::new(Tables {
+                grid,
+                spectrum: self.spectrum,
+                pattern: self.pattern,
+                interference_radius: self.interference_radius,
+                regions,
+                in_region,
+                colors,
+                primary,
+            }),
         }
     }
 }

@@ -174,9 +174,9 @@ proptest! {
                     v.pledge(m, Channel(*c));
                     prop_assert!(v.interference().contains(Channel(*c)));
                     // Pledge must survive an adversarial empty snapshot.
-                    let pledged_before = v.pledged_to(m).clone();
+                    let pledged_before = v.pledged_to(m);
                     v.replace(m, &ChannelSet::new(24));
-                    prop_assert_eq!(v.pledged_to(m), &pledged_before);
+                    prop_assert_eq!(v.pledged_to(m), pledged_before);
                 }
                 ViewOp::Clear(j, c) => {
                     v.clear_used(members[*j as usize], Channel(*c));
