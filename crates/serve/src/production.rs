@@ -13,11 +13,25 @@
 //! messaging pattern. Protocol timers and call-hold expirations share
 //! one [`TimerWheel`].
 //!
+//! The unit of every hand-over to another thread is the **activation**
+//! — one worker's drain of up to `quantum` events of one cell. It
+//! reads the clock once; what its transitions emit collects in the
+//! worker's own `Outbox` and leaves in one flush: the sends as one run
+//! a destination (one mailbox lock, one capacity check, one
+//! `schedule`), the confirms and indications under one `answers` lock
+//! with at most one wake, the counters in one add each. Nothing waits
+//! for a batch to fill: an activation of one event hands over when
+//! that event is done. Two ordering rules hold because the flush comes
+//! *before* the task's `scheduled` flag is cleared, so the cell's next
+//! activation — on whichever worker — cannot start, let alone flush,
+//! before it: links stay FIFO (the schemes assume it), and a ticket's
+//! `Granted` is published before the activation that produces its
+//! `Released` begins.
+//!
 //! Grants are audited: the Theorem-1 check and the ground-truth commit
-//! happen atomically under the covering stripe locks of the sharded
-//! ground-truth table (`crate::ground`), so no interleaving can
-//! produce a false-clean run — but grants in non-interfering regions
-//! no longer serialize on one global mutex.
+//! happen atomically under the granted channel's lock
+//! (`crate::ground`), so no interleaving can produce a false-clean run
+//! — and grants of different channels never meet.
 //!
 //! Handoffs follow the engine's (and the paper's) break-before-make
 //! order: the source channel is relinquished at submission, then the
@@ -50,20 +64,19 @@ pub struct ProductionConfig {
     /// Wall-clock nanoseconds per virtual tick — scales protocol timer
     /// delays, call holds, and reported latencies.
     pub ns_per_tick: u64,
-    /// Bounded capacity of each cell's mailbox.
+    /// Bounded capacity of each cell's mailbox. Checked once a push,
+    /// and an activation pushes what it sends to one cell as one run,
+    /// so a mailbox holds fewer than this many events plus one run (a
+    /// run is at most `quantum` × the scheme's sends to one neighbour
+    /// per input).
     pub mailbox_capacity: usize,
     /// How long a sender stalls on a full mailbox before forcing its
-    /// event through (the deadlock-freedom escape valve; forced pushes
+    /// events through (the deadlock-freedom escape valve; forced pushes
     /// are counted in [`ServeStats::backpressure_forced`]).
     pub stall_patience: Duration,
     /// Maximum events one task activation drains before yielding the
     /// worker.
     pub quantum: usize,
-    /// Lock stripes for the ground-truth audit (`crate::ground`):
-    /// grants in non-interfering regions commit
-    /// concurrently when their stripe sets are disjoint. `1` recovers
-    /// the single global audit lock.
-    pub audit_stripes: usize,
 }
 
 impl Default for ProductionConfig {
@@ -77,7 +90,6 @@ impl Default for ProductionConfig {
             mailbox_capacity: 1024,
             stall_patience: Duration::from_millis(2),
             quantum: 64,
-            audit_stripes: 8,
         }
     }
 }
@@ -129,9 +141,10 @@ struct TicketRec {
 
 struct Task<P: StateMachine> {
     mailbox: Mailbox<TaskEvent<P::Msg>>,
-    /// True while the task is queued or running; cleared after a drain
-    /// quantum, then re-checked against the mailbox so no wakeup is
-    /// ever lost and no task runs on two workers at once.
+    /// True while the task is queued or running; cleared after an
+    /// activation has flushed, then re-checked against the mailbox so
+    /// no wakeup is ever lost and no task runs on two workers at once.
+    /// `SeqCst`, for the reason given at `Mailbox::len`.
     scheduled: AtomicBool,
     node: Mutex<P>,
 }
@@ -215,7 +228,7 @@ struct Inner<P: StateMachine> {
     tasks: Vec<Task<P>>,
     runq: RunQueue,
     /// Ground-truth channel usage (Theorem-1 audit + commit, atomic
-    /// under the covering stripe locks).
+    /// under the channel's lock).
     ground: GroundTruth,
     tickets: Mutex<Vec<TicketRec>>,
     answers: Mutex<Answers>,
@@ -229,8 +242,50 @@ struct Inner<P: StateMachine> {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// The buffer a worker lends to every transition it runs.
-type FxBuf<P> = Vec<Action<<P as StateMachine>::Msg>>;
+/// What one activation hands to other threads, collected on the worker
+/// that runs it and delivered by [`Inner::flush`] — plus the buffer the
+/// worker lends to every transition it runs.
+struct Outbox<M> {
+    actions: Vec<Action<M>>,
+    /// The sends, one run a destination.
+    runs: Vec<Run<M>>,
+    /// Each destination cell's index in `runs`, or `NO_RUN`.
+    run_of: Vec<u32>,
+    /// Emptied event buffers, for the next activation's runs.
+    spare: Vec<Vec<TaskEvent<M>>>,
+    confirms: Vec<Confirm>,
+    indications: Vec<Indication>,
+}
+
+/// What an activation sends to one cell, in emission order.
+struct Run<M> {
+    to: usize,
+    events: Vec<TaskEvent<M>>,
+}
+
+const NO_RUN: u32 = u32::MAX;
+
+impl<M> Outbox<M> {
+    fn new(cells: usize) -> Self {
+        Outbox {
+            actions: Vec::new(),
+            runs: Vec::new(),
+            run_of: vec![NO_RUN; cells],
+            spare: Vec::new(),
+            confirms: Vec::new(),
+            indications: Vec::new(),
+        }
+    }
+
+    fn send(&mut self, to: usize, ev: TaskEvent<M>) {
+        if self.run_of[to] == NO_RUN {
+            self.run_of[to] = self.runs.len() as u32;
+            let events = self.spare.pop().unwrap_or_default();
+            self.runs.push(Run { to, events });
+        }
+        self.runs[self.run_of[to] as usize].events.push(ev);
+    }
+}
 
 impl<P> Inner<P>
 where
@@ -245,12 +300,16 @@ where
         since.elapsed().as_nanos() as u64 / self.cfg.ns_per_tick.max(1)
     }
 
-    /// Queues one confirm or indication and wakes a parked
-    /// `recv_confirm`, if there is one.
+    /// Queues confirms and indications and wakes a parked
+    /// `recv_confirm`, if there is one — after the lock is released,
+    /// so the woken handle does not block on it.
     fn answer(&self, push: impl FnOnce(&mut Answers)) {
-        let mut answers = self.answers.lock().expect("answers poisoned");
-        push(&mut answers);
-        if answers.waiting > 0 {
+        let wake = {
+            let mut answers = self.answers.lock().expect("answers poisoned");
+            push(&mut answers);
+            answers.waiting > 0
+        };
+        if wake {
             self.answered.notify_one();
         }
     }
@@ -274,33 +333,80 @@ where
         } else {
             mb.push(ev, patience)
         };
-        match push {
-            Push::Fit => {}
-            Push::Stalled => {
-                self.counters.stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            Push::Forced => {
-                self.counters.stalls.fetch_add(1, Ordering::Relaxed);
-                self.counters.forced.fetch_add(1, Ordering::Relaxed);
-            }
+        self.pushed(to, push);
+    }
+
+    /// Accounts for one push (an event or a run) into `to`'s mailbox
+    /// and makes sure the task will run.
+    fn pushed(&self, to: usize, push: Push) {
+        if push != Push::Fit {
+            self.counters.stalls.fetch_add(1, Ordering::Relaxed);
+        }
+        if push == Push::Forced {
+            self.counters.forced.fetch_add(1, Ordering::Relaxed);
         }
         self.schedule(to);
     }
 
     fn schedule(&self, t: usize) {
-        if !self.tasks[t].scheduled.swap(true, Ordering::AcqRel) {
+        if !self.tasks[t].scheduled.swap(true, Ordering::SeqCst) {
             self.runq.push(t);
         }
     }
 
+    /// Hands an activation's output over: counters, then answers, then
+    /// sends.
+    fn flush(&self, out: &mut Outbox<P::Msg>) {
+        let c = &self.counters;
+        let add = |counter: &AtomicU64, n: usize| {
+            if n > 0 {
+                counter.fetch_add(n as u64, Ordering::Relaxed);
+            }
+        };
+        // Counted no later than published: `stats()` read after the
+        // last confirm was taken agrees with what the handles took.
+        add(&c.messages, out.runs.iter().map(|r| r.events.len()).sum());
+        let resolved = out.confirms.len();
+        if resolved + out.indications.len() > 0 {
+            let granted = out.confirms.iter().filter(|c| c.is_granted()).count();
+            add(&c.granted, granted);
+            add(&c.rejected, resolved - granted);
+            add(&c.completed, out.indications.len());
+            self.answer(|a| {
+                a.confirms.extend(out.confirms.drain(..));
+                a.indications.extend(out.indications.drain(..));
+            });
+            // Published, then no longer pending: when `quiesce` returns,
+            // every confirm can be taken.
+            c.pending.fetch_sub(resolved as u64, Ordering::Release);
+        }
+        // One run a destination, under one mailbox lock.
+        for mut run in out.runs.drain(..) {
+            out.run_of[run.to] = NO_RUN;
+            let push = self.tasks[run.to]
+                .mailbox
+                .push_run(run.events.drain(..), self.cfg.stall_patience);
+            self.pushed(run.to, push);
+            out.spare.push(run.events);
+        }
+    }
+
     /// One task activation: drain up to a quantum of events into the
-    /// node under its lock, then clear `scheduled` and re-check.
-    fn run_task(&self, t: usize, batch: &mut Vec<TaskEvent<P::Msg>>, fx: &mut FxBuf<P>) {
+    /// node under its lock, flush what that emitted, then clear
+    /// `scheduled` and re-check.
+    fn run_task(
+        &self,
+        t: usize,
+        batch: &mut VecDeque<TaskEvent<P::Msg>>,
+        out: &mut Outbox<P::Msg>,
+    ) {
         let task = &self.tasks[t];
-        batch.clear();
         task.mailbox.drain(batch, self.cfg.quantum);
         if !batch.is_empty() {
             let me = CellId(t as u32);
+            // One clock read for the activation: events drained together
+            // were already waiting together.
+            let now = SimTime(self.elapsed_ticks(self.epoch));
             let mut node = task.node.lock().expect("node poisoned");
             for ev in batch.drain(..) {
                 let input = match ev {
@@ -309,17 +415,23 @@ where
                         kind,
                     },
                     TaskEvent::End { ticket } => {
-                        self.end_call(ticket, me, &mut node, fx);
+                        self.end_call(ticket, me, now, &mut node, out);
                         continue;
                     }
                     TaskEvent::Relinquish { ch } => Input::Release { ch },
                     TaskEvent::Msg { from, msg } => Input::Message { from, msg },
                     TaskEvent::Timer { tag } => Input::Timer { tag },
                 };
-                self.step(me, &mut node, input, fx);
+                self.step(me, now, &mut node, input, out);
             }
+            drop(node);
+            // Before `scheduled` goes down: once it is, the cell's next
+            // activation may run on another worker and flush first,
+            // which would reorder a link and could publish a ticket's
+            // `Released` ahead of its `Granted`.
+            self.flush(out);
         }
-        task.scheduled.store(false, Ordering::Release);
+        task.scheduled.store(false, Ordering::SeqCst);
         if !task.mailbox.is_empty() {
             self.schedule(t);
         }
@@ -336,25 +448,25 @@ where
         }
     }
 
-    /// Feeds `input` to `me`'s node (the caller holds its lock), then
-    /// applies the actions it emitted, in emission order.
-    fn step(&self, me: CellId, node: &mut P, input: Input<P::Msg>, buf: &mut FxBuf<P>) {
-        let now = SimTime(self.elapsed_ticks(self.epoch));
-        let mut fx = Effects::reusing(std::mem::take(buf), me, now, false);
+    /// Feeds `input` to `me`'s node (the caller holds its lock) at
+    /// time `now`, then applies the actions it emitted, in emission
+    /// order; what is bound for another thread goes to `out`.
+    fn step(
+        &self,
+        me: CellId,
+        now: SimTime,
+        node: &mut P,
+        input: Input<P::Msg>,
+        out: &mut Outbox<P::Msg>,
+    ) {
+        let mut fx = Effects::reusing(std::mem::take(&mut out.actions), me, now, false);
         node.step(input, &mut fx);
-        *buf = fx.into_actions();
-        for act in buf.drain(..) {
+        let mut actions = fx.into_actions();
+        for act in actions.drain(..) {
             match act {
-                Action::Send { to, msg } => {
-                    self.counters.messages.fetch_add(1, Ordering::Relaxed);
-                    self.deliver(
-                        to.index(),
-                        TaskEvent::Msg { from: me, msg },
-                        self.cfg.stall_patience,
-                    );
-                }
-                Action::Grant { req, ch } => self.grant(me, req, ch),
-                Action::Reject { req, cause } => self.reject(me, req, cause),
+                Action::Send { to, msg } => out.send(to.index(), TaskEvent::Msg { from: me, msg }),
+                Action::Grant { req, ch } => self.grant(me, req, ch, out),
+                Action::Reject { req, cause } => self.reject(me, req, cause, out),
                 Action::SetTimer { delay, tag } => {
                     let after = self.ticks_to_duration(delay);
                     self.wheel
@@ -372,11 +484,19 @@ where
                 | Action::Trace(_) => {}
             }
         }
+        out.actions = actions;
     }
 
     /// Returns an active ticket's channel to the pool (hold expiry and
     /// explicit release both land here, on the owning cell's task).
-    fn end_call(&self, ticket: u64, me: CellId, node: &mut P, buf: &mut FxBuf<P>) {
+    fn end_call(
+        &self,
+        ticket: u64,
+        me: CellId,
+        now: SimTime,
+        node: &mut P,
+        out: &mut Outbox<P::Msg>,
+    ) {
         let ch = {
             let mut tickets = self.tickets.lock().expect("tickets poisoned");
             let rec = &mut tickets[ticket as usize];
@@ -391,18 +511,15 @@ where
             }
         };
         self.ground.remove(me, ch);
-        self.step(me, node, Input::Release { ch }, buf);
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        self.answer(|a| {
-            a.indications.push_back(Indication::Released {
-                ticket: Ticket(ticket),
-                cell: me,
-                channel: ch,
-            })
+        self.step(me, now, node, Input::Release { ch }, out);
+        out.indications.push(Indication::Released {
+            ticket: Ticket(ticket),
+            cell: me,
+            channel: ch,
         });
     }
 
-    fn grant(&self, me: CellId, req: RequestId, ch: Channel) {
+    fn grant(&self, me: CellId, req: RequestId, ch: Channel, out: &mut Outbox<P::Msg>) {
         // Claim the ticket first (guards against a buggy protocol
         // resolving one request twice, which would corrupt the pending
         // counter), then audit + commit. The End timer is armed last,
@@ -422,20 +539,16 @@ where
             rec.state = TicketState::Active(ch);
             (self.elapsed_ticks(rec.issued), rec.hold)
         };
-        // Audit + commit atomically under the covering stripe locks, so
-        // no interleaving can slip an interfering grant past the check.
+        // Audit + commit atomically under the channel's lock, so no
+        // interleaving can slip an interfering grant past the check.
         if let Some(v) = self.ground.commit_grant(&self.topo, me, ch) {
             self.violations.lock().expect("violations poisoned").push(v);
         }
-        self.counters.granted.fetch_add(1, Ordering::Relaxed);
-        self.counters.pending.fetch_sub(1, Ordering::Relaxed);
-        self.answer(|a| {
-            a.confirms.push_back(Confirm::Granted {
-                ticket: Ticket(req.0),
-                cell: me,
-                channel: ch,
-                latency,
-            })
+        out.confirms.push(Confirm::Granted {
+            ticket: Ticket(req.0),
+            cell: me,
+            channel: ch,
+            latency,
         });
         let after = self.ticks_to_duration(hold);
         self.wheel
@@ -444,7 +557,7 @@ where
             .schedule(after, (me.index(), WheelKind::End(req.0)));
     }
 
-    fn reject(&self, me: CellId, req: RequestId, cause: DropCause) {
+    fn reject(&self, me: CellId, req: RequestId, cause: DropCause, out: &mut Outbox<P::Msg>) {
         {
             let mut tickets = self.tickets.lock().expect("tickets poisoned");
             let rec = &mut tickets[req.0 as usize];
@@ -458,14 +571,10 @@ where
             }
             rec.state = TicketState::Done;
         }
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        self.counters.pending.fetch_sub(1, Ordering::Relaxed);
-        self.answer(|a| {
-            a.confirms.push_back(Confirm::Rejected {
-                ticket: Ticket(req.0),
-                cell: me,
-                cause,
-            })
+        out.confirms.push(Confirm::Rejected {
+            ticket: Ticket(req.0),
+            cell: me,
+            cause,
         });
     }
 }
@@ -514,7 +623,7 @@ where
             .collect();
         let workers = cfg.workers.max(1);
         let inner = Arc::new(Inner {
-            ground: GroundTruth::new(&topo, cfg.audit_stripes),
+            ground: GroundTruth::new(&topo),
             topo,
             cfg,
             epoch: Instant::now(),
@@ -545,18 +654,21 @@ where
         let _ = inner.wheel.set(wheel);
         // Start before the workers exist: startup sends enqueue, and no
         // node can observe a message before its own start ran.
-        let mut fx = Vec::new();
+        let mut out = Outbox::new(n);
         for t in 0..n {
+            let now = SimTime(inner.elapsed_ticks(inner.epoch));
             let mut node = inner.tasks[t].node.lock().expect("node poisoned");
-            inner.step(CellId(t as u32), &mut node, Input::Start, &mut fx);
+            inner.step(CellId(t as u32), now, &mut node, Input::Start, &mut out);
+            drop(node);
+            inner.flush(&mut out);
         }
         let handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|_| {
                 let inner = inner.clone();
                 std::thread::spawn(move || {
-                    let (mut batch, mut fx) = (Vec::new(), Vec::new());
+                    let (mut batch, mut out) = (VecDeque::new(), Outbox::new(inner.tasks.len()));
                     while let Some(t) = inner.runq.pop() {
-                        inner.run_task(t, &mut batch, &mut fx);
+                        inner.run_task(t, &mut batch, &mut out);
                     }
                 })
             })
@@ -734,6 +846,13 @@ where
         let mut answers = self.inner.answers.lock().expect("answers poisoned");
         loop {
             if let Some(c) = answers.confirms.pop_front() {
+                // A flush signals once however much it publishes: pass
+                // the wake on while there is more for a parked handle.
+                let more = answers.waiting > 0 && !answers.confirms.is_empty();
+                drop(answers);
+                if more {
+                    self.inner.answered.notify_one();
+                }
                 return Some(c);
             }
             let now = Instant::now();

@@ -2,18 +2,25 @@
 //! the production backend's worker pool, every grant audited against
 //! ground truth (Theorem 1), every request resolved (liveness), every
 //! granted call completed (conservation) — with and without message
-//! loss.
+//! loss. Then the executor's own hand-over rules, with probe machines
+//! in place of a scheme: links are FIFO, no wake-up is lost, `quiesce`
+//! means the confirms can be taken, and a call's `Granted` is never
+//! behind its `Released`.
 
-use adca_baselines::{BasicSearchConfig, BasicSearchNode, BasicUpdateConfig, BasicUpdateNode};
+use adca_baselines::{
+    BasicSearchConfig, BasicSearchNode, BasicUpdateConfig, BasicUpdateNode, FixedNode,
+};
 use adca_core::{AdaptiveConfig, AdaptiveNode};
 use adca_hexgrid::{CellId, Channel, Topology};
 use adca_serve::{
-    AllocService, ChannelRequest, ProductionAllocService, ProductionConfig, ServeStats,
+    AllocService, ChannelRequest, Confirm, Indication, ProductionAllocService, ProductionConfig,
+    ServeStats,
 };
 use adca_simkit::rng::SplitMix64;
 use adca_simkit::{Effects, RequestId, RequestKind, StateMachine};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 const NS_PER_TICK: u64 = 500;
@@ -217,4 +224,296 @@ fn staggered_load_completes() {
     );
     assert_clean(&stats);
     assert_eq!(stats.granted, 200, "light load must grant everything");
+}
+
+/// What the [`Stamper`]s of one service have seen, between them.
+#[derive(Default)]
+struct LinkProbe {
+    sent: AtomicU64,
+    received: AtomicU64,
+    /// The first message that was not its link's next, if any.
+    out_of_order: Mutex<Option<String>>,
+}
+
+/// A message carrying its number on its link (sender → receiver, from
+/// 1) and how many more times it is to be passed on.
+#[derive(Debug, Clone)]
+struct Stamped {
+    seq: u64,
+    ttl: u32,
+}
+
+/// Link-FIFO probe: numbers what it sends a destination, checks that
+/// what it gets from a sender is that sender's next, and passes every
+/// message on to its neighbours in turn until the message's `ttl` is
+/// spent. A request starts `FANOUT` such chains towards every
+/// neighbour (so an activation's sends form runs) and is rejected at
+/// once.
+struct Stamper {
+    region: Vec<CellId>,
+    next_out: Vec<u64>,
+    last_in: Vec<u64>,
+    turn: usize,
+    probe: Arc<LinkProbe>,
+}
+
+const FANOUT: usize = 2;
+const TTL: u32 = 19;
+
+impl Stamper {
+    fn post(&mut self, to: CellId, ttl: u32, fx: &mut Effects<Stamped>) {
+        self.next_out[to.index()] += 1;
+        let seq = self.next_out[to.index()];
+        // Counted before it is sent, so `received == sent` means
+        // nothing is in flight.
+        self.probe.sent.fetch_add(1, Ordering::SeqCst);
+        fx.send(to, Stamped { seq, ttl });
+    }
+}
+
+impl StateMachine for Stamper {
+    type Msg = Stamped;
+
+    fn msg_kind(_: &Stamped) -> &'static str {
+        "STAMPED"
+    }
+
+    fn acquire(&mut self, req: RequestId, _kind: RequestKind, fx: &mut Effects<Stamped>) {
+        for k in 0..self.region.len() {
+            for _ in 0..FANOUT {
+                self.post(self.region[k], TTL, fx);
+            }
+        }
+        fx.reject(req);
+    }
+
+    fn release(&mut self, _ch: Channel, _fx: &mut Effects<Stamped>) {}
+
+    fn message(&mut self, from: CellId, msg: Stamped, fx: &mut Effects<Stamped>) {
+        let last = &mut self.last_in[from.index()];
+        if msg.seq != *last + 1 {
+            let mut first = self.probe.out_of_order.lock().unwrap();
+            first.get_or_insert_with(|| {
+                format!("{} got #{} from {from} after #{last}", fx.me(), msg.seq)
+            });
+        }
+        *last = msg.seq;
+        if msg.ttl > 0 {
+            let to = self.region[self.turn % self.region.len()];
+            self.turn += 1;
+            self.post(to, msg.ttl - 1, fx);
+        }
+        self.probe.received.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Links are FIFO whatever the quantum: a cell's activations hop from
+/// worker to worker, and each must have handed its sends over before
+/// the next one can. (Flushing after the `scheduled` flag is cleared
+/// fails this test.)
+#[test]
+fn links_are_fifo_across_activations_and_workers() {
+    const CALLS_PER_CELL: u64 = 10;
+    for quantum in [1, 3, 64] {
+        let probe = Arc::new(LinkProbe::default());
+        let cfg = ProductionConfig {
+            workers: 4,
+            quantum,
+            // The probe is about order, not backpressure.
+            mailbox_capacity: 1 << 20,
+            ..Default::default()
+        };
+        let factory = {
+            let probe = probe.clone();
+            move |c: CellId, topo: &Topology| Stamper {
+                region: topo.region(c).to_vec(),
+                next_out: vec![0; topo.num_cells()],
+                last_in: vec![0; topo.num_cells()],
+                turn: 0,
+                probe: probe.clone(),
+            }
+        };
+        let mut svc = ProductionAllocService::new(topo(), cfg, factory);
+        for (_, cell, _) in burst(CALLS_PER_CELL, 0) {
+            svc.request_channel(ChannelRequest::new_call(0, cell, 0))
+                .expect("request accepted");
+        }
+        assert!(svc.quiesce(DEADLINE), "requests pending at deadline");
+        let deadline = Instant::now() + DEADLINE;
+        let sent = loop {
+            // In this order: a message is counted sent before it can
+            // be counted received.
+            let received = probe.received.load(Ordering::SeqCst);
+            let sent = probe.sent.load(Ordering::SeqCst);
+            if received == sent {
+                break sent;
+            }
+            assert!(Instant::now() < deadline, "messages still in flight");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let first = probe.out_of_order.lock().unwrap().take();
+        assert_eq!(first, None, "quantum {quantum}: a link reordered");
+        assert!(sent >= 100_000, "quantum {quantum}: only {sent} messages");
+        let stats = svc.stats();
+        assert_eq!(stats.messages, sent);
+        assert_eq!(stats.rejected, 25 * CALLS_PER_CELL);
+    }
+}
+
+/// Rejects every request at once: the executor with no protocol in it.
+struct Refuser;
+
+impl StateMachine for Refuser {
+    type Msg = ();
+
+    fn msg_kind(_: &()) -> &'static str {
+        "NONE"
+    }
+
+    fn acquire(&mut self, req: RequestId, _kind: RequestKind, fx: &mut Effects<()>) {
+        fx.reject(req);
+    }
+
+    fn release(&mut self, _ch: Channel, _fx: &mut Effects<()>) {}
+
+    fn message(&mut self, _from: CellId, _msg: (), _fx: &mut Effects<()>) {}
+}
+
+/// No lost wake-up: with `quantum = 1` every event is an activation of
+/// its own, so the cell's task clears `scheduled` and looks at its
+/// mailbox again after each one while three threads push at it. A push
+/// that the look misses and that does not reschedule the task either
+/// would strand its event — and, being among the last of its round,
+/// nothing would come to the rescue: `quiesce` would hit the watchdog.
+#[test]
+fn no_wakeup_is_lost_between_pushers_and_a_draining_worker() {
+    const ROUNDS: usize = 400;
+    const PUSHERS: usize = 3;
+    const PER_ROUND: usize = 6;
+    let cfg = ProductionConfig {
+        workers: 2,
+        quantum: 1,
+        ..Default::default()
+    };
+    let mut svc = ProductionAllocService::new(topo(), cfg, |_, _: &Topology| Refuser);
+    let barrier = Arc::new(Barrier::new(PUSHERS + 1));
+    let pushers: Vec<_> = (0..PUSHERS)
+        .map(|_| {
+            let (mut svc, barrier) = (svc.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                for _ in 0..ROUNDS {
+                    barrier.wait();
+                    for _ in 0..PER_ROUND {
+                        svc.request_channel(ChannelRequest::new_call(0, CellId(7), 0))
+                            .expect("request accepted");
+                    }
+                    barrier.wait();
+                }
+            })
+        })
+        .collect();
+    for round in 0..ROUNDS {
+        barrier.wait();
+        barrier.wait();
+        assert!(
+            svc.quiesce(Duration::from_secs(10)),
+            "round {round}: an event was stranded in the mailbox"
+        );
+        let mut confirms = 0;
+        while svc.confirm().is_some() {
+            confirms += 1;
+        }
+        assert_eq!(confirms, PUSHERS * PER_ROUND, "round {round}");
+    }
+    for p in pushers {
+        p.join().unwrap();
+    }
+    assert_eq!(svc.stats().rejected, (ROUNDS * PUSHERS * PER_ROUND) as u64);
+}
+
+/// `quiesce` returning `true` means the confirms are there to take, not
+/// merely on their way.
+#[test]
+fn quiesce_means_the_confirm_is_visible() {
+    let cfg = ProductionConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let mut svc = ProductionAllocService::new(topo(), cfg, FixedNode::new);
+    for k in 0..10_000u32 {
+        let t = svc
+            .request_channel(ChannelRequest::new_call(0, CellId(k % 25), 0))
+            .expect("request accepted");
+        assert!(svc.quiesce(DEADLINE), "request {k} pending at deadline");
+        let c = svc.confirm().expect("resolved at quiescence");
+        assert_eq!(c.ticket(), t);
+        while svc.indication().is_some() {}
+    }
+    assert_clean(&svc.stats());
+}
+
+/// With zero holds a call ends as soon as it is granted, and still its
+/// `Released` never overtakes its `Granted`: whenever the indication is
+/// out, the confirm was taken earlier or is waiting in the queue.
+#[test]
+fn granted_is_published_before_released() {
+    const CALLS: u32 = 20_000;
+    /// Requests in flight: two or three a cell against ten primaries.
+    const WINDOW: u32 = 64;
+    /// The confirms taken so far.
+    #[derive(Default)]
+    struct Taken {
+        resolved: u32,
+        granted: u32,
+        /// Granted and not yet released.
+        up: HashSet<u64>,
+    }
+    impl Taken {
+        fn note(&mut self, c: Confirm) {
+            self.resolved += 1;
+            if c.is_granted() {
+                self.granted += 1;
+                self.up.insert(c.ticket().0);
+            }
+        }
+    }
+    let cfg = ProductionConfig {
+        workers: 4,
+        ..Default::default()
+    };
+    let mut svc = ProductionAllocService::new(topo(), cfg, FixedNode::new);
+    let mut taken = Taken::default();
+    let (mut offered, mut released) = (0u32, 0u32);
+    let deadline = Instant::now() + DEADLINE;
+    while taken.resolved < CALLS || released < taken.granted {
+        assert!(Instant::now() < deadline, "calls unresolved at deadline");
+        while offered < CALLS && offered - taken.resolved < WINDOW {
+            svc.request_channel(ChannelRequest::new_call(0, CellId(offered % 25), 0))
+                .expect("request accepted");
+            offered += 1;
+        }
+        // Indications first: the confirms are looked at only once a
+        // `Released` is in hand, when its `Granted` must be out.
+        if let Some(Indication::Released { ticket, .. }) = svc.indication() {
+            released += 1;
+            if !taken.up.remove(&ticket.0) {
+                while let Some(c) = svc.confirm() {
+                    taken.note(c);
+                }
+                assert!(
+                    taken.up.remove(&ticket.0),
+                    "{ticket} was released before its grant was published"
+                );
+            }
+        } else if let Some(c) = svc.recv_confirm(Duration::from_millis(1)) {
+            taken.note(c);
+        }
+    }
+    // How many depends on how late the wheel ends the calls; the rule
+    // needs only that plenty were granted and released.
+    assert!(taken.granted > CALLS / 10, "granted {}", taken.granted);
+    let stats = svc.stats();
+    assert_clean(&stats);
+    assert_eq!(stats.granted, taken.granted as u64);
+    assert_eq!(stats.completed, released as u64);
 }

@@ -89,12 +89,12 @@ impl<T: Send + 'static> TimerWheel<T> {
         let thread_inner = inner.clone();
         let handle = std::thread::spawn(move || {
             let mut st = thread_inner.state.lock().expect("wheel poisoned");
+            let mut fired = Vec::new();
             loop {
                 if st.stop {
                     return;
                 }
                 let now = Instant::now();
-                let mut fired = Vec::new();
                 while st.heap.peek().is_some_and(|e| e.due <= now) {
                     fired.push(st.heap.pop().expect("peeked").payload);
                 }
@@ -102,7 +102,7 @@ impl<T: Send + 'static> TimerWheel<T> {
                     // Dispatch outside the lock so callbacks can call
                     // `schedule` re-entrantly.
                     drop(st);
-                    for p in fired {
+                    for p in fired.drain(..) {
                         dispatch(p);
                     }
                     st = thread_inner.state.lock().expect("wheel poisoned");
