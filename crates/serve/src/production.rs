@@ -204,7 +204,8 @@ impl RunQueue {
 struct Answers {
     confirms: VecDeque<Confirm>,
     indications: VecDeque<Indication>,
-    /// Handles parked in `recv_confirm`; a push signals only for them.
+    /// Handles parked in `recv_confirm` or `recv_answers`; a push
+    /// signals only for them.
     waiting: usize,
 }
 
@@ -300,9 +301,9 @@ where
         since.elapsed().as_nanos() as u64 / self.cfg.ns_per_tick.max(1)
     }
 
-    /// Queues confirms and indications and wakes a parked
-    /// `recv_confirm`, if there is one — after the lock is released,
-    /// so the woken handle does not block on it.
+    /// Queues confirms and indications and wakes a parked handle, if
+    /// there is one — after the lock is released, so the woken handle
+    /// does not block on it.
     fn answer(&self, push: impl FnOnce(&mut Answers)) {
         let wake = {
             let mut answers = self.answers.lock().expect("answers poisoned");
@@ -868,6 +869,37 @@ where
                 .0;
             answers.waiting -= 1;
         }
+    }
+
+    /// One lock, one wait on both queues, two drains — so a ticket's
+    /// `Released` is never taken by an earlier call than its `Granted`.
+    /// Parked under `waiting` like `recv_confirm`, so a flush's one
+    /// wake finds it, for a flush of indications alone too; taking
+    /// everything, it leaves nothing to pass that wake on for.
+    fn recv_answers(
+        &mut self,
+        timeout: Duration,
+        confirms: &mut Vec<Confirm>,
+        indications: &mut Vec<Indication>,
+    ) {
+        let deadline = Instant::now() + timeout;
+        let mut answers = self.inner.answers.lock().expect("answers poisoned");
+        while answers.confirms.is_empty() && answers.indications.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                return;
+            }
+            answers.waiting += 1;
+            answers = self
+                .inner
+                .answered
+                .wait_timeout(answers, deadline - now)
+                .expect("answers poisoned")
+                .0;
+            answers.waiting -= 1;
+        }
+        confirms.extend(answers.confirms.drain(..));
+        indications.extend(answers.indications.drain(..));
     }
 
     fn quiesce(&mut self, limit: Duration) -> bool {

@@ -193,7 +193,8 @@ pub struct ServeStats {
 ///
 /// Submission is asynchronous: [`request_channel`] returns a [`Ticket`]
 /// immediately, and the matching [`Confirm`] arrives later through
-/// [`confirm`]/[`recv_confirm`]. Two backends implement the trait:
+/// [`confirm`]/[`recv_confirm`] (or, a burst at a time, through
+/// [`recv_answers`]). Two backends implement the trait:
 ///
 /// * [`DesAllocService`](crate::DesAllocService) — deterministic; buffers
 ///   requests and replays them through the DES engine at [`quiesce`],
@@ -225,6 +226,7 @@ pub struct ServeStats {
 /// [`request_channel`]: AllocService::request_channel
 /// [`confirm`]: AllocService::confirm
 /// [`recv_confirm`]: AllocService::recv_confirm
+/// [`recv_answers`]: AllocService::recv_answers
 /// [`quiesce`]: AllocService::quiesce
 pub trait AllocService {
     /// Submits one channel request and returns its [`Ticket`]. The
@@ -434,5 +436,50 @@ pub trait AllocService {
             }
             std::thread::sleep(Duration::from_micros(200));
         }
+    }
+
+    /// The draining call, for a consumer that serves both queues: waits
+    /// up to `timeout` for the first answer, then appends every queued
+    /// [`Confirm`] to `confirms` and every queued [`Indication`] to
+    /// `indications`, each queue in its own order, and returns —
+    /// leaving both as they were when `timeout` passes with nothing to
+    /// take. The default implementation waits in [`recv_confirm`], so
+    /// it notices an indication that arrives alone when that wait ends;
+    /// live backends may override it with one wait on both queues.
+    ///
+    /// ```
+    /// use adca_baselines::FixedNode;
+    /// use adca_hexgrid::{CellId, Topology};
+    /// use adca_serve::{AllocService, ChannelRequest, DesAllocService};
+    /// use adca_simkit::SimConfig;
+    /// use std::sync::Arc;
+    /// use std::time::Duration;
+    ///
+    /// let topo = Arc::new(Topology::default_paper(3, 3));
+    /// let mut svc = DesAllocService::new(topo, SimConfig::default(), FixedNode::new);
+    /// for cell in 0..3 {
+    ///     svc.request_channel(ChannelRequest::new_call(0, CellId(cell), 50))
+    ///         .unwrap();
+    /// }
+    /// svc.quiesce(Duration::from_secs(1));
+    /// let (mut confirms, mut indications) = (Vec::new(), Vec::new());
+    /// svc.recv_answers(Duration::from_millis(1), &mut confirms, &mut indications);
+    /// assert_eq!((confirms.len(), indications.len()), (3, 3));
+    /// // Everything was taken: the next call times out empty.
+    /// svc.recv_answers(Duration::from_millis(1), &mut confirms, &mut indications);
+    /// assert_eq!((confirms.len(), indications.len()), (3, 3));
+    /// assert!(svc.confirm().is_none() && svc.indication().is_none());
+    /// ```
+    ///
+    /// [`recv_confirm`]: AllocService::recv_confirm
+    fn recv_answers(
+        &mut self,
+        timeout: Duration,
+        confirms: &mut Vec<Confirm>,
+        indications: &mut Vec<Indication>,
+    ) {
+        confirms.extend(self.recv_confirm(timeout));
+        confirms.extend(std::iter::from_fn(|| self.confirm()));
+        indications.extend(std::iter::from_fn(|| self.indication()));
     }
 }

@@ -1,9 +1,21 @@
 //! [`WireClient`]: a pipelining TCP client for a [`WireServer`].
 //!
-//! Requests are **pipelined**: [`WireClient::submit`] writes the frame
+//! Requests are **pipelined**: [`WireClient::submit`] queues the frame
 //! and returns the idempotency id immediately, so many requests ride
 //! the connection concurrently; answers surface through
 //! [`WireClient::recv`] in whatever order the protocol resolves them.
+//!
+//! The unit on the socket is the **burst** — what the driver has to say
+//! when it turns to listen. [`submit`](WireClient::submit) and
+//! [`release`](WireClient::release) encode into one byte queue, and the
+//! queue leaves in one `write` at the first of: the next
+//! [`recv`](WireClient::recv) (before it looks for events or parks),
+//! [`flush`](WireClient::flush), drop, or the queue reaching 16 KiB.
+//! Nothing waits for a burst to fill: a driver with one request in
+//! flight writes one frame a `recv`, one that polled 64 answers and
+//! re-submits their subscribers writes 64 frames at once. A driver that
+//! submits and then blocks somewhere other than `recv` must `flush`
+//! first, or its requests wait in the queue while their deadlines run.
 //!
 //! Every request carries a deadline. The client keeps them itself,
 //! earliest first, and keeps **one** entry armed on a shared
@@ -18,7 +30,7 @@
 //!
 //! [`WireServer`]: crate::WireServer
 
-use crate::frame::{encode, FrameDecoder, WireMsg};
+use crate::frame::{encode_into, FrameDecoder, WireMsg};
 use adca_serve::ChannelRequest;
 use adca_simkit::DropCause;
 use adca_threadnet::{Backoff, TimerWheel};
@@ -131,9 +143,14 @@ pub fn deadline_wheel() -> Arc<TimerWheel<WireDeadline>> {
     }))
 }
 
+/// The queue is written out, without waiting for the driver's `recv`,
+/// once it holds this much: what the server's reader takes in one read.
+const FLUSH_AT: usize = 16 * 1024;
+
 struct PendingReq {
-    /// The encoded frame, kept for byte-identical retransmission.
-    frame: Vec<u8>,
+    /// The request, re-encoded for retransmission: byte-identical,
+    /// because a frame is a function of its message.
+    msg: WireMsg,
     backoff: Backoff,
 }
 
@@ -170,10 +187,17 @@ impl ClientState {
 
     /// Takes every request whose deadline has passed at `now`: one with
     /// budget left gets its next deadline (`patience` plus its next
-    /// backoff delay) and its frame is returned for retransmission, one
-    /// without resolves as a timeout.
-    fn expire(&mut self, now: Instant, patience: Duration, timeouts: &mut u64) -> Vec<Vec<u8>> {
-        let mut resend = Vec::new();
+    /// backoff delay) and its frame is appended to `out` for
+    /// retransmission, one without resolves as a timeout. Returns the
+    /// number of retransmissions.
+    fn expire(
+        &mut self,
+        now: Instant,
+        patience: Duration,
+        timeouts: &mut u64,
+        out: &mut Vec<u8>,
+    ) -> u64 {
+        let mut resent = 0;
         while let Some(&(due, id)) = self.deadlines.front() {
             if due > now {
                 break;
@@ -184,7 +208,8 @@ impl ClientState {
             };
             match p.backoff.next_delay() {
                 Some(delay) => {
-                    resend.push(p.frame.clone());
+                    encode_into(out, &p.msg);
+                    resent += 1;
                     self.set_deadline(now + patience + delay, id);
                 }
                 None => {
@@ -194,7 +219,7 @@ impl ClientState {
                 }
             }
         }
-        resend
+        resent
     }
 
     /// The instant to arm the wheel for, when it is not armed and a
@@ -223,8 +248,11 @@ pub struct WireClient {
     wheel: Arc<TimerWheel<WireDeadline>>,
     cfg: WireClientConfig,
     stream: TcpStream,
+    /// Whole frames queued for the next write.
+    out: Vec<u8>,
     reader: Option<JoinHandle<()>>,
     next_id: u64,
+    writes: u64,
     retries: u64,
     timeouts: u64,
 }
@@ -261,8 +289,10 @@ impl WireClient {
             wheel: wheel.clone(),
             cfg,
             stream,
+            out: Vec::new(),
             reader: Some(reader),
             next_id: 0,
+            writes: 0,
             retries: 0,
             timeouts: 0,
         })
@@ -272,17 +302,25 @@ impl WireClient {
     /// answer) and returns its idempotency id. A handoff's
     /// `handoff_of` names the **server** ticket from the source call's
     /// [`WireEvent::Granted`].
+    ///
+    /// Submitted means *queued*: the frame is on the wire by the
+    /// driver's next [`recv`](Self::recv), [`flush`](Self::flush) or
+    /// drop, or at once when the queue reaches 16 KiB. The deadline
+    /// runs from this call, so the time queued counts against the
+    /// request's patience. `Err` means the connection is closed and
+    /// nothing was registered: an id that was never returned never
+    /// times out.
     pub fn submit(&mut self, req: &ChannelRequest) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = encode(&WireMsg::Request {
+        let msg = WireMsg::Request {
             id,
             at: req.at,
             cell: req.cell.index() as u32,
             kind: req.kind,
             hold: req.hold,
             handoff_of: req.handoff_of.map(|t| t.0),
-        });
+        };
         let due = Instant::now() + self.cfg.deadline;
         let arm = {
             let mut st = self.shared.st.lock().expect("client poisoned");
@@ -295,7 +333,7 @@ impl WireClient {
             st.pending.insert(
                 id,
                 PendingReq {
-                    frame: frame.clone(),
+                    msg: msg.clone(),
                     backoff: Backoff::new(
                         self.cfg.backoff,
                         self.cfg.deadline,
@@ -306,11 +344,15 @@ impl WireClient {
             st.set_deadline(due, id);
             st.arm()
         };
-        self.stream.write_all(&frame)?;
-        if self.cfg.inject_dup_first_send {
-            self.stream.write_all(&frame)?;
-        }
         self.arm_wheel(arm);
+        encode_into(&mut self.out, &msg);
+        if self.cfg.inject_dup_first_send {
+            encode_into(&mut self.out, &msg);
+        }
+        // The id is registered, so it is returned whatever becomes of
+        // this write: should it fail, the reader observes the broken
+        // stream and closes, and the deadline times the request out.
+        let _ = self.flush_if_full();
         Ok(id)
     }
 
@@ -323,31 +365,57 @@ impl WireClient {
 
     /// Ends the call behind server `ticket` early (fire and forget; the
     /// answer is a [`WireEvent::Released`] once the channel returns).
+    /// Queued like a [`submit`](Self::submit), behind whatever was
+    /// queued before it; `Err` only when this call filled the queue and
+    /// the write failed.
     pub fn release(&mut self, ticket: u64) -> io::Result<()> {
-        self.stream.write_all(&encode(&WireMsg::Release { ticket }))
+        encode_into(&mut self.out, &WireMsg::Release { ticket });
+        self.flush_if_full()
     }
 
-    /// Waits up to `wait` for the next event. Expired deadlines are
-    /// serviced here, on the driver's own thread: a request with budget
-    /// left is retransmitted byte-identically under the same id; one
-    /// without resolves as [`WireEvent::TimedOut`]. Returns `None` on
-    /// timeout, or when the connection is closed and fully drained.
+    /// Writes the queue out in one `write`, if it holds anything. The
+    /// driver's `recv` does this itself; call it before blocking
+    /// anywhere else with requests queued.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.writes += 1;
+        let written = self.stream.write_all(&self.out);
+        // After a failed write the stream is broken mid-frame: nothing
+        // of the queue can be sent again.
+        self.out.clear();
+        written
+    }
+
+    fn flush_if_full(&mut self) -> io::Result<()> {
+        if self.out.len() >= FLUSH_AT {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Waits up to `wait` for the next event, after writing out what
+    /// [`submit`](Self::submit) and [`release`](Self::release) queued:
+    /// it never looks for events or parks with bytes in the queue.
+    /// Expired deadlines are serviced here, on the driver's own thread:
+    /// a request with budget left is retransmitted byte-identically
+    /// under the same id (through the same queue); one without resolves
+    /// as [`WireEvent::TimedOut`]. Returns `None` on timeout, or when
+    /// the connection is closed and fully drained.
     pub fn recv(&mut self, wait: Duration) -> Option<WireEvent> {
         let mut now = Instant::now();
         let give_up = now + wait;
         let mut st = self.shared.st.lock().expect("client poisoned");
         loop {
-            let resend = st.expire(now, self.cfg.deadline, &mut self.timeouts);
+            self.retries += st.expire(now, self.cfg.deadline, &mut self.timeouts, &mut self.out);
             let arm = st.arm();
-            if !resend.is_empty() || arm.is_some() {
+            if !self.out.is_empty() || arm.is_some() {
                 drop(st);
-                for frame in resend {
-                    self.retries += 1;
-                    if self.stream.write_all(&frame).is_err() {
-                        // The reader will observe the broken stream and
-                        // close; the request's next deadline times it out.
-                    }
-                }
+                // A failed write is the reader's to observe, as in
+                // `submit`.
+                let _ = self.flush();
                 self.arm_wheel(arm);
                 st = self.shared.st.lock().expect("client poisoned");
             }
@@ -379,6 +447,11 @@ impl WireClient {
             .len()
     }
 
+    /// `write` calls issued so far: one a burst, not one a frame.
+    pub fn writes(&self) -> u64 {
+        self.writes
+    }
+
     /// Retransmissions performed so far.
     pub fn retries(&self) -> u64 {
         self.retries
@@ -392,6 +465,7 @@ impl WireClient {
 
 impl Drop for WireClient {
     fn drop(&mut self) {
+        let _ = self.flush();
         let _ = self.stream.shutdown(Shutdown::Both);
         self.shared.st.lock().expect("client poisoned").closed = true;
         self.shared.cv.notify_all();

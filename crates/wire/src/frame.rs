@@ -194,7 +194,21 @@ impl WireMsg {
 
 /// Encodes `msg` as one complete frame.
 pub fn encode(msg: &WireMsg) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(48);
+    let mut frame = Vec::with_capacity(64);
+    encode_into(&mut frame, msg);
+    frame
+}
+
+/// Appends `msg`'s frame — exactly [`encode`]'s bytes — to `out`, in
+/// place: what a side has to say collects in one buffer and leaves in
+/// one `write`, with no allocation a frame.
+pub fn encode_into(out: &mut Vec<u8>, msg: &WireMsg) {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    out.push(msg.tag());
+    out.push(0); // reserved
+    out.extend_from_slice(&[0; 4]); // payload length, patched below
     match msg {
         WireMsg::Request {
             id,
@@ -204,20 +218,20 @@ pub fn encode(msg: &WireMsg) -> Vec<u8> {
             hold,
             handoff_of,
         } => {
-            put_u64(&mut payload, *id);
-            put_u64(&mut payload, *at);
-            payload.extend_from_slice(&cell.to_le_bytes());
-            payload.push(kind_tag(*kind));
-            put_u64(&mut payload, *hold);
+            put_u64(out, *id);
+            put_u64(out, *at);
+            out.extend_from_slice(&cell.to_le_bytes());
+            out.push(kind_tag(*kind));
+            put_u64(out, *hold);
             match handoff_of {
                 Some(src) => {
-                    payload.push(1);
-                    put_u64(&mut payload, *src);
+                    out.push(1);
+                    put_u64(out, *src);
                 }
-                None => payload.push(0),
+                None => out.push(0),
             }
         }
-        WireMsg::Release { ticket } => put_u64(&mut payload, *ticket),
+        WireMsg::Release { ticket } => put_u64(out, *ticket),
         WireMsg::Granted {
             id,
             ticket,
@@ -225,11 +239,11 @@ pub fn encode(msg: &WireMsg) -> Vec<u8> {
             channel,
             latency,
         } => {
-            put_u64(&mut payload, *id);
-            put_u64(&mut payload, *ticket);
-            payload.extend_from_slice(&cell.to_le_bytes());
-            payload.extend_from_slice(&channel.to_le_bytes());
-            put_u64(&mut payload, *latency);
+            put_u64(out, *id);
+            put_u64(out, *ticket);
+            out.extend_from_slice(&cell.to_le_bytes());
+            out.extend_from_slice(&channel.to_le_bytes());
+            put_u64(out, *latency);
         }
         WireMsg::Rejected {
             id,
@@ -237,39 +251,32 @@ pub fn encode(msg: &WireMsg) -> Vec<u8> {
             cell,
             cause,
         } => {
-            put_u64(&mut payload, *id);
-            put_u64(&mut payload, *ticket);
-            payload.extend_from_slice(&cell.to_le_bytes());
-            payload.push(cause_tag(*cause));
+            put_u64(out, *id);
+            put_u64(out, *ticket);
+            out.extend_from_slice(&cell.to_le_bytes());
+            out.push(cause_tag(*cause));
         }
         WireMsg::Refused { id, reason } => {
-            put_u64(&mut payload, *id);
+            put_u64(out, *id);
             let bytes = reason.as_bytes();
-            payload.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            payload.extend_from_slice(bytes);
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
         }
         WireMsg::Released {
             ticket,
             cell,
             channel,
         } => {
-            put_u64(&mut payload, *ticket);
-            payload.extend_from_slice(&cell.to_le_bytes());
-            payload.extend_from_slice(&channel.to_le_bytes());
+            put_u64(out, *ticket);
+            out.extend_from_slice(&cell.to_le_bytes());
+            out.extend_from_slice(&channel.to_le_bytes());
         }
     }
-    debug_assert!(payload.len() as u32 <= MAX_PAYLOAD);
-
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    frame.push(msg.tag());
-    frame.push(0); // reserved
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    let sum = fnv1a(FNV_OFFSET, &frame);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame
+    let payload = (out.len() - start - HEADER_LEN) as u32;
+    debug_assert!(payload <= MAX_PAYLOAD);
+    out[start + 8..start + HEADER_LEN].copy_from_slice(&payload.to_le_bytes());
+    let sum = fnv1a(FNV_OFFSET, &out[start..]);
+    out.extend_from_slice(&sum.to_le_bytes());
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {

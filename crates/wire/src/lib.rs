@@ -17,8 +17,9 @@
 //! * [`WireClient`] — a pipelining client with per-request deadlines
 //!   (one entry a client on a process-shared
 //!   [`TimerWheel`](adca_threadnet::TimerWheel)) and bounded
-//!   retry-with-backoff. Requests carry idempotency ids;
-//!   the server answers a retried id from its response cache, so a
+//!   retry-with-backoff. What it submits between two `recv`s leaves in
+//!   one `write`. Requests carry idempotency ids;
+//!   the server answers a retried id from its answer cache, so a
 //!   retry can never double-commit a grant.
 //! * [`closed_loop_wire`] — a multi-driver closed-loop load generator
 //!   for end-to-end benchmarks over loopback TCP (experiment `e18`).
@@ -32,6 +33,8 @@ pub mod loadgen;
 pub mod server;
 
 pub use client::{deadline_wheel, WireClient, WireClientConfig, WireDeadline, WireEvent};
-pub use frame::{decode, encode, FrameDecoder, FrameError, WireMsg, MAX_PAYLOAD, WIRE_VERSION};
+pub use frame::{
+    decode, encode, encode_into, FrameDecoder, FrameError, WireMsg, MAX_PAYLOAD, WIRE_VERSION,
+};
 pub use loadgen::{closed_loop_wire, WireLoadReport, WireLoadSpec};
 pub use server::WireServer;

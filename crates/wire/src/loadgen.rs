@@ -176,8 +176,10 @@ fn run_driver(
             break;
         }
         let mut progressed = false;
-        // Submit every due request (a closed TCP window blocks here —
-        // the server's backpressure reaching this driver).
+        // Submit every due request. They leave in one write when this
+        // driver turns to `recv` below, or at 16 KiB queued; a closed
+        // TCP window blocks that write — the server's backpressure
+        // reaching this driver.
         while ready.front().is_some_and(|&(due, _)| due <= now) {
             let (_, local) = ready.pop_front().expect("peeked");
             let cell = CellId((subs[local] % cells) as u32);

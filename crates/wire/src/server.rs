@@ -6,8 +6,11 @@
 //! * per connection, a **reader**/**writer** worker pair — the reader
 //!   decodes frames and submits requests on its own service clone, the
 //!   writer drains that connection's outbox;
-//! * one **dispatcher** thread popping confirms and indications off the
-//!   backend's shared queues and routing them to the owning connection.
+//! * one **dispatcher** thread that takes everything the backend has
+//!   answered in one [`AllocService::recv_answers`], matches the burst
+//!   with its routes under one lock, and hands each connection its run
+//!   of frames under one outbox lock (the writer then sends them in one
+//!   `write`).
 //!
 //! **Backpressure** needs no queue of its own: the reader calls
 //! [`AllocService::request_channel`], which on the production backend
@@ -20,13 +23,16 @@
 //! **Idempotency**: each connection remembers every client request id
 //! it has seen. A retransmitted id whose answer is still in flight is
 //! dropped (the answer will arrive once); one that already resolved is
-//! answered from the cached response bytes. Either way the request is
+//! answered again from the cached answer, re-encoded to the same bytes.
+//! Either way the request is
 //! *not* re-submitted to the backend, so a client retry can never
 //! double-commit a grant.
 
-use crate::frame::{encode, FrameDecoder, WireMsg};
+use crate::frame::{encode_into, FrameDecoder, WireMsg};
 use adca_hexgrid::CellId;
 use adca_serve::{AllocService, ChannelRequest, Confirm, Indication, ServeError, Ticket};
+use adca_simkit::DropCause;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -54,9 +60,12 @@ const IDLE_WAIT: Duration = Duration::from_millis(1);
 trait DynService: Send {
     fn request_channel(&mut self, req: ChannelRequest) -> Result<Ticket, ServeError>;
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError>;
-    fn confirm(&mut self) -> Option<Confirm>;
-    fn recv_confirm(&mut self, timeout: Duration) -> Option<Confirm>;
-    fn indication(&mut self) -> Option<Indication>;
+    fn recv_answers(
+        &mut self,
+        timeout: Duration,
+        confirms: &mut Vec<Confirm>,
+        indications: &mut Vec<Indication>,
+    );
     fn clone_box(&self) -> Box<dyn DynService>;
 }
 
@@ -67,14 +76,13 @@ impl<S: AllocService + Clone + Send + 'static> DynService for S {
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {
         AllocService::release(self, ticket)
     }
-    fn confirm(&mut self) -> Option<Confirm> {
-        AllocService::confirm(self)
-    }
-    fn recv_confirm(&mut self, timeout: Duration) -> Option<Confirm> {
-        AllocService::recv_confirm(self, timeout)
-    }
-    fn indication(&mut self) -> Option<Indication> {
-        AllocService::indication(self)
+    fn recv_answers(
+        &mut self,
+        timeout: Duration,
+        confirms: &mut Vec<Confirm>,
+        indications: &mut Vec<Indication>,
+    ) {
+        AllocService::recv_answers(self, timeout, confirms, indications)
     }
     fn clone_box(&self) -> Box<dyn DynService> {
         Box::new(self.clone())
@@ -105,13 +113,16 @@ struct OutboxState {
 }
 
 impl Outbox {
-    fn send(&self, frame: &[u8]) {
+    /// Appends the frames of `msgs`, in order, under one lock.
+    fn send<'a>(&self, msgs: impl IntoIterator<Item = &'a WireMsg>) {
         let mut st = self.q.lock().expect("outbox poisoned");
         if !st.closed {
             // The writer waits only on an empty outbox, so only the
-            // frame that ends the emptiness can find it parked.
+            // send that ends the emptiness can find it parked.
             let wake = st.bytes.is_empty();
-            st.bytes.extend_from_slice(frame);
+            for msg in msgs {
+                encode_into(&mut st.bytes, msg);
+            }
             if wake {
                 self.cv.notify_one();
             }
@@ -124,14 +135,108 @@ impl Outbox {
     }
 }
 
-/// What a connection remembers about one client request id.
+/// What a connection remembers about one client request id: that its
+/// answer is still to come, or the answer itself — not its frame, which
+/// a replay re-encodes (the id is the map key). One of these is kept a
+/// request for the life of the connection, so it is kept small.
 enum Dedup {
     /// Submitted to the backend; the answer has not come back yet.
     InFlight,
-    /// Resolved; the encoded response frame, replayed on a retry.
-    Done(Vec<u8>),
+    Granted {
+        ticket: u64,
+        latency: u64,
+        cell: u32,
+        channel: u16,
+    },
+    Rejected {
+        ticket: u64,
+        cell: u32,
+        cause: DropCause,
+    },
+    Refused(Box<str>),
 }
 
+const _: () = assert!(std::mem::size_of::<Dedup>() <= 24);
+
+impl Dedup {
+    /// What to remember of an answer on its way out, under which id;
+    /// `None` for a message that answers no request.
+    fn of(msg: &WireMsg) -> Option<(u64, Dedup)> {
+        match *msg {
+            WireMsg::Granted {
+                id,
+                ticket,
+                cell,
+                channel,
+                latency,
+            } => Some((
+                id,
+                Dedup::Granted {
+                    ticket,
+                    latency,
+                    cell,
+                    channel,
+                },
+            )),
+            WireMsg::Rejected {
+                id,
+                ticket,
+                cell,
+                cause,
+            } => Some((
+                id,
+                Dedup::Rejected {
+                    ticket,
+                    cell,
+                    cause,
+                },
+            )),
+            WireMsg::Refused { id, ref reason } => {
+                Some((id, Dedup::Refused(reason.as_str().into())))
+            }
+            WireMsg::Request { .. } | WireMsg::Release { .. } | WireMsg::Released { .. } => None,
+        }
+    }
+
+    /// The message that answered `id`, to send again; `None` while the
+    /// answer is still in flight.
+    fn answer(&self, id: u64) -> Option<WireMsg> {
+        match *self {
+            Dedup::InFlight => None,
+            Dedup::Granted {
+                ticket,
+                latency,
+                cell,
+                channel,
+            } => Some(WireMsg::Granted {
+                id,
+                ticket,
+                cell,
+                channel,
+                latency,
+            }),
+            Dedup::Rejected {
+                ticket,
+                cell,
+                cause,
+            } => Some(WireMsg::Rejected {
+                id,
+                ticket,
+                cell,
+                cause,
+            }),
+            Dedup::Refused(ref reason) => Some(WireMsg::Refused {
+                id,
+                reason: reason.to_string(),
+            }),
+        }
+    }
+}
+
+/// One connection's state. No thread ever holds two of its locks at
+/// once (the reader copies a cached answer out of `dedup` before it
+/// sends; the dispatcher fills `out`, lets go, then records in
+/// `dedup`), so they have no order to respect.
 struct ConnState {
     out: Outbox,
     /// Client request id → idempotency record.
@@ -356,25 +461,25 @@ fn handle_frame(
             hold,
             handoff_of,
         } => {
-            {
-                let mut dedup = conn.dedup.lock().expect("dedup poisoned");
-                match dedup.get(&id) {
-                    None => {
-                        dedup.insert(id, Dedup::InFlight);
-                    }
-                    Some(Dedup::InFlight) => {
-                        // Retry of a request whose answer is still in
-                        // flight: the one answer will arrive; resubmitting
-                        // is exactly the double-commit we must prevent.
-                        shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    Some(Dedup::Done(bytes)) => {
-                        shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                        conn.out.send(bytes);
-                        return true;
-                    }
+            // The guard goes with this statement: a cached answer is
+            // copied out, and sent below with no lock of `conn` held.
+            let seen = match conn.dedup.lock().expect("dedup poisoned").entry(id) {
+                Entry::Vacant(unseen) => {
+                    unseen.insert(Dedup::InFlight);
+                    None
                 }
+                Entry::Occupied(seen) => Some(seen.get().answer(id)),
+            };
+            if let Some(answer) = seen {
+                shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                // A retry of an answered request gets the answer again.
+                // One whose answer is still in flight gets nothing: that
+                // answer will arrive, once, and resubmitting is exactly
+                // the double-commit we must prevent.
+                if let Some(msg) = &answer {
+                    conn.out.send([msg]);
+                }
+                return true;
             }
             let req = ChannelRequest {
                 at,
@@ -397,15 +502,15 @@ fn handle_frame(
                     );
                 }
                 Err(e) => {
-                    let frame = encode(&WireMsg::Refused {
+                    let refused = WireMsg::Refused {
                         id,
                         reason: e.to_string(),
-                    });
-                    conn.out.send(&frame);
+                    };
+                    conn.out.send([&refused]);
                     conn.dedup
                         .lock()
                         .expect("dedup poisoned")
-                        .insert(id, Dedup::Done(frame));
+                        .extend(Dedup::of(&refused));
                 }
             }
             true
@@ -454,163 +559,150 @@ fn run_writer(conn: Arc<ConnState>, mut stream: TcpStream) {
     }
 }
 
-/// An answer the dispatcher could not deliver yet because the reader
-/// has not registered the ticket's route (or, for a release racing its
-/// own grant, the grant has not been relayed yet).
-enum Parked {
+/// An answer from the backend, on its way to the connection that owns
+/// its ticket.
+#[derive(Clone, Copy)]
+enum Answer {
     Confirm(Confirm),
-    Released(Ticket, CellId, adca_hexgrid::Channel),
+    Indication(Indication),
 }
 
-/// Pops confirms/indications off the backend's shared queues and relays
-/// each to the connection that owns the ticket.
+/// Takes what the backend has answered, a burst at a time, and relays
+/// it to the connections that own the tickets.
 fn run_dispatcher(shared: &Shared, svc: &mut dyn DynService) {
-    let mut parked: Vec<(Instant, Parked)> = Vec::new();
-    // The confirm that ended the last wait, if any.
-    let mut woken_by: Option<Confirm> = None;
+    // Answers whose route the reader has not registered yet (or, for a
+    // release racing its own grant, whose grant was not relayed yet).
+    let mut parked: Vec<(Instant, Answer)> = Vec::new();
+    let (mut confirms, mut indications) = (Vec::new(), Vec::new());
+    let mut staged: Vec<(u64, WireMsg)> = Vec::new();
     loop {
+        // Read before the pass, so the pass that sees it set still
+        // takes what the backend answered until then.
         let stopping = shared.stopping.load(Ordering::SeqCst);
-        while let Some(c) = woken_by.take().or_else(|| svc.confirm()) {
-            if let Some(p) = relay_confirm(shared, c) {
-                parked.push((Instant::now(), p));
-            }
-        }
-        while let Some(Indication::Released {
-            ticket,
-            cell,
-            channel,
-        }) = svc.indication()
-        {
-            if let Some(p) = relay_released(shared, ticket, cell, channel) {
-                parked.push((Instant::now(), p));
-            }
-        }
-        if !parked.is_empty() {
-            let now = Instant::now();
-            parked.retain(|(since, p)| {
-                let again = match p {
-                    Parked::Confirm(c) => relay_confirm(shared, *c),
-                    Parked::Released(t, cell, ch) => relay_released(shared, *t, *cell, *ch),
-                };
-                again.is_some() && now.duration_since(*since) < PARK_TTL
-            });
-        }
-        if stopping {
-            return;
-        }
-        // Both queues were just seen empty: wait for the backend to
-        // push to either (the production backend signals, others poll).
-        let wait = if parked.is_empty() {
+        // The production backend signals a push to either queue, others
+        // poll; nothing signals the route insert a parked answer waits for.
+        let wait = if stopping {
+            Duration::ZERO
+        } else if parked.is_empty() {
             IDLE_WAIT
         } else {
             PARK_RETRY
         };
-        woken_by = svc.recv_confirm(wait);
+        svc.recv_answers(wait, &mut confirms, &mut indications);
+        if !(parked.is_empty() && confirms.is_empty() && indications.is_empty()) {
+            let now = Instant::now();
+            let mut routes = shared.routes.lock().expect("routes poisoned");
+            // The parked answers first, they are older; then the
+            // confirms before the indications, so that a ticket's
+            // `Granted` is staged before its `Released`.
+            parked.retain(|&(since, a)| match route(&mut routes, a) {
+                Some(frame) => {
+                    staged.push(frame);
+                    false
+                }
+                None => now.duration_since(since) < PARK_TTL,
+            });
+            let fresh = (confirms.drain(..).map(Answer::Confirm))
+                .chain(indications.drain(..).map(Answer::Indication));
+            for a in fresh {
+                match route(&mut routes, a) {
+                    Some(frame) => staged.push(frame),
+                    None => parked.push((now, a)),
+                }
+            }
+            drop(routes);
+            relay(shared, &mut staged);
+        }
+        if stopping {
+            return;
+        }
     }
 }
 
-/// Relays one confirm to its connection; returns it back when the route
-/// is not registered yet.
-fn relay_confirm(shared: &Shared, c: Confirm) -> Option<Parked> {
-    let mut routes = shared.routes.lock().expect("routes poisoned");
-    let (frame, conn_id, client_id) = match c {
-        Confirm::Granted {
+/// Matches one answer with its ticket's route: the connection it goes
+/// to and the frame it goes as. `None` when it has to wait: the route
+/// is not registered yet, or it is a `Released` whose `Granted` has not
+/// been staged.
+fn route(routes: &mut HashMap<u64, Route>, answer: Answer) -> Option<(u64, WireMsg)> {
+    match answer {
+        Answer::Confirm(Confirm::Granted {
             ticket,
             cell,
             channel,
             latency,
-        } => {
-            let Some(route) = routes.get_mut(&ticket.0) else {
-                return Some(Parked::Confirm(c));
-            };
+        }) => {
+            let route = routes.get_mut(&ticket.0)?;
             route.granted = true;
-            (
-                encode(&WireMsg::Granted {
+            Some((
+                route.conn,
+                WireMsg::Granted {
                     id: route.id,
                     ticket: ticket.0,
                     cell: cell.index() as u32,
                     channel: channel.0,
                     latency,
-                }),
-                route.conn,
-                route.id,
-            )
+                },
+            ))
         }
-        Confirm::Rejected {
+        Answer::Confirm(Confirm::Rejected {
             ticket,
             cell,
             cause,
-        } => {
-            let Some(route) = routes.remove(&ticket.0) else {
-                return Some(Parked::Confirm(c));
-            };
-            (
-                encode(&WireMsg::Rejected {
+        }) => {
+            let route = routes.remove(&ticket.0)?;
+            Some((
+                route.conn,
+                WireMsg::Rejected {
                     id: route.id,
                     ticket: ticket.0,
                     cell: cell.index() as u32,
                     cause,
-                }),
-                route.conn,
-                route.id,
-            )
+                },
+            ))
         }
-    };
-    drop(routes);
-    deliver(shared, conn_id, client_id, frame);
-    None
-}
-
-/// Relays a released indication; returns it back when the grant that
-/// created the hold has not been relayed yet.
-fn relay_released(
-    shared: &Shared,
-    ticket: Ticket,
-    cell: CellId,
-    channel: adca_hexgrid::Channel,
-) -> Option<Parked> {
-    let mut routes = shared.routes.lock().expect("routes poisoned");
-    match routes.get(&ticket.0) {
-        Some(route) if route.granted => {
-            let conn_id = route.conn;
-            routes.remove(&ticket.0);
-            drop(routes);
-            let frame = encode(&WireMsg::Released {
-                ticket: ticket.0,
-                cell: cell.index() as u32,
-                channel: channel.0,
-            });
-            if let Some(conn) = shared
-                .conns
-                .lock()
-                .expect("conns poisoned")
-                .get(&conn_id)
-                .cloned()
-            {
-                conn.out.send(&frame);
+        Answer::Indication(Indication::Released {
+            ticket,
+            cell,
+            channel,
+        }) => {
+            let Entry::Occupied(route) = routes.entry(ticket.0) else {
+                return None;
+            };
+            if !route.get().granted {
+                return None;
             }
-            None
+            let route = route.remove();
+            Some((
+                route.conn,
+                WireMsg::Released {
+                    ticket: ticket.0,
+                    cell: cell.index() as u32,
+                    channel: channel.0,
+                },
+            ))
         }
-        Some(_) | None => Some(Parked::Released(ticket, cell, channel)),
     }
 }
 
-/// Caches `frame` as `client_id`'s answer (so a later retry of the same
-/// id replays it) and queues it for writing. A dead connection drops
-/// the frame, and its dedup cache with it.
-fn deliver(shared: &Shared, conn_id: u64, client_id: u64, frame: Vec<u8>) {
-    let conn = shared
-        .conns
-        .lock()
-        .expect("conns poisoned")
-        .get(&conn_id)
-        .cloned();
-    let Some(conn) = conn else { return };
-    conn.out.send(&frame);
-    conn.dedup
-        .lock()
-        .expect("dedup poisoned")
-        .insert(client_id, Dedup::Done(frame));
+/// Hands the staged frames over, a run of equal connection id at a
+/// time: one `conns` lookup, one outbox lock for the run's frames, then
+/// one dedup lock to cache its answers (so a later retry of the same id
+/// gets the answer again) — one lock after another, never nested. A
+/// dead connection drops its frames, and its dedup cache with them.
+fn relay(shared: &Shared, staged: &mut Vec<(u64, WireMsg)>) {
+    for run in staged.chunk_by(|a, b| a.0 == b.0) {
+        let conn = shared
+            .conns
+            .lock()
+            .expect("conns poisoned")
+            .get(&run[0].0)
+            .cloned();
+        let Some(conn) = conn else { continue };
+        conn.out.send(run.iter().map(|(_, msg)| msg));
+        let mut dedup = conn.dedup.lock().expect("dedup poisoned");
+        dedup.extend(run.iter().filter_map(|(_, msg)| Dedup::of(msg)));
+    }
+    staged.clear();
 }
 
 #[cfg(test)]
@@ -632,11 +724,11 @@ mod tests {
         });
         // Queued before the writer starts, so it takes them as one batch.
         for ticket in 0..frames {
-            conn.out.send(&encode(&WireMsg::Released {
+            conn.out.send([&WireMsg::Released {
                 ticket,
                 cell: 1,
                 channel: 2,
-            }));
+            }]);
         }
         let (done, finished) = mpsc::channel();
         let writer = conn.clone();

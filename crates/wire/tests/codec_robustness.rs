@@ -13,7 +13,9 @@
 //!    the 12 header bytes alone, before any payload is buffered.
 
 use adca_simkit::{DropCause, RequestKind};
-use adca_wire::{decode, encode, FrameDecoder, FrameError, WireMsg, MAX_PAYLOAD, WIRE_VERSION};
+use adca_wire::{
+    decode, encode, encode_into, FrameDecoder, FrameError, WireMsg, MAX_PAYLOAD, WIRE_VERSION,
+};
 use proptest::prelude::*;
 
 fn msg_strategy() -> impl Strategy<Value = WireMsg> {
@@ -90,6 +92,23 @@ proptest! {
         let (back, used) = decode(&frame).expect("own encoding must decode");
         prop_assert_eq!(back, msg);
         prop_assert_eq!(used, frame.len());
+    }
+
+    /// Encoding in place, behind whatever the buffer already holds:
+    /// exactly `encode`'s bytes are appended (the length is patched and
+    /// the checksum taken over the new frame alone), and the bytes
+    /// before them are left as they were.
+    #[test]
+    fn encode_into_appends_the_same_frame(
+        msg in msg_strategy(),
+        prefix in proptest::collection::vec(0u16..256, 0..200),
+    ) {
+        let prefix: Vec<u8> = prefix.into_iter().map(|w| w as u8).collect();
+        let mut out = prefix.clone();
+        encode_into(&mut out, &msg);
+        let (before, frame) = out.split_at(prefix.len());
+        prop_assert_eq!(before, &prefix[..]);
+        prop_assert_eq!(frame, &encode(&msg)[..]);
     }
 
     /// Round-trip through the incremental decoder with the stream

@@ -1,7 +1,10 @@
-//! What must survive waking and writing once per batch: every request
-//! answered exactly once and in order under pipelining, the client's
-//! retry schedule with one wheel entry a client, and a `shutdown` that
-//! races the accept loop.
+//! What must survive the burst being the unit on the wire — one write
+//! a burst of submits, one wake and one write a batch of answers: every
+//! request answered exactly once and in order under pipelining, each
+//! connection its own answers, a replayed answer the same bytes, the
+//! client's retry schedule with one wheel entry a client, a failed
+//! `submit` registering nothing, and a `shutdown` that races the accept
+//! loop.
 
 use adca_baselines::FixedNode;
 use adca_hexgrid::{CellId, Topology};
@@ -11,7 +14,7 @@ use adca_wire::{
     WireServer,
 };
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -25,50 +28,45 @@ fn production(topo: &Arc<Topology>, ns_per_tick: u64) -> ProductionAllocService<
     ProductionAllocService::new(topo.clone(), cfg, FixedNode::new)
 }
 
-/// 20 000 requests over one connection, 256 in flight, 20 µs holds: the
-/// server's writer and the client's reader both work in batches of
-/// whatever has queued up. Every id is answered exactly once, and a
-/// ticket's `Released` never overtakes its `Granted`.
-#[test]
-fn pipelined_answers_come_exactly_once_and_in_order() {
-    const REQUESTS: u64 = 20_000;
-    const IN_FLIGHT: u64 = 256;
-    let topo = Arc::new(Topology::default_paper(4, 4));
-    let cells = topo.num_cells() as u64;
-    let svc = production(&topo, 100);
-    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
-    let wheel = deadline_wheel();
-    let mut client = WireClient::connect(server.local_addr(), WireClientConfig::default(), &wheel)
-        .expect("connect");
+const DAY: u64 = 86_400 * 10_000_000; // in 100 ns ticks
 
+/// `requests` new calls over `client`, 256 in flight, 20 µs holds, the
+/// k-th to `cell_of(k)`: every id is answered exactly once and by a
+/// grant or rejection of the cell it named, and a ticket's `Released`
+/// never overtakes its `Granted`. Returns the grants.
+fn pipeline(client: &mut WireClient, requests: u64, cell_of: impl Fn(u64) -> CellId) -> u64 {
+    const IN_FLIGHT: u64 = 256;
     let mut submitted = 0u64;
     let mut answered: HashSet<u64> = HashSet::new();
     let mut holding: HashSet<u64> = HashSet::new();
     let (mut granted, mut released) = (0u64, 0u64);
     let give_up = Instant::now() + Duration::from_secs(120);
-    while (answered.len() as u64) < REQUESTS || released < granted {
-        while submitted < REQUESTS && submitted - (answered.len() as u64) < IN_FLIGHT {
-            let cell = CellId((submitted % cells) as u32);
+    while (answered.len() as u64) < requests || released < granted {
+        while submitted < requests && submitted - (answered.len() as u64) < IN_FLIGHT {
             let id = client
-                .submit(&ChannelRequest::new_call(0, cell, 200))
+                .submit(&ChannelRequest::new_call(0, cell_of(submitted), 200))
                 .expect("submit");
             assert_eq!(id, submitted, "ids are handed out in submit order");
             submitted += 1;
         }
         assert!(Instant::now() < give_up, "stalled at {}", answered.len());
         match client.recv(Duration::from_millis(100)) {
-            Some(WireEvent::Granted { id, ticket, .. }) => {
+            Some(WireEvent::Granted {
+                id, ticket, cell, ..
+            }) => {
                 assert!(id < submitted && answered.insert(id), "id {id} twice");
+                assert_eq!(CellId(cell), cell_of(id), "another request's answer");
                 assert!(holding.insert(ticket), "ticket {ticket} granted twice");
                 granted += 1;
             }
-            Some(WireEvent::Rejected { id, .. }) => {
+            Some(WireEvent::Rejected { id, cell, .. }) => {
                 assert!(id < submitted && answered.insert(id), "id {id} twice");
+                assert_eq!(CellId(cell), cell_of(id), "another request's answer");
             }
             Some(WireEvent::Released { ticket, .. }) => {
                 assert!(
                     holding.remove(&ticket),
-                    "released {ticket} before its grant"
+                    "released {ticket} before its grant, or not this connection's"
                 );
                 released += 1;
             }
@@ -84,6 +82,24 @@ fn pipelined_answers_come_exactly_once_and_in_order() {
     assert_eq!(client.in_flight(), 0);
     assert_eq!((client.retries(), client.timeouts()), (0, 0));
     assert!(granted > 0 && released == granted);
+    granted
+}
+
+/// 20 000 requests over one connection: the server's dispatcher and
+/// writer and the client's reader all work in batches of whatever has
+/// queued up (this driver re-submits after every answer, so its own
+/// bursts are of one).
+#[test]
+fn pipelined_answers_come_exactly_once_and_in_order() {
+    const REQUESTS: u64 = 20_000;
+    let topo = Arc::new(Topology::default_paper(4, 4));
+    let cells = topo.num_cells() as u64;
+    let svc = production(&topo, 100);
+    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+    let wheel = deadline_wheel();
+    let mut client = WireClient::connect(server.local_addr(), WireClientConfig::default(), &wheel)
+        .expect("connect");
+    let granted = pipeline(&mut client, REQUESTS, |k| CellId((k % cells) as u32));
     let stats = svc.stats();
     assert_eq!(stats.offered, REQUESTS);
     assert_eq!(stats.granted, granted);
@@ -92,6 +108,259 @@ fn pipelined_answers_come_exactly_once_and_in_order() {
         wheel.pending() <= 1,
         "one wheel entry a client, not one a request"
     );
+}
+
+/// Two connections pipelining at once, so that the dispatcher's bursts
+/// mix their answers: each connection gets only its own — one asks the
+/// even cells and one the odd, and both use the same ids — each exactly
+/// once, and no `Released` before its `Granted`.
+#[test]
+fn two_connections_each_get_only_their_own_answers() {
+    const REQUESTS: u64 = 10_000;
+    let topo = Arc::new(Topology::default_paper(4, 4));
+    let half = topo.num_cells() as u64 / 2;
+    let svc = production(&topo, 100);
+    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+    let wheel = deadline_wheel();
+    let start = Barrier::new(2);
+    let granted: u64 = std::thread::scope(|scope| {
+        let drivers: Vec<_> = (0..2u64)
+            .map(|parity| {
+                let (wheel, start) = (&wheel, &start);
+                let addr = server.local_addr();
+                scope.spawn(move || {
+                    let mut client = WireClient::connect(addr, WireClientConfig::default(), wheel)
+                        .expect("connect");
+                    start.wait();
+                    pipeline(&mut client, REQUESTS, |k| {
+                        CellId((2 * (k % half) + parity) as u32)
+                    })
+                })
+            })
+            .collect();
+        drivers.into_iter().map(|d| d.join().expect("driver")).sum()
+    });
+    let stats = svc.stats();
+    assert_eq!(stats.offered, 2 * REQUESTS);
+    assert_eq!(stats.granted, granted);
+    assert!(stats.violations.is_empty(), "Theorem-1 audit clean");
+    assert_eq!(server.dedup_hits(), 0);
+}
+
+/// The frame of a new call at `cell` that holds for a day (every new
+/// call's frame is as long).
+fn request_frame(id: u64, cell: u32) -> Vec<u8> {
+    encode(&WireMsg::Request {
+        id,
+        at: 0,
+        cell,
+        kind: adca_simkit::RequestKind::NewCall,
+        hold: DAY,
+        handoff_of: None,
+    })
+}
+
+/// A listening socket, a client connected to it, and the peer's end.
+fn client_and_peer(cfg: WireClientConfig) -> (WireClient, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let client = WireClient::connect(listener.local_addr().expect("addr"), cfg, &deadline_wheel())
+        .expect("connect");
+    let (peer, _) = listener.accept().expect("accept");
+    (client, peer)
+}
+
+/// Reads `peer` until `n` whole request frames have arrived and returns
+/// their ids in arrival order.
+fn read_request_ids(peer: &mut TcpStream, dec: &mut FrameDecoder, n: usize) -> Vec<u64> {
+    peer.set_nonblocking(false).expect("blocking");
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut ids = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        while let Some(msg) = dec.next_frame().expect("sound frames") {
+            let WireMsg::Request { id, .. } = msg else {
+                panic!("unexpected {msg:?}");
+            };
+            ids.push(id);
+        }
+        if ids.len() >= n {
+            return ids;
+        }
+        let got = peer.read(&mut buf).expect("frames on their way");
+        assert!(got > 0, "closed after {} frames", ids.len());
+        dec.extend(&buf[..got]);
+    }
+}
+
+/// Whether a read of `peer` that does not wait finds nothing.
+fn nothing_arrived(peer: &mut TcpStream) -> bool {
+    peer.set_nonblocking(true).expect("non-blocking");
+    matches!(peer.read(&mut [0u8; 64]), Err(e) if e.kind() == ErrorKind::WouldBlock)
+}
+
+/// 64 submits are queued — the peer sees nothing — until the driver
+/// turns to listen: then they leave in one write, whole and in order.
+/// `flush` does the same for a driver that will block elsewhere.
+#[test]
+fn a_burst_of_submits_is_one_write() {
+    const BURST: u64 = 64;
+    let (mut client, mut peer) = client_and_peer(WireClientConfig::default());
+    let mut dec = FrameDecoder::new();
+    for turn in 0..2u64 {
+        for k in 0..BURST {
+            let id = client
+                .submit(&ChannelRequest::new_call(0, CellId(k as u32), 10))
+                .expect("submit");
+            assert_eq!(id, turn * BURST + k);
+        }
+        assert_eq!(client.writes(), turn, "submits only queue");
+        assert!(nothing_arrived(&mut peer));
+        if turn == 0 {
+            assert_eq!(client.recv(Duration::ZERO), None);
+        } else {
+            client.flush().expect("flush");
+        }
+        assert_eq!(client.writes(), turn + 1, "one write for the burst");
+        let ids = read_request_ids(&mut peer, &mut dec, BURST as usize);
+        assert!(ids.into_iter().eq(turn * BURST..(turn + 1) * BURST));
+        assert_eq!(dec.buffered(), 0, "whole frames only");
+    }
+    // Nothing queued: neither call writes.
+    client.flush().expect("flush");
+    assert_eq!(client.recv(Duration::ZERO), None);
+    assert_eq!(client.writes(), 2);
+    assert_eq!(client.in_flight(), 2 * BURST as usize);
+}
+
+/// A driver that only submits is not held to its next `recv`: the queue
+/// leaves by itself when it reaches 16 KiB.
+#[test]
+fn submits_past_the_threshold_leave_without_a_recv() {
+    let (mut client, mut peer) = client_and_peer(WireClientConfig::default());
+    let fill = (16 * 1024usize).div_ceil(request_frame(0, 0).len());
+    for _ in 0..fill - 1 {
+        client
+            .submit(&ChannelRequest::new_call(0, CellId(0), 10))
+            .expect("submit");
+    }
+    assert_eq!(client.writes(), 0);
+    assert!(nothing_arrived(&mut peer));
+    for _ in 0..10 {
+        client
+            .submit(&ChannelRequest::new_call(0, CellId(0), 10))
+            .expect("submit");
+    }
+    assert_eq!(client.writes(), 1, "the submit that filled the queue wrote");
+    let mut dec = FrameDecoder::new();
+    let ids = read_request_ids(&mut peer, &mut dec, fill);
+    assert!(ids.into_iter().eq(0..fill as u64), "the other nine wait");
+    assert_eq!(dec.buffered(), 0);
+    assert!(nothing_arrived(&mut peer));
+}
+
+/// `release` then drop, with no `recv` in between: the drop writes the
+/// queue out before it closes, so the call ends at the server.
+#[test]
+fn a_release_queued_at_drop_still_reaches_the_server() {
+    let topo = Arc::new(Topology::default_paper(3, 3));
+    let svc = production(&topo, 100);
+    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+    let mut client = WireClient::connect(
+        server.local_addr(),
+        WireClientConfig::default(),
+        &deadline_wheel(),
+    )
+    .expect("connect");
+    client
+        .submit(&ChannelRequest::new_call(0, CellId(4), DAY))
+        .expect("submit");
+    let Some(WireEvent::Granted { ticket, .. }) = client.recv(Duration::from_secs(10)) else {
+        panic!("an idle cell grants");
+    };
+    client.release(ticket).expect("queued");
+    drop(client);
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while svc.stats().completed < 1 {
+        assert!(Instant::now() < give_up, "the release never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// With one request in flight nothing is held back for a batch: each
+/// `submit` + `recv` is one write.
+#[test]
+fn one_in_flight_is_one_write_a_request() {
+    const N: u64 = 200;
+    let topo = Arc::new(Topology::default_paper(3, 3));
+    let svc = production(&topo, 100);
+    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+    let mut client = WireClient::connect(
+        server.local_addr(),
+        WireClientConfig::default(),
+        &deadline_wheel(),
+    )
+    .expect("connect");
+    for k in 0..N {
+        let id = client
+            .submit(&ChannelRequest::new_call(0, CellId((k % 9) as u32), 200))
+            .expect("submit");
+        loop {
+            match client.recv(Duration::from_secs(10)) {
+                Some(WireEvent::Granted { id: got, .. }) => break assert_eq!(got, id),
+                Some(WireEvent::Released { .. }) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+    assert_eq!(client.writes(), N);
+    assert_eq!(client.retries(), 0);
+}
+
+/// Reads one whole frame off `stream` and returns its bytes.
+fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut buf = [0u8; 256];
+    loop {
+        if let Ok((_, used)) = decode(&bytes) {
+            assert_eq!(used, bytes.len(), "one frame was expected, not more");
+            return bytes;
+        }
+        let n = stream.read(&mut buf).expect("an answer on its way");
+        assert!(n > 0, "closed mid-answer");
+        bytes.extend_from_slice(&buf[..n]);
+    }
+}
+
+/// A retry of a *completed* id is answered from the connection's cache,
+/// which keeps the answer and not its frame: the replay is the same
+/// bytes, and the backend never sees the request again. Likewise for a
+/// request refused at admission.
+#[test]
+fn a_replayed_answer_is_byte_identical() {
+    let topo = Arc::new(Topology::default_paper(3, 3));
+    let svc = production(&topo, 100);
+    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    // A grant, then a refusal (no such cell).
+    for (hits, (id, cell)) in [(7, 4), (8, 999)].into_iter().enumerate() {
+        let frame = request_frame(id, cell);
+        raw.write_all(&frame).expect("send");
+        let first = read_frame(&mut raw);
+        let (answer, _) = decode(&first).expect("sound answer");
+        match (cell, &answer) {
+            (4, WireMsg::Granted { id: 7, cell: 4, .. }) => {}
+            (999, WireMsg::Refused { id: 8, .. }) => {}
+            _ => panic!("unexpected {answer:?}"),
+        }
+        assert_eq!(server.dedup_hits(), hits as u64);
+        raw.write_all(&frame).expect("send again");
+        assert_eq!(read_frame(&mut raw), first, "id {id}: same bytes");
+        assert_eq!(server.dedup_hits(), hits as u64 + 1);
+        assert_eq!(svc.stats().offered, 1, "the backend saw one request");
+    }
 }
 
 /// Accepts one connection and swallows what it sends until it closes;
@@ -235,6 +504,51 @@ fn answer_racing_its_retry_is_delivered_once() {
     assert_eq!(client.in_flight(), 0);
     drop(client);
     server.join().expect("server");
+}
+
+/// A `submit` that fails registered nothing. The peer leaves with ten
+/// requests in flight; further submits succeed until the reader has
+/// seen the connection close and fail from then on. Every id that times
+/// out afterwards is one a `submit` returned, each exactly once.
+#[test]
+fn a_failed_submit_registers_nothing() {
+    let cfg = WireClientConfig {
+        deadline: Duration::from_millis(20),
+        max_retries: 1,
+        backoff: Duration::from_millis(1),
+        ..WireClientConfig::default()
+    };
+    let (mut client, peer) = client_and_peer(cfg);
+    let request = ChannelRequest::new_call(0, CellId(0), 10);
+    let mut returned: HashSet<u64> = (0..10)
+        .map(|_| client.submit(&request).expect("connected"))
+        .collect();
+    drop(peer);
+    let started = Instant::now();
+    while let Ok(id) = client.submit(&request) {
+        assert!(returned.insert(id), "id {id} returned twice");
+        assert!(started.elapsed() < Duration::from_secs(10), "never closed");
+    }
+    assert!(client.submit(&request).is_err(), "closed stays closed");
+    while client.in_flight() > 0 {
+        assert!(started.elapsed() < Duration::from_secs(20), "stalled");
+        match client.recv(Duration::from_millis(5)) {
+            Some(WireEvent::TimedOut { id }) => {
+                assert!(returned.remove(&id), "id {id}: never returned, or twice")
+            }
+            Some(other) => panic!("unexpected {other:?}"),
+            // A closed connection does not wait.
+            None => std::thread::sleep(Duration::from_millis(1)),
+        }
+    }
+    while let Some(ev) = client.recv(Duration::ZERO) {
+        let WireEvent::TimedOut { id } = ev else {
+            panic!("unexpected {ev:?}");
+        };
+        assert!(returned.remove(&id), "id {id}: never returned, or twice");
+    }
+    assert!(returned.is_empty(), "unresolved: {returned:?}");
+    assert_eq!(client.in_flight(), 0);
 }
 
 /// `shutdown` while connections are still arriving: one that the accept
