@@ -1,9 +1,9 @@
 //! Machine-readable perf baselines (`BENCH_engine.json`).
 //!
 //! The workspace has no serde (offline build), so this module hand-rolls
-//! the writer and a deliberately narrow reader: it parses exactly the
-//! row-per-line layout [`write_json`] emits, which is all the baseline
-//! comparison needs. The file itself is plain JSON so external tooling
+//! the writer and a deliberately narrow reader ([`rows`]): it parses
+//! exactly the row-per-line layout [`write_json`] emits, which is all
+//! the baseline comparison needs. The file itself is plain JSON so external tooling
 //! (CI trend charts, `jq`) can consume it.
 
 use std::fmt::Write as _;
@@ -105,172 +105,6 @@ pub fn write_json(path: &str, rho: f64, repeat: u32, rows: &[BenchRow]) -> io::R
     std::fs::write(path, s)
 }
 
-/// One `(backend, scheme, grid)` measurement row of the serving bench
-/// (`BENCH_serve.json`).
-#[derive(Debug, Clone)]
-pub struct ServeRow {
-    /// Serving backend: `"des"` (deterministic replay) or
-    /// `"production"` (bounded-mailbox executor).
-    pub backend: String,
-    /// Scheme name (`SchemeKind::name`).
-    pub scheme: String,
-    /// Grid label, e.g. `"12x12"`.
-    pub grid: String,
-    /// Concurrent closed-loop driver threads (1 for the des backend's
-    /// batch replay).
-    pub drivers: u64,
-    /// Closed-loop subscribers (production) or buffered requests (des).
-    pub subscribers: u64,
-    /// Requests submitted.
-    pub offered: u64,
-    /// Requests granted a channel.
-    pub granted: u64,
-    /// Requests rejected.
-    pub rejected: u64,
-    /// Wall clock of the serving run, seconds.
-    pub wall_s: f64,
-    /// Sustained grant throughput over the run.
-    pub acq_per_sec: f64,
-    /// Median acquisition latency, backend ticks.
-    pub p50_ticks: f64,
-    /// 99th-percentile acquisition latency, backend ticks.
-    pub p99_ticks: f64,
-    /// 99.9th-percentile acquisition latency, backend ticks.
-    pub p999_ticks: f64,
-    /// Admissions that blocked on a full mailbox before fitting.
-    pub bp_stalls: u64,
-    /// Pushes forced past a still-full mailbox after the stall patience
-    /// expired (the deadlock-freedom escape valve; should be rare).
-    pub bp_forced: u64,
-}
-
-/// Writes `rows` as `BENCH_serve.json`-style JSON to `path`.
-pub fn write_serve_json(path: &str, rho: f64, repeat: u32, rows: &[ServeRow]) -> io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"e17_serving\",\n");
-    s.push_str("  \"workload\": \"closed-loop subscribers vs buffered DES replay\",\n");
-    let _ = writeln!(s, "  \"rho\": {rho},");
-    let _ = writeln!(s, "  \"repeat\": {repeat},");
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"backend\": \"{}\", \"scheme\": \"{}\", \"grid\": \"{}\", \
-             \"drivers\": {}, \"subscribers\": {}, \"offered\": {}, \"granted\": {}, \
-             \"rejected\": {}, \"wall_s\": {:.6}, \"acq_per_sec\": {:.1}, \
-             \"p50_ticks\": {:.1}, \"p99_ticks\": {:.1}, \"p999_ticks\": {:.1}, \
-             \"bp_stalls\": {}, \"bp_forced\": {}}}",
-            r.backend,
-            r.scheme,
-            r.grid,
-            r.drivers,
-            r.subscribers,
-            r.offered,
-            r.granted,
-            r.rejected,
-            r.wall_s,
-            r.acq_per_sec,
-            r.p50_ticks,
-            r.p99_ticks,
-            r.p999_ticks,
-            r.bp_stalls,
-            r.bp_forced
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-/// One `(scheme, grid, drivers)` measurement row of the wire-transport
-/// bench (`BENCH_wire.json`): the production backend behind a
-/// `WireServer` on loopback TCP, driven by `drivers` concurrent
-/// closed-loop `WireClient` connections.
-#[derive(Debug, Clone)]
-pub struct WireRow {
-    /// Scheme name (`SchemeKind::name`).
-    pub scheme: String,
-    /// Grid label, e.g. `"12x12"`.
-    pub grid: String,
-    /// Concurrent driver threads, each with its own TCP connection.
-    pub drivers: u64,
-    /// Closed-loop subscribers across all drivers.
-    pub subscribers: u64,
-    /// Requests submitted over the wire.
-    pub offered: u64,
-    /// Requests granted a channel.
-    pub granted: u64,
-    /// Requests rejected by the protocol.
-    pub rejected: u64,
-    /// Requests refused at admission.
-    pub refused: u64,
-    /// Client-side retransmissions across all drivers.
-    pub retries: u64,
-    /// Requests that exhausted their retry budget.
-    pub timeouts: u64,
-    /// Duplicate submissions absorbed by the server's idempotency layer.
-    pub dedup_hits: u64,
-    /// Wall clock of the wire run, seconds.
-    pub wall_s: f64,
-    /// Sustained grant throughput over the run.
-    pub acq_per_sec: f64,
-    /// Median acquisition latency, backend ticks.
-    pub p50_ticks: f64,
-    /// 99th-percentile acquisition latency, backend ticks.
-    pub p99_ticks: f64,
-    /// 99.9th-percentile acquisition latency, backend ticks.
-    pub p999_ticks: f64,
-    /// Admissions that blocked on a full mailbox before fitting.
-    pub bp_stalls: u64,
-    /// Pushes forced past a still-full mailbox after the stall patience
-    /// expired.
-    pub bp_forced: u64,
-}
-
-/// Writes `rows` as `BENCH_wire.json`-style JSON to `path`.
-pub fn write_wire_json(path: &str, rho: f64, repeat: u32, rows: &[WireRow]) -> io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"e18_wire\",\n");
-    s.push_str("  \"workload\": \"closed-loop drivers over loopback TCP\",\n");
-    let _ = writeln!(s, "  \"rho\": {rho},");
-    let _ = writeln!(s, "  \"repeat\": {repeat},");
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"scheme\": \"{}\", \"grid\": \"{}\", \"drivers\": {}, \
-             \"subscribers\": {}, \"offered\": {}, \"granted\": {}, \"rejected\": {}, \
-             \"refused\": {}, \"retries\": {}, \"timeouts\": {}, \"dedup_hits\": {}, \
-             \"wall_s\": {:.6}, \"acq_per_sec\": {:.1}, \"p50_ticks\": {:.1}, \
-             \"p99_ticks\": {:.1}, \"p999_ticks\": {:.1}, \"bp_stalls\": {}, \
-             \"bp_forced\": {}}}",
-            r.scheme,
-            r.grid,
-            r.drivers,
-            r.subscribers,
-            r.offered,
-            r.granted,
-            r.rejected,
-            r.refused,
-            r.retries,
-            r.timeouts,
-            r.dedup_hits,
-            r.wall_s,
-            r.acq_per_sec,
-            r.p50_ticks,
-            r.p99_ticks,
-            r.p999_ticks,
-            r.bp_stalls,
-            r.bp_forced
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
 /// A previously written `BENCH_engine.json`, reduced to its throughput
 /// cells.
 #[derive(Debug, Clone, Default)]
@@ -283,16 +117,11 @@ impl PerfBaseline {
     pub fn load(path: &str) -> io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         let mut cells = Vec::new();
-        for line in text.lines() {
-            let Some(scheme) = find_str(line, "scheme") else {
-                continue;
-            };
-            let (Some(grid), Some(eps)) =
-                (find_str(line, "grid"), find_num(line, "events_per_sec"))
-            else {
+        for row in rows(&text) {
+            let (Some((scheme, grid)), Some(eps)) = (row.key(), row.num("events_per_sec")) else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("malformed baseline row: {line}"),
+                    format!("malformed baseline row: {}", row.0),
                 ));
             };
             cells.push((scheme.to_string(), grid.to_string(), eps));
@@ -309,23 +138,45 @@ impl PerfBaseline {
     }
 }
 
-/// Extracts the string value of `"key": "…"` from a single JSON row line.
-fn find_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
+/// One `{"k": v, ...}` row line of a bench file: the one reader of the
+/// one-object-a-line layout the writers here and in `e14_checkpoint`
+/// emit, shared by [`PerfBaseline::load`] and `perf_gate`.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a>(&'a str);
+
+impl<'a> Row<'a> {
+    /// The string value of `"key": "…"`.
+    pub fn str(&self, key: &str) -> Option<&'a str> {
+        let pat = format!("\"{key}\": \"");
+        let start = self.0.find(&pat)? + pat.len();
+        let rest = &self.0[start..];
+        Some(&rest[..rest.find('"')?])
+    }
+
+    /// The numeric value of `"key": n`; `None` for a value that is not a
+    /// number.
+    pub fn num(&self, key: &str) -> Option<f64> {
+        let pat = format!("\"{key}\": ");
+        let start = self.0.find(&pat)? + pat.len();
+        let rest = &self.0[start..];
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
+        rest[..end].trim().parse().ok()
+    }
+
+    /// `(scheme, grid)` — the row identity every bench file shares.
+    pub fn key(&self) -> Option<(&'a str, &'a str)> {
+        Some((self.str("scheme")?, self.str("grid")?))
+    }
 }
 
-/// Extracts the numeric value of `"key": n` from a single JSON row line.
-fn find_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The `"rows"` entries of a bench file: its object lines that carry a
+/// `scheme` (which skips `warm_start` and other arrays).
+pub fn rows(text: &str) -> Vec<Row<'_>> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with('{') && l.contains("\"scheme\""))
+        .map(Row)
+        .collect()
 }
 
 #[cfg(test)]
@@ -377,9 +228,9 @@ mod tests {
             Some(1_100_000.0)
         );
         let text = std::fs::read_to_string(path).unwrap();
-        let horizons: Vec<_> = text
-            .lines()
-            .filter_map(|l| Some((find_str(l, "grid")?, find_num(l, "horizon_ticks")?)))
+        let horizons: Vec<_> = super::rows(&text)
+            .iter()
+            .filter_map(|r| Some((r.str("grid")?, r.num("horizon_ticks")?)))
             .collect();
         assert_eq!(horizons, [("24x24", 100_000.0), ("104x104", 6_000.0)]);
         // The horizon is a property of a row; the header carries none.
@@ -402,88 +253,24 @@ mod tests {
     }
 
     #[test]
-    fn serve_rows_parse_back_with_the_row_extractors() {
-        let dir = std::env::temp_dir().join("adca_perf_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_serve.json");
-        let path = path.to_str().unwrap();
-        let r = ServeRow {
-            backend: "production".into(),
-            scheme: "adaptive".into(),
-            grid: "12x12".into(),
-            drivers: 4,
-            subscribers: 256,
-            offered: 2048,
-            granted: 2000,
-            rejected: 48,
-            wall_s: 1.25,
-            acq_per_sec: 1600.0,
-            p50_ticks: 30.0,
-            p99_ticks: 90.0,
-            p999_ticks: 200.0,
-            bp_stalls: 3,
-            bp_forced: 0,
-        };
-        write_serve_json(path, 0.9, 1, &[r]).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        let row = text
-            .lines()
-            .find(|l| l.contains("\"backend\""))
-            .expect("one row line");
-        assert_eq!(find_str(row, "backend"), Some("production"));
-        assert_eq!(find_str(row, "scheme"), Some("adaptive"));
-        assert_eq!(find_num(row, "drivers"), Some(4.0));
-        assert_eq!(find_num(row, "subscribers"), Some(256.0));
-        assert_eq!(find_num(row, "acq_per_sec"), Some(1600.0));
-        assert_eq!(find_num(row, "p999_ticks"), Some(200.0));
-    }
-
-    #[test]
-    fn wire_rows_parse_back_with_the_row_extractors() {
-        let dir = std::env::temp_dir().join("adca_perf_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_wire.json");
-        let path = path.to_str().unwrap();
-        let r = WireRow {
-            scheme: "adaptive".into(),
-            grid: "12x12".into(),
-            drivers: 4,
-            subscribers: 256,
-            offered: 2048,
-            granted: 2000,
-            rejected: 40,
-            refused: 0,
-            retries: 8,
-            timeouts: 0,
-            dedup_hits: 8,
-            wall_s: 0.75,
-            acq_per_sec: 2666.7,
-            p50_ticks: 35.0,
-            p99_ticks: 120.0,
-            p999_ticks: 400.0,
-            bp_stalls: 2,
-            bp_forced: 0,
-        };
-        write_wire_json(path, 0.9, 2, &[r]).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        let row = text
-            .lines()
-            .find(|l| l.contains("\"retries\""))
-            .expect("one row line");
-        assert_eq!(find_str(row, "scheme"), Some("adaptive"));
-        assert_eq!(find_num(row, "drivers"), Some(4.0));
-        assert_eq!(find_num(row, "retries"), Some(8.0));
-        assert_eq!(find_num(row, "timeouts"), Some(0.0));
-        assert_eq!(find_num(row, "dedup_hits"), Some(8.0));
-        assert_eq!(find_num(row, "acq_per_sec"), Some(2666.7));
-    }
-
-    #[test]
-    fn field_extractors() {
-        let line = "    {\"scheme\": \"adaptive\", \"grid\": \"6x6\", \"events_per_sec\": 42.5},";
-        assert_eq!(find_str(line, "scheme"), Some("adaptive"));
-        assert_eq!(find_str(line, "grid"), Some("6x6"));
-        assert_eq!(find_num(line, "events_per_sec"), Some(42.5));
-        assert_eq!(find_num(line, "missing"), None);
+    fn row_reader() {
+        let text = r#"{
+  "rows": [
+    {"scheme": "adaptive", "grid": "6x6", "events_per_sec": 42.5, "wall_s": 1.5e-3},
+    {"scheme": "fixed", "grid": "24x24", "cold_wall_s": 0.600000, "resume_identical": true}
+  ],
+  "warm_start": [
+    {"seeds": 4, "grid": "6x6"}
+  ]
+}"#;
+        let rows = super::rows(text);
+        assert_eq!(rows.len(), 2, "only the lines with a scheme");
+        assert_eq!(rows[0].key(), Some(("adaptive", "6x6")));
+        assert_eq!(rows[0].num("events_per_sec"), Some(42.5));
+        assert_eq!(rows[0].num("wall_s"), Some(0.0015));
+        assert_eq!(rows[0].num("missing"), None);
+        assert_eq!(rows[1].key(), Some(("fixed", "24x24")));
+        assert_eq!(rows[1].num("cold_wall_s"), Some(0.6));
+        assert_eq!(rows[1].num("resume_identical"), None);
     }
 }

@@ -16,7 +16,7 @@ use adca_simkit::engine::{run_protocol, run_traced, Engine};
 use adca_simkit::trace::{NoopSink, TraceSink};
 use adca_simkit::{Arrival, AuditMode, DecodeError, FaultPlan, LatencyModel, SimConfig, SimTime};
 use adca_traffic::WorkloadSpec;
-use adca_wire::{closed_loop_wire, WireLoadReport, WireLoadSpec, WireServer};
+use adca_wire::{deadline_wheel, WireClient, WireClientConfig, WireServer};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -351,46 +351,58 @@ impl Scenario {
     }
 
     /// Convenience: starts the production backend for `kind` and drives
-    /// it with `drivers` concurrent closed-loop drivers (1 recovers the
-    /// single-threaded loop exactly); returns the load report and the
-    /// service's final counters (backpressure, violations).
+    /// it with the closed subscriber loop; returns the load report and
+    /// the service's final counters (backpressure, violations).
     pub fn serve_closed_loop(
         &self,
         kind: SchemeKind,
         serve_cfg: ProductionConfig,
         spec: &LoadSpec,
-        drivers: usize,
     ) -> (LoadReport, ServeStats) {
         let topo = self.topology();
         dispatch_scheme!(self, kind, factory => {
-            let svc = ProductionAllocService::new(topo.clone(), serve_cfg, factory);
-            let report = adca_serve::closed_loop_drivers(&svc, &topo, spec, drivers);
-            let stats = svc.stats();
-            (report, stats)
+            let mut svc = ProductionAllocService::new(topo.clone(), serve_cfg, factory);
+            let report = adca_serve::closed_loop(&mut svc, &topo, spec);
+            (report, svc.stats())
         })
     }
 
     /// Puts the production backend for `kind` on a loopback TCP socket
-    /// behind a [`WireServer`] and drives it with
-    /// [`closed_loop_wire`]'s multi-driver load generator (each driver
-    /// owns one connection). Returns the wire-side load report and the
-    /// backend's final counters, plus the server's idempotency-cache
-    /// hit count — under injected client retries every duplicate must
-    /// land there instead of reaching the backend twice.
+    /// behind a [`WireServer`] and drives it with the same closed loop,
+    /// one thread a connection
+    /// ([`closed_loop_drivers`](adca_serve::closed_loop_drivers) over
+    /// `connections` [`WireClient`]s sharing one deadline wheel).
+    /// Returns the load report, the backend's final counters, and what
+    /// only the wire saw ([`WireCounts`]) — under injected client
+    /// retries every duplicate must land in the server's idempotency
+    /// cache instead of reaching the backend twice.
     pub fn serve_wire(
         &self,
         kind: SchemeKind,
         serve_cfg: ProductionConfig,
-        spec: &WireLoadSpec,
-    ) -> std::io::Result<(WireLoadReport, ServeStats, u64)> {
+        spec: &LoadSpec,
+        connections: usize,
+        client_cfg: WireClientConfig,
+    ) -> std::io::Result<(LoadReport, ServeStats, WireCounts)> {
         let topo = self.topology();
         dispatch_scheme!(self, kind, factory => {
             let svc = ProductionAllocService::new(topo.clone(), serve_cfg, factory);
             let mut server = WireServer::start(svc.clone(), "127.0.0.1:0")?;
-            let report = closed_loop_wire(server.local_addr(), topo.num_cells(), spec)?;
+            let wheel = deadline_wheel();
+            let mut clients = (0..connections)
+                .map(|_| WireClient::connect(server.local_addr(), client_cfg, &wheel))
+                .collect::<std::io::Result<Vec<_>>>()?;
+            let report = adca_serve::closed_loop_drivers(&mut clients, &topo, spec);
+            let mut wire = WireCounts::default();
+            for client in &clients {
+                wire.retries += client.retries();
+                wire.timeouts += client.timeouts();
+                wire.refused += client.refused();
+            }
+            drop(clients);
             server.shutdown();
-            let stats = svc.stats();
-            Ok((report, stats, server.dedup_hits()))
+            wire.dedup_hits = server.dedup_hits();
+            Ok((report, svc.stats(), wire))
         })
     }
 
@@ -576,6 +588,22 @@ impl Scenario {
             }
         })
     }
+}
+
+/// What only the wire saw of a [`Scenario::serve_wire`] run: the
+/// clients' counts summed over the connections, and the server's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireCounts {
+    /// Client retransmissions.
+    pub retries: u64,
+    /// Requests that exhausted their retry budget (each one a
+    /// `RetryExhausted` rejection in the load report).
+    pub timeouts: u64,
+    /// Requests the server refused at admission (each one a `Blocked`
+    /// rejection in the load report).
+    pub refused: u64,
+    /// Duplicate submissions the server's idempotency layer absorbed.
+    pub dedup_hits: u64,
 }
 
 /// What [`Scenario::checkpoint_probe`] measured.

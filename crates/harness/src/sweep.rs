@@ -23,83 +23,36 @@ use std::sync::{Arc, Mutex};
 /// Environment variable controlling the sweep worker-pool size.
 pub const THREADS_ENV: &str = "ADCA_THREADS";
 
-/// Environment variable controlling how many closed-loop subscribers
-/// the serving bench drives (see [`subscriber_count`]).
-pub const SUBSCRIBERS_ENV: &str = "ADCA_SUBSCRIBERS";
-
-/// Environment variable controlling how many concurrent closed-loop
-/// driver threads the serving benches use (see [`driver_count`]).
-pub const DRIVERS_ENV: &str = "ADCA_DRIVERS";
-
 /// The machine's available parallelism (1 if unknown).
 fn available() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Reads `var` as a positive integer. Unset returns `None`; a set but
-/// unparseable value warns **once** per process per variable (sweeps
-/// call these per experiment cell; repeating the warning would drown
-/// the experiment's own output), naming both the rejected value and the
-/// fallback actually used (`fallback_desc`, e.g. "available parallelism
-/// (8)"), then also returns `None`.
-fn env_count(
-    var: &str,
-    warned: &'static std::sync::Once,
-    fallback_desc: impl FnOnce() -> String,
-) -> Option<usize> {
-    let v = std::env::var(var).ok()?;
-    if let Ok(n) = v.trim().parse::<usize>() {
-        if n >= 1 {
-            return Some(n);
-        }
-    }
-    warned.call_once(|| {
-        eprintln!(
-            "warning: ignoring invalid {var}={v:?} (want a positive \
-             integer); falling back to {}",
-            fallback_desc()
-        );
-    });
-    None
-}
-
-/// "available parallelism (N)" — the fallback wording shared by the
-/// thread-shaped knobs.
-fn available_desc() -> String {
-    format!("available parallelism ({})", available())
-}
-
 /// Worker count for sweeps: `ADCA_THREADS` if set to a positive integer,
 /// otherwise the machine's available parallelism (1 if unknown).
 /// `ADCA_THREADS=1` recovers fully sequential execution.
+///
+/// A set but unparseable value warns **once** per process (sweeps call
+/// this per experiment cell; repeating the warning would drown the
+/// experiment's own output), naming both the rejected value and the
+/// fallback actually used.
 pub fn worker_count() -> usize {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    env_count(THREADS_ENV, &WARNED, available_desc).unwrap_or_else(available)
-}
-
-/// Closed-loop subscriber count for the serving bench:
-/// `ADCA_SUBSCRIBERS` if set to a positive integer, otherwise the
-/// caller's `default`. Invalid values warn once and fall back, exactly
-/// like [`worker_count`] does for `ADCA_THREADS`.
-pub fn subscriber_count(default: usize) -> usize {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    env_count(SUBSCRIBERS_ENV, &WARNED, || {
-        format!("the bench default ({default})")
-    })
-    .unwrap_or(default)
-}
-
-/// Closed-loop driver-thread count for the serving benches:
-/// `ADCA_DRIVERS` if set to a positive integer, otherwise the caller's
-/// `default`. `ADCA_DRIVERS=1` recovers the single-driver loop exactly.
-/// Invalid values warn once and fall back, exactly like [`worker_count`]
-/// does for `ADCA_THREADS`.
-pub fn driver_count(default: usize) -> usize {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    env_count(DRIVERS_ENV, &WARNED, || {
-        format!("the bench default ({default})")
-    })
-    .unwrap_or(default)
+    if let Ok(v) = std::env::var(THREADS_ENV) {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n >= 1 {
+                return n;
+            }
+        }
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        WARNED.call_once(|| {
+            eprintln!(
+                "warning: ignoring invalid {THREADS_ENV}={v:?} (want a positive \
+                 integer); falling back to available parallelism ({})",
+                available()
+            );
+        });
+    }
+    available()
 }
 
 /// Runs every closure in `jobs` on a pool of `workers` threads and
@@ -517,8 +470,6 @@ mod tests {
         // Can't set the env var here without racing other tests; just pin
         // the fallback contract.
         assert!(worker_count() >= 1);
-        assert!(subscriber_count(256) >= 1);
-        assert!(driver_count(4) >= 1);
         assert!(SweepRunner::new().workers() >= 1);
     }
 

@@ -7,36 +7,35 @@
 //! the server's idempotency layer absorbs every duplicate.
 
 use adca_harness::{Scenario, SchemeKind};
-use adca_serve::ProductionConfig;
-use adca_wire::{WireClientConfig, WireLoadSpec};
+use adca_serve::{LoadSpec, ProductionConfig};
+use adca_wire::WireClientConfig;
 use std::time::Duration;
 
 #[test]
 fn adaptive_12x12_over_loopback_survives_injected_retries() {
     let sc = Scenario::uniform(0.9, 10_000); // 12x12, 70 channels
-    let spec = WireLoadSpec {
+    let spec = LoadSpec {
         subscribers: 144,
         requests_per_sub: 2,
         think: Duration::ZERO,
         hold: 200,
         deadline: Duration::from_secs(120),
-        drivers: 3,
-        client: WireClientConfig {
-            inject_dup_first_send: true,
-            ..WireClientConfig::default()
-        },
+    };
+    let client_cfg = WireClientConfig {
+        inject_dup_first_send: true,
+        ..WireClientConfig::default()
     };
     let cfg = ProductionConfig {
         workers: 4,
         ..ProductionConfig::default()
     };
-    let (report, stats, dedup_hits) = sc
-        .serve_wire(SchemeKind::Adaptive, cfg, &spec)
+    let (report, stats, wire) = sc
+        .serve_wire(SchemeKind::Adaptive, cfg, &spec, 3, client_cfg)
         .expect("loopback wire loop runs");
 
     assert_eq!(report.unresolved, 0, "the closed loop drained");
-    assert_eq!(report.refused, 0, "every request was admissible");
-    assert_eq!(report.timeouts, 0, "no request exhausted its retries");
+    assert_eq!(wire.refused, 0, "every request was admissible");
+    assert_eq!(wire.timeouts, 0, "no request exhausted its retries");
     assert_eq!(
         report.offered,
         (spec.subscribers as u64) * u64::from(spec.requests_per_sub),
@@ -58,8 +57,9 @@ fn adaptive_12x12_over_loopback_survives_injected_retries() {
     );
     assert_eq!(stats.granted, report.granted, "hidden extra grants");
     assert!(
-        dedup_hits >= report.offered,
-        "each injected duplicate is a dedup hit ({dedup_hits} < {})",
+        wire.dedup_hits >= report.offered,
+        "each injected duplicate is a dedup hit ({} < {})",
+        wire.dedup_hits,
         report.offered
     );
     assert!(

@@ -5,7 +5,9 @@
 //! submit [`ChannelRequest`]s through the transport-agnostic
 //! [`AllocService`] trait (request / release / confirm / indication —
 //! the MCPS/MLME request-confirm idiom of real radio MACs) and the MSS
-//! network answers them. Two backends implement the same contract:
+//! network answers them. Two backends implement the same contract
+//! here, and `adca-wire`'s `WireClient` implements it for a service on
+//! the other end of a socket:
 //!
 //! * [`DesAllocService`] — the deterministic backend. Requests are
 //!   buffered and replayed through the DES engine at
@@ -19,10 +21,9 @@
 //!   exert real backpressure on senders — including the subscriber
 //!   calling [`AllocService::request_channel`].
 //!
-//! The [`loadgen`] module drives a live backend with a closed
-//! subscriber loop and reports sustained acquisitions/sec plus a
-//! p50/p99/p999 latency sketch; the `e17_serving` bench binary in
-//! `adca-bench` is its command-line face.
+//! The [`loadgen`] module is the one closed subscriber loop: it drives
+//! any live `AllocService` — in process or over TCP — and reports
+//! sustained acquisitions/sec plus a p50/p99/p999 latency sketch.
 //!
 //! [`SimReport`]: adca_simkit::SimReport
 
@@ -300,37 +301,6 @@ mod tests {
             .unwrap();
         assert!(b.quiesce(Duration::from_secs(10)));
         assert_eq!(b.stats().granted, 3);
-    }
-
-    #[test]
-    fn multi_driver_closed_loop_resolves_every_request() {
-        let topo = topo();
-        let svc = ProductionAllocService::new(
-            topo.clone(),
-            ProductionConfig {
-                workers: 4,
-                ns_per_tick: 50,
-                ..Default::default()
-            },
-            FixedNode::new,
-        );
-        let spec = LoadSpec {
-            subscribers: 48,
-            requests_per_sub: 3,
-            think: Duration::ZERO,
-            hold: 100,
-            deadline: Duration::from_secs(30),
-        };
-        let report = closed_loop_drivers(&svc, &topo, &spec, 4);
-        assert_eq!(report.unresolved, 0, "run drained before the deadline");
-        assert_eq!(
-            report.granted + report.rejected,
-            spec.subscribers as u64 * spec.requests_per_sub as u64
-        );
-        assert!(report.granted > 0);
-        assert_eq!(report.latency.count(), report.granted);
-        let stats = svc.stats();
-        assert!(stats.violations.is_empty(), "{:?}", stats.violations);
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! slows down (or its mailboxes push back), the loop slows with it,
 //! which is what makes sustained acquisitions/sec and tail latency
 //! honest numbers rather than queue-explosion artifacts.
+//!
+//! There is one loop, and it knows the service only through the trait:
+//! [`closed_loop`] drives an in-process backend or a socket (the wire
+//! crate's client is an `AllocService`) with the same code, and
+//! [`closed_loop_drivers`] runs it on one thread a handle.
 
 use crate::service::{AllocService, ChannelRequest, Confirm, Ticket};
 use adca_hexgrid::{CellId, Topology};
 use adca_metrics::PercentileSketch;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Shape of one closed-loop run.
@@ -44,7 +48,7 @@ impl Default for LoadSpec {
 }
 
 /// What a closed-loop run measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// Requests submitted.
     pub offered: u64,
@@ -75,32 +79,79 @@ impl LoadReport {
 
 /// Drives `svc` with a closed subscriber loop and measures it.
 ///
-/// Requires a live backend (confirms must arrive while the loop runs —
+/// Requires a live service (confirms must arrive while the loop runs —
 /// the deterministic backend resolves only inside `quiesce`, so drive
-/// it open-loop instead).
+/// it open-loop instead), and one that answers **every** ticket with a
+/// [`Confirm`]: the loop counts a request resolved when its confirm
+/// comes, whatever became of it.
 pub fn closed_loop<S: AllocService + ?Sized>(
     svc: &mut S,
     topo: &Topology,
     spec: &LoadSpec,
 ) -> LoadReport {
-    let cells = topo.num_cells();
-    let total = spec.subscribers as u64 * spec.requests_per_sub as u64;
-    let mut remaining: Vec<u32> = vec![spec.requests_per_sub; spec.subscribers];
-    let mut ready: VecDeque<(Instant, usize)> = VecDeque::with_capacity(spec.subscribers);
-    let mut in_flight: HashMap<Ticket, usize> = HashMap::with_capacity(spec.subscribers);
+    drive(svc, topo.num_cells(), spec, (0, 1), Instant::now())
+}
+
+/// The closed loop on one thread a handle: handle `d` of `k` drives the
+/// subscribers `{s : s % k == d}`. Subscribers keep their global
+/// numbering (`cell = s % cells`), so the spatial workload is the same
+/// at every `k`; only the submission concurrency changes. The reports
+/// are merged into one.
+///
+/// **Each handle takes its own answers**: a driver settles only what
+/// its handle hands it, so the handles must not share an answer queue.
+/// One `WireClient` a connection is such a set (a connection is sent
+/// the answers to its own requests and no others); clones of one
+/// in-process backend are not.
+pub fn closed_loop_drivers<S: AllocService + Send>(
+    handles: &mut [S],
+    topo: &Topology,
+    spec: &LoadSpec,
+) -> LoadReport {
+    let (cells, k) = (topo.num_cells(), handles.len());
     let start = Instant::now();
-    for sub in 0..spec.subscribers {
-        ready.push_back((start, sub));
-    }
-    let hard_deadline = start + spec.deadline;
-    let mut report = LoadReport {
-        offered: 0,
-        granted: 0,
-        rejected: 0,
-        unresolved: 0,
-        wall: Duration::ZERO,
-        latency: PercentileSketch::new(),
+    let reports: Vec<LoadReport> = std::thread::scope(|scope| {
+        let drivers: Vec<_> = handles
+            .iter_mut()
+            .enumerate()
+            .map(|(d, svc)| scope.spawn(move || drive(svc, cells, spec, (d, k), start)))
+            .collect();
+        drivers
+            .into_iter()
+            .map(|h| h.join().expect("driver panicked"))
+            .collect()
+    });
+    let mut merged = LoadReport {
+        wall: start.elapsed(),
+        ..LoadReport::default()
     };
+    for r in reports {
+        merged.offered += r.offered;
+        merged.granted += r.granted;
+        merged.rejected += r.rejected;
+        merged.unresolved += r.unresolved;
+        merged.latency.merge(&r.latency);
+    }
+    merged
+}
+
+/// The loop: shard `d` of `k` of `spec`'s subscribers against `svc`.
+fn drive<S: AllocService + ?Sized>(
+    svc: &mut S,
+    cells: usize,
+    spec: &LoadSpec,
+    (d, k): (usize, usize),
+    start: Instant,
+) -> LoadReport {
+    // Local subscriber `i` is global subscriber `d + i * k`.
+    let subs = (d..spec.subscribers).step_by(k).len();
+    let total = subs as u64 * spec.requests_per_sub as u64;
+    let mut remaining: Vec<u32> = vec![spec.requests_per_sub; subs];
+    let mut ready: VecDeque<(Instant, usize)> = (0..subs).map(|sub| (start, sub)).collect();
+    let mut in_flight: HashMap<Ticket, usize> = HashMap::with_capacity(subs);
+    let (mut confirms, mut indications) = (Vec::new(), Vec::new());
+    let hard_deadline = start + spec.deadline;
+    let mut report = LoadReport::default();
     let mut resolved = 0u64;
     while resolved < total {
         let now = Instant::now();
@@ -108,12 +159,13 @@ pub fn closed_loop<S: AllocService + ?Sized>(
             report.unresolved = total - resolved;
             break;
         }
-        let mut progressed = false;
-        // Issue every due request (this is where admission backpressure
-        // blocks the loop).
+        // Issue every due request. This is where backpressure reaches
+        // the loop: a full mailbox blocks the call in process, a closed
+        // TCP window blocks the write the socket's handle makes below.
+        let mut issued = false;
         while ready.front().is_some_and(|&(due, _)| due <= now) {
             let (_, sub) = ready.pop_front().expect("peeked");
-            let cell = CellId((sub % cells) as u32);
+            let cell = CellId(((d + sub * k) % cells) as u32);
             match svc.request_channel(ChannelRequest::new_call(0, cell, spec.hold)) {
                 Ok(ticket) => {
                     report.offered += 1;
@@ -126,314 +178,42 @@ pub fn closed_loop<S: AllocService + ?Sized>(
                     remaining[sub] = 0;
                 }
             }
-            progressed = true;
+            issued = true;
         }
-        // Drain confirms; confirmed subscribers think, then requeue.
-        while let Some(confirm) = svc.confirm() {
-            progressed = true;
+        // Take the burst of answers, one lock of the service's queue
+        // however many there are. After issuing, only what is already
+        // there; otherwise wait for the earlier of the next
+        // think-expiry and an answer.
+        let wait = if issued {
+            Duration::ZERO
+        } else {
+            let next_due = ready.front().map_or(hard_deadline, |&(due, _)| due);
+            next_due
+                .min(hard_deadline)
+                .saturating_duration_since(Instant::now())
+                .min(Duration::from_millis(1))
+        };
+        svc.recv_answers(wait, &mut confirms, &mut indications);
+        // Confirmed subscribers think, then requeue.
+        let thought = Instant::now() + spec.think;
+        for confirm in confirms.drain(..) {
             resolved += 1;
             match confirm {
-                Confirm::Granted {
-                    ticket, latency, ..
-                } => {
+                Confirm::Granted { latency, .. } => {
                     report.granted += 1;
                     report.latency.push(latency as f64);
-                    requeue(&mut ready, &mut remaining, in_flight.remove(&ticket), spec);
                 }
-                Confirm::Rejected { ticket, .. } => {
-                    report.rejected += 1;
-                    requeue(&mut ready, &mut remaining, in_flight.remove(&ticket), spec);
+                Confirm::Rejected { .. } => report.rejected += 1,
+            }
+            if let Some(sub) = in_flight.remove(&confirm.ticket()) {
+                remaining[sub] = remaining[sub].saturating_sub(1);
+                if remaining[sub] > 0 {
+                    ready.push_back((thought, sub));
                 }
             }
         }
-        // Keep the indication queue from accumulating for the whole run.
-        while svc.indication().is_some() {}
-        if !progressed {
-            // Nothing due, nothing confirmed: wait for the earliest of
-            // the next think-expiry or a confirm.
-            let next_due = ready.front().map(|&(due, _)| due).unwrap_or(hard_deadline);
-            let wait = next_due
-                .min(hard_deadline)
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(1));
-            if let Some(confirm) = svc.recv_confirm(wait) {
-                resolved += 1;
-                match confirm {
-                    Confirm::Granted {
-                        ticket, latency, ..
-                    } => {
-                        report.granted += 1;
-                        report.latency.push(latency as f64);
-                        requeue(&mut ready, &mut remaining, in_flight.remove(&ticket), spec);
-                    }
-                    Confirm::Rejected { ticket, .. } => {
-                        report.rejected += 1;
-                        requeue(&mut ready, &mut remaining, in_flight.remove(&ticket), spec);
-                    }
-                }
-            }
-        }
+        indications.clear();
     }
     report.wall = start.elapsed();
     report
-}
-
-/// Multi-driver closed loop: `drivers` threads, each owning the
-/// subscriber shard `{s : s % drivers == d}`, drive independent clones
-/// of `svc` concurrently. One driver cannot saturate a wide production
-/// backend — the single loop thread caps offered load before the
-/// mailboxes do — so throughput studies sweep this driver count.
-///
-/// Subscribers keep their global numbering (`cell = s % cells`), so the
-/// spatial workload is identical at every driver count; only the
-/// submission concurrency changes. Confirms come off the backend's one
-/// shared queue, so whichever driver pops a confirm routes it to the
-/// ticket's owner through a small shared router. `drivers = 1` is
-/// exactly [`closed_loop`].
-pub fn closed_loop_drivers<S>(
-    svc: &S,
-    topo: &Topology,
-    spec: &LoadSpec,
-    drivers: usize,
-) -> LoadReport
-where
-    S: AllocService + Clone + Send,
-{
-    let drivers = drivers.clamp(1, spec.subscribers.max(1));
-    if drivers == 1 {
-        return closed_loop(&mut svc.clone(), topo, spec);
-    }
-    let cells = topo.num_cells();
-    let router = Router::new(drivers);
-    let start = Instant::now();
-    let reports: Vec<LoadReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..drivers)
-            .map(|d| {
-                let mut svc = svc.clone();
-                let router = &router;
-                scope.spawn(move || run_driver(&mut svc, router, d, drivers, cells, spec, start))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("driver panicked"))
-            .collect()
-    });
-    let mut merged = LoadReport {
-        offered: 0,
-        granted: 0,
-        rejected: 0,
-        unresolved: 0,
-        wall: start.elapsed(),
-        latency: PercentileSketch::new(),
-    };
-    for r in reports {
-        merged.offered += r.offered;
-        merged.granted += r.granted;
-        merged.rejected += r.rejected;
-        merged.unresolved += r.unresolved;
-        merged.latency.merge(&r.latency);
-    }
-    merged
-}
-
-/// One driver's closed loop over its subscriber shard (the same state
-/// machine as [`closed_loop`], with confirms going through the router).
-fn run_driver<S: AllocService>(
-    svc: &mut S,
-    router: &Router,
-    d: usize,
-    drivers: usize,
-    cells: usize,
-    spec: &LoadSpec,
-    start: Instant,
-) -> LoadReport {
-    let subs: Vec<usize> = (d..spec.subscribers).step_by(drivers).collect();
-    let total = subs.len() as u64 * spec.requests_per_sub as u64;
-    let mut remaining: Vec<u32> = vec![spec.requests_per_sub; subs.len()];
-    let mut ready: VecDeque<(Instant, usize)> = VecDeque::with_capacity(subs.len());
-    let mut in_flight: HashMap<Ticket, usize> = HashMap::with_capacity(subs.len());
-    for local in 0..subs.len() {
-        ready.push_back((start, local));
-    }
-    let hard_deadline = start + spec.deadline;
-    let mut report = LoadReport {
-        offered: 0,
-        granted: 0,
-        rejected: 0,
-        unresolved: 0,
-        wall: Duration::ZERO,
-        latency: PercentileSketch::new(),
-    };
-    let mut resolved = 0u64;
-    let settle = |report: &mut LoadReport,
-                  ready: &mut VecDeque<(Instant, usize)>,
-                  remaining: &mut [u32],
-                  in_flight: &mut HashMap<Ticket, usize>,
-                  confirm: Confirm| match confirm {
-        Confirm::Granted {
-            ticket, latency, ..
-        } => {
-            report.granted += 1;
-            report.latency.push(latency as f64);
-            requeue(ready, remaining, in_flight.remove(&ticket), spec);
-        }
-        Confirm::Rejected { ticket, .. } => {
-            report.rejected += 1;
-            requeue(ready, remaining, in_flight.remove(&ticket), spec);
-        }
-    };
-    while resolved < total {
-        let now = Instant::now();
-        if now >= hard_deadline {
-            report.unresolved = total - resolved;
-            break;
-        }
-        let mut progressed = false;
-        while ready.front().is_some_and(|&(due, _)| due <= now) {
-            let (_, local) = ready.pop_front().expect("peeked");
-            let cell = CellId((subs[local] % cells) as u32);
-            match svc.request_channel(ChannelRequest::new_call(0, cell, spec.hold)) {
-                Ok(ticket) => {
-                    report.offered += 1;
-                    router.register(ticket, d);
-                    in_flight.insert(ticket, local);
-                }
-                Err(_) => {
-                    resolved += remaining[local] as u64;
-                    remaining[local] = 0;
-                }
-            }
-            progressed = true;
-        }
-        while let Some(confirm) = router.poll(d, svc) {
-            progressed = true;
-            resolved += 1;
-            settle(
-                &mut report,
-                &mut ready,
-                &mut remaining,
-                &mut in_flight,
-                confirm,
-            );
-        }
-        while svc.indication().is_some() {}
-        if !progressed {
-            let next_due = ready.front().map(|&(due, _)| due).unwrap_or(hard_deadline);
-            let wait = next_due
-                .min(hard_deadline)
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(1));
-            if let Some(confirm) = svc.recv_confirm(wait) {
-                if let Some(confirm) = router.route(d, confirm) {
-                    resolved += 1;
-                    settle(
-                        &mut report,
-                        &mut ready,
-                        &mut remaining,
-                        &mut in_flight,
-                        confirm,
-                    );
-                }
-            }
-        }
-    }
-    report.wall = start.elapsed();
-    report
-}
-
-/// Routes confirms popped off the backend's shared queue to the driver
-/// that owns the ticket.
-struct Router {
-    st: Mutex<RouterState>,
-}
-
-struct RouterState {
-    /// Ticket → owning driver, registered at submission.
-    owner: HashMap<u64, usize>,
-    /// Confirms waiting for their owning driver to come around.
-    queues: Vec<VecDeque<Confirm>>,
-    /// Confirms popped in the instant between another driver's submit
-    /// returning and its registration; re-homed on registration.
-    orphans: Vec<Confirm>,
-}
-
-fn confirm_ticket(c: &Confirm) -> Ticket {
-    match *c {
-        Confirm::Granted { ticket, .. } | Confirm::Rejected { ticket, .. } => ticket,
-    }
-}
-
-impl Router {
-    fn new(drivers: usize) -> Self {
-        Router {
-            st: Mutex::new(RouterState {
-                owner: HashMap::new(),
-                queues: (0..drivers).map(|_| VecDeque::new()).collect(),
-                orphans: Vec::new(),
-            }),
-        }
-    }
-
-    fn register(&self, ticket: Ticket, d: usize) {
-        let mut st = self.st.lock().expect("router poisoned");
-        if let Some(k) = st.orphans.iter().position(|c| confirm_ticket(c) == ticket) {
-            let c = st.orphans.swap_remove(k);
-            st.queues[d].push_back(c);
-        } else {
-            st.owner.insert(ticket.0, d);
-        }
-    }
-
-    /// A confirm owned by driver `d`: first from its routed queue, then
-    /// by popping the backend's shared queue (routing strays onward).
-    fn poll<S: AllocService + ?Sized>(&self, d: usize, svc: &mut S) -> Option<Confirm> {
-        loop {
-            {
-                let mut st = self.st.lock().expect("router poisoned");
-                if let Some(c) = st.queues[d].pop_front() {
-                    return Some(c);
-                }
-            }
-            let c = svc.confirm()?;
-            if let Some(c) = self.route(d, c) {
-                return Some(c);
-            }
-        }
-    }
-
-    /// Routes `c`: returned if `d` owns it, queued for its owner (or
-    /// stashed as an orphan) otherwise.
-    fn route(&self, d: usize, c: Confirm) -> Option<Confirm> {
-        let t = confirm_ticket(&c);
-        let mut st = self.st.lock().expect("router poisoned");
-        match st.owner.remove(&t.0) {
-            Some(e) if e == d => Some(c),
-            Some(e) => {
-                st.queues[e].push_back(c);
-                None
-            }
-            None => {
-                st.orphans.push(c);
-                None
-            }
-        }
-    }
-}
-
-/// After a confirm, the subscriber thinks and (if it has requests left)
-/// becomes ready again.
-fn requeue(
-    ready: &mut VecDeque<(Instant, usize)>,
-    remaining: &mut [u32],
-    sub: Option<usize>,
-    spec: &LoadSpec,
-) {
-    let Some(sub) = sub else {
-        return;
-    };
-    remaining[sub] = remaining[sub].saturating_sub(1);
-    if remaining[sub] > 0 {
-        ready.push_back((Instant::now() + spec.think, sub));
-    }
 }

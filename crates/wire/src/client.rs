@@ -28,10 +28,19 @@
 //! grant, and a request whose budget runs dry resolves as
 //! [`WireEvent::TimedOut`].
 //!
+//! The client is also an [`AllocService`]: a second view over the same
+//! event queue that speaks [`Ticket`]s, [`Confirm`]s and
+//! [`Indication`]s, so whatever drives the in-process backends drives a
+//! socket unchanged (the mapping is on the
+//! [impl](WireClient#impl-AllocService-for-WireClient)).
+//!
 //! [`WireServer`]: crate::WireServer
 
 use crate::frame::{encode_into, FrameDecoder, WireMsg};
-use adca_serve::ChannelRequest;
+use adca_hexgrid::{CellId, Channel};
+use adca_serve::{
+    AllocService, ChannelRequest, Confirm, Indication, ServeError, ServeStats, Ticket,
+};
 use adca_simkit::DropCause;
 use adca_threadnet::{Backoff, TimerWheel};
 use std::collections::{HashMap, VecDeque};
@@ -164,7 +173,9 @@ struct ClientState {
     /// Whether this client's one entry on the wheel is armed.
     armed: bool,
     events: VecDeque<WireEvent>,
-    /// Whether `recv` is parked on the condvar.
+    /// Requests the server refused at admission.
+    refused: u64,
+    /// Whether the driver is parked on the condvar.
     receiving: bool,
     closed: bool,
 }
@@ -241,8 +252,8 @@ pub struct ClientShared {
     cv: Condvar,
 }
 
-/// A connected wire client. Not `Sync`: one driver thread owns it (the
-/// closed-loop load generator gives each driver its own client).
+/// A connected wire client. Not `Sync`: one driver thread owns it
+/// (`closed_loop_drivers` gives each driver its own client).
 pub struct WireClient {
     shared: Arc<ClientShared>,
     wheel: Arc<TimerWheel<WireDeadline>>,
@@ -255,6 +266,7 @@ pub struct WireClient {
     writes: u64,
     retries: u64,
     timeouts: u64,
+    view: View,
 }
 
 impl WireClient {
@@ -274,6 +286,7 @@ impl WireClient {
                 deadlines: VecDeque::new(),
                 armed: false,
                 events: VecDeque::new(),
+                refused: 0,
                 receiving: false,
                 closed: false,
             }),
@@ -295,6 +308,7 @@ impl WireClient {
             writes: 0,
             retries: 0,
             timeouts: 0,
+            view: View::default(),
         })
     }
 
@@ -312,7 +326,6 @@ impl WireClient {
     /// times out.
     pub fn submit(&mut self, req: &ChannelRequest) -> io::Result<u64> {
         let id = self.next_id;
-        self.next_id += 1;
         let msg = WireMsg::Request {
             id,
             at: req.at,
@@ -344,6 +357,7 @@ impl WireClient {
             st.set_deadline(due, id);
             st.arm()
         };
+        self.next_id += 1;
         self.arm_wheel(arm);
         encode_into(&mut self.out, &msg);
         if self.cfg.inject_dup_first_send {
@@ -405,6 +419,19 @@ impl WireClient {
     /// as [`WireEvent::TimedOut`]. Returns `None` on timeout, or when
     /// the connection is closed and fully drained.
     pub fn recv(&mut self, wait: Duration) -> Option<WireEvent> {
+        self.wait_for(wait, |st| st.events.pop_front())
+    }
+
+    /// The one receiving path, under [`recv`](Self::recv) and every
+    /// receiving call of the [`AllocService`] view: services expired
+    /// deadlines, writes the queue out, and only then asks `take` for
+    /// what the caller came for — parking, up to `wait`, while `take`
+    /// finds nothing and the connection is open.
+    fn wait_for<T>(
+        &mut self,
+        wait: Duration,
+        mut take: impl FnMut(&mut ClientState) -> Option<T>,
+    ) -> Option<T> {
         let mut now = Instant::now();
         let give_up = now + wait;
         let mut st = self.shared.st.lock().expect("client poisoned");
@@ -419,8 +446,8 @@ impl WireClient {
                 self.arm_wheel(arm);
                 st = self.shared.st.lock().expect("client poisoned");
             }
-            if let Some(ev) = st.events.pop_front() {
-                return Some(ev);
+            if let Some(taken) = take(&mut st) {
+                return Some(taken);
             }
             if st.closed || now >= give_up {
                 return None;
@@ -461,6 +488,12 @@ impl WireClient {
     pub fn timeouts(&self) -> u64 {
         self.timeouts
     }
+
+    /// Requests the server refused at admission (an unknown cell, a
+    /// spent handoff source, a backend shutting down).
+    pub fn refused(&self) -> u64 {
+        self.shared.st.lock().expect("client poisoned").refused
+    }
 }
 
 impl Drop for WireClient {
@@ -471,6 +504,249 @@ impl Drop for WireClient {
         self.shared.cv.notify_all();
         if let Some(h) = self.reader.take() {
             let _ = h.join();
+        }
+    }
+}
+
+/// What the [`AllocService`] view knows of a request it submitted.
+enum Call {
+    /// Unanswered; the cell it asked for, which a timeout or a refusal
+    /// does not carry.
+    InFlight(u32),
+    /// Granted; the server's ticket for the call, which the wire format
+    /// wants in a release or a handoff.
+    Holding(u64),
+}
+
+/// The [`AllocService`] view's state. It is the driver thread's alone,
+/// and empty (nothing allocated) in a client driven through
+/// `submit`/`recv`.
+#[derive(Default)]
+struct View {
+    /// By idempotency id, from `request_channel` until the request is
+    /// rejected, refused or timed out, or the granted call is released.
+    calls: HashMap<u64, Call>,
+    /// Server ticket → idempotency id of every call in `Holding`.
+    holding: HashMap<u64, u64>,
+    /// Swapped with the shared event queue under its lock, translated
+    /// with the lock let go.
+    taken: VecDeque<WireEvent>,
+    confirms: VecDeque<Confirm>,
+    indications: VecDeque<Indication>,
+    granted: u64,
+    rejected: u64,
+    completed: u64,
+}
+
+impl View {
+    /// Queues what `ev` is in the trait's vocabulary.
+    fn translate(&mut self, ev: WireEvent) {
+        match ev {
+            WireEvent::Granted {
+                id,
+                ticket,
+                cell,
+                channel,
+                latency,
+            } => {
+                self.calls.insert(id, Call::Holding(ticket));
+                self.holding.insert(ticket, id);
+                self.granted += 1;
+                self.confirms.push_back(Confirm::Granted {
+                    ticket: Ticket(id),
+                    cell: CellId(cell),
+                    channel: Channel(channel),
+                    latency,
+                });
+            }
+            WireEvent::Rejected {
+                id, cell, cause, ..
+            } => {
+                self.calls.remove(&id);
+                self.rejected += 1;
+                self.confirms.push_back(Confirm::Rejected {
+                    ticket: Ticket(id),
+                    cell: CellId(cell),
+                    cause,
+                });
+            }
+            WireEvent::TimedOut { id } => self.unanswered(id, DropCause::RetryExhausted),
+            WireEvent::Refused { id, .. } => self.unanswered(id, DropCause::Blocked),
+            WireEvent::Released {
+                ticket,
+                cell,
+                channel,
+            } => {
+                // A grant that lost a race with its timeout was dropped
+                // by `deliver`; so is the end of that call.
+                let Some(id) = self.holding.remove(&ticket) else {
+                    return;
+                };
+                self.calls.remove(&id);
+                self.completed += 1;
+                self.indications.push_back(Indication::Released {
+                    ticket: Ticket(id),
+                    cell: CellId(cell),
+                    channel: Channel(channel),
+                });
+            }
+        }
+    }
+
+    /// The one `Confirm` of a ticket no answer came for. An id that was
+    /// submitted through [`WireClient::submit`] is not a ticket of this
+    /// view and has no cell on record: its outcome belongs to `recv`.
+    fn unanswered(&mut self, id: u64, cause: DropCause) {
+        let Some(Call::InFlight(cell)) = self.calls.remove(&id) else {
+            return;
+        };
+        // A refusal was never offered: `stats` takes it off `offered`.
+        self.rejected += u64::from(cause == DropCause::RetryExhausted);
+        self.confirms.push_back(Confirm::Rejected {
+            ticket: Ticket(id),
+            cell: CellId(cell),
+            cause,
+        });
+    }
+}
+
+impl WireClient {
+    /// Takes everything that has arrived into the view's two queues in
+    /// arrival order, waiting up to `wait` when both are empty.
+    fn pump(&mut self, wait: Duration) {
+        let wait = if self.view.confirms.is_empty() && self.view.indications.is_empty() {
+            wait
+        } else {
+            Duration::ZERO
+        };
+        let mut taken = std::mem::take(&mut self.view.taken);
+        self.wait_for(wait, |st| {
+            (!st.events.is_empty()).then(|| std::mem::swap(&mut st.events, &mut taken))
+        });
+        for ev in taken.drain(..) {
+            self.view.translate(ev);
+        }
+        self.view.taken = taken;
+    }
+
+    /// The server ticket behind the view's `ticket`, if that call is
+    /// holding a channel; `Ok(None)` if it was issued and is not.
+    fn server_ticket(&self, ticket: Ticket) -> Result<Option<u64>, ServeError> {
+        match self.view.calls.get(&ticket.0) {
+            Some(&Call::Holding(server)) => Ok(Some(server)),
+            _ if ticket.0 < self.next_id => Ok(None),
+            _ => Err(ServeError::UnknownTicket(ticket)),
+        }
+    }
+}
+
+const CLOSED: ServeError = ServeError::Unsupported("wire connection closed");
+
+/// The service on the other end of the socket, behind the same contract
+/// as the in-process backends. This is a second *view* over the
+/// client's one event queue, translated on the driver's thread as events
+/// are taken. **Use one view a client**: an event taken through
+/// [`recv`](WireClient::recv) is never seen here and the reverse, and a
+/// request submitted through [`submit`](WireClient::submit) is answered
+/// through `recv`.
+///
+/// | trait | wire |
+/// |---|---|
+/// | `request_channel(req)` | [`submit`](WireClient::submit); the [`Ticket`] is the idempotency id, issued in submission order. `Err(Unsupported("wire connection closed"))` when `submit` fails — nothing was registered |
+/// | `Confirm::Granted` / `Rejected { ticket, .. }` | [`WireEvent::Granted`] / [`Rejected`](WireEvent::Rejected) `{ id, .. }` with `ticket = Ticket(id)`; cell, channel, latency and cause carried over. A grant records `id ↔ server ticket` |
+/// | `Confirm::Rejected { cause: RetryExhausted }` | [`WireEvent::TimedOut`]: the retry budget ran dry. Counted in [`timeouts`](WireClient::timeouts) |
+/// | `Confirm::Rejected { cause: Blocked }` | [`WireEvent::Refused`]: the server refused the request at admission (the reason string is `recv`'s to show). Counted in [`refused`](WireClient::refused) |
+/// | `release(Ticket(id))` | [`release`](WireClient::release) of the recorded server ticket; `Ok` and nothing sent for a call that is not holding, `Err(UnknownTicket)` for an id never issued |
+/// | `handoff_of: Some(Ticket(id))` | the recorded server ticket; `Err(BadHandoff)` for a source this view has not seen granted |
+/// | `Indication::Released { ticket: Ticket(id), .. }` | [`WireEvent::Released`] for the recorded server ticket, which forgets the pair; one for a ticket never seen granted is dropped |
+///
+/// So **every ticket gets exactly one [`Confirm`]** here too: neither
+/// `Confirm` nor `WireEvent` has a variant to spare, and a timeout or a
+/// refusal is answered as a rejection at the requested cell (kept while
+/// the request is in flight). Every receiving call — `confirm`,
+/// `indication`, `recv_confirm`, `recv_answers`, `quiesce` — first
+/// services expired deadlines and writes out what was queued, exactly as
+/// `recv` does, so a loop that only polls `confirm()` still sends and
+/// still retries. [`stats`](AllocService::stats) are this client's own
+/// counts, not the backend's.
+///
+/// One name means two things: on a `WireClient` value, method syntax
+/// `client.release(..)` is the native call and takes the server's
+/// ticket. The trait's is `AllocService::release(&mut client, ticket)`,
+/// or any call through a generic `S: AllocService`.
+impl AllocService for WireClient {
+    fn request_channel(&mut self, mut req: ChannelRequest) -> Result<Ticket, ServeError> {
+        if let Some(src) = req.handoff_of {
+            let server = self.server_ticket(src)?.ok_or(ServeError::BadHandoff(
+                "the source ticket has not been seen granted on this connection",
+            ))?;
+            req.handoff_of = Some(Ticket(server));
+        }
+        let id = self.submit(&req).map_err(|_| CLOSED)?;
+        self.view
+            .calls
+            .insert(id, Call::InFlight(req.cell.index() as u32));
+        Ok(Ticket(id))
+    }
+
+    fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {
+        match self.server_ticket(ticket)? {
+            Some(server) => WireClient::release(self, server).map_err(|_| CLOSED),
+            None => Ok(()),
+        }
+    }
+
+    fn confirm(&mut self) -> Option<Confirm> {
+        self.pump(Duration::ZERO);
+        self.view.confirms.pop_front()
+    }
+
+    fn indication(&mut self) -> Option<Indication> {
+        self.pump(Duration::ZERO);
+        self.view.indications.pop_front()
+    }
+
+    /// One wait on the socket in place of the default's sleep-poll. Like
+    /// the production backend's, it ends with `None` as soon as an
+    /// indication is there to take instead.
+    fn recv_confirm(&mut self, timeout: Duration) -> Option<Confirm> {
+        self.pump(timeout);
+        self.view.confirms.pop_front()
+    }
+
+    /// One lock of the event queue takes the burst whole; it is split in
+    /// arrival order, so a ticket's `Granted` is never handed out by a
+    /// later call than its `Released`.
+    fn recv_answers(
+        &mut self,
+        timeout: Duration,
+        confirms: &mut Vec<Confirm>,
+        indications: &mut Vec<Indication>,
+    ) {
+        self.pump(timeout);
+        confirms.extend(self.view.confirms.drain(..));
+        indications.extend(self.view.indications.drain(..));
+    }
+
+    /// Receives, without taking anything, until no request is in flight.
+    fn quiesce(&mut self, limit: Duration) -> bool {
+        self.wait_for(limit, |st| st.pending.is_empty().then_some(()))
+            .is_some()
+    }
+
+    /// The client's own counts: `offered` is ids issued less refusals (a
+    /// backend would have returned `Err` for those), `granted` and
+    /// `rejected` count the confirms this view has handed out for
+    /// offered requests (timeouts among the rejections), `completed` the
+    /// releases it has seen. The backend-only fields are zero and
+    /// `violations` is empty: ask the backend's own handle.
+    fn stats(&self) -> ServeStats {
+        ServeStats {
+            offered: self.next_id - self.refused(),
+            granted: self.view.granted,
+            rejected: self.view.rejected,
+            completed: self.view.completed,
+            ..ServeStats::default()
         }
     }
 }
@@ -555,6 +831,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             if st.pending.remove(&id).is_none() {
                 return;
             }
+            st.refused += 1;
             WireEvent::Refused { id, reason }
         }
         WireMsg::Released {

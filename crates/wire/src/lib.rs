@@ -20,21 +20,21 @@
 //!   retry-with-backoff. What it submits between two `recv`s leaves in
 //!   one `write`. Requests carry idempotency ids;
 //!   the server answers a retried id from its answer cache, so a
-//!   retry can never double-commit a grant.
-//! * [`closed_loop_wire`] — a multi-driver closed-loop load generator
-//!   for end-to-end benchmarks over loopback TCP (experiment `e18`).
+//!   retry can never double-commit a grant. It is itself an
+//!   [`AllocService`](adca_serve::AllocService), so the serving layer's
+//!   one closed loop (`adca_serve::closed_loop`,
+//!   `closed_loop_drivers` over one client a connection) and anything
+//!   else written against the trait drives a socket unchanged.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod client;
 pub mod frame;
-pub mod loadgen;
 pub mod server;
 
 pub use client::{deadline_wheel, WireClient, WireClientConfig, WireDeadline, WireEvent};
 pub use frame::{
     decode, encode, encode_into, FrameDecoder, FrameError, WireMsg, MAX_PAYLOAD, WIRE_VERSION,
 };
-pub use loadgen::{closed_loop_wire, WireLoadReport, WireLoadSpec};
 pub use server::WireServer;
