@@ -1,31 +1,22 @@
 //! `e14_checkpoint` — the snapshot subsystem's perf and correctness
 //! baseline (`BENCH_snapshot.json`).
 //!
-//! Over the `e9_scalability` grid sweep, for every scheme:
-//!
-//! * run cold to the horizon, then re-run to the midpoint, snapshot,
-//!   restore, and finish — asserting whole-report **resume identity**
-//!   at every system size while timing `snapshot()`/`restore()` and
-//!   recording the snapshot size;
-//! * time a seeded replication sweep cold
-//!   ([`SweepRunner::run_replicated`]) against the same sweep
-//!   **warm-started** off one midpoint snapshot per scheme
-//!   ([`SweepRunner::run_replicated_warm`]), recording the wall-clock
-//!   speedup branching buys.
+//! Over the `e9_scalability` grid sweep, for every scheme: run cold to
+//! the horizon, then re-run to the midpoint, snapshot, restore, and
+//! finish — asserting whole-report **resume identity** at every system
+//! size while timing `snapshot()`/`restore()` and recording the snapshot
+//! size.
 //!
 //! ```text
 //! cargo run --release -p adca-bench --bin e14_checkpoint -- \
-//!     [--smoke] [--seeds N] [--out PATH]
+//!     [--smoke] [--out PATH]
 //! ```
 //!
 //! * `--smoke` restricts the sweep to the two smallest grids (CI).
-//! * `--seeds N` replicates the warm-start comparison over N seeds
-//!   (default 4; more seeds amortize the shared warmup further).
 //! * `--out` overrides the output path (default `BENCH_snapshot.json`).
 
-use adca_harness::{Scenario, SchemeKind, SweepRunner};
+use adca_harness::{Scenario, SchemeKind};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const HORIZON: u64 = 100_000;
 const RHO: f64 = 0.9;
@@ -42,44 +33,22 @@ struct SnapRow {
     resume_wall_s: f64,
 }
 
-struct WarmRow {
-    grid: String,
-    seeds: usize,
-    cold_wall_s: f64,
-    warm_wall_s: f64,
-    speedup: f64,
-}
-
 fn main() {
     let mut smoke = false;
-    let mut seeds: usize = 4;
     let mut out_path = "BENCH_snapshot.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--seeds" => {
-                seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds needs a positive integer");
-            }
             "--out" => out_path = args.next().expect("--out needs a path"),
             other => panic!("unknown argument `{other}`"),
         }
     }
-    assert!(seeds >= 1, "--seeds needs a positive integer");
     let grids: &[(u32, u32)] = if smoke { &GRIDS[..2] } else { &GRIDS[..] };
-    let seed_list: Vec<u64> = (1..=seeds as u64).collect();
     let ckpt_at = HORIZON / 2;
 
-    println!(
-        "e14_checkpoint: e9 workload (rho={RHO}, horizon={HORIZON}), \
-         checkpoint at {ckpt_at}, {seeds} warm-start seeds"
-    );
-    let runner = SweepRunner::new();
+    println!("e14_checkpoint: e9 workload (rho={RHO}, horizon={HORIZON}), checkpoint at {ckpt_at}");
     let mut rows: Vec<SnapRow> = Vec::new();
-    let mut warm_rows: Vec<WarmRow> = Vec::new();
     for &(r, c) in grids {
         let sc = Scenario::uniform(RHO, HORIZON).with_grid(r, c);
         let grid = format!("{r}x{c}");
@@ -138,42 +107,11 @@ fn main() {
                 row.restore_ms,
             );
         }
-        // Warm-start speedup: shared warmup + branches vs cold replicas.
-        let t_cold = Instant::now();
-        let cold_reps = runner.run_replicated(&sc, &SchemeKind::ALL, &seed_list);
-        let cold_wall = t_cold.elapsed().as_secs_f64();
-        let t_warm = Instant::now();
-        let warm_reps = runner.run_replicated_warm(&sc, &SchemeKind::ALL, &seed_list, ckpt_at);
-        let warm_wall = t_warm.elapsed().as_secs_f64();
-        assert_eq!(cold_reps.len(), warm_reps.len());
-        for (cold_rep, warm_rep) in cold_reps.iter().zip(&warm_reps) {
-            assert_eq!(cold_rep.scheme, warm_rep.scheme);
-            assert_eq!(warm_rep.replications(), seed_list.len());
-            for run in &warm_rep.runs {
-                assert!(
-                    run.report.offered_calls > 0,
-                    "{}: a branched run must see post-branch arrivals",
-                    warm_rep.scheme
-                );
-            }
-        }
-        let row = WarmRow {
-            grid: grid.clone(),
-            seeds: seed_list.len(),
-            cold_wall_s: cold_wall,
-            warm_wall_s: warm_wall,
-            speedup: cold_wall / warm_wall,
-        };
-        println!(
-            "  {:<16} {:>6}  cold_sweep={:>7.3}s  warm_sweep={:>7.3}s  speedup={:.2}x",
-            "warm-start", row.grid, row.cold_wall_s, row.warm_wall_s, row.speedup,
-        );
-        warm_rows.push(row);
     }
-    // Periodic on-disk checkpointing at the `ADCA_CKPT_EVERY` cadence:
-    // the writes must not disturb the run, and the file left behind must
-    // resume to the bit-identical report.
-    let every = adca_harness::ckpt_every();
+    // Periodic on-disk checkpointing: the writes must not disturb the
+    // run, and the file left behind must resume to the bit-identical
+    // report.
+    let every = 10_000;
     let sc = Scenario::uniform(RHO, HORIZON).with_grid(6, 6);
     let path = std::env::temp_dir().join("e14_adaptive.ckpt");
     let cold = sc.run(SchemeKind::Adaptive);
@@ -196,25 +134,14 @@ fn main() {
         "  periodic checkpointing every {every} ticks: run undisturbed, file resumes identical"
     );
 
-    write_json(&out_path, smoke, seeds, ckpt_at, &rows, &warm_rows)
+    write_json(&out_path, smoke, ckpt_at, &rows)
         .unwrap_or_else(|e| panic!("cannot write `{out_path}`: {e}"));
-    println!(
-        "wrote {out_path} ({} snapshot rows, {} warm-start rows)",
-        rows.len(),
-        warm_rows.len()
-    );
+    println!("wrote {out_path} ({} snapshot rows)", rows.len());
 }
 
 /// `BENCH_engine.json`-style hand-rolled JSON (no serde in the
 /// workspace): one row per line so `jq`/grep tooling stays trivial.
-fn write_json(
-    path: &str,
-    smoke: bool,
-    seeds: usize,
-    ckpt_at: u64,
-    rows: &[SnapRow],
-    warm: &[WarmRow],
-) -> std::io::Result<()> {
+fn write_json(path: &str, smoke: bool, ckpt_at: u64, rows: &[SnapRow]) -> std::io::Result<()> {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"e14_checkpoint\",\n");
@@ -223,7 +150,6 @@ fn write_json(
     let _ = writeln!(s, "  \"rho\": {RHO},");
     let _ = writeln!(s, "  \"horizon_ticks\": {HORIZON},");
     let _ = writeln!(s, "  \"checkpoint_at_ticks\": {ckpt_at},");
-    let _ = writeln!(s, "  \"warm_start_seeds\": {seeds},");
     let _ = writeln!(s, "  \"smoke\": {smoke},");
     s.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -242,17 +168,6 @@ fn write_json(
             r.resume_wall_s,
         );
         s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"warm_start\": [\n");
-    for (i, r) in warm.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"grid\": \"{}\", \"seeds\": {}, \"cold_wall_s\": {:.6}, \
-             \"warm_wall_s\": {:.6}, \"speedup\": {:.3}}}",
-            r.grid, r.seeds, r.cold_wall_s, r.warm_wall_s, r.speedup,
-        );
-        s.push_str(if i + 1 < warm.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ]\n}\n");
     std::fs::write(path, s)

@@ -13,7 +13,7 @@ use adca_serve::{
     ServeStats,
 };
 use adca_simkit::engine::{run_protocol, run_traced, Engine};
-use adca_simkit::trace::{NoopSink, TraceSink};
+use adca_simkit::trace::TraceSink;
 use adca_simkit::{Arrival, AuditMode, DecodeError, FaultPlan, LatencyModel, SimConfig, SimTime};
 use adca_traffic::WorkloadSpec;
 use adca_wire::{deadline_wheel, WireClient, WireClientConfig, WireServer};
@@ -441,22 +441,10 @@ impl Scenario {
     }
 
     /// Runs `kind` up to tick `warmup` (inclusive) and returns the
-    /// engine snapshot — the warm-start primitive sweeps branch off.
+    /// engine snapshot.
     pub fn warmup_snapshot(&self, kind: SchemeKind, warmup: u64) -> Vec<u8> {
         let topo = self.topology();
         let arrivals = self.arrivals(&topo);
-        self.warmup_snapshot_with(kind, topo, arrivals, warmup)
-    }
-
-    /// [`Scenario::warmup_snapshot`] over a pre-built topology and
-    /// workload.
-    pub fn warmup_snapshot_with(
-        &self,
-        kind: SchemeKind,
-        topo: Arc<Topology>,
-        arrivals: Vec<Arrival>,
-        warmup: u64,
-    ) -> Vec<u8> {
         let cfg = self.sim_config();
         dispatch_scheme!(self, kind, factory => {
             let mut engine = Engine::new(topo, cfg, factory, arrivals);
@@ -488,26 +476,6 @@ impl Scenario {
     ) -> Result<RunSummary, CheckpointError> {
         let bytes = std::fs::read(path)?;
         Ok(self.resume_bytes(kind, &bytes)?)
-    }
-
-    /// *Branches* warm-start snapshot bytes into **this** scenario: the
-    /// live state (calls up, channels held, messages in flight) carries
-    /// over, while the RNG streams are reseeded from this scenario's
-    /// seeds and this scenario's post-`warmup` arrivals replace the
-    /// warmup workload's future. Core config (grid, latency, audit, …)
-    /// must still match the snapshot.
-    ///
-    /// The summary's report covers exactly the post-branch window; see
-    /// [`Engine::restore_branched`] for the precise semantics.
-    pub fn run_branched(&self, kind: SchemeKind, snap: &[u8]) -> Result<RunSummary, DecodeError> {
-        let topo = self.topology();
-        let arrivals = self.arrivals(&topo);
-        let cfg = self.sim_config();
-        let started = Instant::now();
-        let report = dispatch_scheme!(self, kind, factory => {
-            Engine::restore_branched(topo, cfg, factory, snap, arrivals, NoopSink)?.run()
-        });
-        Ok(RunSummary::new(kind, report, self.t_ticks).with_wall(started.elapsed()))
     }
 
     /// Runs `kind` to completion while writing a snapshot of the full

@@ -217,68 +217,6 @@ impl SweepRunner {
             })
             .collect()
     }
-
-    /// Warm-start replication: runs **one** warmup per scheme on `base`
-    /// up to tick `warmup`, snapshots it, then branches every seeded
-    /// variant off its scheme's shared snapshot (reseeded streams, fresh
-    /// post-warmup workload) — all in parallel. Each branched report
-    /// covers exactly the post-warmup measurement window.
-    ///
-    /// Compared to [`SweepRunner::run_replicated`], the transient is
-    /// simulated once per scheme instead of once per `(scheme, seed)`
-    /// cell, so for `s` seeds and warmup fraction `f` of the horizon the
-    /// simulated work shrinks by a factor approaching `1 / (1 - f)` as
-    /// `s` grows. The trade: branched runs are steady-state
-    /// continuations, deliberately *not* bit-identical to any cold run
-    /// (see [`adca_simkit::engine::Engine::restore_branched`]).
-    pub fn run_replicated_warm(
-        &self,
-        base: &Scenario,
-        kinds: &[SchemeKind],
-        seeds: &[u64],
-        warmup: u64,
-    ) -> Vec<Replicated> {
-        // Phase 1: one warmup snapshot per scheme, in parallel.
-        let warmup_jobs: Vec<_> = kinds
-            .iter()
-            .map(|&kind| {
-                let base = base.clone();
-                move || base.warmup_snapshot(kind, warmup)
-            })
-            .collect();
-        let snaps: Vec<Arc<Vec<u8>>> = run_jobs_on(self.workers, warmup_jobs)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        // Phase 2: branch every (seed × scheme) cell off the shared
-        // snapshot.
-        let mut jobs = Vec::with_capacity(seeds.len() * kinds.len());
-        for &seed in seeds {
-            let variant = base.clone().with_seed(seed);
-            for (k, &kind) in kinds.iter().enumerate() {
-                let snap = snaps[k].clone();
-                let variant = variant.clone();
-                jobs.push(move || {
-                    variant
-                        .run_branched(kind, &snap)
-                        .expect("a warmup snapshot branches under a reseeded clone")
-                });
-            }
-        }
-        let flat = run_jobs_on(self.workers, jobs);
-        let mut per_kind: Vec<Vec<RunSummary>> = kinds
-            .iter()
-            .map(|_| Vec::with_capacity(seeds.len()))
-            .collect();
-        for (i, summary) in flat.into_iter().enumerate() {
-            per_kind[i % kinds.len()].push(summary);
-        }
-        kinds
-            .iter()
-            .zip(per_kind)
-            .map(|(&kind, runs)| Replicated::from_runs(kind, runs))
-            .collect()
-    }
 }
 
 /// One scheme's results aggregated over several independently seeded

@@ -12,7 +12,7 @@ use crate::trace::{NoopSink, TraceEvent, TraceSink};
 use crate::workload::Arrival;
 use adca_hexgrid::{CellId, Channel, ChannelSet, Topology};
 use adca_metrics::{CounterMap, SampleSeries};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -1716,57 +1716,9 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
     pub fn restore_with_sink<F>(
         topo: Arc<Topology>,
         cfg: SimConfig,
-        factory: F,
-        bytes: &[u8],
-        sink: S,
-    ) -> Result<Self, DecodeError>
-    where
-        F: FnMut(CellId, &Topology) -> P,
-    {
-        Self::restore_inner(topo, cfg, factory, bytes, sink, None)
-    }
-
-    /// Restores a snapshot as the starting point of a *branched* run: the
-    /// warm-start primitive. Unlike [`Engine::restore`], the branch keeps
-    /// the simulation state (channels in use, in-flight messages and
-    /// requests, protocol state) but swaps the randomness and the future:
-    ///
-    /// * RNG streams are reseeded from `cfg` (`cfg.seed`,
-    ///   `cfg.faults.seed`), which may differ from the snapshot's;
-    /// * the not-yet-arrived remainder of the snapshot's workload is
-    ///   dropped and `arrivals` (only entries at or after the branch
-    ///   point) is scheduled instead;
-    /// * crash windows of the snapshot's plan are dropped and `cfg`'s
-    ///   plan is scheduled (windows opening before the branch point are
-    ///   ignored; cells down at the branch recover on their old schedule);
-    /// * measurement state (report, counters, samples) is reset, so the
-    ///   branched report covers exactly the post-branch window. Requests
-    ///   in flight at the branch resolve into that window.
-    ///
-    /// A branched run is deliberately *not* bit-identical to any cold
-    /// run; it is a steady-state continuation. Core config (latency,
-    /// audit, topology, …) must still match the snapshot exactly.
-    pub fn restore_branched<F>(
-        topo: Arc<Topology>,
-        cfg: SimConfig,
-        factory: F,
-        bytes: &[u8],
-        arrivals: Vec<Arrival>,
-        sink: S,
-    ) -> Result<Self, DecodeError>
-    where
-        F: FnMut(CellId, &Topology) -> P,
-    {
-        Self::restore_inner(topo, cfg, factory, bytes, sink, Some(arrivals))
-    }
-
-    fn restore_inner<F>(
-        topo: Arc<Topology>,
-        cfg: SimConfig,
         mut factory: F,
         bytes: &[u8],
         sink: S,
-        branch: Option<Vec<Arrival>>,
     ) -> Result<Self, DecodeError>
     where
         F: FnMut(CellId, &Topology) -> P,
@@ -1797,12 +1749,18 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
         check_field(r.get_u64()?, n as u64, "topology.num_cells")?;
         check_field(r.get_u16()?, spectrum_bits, "topology.spectrum")?;
         check_field(r.get_u64()?, topo_fingerprint(&topo), "topology.regions")?;
-        // Stream config: an exact restore requires identical streams; a
-        // branched restore reseeds them, so it only decodes and ignores.
-        let snap_seed = r.get_u64()?;
-        let snap_loss = r.get_u64()?;
-        let snap_dup = r.get_u64()?;
-        let snap_fseed = r.get_u64()?;
+        check_field(r.get_u64()?, cfg.seed, "config.seed")?;
+        check_field(
+            r.get_u64()?,
+            cfg.faults.loss.to_bits(),
+            "config.faults.loss",
+        )?;
+        check_field(
+            r.get_u64()?,
+            cfg.faults.duplicate.to_bits(),
+            "config.faults.duplicate",
+        )?;
+        check_field(r.get_u64()?, cfg.faults.seed, "config.faults.seed")?;
         let ncrash = r.get_len()?;
         let mut snap_crashes = Vec::with_capacity(ncrash);
         for _ in 0..ncrash {
@@ -1811,6 +1769,9 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
                 at: r.get_u64()?,
                 down_for: r.get_u64()?,
             });
+        }
+        if snap_crashes != cfg.faults.crashes {
+            return Err(DecodeError::Mismatch("config.faults.crashes differ".into()));
         }
         // Optional section (see `snapshot()`): present only when the
         // writing plan scheduled link partitions.
@@ -1826,23 +1787,10 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
                 });
             }
         }
-        if branch.is_none() {
-            check_field(snap_seed, cfg.seed, "config.seed")?;
-            check_field(snap_loss, cfg.faults.loss.to_bits(), "config.faults.loss")?;
-            check_field(
-                snap_dup,
-                cfg.faults.duplicate.to_bits(),
-                "config.faults.duplicate",
-            )?;
-            check_field(snap_fseed, cfg.faults.seed, "config.faults.seed")?;
-            if snap_crashes != cfg.faults.crashes {
-                return Err(DecodeError::Mismatch("config.faults.crashes differ".into()));
-            }
-            if snap_partitions != cfg.faults.partitions {
-                return Err(DecodeError::Mismatch(
-                    "config.faults.partitions differ".into(),
-                ));
-            }
+        if snap_partitions != cfg.faults.partitions {
+            return Err(DecodeError::Mismatch(
+                "config.faults.partitions differ".into(),
+            ));
         }
 
         let now = r.get_time()?;
@@ -2017,29 +1965,6 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
         if faults_on {
             cfg.faults.validate();
         }
-        let branching = branch.is_some();
-        if branching {
-            // Branch point: the not-yet-arrived remainder of the warmup
-            // workload goes away (Arrive events and their hops — hops of
-            // calls that *did* arrive stay, preserving straggler-hop
-            // semantics), as do the old plan's pending crash windows.
-            // CrashUp events stay: cells down at the branch recover on
-            // the snapshot's schedule.
-            let pending_arrivals: BTreeSet<u32> = entries
-                .iter()
-                .filter_map(|(_, _, ev)| match ev {
-                    Ev::Arrive { call } => Some(*call),
-                    _ => None,
-                })
-                .collect();
-            entries.retain(|(_, _, ev)| match ev {
-                Ev::Arrive { .. } => false,
-                Ev::Hop { call, .. } => !pending_arrivals.contains(call),
-                Ev::CrashDown { .. } => false,
-                _ => true,
-            });
-        }
-
         // The slab is sized as `Engine::with_sink` sizes it, so a warm
         // engine regrows it no more often than a cold one.
         let mut queue: EventQueue<Ev<P::Msg>> =
@@ -2049,31 +1974,14 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             queue.push_with_seq(at, seq, ev);
         }
 
-        let (rng, fault_rng) = if branching {
-            (SplitMix64::new(cfg.seed), SplitMix64::new(cfg.faults.seed))
-        } else {
-            (SplitMix64::new(rng_state), SplitMix64::new(fault_rng_state))
-        };
-        let report = if branching {
-            SimReport {
-                per_cell_msgs: vec![0; n],
-                per_cell_arrivals: vec![0; n],
-                per_cell_drops: vec![0; n],
-                per_cell_grants: vec![0; n],
-                ..Default::default()
-            }
-        } else {
-            report
-        };
-
-        let mut sh = Shared {
+        let sh = Shared {
             topo: topo.clone(),
             cfg,
             now,
             msg_seq,
             queue,
-            rng,
-            fault_rng,
+            rng: SplitMix64::new(rng_state),
+            fault_rng: SplitMix64::new(fault_rng_state),
             faults_on,
             down,
             usage,
@@ -2081,21 +1989,9 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             calls,
             reqs,
             pending_reqs,
-            msg_kinds: if branching {
-                SlotCounters::default()
-            } else {
-                msg_kinds
-            },
-            custom: if branching {
-                SlotCounters::default()
-            } else {
-                custom
-            },
-            custom_samples: if branching {
-                SlotSamples::default()
-            } else {
-                custom_samples
-            },
+            msg_kinds,
+            custom,
+            custom_samples,
             report,
             // Outcomes are not part of a snapshot; a restored engine
             // logs only resolutions it processes itself.
@@ -2103,55 +1999,8 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             sink,
             started,
             halted,
-            events_processed: if branching { 0 } else { events_processed },
+            events_processed,
         };
-
-        if let Some(arrivals) = branch {
-            // The branch plan's crash windows go in before its arrivals,
-            // keeping the cold-build same-tick discipline.
-            if sh.faults_on {
-                let crashes = sh.cfg.faults.crashes.clone();
-                for c in &crashes {
-                    assert!(c.cell.index() < n, "{}: crash outside topology", c.cell);
-                    if c.at < now.ticks() {
-                        continue;
-                    }
-                    sh.push(SimTime(c.at), Ev::CrashDown { node: c.cell });
-                    sh.push(SimTime(c.at + c.down_for), Ev::CrashUp { node: c.cell });
-                }
-            }
-            for arr in arrivals {
-                if arr.at < now.ticks() {
-                    // Pre-branch arrivals belong to the warmup the branch
-                    // replaces; the caller usually filters them already.
-                    continue;
-                }
-                let call = sh.calls.len() as u32;
-                let at = SimTime(arr.at);
-                let hops: Vec<(SimTime, CellId)> = arr
-                    .hops
-                    .iter()
-                    .map(|&(off, tgt)| (SimTime(arr.at + off), tgt))
-                    .collect();
-                for (idx, &(hop_at, _)) in hops.iter().enumerate() {
-                    sh.push(
-                        hop_at,
-                        Ev::Hop {
-                            call,
-                            idx: idx as u32,
-                        },
-                    );
-                }
-                sh.calls.push(CallRecord {
-                    cell: arr.cell,
-                    duration: arr.duration,
-                    state: CallState::Done, // becomes Waiting at arrival
-                    end_at: None,
-                    hops,
-                });
-                sh.push(at, Ev::Arrive { call });
-            }
-        }
 
         Ok(Engine {
             nodes,

@@ -102,8 +102,8 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// structure; decoding re-materializes them through this leak-once table
 /// so each distinct label costs one allocation per process, ever — the
 /// table holds the leaked string itself, never a second copy. Lookups
-/// take a read lock, so concurrent restores (a branching sweep) only
-/// contend the first time a label is seen process-wide.
+/// take a read lock, so concurrent restores (the workers of a parallel
+/// sweep) only contend the first time a label is seen process-wide.
 ///
 /// The returned reference is a *different address* than the compile-time
 /// literal the label came from; the engine's slot tables re-key to the
