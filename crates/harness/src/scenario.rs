@@ -169,9 +169,6 @@ pub struct Scenario {
     pub sim_seed: u64,
     /// Audit behavior.
     pub audit: AuditMode,
-    /// Record a full message trace in every report (off by default —
-    /// traces grow with the horizon).
-    pub trace: bool,
     /// Wrap the grid onto a torus (no boundary effects; requires
     /// pattern-compatible dimensions, e.g. 14×14 for the 7-cell cluster).
     pub wrap: bool,
@@ -200,7 +197,6 @@ impl Scenario {
             watchdog_ticks: SimConfig::default().watchdog_ticks,
             sim_seed: 0xADCA,
             audit: AuditMode::Panic,
-            trace: false,
             wrap: false,
         }
     }
@@ -242,12 +238,6 @@ impl Scenario {
         self
     }
 
-    /// Turns full message tracing on or off (reports carry the trace).
-    pub fn with_trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
     /// Arms response-deadline/retry hardening on every scheme that
     /// supports it (the adaptive scheme and both basic baselines), with
     /// deadline `d` ticks. Pick `d` ≥ 2·latency so an undisturbed round
@@ -283,14 +273,14 @@ impl Scenario {
         self.workload.generate(topo)
     }
 
-    fn sim_config(&self) -> SimConfig {
+    /// The engine configuration this scenario runs under.
+    pub fn sim_config(&self) -> SimConfig {
         SimConfig {
             latency: LatencyModel::Fixed(self.t_ticks),
             seed: self.sim_seed,
             audit: self.audit,
             faults: self.faults.clone(),
             watchdog_ticks: self.watchdog_ticks,
-            trace: self.trace,
             ..Default::default()
         }
     }

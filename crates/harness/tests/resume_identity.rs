@@ -5,8 +5,9 @@
 //! 1. **Resume identity** — for every scheme × {faults off/on} ×
 //!    {tracing off/on}, running to the horizon in one go and running
 //!    to the midpoint, snapshotting, restoring, and finishing produce
-//!    whole-[`SimReport`] equality (every counter, sample series,
-//!    per-cell vector, and — with tracing on — every trace record).
+//!    whole-[`SimReport`] equality (every counter, sample series and
+//!    per-cell vector) and — with tracing on, one [`RingSink`] carried
+//!    across the split — the same trace stream, record for record.
 //! 2. **Snapshot determinism** — snapshotting the same paused engine
 //!    state twice yields byte-identical snapshots, and a restored
 //!    engine re-snapshots to the original bytes (pinned at the engine
@@ -15,12 +16,22 @@
 //!    and wrong-scheme snapshots must all surface as `Err`, never as a
 //!    panic or a silently wrong engine.
 
-use adca_harness::{Scenario, SchemeKind};
-use adca_hexgrid::CellId;
-use adca_simkit::{AuditMode, DecodeError, FaultPlan};
+use adca_baselines::{
+    AdvancedSearchNode, AdvancedUpdateNode, BasicSearchNode, BasicUpdateNode, FixedNode,
+};
+use adca_core::AdaptiveNode;
+use adca_harness::{RunSummary, Scenario, SchemeKind};
+use adca_hexgrid::{CellId, Topology};
+use adca_simkit::trace::{RingSink, TraceRecord};
+use adca_simkit::{AuditMode, DecodeError, Engine, FaultPlan, ProtocolState, SimReport, SimTime};
 use adca_traffic::WorkloadSpec;
 
 const HORIZON: u64 = 24_000;
+
+/// Holds every record of a [`base`] run (the busiest, basic-search
+/// under faults, makes about 120 000), so `dropped()` stays 0 and the
+/// streams compare whole.
+const RING: usize = 1 << 18;
 
 /// e1-shaped scenario (6×6 grid to keep 24 cells × 2 runs fast). The
 /// fault mode matches each scheme's tolerance, as `e12` does: the three
@@ -28,10 +39,8 @@ const HORIZON: u64 = 24_000;
 /// duplication + crashes; the unhardened ones can legitimately strand a
 /// request under the same plan, so they record violations instead of
 /// panicking — the identity contract then covers the violation log too.
-fn base(kind: SchemeKind, faults: bool, trace: bool) -> Scenario {
-    let mut sc = Scenario::uniform(0.9, HORIZON)
-        .with_grid(6, 6)
-        .with_trace(trace);
+fn base(kind: SchemeKind, faults: bool) -> Scenario {
+    let mut sc = Scenario::uniform(0.9, HORIZON).with_grid(6, 6);
     if faults {
         sc = sc.with_faults(
             FaultPlan::none()
@@ -55,6 +64,72 @@ fn base(kind: SchemeKind, faults: bool, trace: bool) -> Scenario {
     sc
 }
 
+/// One full checkpoint/restore round trip: runs to tick `at`, snapshots,
+/// restores the snapshot into a fresh engine, and finishes there.
+fn run_split(sc: &Scenario, kind: SchemeKind, at: u64) -> RunSummary {
+    let snap = sc.warmup_snapshot(kind, at);
+    sc.resume_bytes(kind, &snap)
+        .expect("an engine's own snapshot restores under the same scenario")
+}
+
+/// [`run_split`] on the typed trace path: the first half records into a
+/// [`RingSink`], the snapshot is taken, and the restored engine is handed
+/// that same sink — so the stream it ends with is the whole run's.
+fn traced_split<P, F>(sc: &Scenario, factory: F, at: u64) -> (SimReport, RingSink)
+where
+    P: ProtocolState,
+    F: FnMut(CellId, &Topology) -> P + Clone,
+{
+    let topo = sc.topology();
+    let arrivals = sc.arrivals(&topo);
+    let cfg = sc.sim_config();
+    let mut first = Engine::with_sink(
+        topo.clone(),
+        cfg.clone(),
+        factory.clone(),
+        arrivals,
+        RingSink::new(RING),
+    );
+    first.run_until(SimTime(at));
+    let snap = first.snapshot();
+    let mut second = Engine::restore_with_sink(topo, cfg, factory, &snap, first.into_sink())
+        .expect("an engine's own snapshot restores under the same config");
+    let report = second.run();
+    (report, second.into_sink())
+}
+
+fn traced_split_of(sc: &Scenario, kind: SchemeKind, at: u64) -> (SimReport, RingSink) {
+    match kind {
+        SchemeKind::Fixed => traced_split(sc, FixedNode::new, at),
+        SchemeKind::BasicSearch => {
+            let bs = sc.basic_search.clone();
+            traced_split(
+                sc,
+                move |c, t: &Topology| BasicSearchNode::with_config(c, t, bs.clone()),
+                at,
+            )
+        }
+        SchemeKind::BasicUpdate => {
+            let bu = sc.basic_update.clone();
+            traced_split(
+                sc,
+                move |c, t: &Topology| BasicUpdateNode::new(c, t, bu.clone()),
+                at,
+            )
+        }
+        SchemeKind::AdvancedUpdate => traced_split(sc, AdvancedUpdateNode::new, at),
+        SchemeKind::AdvancedSearch => traced_split(sc, AdvancedSearchNode::new, at),
+        SchemeKind::Adaptive => {
+            let ac = sc.adaptive.clone();
+            traced_split(
+                sc,
+                move |c, t: &Topology| AdaptiveNode::new(c, t, ac.clone()),
+                at,
+            )
+        }
+    }
+}
+
 #[test]
 fn resume_is_bit_identical_for_every_scheme_and_mode() {
     // 6 schemes × 2 fault modes × 2 trace modes, each compared cold vs
@@ -65,23 +140,52 @@ fn resume_is_bit_identical_for_every_scheme_and_mode() {
         for faults in [false, true] {
             for trace in [false, true] {
                 jobs.push(Box::new(move || {
-                    let sc = base(kind, faults, trace);
-                    let cold = sc.run(kind);
-                    let split = sc.run_split(kind, HORIZON / 2);
+                    let sc = base(kind, faults);
+                    if !trace {
+                        let cold = sc.run(kind).report;
+                        let split = run_split(&sc, kind, HORIZON / 2).report;
+                        assert_eq!(
+                            cold, split,
+                            "{kind} (faults={faults}, trace=false): \
+                             snapshot/restore at T/2 diverged from the cold run"
+                        );
+                        return (kind, faults, trace);
+                    }
+                    let topo = sc.topology();
+                    let arrivals = sc.arrivals(&topo);
+                    let (cold, cold_sink) =
+                        sc.run_with_sink(kind, topo, arrivals, RingSink::new(RING));
+                    let (split, split_sink) = traced_split_of(&sc, kind, HORIZON / 2);
                     assert_eq!(
-                        cold.report, split.report,
-                        "{kind} (faults={faults}, trace={trace}): \
+                        cold.report, split,
+                        "{kind} (faults={faults}, trace=true): \
                          snapshot/restore at T/2 diverged from the cold run"
                     );
-                    // Fixed is message-free; every other scheme must
-                    // actually have recorded a trace for the equality
-                    // above to mean anything.
-                    if trace && kind != SchemeKind::Fixed {
-                        assert!(
-                            !cold.report.trace.is_empty(),
-                            "{kind}: trace mode produced no trace"
+                    assert_eq!(
+                        (cold_sink.dropped(), split_sink.dropped()),
+                        (0, 0),
+                        "{kind} (faults={faults}): ring too small to compare whole streams"
+                    );
+                    let cold_records: Vec<TraceRecord> = cold_sink.into_vec();
+                    let split_records: Vec<TraceRecord> = split_sink.into_vec();
+                    assert_eq!(
+                        cold_records.len(),
+                        split_records.len(),
+                        "{kind} (faults={faults}): a sink carried across the split \
+                         must end with the cold run's record count"
+                    );
+                    for (i, (a, b)) in cold_records.iter().zip(&split_records).enumerate() {
+                        assert_eq!(
+                            a, b,
+                            "{kind} (faults={faults}): record {i} differs across the split"
                         );
                     }
+                    // Every scheme traces at least its grants; an empty
+                    // stream would make the equality above vacuous.
+                    assert!(
+                        !cold_records.is_empty(),
+                        "{kind} (faults={faults}): nothing was traced"
+                    );
                     (kind, faults, trace)
                 }));
             }
@@ -96,7 +200,7 @@ fn resume_after_periodic_checkpoints_is_bit_identical() {
     let dir = std::env::temp_dir().join("adca_resume_identity");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("adaptive.ckpt");
-    let sc = base(SchemeKind::Adaptive, false, false);
+    let sc = base(SchemeKind::Adaptive, false);
     let cold = sc.run(SchemeKind::Adaptive);
     // The checkpointed run itself is undisturbed by the writes…
     let ckpt = sc
@@ -125,7 +229,7 @@ fn resume_above_the_dense_link_limit_is_bit_identical() {
         .with_workload(WorkloadSpec::uniform(0.9, 1_000.0, horizon));
     for kind in [SchemeKind::Adaptive, SchemeKind::BasicUpdate] {
         let cold = sc.run(kind);
-        let split = sc.run_split(kind, horizon / 2);
+        let split = run_split(&sc, kind, horizon / 2);
         assert_eq!(
             cold.report, split.report,
             "{kind}: 18×18 snapshot/restore at T/2 diverged from the cold run"
@@ -151,7 +255,7 @@ fn resume_on_a_torus_is_bit_identical() {
         SchemeKind::AdvancedUpdate,
     ] {
         let cold = sc.run(kind);
-        let split = sc.run_split(kind, horizon / 2);
+        let split = run_split(&sc, kind, horizon / 2);
         assert_eq!(
             cold.report, split.report,
             "{kind}: 14×14 torus snapshot/restore at T/2 diverged from the cold run"
@@ -162,10 +266,10 @@ fn resume_on_a_torus_is_bit_identical() {
 
 #[test]
 fn resume_with_partitions_is_bit_identical() {
-    // Partitions use an *optional* snapshot section (absent on
-    // partition-free runs); this pins that the section round-trips: a
-    // split run under an active partition plan equals the cold run.
-    let sc = base(SchemeKind::Adaptive, false, false).with_faults(
+    // Pins that the `config.partitions` section round-trips with a plan
+    // in it: a split run under an active partition plan equals the cold
+    // run.
+    let sc = base(SchemeKind::Adaptive, false).with_faults(
         FaultPlan::none()
             .with_loss(0.02)
             .with_partition(CellId(7), CellId(8), 4_000, 8_000)
@@ -173,7 +277,7 @@ fn resume_with_partitions_is_bit_identical() {
     );
     let sc = sc.with_hardening(400);
     let cold = sc.run(SchemeKind::Adaptive);
-    let split = sc.run_split(SchemeKind::Adaptive, HORIZON / 2);
+    let split = run_split(&sc, SchemeKind::Adaptive, HORIZON / 2);
     assert_eq!(
         cold.report, split.report,
         "partitioned run diverged across snapshot/restore"
@@ -187,9 +291,9 @@ fn resume_with_partitions_is_bit_identical() {
 #[test]
 fn restore_under_different_partitions_is_a_mismatch() {
     let plan = FaultPlan::none().with_partition(CellId(7), CellId(8), 4_000, 8_000);
-    let sc = base(SchemeKind::Adaptive, false, false).with_faults(plan.clone());
+    let sc = base(SchemeKind::Adaptive, false).with_faults(plan.clone());
     let snap = sc.warmup_snapshot(SchemeKind::Adaptive, HORIZON / 2);
-    let other = base(SchemeKind::Adaptive, false, false).with_faults(plan.with_partition(
+    let other = base(SchemeKind::Adaptive, false).with_faults(plan.with_partition(
         CellId(1),
         CellId(2),
         100,
@@ -205,7 +309,7 @@ fn restore_under_different_partitions_is_a_mismatch() {
 
 #[test]
 fn restore_under_wrong_scheme_is_a_mismatch() {
-    let sc = base(SchemeKind::Adaptive, false, false);
+    let sc = base(SchemeKind::Adaptive, false);
     let snap = sc.warmup_snapshot(SchemeKind::Fixed, HORIZON / 2);
     match sc.resume_bytes(SchemeKind::Adaptive, &snap) {
         Err(DecodeError::Mismatch(msg)) => {
@@ -217,7 +321,7 @@ fn restore_under_wrong_scheme_is_a_mismatch() {
 
 #[test]
 fn restore_under_wrong_seed_is_a_mismatch() {
-    let sc = base(SchemeKind::Adaptive, false, false);
+    let sc = base(SchemeKind::Adaptive, false);
     let snap = sc.warmup_snapshot(SchemeKind::BasicUpdate, HORIZON / 2);
     let other = sc.clone().with_seed(12345);
     match other.resume_bytes(SchemeKind::BasicUpdate, &snap) {
@@ -230,7 +334,7 @@ fn restore_under_wrong_seed_is_a_mismatch() {
 
 #[test]
 fn corrupted_and_truncated_snapshots_error_never_panic() {
-    let sc = base(SchemeKind::Adaptive, false, false);
+    let sc = base(SchemeKind::Adaptive, false);
     let snap = sc.warmup_snapshot(SchemeKind::Adaptive, HORIZON / 2);
 
     // Empty and sub-envelope inputs.
@@ -267,7 +371,7 @@ fn corrupted_and_truncated_snapshots_error_never_panic() {
 
 #[test]
 fn missing_checkpoint_file_is_an_io_error() {
-    let sc = base(SchemeKind::Adaptive, false, false);
+    let sc = base(SchemeKind::Adaptive, false);
     let missing = std::env::temp_dir().join("adca_resume_identity_nonexistent.ckpt");
     let _ = std::fs::remove_file(&missing);
     match sc.resume_from(SchemeKind::Adaptive, &missing) {

@@ -3,7 +3,7 @@
 use crate::equeue::{EqEntry, EventQueue};
 use crate::faults::{Crash, FaultPlan, Partition};
 use crate::latency::{LatencyModel, MsgMeta};
-use crate::report::{AuditMode, DropCause, MsgTrace, SimReport, Violation};
+use crate::report::{AuditMode, DropCause, SimReport, Violation};
 use crate::rng::SplitMix64;
 use crate::sm::{Action, Effects, Input, RequestId, RequestKind, StateMachine};
 use crate::snapshot::{fnv1a, DecodeError, ProtocolState, Reader, Writer, FNV_OFFSET};
@@ -29,8 +29,6 @@ pub struct SimConfig {
     /// Maximum tolerated acquisition latency in ticks (liveness
     /// watchdog); `None` disables the check.
     pub watchdog_ticks: Option<u64>,
-    /// Record a full message trace in the report.
-    pub trace: bool,
     /// Abort the run after this many processed events (runaway guard).
     pub max_events: u64,
     /// Fault injection plan (loss / duplication / crash schedule). The
@@ -46,7 +44,6 @@ impl Default for SimConfig {
             seed: 0xADCA_1998,
             audit: AuditMode::Panic,
             watchdog_ticks: Some(1_000_000),
-            trace: false,
             max_events: 500_000_000,
             faults: FaultPlan::none(),
         }
@@ -522,15 +519,6 @@ impl<M: Clone, S: TraceSink> Shared<M, S> {
                 self.trace_with(|| TraceEvent::MsgLost { from, to, kind });
                 return;
             }
-        }
-        if self.cfg.trace {
-            self.report.trace.push(MsgTrace {
-                sent_at: self.now,
-                recv_at: at,
-                from: me,
-                to,
-                kind,
-            });
         }
         let dup = self.faults_on
             && self.cfg.faults.duplicate > 0.0
@@ -1282,14 +1270,6 @@ fn put_report(w: &mut Writer, rep: &SimReport) {
     for v in &rep.violations {
         put_violation(w, v);
     }
-    w.put_len(rep.trace.len());
-    for t in &rep.trace {
-        w.put_time(t.sent_at);
-        w.put_time(t.recv_at);
-        w.put_cell(t.from);
-        w.put_cell(t.to);
-        w.put_str(t.kind);
-    }
 }
 
 fn get_report(r: &mut Reader<'_>, n: usize) -> Result<SimReport, DecodeError> {
@@ -1325,16 +1305,6 @@ fn get_report(r: &mut Reader<'_>, n: usize) -> Result<SimReport, DecodeError> {
     for _ in 0..r.get_len()? {
         violations.push(get_violation(r)?);
     }
-    let mut trace = Vec::new();
-    for _ in 0..r.get_len()? {
-        trace.push(MsgTrace {
-            sent_at: r.get_time()?,
-            recv_at: r.get_time()?,
-            from: r.get_cell()?,
-            to: r.get_cell()?,
-            kind: r.get_label()?,
-        });
-    }
     Ok(SimReport {
         end_time,
         events_processed,
@@ -1361,7 +1331,6 @@ fn get_report(r: &mut Reader<'_>, n: usize) -> Result<SimReport, DecodeError> {
         custom,
         custom_samples,
         violations,
-        trace,
     })
 }
 
@@ -1571,7 +1540,7 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
     /// The contract is bit-identical resume: `run()` on the original and
     /// `restore(...)` + `run()` on the snapshot produce equal
     /// [`SimReport`]s. Trace sinks are pure observers and are *not*
-    /// captured; attach a fresh one on restore if needed.
+    /// captured; see [`Engine::restore_with_sink`].
     pub fn snapshot(&self) -> Vec<u8> {
         let sh = &self.sh;
         let mut w = Writer::new();
@@ -1584,7 +1553,6 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
         w.put_u64(lp1);
         w.put_u8(audit_fingerprint(&sh.cfg.audit));
         w.put_opt_u64(sh.cfg.watchdog_ticks);
-        w.put_bool(sh.cfg.trace);
         w.put_u64(sh.cfg.max_events);
         w.put_u64(sh.topo.num_cells() as u64);
         w.put_u16(sh.topo.spectrum().empty_set().capacity());
@@ -1600,18 +1568,13 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             w.put_u64(c.at);
             w.put_u64(c.down_for);
         }
-        // Optional section: written only when the plan schedules link
-        // partitions, so partition-free snapshots stay byte-identical to
-        // the pre-partition format (pinned by the golden digests).
-        if !sh.cfg.faults.partitions.is_empty() {
-            w.mark("config.partitions");
-            w.put_len(sh.cfg.faults.partitions.len());
-            for p in &sh.cfg.faults.partitions {
-                w.put_cell(p.a);
-                w.put_cell(p.b);
-                w.put_u64(p.at);
-                w.put_u64(p.down_for);
-            }
+        w.mark("config.partitions");
+        w.put_len(sh.cfg.faults.partitions.len());
+        for p in &sh.cfg.faults.partitions {
+            w.put_cell(p.a);
+            w.put_cell(p.b);
+            w.put_u64(p.at);
+            w.put_u64(p.down_for);
         }
         w.mark("clock");
         w.put_time(sh.now);
@@ -1711,8 +1674,10 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
         w.finish()
     }
 
-    /// [`Engine::restore`] with a trace sink attached (fresh — sinks are
-    /// not part of snapshots).
+    /// [`Engine::restore`] with a trace sink attached. Sinks are not part
+    /// of snapshots: pass a fresh one, or the snapshotted engine's own
+    /// ([`Engine::into_sink`]) to continue its record stream where the
+    /// snapshot was taken.
     pub fn restore_with_sink<F>(
         topo: Arc<Topology>,
         cfg: SimConfig,
@@ -1744,7 +1709,6 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             cfg.watchdog_ticks,
             "config.watchdog_ticks",
         )?;
-        check_field(r.get_bool()?, cfg.trace, "config.trace")?;
         check_field(r.get_u64()?, cfg.max_events, "config.max_events")?;
         check_field(r.get_u64()?, n as u64, "topology.num_cells")?;
         check_field(r.get_u16()?, spectrum_bits, "topology.spectrum")?;
@@ -1773,19 +1737,15 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
         if snap_crashes != cfg.faults.crashes {
             return Err(DecodeError::Mismatch("config.faults.crashes differ".into()));
         }
-        // Optional section (see `snapshot()`): present only when the
-        // writing plan scheduled link partitions.
-        let mut snap_partitions = Vec::new();
-        if crate::snapshot::has_section(bytes, "config.partitions")? {
-            let np = r.get_len()?;
-            for _ in 0..np {
-                snap_partitions.push(Partition {
-                    a: r.get_cell()?,
-                    b: r.get_cell()?,
-                    at: r.get_u64()?,
-                    down_for: r.get_u64()?,
-                });
-            }
+        let np = r.get_len()?;
+        let mut snap_partitions = Vec::with_capacity(np);
+        for _ in 0..np {
+            snap_partitions.push(Partition {
+                a: r.get_cell()?,
+                b: r.get_cell()?,
+                at: r.get_u64()?,
+                down_for: r.get_u64()?,
+            });
         }
         if snap_partitions != cfg.faults.partitions {
             return Err(DecodeError::Mismatch(

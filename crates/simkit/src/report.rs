@@ -1,4 +1,4 @@
-//! Run outcomes: metrics, audit violations, and traces.
+//! Run outcomes: metrics and audit violations.
 
 use crate::time::SimTime;
 use adca_hexgrid::{CellId, Channel};
@@ -119,21 +119,6 @@ impl DropCause {
     }
 }
 
-/// One traced message (when tracing is enabled).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MsgTrace {
-    /// Send time.
-    pub sent_at: SimTime,
-    /// Delivery time.
-    pub recv_at: SimTime,
-    /// Sender.
-    pub from: CellId,
-    /// Receiver.
-    pub to: CellId,
-    /// Protocol label of the message.
-    pub kind: &'static str,
-}
-
 /// Everything measured over one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
@@ -189,8 +174,6 @@ pub struct SimReport {
     pub custom_samples: BTreeMap<&'static str, SampleSeries>,
     /// Invariant violations (empty on a clean run).
     pub violations: Vec<Violation>,
-    /// Message trace (empty unless tracing enabled).
-    pub trace: Vec<MsgTrace>,
 }
 
 impl SimReport {

@@ -25,11 +25,13 @@
 //! # Versioning & compatibility policy
 //!
 //! [`FORMAT_VERSION`] identifies the envelope **and** the engine payload
-//! layout. Snapshots are short-lived artifacts (a warmup cache, a crash
-//! restart point), not an archival format: any change to the serialized
-//! engine or protocol state bumps the version, and decoders reject every
-//! version but their own ([`DecodeError::BadVersion`]) rather than
-//! attempt migration. Protocol layouts are additionally pinned by
+//! layout. Snapshots are short-lived artifacts (a crash restart point),
+//! not an archival format: any change to the serialized engine or
+//! protocol state bumps the version, and decoders reject every version
+//! but their own ([`DecodeError::BadVersion`]) rather than attempt
+//! migration. No section is optional — an empty collection travels as a
+//! zero length — so a restore validates the envelope once and decodes
+//! front to back. Protocol layouts are additionally pinned by
 //! [`ProtocolState::STATE_ID`] (e.g. `"adaptive/v1"`), checked before any
 //! node state is decoded, so restoring a snapshot under the wrong scheme
 //! fails fast with [`DecodeError::Mismatch`].
@@ -44,7 +46,7 @@ use std::sync::{OnceLock, RwLock};
 pub const MAGIC: [u8; 8] = *b"ADCASNAP";
 
 /// Current snapshot format version (see the module docs for the policy).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -344,17 +346,6 @@ pub fn section_digests(bytes: &[u8]) -> Result<Vec<(String, u64)>, DecodeError> 
         .collect())
 }
 
-/// Whether the snapshot contains a section named `name`.
-///
-/// Optional sections — written only when the corresponding feature is in
-/// use, so that runs without it stay byte-identical to older snapshots —
-/// are detected through the marks table before the sequential decode
-/// reaches them (e.g. `config.partitions`).
-pub fn has_section(bytes: &[u8], name: &str) -> Result<bool, DecodeError> {
-    let (_payload, marks) = open(bytes)?;
-    Ok(marks.iter().any(|(n, _)| n == name))
-}
-
 /// Deserializer over a validated snapshot payload.
 ///
 /// Construction checks the whole envelope (magic, version, checksum,
@@ -594,16 +585,19 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let bytes = Writer::new().finish();
-        let mut bad = bytes.clone();
-        bad[8] = 99;
-        // Re-seal so only the version differs.
-        let body = bad.len() - 8;
-        let sum = fnv1a(FNV_OFFSET, &bad[..body]);
-        bad[body..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Reader::new(&bad).map(|_| ()),
-            Err(DecodeError::BadVersion(99))
-        );
+        // 1 is the retired layout (trace fields, optional partitions).
+        for version in [1u8, 99] {
+            let mut bad = bytes.clone();
+            bad[8] = version;
+            // Re-seal so only the version differs.
+            let body = bad.len() - 8;
+            let sum = fnv1a(FNV_OFFSET, &bad[..body]);
+            bad[body..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Reader::new(&bad).map(|_| ()),
+                Err(DecodeError::BadVersion(version as u32))
+            );
+        }
         assert!(matches!(
             Reader::new(b"NOTASNAPxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
             Err(DecodeError::BadMagic)
