@@ -20,6 +20,8 @@ use std::fmt::Write as _;
 
 const HORIZON: u64 = 100_000;
 const RHO: f64 = 0.9;
+/// Interval of the periodic on-disk checkpoint check, in ticks.
+const CKPT_EVERY: u64 = 10_000;
 const GRIDS: [(u32, u32); 6] = [(6, 6), (9, 9), (12, 12), (16, 16), (20, 20), (24, 24)];
 
 struct SnapRow {
@@ -111,12 +113,11 @@ fn main() {
     // Periodic on-disk checkpointing: the writes must not disturb the
     // run, and the file left behind must resume to the bit-identical
     // report.
-    let every = 10_000;
     let sc = Scenario::uniform(RHO, HORIZON).with_grid(6, 6);
     let path = std::env::temp_dir().join("e14_adaptive.ckpt");
     let cold = sc.run(SchemeKind::Adaptive);
     let ckpt = sc
-        .run_checkpointed(SchemeKind::Adaptive, &path, every)
+        .run_checkpointed(SchemeKind::Adaptive, &path, CKPT_EVERY)
         .expect("checkpoint file is writable");
     assert_eq!(
         cold.report, ckpt.report,
@@ -131,7 +132,7 @@ fn main() {
     );
     let _ = std::fs::remove_file(&path);
     println!(
-        "  periodic checkpointing every {every} ticks: run undisturbed, file resumes identical"
+        "  periodic checkpointing every {CKPT_EVERY} ticks: run undisturbed, file resumes identical"
     );
 
     write_json(&out_path, smoke, ckpt_at, &rows)

@@ -65,17 +65,6 @@ pub fn opt2(x: Option<f64>) -> String {
     x.map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into())
 }
 
-/// The standard comparison row used by several experiments.
-pub fn summary_cells(s: &RunSummary) -> Vec<String> {
-    vec![
-        s.scheme.name().to_string(),
-        pct(s.drop_rate()),
-        f2(s.msgs_per_acq()),
-        f2(s.mean_acq_t()),
-        f2(s.max_acq_t()),
-    ]
-}
-
 /// Prints the fault-accounting footer: the restart counter and the
 /// drop-cause split per run — recorded in every [`SimReport`] since the
 /// fault layer landed, but previously absent from `results/*.txt`. Rows

@@ -75,11 +75,6 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Whether the node is in any borrowing mode (`mode_i ≠ 0`).
-    pub fn is_borrowing(self) -> bool {
-        self != Mode::Local
-    }
-
     /// The paper's numeric mode (`0`–`3`), as carried by trace events.
     pub fn index(self) -> u8 {
         match self {
@@ -383,27 +378,6 @@ impl AdaptiveNode {
                 format!("Search ts={} remaining={}", a.ts, remaining.len())
             }
         })
-    }
-
-    /// Number of queued (not yet served) call requests.
-    pub fn queued_calls(&self) -> usize {
-        self.call_q.len()
-    }
-
-    /// The searchers this node owes an `ACQUISITION(1)` notice.
-    pub fn debug_owed(&self) -> Vec<CellId> {
-        self.owed.iter().map(|&(j, _, _)| j).collect()
-    }
-
-    /// The deferred requests, as `(kind, requester)` pairs.
-    pub fn deferred_list(&self) -> Vec<(&'static str, CellId)> {
-        self.defer_q
-            .iter()
-            .map(|d| match d {
-                Deferred::Update { from, .. } => ("update", *from),
-                Deferred::Search { from, .. } => ("search", *from),
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------

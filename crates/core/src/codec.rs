@@ -5,15 +5,14 @@
 //! envelope and primitive put/get pairs; this module adds the encodings
 //! for protocol-infrastructure types that several `ProtocolState`
 //! implementations share: [`Timestamp`], the [`CallQueue`], the
-//! [`LamportClock`], the [`NfcWindow`], and the reference-counted
-//! [`NeighborView`].
+//! [`NfcWindow`], and the reference-counted [`NeighborView`].
 //!
 //! Every `put_*` has a `get_*` mirror that consumes exactly the bytes the
 //! writer produced; decoding validates enum tags and set capacities and
 //! returns [`DecodeError::Corrupt`] rather than panicking on malformed
 //! input.
 
-use crate::{CallQueue, LamportClock, NeighborView, NfcWindow, RegionMask, Timestamp};
+use crate::{CallQueue, NeighborView, NfcWindow, RegionMask, Timestamp};
 use adca_hexgrid::CellId;
 use adca_simkit::{DecodeError, Reader, RequestId, RequestKind, Writer};
 
@@ -66,17 +65,6 @@ pub fn get_call_queue(r: &mut Reader<'_>) -> Result<CallQueue, DecodeError> {
         q.push(req, kind);
     }
     Ok(q)
-}
-
-/// Encodes a [`LamportClock`] position (the node id is structural and
-/// comes from the factory-built node on restore).
-pub fn put_clock(w: &mut Writer, clock: &LamportClock) {
-    w.put_u64(clock.counter());
-}
-
-/// Decodes a [`LamportClock`] for `node`.
-pub fn get_clock(r: &mut Reader<'_>, node: CellId) -> Result<LamportClock, DecodeError> {
-    Ok(LamportClock::restore(node, r.get_u64()?))
 }
 
 /// Encodes the retained `(t, s)` entries of an [`NfcWindow`]. The window

@@ -176,7 +176,9 @@ proptest! {
 
 /// `put_view` bytes for a fixed script, recorded from the implementation
 /// with one `Vec<ChannelSet>` pair per view: the flat block is a change
-/// of layout, not of format.
+/// of layout, not of format. The envelope's version field (bytes 8–11)
+/// and the checksum over it (the last 8) follow `FORMAT_VERSION`; the
+/// payload and marks between them are the recorded bytes.
 #[test]
 fn put_view_bytes_are_pinned() {
     let region = [CellId(1), CellId(2), CellId(5)];
@@ -197,7 +199,7 @@ fn put_view_bytes_are_pinned() {
     let hex: String = w.finish().iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(
         hex,
-        "41444341534e4150010000003800000000000000030000000000000001000000460000004600010040000200\
-         00004600030003000a004100460000000500000046000100010046000100070000000000fc37e21842d57a71"
+        "41444341534e4150020000003800000000000000030000000000000001000000460000004600010040000200\
+         00004600030003000a004100460000000500000046000100010046000100070000000000cfbf7e34dad836de"
     );
 }

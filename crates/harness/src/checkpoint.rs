@@ -1,52 +1,13 @@
-//! Periodic-checkpoint knobs and errors.
+//! Periodic-checkpoint errors.
 //!
 //! [`Scenario::run_checkpointed`](crate::Scenario::run_checkpointed)
-//! writes an engine snapshot to disk every
-//! [`ckpt_every`] ticks, so a killed long run can pick up from the last
-//! checkpoint via
+//! writes an engine snapshot to disk at the interval it is given, so a
+//! killed long run can pick up from the last checkpoint via
 //! [`Scenario::resume_from`](crate::Scenario::resume_from) instead of
-//! starting over. The interval comes from the `ADCA_CKPT_EVERY`
-//! environment variable (simulation ticks, default
-//! [`DEFAULT_CKPT_EVERY`]).
+//! starting over.
 
 use adca_simkit::DecodeError;
 use std::fmt;
-
-/// Environment variable controlling the periodic-checkpoint interval
-/// (simulation ticks between snapshot writes).
-pub const CKPT_EVERY_ENV: &str = "ADCA_CKPT_EVERY";
-
-/// Default checkpoint interval in ticks (100 paper time units `T` at
-/// the default `T` = 100).
-pub const DEFAULT_CKPT_EVERY: u64 = 10_000;
-
-/// Checkpoint interval for [`Scenario::run_checkpointed`]: a positive
-/// `ADCA_CKPT_EVERY` if set, otherwise [`DEFAULT_CKPT_EVERY`].
-///
-/// An unparseable `ADCA_CKPT_EVERY` warns **once** per process (long
-/// runs consult this per checkpoint; repeating the warning would drown
-/// the run's own output) and names both the rejected value and the
-/// fallback actually used — same contract as
-/// [`worker_count`](crate::sweep::worker_count) for `ADCA_THREADS`.
-///
-/// [`Scenario::run_checkpointed`]: crate::Scenario::run_checkpointed
-pub fn ckpt_every() -> u64 {
-    if let Ok(v) = std::env::var(CKPT_EVERY_ENV) {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!(
-                "warning: ignoring invalid {CKPT_EVERY_ENV}={v:?} (want a positive \
-                 tick count); falling back to the default ({DEFAULT_CKPT_EVERY})"
-            );
-        });
-    }
-    DEFAULT_CKPT_EVERY
-}
 
 /// Why resuming from a checkpoint file failed.
 #[derive(Debug)]
@@ -83,14 +44,6 @@ impl From<DecodeError> for CheckpointError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_interval_without_env() {
-        // Can't set the env var here without racing other tests; pin the
-        // fallback contract instead.
-        assert!(ckpt_every() >= 1);
-        assert_eq!(DEFAULT_CKPT_EVERY, 10_000);
-    }
 
     #[test]
     fn errors_display_their_cause() {

@@ -16,7 +16,7 @@ pub mod scenario;
 pub mod summary;
 pub mod sweep;
 
-pub use checkpoint::{ckpt_every, CheckpointError, CKPT_EVERY_ENV, DEFAULT_CKPT_EVERY};
+pub use checkpoint::CheckpointError;
 pub use scenario::{CheckpointProbe, Scenario, SchemeKind, WireCounts};
 pub use summary::RunSummary;
 pub use sweep::{run_jobs, run_jobs_on, worker_count, Replicated, SweepRunner, THREADS_ENV};

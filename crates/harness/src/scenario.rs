@@ -107,18 +107,6 @@ impl SchemeKind {
             SchemeKind::Adaptive => "adaptive",
         }
     }
-
-    /// The paper's label for the scheme, as used in its tables.
-    pub fn paper_name(self) -> &'static str {
-        match self {
-            SchemeKind::Fixed => "Fixed (static)",
-            SchemeKind::BasicSearch => "Basic Search",
-            SchemeKind::BasicUpdate => "Basic Update",
-            SchemeKind::AdvancedUpdate => "Advanced Update",
-            SchemeKind::AdvancedSearch => "Advanced Search",
-            SchemeKind::Adaptive => "Adaptive (Proposed)",
-        }
-    }
 }
 
 impl std::fmt::Display for SchemeKind {
@@ -340,25 +328,8 @@ impl Scenario {
         })
     }
 
-    /// Convenience: starts the production backend for `kind` and drives
-    /// it with the closed subscriber loop; returns the load report and
-    /// the service's final counters (backpressure, violations).
-    pub fn serve_closed_loop(
-        &self,
-        kind: SchemeKind,
-        serve_cfg: ProductionConfig,
-        spec: &LoadSpec,
-    ) -> (LoadReport, ServeStats) {
-        let topo = self.topology();
-        dispatch_scheme!(self, kind, factory => {
-            let mut svc = ProductionAllocService::new(topo.clone(), serve_cfg, factory);
-            let report = adca_serve::closed_loop(&mut svc, &topo, spec);
-            (report, svc.stats())
-        })
-    }
-
     /// Puts the production backend for `kind` on a loopback TCP socket
-    /// behind a [`WireServer`] and drives it with the same closed loop,
+    /// behind a [`WireServer`] and drives it with the closed subscriber loop,
     /// one thread a connection
     /// ([`closed_loop_drivers`](adca_serve::closed_loop_drivers) over
     /// `connections` [`WireClient`]s sharing one deadline wheel).
@@ -469,9 +440,8 @@ impl Scenario {
     }
 
     /// Runs `kind` to completion while writing a snapshot of the full
-    /// engine state to `path` every `every` ticks (pass
-    /// [`crate::checkpoint::ckpt_every`]`()` to honor `ADCA_CKPT_EVERY`),
-    /// plus once at quiescence. A killed run resumes from the last
+    /// engine state to `path` every `every` ticks, plus once at
+    /// quiescence. A killed run resumes from the last
     /// written checkpoint via [`Scenario::resume_from`] and finishes
     /// with a report bit-identical to the uninterrupted run.
     ///
@@ -499,16 +469,6 @@ impl Scenario {
             engine.run()
         });
         Ok(RunSummary::new(kind, report, self.t_ticks).with_wall(started.elapsed()))
-    }
-
-    /// Test helper: runs to tick `at`, snapshots, restores the snapshot
-    /// into a fresh engine, and finishes there — one full
-    /// checkpoint/restore round trip. The resume-identity contract says
-    /// the result equals [`Scenario::run`]'s, bit for bit.
-    pub fn run_split(&self, kind: SchemeKind, at: u64) -> RunSummary {
-        let snap = self.warmup_snapshot(kind, at);
-        self.resume_bytes(kind, &snap)
-            .expect("an engine's own snapshot restores under the same scenario")
     }
 
     /// Timing probe behind the `e14_checkpoint` bench: runs to tick

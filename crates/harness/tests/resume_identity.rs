@@ -75,7 +75,7 @@ fn run_split(sc: &Scenario, kind: SchemeKind, at: u64) -> RunSummary {
 /// [`run_split`] on the typed trace path: the first half records into a
 /// [`RingSink`], the snapshot is taken, and the restored engine is handed
 /// that same sink — so the stream it ends with is the whole run's.
-fn traced_split<P, F>(sc: &Scenario, factory: F, at: u64) -> (SimReport, RingSink)
+fn traced_split<P, F>(sc: &Scenario, at: u64, factory: F) -> (SimReport, RingSink)
 where
     P: ProtocolState,
     F: FnMut(CellId, &Topology) -> P + Clone,
@@ -100,32 +100,26 @@ where
 
 fn traced_split_of(sc: &Scenario, kind: SchemeKind, at: u64) -> (SimReport, RingSink) {
     match kind {
-        SchemeKind::Fixed => traced_split(sc, FixedNode::new, at),
+        SchemeKind::Fixed => traced_split(sc, at, FixedNode::new),
         SchemeKind::BasicSearch => {
             let bs = sc.basic_search.clone();
-            traced_split(
-                sc,
-                move |c, t: &Topology| BasicSearchNode::with_config(c, t, bs.clone()),
-                at,
-            )
+            traced_split(sc, at, move |c, t: &Topology| {
+                BasicSearchNode::with_config(c, t, bs.clone())
+            })
         }
         SchemeKind::BasicUpdate => {
             let bu = sc.basic_update.clone();
-            traced_split(
-                sc,
-                move |c, t: &Topology| BasicUpdateNode::new(c, t, bu.clone()),
-                at,
-            )
+            traced_split(sc, at, move |c, t: &Topology| {
+                BasicUpdateNode::new(c, t, bu.clone())
+            })
         }
-        SchemeKind::AdvancedUpdate => traced_split(sc, AdvancedUpdateNode::new, at),
-        SchemeKind::AdvancedSearch => traced_split(sc, AdvancedSearchNode::new, at),
+        SchemeKind::AdvancedUpdate => traced_split(sc, at, AdvancedUpdateNode::new),
+        SchemeKind::AdvancedSearch => traced_split(sc, at, AdvancedSearchNode::new),
         SchemeKind::Adaptive => {
             let ac = sc.adaptive.clone();
-            traced_split(
-                sc,
-                move |c, t: &Topology| AdaptiveNode::new(c, t, ac.clone()),
-                at,
-            )
+            traced_split(sc, at, move |c, t: &Topology| {
+                AdaptiveNode::new(c, t, ac.clone())
+            })
         }
     }
 }

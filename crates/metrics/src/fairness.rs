@@ -20,35 +20,6 @@ pub fn jain_index(xs: &[f64]) -> Option<f64> {
     Some(sum * sum / (xs.len() as f64 * sq_sum))
 }
 
-/// Max/min ratio over strictly positive entries; `None` if no positive
-/// entry exists. A crude starvation indicator: a large value means some
-/// cell is served far better than another.
-pub fn max_min_ratio(xs: &[f64]) -> Option<f64> {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for &x in xs {
-        if x > 0.0 {
-            min = min.min(x);
-            max = max.max(x);
-        }
-    }
-    (min.is_finite() && max > 0.0).then(|| max / min)
-}
-
-/// Coefficient of variation (`σ/μ`); `None` for empty input or zero mean.
-pub fn coefficient_of_variation(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    if mean == 0.0 {
-        return None;
-    }
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-    Some(var.sqrt() / mean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,23 +47,5 @@ mod tests {
         let a = jain_index(&[1.0, 2.0, 3.0]).unwrap();
         let b = jain_index(&[10.0, 20.0, 30.0]).unwrap();
         assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_min_ratio_basic() {
-        assert_eq!(max_min_ratio(&[1.0, 4.0, 2.0]), Some(4.0));
-        assert_eq!(max_min_ratio(&[0.0, 0.0]), None);
-        assert_eq!(max_min_ratio(&[]), None);
-        // Zeros are ignored, not treated as starved minimum.
-        assert_eq!(max_min_ratio(&[0.0, 2.0, 6.0]), Some(3.0));
-    }
-
-    #[test]
-    fn cv_basic() {
-        assert_eq!(coefficient_of_variation(&[5.0, 5.0]), Some(0.0));
-        assert_eq!(coefficient_of_variation(&[]), None);
-        assert_eq!(coefficient_of_variation(&[0.0, 0.0]), None);
-        let cv = coefficient_of_variation(&[2.0, 4.0]).unwrap();
-        assert!((cv - (1.0 / 3.0)).abs() < 1e-12);
     }
 }

@@ -5,13 +5,11 @@
 //!
 //! * [`StreamingStats`] — constant-space count/mean/variance/min/max,
 //! * [`SampleSeries`] — exact quantiles over retained samples,
-//! * [`Histogram`] — fixed-width bucket counts,
 //! * [`PercentileSketch`] — constant-space log-bucketed quantile sketch
 //!   (p50/p99/p999 for the serving layer),
 //! * [`CounterMap`] — named event counters (message taxonomy, mode
 //!   transitions, acquisition outcomes),
 //! * [`fairness`] — Jain's fairness index over per-cell outcomes,
-//! * [`TimeSeries`] — `(t, value)` sequences with window reductions,
 //! * [`StateDwell`] — time-in-state fractions (per-cell mode occupancy).
 
 #![warn(missing_docs)]
@@ -20,14 +18,12 @@
 pub mod counters;
 pub mod dwell;
 pub mod fairness;
-pub mod histogram;
 pub mod percentile;
 pub mod series;
 pub mod stats;
 
 pub use counters::CounterMap;
 pub use dwell::StateDwell;
-pub use histogram::Histogram;
 pub use percentile::PercentileSketch;
-pub use series::{SampleSeries, TimeSeries};
+pub use series::SampleSeries;
 pub use stats::StreamingStats;

@@ -1,4 +1,4 @@
-//! Retained-sample series and time series.
+//! Retained-sample series.
 
 use crate::stats::StreamingStats;
 
@@ -106,84 +106,6 @@ impl SampleSeries {
     }
 }
 
-/// A `(t, value)` time series with simple window reductions, used for
-/// load/drop-rate traces over a simulation run.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(f64, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty time series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a point; `t` must be non-decreasing.
-    ///
-    /// # Panics
-    /// Panics (debug) if `t` moves backwards.
-    pub fn push(&mut self, t: f64, v: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(lt, _)| lt <= t),
-            "time series must be appended in time order"
-        );
-        self.points.push((t, v));
-    }
-
-    /// All points.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of values with `t ∈ [t0, t1)`.
-    pub fn window_mean(&self, t0: f64, t1: f64) -> Option<f64> {
-        let mut stats = StreamingStats::new();
-        for &(t, v) in &self.points {
-            if t >= t0 && t < t1 {
-                stats.push(v);
-            }
-        }
-        (stats.count() > 0).then(|| stats.mean())
-    }
-
-    /// Buckets the series into `nbuckets` equal windows over its span and
-    /// returns `(window_center, mean)` per non-empty window.
-    pub fn bucketed_means(&self, nbuckets: usize) -> Vec<(f64, f64)> {
-        if self.points.is_empty() || nbuckets == 0 {
-            return Vec::new();
-        }
-        let t0 = self.points.first().expect("non-empty").0;
-        let t1 = self.points.last().expect("non-empty").0;
-        if t1 <= t0 {
-            return vec![(t0, self.window_mean(t0, t0 + 1.0).unwrap_or(0.0))];
-        }
-        let width = (t1 - t0) / nbuckets as f64;
-        (0..nbuckets)
-            .filter_map(|i| {
-                let lo = t0 + width * i as f64;
-                // Make the last bucket inclusive of t1.
-                let hi = if i + 1 == nbuckets {
-                    t1 + width * 1e-9 + f64::EPSILON
-                } else {
-                    lo + width
-                };
-                self.window_mean(lo, hi).map(|m| (lo + width / 2.0, m))
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,26 +164,5 @@ mod tests {
         s.push(20.0);
         assert_eq!(s.quantile(1.0), Some(20.0));
         assert_eq!(s.median(), Some(10.0));
-    }
-
-    #[test]
-    fn timeseries_window_means() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.push(i as f64, (i * i) as f64);
-        }
-        assert_eq!(ts.window_mean(0.0, 3.0), Some((0.0 + 1.0 + 4.0) / 3.0));
-        assert_eq!(ts.window_mean(100.0, 200.0), None);
-        let buckets = ts.bucketed_means(3);
-        assert_eq!(buckets.len(), 3);
-    }
-
-    #[test]
-    fn timeseries_single_point_bucket() {
-        let mut ts = TimeSeries::new();
-        ts.push(5.0, 7.0);
-        let b = ts.bucketed_means(4);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].1, 7.0);
     }
 }

@@ -1935,7 +1935,7 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
         }
 
         let sh = Shared {
-            topo: topo.clone(),
+            topo,
             cfg,
             now,
             msg_seq,

@@ -205,15 +205,6 @@ impl SimReport {
         }
     }
 
-    /// Mean control messages per offered call (counts drops too).
-    pub fn msgs_per_call(&self) -> f64 {
-        if self.offered_calls == 0 {
-            0.0
-        } else {
-            self.messages_total as f64 / self.offered_calls as f64
-        }
-    }
-
     /// Mean acquisition latency expressed in units of `t` ticks.
     pub fn mean_acq_latency_in(&self, t: u64) -> f64 {
         self.acq_latency.mean() / t as f64

@@ -726,15 +726,6 @@ impl CellTimeline {
         self.recv[cell.index()]
     }
 
-    /// Control messages `cell` sent per `t`-tick unit (the paper reports
-    /// message rates per interference-region neighbor in units of `T`).
-    pub fn msg_rate(&self, cell: CellId, t: u64) -> f64 {
-        if self.end.ticks() == 0 {
-            return 0.0;
-        }
-        self.sent[cell.index()] as f64 / self.end.in_units_of(t)
-    }
-
     /// Peak simultaneous borrowed channels held by `cell`.
     pub fn borrowed_peak(&self, cell: CellId) -> u32 {
         self.borrowed_peak[cell.index()]
