@@ -4,7 +4,7 @@
 //! than blocking a fresh call). We compare handoff failure rates and the
 //! handoff's acquisition cost across schemes and dwell times.
 
-use adca_bench::{banner, f2, pct, perf_footer, TextTable};
+use adca_bench::{banner, f2, pct, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 use adca_traffic::WorkloadSpec;
 
@@ -56,8 +56,4 @@ fn main() {
          borrowing schemes keep forced terminations well under the fixed\n\
          scheme's, at their usual message cost."
     );
-    perf_footer(dwells.iter().zip(&grid).flat_map(|(&dwell, row)| {
-        row.iter()
-            .map(move |s| (format!("dwell={dwell}/{}", s.scheme), s))
-    }));
 }

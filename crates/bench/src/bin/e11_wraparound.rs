@@ -4,7 +4,7 @@
 //! full `N = 18` region, so measured per-acquisition message counts hit
 //! the interior-cell formulas of Tables 1–2 exactly.
 
-use adca_bench::{banner, f2, pct, perf_footer, TextTable};
+use adca_bench::{banner, f2, pct, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -58,9 +58,4 @@ fn main() {
          ~15% lower — the entire table1/table2 deviation is boundary\n\
          geometry, not protocol behavior."
     );
-    perf_footer(combos.iter().zip(&grid).flat_map(|(&(rho, wrap), row)| {
-        let geom = if wrap { "torus" } else { "bounded" };
-        row.iter()
-            .map(move |s| (format!("rho={rho}/{geom}/{}", s.scheme), s))
-    }));
 }

@@ -16,7 +16,7 @@
 //!
 //! Run with `--smoke` for the CI-sized subset.
 
-use adca_bench::{banner, fault_footer, pct, perf_footer, TextTable};
+use adca_bench::{banner, fault_footer, pct, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 use adca_hexgrid::CellId;
 use adca_simkit::FaultPlan;
@@ -162,6 +162,5 @@ fn main() {
     for s in &crash_grid[0] {
         labeled.push((format!("crash/{}", s.scheme), s));
     }
-    fault_footer(labeled.iter().map(|(l, s)| (l.clone(), *s)));
-    perf_footer(labeled);
+    fault_footer(labeled);
 }

@@ -21,7 +21,7 @@
 //! * `--trace-out F` export the captured trace as JSONL to file `F`.
 
 use adca_analysis::{Audit, SchemeModel};
-use adca_bench::{banner, f2, measured_inputs, perf_footer, TextTable};
+use adca_bench::{banner, f2, measured_inputs, TextTable};
 use adca_harness::{Scenario, SchemeKind};
 use adca_hexgrid::CellId;
 use adca_simkit::trace::{CellTimeline, JsonlSink, RingSink, TraceEvent, TraceSink};
@@ -213,7 +213,6 @@ fn main() {
         "\naudit verdict: {}",
         if audit.all_pass() { "PASS" } else { "FAIL" }
     );
-    perf_footer([("adaptive/rho=0.9".to_string(), &summary)]);
     if audit_panic {
         audit.assert_pass();
     }

@@ -4,7 +4,7 @@
 //! the adaptive scheme matches the dynamic schemes' drop rate.
 
 use adca_analysis::erlang_b;
-use adca_bench::{banner, pct, perf_footer, TextTable};
+use adca_bench::{banner, pct, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -38,8 +38,4 @@ fn main() {
          the search schemes' drop rate while paying far fewer messages at low\n\
          load (see e3)."
     );
-    perf_footer(loads.iter().zip(&grid).flat_map(|(&rho, row)| {
-        row.iter()
-            .map(move |s| (format!("rho={rho}/{}", s.scheme), s))
-    }));
 }

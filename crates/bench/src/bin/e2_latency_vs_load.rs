@@ -4,7 +4,7 @@
 //! contention, and never exhibits the update schemes' unbounded retry
 //! tail.
 
-use adca_bench::{banner, f2, perf_footer, TextTable};
+use adca_bench::{banner, f2, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -66,8 +66,4 @@ fn main() {
         }
         println!();
     }
-    perf_footer(loads.iter().zip(&grid).flat_map(|(&rho, row)| {
-        row.iter()
-            .map(move |s| (format!("rho={rho}/{}", s.scheme), s))
-    }));
 }

@@ -4,7 +4,7 @@
 //! scheme is silent; as load grows its cost approaches the search
 //! scheme's, by design.
 
-use adca_bench::{banner, f2, perf_footer, TextTable};
+use adca_bench::{banner, f2, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -58,8 +58,4 @@ fn main() {
             count as f64 / s.report.granted as f64
         );
     }
-    perf_footer(loads.iter().zip(&grid).flat_map(|(&rho, row)| {
-        row.iter()
-            .map(move |s| (format!("rho={rho}/{}", s.scheme), s))
-    }));
 }

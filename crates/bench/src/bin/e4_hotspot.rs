@@ -5,7 +5,7 @@
 //! compare drops inside the hot spot, the price in messages, and the
 //! behavior across hot-spot intensities.
 
-use adca_bench::{banner, f2, pct, perf_footer, TextTable};
+use adca_bench::{banner, f2, pct, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 use adca_hexgrid::CellId;
 use adca_traffic::{Hotspot, WorkloadSpec};
@@ -79,8 +79,4 @@ fn main() {
          neighborhood channels — the adaptive scheme at a fraction of the\n\
          always-on schemes' message cost (its cold cells stay silent)."
     );
-    perf_footer(mults.iter().zip(&grid).flat_map(|(&mult, row)| {
-        row.iter()
-            .map(move |s| (format!("{mult}x/{}", s.scheme), s))
-    }));
 }

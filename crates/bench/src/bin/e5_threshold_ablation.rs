@@ -4,7 +4,7 @@
 //! The paper's design argument for `θ_l < θ_h` becomes measurable as the
 //! CHANGE_MODE volume.
 
-use adca_bench::{banner, f2, pct, perf_footer, TextTable};
+use adca_bench::{banner, f2, pct, TextTable};
 use adca_core::AdaptiveConfig;
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
@@ -60,11 +60,5 @@ fn main() {
          CHANGE_MODE traffic without improving drops — the thrash §3.5's\n\
          hysteresis exists to prevent. Raising theta_l trades messages for\n\
          earlier borrowing readiness."
-    );
-    perf_footer(
-        combos
-            .iter()
-            .zip(&runs)
-            .map(|(&(tl, th), s)| (format!("theta=({tl},{th})/{}", s.scheme), s)),
     );
 }

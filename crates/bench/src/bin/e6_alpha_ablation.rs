@@ -3,7 +3,7 @@
 //! search. `α = 0` degenerates to pure search; large `α` approaches pure
 //! update behavior with its retry storms under contention.
 
-use adca_bench::{banner, f2, opt2, pct, perf_footer, TextTable};
+use adca_bench::{banner, f2, opt2, pct, TextTable};
 use adca_core::AdaptiveConfig;
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
@@ -52,11 +52,5 @@ fn main() {
          (xi2 = 0); growing alpha shifts borrows to cheap update rounds until\n\
          contention makes extra attempts pure waste (failed rounds grow while\n\
          drops stay flat) — the bounded-retry design point of §5."
-    );
-    perf_footer(
-        alphas
-            .iter()
-            .zip(&runs)
-            .map(|(&alpha, s)| (format!("alpha={alpha}/{}", s.scheme), s)),
     );
 }

@@ -3,7 +3,7 @@
 //! over the last `W` ticks. Short windows react fast but jitter; long
 //! windows smooth but switch modes late under bursts.
 
-use adca_bench::{banner, f2, pct, perf_footer, TextTable};
+use adca_bench::{banner, f2, pct, TextTable};
 use adca_core::AdaptiveConfig;
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 use adca_hexgrid::CellId;
@@ -67,11 +67,5 @@ fn main() {
          churn); very long windows dilute the burst's slope so cells switch\n\
          on level rather than trend. The paper's W ≈ several round trips sits\n\
          in the flat middle."
-    );
-    perf_footer(
-        windows
-            .iter()
-            .zip(&runs)
-            .map(|(&w, s)| (format!("W={w}/{}", s.scheme), s)),
     );
 }

@@ -4,7 +4,7 @@
 //! worst-served cell — the starvation the bounded search fallback is
 //! designed to prevent.
 
-use adca_bench::{banner, f2, opt2, pct, perf_footer, TextTable};
+use adca_bench::{banner, f2, opt2, pct, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -55,8 +55,4 @@ fn main() {
          update scheme risks (visible in its lower drop_jain: drops pile on\n\
          unlucky cells)."
     );
-    perf_footer(rhos.iter().zip(&grid).flat_map(|(&rho, row)| {
-        row.iter()
-            .map(move |s| (format!("rho={rho}/{}", s.scheme), s))
-    }));
 }

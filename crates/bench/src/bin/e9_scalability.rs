@@ -3,7 +3,7 @@
 //! per-cell message rate and acquisition latency must stay flat as the
 //! system grows at constant per-cell load.
 
-use adca_bench::{banner, f2, pct, perf_footer, TextTable};
+use adca_bench::{banner, f2, pct, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -46,11 +46,5 @@ fn main() {
         "\nshape: per-acquisition and per-cell message costs converge to a\n\
          constant as boundary effects shrink; nothing grows with system size\n\
          — no global state, no global arbiter."
-    );
-    perf_footer(
-        grids
-            .iter()
-            .zip(&runs)
-            .map(|(&(rows, cols), s)| (format!("{rows}x{cols}/{}", s.scheme), s)),
     );
 }

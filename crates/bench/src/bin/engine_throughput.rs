@@ -1,29 +1,26 @@
-//! `engine_throughput` — the machine-readable engine perf baseline.
+//! `engine_throughput` — the engine's events/sec over a grid sweep,
+//! printed and nothing else.
 //!
 //! Runs every scheme over the `e9_scalability` grid sweep (constant
 //! per-cell load, growing system size), then basic-update and adaptive
 //! over two grids past the cache (48×48, 104×104, at shorter horizons),
-//! and writes `BENCH_engine.json` with events/sec per `(scheme, grid)`
-//! cell. Future PRs hold their hot paths against this trajectory:
+//! and prints events/sec per `(scheme, grid)` cell. Nothing is stored or
+//! compared: commits are compared by `benchmark/`, which alternates
+//! pairs; this sweep is the one thing that reaches the two big grids.
 //!
 //! ```text
 //! cargo run --release -p adca-bench --bin engine_throughput -- \
-//!     [--smoke] [--repeat N] [--baseline BENCH_engine.json] [--out PATH]
+//!     [--repeat N] [--scheme NAME]
 //! ```
 //!
-//! * `--smoke` restricts the sweep to the two smallest grids (CI).
 //! * `--repeat N` runs each cell N times and keeps the fastest wall
 //!   clock (default 3; deterministic engines make repeats pure timing
 //!   replicas — event counts are asserted identical).
-//! * `--baseline` reads a previous `BENCH_engine.json` (as written by
-//!   this binary) and annotates each row with the baseline throughput
-//!   and the speedup against it.
 //! * `--scheme NAME` restricts the sweep to one scheme (profiling aid).
 //!
 //! Every run is single-threaded and sequential so the wall clock
 //! measures the engine inner loop, not pool contention.
 
-use adca_bench::perf::{write_json, BenchRow, PerfBaseline};
 use adca_harness::{Scenario, SchemeKind};
 
 const RHO: f64 = 0.9;
@@ -46,38 +43,25 @@ const GRIDS: [(u32, u32, u64, &[SchemeKind]); 8] = [
 ];
 
 fn main() {
-    let mut smoke = false;
     let mut repeat: u32 = 3;
-    let mut baseline_path: Option<String> = None;
-    let mut out_path = "BENCH_engine.json".to_string();
     let mut only_scheme: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
             "--repeat" => {
                 repeat = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--repeat needs a positive integer");
             }
-            "--baseline" => {
-                baseline_path = Some(args.next().expect("--baseline needs a path"));
-            }
-            "--out" => out_path = args.next().expect("--out needs a path"),
             "--scheme" => only_scheme = Some(args.next().expect("--scheme needs a name")),
             other => panic!("unknown argument `{other}`"),
         }
     }
     assert!(repeat >= 1, "--repeat needs a positive integer");
-    let baseline = baseline_path.as_deref().map(|p| {
-        PerfBaseline::load(p).unwrap_or_else(|e| panic!("cannot read baseline `{p}`: {e}"))
-    });
-    let grids = if smoke { &GRIDS[..2] } else { &GRIDS[..] };
 
     println!("engine_throughput: e9 workload (rho={RHO}), repeat={repeat}");
-    let mut rows: Vec<BenchRow> = Vec::new();
-    for &(r, c, horizon, kinds) in grids {
+    for (r, c, horizon, kinds) in GRIDS {
         let sc = Scenario::uniform(RHO, horizon).with_grid(r, c);
         let topo = sc.topology();
         let arrivals = sc.arrivals(&topo);
@@ -100,39 +84,14 @@ fn main() {
                 }
             }
             let s = best.expect("repeat >= 1");
-            let grid = format!("{r}x{c}");
-            let mut row = BenchRow {
-                scheme: kind.name().to_string(),
-                grid: grid.clone(),
-                cells: (r * c) as u64,
-                horizon,
-                events: s.report.events_processed,
-                wall_s: s.wall.as_secs_f64(),
-                events_per_sec: s.events_per_sec(),
-                baseline_events_per_sec: None,
-                speedup: None,
-            };
-            if let Some(base) = &baseline {
-                if let Some(b) = base.events_per_sec(&row.scheme, &row.grid) {
-                    row.baseline_events_per_sec = Some(b);
-                    row.speedup = Some(row.events_per_sec / b);
-                }
-            }
             println!(
-                "  {:<16} {:>6}  events={:>9}  wall={:>7.3}s  events/s={:>12.0}{}",
-                row.scheme,
-                row.grid,
-                row.events,
-                row.wall_s,
-                row.events_per_sec,
-                row.speedup
-                    .map(|s| format!("  speedup={s:.2}x"))
-                    .unwrap_or_default(),
+                "  {:<16} {:>6}  events={:>9}  wall={:>7.3}s  events/s={:>12.0}",
+                kind.name(),
+                format!("{r}x{c}"),
+                s.report.events_processed,
+                s.wall.as_secs_f64(),
+                s.events_per_sec(),
             );
-            rows.push(row);
         }
     }
-    write_json(&out_path, RHO, repeat, &rows)
-        .unwrap_or_else(|e| panic!("cannot write `{out_path}`: {e}"));
-    println!("wrote {out_path} ({} rows)", rows.len());
 }

@@ -9,7 +9,7 @@
 //! queueing and retry correlation); the comparison is about shape: who
 //! costs what, and how the costs scale.
 
-use adca_bench::{banner, f2, measured_inputs, perf_footer, scheme_model, TextTable};
+use adca_bench::{banner, f2, measured_inputs, scheme_model, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -93,8 +93,4 @@ fn main() {
          differently; the adaptive measured time is the protocol latency\n\
          (attempt start -> grant), matching the formulas' scope."
     );
-    perf_footer(rhos.iter().zip(&grid).flat_map(|(&rho, row)| {
-        row.iter()
-            .map(move |s| (format!("rho={rho}/{}", s.scheme), s))
-    }));
 }

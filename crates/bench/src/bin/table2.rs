@@ -4,7 +4,7 @@
 //! Paper's claim (per acquisition): basic search 2N msgs / 2T, basic
 //! update 4N / 2T, advanced update 2N / 0, adaptive **0 / 0**.
 
-use adca_bench::{banner, f2, perf_footer, scheme_model, TextTable};
+use adca_bench::{banner, f2, scheme_model, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
 
 fn main() {
@@ -52,10 +52,5 @@ fn main() {
         "note: boundary cells have regions smaller than N = {n}, so measured\n\
          per-acquisition counts for the search/update schemes sit slightly\n\
          below the interior-cell formulas."
-    );
-    perf_footer(
-        summaries
-            .iter()
-            .map(|s| (format!("rho=0.12/{}", s.scheme), s)),
     );
 }

@@ -8,7 +8,7 @@
 //! extremes of *per-acquisition* cost (protocol scope: attempt latency,
 //! excluding MSS queueing).
 
-use adca_bench::{banner, f2, opt2, perf_footer, scheme_model, TextTable};
+use adca_bench::{banner, f2, opt2, scheme_model, TextTable};
 use adca_harness::{RunSummary, Scenario, SchemeKind, SweepRunner};
 use adca_metrics::StreamingStats;
 
@@ -141,8 +141,4 @@ fn main() {
          min statistic is broken.",
         per_scheme[0].time_min_t.min().unwrap_or(0.0)
     );
-    perf_footer(loads.iter().zip(&grid).flat_map(|(&rho, row)| {
-        row.iter()
-            .map(move |s| (format!("rho={rho}/{}", s.scheme), s))
-    }));
 }

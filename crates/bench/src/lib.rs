@@ -8,9 +8,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod perf;
-
-use adca_harness::{sweep, RunSummary, SchemeKind};
+use adca_harness::{RunSummary, SchemeKind};
 
 /// Prints the standard experiment banner.
 pub fn banner(id: &str, paper_artifact: &str, what: &str) {
@@ -102,35 +100,6 @@ where
             r.custom.get("partition_dropped"),
         );
     }
-}
-
-/// Prints the standard sweep timing footer: the worker-pool size, one
-/// wall-clock/throughput line per run, and the aggregate.
-pub fn perf_footer<'a, I>(runs: I)
-where
-    I: IntoIterator<Item = (String, &'a RunSummary)>,
-{
-    println!();
-    println!(
-        "timing ({} sweep worker(s); set {} to override):",
-        sweep::worker_count(),
-        sweep::THREADS_ENV,
-    );
-    let mut total_events = 0u64;
-    let mut total_wall = 0.0f64;
-    let mut n = 0usize;
-    for (label, s) in runs {
-        println!(
-            "  {label:<28} wall={:>7.3}s  events={:>10}  events/s={:>12.0}",
-            s.wall.as_secs_f64(),
-            s.report.events_processed,
-            s.events_per_sec(),
-        );
-        total_events += s.report.events_processed;
-        total_wall += s.wall.as_secs_f64();
-        n += 1;
-    }
-    println!("  total: {n} run(s), {total_events} events, {total_wall:.3}s summed run wall-clock");
 }
 
 /// The analytic model of one of [`SchemeKind::TABLE_SCHEMES`].

@@ -19,4 +19,4 @@ pub mod sweep;
 pub use checkpoint::CheckpointError;
 pub use scenario::{CheckpointProbe, Scenario, SchemeKind, WireCounts};
 pub use summary::RunSummary;
-pub use sweep::{run_jobs, run_jobs_on, worker_count, Replicated, SweepRunner, THREADS_ENV};
+pub use sweep::{run_jobs, run_jobs_on, Replicated, SweepRunner};

@@ -443,7 +443,10 @@ impl Scenario {
     /// engine state to `path` every `every` ticks, plus once at
     /// quiescence. A killed run resumes from the last
     /// written checkpoint via [`Scenario::resume_from`] and finishes
-    /// with a report bit-identical to the uninterrupted run.
+    /// with a report bit-identical to the uninterrupted run. Each
+    /// snapshot goes to a sibling `<path>.tmp` that is then renamed over
+    /// `path`, so a kill or a reader in mid-write finds the previous
+    /// checkpoint whole.
     ///
     /// # Panics
     /// Panics if `every` is zero.
@@ -462,10 +465,10 @@ impl Scenario {
             let mut engine = Engine::new(topo, cfg, factory, arrivals);
             let mut until = every;
             while engine.run_until(SimTime(until)) {
-                std::fs::write(path, engine.snapshot())?;
+                replace_file(path, &engine.snapshot())?;
                 until = until.saturating_add(every);
             }
-            std::fs::write(path, engine.snapshot())?;
+            replace_file(path, &engine.snapshot())?;
             engine.run()
         });
         Ok(RunSummary::new(kind, report, self.t_ticks).with_wall(started.elapsed()))
@@ -506,6 +509,16 @@ impl Scenario {
             }
         })
     }
+}
+
+/// Writes `bytes` to `<path>.tmp` and renames that over `path`:
+/// `std::fs::write(path, …)` truncates first, which loses the previous
+/// file to a kill in mid-write.
+fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// What only the wire saw of a [`Scenario::serve_wire`] run: the

@@ -20,11 +20,13 @@ use adca_baselines::{
     AdvancedSearchNode, AdvancedUpdateNode, BasicSearchNode, BasicUpdateNode, FixedNode,
 };
 use adca_core::AdaptiveNode;
-use adca_harness::{RunSummary, Scenario, SchemeKind};
+use adca_harness::{CheckpointError, RunSummary, Scenario, SchemeKind};
 use adca_hexgrid::{CellId, Topology};
 use adca_simkit::trace::{RingSink, TraceRecord};
 use adca_simkit::{AuditMode, DecodeError, Engine, FaultPlan, ProtocolState, SimReport, SimTime};
 use adca_traffic::WorkloadSpec;
+use std::io::ErrorKind;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const HORIZON: u64 = 24_000;
 
@@ -192,22 +194,53 @@ fn resume_is_bit_identical_for_every_scheme_and_mode() {
 #[test]
 fn resume_after_periodic_checkpoints_is_bit_identical() {
     let dir = std::env::temp_dir().join("adca_resume_identity");
+    // Start empty, so that the listing at the end sees this run's files only.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("adaptive.ckpt");
     let sc = base(SchemeKind::Adaptive, false);
     let cold = sc.run(SchemeKind::Adaptive);
-    // The checkpointed run itself is undisturbed by the writes…
-    let ckpt = sc
-        .run_checkpointed(SchemeKind::Adaptive, &path, 5_000)
-        .unwrap();
+    // 48 writes inside the horizon, each of them read concurrently: a
+    // reader that finds the file finds a whole checkpoint, whichever
+    // write it lands in, and resumes it to the cold report.
+    let every = HORIZON / 48;
+    let written = AtomicBool::new(false);
+    let (ckpt, found) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut found = 0u32;
+            loop {
+                // Read the flag first: the attempt after the last write
+                // always finds the file.
+                let last = written.load(Ordering::SeqCst);
+                match sc.resume_from(SchemeKind::Adaptive, &path) {
+                    Ok(resumed) => {
+                        assert_eq!(cold.report, resumed.report, "resume_from diverged");
+                        found += 1;
+                    }
+                    Err(CheckpointError::Io(e)) if e.kind() == ErrorKind::NotFound => {}
+                    Err(e) => panic!("a reader saw a checkpoint mid-write: {e}"),
+                }
+                if last {
+                    return found;
+                }
+            }
+        });
+        // The checkpointed run itself is undisturbed by the writes…
+        let ckpt = sc.run_checkpointed(SchemeKind::Adaptive, &path, every);
+        written.store(true, Ordering::SeqCst);
+        (ckpt.unwrap(), reader.join().expect("reader panicked"))
+    });
     assert_eq!(
         cold.report, ckpt.report,
         "checkpoint writes disturbed the run"
     );
-    // …and the file left behind (written at quiescence) resumes to the
-    // same report.
-    let resumed = sc.resume_from(SchemeKind::Adaptive, &path).unwrap();
-    assert_eq!(cold.report, resumed.report, "resume_from diverged");
+    // …and the file left behind (written at quiescence) is all it leaves.
+    assert!(found >= 1, "the reader never found the checkpoint");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["adaptive.ckpt"], "a temporary was left behind");
 }
 
 #[test]
@@ -369,7 +402,7 @@ fn missing_checkpoint_file_is_an_io_error() {
     let missing = std::env::temp_dir().join("adca_resume_identity_nonexistent.ckpt");
     let _ = std::fs::remove_file(&missing);
     match sc.resume_from(SchemeKind::Adaptive, &missing) {
-        Err(adca_harness::CheckpointError::Io(_)) => {}
+        Err(CheckpointError::Io(_)) => {}
         other => panic!("missing file must be CheckpointError::Io, got {other:?}"),
     }
 }
