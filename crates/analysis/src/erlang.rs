@@ -17,22 +17,6 @@ pub fn erlang_b(servers: u32, offered: f64) -> f64 {
     b
 }
 
-/// Offered load that produces a target blocking probability (inverse
-/// Erlang-B), by bisection.
-pub fn erlang_b_inverse(servers: u32, target_blocking: f64) -> f64 {
-    assert!((0.0..1.0).contains(&target_blocking));
-    let (mut lo, mut hi) = (0.0_f64, 10.0 * servers as f64 + 10.0);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if erlang_b(servers, mid) < target_blocking {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,11 +45,5 @@ mod tests {
     fn monotone_in_load_and_servers() {
         assert!(erlang_b(10, 8.0) > erlang_b(10, 5.0));
         assert!(erlang_b(12, 5.0) < erlang_b(10, 5.0));
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = erlang_b_inverse(10, 0.02);
-        assert!((erlang_b(10, a) - 0.02).abs() < 1e-6);
     }
 }

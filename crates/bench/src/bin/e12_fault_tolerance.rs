@@ -13,8 +13,6 @@
 //!    loss); down cells lose their calls, restarted cells recover via
 //!    `restart` (the adaptive scheme resyncs through a forced search
 //!    round before trusting its view again).
-//!
-//! Run with `--smoke` for the CI-sized subset.
 
 use adca_bench::{banner, fault_footer, pct, TextTable};
 use adca_harness::{Scenario, SchemeKind, SweepRunner};
@@ -39,25 +37,20 @@ fn retries_of(s: &adca_harness::RunSummary) -> u64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     banner(
         "e12_fault_tolerance",
         "robustness under loss and crashes (extension; hardened schemes)",
         "drop-cause split and retry counts per loss rate; crash/recovery section",
     );
 
-    let losses: &[f64] = if smoke {
-        &[0.0, 0.05]
-    } else {
-        &[0.0, 0.01, 0.02, 0.05, 0.10]
-    };
-    let loads: &[f64] = if smoke { &[0.9] } else { &[0.5, 0.9] };
-    let horizon: u64 = if smoke { 40_000 } else { 120_000 };
+    let losses = [0.0, 0.01, 0.02, 0.05, 0.10];
+    let loads = [0.5, 0.9];
+    let horizon: u64 = 120_000;
 
     // ---- Section 1: loss × load ------------------------------------
     let mut scenarios = Vec::new();
-    for &rho in loads {
-        for &loss in losses {
+    for rho in loads {
+        for loss in losses {
             scenarios.push(
                 Scenario::uniform(rho, horizon)
                     .with_hardening(DEADLINE)
@@ -106,18 +99,14 @@ fn main() {
     );
 
     // ---- Section 2: crash/recovery ---------------------------------
-    let crash_plan = |base: FaultPlan| {
-        if smoke {
-            base.with_crash(CellId(30), 10_000, 6_000)
-        } else {
-            base.with_crash(CellId(30), 30_000, 8_000)
-                .with_crash(CellId(75), 50_000, 8_000)
-                .with_crash(CellId(110), 70_000, 8_000)
-        }
-    };
+    let crash_plan = FaultPlan::none()
+        .with_loss(0.01)
+        .with_crash(CellId(30), 30_000, 8_000)
+        .with_crash(CellId(75), 50_000, 8_000)
+        .with_crash(CellId(110), 70_000, 8_000);
     let crash_sc = vec![Scenario::uniform(0.7, horizon)
         .with_hardening(DEADLINE)
-        .with_faults(crash_plan(FaultPlan::none().with_loss(0.01)))];
+        .with_faults(crash_plan)];
     let crash_grid = SweepRunner::new().run_matrix(&crash_sc, &HARDENED);
     println!("--- crash/recovery at rho = 0.7, loss = 1% ---\n");
     let table = TextTable::new(&[

@@ -17,6 +17,6 @@ pub mod summary;
 pub mod sweep;
 
 pub use checkpoint::CheckpointError;
-pub use scenario::{CheckpointProbe, Scenario, SchemeKind, WireCounts};
+pub use scenario::{CheckpointProbe, Scenario, SchemeKind};
 pub use summary::RunSummary;
 pub use sweep::{run_jobs, run_jobs_on, Replicated, SweepRunner};

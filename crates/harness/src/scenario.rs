@@ -8,15 +8,11 @@ use adca_baselines::{
 };
 use adca_core::{AdaptiveConfig, AdaptiveNode};
 use adca_hexgrid::Topology;
-use adca_serve::{
-    AllocService, DesAllocService, LoadReport, LoadSpec, ProductionAllocService, ProductionConfig,
-    ServeStats,
-};
+use adca_serve::{AllocService, DesAllocService, ProductionAllocService, ProductionConfig};
 use adca_simkit::engine::{run_protocol, run_traced, Engine};
 use adca_simkit::trace::TraceSink;
 use adca_simkit::{Arrival, AuditMode, DecodeError, FaultPlan, LatencyModel, SimConfig, SimTime};
 use adca_traffic::WorkloadSpec;
-use adca_wire::{deadline_wheel, WireClient, WireClientConfig, WireServer};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -328,45 +324,6 @@ impl Scenario {
         })
     }
 
-    /// Puts the production backend for `kind` on a loopback TCP socket
-    /// behind a [`WireServer`] and drives it with the closed subscriber loop,
-    /// one thread a connection
-    /// ([`closed_loop_drivers`](adca_serve::closed_loop_drivers) over
-    /// `connections` [`WireClient`]s sharing one deadline wheel).
-    /// Returns the load report, the backend's final counters, and what
-    /// only the wire saw ([`WireCounts`]) — under injected client
-    /// retries every duplicate must land in the server's idempotency
-    /// cache instead of reaching the backend twice.
-    pub fn serve_wire(
-        &self,
-        kind: SchemeKind,
-        serve_cfg: ProductionConfig,
-        spec: &LoadSpec,
-        connections: usize,
-        client_cfg: WireClientConfig,
-    ) -> std::io::Result<(LoadReport, ServeStats, WireCounts)> {
-        let topo = self.topology();
-        dispatch_scheme!(self, kind, factory => {
-            let svc = ProductionAllocService::new(topo.clone(), serve_cfg, factory);
-            let mut server = WireServer::start(svc.clone(), "127.0.0.1:0")?;
-            let wheel = deadline_wheel();
-            let mut clients = (0..connections)
-                .map(|_| WireClient::connect(server.local_addr(), client_cfg, &wheel))
-                .collect::<std::io::Result<Vec<_>>>()?;
-            let report = adca_serve::closed_loop_drivers(&mut clients, &topo, spec);
-            let mut wire = WireCounts::default();
-            for client in &clients {
-                wire.retries += client.retries();
-                wire.timeouts += client.timeouts();
-                wire.refused += client.refused();
-            }
-            drop(clients);
-            server.shutdown();
-            wire.dedup_hits = server.dedup_hits();
-            Ok((report, svc.stats(), wire))
-        })
-    }
-
     /// Runs one scheme with a [`TraceSink`] attached, returning the
     /// summary together with the sink (ring buffer, JSONL writer, …).
     ///
@@ -519,22 +476,6 @@ fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     tmp.push(".tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
-}
-
-/// What only the wire saw of a [`Scenario::serve_wire`] run: the
-/// clients' counts summed over the connections, and the server's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireCounts {
-    /// Client retransmissions.
-    pub retries: u64,
-    /// Requests that exhausted their retry budget (each one a
-    /// `RetryExhausted` rejection in the load report).
-    pub timeouts: u64,
-    /// Requests the server refused at admission (each one a `Blocked`
-    /// rejection in the load report).
-    pub refused: u64,
-    /// Duplicate submissions the server's idempotency layer absorbed.
-    pub dedup_hits: u64,
 }
 
 /// What [`Scenario::checkpoint_probe`] measured.

@@ -263,11 +263,6 @@ impl Replicated {
         }
     }
 
-    /// Number of replications.
-    pub fn replications(&self) -> usize {
-        self.runs.len()
-    }
-
     /// `mean ± ci` rendering of an across-seed statistic.
     pub fn mean_pm_ci(stats: &StreamingStats) -> String {
         format!("{:.3} ± {:.3}", stats.mean(), stats.ci95_half_width())
@@ -380,7 +375,7 @@ mod tests {
         );
         assert_eq!(reps.len(), 1);
         let r = &reps[0];
-        assert_eq!(r.replications(), 3);
+        assert_eq!(r.runs.len(), 3);
         assert_eq!(r.drop_rate.count(), 3);
         // Pooled latency holds every granted acquisition of every seed.
         let total: u64 = r.runs.iter().map(|s| s.report.granted).sum();

@@ -277,13 +277,6 @@ impl ChannelSet {
         out
     }
 
-    /// Allocating intersection.
-    pub fn intersection(&self, other: &ChannelSet) -> ChannelSet {
-        let mut out = self.clone();
-        out.intersect_with(other);
-        out
-    }
-
     /// Allocating difference.
     pub fn difference(&self, other: &ChannelSet) -> ChannelSet {
         let mut out = self.clone();
@@ -309,16 +302,6 @@ impl ChannelSet {
             .iter()
             .zip(other.words())
             .all(|(a, b)| a & b == 0)
-    }
-
-    /// Whether every channel of `self` is in `other`.
-    #[inline]
-    pub fn is_subset(&self, other: &ChannelSet) -> bool {
-        debug_assert_eq!(self.nbits, other.nbits);
-        self.words()
-            .iter()
-            .zip(other.words())
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// The lowest-numbered channel in the set, if any. Protocols use this
@@ -445,59 +428,6 @@ impl ChannelSet {
         None
     }
 
-    /// Iterates over `self − other` in increasing id order without
-    /// materializing the difference.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adca_hexgrid::{Channel, ChannelSet};
-    ///
-    /// let mine = ChannelSet::from_iter_sized(8, [1, 3, 5, 7].map(Channel));
-    /// let taken = ChannelSet::from_iter_sized(8, [3, 7].map(Channel));
-    /// let rest: Vec<Channel> = mine.iter_difference(&taken).collect();
-    /// assert_eq!(rest, vec![Channel(1), Channel(5)]);
-    /// ```
-    pub fn iter_difference<'a>(
-        &'a self,
-        other: &'a ChannelSet,
-    ) -> impl Iterator<Item = Channel> + 'a {
-        debug_assert_eq!(self.nbits, other.nbits);
-        self.words()
-            .iter()
-            .zip(other.words())
-            .enumerate()
-            .flat_map(|(i, (&a, &b))| {
-                let mut w = a & !b;
-                std::iter::from_fn(move || {
-                    if w == 0 {
-                        return None;
-                    }
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(Channel((i * WORD_BITS + bit) as u16))
-                })
-            })
-    }
-
-    /// Overwrites `self` with `other`'s contents, reusing the allocation.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use adca_hexgrid::{Channel, ChannelSet};
-    ///
-    /// let src = ChannelSet::from_iter_sized(8, [2, 4].map(Channel));
-    /// let mut scratch = ChannelSet::from_iter_sized(8, [0].map(Channel));
-    /// scratch.copy_from(&src); // clobbers prior contents, no realloc
-    /// assert_eq!(scratch, src);
-    /// ```
-    #[inline]
-    pub fn copy_from(&mut self, other: &ChannelSet) {
-        debug_assert_eq!(self.nbits, other.nbits);
-        self.words_mut().copy_from_slice(other.words());
-    }
-
     /// Iterates over member channels in increasing id order.
     pub fn iter(&self) -> ChannelSetIter<'_> {
         let words = self.words();
@@ -590,12 +520,9 @@ mod tests {
         let a = set(70, &[1, 2, 3, 64]);
         let b = set(70, &[3, 4, 64, 69]);
         assert_eq!(a.union(&b), set(70, &[1, 2, 3, 4, 64, 69]));
-        assert_eq!(a.intersection(&b), set(70, &[3, 64]));
         assert_eq!(a.difference(&b), set(70, &[1, 2]));
         assert!(!a.is_disjoint(&b));
         assert!(set(70, &[1]).is_disjoint(&set(70, &[2])));
-        assert!(set(70, &[1, 2]).is_subset(&a));
-        assert!(!a.is_subset(&b));
     }
 
     #[test]
@@ -650,7 +577,7 @@ mod tests {
         assert_eq!(u, a.union(&b));
         let mut i = a.clone();
         i.intersect_with(&b);
-        assert_eq!(i, a.intersection(&b));
+        assert_eq!(i, set(70, &[9, 65]));
         let mut d = a.clone();
         d.subtract(&b);
         assert_eq!(d, a.difference(&b));
@@ -689,23 +616,5 @@ mod tests {
         // Word-aligned spectrum exercises the tail == 0 branch.
         let full64 = Spectrum::new(64).full_set();
         assert_eq!(full64.first_absent(&ChannelSet::new(64)), None);
-    }
-
-    #[test]
-    fn iter_difference_matches_difference_iter() {
-        let a = set(130, &[1, 9, 33, 64, 65, 128]);
-        let b = set(130, &[9, 65]);
-        let fused: Vec<Channel> = a.iter_difference(&b).collect();
-        let composed: Vec<Channel> = a.difference(&b).iter().collect();
-        assert_eq!(fused, composed);
-        assert_eq!(a.iter_difference(&a).count(), 0);
-    }
-
-    #[test]
-    fn copy_from_reuses_allocation() {
-        let a = set(70, &[1, 2, 69]);
-        let mut dst = set(70, &[5]);
-        dst.copy_from(&a);
-        assert_eq!(dst, a);
     }
 }

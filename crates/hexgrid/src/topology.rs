@@ -4,9 +4,10 @@
 //! A [`Topology`] is the immutable world every protocol node is given at
 //! construction. It precomputes, for each cell `i`:
 //!
-//! * its interference region `IN_i` (cells within the reuse distance),
-//! * its color under the reuse pattern and its primary set `PR_i`, and
-//! * fast membership tests for "is `j` in my interference region".
+//! * its interference region `IN_i` (cells within the reuse distance) as
+//!   one sorted row, which also answers "is `j` in my interference
+//!   region", and
+//! * its color under the reuse pattern and its primary set `PR_i`.
 
 use crate::channels::{ChannelSet, Spectrum};
 use crate::grid::{CellId, HexGrid};
@@ -31,8 +32,6 @@ struct Tables {
     interference_radius: u32,
     /// `IN_i` per cell, sorted by id.
     regions: Vec<Vec<CellId>>,
-    /// Dense membership matrix `in_region[i][j]`.
-    in_region: Vec<Vec<bool>>,
     /// Reuse color per cell.
     colors: Vec<u32>,
     /// Primary set `PR_i` per cell.
@@ -103,7 +102,7 @@ impl Topology {
     /// Whether `other ∈ IN_cell`.
     #[inline]
     pub fn in_region(&self, cell: CellId, other: CellId) -> bool {
-        self.inner.in_region[cell.index()][other.index()]
+        self.region(cell).binary_search(&other).is_ok()
     }
 
     /// The reuse color of `cell`.
@@ -207,17 +206,10 @@ impl TopologyBuilder {
         } else {
             HexGrid::new(self.rows, self.cols)
         };
-        let n = grid.len();
         let regions: Vec<Vec<CellId>> = grid
             .cells()
             .map(|c| grid.region(c, self.interference_radius))
             .collect();
-        let mut in_region = vec![vec![false; n]; n];
-        for (i, reg) in regions.iter().enumerate() {
-            for j in reg {
-                in_region[i][j.index()] = true;
-            }
-        }
         let colors: Vec<u32> = grid
             .cells()
             .map(|c| self.pattern.color(grid.axial(c)))
@@ -246,7 +238,6 @@ impl TopologyBuilder {
                 pattern: self.pattern,
                 interference_radius: self.interference_radius,
                 regions,
-                in_region,
                 colors,
                 primary,
             }),
@@ -284,11 +275,17 @@ mod tests {
     }
 
     #[test]
-    fn region_membership_matrix_matches_lists() {
-        let t = Topology::default_paper(6, 6);
-        for i in t.cells() {
-            for j in t.cells() {
-                assert_eq!(t.in_region(i, j), t.region(i).contains(&j));
+    fn region_rows_match_the_definition() {
+        // j ∈ IN_i iff j ≠ i and distance(i, j) ≤ the interference radius.
+        let open = Topology::default_paper(6, 6);
+        let torus = Topology::builder(14, 14).wrap().build();
+        for t in [open, torus] {
+            for i in t.cells() {
+                for j in t.cells() {
+                    let near = j != i && t.grid().distance(i, j) <= t.interference_radius();
+                    assert_eq!(t.in_region(i, j), near, "{i} {j}");
+                    assert_eq!(t.region(i).contains(&j), near, "{i} {j}");
+                }
             }
         }
     }

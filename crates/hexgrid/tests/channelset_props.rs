@@ -3,8 +3,8 @@
 //!
 //! The set inlines spectra up to 128 channels (two words) and spills
 //! larger ones to the heap; the fused hot-path operations
-//! (`first_excluding`, `count_excluding`, `iter_difference`,
-//! `first_absent`) hand-roll word loops over whichever storage is live.
+//! (`first_excluding`, `count_excluding`, `first_absent`) hand-roll
+//! word loops over whichever storage is live.
 //! Three families of pins:
 //!
 //! 1. **Fused = composed** — every fused op equals its allocating
@@ -55,14 +55,10 @@ proptest! {
         let composed = s.difference(&a).difference(&b);
         prop_assert_eq!(s.first_excluding(&a, &b), composed.first());
         prop_assert_eq!(s.count_excluding(&a, &b), composed.len());
-        let fused: Vec<Channel> = s.iter_difference(&a).collect();
-        let alloc: Vec<Channel> = s.difference(&a).iter().collect();
-        prop_assert_eq!(fused, alloc);
         prop_assert_eq!(s.first_absent(&a), s.union(&a).complement().first());
         // Aliased arguments are the protocols' "exclude myself" shape.
         prop_assert_eq!(s.first_excluding(&s, &b), None);
         prop_assert_eq!(s.count_excluding(&s, &b), 0);
-        prop_assert_eq!(s.iter_difference(&s).count(), 0);
     }
 
     #[test]
@@ -82,13 +78,9 @@ proptest! {
         let (sl, al, bl) = (large(&s_ids), large(&a_ids), large(&b_ids));
         prop_assert_eq!(si.first_excluding(&ai, &bi), sl.first_excluding(&al, &bl));
         prop_assert_eq!(si.count_excluding(&ai, &bi), sl.count_excluding(&al, &bl));
-        let di: Vec<Channel> = si.iter_difference(&ai).collect();
-        let dl: Vec<Channel> = sl.iter_difference(&al).collect();
-        prop_assert_eq!(di, dl);
         prop_assert_eq!(si.len(), sl.len());
         prop_assert_eq!(si.first(), sl.first());
         prop_assert_eq!(si.last(), sl.last());
-        prop_assert_eq!(si.is_subset(&ai), sl.is_subset(&al));
         prop_assert_eq!(si.is_disjoint(&ai), sl.is_disjoint(&al));
         // first_absent depends on the capacity only when the union
         // covers all of `0..100`; restrict to members below that bound.
@@ -110,7 +102,6 @@ proptest! {
         let members = |s: &ChannelSet| s.iter().map(|c| c.0).collect::<BTreeSet<u16>>();
         prop_assert_eq!(members(&a), ra.clone());
         prop_assert_eq!(members(&a.union(&b)), &ra | &rb);
-        prop_assert_eq!(members(&a.intersection(&b)), &ra & &rb);
         prop_assert_eq!(members(&a.difference(&b)), &ra - &rb);
         prop_assert_eq!(
             members(&a.complement()),
@@ -128,7 +119,7 @@ proptest! {
         prop_assert_eq!(d, a.difference(&b));
         let mut i = a.clone();
         i.intersect_with(&b);
-        prop_assert_eq!(i, a.intersection(&b));
+        prop_assert_eq!(members(&i), &ra & &rb);
     }
 
     #[test]

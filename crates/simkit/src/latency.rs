@@ -53,16 +53,6 @@ impl LatencyModel {
             LatencyModel::Custom(f) => f(meta),
         }
     }
-
-    /// An upper bound on message latency if the model provides one
-    /// (`None` for custom models).
-    pub fn upper_bound(&self) -> Option<u64> {
-        match self {
-            LatencyModel::Fixed(t) => Some(*t),
-            LatencyModel::Jitter { max, .. } => Some(*max),
-            LatencyModel::Custom(_) => None,
-        }
-    }
 }
 
 impl std::fmt::Debug for LatencyModel {
@@ -94,7 +84,6 @@ mod tests {
         let m = LatencyModel::Fixed(100);
         let mut rng = SplitMix64::new(1);
         assert_eq!(m.latency(&meta(), &mut rng), 100);
-        assert_eq!(m.upper_bound(), Some(100));
     }
 
     #[test]
@@ -105,7 +94,6 @@ mod tests {
             let l = m.latency(&meta(), &mut rng);
             assert!((50..=150).contains(&l));
         }
-        assert_eq!(m.upper_bound(), Some(150));
     }
 
     #[test]
@@ -121,6 +109,5 @@ mod tests {
         ));
         let mut rng = SplitMix64::new(1);
         assert_eq!(m.latency(&meta(), &mut rng), 7);
-        assert_eq!(m.upper_bound(), None);
     }
 }

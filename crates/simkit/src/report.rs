@@ -205,11 +205,6 @@ impl SimReport {
         }
     }
 
-    /// Mean acquisition latency expressed in units of `t` ticks.
-    pub fn mean_acq_latency_in(&self, t: u64) -> f64 {
-        self.acq_latency.mean() / t as f64
-    }
-
     /// Panics with a readable message if the run had any violation.
     pub fn assert_clean(&self) {
         assert!(
@@ -239,7 +234,7 @@ mod tests {
 
     #[test]
     fn rates_basic() {
-        let mut r = SimReport {
+        let r = SimReport {
             offered_calls: 10,
             dropped_new: 2,
             granted: 8,
@@ -248,8 +243,6 @@ mod tests {
         };
         assert!((r.drop_rate() - 0.2).abs() < 1e-12);
         assert!((r.msgs_per_grant() - 10.0).abs() < 1e-12);
-        r.acq_latency.push(200.0);
-        assert!((r.mean_acq_latency_in(100) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -29,12 +29,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
-
-    /// This time expressed in units of `t` ticks (e.g. the latency `T`).
-    #[inline]
-    pub fn in_units_of(self, t: u64) -> f64 {
-        self.0 as f64 / t as f64
-    }
 }
 
 impl Add<u64> for SimTime {
@@ -78,11 +72,6 @@ mod tests {
         assert_eq!(SimTime(15) - t, 5);
         assert_eq!(SimTime(3).saturating_since(SimTime(10)), 0);
         assert_eq!(SimTime(10).saturating_since(SimTime(3)), 7);
-    }
-
-    #[test]
-    fn units() {
-        assert_eq!(SimTime(250).in_units_of(100), 2.5);
     }
 
     #[test]

@@ -252,8 +252,7 @@ pub struct ClientShared {
     cv: Condvar,
 }
 
-/// A connected wire client. Not `Sync`: one driver thread owns it
-/// (`closed_loop_drivers` gives each driver its own client).
+/// A connected wire client. Not `Sync`: one driver thread owns it.
 pub struct WireClient {
     shared: Arc<ClientShared>,
     wheel: Arc<TimerWheel<WireDeadline>>,

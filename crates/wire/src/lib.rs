@@ -21,10 +21,8 @@
 //!   one `write`. Requests carry idempotency ids;
 //!   the server answers a retried id from its answer cache, so a
 //!   retry can never double-commit a grant. It is itself an
-//!   [`AllocService`](adca_serve::AllocService), so the serving layer's
-//!   one closed loop (`adca_serve::closed_loop`,
-//!   `closed_loop_drivers` over one client a connection) and anything
-//!   else written against the trait drives a socket unchanged.
+//!   [`AllocService`](adca_serve::AllocService), so anything written
+//!   against the trait drives a socket unchanged.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

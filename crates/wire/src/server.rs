@@ -235,8 +235,8 @@ impl Dedup {
 
 /// One connection's state. No thread ever holds two of its locks at
 /// once (the reader copies a cached answer out of `dedup` before it
-/// sends; the dispatcher fills `out`, lets go, then records in
-/// `dedup`), so they have no order to respect.
+/// sends; the dispatcher records in `dedup`, lets go, then fills
+/// `out`), so they have no order to respect.
 struct ConnState {
     out: Outbox,
     /// Client request id → idempotency record.
@@ -685,10 +685,13 @@ fn route(routes: &mut HashMap<u64, Route>, answer: Answer) -> Option<(u64, WireM
 }
 
 /// Hands the staged frames over, a run of equal connection id at a
-/// time: one `conns` lookup, one outbox lock for the run's frames, then
-/// one dedup lock to cache its answers (so a later retry of the same id
-/// gets the answer again) — one lock after another, never nested. A
-/// dead connection drops its frames, and its dedup cache with them.
+/// time: one `conns` lookup, one dedup lock to cache the run's answers,
+/// then one outbox lock for its frames — one lock after another, never
+/// nested. Cached first: a retry the reader handles in between must
+/// find the answer and not `InFlight`, which it would meet with silence
+/// (answered from the cache it may overtake the original — the same
+/// bytes, and the client drops a second answer for an id). A dead
+/// connection drops its frames, and its dedup cache with them.
 fn relay(shared: &Shared, staged: &mut Vec<(u64, WireMsg)>) {
     for run in staged.chunk_by(|a, b| a.0 == b.0) {
         let conn = shared
@@ -698,9 +701,11 @@ fn relay(shared: &Shared, staged: &mut Vec<(u64, WireMsg)>) {
             .get(&run[0].0)
             .cloned();
         let Some(conn) = conn else { continue };
+        conn.dedup
+            .lock()
+            .expect("dedup poisoned")
+            .extend(run.iter().filter_map(|(_, msg)| Dedup::of(msg)));
         conn.out.send(run.iter().map(|(_, msg)| msg));
-        let mut dedup = conn.dedup.lock().expect("dedup poisoned");
-        dedup.extend(run.iter().filter_map(|(_, msg)| Dedup::of(msg)));
     }
     staged.clear();
 }

@@ -335,32 +335,45 @@ fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
 /// A retry of a *completed* id is answered from the connection's cache,
 /// which keeps the answer and not its frame: the replay is the same
 /// bytes, and the backend never sees the request again. Likewise for a
-/// request refused at admission.
+/// request refused at admission. Each id is resent the moment its
+/// answer has been read, so an answer handed over before it is cached
+/// would leave that retry unanswered.
 #[test]
 fn a_replayed_answer_is_byte_identical() {
+    const IDS: u64 = 200;
     let topo = Arc::new(Topology::default_paper(3, 3));
     let svc = production(&topo, 100);
     let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
-    // A grant, then a refusal (no such cell).
-    for (hits, (id, cell)) in [(7, 4), (8, 999)].into_iter().enumerate() {
+    // Day-long calls, twenty a cell against ten primaries, and every
+    // tenth to a cell that does not exist.
+    let (mut granted, mut rejected, mut refused) = (0, 0, 0);
+    for id in 0..IDS {
+        let cell = if id % 10 == 9 { 999 } else { (id % 9) as u32 };
         let frame = request_frame(id, cell);
         raw.write_all(&frame).expect("send");
         let first = read_frame(&mut raw);
         let (answer, _) = decode(&first).expect("sound answer");
-        match (cell, &answer) {
-            (4, WireMsg::Granted { id: 7, cell: 4, .. }) => {}
-            (999, WireMsg::Refused { id: 8, .. }) => {}
+        match answer {
+            WireMsg::Granted { id: a, cell: c, .. } if (a, c) == (id, cell) => granted += 1,
+            WireMsg::Rejected { id: a, cell: c, .. } if (a, c) == (id, cell) => rejected += 1,
+            WireMsg::Refused { id: a, .. } if (a, cell) == (id, 999) => refused += 1,
             _ => panic!("unexpected {answer:?}"),
         }
-        assert_eq!(server.dedup_hits(), hits as u64);
+        assert_eq!(server.dedup_hits(), id);
         raw.write_all(&frame).expect("send again");
         assert_eq!(read_frame(&mut raw), first, "id {id}: same bytes");
-        assert_eq!(server.dedup_hits(), hits as u64 + 1);
-        assert_eq!(svc.stats().offered, 1, "the backend saw one request");
+        assert_eq!(server.dedup_hits(), id + 1);
+        assert_eq!(
+            svc.stats().offered,
+            granted + rejected,
+            "the backend saw each admitted id once"
+        );
     }
+    assert!(granted > 0 && rejected > 0 && refused > 0);
+    assert_eq!(granted + rejected + refused, IDS);
 }
 
 /// Accepts one connection and swallows what it sends until it closes;

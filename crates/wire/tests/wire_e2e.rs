@@ -4,6 +4,7 @@
 //! injected client retries.
 
 use adca_baselines::FixedNode;
+use adca_core::{AdaptiveConfig, AdaptiveNode};
 use adca_hexgrid::{CellId, Topology};
 use adca_serve::{AllocService, ChannelRequest, ProductionAllocService, ProductionConfig, Ticket};
 use adca_wire::{deadline_wheel, WireClient, WireClientConfig, WireEvent, WireServer};
@@ -145,59 +146,106 @@ fn handoff_migrates_the_call_over_the_wire() {
     assert!(svc.stats().violations.is_empty());
 }
 
-/// The acceptance pin: with the client transmitting **every request
+/// The acceptance pin: with the clients transmitting **every request
 /// twice** (an injected aggressive retry), the server's idempotency
 /// layer must absorb every duplicate — the backend sees each request
 /// exactly once, each id resolves exactly once, and the Theorem-1 audit
 /// stays clean. A double-committed grant would surface as a duplicated
 /// backend submission, a second answer for some id, or an audit
-/// violation.
-#[test]
-fn injected_retries_never_double_commit() {
-    let topo = Arc::new(Topology::default_paper(4, 4));
-    let svc = production(&topo, 1_000_000);
-    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+/// violation. `n` calls of `hold` ticks go round-robin over the cells
+/// and the connections; returns the server's dedup hits.
+fn double_sent<S: AllocService + Clone + Send + 'static>(
+    svc: S,
+    cells: usize,
+    connections: usize,
+    n: usize,
+    hold: u64,
+) -> u64 {
+    let mut server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
     let wheel = deadline_wheel();
     let cfg = WireClientConfig {
         inject_dup_first_send: true,
         ..WireClientConfig::default()
     };
-    let mut client = WireClient::connect(server.local_addr(), cfg, &wheel).expect("connect");
-
-    let n: usize = 48;
-    let cells = topo.num_cells();
+    let mut clients: Vec<WireClient> = (0..connections)
+        .map(|_| WireClient::connect(server.local_addr(), cfg, &wheel).expect("connect"))
+        .collect();
     for s in 0..n {
-        client
+        clients[s % connections]
             .submit(&ChannelRequest::new_call(
                 0,
                 CellId((s % cells) as u32),
-                FOREVER,
+                hold,
             ))
             .expect("submit");
     }
-    let events = recv_all(&mut client, n, Duration::from_secs(10));
+    // A hold that ends meanwhile is an indication, not an answer.
+    let mut events = Vec::new();
+    for (c, client) in clients.iter_mut().enumerate() {
+        let mine = events.len() + (c..n).step_by(connections).len();
+        while events.len() < mine {
+            match client.recv(Duration::from_secs(30)) {
+                Some(WireEvent::Released { .. }) => {}
+                Some(ev) => events.push(ev),
+                None => break,
+            }
+        }
+    }
     assert_eq!(events.len(), n, "each id resolves exactly once");
     let answered = events
         .iter()
         .all(|e| matches!(e, WireEvent::Granted { .. } | WireEvent::Rejected { .. }));
     assert!(answered, "no refusals/timeouts expected, got {events:?}");
+    drop(clients);
+    server.shutdown();
 
     let stats = svc.stats();
     assert_eq!(
         stats.offered, n as u64,
         "every duplicate frame was absorbed before the backend"
     );
-    assert_eq!(
-        server.dedup_hits(),
-        n as u64,
-        "each of the {n} duplicates was a dedup hit"
-    );
     let granted_events = events
         .iter()
         .filter(|e| matches!(e, WireEvent::Granted { .. }))
         .count() as u64;
     assert_eq!(stats.granted, granted_events, "no hidden extra grants");
-    assert!(stats.violations.is_empty(), "Theorem-1 audit clean");
+    assert!(
+        stats.violations.is_empty(),
+        "Theorem-1 audit clean: {:?}",
+        stats.violations
+    );
+    server.dedup_hits()
+}
+
+#[test]
+fn injected_retries_never_double_commit() {
+    // Fixed on 4×4, one connection, calls that hold forever.
+    let topo = Arc::new(Topology::default_paper(4, 4));
+    let hits = double_sent(
+        production(&topo, 1_000_000),
+        topo.num_cells(),
+        1,
+        48,
+        FOREVER,
+    );
+    assert_eq!(hits, 48, "each of the 48 duplicates was a dedup hit");
+
+    // Adaptive on the paper's 12×12 over three connections, two
+    // requests a cell with holds that end while the run lasts.
+    let topo = Arc::new(Topology::default_paper(12, 12));
+    let cfg = ProductionConfig {
+        workers: 4,
+        ..ProductionConfig::default()
+    };
+    let ac = AdaptiveConfig::default();
+    let svc = ProductionAllocService::new(topo.clone(), cfg, move |c, t: &_| {
+        AdaptiveNode::new(c, t, ac.clone())
+    });
+    let hits = double_sent(svc, topo.num_cells(), 3, 288, 200);
+    assert!(
+        hits >= 288,
+        "each injected duplicate is a dedup hit ({hits})"
+    );
 }
 
 #[test]

@@ -31,7 +31,7 @@ pub mod prelude {
     pub use adca_harness::{Replicated, RunSummary, Scenario, SchemeKind, SweepRunner};
     pub use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
     pub use adca_serve::{
-        AllocService, ChannelRequest, Confirm, LoadSpec, ProductionConfig, ServeStats, Ticket,
+        AllocService, ChannelRequest, Confirm, ProductionConfig, ServeStats, Ticket,
     };
     pub use adca_simkit::{Arrival, AuditMode, LatencyModel, SimConfig, SimReport};
     pub use adca_traffic::{Hotspot, WorkloadSpec};
