@@ -151,31 +151,36 @@ impl AdvancedUpdateNode {
         // per member (which made node construction — and thus restore —
         // quadratic in region size times spectrum width).
         //
-        // For any cell y let `U_y = ∪_{p ∈ IN_y} PR_p` (channels with a
-        // primary owner in y's region). A channel is borrowable iff it is
-        // not ours, has an owner in our region, and for every member x
-        // that could also borrow it (ch ∉ PR_x, ch ∈ U_x) some owner is
-        // shared between both regions: ch ∈ ∪_{p ∈ IN_cell ∩ IN_x} PR_p.
+        // A channel is borrowable iff it is not ours, has an owner in our
+        // region, and for every member x that could also borrow it
+        // (ch ∉ PR_x, ch has an owner in IN_x) some owner is shared
+        // between both regions: ch ∈ ∪_{p ∈ IN_cell ∩ IN_x} PR_p. Owners
+        // x shares with us cannot veto, so what x vetoes is owned only by
+        // the members of IN_x outside IN_cell — and one walk down the two
+        // sorted rows sorts every p ∈ IN_x into one set or the other.
         let region = topo.region(cell);
-        let mut u_cell = topo.spectrum().empty_set();
+        let mut out = topo.spectrum().empty_set();
         for &p in region {
-            u_cell.union_with(topo.primary(p));
+            out.union_with(topo.primary(p));
         }
-        let mut out = u_cell.difference(topo.primary(cell));
+        out.subtract(topo.primary(cell));
         for &x in region {
             if out.is_empty() {
                 break;
             }
-            let mut u_x = topo.spectrum().empty_set();
             let mut witnessed = topo.spectrum().empty_set();
+            // Channels x could borrow but shares no witness with us.
+            let mut vetoed = topo.spectrum().empty_set();
+            let mut mine = region.iter().peekable();
             for &p in topo.region(x) {
-                u_x.union_with(topo.primary(p));
-                if topo.in_region(cell, p) {
+                while mine.next_if(|&&q| q < p).is_some() {}
+                if mine.peek() == Some(&&p) {
                     witnessed.union_with(topo.primary(p));
+                } else {
+                    vetoed.union_with(topo.primary(p));
                 }
             }
-            // Channels x could borrow but shares no witness with us.
-            let mut vetoed = u_x.difference(topo.primary(x));
+            vetoed.subtract(topo.primary(x));
             vetoed.subtract(&witnessed);
             out.subtract(&vetoed);
         }
@@ -641,7 +646,13 @@ mod tests {
 
     #[test]
     fn borrowable_matches_reference_scan() {
-        for t in [Topology::default_paper(6, 6), Topology::default_paper(7, 5)] {
+        // Bounded grids, where boundary cells lose witnesses, and a torus,
+        // whose region rows interleave ids from both sides of a seam.
+        for t in [
+            Topology::default_paper(6, 6),
+            Topology::default_paper(7, 5),
+            Topology::builder(14, 14).wrap().build(),
+        ] {
             for cell in t.cells() {
                 assert_eq!(
                     AdvancedUpdateNode::compute_borrowable(cell, &t),

@@ -154,50 +154,31 @@ pub struct ReqOutcome {
 /// family assume FIFO channels (a RELEASE must not overtake the GRANT
 /// that preceded it); under jittered latency the clamp enforces it.
 ///
-/// The engine probes this table on **every** message send, so the old
-/// `HashMap<(CellId, CellId), SimTime>` hash was pure per-event tax. Up
-/// to 256 cells a dense `n × n` array (at most 512 KB) is indexed
-/// directly. Beyond that the dense table outgrows the cache — 8 MB at
-/// 32×32, one miss a send — so the table holds interference-region links
-/// only (CSR, ~30 a cell: 245 KB at 32×32) — the only links any of the
-/// paper's protocols use — with a spill map for protocols that message
-/// outside their region.
-enum LinkHorizons {
-    Dense {
-        n: usize,
-        slots: Vec<SimTime>,
-    },
-    Region {
-        /// CSR offsets: links of `from` live at `starts[from]..starts[from+1]`.
-        starts: Vec<u32>,
-        /// Region members of each `from`, sorted by id.
-        targets: Vec<CellId>,
-        slots: Vec<SimTime>,
-        spill: HashMap<(CellId, CellId), SimTime>,
-    },
+/// Only an engine whose latency varies has one: under
+/// [`LatencyModel::Fixed`] a delivery is wanted at `now + T`, no earlier
+/// than anything sent before it, so the clamp would return its argument
+/// on every send and the table is never built.
+///
+/// The table holds interference-region links only (CSR, ~30 a cell:
+/// 245 KB at 32×32) — the only links any of the paper's protocols use —
+/// with a spill map for protocols that message outside their region.
+struct LinkHorizons {
+    /// CSR offsets: links of `from` live at `starts[from]..starts[from+1]`.
+    starts: Vec<u32>,
+    /// Region members of each `from`, sorted by id.
+    targets: Vec<CellId>,
+    slots: Vec<SimTime>,
+    spill: HashMap<(CellId, CellId), SimTime>,
 }
 
-/// Largest `n × n` slot table we are willing to allocate densely.
-const DENSE_LINK_LIMIT: usize = 1 << 16;
-
 impl LinkHorizons {
+    /// The table an engine under `latency` clamps with: none when the
+    /// latency is one constant.
+    fn for_latency(latency: &LatencyModel, topo: &Topology) -> Option<Self> {
+        (!matches!(latency, LatencyModel::Fixed(_))).then(|| Self::new(topo))
+    }
+
     fn new(topo: &Topology) -> Self {
-        let n = topo.num_cells();
-        if n.saturating_mul(n) <= DENSE_LINK_LIMIT {
-            Self::dense(n)
-        } else {
-            Self::region(topo)
-        }
-    }
-
-    fn dense(n: usize) -> Self {
-        LinkHorizons::Dense {
-            n,
-            slots: vec![SimTime::ZERO; n * n],
-        }
-    }
-
-    fn region(topo: &Topology) -> Self {
         let mut starts = Vec::with_capacity(topo.num_cells() + 1);
         let mut targets = Vec::new();
         for cell in topo.cells() {
@@ -206,11 +187,27 @@ impl LinkHorizons {
         }
         starts.push(targets.len() as u32);
         let slots = vec![SimTime::ZERO; targets.len()];
-        LinkHorizons::Region {
+        LinkHorizons {
             starts,
             targets,
             slots,
             spill: HashMap::new(),
+        }
+    }
+
+    /// The horizon of link `from → to`.
+    #[inline]
+    fn slot(&mut self, from: CellId, to: CellId) -> &mut SimTime {
+        let lo = self.starts[from.index()] as usize;
+        let row = &self.targets[lo..self.starts[from.index() + 1] as usize];
+        // A row is a few dozen sorted ids: counting the smaller ones is
+        // branch-free and vectorizes, where a binary search is a chain of
+        // dependent loads.
+        let i = row.iter().filter(|&&t| t < to).count();
+        if row.get(i) == Some(&to) {
+            &mut self.slots[lo + i]
+        } else {
+            self.spill.entry((from, to)).or_insert(SimTime::ZERO)
         }
     }
 
@@ -219,63 +216,67 @@ impl LinkHorizons {
     /// the link's new horizon.
     #[inline]
     fn clamp(&mut self, from: CellId, to: CellId, at: SimTime) -> SimTime {
-        let slot = match self {
-            LinkHorizons::Dense { n, slots } => &mut slots[from.index() * *n + to.index()],
-            LinkHorizons::Region {
-                starts,
-                targets,
-                slots,
-                spill,
-            } => {
-                let lo = starts[from.index()] as usize;
-                let row = &targets[lo..starts[from.index() + 1] as usize];
-                // A row is a few dozen sorted ids: counting the smaller
-                // ones is branch-free and vectorizes, where a binary
-                // search is a chain of dependent loads.
-                let i = row.iter().filter(|&&t| t < to).count();
-                if row.get(i) == Some(&to) {
-                    &mut slots[lo + i]
-                } else {
-                    spill.entry((from, to)).or_insert(SimTime::ZERO)
-                }
-            }
-        };
+        let slot = self.slot(from, to);
         let at = at.max(*slot);
         *slot = at;
         at
     }
 }
 
-/// Append-only interning table for `&'static str`-keyed counters.
+/// Append-only interning table for `&'static str`-keyed values.
 ///
-/// Protocols label messages and counters with string literals, and the
-/// old engine paid a `BTreeMap` probe per event for each. A run only ever
-/// sees a handful of distinct labels, so a short vector scanned by
-/// pointer identity (literals are deduplicated per codegen unit; the
-/// string comparison is a cold fallback) beats the tree walk — and the
-/// totals fold into the report's sorted [`CounterMap`] once at the end of
-/// the run, so the report is byte-for-byte what the maps produced.
-#[derive(Default)]
-struct SlotCounters(Vec<(&'static str, u64)>);
+/// Protocols label messages, counters and sample series with string
+/// literals, and the old engine paid a `BTreeMap` probe per event for
+/// each. A run only ever sees a handful of distinct labels, so a short
+/// vector scanned by pointer identity (literals are deduplicated per
+/// codegen unit) beats the tree walk — and the totals fold into the
+/// report's sorted maps once at the end of the run, so the report is
+/// byte-for-byte what the maps produced.
+struct Slots<V>(Vec<(&'static str, V)>);
+
+impl<V> Default for Slots<V> {
+    fn default() -> Self {
+        Slots(Vec::new())
+    }
+}
+
+impl<V: Default> Slots<V> {
+    /// The value kept under `name`, created on first use.
+    #[inline]
+    fn slot(&mut self, name: &'static str) -> &mut V {
+        match self.0.iter().position(|(k, _)| std::ptr::eq(*k, name)) {
+            Some(i) => &mut self.0[i].1,
+            None => self.slot_by_text(name),
+        }
+    }
+
+    /// No key is `name`'s pointer: a first use, a literal another codegen
+    /// unit holds a copy of, or a restored slot, whose re-interned label
+    /// lives at another address than the caller's literal. Re-key a
+    /// textual match to the live pointer, so that later probes take the
+    /// identity scan.
+    #[cold]
+    fn slot_by_text(&mut self, name: &'static str) -> &mut V {
+        let i = match self.0.iter().position(|(k, _)| *k == name) {
+            Some(i) => {
+                self.0[i].0 = name;
+                i
+            }
+            None => {
+                self.0.push((name, V::default()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i].1
+    }
+}
+
+type SlotCounters = Slots<u64>;
 
 impl SlotCounters {
     #[inline]
     fn add(&mut self, name: &'static str, n: u64) {
-        for (k, v) in &mut self.0 {
-            if std::ptr::eq(*k, name) {
-                *v += n;
-                return;
-            }
-            if *k == name {
-                // Restored slots hold re-interned labels whose addresses
-                // differ from the caller's literal; re-key to the live
-                // pointer so later probes take the identity fast path.
-                *k = name;
-                *v += n;
-                return;
-            }
-        }
-        self.0.push((name, n));
+        *self.slot(name) += n;
     }
 
     #[inline]
@@ -290,29 +291,12 @@ impl SlotCounters {
     }
 }
 
-/// Same idea as [`SlotCounters`] for `Effects::sample` series.
-#[derive(Default)]
-struct SlotSamples(Vec<(&'static str, SampleSeries)>);
+type SlotSamples = Slots<SampleSeries>;
 
 impl SlotSamples {
     #[inline]
     fn push(&mut self, name: &'static str, value: f64) {
-        for (k, s) in &mut self.0 {
-            if std::ptr::eq(*k, name) {
-                s.push(value);
-                return;
-            }
-            if *k == name {
-                // Same re-keying as `SlotCounters::add`: swap a restored
-                // (re-interned) key for the live literal on first touch.
-                *k = name;
-                s.push(value);
-                return;
-            }
-        }
-        let mut s = SampleSeries::new();
-        s.push(value);
-        self.0.push((name, s));
+        self.slot(name).push(value);
     }
 }
 
@@ -340,7 +324,9 @@ pub struct Shared<M, S: TraceSink = NoopSink> {
     down: Vec<bool>,
     /// Ground-truth channel usage per cell (for the Theorem-1 audit).
     usage: Vec<ChannelSet>,
-    link_horizon: LinkHorizons,
+    /// `None` under a constant latency, where deliveries take the
+    /// queue's in-order lane instead (see [`Shared::deliver`]).
+    link_horizon: Option<LinkHorizons>,
     calls: Vec<CallRecord>,
     reqs: Vec<ReqRecord>,
     pending_reqs: u64,
@@ -368,6 +354,22 @@ impl<M, S: TraceSink> Shared<M, S> {
     #[inline]
     fn push(&mut self, at: SimTime, ev: Ev<M>) {
         self.queue.push(at, ev);
+    }
+
+    /// Schedules a delivery. Under one constant latency `at` is
+    /// `now + T` and `now` never goes back, so deliveries are pushed in
+    /// the order they pop and take the queue's in-order lane; a latency
+    /// that varies (`link_horizon` exists) can schedule a delivery ahead
+    /// of an earlier one on another link, and takes the ring like every
+    /// other event.
+    #[inline]
+    fn deliver(&mut self, at: SimTime, from: CellId, to: CellId, msg: M) {
+        let ev = Ev::Deliver { from, to, msg };
+        if self.link_horizon.is_none() {
+            self.queue.push_in_order(at, ev);
+        } else {
+            self.queue.push(at, ev);
+        }
     }
 
     /// Records a trace event at the current virtual time, constructing
@@ -485,7 +487,10 @@ impl<M: Clone, S: TraceSink> Shared<M, S> {
         // any fault decision, so the latency RNG stream — and with it
         // every fault-free delivery time — is independent of the plan.
         let lat = self.cfg.latency.latency(&meta, &mut self.rng);
-        let at = self.link_horizon.clamp(me, to, self.now + lat);
+        let at = match &mut self.link_horizon {
+            Some(links) => links.clamp(me, to, self.now + lat),
+            None => self.now + lat,
+        };
         self.report.messages_total += 1;
         self.msg_kinds.incr(kind);
         self.report.per_cell_msgs[me.index()] += 1;
@@ -529,17 +534,10 @@ impl<M: Clone, S: TraceSink> Shared<M, S> {
             self.report.messages_duplicated += 1;
             self.trace_with(|| TraceEvent::MsgDup { from, to, kind });
             let copy = msg.clone();
-            self.push(at, Ev::Deliver { from, to, msg });
-            self.push(
-                at,
-                Ev::Deliver {
-                    from,
-                    to,
-                    msg: copy,
-                },
-            );
+            self.deliver(at, from, to, msg);
+            self.deliver(at, from, to, copy);
         } else {
-            self.push(at, Ev::Deliver { from, to, msg });
+            self.deliver(at, from, to, msg);
         }
     }
 
@@ -718,7 +716,7 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
             fault_rng: SplitMix64::new(cfg.faults.seed),
             faults_on,
             down: vec![false; n],
-            link_horizon: LinkHorizons::new(&topo),
+            link_horizon: LinkHorizons::for_latency(&cfg.latency, &topo),
             topo: topo.clone(),
             cfg,
             now: SimTime::ZERO,
@@ -1334,78 +1332,88 @@ fn get_report(r: &mut Reader<'_>, n: usize) -> Result<SimReport, DecodeError> {
     })
 }
 
-/// Link horizons serialize sparsely (non-zero slots only); the region
-/// spill map — the one `HashMap` in engine state — is sorted first so
-/// snapshot bytes are deterministic.
-fn put_links(w: &mut Writer, lh: &LinkHorizons) {
-    let put_nonzero = |w: &mut Writer, slots: &[SimTime]| {
-        let nonzero: Vec<(usize, SimTime)> = slots
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t != SimTime::ZERO)
-            .map(|(i, &t)| (i, t))
-            .collect();
-        w.put_len(nonzero.len());
-        for (i, t) in nonzero {
-            w.put_u64(i as u64);
-            w.put_time(t);
-        }
+/// Link horizons serialize sparsely (non-zero slots only); the spill
+/// map — the one `HashMap` in engine state — is sorted first so snapshot
+/// bytes are deterministic. The leading tag names the index space of the
+/// slots: 1 is this table's (CSR position, then the spill list); 0 is
+/// `from * n + to`, which is what an engine without a table writes (no
+/// entry) and what the dense table of earlier format-2 writers wrote.
+fn put_links(w: &mut Writer, lh: Option<&LinkHorizons>) {
+    let Some(lh) = lh else {
+        w.put_u8(0);
+        w.put_len(0);
+        return;
     };
-    match lh {
-        LinkHorizons::Dense { slots, .. } => {
-            w.put_u8(0);
-            put_nonzero(w, slots);
-        }
-        LinkHorizons::Region { slots, spill, .. } => {
-            w.put_u8(1);
-            put_nonzero(w, slots);
-            let mut entries: Vec<((CellId, CellId), SimTime)> =
-                spill.iter().map(|(&k, &v)| (k, v)).collect();
-            entries.sort();
-            w.put_len(entries.len());
-            for ((a, b), t) in entries {
-                w.put_cell(a);
-                w.put_cell(b);
-                w.put_time(t);
-            }
-        }
+    w.put_u8(1);
+    let nonzero: Vec<(usize, SimTime)> = lh
+        .slots
+        .iter()
+        .enumerate()
+        .filter(|&(_, &t)| t != SimTime::ZERO)
+        .map(|(i, &t)| (i, t))
+        .collect();
+    w.put_len(nonzero.len());
+    for (i, t) in nonzero {
+        w.put_u64(i as u64);
+        w.put_time(t);
+    }
+    let mut entries: Vec<((CellId, CellId), SimTime)> =
+        lh.spill.iter().map(|(&k, &v)| (k, v)).collect();
+    entries.sort();
+    w.put_len(entries.len());
+    for ((a, b), t) in entries {
+        w.put_cell(a);
+        w.put_cell(b);
+        w.put_time(t);
     }
 }
 
-fn get_links(r: &mut Reader<'_>, topo: &Topology, n: usize) -> Result<LinkHorizons, DecodeError> {
-    let mut lh = LinkHorizons::new(topo);
-    let tag = r.get_u8()?;
-    let get_nonzero = |r: &mut Reader<'_>, slots: &mut [SimTime]| -> Result<(), DecodeError> {
-        for _ in 0..r.get_len()? {
-            let i = r.get_u64()? as usize;
-            let t = r.get_time()?;
-            *slots
-                .get_mut(i)
-                .ok_or(DecodeError::Corrupt("link slot index out of range"))? = t;
-        }
-        Ok(())
+/// Reads the `links` section into `lh`. Every entry is range-checked
+/// either way; without a table (a constant latency needs no horizon)
+/// the section is read and dropped.
+fn get_links(
+    r: &mut Reader<'_>,
+    mut lh: Option<&mut LinkHorizons>,
+    topo: &Topology,
+) -> Result<(), DecodeError> {
+    let n = topo.num_cells();
+    let dense = match r.get_u8()? {
+        0 => true,
+        1 => false,
+        _ => return Err(DecodeError::Corrupt("link layout tag")),
     };
-    match (&mut lh, tag) {
-        (LinkHorizons::Dense { slots, .. }, 0) => get_nonzero(r, slots)?,
-        (LinkHorizons::Region { slots, spill, .. }, 1) => {
-            get_nonzero(r, slots)?;
-            for _ in 0..r.get_len()? {
-                let a = r.get_cell()?;
-                let b = r.get_cell()?;
-                if a.index() >= n || b.index() >= n {
-                    return Err(DecodeError::Corrupt("spill link cell out of range"));
-                }
-                let t = r.get_time()?;
-                spill.insert((a, b), t);
-            }
+    let slots = if dense {
+        n.saturating_mul(n)
+    } else {
+        topo.cells().map(|c| topo.region(c).len()).sum()
+    };
+    for _ in 0..r.get_len()? {
+        let i = r.get_u64()? as usize;
+        let t = r.get_time()?;
+        if i >= slots {
+            return Err(DecodeError::Corrupt("link slot index out of range"));
         }
-        _ => {
-            return Err(DecodeError::Mismatch(
-                "link-horizon layout differs between snapshot and topology".into(),
-            ))
+        match &mut lh {
+            Some(lh) if dense => *lh.slot(CellId((i / n) as u32), CellId((i % n) as u32)) = t,
+            Some(lh) => lh.slots[i] = t,
+            None => {}
         }
     }
-    Ok(lh)
+    if dense {
+        return Ok(());
+    }
+    for _ in 0..r.get_len()? {
+        let a = r.get_cell()?;
+        let b = r.get_cell()?;
+        if a.index() >= n || b.index() >= n {
+            return Err(DecodeError::Corrupt("spill link cell out of range"));
+        }
+        let t = r.get_time()?;
+        if let Some(lh) = &mut lh {
+            lh.spill.insert((a, b), t);
+        }
+    }
+    Ok(())
 }
 
 fn put_ev<P: ProtocolState>(w: &mut Writer, ev: &Ev<P::Msg>) {
@@ -1597,7 +1605,7 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             w.put_channel_set(set);
         }
         w.mark("links");
-        put_links(&mut w, &sh.link_horizon);
+        put_links(&mut w, sh.link_horizon.as_ref());
         w.mark("calls");
         w.put_len(sh.calls.len());
         for c in &sh.calls {
@@ -1780,7 +1788,8 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             }
             usage.push(set);
         }
-        let link_horizon = get_links(&mut r, &topo, n)?;
+        let mut link_horizon = LinkHorizons::for_latency(&cfg.latency, &topo);
+        get_links(&mut r, link_horizon.as_mut(), &topo)?;
 
         let ncalls = r.get_len()?;
         let mut calls = Vec::with_capacity(ncalls);
@@ -2356,13 +2365,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The dense table below `DENSE_LINK_LIMIT` and the region table
-        /// above it are two layouts of one function: driven by the same
-        /// jittered send sequence — in-region links and, through the
-        /// spill map, out-of-region ones — they clamp every delivery to
-        /// the same tick.
+        /// The region table and its spill map are one function, the map
+        /// the engine once kept: driven by a jittered send sequence —
+        /// in-region links and out-of-region ones — every delivery is
+        /// clamped to the latest time its link has seen.
         #[test]
-        fn link_layouts_agree(
+        fn link_clamp_matches_a_map(
             // 18×18 = 324 cells, from a few senders so that links are
             // revisited and the clamp actually bites.
             sends in proptest::collection::vec(
@@ -2371,9 +2379,8 @@ mod tests {
             ),
         ) {
             let topo = Topology::default_paper(18, 18);
-            let n = topo.num_cells();
-            let mut dense = LinkHorizons::dense(n);
-            let mut region = LinkHorizons::region(&topo);
+            let mut links = LinkHorizons::new(&topo);
+            let mut reference: HashMap<(CellId, CellId), SimTime> = HashMap::new();
             let mut now = 0u64;
             for (from, pick, anywhere, out_of_region, step, latency) in sends {
                 let from = CellId(from * 27);
@@ -2384,16 +2391,64 @@ mod tests {
                     members[pick % members.len()]
                 };
                 now += step;
-                let at = SimTime(now + latency);
-                assert_eq!(dense.clamp(from, to, at), region.clamp(from, to, at));
+                let horizon = reference.entry((from, to)).or_insert(SimTime::ZERO);
+                *horizon = SimTime(now + latency).max(*horizon);
+                assert_eq!(links.clamp(from, to, SimTime(now + latency)), *horizon);
             }
         }
     }
 
+    /// The `links` section in both index spaces: a table reads back its
+    /// own bytes, reads the `from * n + to` entries an earlier format-2
+    /// writer left (an out-of-region one lands in the spill map), and an
+    /// engine without a table reads either and keeps nothing.
     #[test]
-    fn link_layout_follows_grid_size() {
-        let layout = |rows, cols| LinkHorizons::new(&Topology::default_paper(rows, cols));
-        assert!(matches!(layout(16, 16), LinkHorizons::Dense { .. }));
-        assert!(matches!(layout(18, 18), LinkHorizons::Region { .. }));
+    fn links_section_reads_both_index_spaces() {
+        let topo = Topology::default_paper(6, 6);
+        let n = topo.num_cells();
+        let (from, near, far) = (CellId(0), topo.region(CellId(0))[0], CellId(35));
+        assert!(!topo.in_region(from, far));
+        let read = |bytes: &[u8], keep: bool| {
+            let mut links = keep.then(|| LinkHorizons::new(&topo));
+            let mut r = Reader::new(bytes).unwrap();
+            get_links(&mut r, links.as_mut(), &topo).unwrap();
+            assert_eq!(r.remaining(), 0);
+            links
+        };
+        let horizons =
+            |links: &mut LinkHorizons| [near, far].map(|to| links.clamp(from, to, SimTime::ZERO));
+
+        let mut dense = Writer::new();
+        dense.put_u8(0);
+        dense.put_len(2);
+        for (to, t) in [(near, 70), (far, 90)] {
+            dense.put_u64((from.index() * n + to.index()) as u64);
+            dense.put_time(SimTime(t));
+        }
+        let dense = dense.finish();
+        let mut links = read(&dense, true).unwrap();
+        assert_eq!(horizons(&mut links), [SimTime(70), SimTime(90)]);
+        assert!(read(&dense, false).is_none());
+
+        let mut own = Writer::new();
+        put_links(&mut own, Some(&links));
+        let own = own.finish();
+        assert_eq!(
+            horizons(&mut read(&own, true).unwrap()),
+            [SimTime(70), SimTime(90)]
+        );
+        assert!(read(&own, false).is_none());
+
+        let mut beyond = Writer::new();
+        beyond.put_u8(0);
+        beyond.put_len(1);
+        beyond.put_u64((n * n) as u64);
+        beyond.put_time(SimTime(1));
+        let beyond = beyond.finish();
+        let mut r = Reader::new(&beyond).unwrap();
+        assert!(matches!(
+            get_links(&mut r, None, &topo),
+            Err(DecodeError::Corrupt(_))
+        ));
     }
 }

@@ -1,5 +1,6 @@
-//! The engine's event queue: per-tick FIFO lists over one slab, with an
-//! overflow heap for the far future.
+//! The engine's event queue: per-tick FIFO lists over one slab, an
+//! overflow heap for the far future, and an in-order lane for pushes that
+//! arrive already sorted.
 //!
 //! Discrete-event workloads are strongly *near-future* biased (message
 //! latencies of ~`T` ticks, call ends within a few mean holding times),
@@ -17,6 +18,12 @@
 //!   the cursor skips empty ticks a 64-tick word at a time.
 //! * Events beyond the window (long call ends, arrival schedules of long
 //!   horizons) wait in a sorted **overflow heap**.
+//! * Pushes whose due times never decrease — message deliveries under one
+//!   constant latency are due at `now + T`, and `now` never goes back —
+//!   bypass all of that: [`EventQueue::push_in_order`] appends them to a
+//!   `VecDeque`, the **lane**, which is read back front to back. No slot
+//!   is recycled, linked or read cold; a pop merges the lane's front with
+//!   the ring's head.
 //!
 //! # Why per-tick FIFO is `(at, seq)` order
 //!
@@ -33,6 +40,21 @@
 //! there. A property test (`tests/equeue_props.rs`) pins all of this
 //! against a reference heap for random push/pop interleavings.
 //!
+//! # Why lane + ring is `(at, seq)` order
+//!
+//! Lane and ring draw `seq` from the **one counter**, so among entries of
+//! one tick the smaller `seq` is the earlier push wherever it is stored.
+//! The lane is **sorted by construction**: its `at` never decreases (the
+//! caller's promise, `assert`ed) and its `seq` ascends. The ring side
+//! yields its entries in `(at, seq)` order by the argument above. A pop is
+//! therefore a two-way merge: the earlier of the lane's front and the
+//! ring's head, by `(at, seq)`. For the merge to see the ring's true head
+//! the cursor must be **the minimum over lane, ring and overflow** — it
+//! stops at the lane's front even when the ring's next populated tick is
+//! later, because once that front is popped the engine may push (into
+//! the ring) anywhere from its time on. Only on a tick both sides share
+//! is a `seq` compared; otherwise the earlier tick wins outright.
+//!
 //! # Same-tick tie-break across event classes
 //!
 //! *All* engine event classes — message deliveries, protocol timers
@@ -48,7 +70,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Ticks covered by the ring (a power of two). Mean call durations are
 /// ~`T` and benchmark horizons a few thousand ticks: little lies beyond.
@@ -63,6 +85,15 @@ const NIL: u32 = u32::MAX;
 fn ring_pos(tick: u64) -> (usize, usize, u64) {
     let i = (tick & RING_MASK) as usize;
     (i, i / 64, 1 << (i % 64))
+}
+
+/// The earlier of two ticks, where `None` is "no such tick".
+#[inline]
+fn earlier(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 /// One scheduled event: `(at, seq)` is the total pop order.
@@ -107,6 +138,14 @@ struct Slot<T> {
     entry: Option<EqEntry<T>>,
 }
 
+/// Which side of the merge holds the earliest entry.
+enum Head {
+    /// The lane's front.
+    Lane,
+    /// This slab slot, the head of the serving tick's list.
+    Ring(u32),
+}
+
 /// A monotone priority queue over `(SimTime, seq)` keys.
 ///
 /// "Monotone" is the engine's contract: every push is at or after the
@@ -128,7 +167,9 @@ pub struct EventQueue<T> {
     ring_len: usize,
     /// Entries due at or beyond `cur + RING` when they were pushed.
     overflow: BinaryHeap<Reverse<EqEntry<T>>>,
-    /// Monotone sequence counter for tie-breaks.
+    /// Entries pushed in `(at, seq)` order; `cur` never passes its front.
+    lane: VecDeque<EqEntry<T>>,
+    /// Monotone sequence counter for tie-breaks, shared by every push.
     seq: u64,
 }
 
@@ -150,6 +191,7 @@ impl<T> EventQueue<T> {
             cur: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
+            lane: VecDeque::new(),
             seq: 0,
         }
     }
@@ -157,7 +199,7 @@ impl<T> EventQueue<T> {
     /// Total number of queued events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.ring_len + self.overflow.len() + self.lane.len()
     }
 
     /// Whether no event is queued.
@@ -196,6 +238,29 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Schedules `item` at `at` like [`EventQueue::push`], for a caller
+    /// whose due times never decrease from one call of this method to the
+    /// next (and, like every push, are never before the serving cursor).
+    /// Such entries are already in pop order among themselves, so they
+    /// wait in the lane instead of the ring.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is earlier than the previous in-order push still queued, or
+    /// than the serving cursor.
+    pub fn push_in_order(&mut self, at: SimTime, item: T) -> u64 {
+        let floor = self.lane.back().map_or(self.cur, |last| last.at.ticks());
+        assert!(
+            at.ticks() >= floor,
+            "in-order push at tick {} after one at tick {floor}",
+            at.ticks()
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        self.lane.push_back(EqEntry { at, seq, item });
+        seq
+    }
+
     /// Writes the event into a slot (the most recently freed one, else a
     /// new one) and links it at the tail of its tick's list.
     #[inline]
@@ -230,6 +295,7 @@ impl<T> EventQueue<T> {
 
     /// `(ring_resident, overflow_resident)` entry counts — diagnostics for
     /// the restore path, which must land near-future events in the ring.
+    /// Lane entries are in neither.
     pub fn residency(&self) -> (usize, usize) {
         (self.ring_len, self.overflow.len())
     }
@@ -260,6 +326,7 @@ impl<T> EventQueue<T> {
     pub fn iter_entries(&self) -> impl Iterator<Item = &EqEntry<T>> {
         let ring = self.slots.iter().filter_map(|s| s.entry.as_ref());
         ring.chain(self.overflow.iter().map(|Reverse(e)| e))
+            .chain(&self.lane)
     }
 
     /// Positions a freshly built queue for a checkpoint restore: the
@@ -279,13 +346,19 @@ impl<T> EventQueue<T> {
     /// if the queue is empty. Shares the serving-cursor advance with
     /// [`EventQueue::pop`], so `peek_key` then `pop` is not extra work.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        let head = self.head()?;
-        self.slots[head as usize].entry.as_ref().map(EqEntry::key)
+        match self.head()? {
+            Head::Lane => self.lane.front(),
+            Head::Ring(head) => self.slots[head as usize].entry.as_ref(),
+        }
+        .map(EqEntry::key)
     }
 
     /// Removes and returns the earliest `(at, seq)` event.
     pub fn pop(&mut self) -> Option<EqEntry<T>> {
-        let head = self.head()?;
+        let head = match self.head()? {
+            Head::Lane => return self.lane.pop_front(),
+            Head::Ring(head) => head,
+        };
         let slot = &mut self.slots[head as usize];
         let entry = slot.entry.take().expect("a linked slot holds an event");
         let next = std::mem::replace(&mut slot.next, self.free);
@@ -300,21 +373,47 @@ impl<T> EventQueue<T> {
         Some(entry)
     }
 
-    /// The head slot of the earliest populated tick; walks the cursor
-    /// there.
+    /// Where the earliest entry is: walks the cursor to the earliest
+    /// populated tick — of lane, ring and overflow — and merges the
+    /// lane's front with that tick's list head.
     #[inline]
-    fn head(&mut self) -> Option<u32> {
-        let (_, word, bit) = ring_pos(self.cur);
-        if self.occupied[word] & bit == 0 {
+    fn head(&mut self) -> Option<Head> {
+        let lane = self.lane.front().map(|e| (e.at.ticks(), e.seq));
+        if !self.serving_tick_occupied() {
+            if lane.is_some_and(|(tick, _)| tick == self.cur) {
+                return Some(Head::Lane);
+            }
             // Serving tick exhausted: move to the next populated one.
             let far = self.overflow.peek().map(|Reverse(e)| e.at.ticks());
-            let next = match (self.next_ring_tick(), far) {
-                (Some(ring), Some(far)) => ring.min(far),
-                (ring, far) => ring.or(far)?,
-            };
+            let next = earlier(
+                earlier(self.next_ring_tick(), far),
+                lane.map(|(tick, _)| tick),
+            )?;
             self.enter_tick(next);
+            if !self.serving_tick_occupied() {
+                // Neither ring nor overflow had `next`: it is the lane's.
+                return Some(Head::Lane);
+            }
         }
-        Some(self.ticks[ring_pos(self.cur).0].0)
+        let head = self.ticks[ring_pos(self.cur).0].0;
+        // The lane's front is never before the cursor, so it can only win
+        // on this very tick, and then as the earlier push.
+        match lane {
+            Some((tick, seq)) if tick == self.cur && seq < self.slot_seq(head) => Some(Head::Lane),
+            _ => Some(Head::Ring(head)),
+        }
+    }
+
+    #[inline]
+    fn serving_tick_occupied(&self) -> bool {
+        let (_, word, bit) = ring_pos(self.cur);
+        self.occupied[word] & bit != 0
+    }
+
+    #[inline]
+    fn slot_seq(&self, slot: u32) -> u64 {
+        let entry = self.slots[slot as usize].entry.as_ref();
+        entry.expect("a linked slot holds an event").seq
     }
 
     /// The earliest populated ring tick after `cur`, whose own list is

@@ -16,7 +16,18 @@ use std::collections::BinaryHeap;
 enum Op {
     /// Push at `last popped time + delta` (the queue is monotone).
     Push(u64),
+    /// In-order push at `last popped time + lat`, one `lat` a run: due
+    /// times that never decrease, as the engine's deliveries under a
+    /// constant latency.
+    PushInOrder,
     Pop,
+}
+
+/// The constant latency of a run's in-order pushes: `0` shares the tick
+/// being served, the small band shares ticks with ring pushes, and the
+/// last lands the lane's front beyond the ring's window.
+fn lat_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..16, 16u64..2_000, RING..(2 * RING)]
 }
 
 /// Delta mix exercising every queue path: `0` forces equal-time seq
@@ -58,6 +69,16 @@ impl Lockstep {
 
     fn push(&mut self, at: u64) {
         let seq = self.q.push(SimTime(at), at);
+        self.mirror(at, seq);
+    }
+
+    /// Pushes into the lane; `at` must not go back between calls.
+    fn push_in_order(&mut self, at: u64) {
+        let seq = self.q.push_in_order(SimTime(at), at);
+        self.mirror(at, seq);
+    }
+
+    fn mirror(&mut self, at: u64, seq: u64) {
         self.reference.push(Reverse(EqEntry {
             at: SimTime(at),
             seq,
@@ -65,8 +86,10 @@ impl Lockstep {
         }));
     }
 
-    /// Pops both; `false` once both are empty.
+    /// Peeks and pops both; `false` once both are empty.
     fn pop(&mut self) -> bool {
+        let next = self.reference.peek().map(|Reverse(e)| (e.at, e.seq));
+        assert_eq!(self.q.peek_key(), next);
         let got = self.q.pop().map(|e| (e.at, e.seq, e.item));
         let want = self.reference.pop().map(|Reverse(e)| (e.at, e.seq, e.item));
         assert_eq!(got, want);
@@ -83,35 +106,56 @@ impl Lockstep {
     }
 }
 
-/// Push-biased op stream (3 pushes : 2 pops on average) so runs grow
-/// deep enough to populate many ticks and the overflow heap.
+/// Push-biased op stream (3 pushes : 2 pops on average, a third of the
+/// pushes in order) so runs grow deep enough to populate many ticks, the
+/// lane and the overflow heap.
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..5, delta_strategy()).prop_map(
-        |(sel, delta)| {
-            if sel < 3 {
-                Op::Push(delta)
-            } else {
-                Op::Pop
-            }
-        },
-    )
+    (0u8..5, delta_strategy()).prop_map(|(sel, delta)| match sel {
+        0 | 1 => Op::Push(delta),
+        2 => Op::PushInOrder,
+        _ => Op::Pop,
+    })
+}
+
+/// Applies a push op to `q`: the due time and the `seq` it was given.
+fn apply_push(
+    q: &mut EventQueue<usize>,
+    op: &Op,
+    now: u64,
+    lat: u64,
+    item: usize,
+) -> (SimTime, u64) {
+    match op {
+        Op::Push(delta) => {
+            let at = SimTime(now.saturating_add(*delta));
+            (at, q.push(at, item))
+        }
+        Op::PushInOrder => {
+            let at = SimTime(now.saturating_add(lat));
+            (at, q.push_in_order(at, item))
+        }
+        Op::Pop => unreachable!("not a push"),
+    }
 }
 
 proptest! {
-    /// The calendar queue and a reference `BinaryHeap<Reverse<…>>` fed
-    /// the same operations pop exactly the same `(at, seq, item)`
-    /// sequence, with equal lengths at every step.
+    /// The queue and a reference `BinaryHeap<Reverse<…>>` fed the same
+    /// operations — ring and in-order pushes drawing on one `seq`
+    /// counter — pop exactly the same `(at, seq, item)` sequence, with
+    /// equal lengths at every step.
     #[test]
-    fn matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+    fn matches_reference_heap(
+        ops in proptest::collection::vec(op_strategy(), 1..400),
+        lat in lat_strategy(),
+    ) {
         let mut q: EventQueue<usize> = EventQueue::new();
         let mut reference: BinaryHeap<Reverse<EqEntry<usize>>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         for (i, op) in ops.iter().enumerate() {
             match op {
-                Op::Push(delta) => {
-                    let at = SimTime(now.saturating_add(*delta));
-                    let assigned = q.push(at, i);
+                Op::Push(_) | Op::PushInOrder => {
+                    let (at, assigned) = apply_push(&mut q, op, now, lat, i);
                     prop_assert_eq!(assigned, seq, "queue must assign seqs in push order");
                     reference.push(Reverse(EqEntry { at, seq, item: i }));
                     seq += 1;
@@ -154,6 +198,7 @@ proptest! {
     fn restore_preserves_pop_order_and_ring_residency(
         ops in proptest::collection::vec(op_strategy(), 1..400),
         cut in 0usize..400,
+        lat in lat_strategy(),
     ) {
         let mut q: EventQueue<usize> = EventQueue::new();
         let mut reference: BinaryHeap<Reverse<EqEntry<usize>>> = BinaryHeap::new();
@@ -162,9 +207,8 @@ proptest! {
         let cut = cut.min(ops.len());
         for (i, op) in ops[..cut].iter().enumerate() {
             match op {
-                Op::Push(delta) => {
-                    let at = SimTime(now.saturating_add(*delta));
-                    q.push(at, i);
+                Op::Push(_) | Op::PushInOrder => {
+                    let (at, _) = apply_push(&mut q, op, now, lat, i);
                     reference.push(Reverse(EqEntry { at, seq, item: i }));
                     seq += 1;
                 }
@@ -180,10 +224,13 @@ proptest! {
             }
         }
         // Snapshot: collect + sort the live entries, as Engine::snapshot
-        // does, then replay into a fresh queue.
+        // does, then replay into a fresh queue. Lane entries are among
+        // them and, replayed, are ring or overflow entries like the rest.
         let next_seq = q.next_seq();
         let mut entries: Vec<(SimTime, u64, usize)> =
             q.iter_entries().map(|e| (e.at, e.seq, e.item)).collect();
+        prop_assert_eq!(entries.len(), q.len());
+        prop_assert_eq!(entries.len(), reference.len());
         entries.sort_by_key(|&(at, s, _)| (at, s));
         let mut q = {
             let mut restored: EventQueue<usize> = EventQueue::with_capacity(entries.len());
@@ -204,9 +251,8 @@ proptest! {
         // reference heap, including fresh pushes.
         for (i, op) in ops[cut..].iter().enumerate() {
             match op {
-                Op::Push(delta) => {
-                    let at = SimTime(now.saturating_add(*delta));
-                    let assigned = q.push(at, i);
+                Op::Push(_) | Op::PushInOrder => {
+                    let (at, assigned) = apply_push(&mut q, op, now, lat, i);
                     prop_assert_eq!(assigned, seq, "restored queue must keep numbering");
                     reference.push(Reverse(EqEntry { at, seq, item: i }));
                     seq += 1;
@@ -349,6 +395,96 @@ proptest! {
         l.drain();
     }
 
+    /// Lane and ring entries on one tick: push order decides, whichever
+    /// side an entry waits on — also while that tick is being drained.
+    #[test]
+    fn lane_and_ring_share_a_tick_in_push_order(
+        tick in prop_oneof![0u64..RING, RING..(1u64 << 30)],
+        sides in proptest::collection::vec(0u8..2, 2..24),
+        refills in proptest::collection::vec((0u8..2, 0usize..3), 0..8),
+    ) {
+        let mut l = Lockstep::new();
+        let push = |l: &mut Lockstep, in_order: u8| {
+            if in_order == 1 {
+                l.push_in_order(tick)
+            } else {
+                l.push(tick)
+            }
+        };
+        // Bring the window up to `tick`, so that plain pushes are ring
+        // entries (not overflow).
+        l.push(tick);
+        prop_assert!(l.pop());
+        for &in_order in &sides {
+            push(&mut l, in_order);
+        }
+        l.push(tick + 1);
+        for (in_order, extra) in refills {
+            if !l.pop() || l.now != tick {
+                break;
+            }
+            for _ in 0..extra {
+                push(&mut l, in_order);
+            }
+        }
+        l.drain();
+    }
+
+    /// A lane front on a tick that also has overflow entries: those were
+    /// pushed first and still pop first, then lane and ring entries of
+    /// the tick in push order.
+    #[test]
+    fn overflow_entries_pop_before_lane_entries_of_their_tick(
+        beyond in 0u64..(3 * RING),
+        back in 1u64..RING,
+        far_pushes in 1usize..6,
+        near in proptest::collection::vec(0u8..2, 1..8),
+    ) {
+        let mut l = Lockstep::new();
+        let tick = RING + beyond;
+        for _ in 0..far_pushes {
+            l.push(tick);
+        }
+        prop_assert_eq!(l.q.residency(), (0, far_pushes));
+        l.push(tick - back);
+        prop_assert!(l.pop());
+        let in_order = near.iter().filter(|&&lane| lane == 1).count();
+        for &lane in &near {
+            if lane == 1 {
+                l.push_in_order(tick)
+            } else {
+                l.push(tick)
+            }
+        }
+        // Lane entries are in neither count, but in the length.
+        prop_assert_eq!(l.q.residency(), (near.len() - in_order, far_pushes));
+        prop_assert_eq!(l.q.len(), near.len() + far_pushes);
+        l.drain();
+    }
+
+    /// A peek must not walk the cursor past the lane's front, wherever
+    /// the ring's next populated tick (or the overflow's) lies: once that
+    /// front is popped, a push anywhere from its time on is legal and
+    /// pops in order.
+    #[test]
+    fn the_cursor_stops_at_the_lane_front(
+        front in 1u64..5_000,
+        ring_gap in prop_oneof![1u64..100, 100u64..RING, RING..(4 * RING)],
+        behind in 0u64..100,
+    ) {
+        let mut l = Lockstep::new();
+        l.push(front + ring_gap);
+        l.push_in_order(front);
+        prop_assert_eq!(l.q.peek_key().map(|(at, _)| at), Some(SimTime(front)));
+        prop_assert!(l.pop());
+        prop_assert_eq!(l.now, front);
+        // Between the lane's old front and the ring's next tick.
+        l.push(front + behind.min(ring_gap - 1u64));
+        l.push(front);
+        l.push_in_order(front);
+        l.drain();
+    }
+
     /// The memory bound the queue's resident-set claim rests on: over a
     /// long hold-model run (pop the earliest, push it back a random delay
     /// later) the slab never holds more slots than the most events that
@@ -384,4 +520,25 @@ proptest! {
         prop_assert!(peak <= resident);
         l.drain();
     }
+}
+
+/// The lane is sorted only because its caller keeps the promise; a push
+/// that breaks it must stop the run in every build profile (the
+/// benchmark runs release), not reorder events.
+#[test]
+#[should_panic(expected = "in-order push")]
+fn out_of_order_push_in_order_panics() {
+    let mut q: EventQueue<()> = EventQueue::new();
+    q.push_in_order(SimTime(10), ());
+    q.push_in_order(SimTime(9), ());
+}
+
+/// ... nor may it land behind the serving cursor while the lane is empty.
+#[test]
+#[should_panic(expected = "in-order push")]
+fn push_in_order_behind_the_cursor_panics() {
+    let mut q: EventQueue<()> = EventQueue::new();
+    q.push(SimTime(10), ());
+    q.pop();
+    q.push_in_order(SimTime(9), ());
 }
