@@ -2,31 +2,44 @@
 //! executor, answering requests at wall-clock time.
 //!
 //! The executor is deliberately minimal (the build is offline — no
-//! tokio): a fixed pool of OS worker threads, one logical task per
-//! cell, a shared run queue, and a `scheduled` flag per task so a cell
-//! is never on the queue twice and never runs on two workers at once.
+//! tokio): a fixed pool of OS worker threads and one logical task per
+//! cell. Every cell has a **home worker**, `home(t) = t * W / n`:
+//! contiguous id ranges, which row-major `CellId`s make bands of grid
+//! rows, so most of a cell's interference region (the only cells it
+//! ever sends to) lives on the same worker. A worker owns its band's
+//! protocol nodes by value and has a run queue of its own; whichever
+//! thread makes a cell ready (a worker, the timer wheel, an admitting
+//! caller) pushes it to its home's queue, and worker `w` pops only
+//! queue `w`. So a cell never runs on two workers at once by
+//! construction — there is no lock around a node — and a `scheduled`
+//! flag per task keeps a cell from being on its queue twice. There is
+//! no stealing: a hot spot confined to one band is served by one
+//! worker (DESIGN §6 has the price).
+//!
 //! Events flow through bounded mailboxes (`mailbox::Mailbox`); a full
 //! mailbox blocks the
 //! sender (real backpressure, surfaced all the way to
 //! [`AllocService::request_channel`]) until a stall deadline forces the
 //! event through, keeping the pool deadlock-free under any protocol
-//! messaging pattern. Protocol timers and call-hold expirations share
-//! one [`TimerWheel`].
+//! messaging pattern. A worker sending into its own band does not
+//! wait: nobody but itself could drain that mailbox, so the run goes in
+//! over capacity at once (and is counted as forced). Protocol timers
+//! and call-hold expirations share one [`TimerWheel`].
 //!
 //! The unit of every hand-over to another thread is the **activation**
-//! — one worker's drain of up to `quantum` events of one cell. It
+//! — the home worker's drain of up to `quantum` events of one cell. It
 //! reads the clock once; what its transitions emit collects in the
 //! worker's own `Outbox` and leaves in one flush: the sends as one run
 //! a destination (one mailbox lock, one capacity check, one
 //! `schedule`), the confirms and indications under one `answers` lock
 //! with at most one wake, the counters in one add each. Nothing waits
 //! for a batch to fill: an activation of one event hands over when
-//! that event is done. Two ordering rules hold because the flush comes
-//! *before* the task's `scheduled` flag is cleared, so the cell's next
-//! activation — on whichever worker — cannot start, let alone flush,
-//! before it: links stay FIFO (the schemes assume it), and a ticket's
-//! `Granted` is published before the activation that produces its
-//! `Released` begins.
+//! that event is done. Two ordering rules hold because a cell's
+//! activations all run on its home worker, one after the other, and
+//! each flushes before it returns (and before it clears `scheduled`):
+//! links stay FIFO (the schemes assume it), and a ticket's `Granted`
+//! is published before the activation that produces its `Released`
+//! begins.
 //!
 //! Grants are audited: the Theorem-1 check and the ground-truth commit
 //! happen atomically under the granted channel's lock
@@ -51,6 +64,7 @@ use adca_simkit::{
 };
 use adca_threadnet::TimerWheel;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
@@ -59,7 +73,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the production executor.
 #[derive(Debug, Clone)]
 pub struct ProductionConfig {
-    /// Worker threads in the pool.
+    /// Worker threads in the pool; each owns a contiguous band of
+    /// cells (`home(t) = t * workers / cells`). Clamped to the cell
+    /// count, so no worker is left without a cell.
     pub workers: usize,
     /// Wall-clock nanoseconds per virtual tick — scales protocol timer
     /// delays, call holds, and reported latencies.
@@ -139,17 +155,31 @@ struct TicketRec {
     state: TicketState,
 }
 
-struct Task<P: StateMachine> {
-    mailbox: Mailbox<TaskEvent<P::Msg>>,
+/// The shared half of a cell's task; its protocol node lives on the
+/// cell's home worker.
+struct Task<M> {
+    mailbox: Mailbox<TaskEvent<M>>,
     /// True while the task is queued or running; cleared after an
     /// activation has flushed, then re-checked against the mailbox so
-    /// no wakeup is ever lost and no task runs on two workers at once.
+    /// no wakeup is ever lost and no task is on its queue twice.
     /// `SeqCst`, for the reason given at `Mailbox::len`.
     scheduled: AtomicBool,
-    node: Mutex<P>,
+    /// The worker that owns the cell's node and runs its activations.
+    home: usize,
 }
 
-/// FIFO run queue feeding the worker pool.
+/// The worker that owns cell `t` of `cells`: contiguous id ranges whose
+/// sizes differ by at most one.
+fn home(t: usize, workers: usize, cells: usize) -> usize {
+    t * workers / cells
+}
+
+/// The cells whose [`home`] is `w`.
+fn band(w: usize, workers: usize, cells: usize) -> Range<usize> {
+    (w * cells).div_ceil(workers)..((w + 1) * cells).div_ceil(workers)
+}
+
+/// One worker's FIFO of ready cells: any thread pushes, the owner pops.
 #[derive(Default)]
 struct RunQueue {
     state: Mutex<RunQueueState>,
@@ -160,9 +190,9 @@ struct RunQueue {
 struct RunQueueState {
     ready: VecDeque<usize>,
     closed: bool,
-    /// Workers waiting on `cv`. A busy worker looks at `ready` again
-    /// before it parks, so a push signals only when this is non-zero.
-    parked: usize,
+    /// The owner is waiting on `cv`. A busy worker looks at `ready`
+    /// again before it parks, so a push signals only when this is set.
+    parked: bool,
 }
 
 impl RunQueue {
@@ -172,7 +202,7 @@ impl RunQueue {
             return; // shutting down; stray wakeups are fine to drop
         }
         st.ready.push_back(t);
-        if st.parked > 0 {
+        if st.parked {
             self.cv.notify_one();
         }
     }
@@ -186,16 +216,16 @@ impl RunQueue {
             if st.closed {
                 return None;
             }
-            st.parked += 1;
+            st.parked = true;
             st = self.cv.wait(st).expect("runq poisoned");
-            st.parked -= 1;
+            st.parked = false;
         }
     }
 
     fn close(&self) {
         let mut st = self.state.lock().expect("runq poisoned");
         st.closed = true;
-        self.cv.notify_all();
+        self.cv.notify_one();
     }
 }
 
@@ -226,8 +256,10 @@ struct Inner<P: StateMachine> {
     topo: Arc<Topology>,
     cfg: ProductionConfig,
     epoch: Instant,
-    tasks: Vec<Task<P>>,
-    runq: RunQueue,
+    tasks: Vec<Task<P::Msg>>,
+    /// One run queue a worker; cell `t` is only ever on
+    /// `runqs[tasks[t].home]`.
+    runqs: Vec<RunQueue>,
     /// Ground-truth channel usage (Theorem-1 audit + commit, atomic
     /// under the channel's lock).
     ground: GroundTruth,
@@ -247,6 +279,10 @@ struct Inner<P: StateMachine> {
 /// that runs it and delivered by [`Inner::flush`] — plus the buffer the
 /// worker lends to every transition it runs.
 struct Outbox<M> {
+    /// The cells only this thread can drain: the worker's band (all of
+    /// them during start-up, when no worker exists yet). A push into
+    /// one of them never waits for room.
+    own: Range<usize>,
     actions: Vec<Action<M>>,
     /// The sends, one run a destination.
     runs: Vec<Run<M>>,
@@ -267,8 +303,9 @@ struct Run<M> {
 const NO_RUN: u32 = u32::MAX;
 
 impl<M> Outbox<M> {
-    fn new(cells: usize) -> Self {
+    fn new(cells: usize, own: Range<usize>) -> Self {
         Outbox {
+            own,
             actions: Vec::new(),
             runs: Vec::new(),
             run_of: vec![NO_RUN; cells],
@@ -350,8 +387,9 @@ where
     }
 
     fn schedule(&self, t: usize) {
-        if !self.tasks[t].scheduled.swap(true, Ordering::SeqCst) {
-            self.runq.push(t);
+        let task = &self.tasks[t];
+        if !task.scheduled.swap(true, Ordering::SeqCst) {
+            self.runqs[task.home].push(t);
         }
     }
 
@@ -381,23 +419,31 @@ where
             // every confirm can be taken.
             c.pending.fetch_sub(resolved as u64, Ordering::Release);
         }
-        // One run a destination, under one mailbox lock.
+        // One run a destination, under one mailbox lock. A full mailbox
+        // of the sender's own band is not waited on: only this thread
+        // could make room in it.
         for mut run in out.runs.drain(..) {
             out.run_of[run.to] = NO_RUN;
+            let patience = if out.own.contains(&run.to) {
+                Duration::ZERO
+            } else {
+                self.cfg.stall_patience
+            };
             let push = self.tasks[run.to]
                 .mailbox
-                .push_run(run.events.drain(..), self.cfg.stall_patience);
+                .push_run(run.events.drain(..), patience);
             self.pushed(run.to, push);
             out.spare.push(run.events);
         }
     }
 
-    /// One task activation: drain up to a quantum of events into the
-    /// node under its lock, flush what that emitted, then clear
-    /// `scheduled` and re-check.
+    /// One task activation, on the cell's home worker: drain up to a
+    /// quantum of events into the node, flush what that emitted, then
+    /// clear `scheduled` and re-check.
     fn run_task(
         &self,
         t: usize,
+        node: &mut P,
         batch: &mut VecDeque<TaskEvent<P::Msg>>,
         out: &mut Outbox<P::Msg>,
     ) {
@@ -408,7 +454,6 @@ where
             // One clock read for the activation: events drained together
             // were already waiting together.
             let now = SimTime(self.elapsed_ticks(self.epoch));
-            let mut node = task.node.lock().expect("node poisoned");
             for ev in batch.drain(..) {
                 let input = match ev {
                     TaskEvent::Acquire { ticket, kind } => Input::Acquire {
@@ -416,20 +461,18 @@ where
                         kind,
                     },
                     TaskEvent::End { ticket } => {
-                        self.end_call(ticket, me, now, &mut node, out);
+                        self.end_call(ticket, me, now, node, out);
                         continue;
                     }
                     TaskEvent::Relinquish { ch } => Input::Release { ch },
                     TaskEvent::Msg { from, msg } => Input::Message { from, msg },
                     TaskEvent::Timer { tag } => Input::Timer { tag },
                 };
-                self.step(me, now, &mut node, input, out);
+                self.step(me, now, node, input, out);
             }
-            drop(node);
-            // Before `scheduled` goes down: once it is, the cell's next
-            // activation may run on another worker and flush first,
-            // which would reorder a link and could publish a ticket's
-            // `Released` ahead of its `Granted`.
+            // Before this worker takes up the cell again: its next
+            // activation flushes after this one, so no link reorders
+            // and no ticket's `Released` overtakes its `Granted`.
             self.flush(out);
         }
         task.scheduled.store(false, Ordering::SeqCst);
@@ -442,14 +485,16 @@ where
         if self.counters.stopping.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.runq.close();
+        for q in &self.runqs {
+            q.close();
+        }
         let handles = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
         for h in handles {
             let _ = h.join();
         }
     }
 
-    /// Feeds `input` to `me`'s node (the caller holds its lock) at
+    /// Feeds `input` to `me`'s node (the caller owns it) at
     /// time `now`, then applies the actions it emitted, in emission
     /// order; what is bound for another thread goes to `out`.
     fn step(
@@ -608,28 +653,36 @@ where
     /// Starts the executor: builds one `factory`-made node per cell,
     /// feeds every node [`Input::Start`] (before any request can be
     /// observed), arms the shared timer wheel, and spawns the worker
-    /// pool.
+    /// pool, moving each band's nodes into its worker.
     pub fn new<F>(topo: Arc<Topology>, cfg: ProductionConfig, mut factory: F) -> Self
     where
         F: FnMut(CellId, &Topology) -> P,
     {
         let n = topo.num_cells();
-        let tasks: Vec<Task<P>> = topo
-            .cells()
-            .map(|c| Task {
+        let workers = cfg.workers.min(n).max(1);
+        let tasks = (0..n)
+            .map(|t| Task {
                 mailbox: Mailbox::new(cfg.mailbox_capacity),
                 scheduled: AtomicBool::new(false),
-                node: Mutex::new(factory(c, &topo)),
+                home: home(t, workers, n),
             })
             .collect();
-        let workers = cfg.workers.max(1);
+        // Built a band at a time, in id order, so that a band's nodes
+        // are laid out together and move into their worker as they are.
+        let mut bands: Vec<Vec<P>> = (0..workers)
+            .map(|w| {
+                band(w, workers, n)
+                    .map(|t| factory(CellId(t as u32), &topo))
+                    .collect()
+            })
+            .collect();
         let inner = Arc::new(Inner {
             ground: GroundTruth::new(&topo),
             topo,
             cfg,
             epoch: Instant::now(),
             tasks,
-            runq: RunQueue::default(),
+            runqs: (0..workers).map(|_| RunQueue::default()).collect(),
             tickets: Mutex::new(Vec::new()),
             answers: Mutex::default(),
             answered: Condvar::new(),
@@ -655,21 +708,22 @@ where
         let _ = inner.wheel.set(wheel);
         // Start before the workers exist: startup sends enqueue, and no
         // node can observe a message before its own start ran.
-        let mut out = Outbox::new(n);
-        for t in 0..n {
+        let mut out = Outbox::new(n, 0..n);
+        for (t, node) in bands.iter_mut().flatten().enumerate() {
             let now = SimTime(inner.elapsed_ticks(inner.epoch));
-            let mut node = inner.tasks[t].node.lock().expect("node poisoned");
-            inner.step(CellId(t as u32), now, &mut node, Input::Start, &mut out);
-            drop(node);
+            inner.step(CellId(t as u32), now, node, Input::Start, &mut out);
             inner.flush(&mut out);
         }
-        let handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|_| {
+        let handles: Vec<JoinHandle<()>> = bands
+            .into_iter()
+            .enumerate()
+            .map(|(w, mut nodes)| {
+                let own = band(w, workers, n);
                 let inner = inner.clone();
                 std::thread::spawn(move || {
-                    let (mut batch, mut out) = (VecDeque::new(), Outbox::new(inner.tasks.len()));
-                    while let Some(t) = inner.runq.pop() {
-                        inner.run_task(t, &mut batch, &mut out);
+                    let (mut batch, mut out) = (VecDeque::new(), Outbox::new(n, own.clone()));
+                    while let Some(t) = inner.runqs[w].pop() {
+                        inner.run_task(t, &mut nodes[t - own.start], &mut batch, &mut out);
                     }
                 })
             })
@@ -929,6 +983,70 @@ where
                 .lock()
                 .expect("violations poisoned")
                 .clone(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adca_baselines::FixedNode;
+
+    /// A pool larger than the grid is cut down to one worker a cell:
+    /// a worker with no band would park on a queue nothing is pushed to.
+    #[test]
+    fn a_pool_larger_than_the_grid_is_clamped_to_it() {
+        let topo = Arc::new(Topology::builder(1, 2).channels(7).build());
+        let cfg = ProductionConfig {
+            workers: 16,
+            ..Default::default()
+        };
+        let mut svc = ProductionAllocService::new(topo, cfg, FixedNode::new);
+        assert_eq!(svc.inner.runqs.len(), 2);
+        assert_eq!(svc.inner.workers.lock().unwrap().len(), 2);
+        assert_eq!(
+            svc.inner.tasks.iter().map(|t| t.home).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        for c in [0, 1, 1, 0] {
+            svc.request_channel(ChannelRequest::new_call(0, CellId(c), 0))
+                .expect("request accepted");
+        }
+        assert!(svc.quiesce(Duration::from_secs(10)));
+        let stats = svc.stats();
+        assert_eq!(stats.granted + stats.rejected, 4);
+        // Every queue is closed and every worker joined.
+        svc.shutdown();
+        assert!(svc.inner.workers.lock().unwrap().is_empty());
+    }
+
+    /// Exhaustive over every grid size and pool size in range: the
+    /// bands tile the cells in id order, each cell's home is the band
+    /// it lies in, and no band is more than one cell larger than
+    /// another (nor empty, once `workers` is clamped to the cells).
+    #[test]
+    fn bands_partition_the_cells_evenly_and_in_order() {
+        for cells in 1..=200usize {
+            for asked in 1..=16usize {
+                let workers = asked.min(cells);
+                let mut next = 0;
+                let (mut least, mut most) = (usize::MAX, 0);
+                for w in 0..workers {
+                    let own = band(w, workers, cells);
+                    assert_eq!(own.start, next, "{cells} cells, {workers} workers: gap");
+                    assert!(
+                        own.clone().all(|t| home(t, workers, cells) == w),
+                        "{cells} cells, {workers} workers: band {w} holds a foreign cell"
+                    );
+                    next = own.end;
+                    least = least.min(own.len());
+                    most = most.max(own.len());
+                }
+                assert_eq!(next, cells, "{cells} cells, {workers} workers: uncovered");
+                assert!(least >= 1 && most - least <= 1, "{least}..={most}");
+                let homes: Vec<usize> = (0..cells).map(|t| home(t, workers, cells)).collect();
+                assert!(homes.windows(2).all(|p| p[0] <= p[1]), "homes not monotone");
+            }
         }
     }
 }

@@ -5,7 +5,9 @@
 //! loss. Then the executor's own hand-over rules, with probe machines
 //! in place of a scheme: links are FIFO, no wake-up is lost, `quiesce`
 //! means the confirms can be taken, and a call's `Granted` is never
-//! behind its `Released`.
+//! behind its `Released` — on one worker, on even bands and on uneven
+//! ones. Last, what band ownership itself promises: a band loaded
+//! alone completes, and a worker does not wait on its own mailboxes.
 
 use adca_baselines::{
     BasicSearchConfig, BasicSearchNode, BasicUpdateConfig, BasicUpdateNode, FixedNode,
@@ -44,24 +46,40 @@ fn burst(calls_per_cell: u64, duration: u64) -> Vec<Arrival> {
     v
 }
 
+/// [`run_on`] the 5×5 grid with the default executor.
+fn run<N, F>(factory: F, arrivals: Vec<Arrival>) -> ServeStats
+where
+    N: StateMachine + Send + 'static,
+    N::Msg: Send + 'static,
+    F: FnMut(CellId, &Topology) -> N,
+{
+    let cfg = ProductionConfig {
+        ns_per_tick: NS_PER_TICK,
+        ..Default::default()
+    };
+    run_on(topo(), cfg, factory, arrivals)
+}
+
 /// Offers `arrivals` on schedule to `factory`-built nodes, waits until
 /// every request is resolved and every granted call has ended, and
 /// returns the final counters.
-fn run<N, F>(factory: F, mut arrivals: Vec<Arrival>) -> ServeStats
+fn run_on<N, F>(
+    topo: Arc<Topology>,
+    cfg: ProductionConfig,
+    factory: F,
+    mut arrivals: Vec<Arrival>,
+) -> ServeStats
 where
     N: StateMachine + Send + 'static,
     N::Msg: Send + 'static,
     F: FnMut(CellId, &Topology) -> N,
 {
     arrivals.sort_by_key(|a| a.0);
-    let cfg = ProductionConfig {
-        ns_per_tick: NS_PER_TICK,
-        ..Default::default()
-    };
-    let mut svc = ProductionAllocService::new(topo(), cfg, factory);
+    let ns_per_tick = cfg.ns_per_tick;
+    let mut svc = ProductionAllocService::new(topo, cfg, factory);
     let epoch = Instant::now();
     for (at, cell, hold) in arrivals {
-        let due = epoch + Duration::from_nanos(at * NS_PER_TICK);
+        let due = epoch + Duration::from_nanos(at * ns_per_tick);
         std::thread::sleep(due.saturating_duration_since(Instant::now()));
         svc.request_channel(ChannelRequest::new_call(at, cell, hold))
             .expect("request accepted");
@@ -307,17 +325,25 @@ impl StateMachine for Stamper {
     }
 }
 
-/// Links are FIFO whatever the quantum: a cell's activations hop from
-/// worker to worker, and each must have handed its sends over before
-/// the next one can. (Flushing after the `scheduled` flag is cleared
-/// fails this test.)
+/// Links are FIFO whatever the quantum and however the cells are
+/// banded: a cell's activations interleave with its neighbours' on
+/// other workers, and each must have handed its sends over before the
+/// cell's next one can. Four workers is the pool this test has always
+/// run; one worker has no neighbour band at all, and three do not
+/// divide the 25 cells, so the bands are uneven.
 #[test]
 fn links_are_fifo_across_activations_and_workers() {
+    for workers in [4, 1, 3] {
+        links_are_fifo(workers);
+    }
+}
+
+fn links_are_fifo(workers: usize) {
     const CALLS_PER_CELL: u64 = 10;
     for quantum in [1, 3, 64] {
         let probe = Arc::new(LinkProbe::default());
         let cfg = ProductionConfig {
-            workers: 4,
+            workers,
             quantum,
             // The probe is about order, not backpressure.
             mailbox_capacity: 1 << 20,
@@ -352,8 +378,9 @@ fn links_are_fifo_across_activations_and_workers() {
             std::thread::sleep(Duration::from_millis(1));
         };
         let first = probe.out_of_order.lock().unwrap().take();
-        assert_eq!(first, None, "quantum {quantum}: a link reordered");
-        assert!(sent >= 100_000, "quantum {quantum}: only {sent} messages");
+        let run = format!("{workers} workers, quantum {quantum}");
+        assert_eq!(first, None, "{run}: a link reordered");
+        assert!(sent >= 100_000, "{run}: only {sent} messages");
         let stats = svc.stats();
         assert_eq!(stats.messages, sent);
         assert_eq!(stats.rejected, 25 * CALLS_PER_CELL);
@@ -385,13 +412,23 @@ impl StateMachine for Refuser {
 /// that the look misses and that does not reschedule the task either
 /// would strand its event — and, being among the last of its round,
 /// nothing would come to the rescue: `quiesce` would hit the watchdog.
+///
+/// Two workers is the pool this test has always run; with one the
+/// pushers race the only worker there is, with three the bands are
+/// uneven.
 #[test]
 fn no_wakeup_is_lost_between_pushers_and_a_draining_worker() {
+    for workers in [2, 1, 3] {
+        no_wakeup_is_lost(workers);
+    }
+}
+
+fn no_wakeup_is_lost(workers: usize) {
     const ROUNDS: usize = 400;
     const PUSHERS: usize = 3;
     const PER_ROUND: usize = 6;
     let cfg = ProductionConfig {
-        workers: 2,
+        workers,
         quantum: 1,
         ..Default::default()
     };
@@ -417,13 +454,17 @@ fn no_wakeup_is_lost_between_pushers_and_a_draining_worker() {
         barrier.wait();
         assert!(
             svc.quiesce(Duration::from_secs(10)),
-            "round {round}: an event was stranded in the mailbox"
+            "{workers} workers, round {round}: an event was stranded in the mailbox"
         );
         let mut confirms = 0;
         while svc.confirm().is_some() {
             confirms += 1;
         }
-        assert_eq!(confirms, PUSHERS * PER_ROUND, "round {round}");
+        assert_eq!(
+            confirms,
+            PUSHERS * PER_ROUND,
+            "{workers} workers, round {round}"
+        );
     }
     for p in pushers {
         p.join().unwrap();
@@ -516,4 +557,90 @@ fn granted_is_published_before_released() {
     assert_clean(&stats);
     assert_eq!(stats.granted, taken.granted as u64);
     assert_eq!(stats.completed, released as u64);
+}
+
+fn six_by_six() -> Arc<Topology> {
+    Arc::new(Topology::builder(6, 6).channels(70).build())
+}
+
+/// There is no stealing, so a band loaded alone is served by its own
+/// worker — and served to the end: 14 calls a cell against 10 primaries
+/// on the 18 cells of band 0 (rows 0–2 of the 6×6 under two workers),
+/// none on band 1, whose worker only answers what the borrowers ask
+/// across the band edge. Every request gets exactly one confirm.
+#[test]
+fn a_hot_band_completes_on_its_own_worker() {
+    const CALLS_PER_CELL: u64 = 14;
+    let cfg = ProductionConfig {
+        workers: 2,
+        ns_per_tick: NS_PER_TICK,
+        ..Default::default()
+    };
+    let ac = AdaptiveConfig::default();
+    let mut svc = ProductionAllocService::new(six_by_six(), cfg, move |c, topo: &Topology| {
+        AdaptiveNode::new(c, topo, ac.clone())
+    });
+    let mut open = HashSet::new();
+    for k in 0..CALLS_PER_CELL {
+        for c in 0..18u32 {
+            let t = svc
+                .request_channel(ChannelRequest::new_call(k, CellId(c), 40_000))
+                .expect("request accepted");
+            assert!(open.insert(t.0));
+        }
+    }
+    assert!(svc.quiesce(DEADLINE), "requests pending at deadline");
+    let mut granted = 0;
+    while let Some(c) = svc.confirm() {
+        assert!(open.remove(&c.ticket().0), "{} confirmed twice", c.ticket());
+        granted += u64::from(c.is_granted());
+    }
+    assert!(open.is_empty(), "unconfirmed at quiescence: {open:?}");
+    let stats = svc.stats();
+    assert_clean(&stats);
+    assert_eq!(stats.offered, 18 * CALLS_PER_CELL);
+    assert_eq!(stats.granted, granted);
+    // More than the primaries alone could carry: cells did borrow.
+    assert!(granted > 18 * 10, "granted {granted}");
+}
+
+/// A worker never waits on a mailbox only it can drain. With one
+/// worker every mailbox is its own, and with room for two events a
+/// borrowing load overfills them all the time; each such push goes in
+/// over capacity at once. Waiting `stall_patience` for room that only
+/// the waiter could make (as every one of them used to) would take the
+/// run `stalls × stall_patience`.
+#[test]
+fn a_lone_worker_does_not_wait_on_its_own_mailboxes() {
+    let cfg = ProductionConfig {
+        workers: 1,
+        ns_per_tick: NS_PER_TICK,
+        mailbox_capacity: 2,
+        ..Default::default()
+    };
+    let patience = cfg.stall_patience;
+    let arrivals = (0..36u32)
+        .flat_map(|c| (0..14).map(move |k| (k, CellId(c), 40_000)))
+        .collect();
+    let ac = AdaptiveConfig::default();
+    let began = Instant::now();
+    let stats = run_on(
+        six_by_six(),
+        cfg,
+        move |c, topo| AdaptiveNode::new(c, topo, ac.clone()),
+        arrivals,
+    );
+    let took = began.elapsed();
+    assert_clean(&stats);
+    assert_eq!(stats.granted + stats.rejected, 36 * 14);
+    assert_eq!(stats.completed, stats.granted);
+    let stalls = stats.backpressure_stalls;
+    assert!(
+        stalls >= 500,
+        "the load did not fill the mailboxes: {stalls}"
+    );
+    assert!(
+        took < patience * stalls as u32 / 10,
+        "{took:?} for {stalls} full-mailbox pushes of patience {patience:?}"
+    );
 }

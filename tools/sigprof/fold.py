@@ -15,6 +15,7 @@ import argparse
 import collections
 import os
 import subprocess
+import sys
 
 
 def load(path):
@@ -60,9 +61,13 @@ def main():
     ap.add_argument("--callers")
     args = ap.parse_args()
     samples, maps = load(args.dump)
-    exe = args.exe or next(m[3] for m in maps if m[3].startswith("/"))
+    # /proc/self/maps names files by absolute, resolved path.
+    exe = os.path.realpath(args.exe) if args.exe else next(m[3] for m in maps if m[3].startswith("/"))
+    bases = [lo - off for lo, hi, off, name in maps if name == exe]
+    if not bases:
+        sys.exit("%s holds no mapping of %s: is --exe the binary that was profiled?" % (args.dump, exe))
     # A PIE is mapped at a random base: file offset 0 of the executable.
-    base = min(lo - off for lo, hi, off, name in maps if name == exe)
+    base = min(bases)
 
     def locate(pc):
         for lo, hi, _, name in maps:

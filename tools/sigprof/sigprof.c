@@ -3,6 +3,10 @@
  * buffer, and at exit the samples plus /proc/self/maps to SIGPROF_OUT
  * (default sigprof.out). fold.py turns that into tables.
  *
+ * ITIMER_PROF signals coalesce while one is pending, so a multi-threaded run
+ * dumps about half the expected samples (6 001 where 500 Hz x 24 CPU-s
+ * predicts 12 000): the tables are shares, not totals.
+ *
  *   gcc -O2 -shared -fPIC -o sigprof.so sigprof.c
  *   LD_PRELOAD=$PWD/sigprof.so SIGPROF_OUT=run.prof ./program args
  */
