@@ -7,39 +7,52 @@
 //! contiguous id ranges, which row-major `CellId`s make bands of grid
 //! rows, so most of a cell's interference region (the only cells it
 //! ever sends to) lives on the same worker. A worker owns its band's
-//! protocol nodes by value and has a run queue of its own; whichever
-//! thread makes a cell ready (a worker, the timer wheel, an admitting
-//! caller) pushes it to its home's queue, and worker `w` pops only
-//! queue `w`. So a cell never runs on two workers at once by
-//! construction — there is no lock around a node — and a `scheduled`
-//! flag per task keeps a cell from being on its queue twice. There is
-//! no stealing: a hot spot confined to one band is served by one
-//! worker (DESIGN §6 has the price).
+//! protocol nodes by value and runs all of their activations, one after
+//! the other — there is no lock around a node. There is no stealing: a
+//! hot spot confined to one band is served by one worker (DESIGN §6 has
+//! the price).
 //!
-//! Events flow through bounded mailboxes (`mailbox::Mailbox`); a full
-//! mailbox blocks the
-//! sender (real backpressure, surfaced all the way to
+//! A cell has **two inboxes**. What its own worker sends it (from a
+//! neighbour in the same band) goes into its *local inbox*, a plain
+//! queue that only that worker touches: no lock, no atomic. What any
+//! other thread hands it — a send across the band edge, an admitted
+//! request, a wheel delivery (protocol timer or call end) — goes into
+//! its bounded *mailbox* (`mailbox::Mailbox`), and the pusher puts the
+//! cell on its home worker's run queue unless the cell's `scheduled`
+//! flag says it is there or held by the worker already. A full mailbox
+//! blocks the sender (real backpressure, surfaced all the way to
 //! [`AllocService::request_channel`]) until a stall deadline forces the
 //! event through, keeping the pool deadlock-free under any protocol
-//! messaging pattern. A worker sending into its own band does not
-//! wait: nobody but itself could drain that mailbox, so the run goes in
-//! over capacity at once (and is counted as forced). Protocol timers
-//! and call-hold expirations share one [`TimerWheel`].
+//! messaging pattern. Protocol timers and call-hold expirations share
+//! one [`TimerWheel`].
 //!
-//! The unit of every hand-over to another thread is the **activation**
-//! — the home worker's drain of up to `quantum` events of one cell. It
-//! reads the clock once; what its transitions emit collects in the
-//! worker's own `Outbox` and leaves in one flush: the sends as one run
-//! a destination (one mailbox lock, one capacity check, one
-//! `schedule`), the confirms and indications under one `answers` lock
-//! with at most one wake, the counters in one add each. Nothing waits
-//! for a batch to fill: an activation of one event hands over when
-//! that event is done. Two ordering rules hold because a cell's
-//! activations all run on its home worker, one after the other, and
-//! each flushes before it returns (and before it clears `scheduled`):
-//! links stay FIFO (the schemes assume it), and a ticket's `Granted`
-//! is published before the activation that produces its `Released`
-//! begins.
+//! A worker serves **one ready list**, a FIFO of its cells that are due
+//! an activation, each on it at most once. A local send appends its
+//! destination. Once a round (the cells that were on the list at the
+//! last refill) the worker takes everything its run queue holds under
+//! one lock and appends that too, so local and remote readiness
+//! interleave and neither waits more than a round behind the other. The
+//! worker parks on its run queue only when the ready list is empty.
+//!
+//! The unit of every hand-over to another thread is the **activation**:
+//! one cell's turn, which takes up to `quantum` events from its mailbox
+//! and its whole local inbox. It reads the clock once; what its
+//! transitions emit for another thread collects in the worker's own
+//! `Outbox` and leaves in one flush: the sends as one run a destination
+//! (one mailbox lock, one capacity check, one `schedule`), the confirms
+//! and indications under one `answers` lock with at most one wake, the
+//! counters in one add each. Nothing waits for a batch to fill: an
+//! activation of one event hands over when that event is done.
+//!
+//! Two ordering rules hold. *Links stay FIFO* (the schemes assume it)
+//! because a link takes one path for the service's whole lifetime,
+//! start-up included: the local inbox within a band, the mailbox across
+//! the band edge. Each path is a FIFO with one consumer, so no argument
+//! about the order between the two paths is needed. *A ticket's
+//! `Granted` is published before the activation that produces its
+//! `Released` begins*, because both come from the ticket's cell, whose
+//! activations run one after the other on one thread, and each flushes
+//! before it returns.
 //!
 //! Grants are audited: the Theorem-1 check and the ground-truth commit
 //! happen atomically under the granted channel's lock
@@ -78,20 +91,23 @@ pub struct ProductionConfig {
     /// count, so no worker is left without a cell.
     pub workers: usize,
     /// Wall-clock nanoseconds per virtual tick — scales protocol timer
-    /// delays, call holds, and reported latencies.
+    /// delays, call holds, and reported latencies. Clamped to at least
+    /// 1.
     pub ns_per_tick: u64,
-    /// Bounded capacity of each cell's mailbox. Checked once a push,
-    /// and an activation pushes what it sends to one cell as one run,
-    /// so a mailbox holds fewer than this many events plus one run (a
-    /// run is at most `quantum` × the scheme's sends to one neighbour
-    /// per input).
+    /// Bounded capacity of each cell's mailbox (clamped to at least 1).
+    /// Checked once a push, and an activation pushes what it sends to
+    /// one cell as one run, so a mailbox holds fewer than this many
+    /// events plus one run (a run is what one activation's inputs make
+    /// the scheme send one neighbour). Sends within a band do not go
+    /// through a mailbox.
     pub mailbox_capacity: usize,
     /// How long a sender stalls on a full mailbox before forcing its
     /// events through (the deadlock-freedom escape valve; forced pushes
     /// are counted in [`ServeStats::backpressure_forced`]).
     pub stall_patience: Duration,
-    /// Maximum events one task activation drains before yielding the
-    /// worker.
+    /// Maximum mailbox events one activation takes before yielding the
+    /// worker (its local inbox it takes whole). Clamped to at least 1,
+    /// so an activation of a non-empty mailbox always takes an event.
     pub quantum: usize,
 }
 
@@ -155,13 +171,14 @@ struct TicketRec {
     state: TicketState,
 }
 
-/// The shared half of a cell's task; its protocol node lives on the
-/// cell's home worker.
+/// The shared half of a cell's task; its protocol node and local inbox
+/// live on the cell's home worker.
 struct Task<M> {
     mailbox: Mailbox<TaskEvent<M>>,
-    /// True while the task is queued or running; cleared after an
+    /// True while the cell is on its home's run queue or held by its
+    /// home worker (`Local::held`); cleared after the holding
     /// activation has flushed, then re-checked against the mailbox so
-    /// no wakeup is ever lost and no task is on its queue twice.
+    /// no wakeup is ever lost and no cell is on its queue twice.
     /// `SeqCst`, for the reason given at `Mailbox::len`.
     scheduled: AtomicBool,
     /// The worker that owns the cell's node and runs its activations.
@@ -179,7 +196,8 @@ fn band(w: usize, workers: usize, cells: usize) -> Range<usize> {
     (w * cells).div_ceil(workers)..((w + 1) * cells).div_ceil(workers)
 }
 
-/// One worker's FIFO of ready cells: any thread pushes, the owner pops.
+/// One worker's FIFO of cells made ready by other threads: any thread
+/// pushes, the owner takes everything at once.
 #[derive(Default)]
 struct RunQueue {
     state: Mutex<RunQueueState>,
@@ -207,19 +225,22 @@ impl RunQueue {
         }
     }
 
-    fn pop(&self) -> Option<usize> {
+    /// Swaps everything queued into `into`, which must be empty, after
+    /// parking until there is something if `wait`. False once the
+    /// queue is closed: the owner stops.
+    fn take(&self, into: &mut VecDeque<usize>, wait: bool) -> bool {
+        debug_assert!(into.is_empty(), "take swaps into an empty buffer");
         let mut st = self.state.lock().expect("runq poisoned");
-        loop {
-            if let Some(t) = st.ready.pop_front() {
-                return Some(t);
-            }
-            if st.closed {
-                return None;
-            }
+        while wait && st.ready.is_empty() && !st.closed {
             st.parked = true;
             st = self.cv.wait(st).expect("runq poisoned");
             st.parked = false;
         }
+        if st.closed {
+            return false;
+        }
+        std::mem::swap(&mut st.ready, into);
+        true
     }
 
     fn close(&self) {
@@ -275,16 +296,47 @@ struct Inner<P: StateMachine> {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// What one activation hands to other threads, collected on the worker
-/// that runs it and delivered by [`Inner::flush`] — plus the buffer the
-/// worker lends to every transition it runs.
+/// What a worker thread owns: its band's protocol nodes, the buffers
+/// its activations reuse, and its outbox.
+struct Worker<P: StateMachine> {
+    /// `nodes[t - out.own.start]` is cell `t`'s.
+    nodes: Vec<P>,
+    /// What the last run-queue take brought, on its way to `out.ready`.
+    taken: VecDeque<usize>,
+    batch: VecDeque<TaskEvent<P::Msg>>,
+    out: Outbox<P::Msg>,
+}
+
+/// One cell of a band, as its home worker keeps it.
+struct Local<M> {
+    /// What the band's own cells sent this one, in send order.
+    inbox: VecDeque<TaskEvent<M>>,
+    /// On the worker's ready list (so not appended again).
+    queued: bool,
+    /// The worker holds the task's `scheduled` flag: the cell came off
+    /// the run queue, or its last activation re-scheduled it. Its next
+    /// activation clears the flag and re-checks the mailbox.
+    held: bool,
+}
+
+/// Where a worker's activations put what they emit: sends within the
+/// band straight into the destination's local inbox, everything bound
+/// for another thread collected until [`Inner::flush`] — plus the
+/// buffer the worker lends to every transition it runs.
 struct Outbox<M> {
-    /// The cells only this thread can drain: the worker's band (all of
-    /// them during start-up, when no worker exists yet). A push into
-    /// one of them never waits for room.
+    /// The worker's band; `local[t - own.start]` is cell `t`.
     own: Range<usize>,
+    local: Vec<Local<M>>,
+    /// The band's cells due an activation, in the order they became
+    /// due.
+    ready: VecDeque<usize>,
+    /// Local sends since the last flush, which counts them.
+    sent_local: usize,
+    /// How long a push into another band's full mailbox waits for
+    /// room: zero during start-up, when no worker runs yet to make any.
+    patience: Duration,
     actions: Vec<Action<M>>,
-    /// The sends, one run a destination.
+    /// The sends to other bands, one run a destination.
     runs: Vec<Run<M>>,
     /// Each destination cell's index in `runs`, or `NO_RUN`.
     run_of: Vec<u32>,
@@ -305,7 +357,18 @@ const NO_RUN: u32 = u32::MAX;
 impl<M> Outbox<M> {
     fn new(cells: usize, own: Range<usize>) -> Self {
         Outbox {
+            local: own
+                .clone()
+                .map(|_| Local {
+                    inbox: VecDeque::new(),
+                    queued: false,
+                    held: false,
+                })
+                .collect(),
             own,
+            ready: VecDeque::new(),
+            sent_local: 0,
+            patience: Duration::ZERO,
             actions: Vec::new(),
             runs: Vec::new(),
             run_of: vec![NO_RUN; cells],
@@ -315,7 +378,29 @@ impl<M> Outbox<M> {
         }
     }
 
+    /// Puts band cell `t` on the ready list unless it is on it already.
+    fn make_ready(&mut self, t: usize) {
+        let cell = &mut self.local[t - self.own.start];
+        if !cell.queued {
+            cell.queued = true;
+            self.ready.push_back(t);
+        }
+    }
+
+    /// Takes over band cell `t`'s `scheduled` flag, which the caller
+    /// has seen set for it, and makes the cell ready.
+    fn hold(&mut self, t: usize) {
+        self.local[t - self.own.start].held = true;
+        self.make_ready(t);
+    }
+
     fn send(&mut self, to: usize, ev: TaskEvent<M>) {
+        if self.own.contains(&to) {
+            self.local[to - self.own.start].inbox.push_back(ev);
+            self.sent_local += 1;
+            self.make_ready(to);
+            return;
+        }
         if self.run_of[to] == NO_RUN {
             self.run_of[to] = self.runs.len() as u32;
             let events = self.spare.pop().unwrap_or_default();
@@ -335,7 +420,7 @@ where
     }
 
     fn elapsed_ticks(&self, since: Instant) -> u64 {
-        since.elapsed().as_nanos() as u64 / self.cfg.ns_per_tick.max(1)
+        since.elapsed().as_nanos() as u64 / self.cfg.ns_per_tick
     }
 
     /// Queues confirms and indications and wakes a parked handle, if
@@ -404,7 +489,9 @@ where
         };
         // Counted no later than published: `stats()` read after the
         // last confirm was taken agrees with what the handles took.
-        add(&c.messages, out.runs.iter().map(|r| r.events.len()).sum());
+        let sent_remote: usize = out.runs.iter().map(|r| r.events.len()).sum();
+        let sent = std::mem::take(&mut out.sent_local) + sent_remote;
+        add(&c.messages, sent);
         let resolved = out.confirms.len();
         if resolved + out.indications.len() > 0 {
             let granted = out.confirms.iter().filter(|c| c.is_granted()).count();
@@ -419,65 +506,88 @@ where
             // every confirm can be taken.
             c.pending.fetch_sub(resolved as u64, Ordering::Release);
         }
-        // One run a destination, under one mailbox lock. A full mailbox
-        // of the sender's own band is not waited on: only this thread
-        // could make room in it.
+        // One run a destination in another band, under one mailbox lock.
         for mut run in out.runs.drain(..) {
             out.run_of[run.to] = NO_RUN;
-            let patience = if out.own.contains(&run.to) {
-                Duration::ZERO
-            } else {
-                self.cfg.stall_patience
-            };
             let push = self.tasks[run.to]
                 .mailbox
-                .push_run(run.events.drain(..), patience);
+                .push_run(run.events.drain(..), out.patience);
             self.pushed(run.to, push);
             out.spare.push(run.events);
         }
     }
 
-    /// One task activation, on the cell's home worker: drain up to a
-    /// quantum of events into the node, flush what that emitted, then
-    /// clear `scheduled` and re-check.
-    fn run_task(
-        &self,
-        t: usize,
-        node: &mut P,
-        batch: &mut VecDeque<TaskEvent<P::Msg>>,
-        out: &mut Outbox<P::Msg>,
-    ) {
+    /// A worker's loop: activations in ready-list order, with what the
+    /// run queue holds appended once a round. Returns once the queue
+    /// is closed.
+    fn work(&self, w: usize, mut me: Worker<P>) {
+        let mut round = 0;
+        loop {
+            if round == 0 {
+                // Parks only when no cell of the band is ready.
+                if !self.runqs[w].take(&mut me.taken, me.out.ready.is_empty()) {
+                    return;
+                }
+                for t in me.taken.drain(..) {
+                    me.out.hold(t);
+                }
+                round = me.out.ready.len();
+            }
+            round -= 1;
+            let t = me
+                .out
+                .ready
+                .pop_front()
+                .expect("a round never outlasts the list");
+            self.run_task(t, &mut me);
+        }
+    }
+
+    /// One activation of band cell `t`: up to a quantum of its mailbox
+    /// and all of its local inbox into the node, then a flush of what
+    /// that emitted; then, if the worker holds `scheduled`, clear it
+    /// and re-check the mailbox.
+    fn run_task(&self, t: usize, me: &mut Worker<P>) {
         let task = &self.tasks[t];
-        task.mailbox.drain(batch, self.cfg.quantum);
-        if !batch.is_empty() {
-            let me = CellId(t as u32);
+        let i = t - me.out.own.start;
+        let local = &mut me.out.local[i];
+        local.queued = false;
+        let held = std::mem::take(&mut local.held);
+        if !task.mailbox.is_empty() {
+            task.mailbox.drain(&mut me.batch, self.cfg.quantum);
+        }
+        me.batch.append(&mut me.out.local[i].inbox);
+        if !me.batch.is_empty() {
+            let (cell, node) = (CellId(t as u32), &mut me.nodes[i]);
             // One clock read for the activation: events drained together
             // were already waiting together.
             let now = SimTime(self.elapsed_ticks(self.epoch));
-            for ev in batch.drain(..) {
+            for ev in me.batch.drain(..) {
                 let input = match ev {
                     TaskEvent::Acquire { ticket, kind } => Input::Acquire {
                         req: RequestId(ticket),
                         kind,
                     },
                     TaskEvent::End { ticket } => {
-                        self.end_call(ticket, me, now, node, out);
+                        self.end_call(ticket, cell, now, node, &mut me.out);
                         continue;
                     }
                     TaskEvent::Relinquish { ch } => Input::Release { ch },
                     TaskEvent::Msg { from, msg } => Input::Message { from, msg },
                     TaskEvent::Timer { tag } => Input::Timer { tag },
                 };
-                self.step(me, now, node, input, out);
+                self.step(cell, now, node, input, &mut me.out);
             }
             // Before this worker takes up the cell again: its next
-            // activation flushes after this one, so no link reorders
-            // and no ticket's `Released` overtakes its `Granted`.
-            self.flush(out);
+            // activation begins after this flush, so no ticket's
+            // `Released` overtakes its `Granted`.
+            self.flush(&mut me.out);
         }
-        task.scheduled.store(false, Ordering::SeqCst);
-        if !task.mailbox.is_empty() {
-            self.schedule(t);
+        if held {
+            task.scheduled.store(false, Ordering::SeqCst);
+            if !task.mailbox.is_empty() && !task.scheduled.swap(true, Ordering::SeqCst) {
+                me.out.hold(t);
+            }
         }
     }
 
@@ -496,7 +606,7 @@ where
 
     /// Feeds `input` to `me`'s node (the caller owns it) at
     /// time `now`, then applies the actions it emitted, in emission
-    /// order; what is bound for another thread goes to `out`.
+    /// order; what is bound for another cell or thread goes to `out`.
     fn step(
         &self,
         me: CellId,
@@ -651,8 +761,8 @@ where
     P::Msg: Send + 'static,
 {
     /// Starts the executor: builds one `factory`-made node per cell,
-    /// feeds every node [`Input::Start`] (before any request can be
-    /// observed), arms the shared timer wheel, and spawns the worker
+    /// arms the shared timer wheel, feeds every node [`Input::Start`]
+    /// (before any request can be observed), and spawns the worker
     /// pool, moving each band's nodes into its worker.
     pub fn new<F>(topo: Arc<Topology>, cfg: ProductionConfig, mut factory: F) -> Self
     where
@@ -660,6 +770,11 @@ where
     {
         let n = topo.num_cells();
         let workers = cfg.workers.min(n).max(1);
+        let cfg = ProductionConfig {
+            ns_per_tick: cfg.ns_per_tick.max(1),
+            quantum: cfg.quantum.max(1),
+            ..cfg
+        };
         let tasks = (0..n)
             .map(|t| Task {
                 mailbox: Mailbox::new(cfg.mailbox_capacity),
@@ -669,11 +784,18 @@ where
             .collect();
         // Built a band at a time, in id order, so that a band's nodes
         // are laid out together and move into their worker as they are.
-        let mut bands: Vec<Vec<P>> = (0..workers)
+        let mut bands: Vec<Worker<P>> = (0..workers)
             .map(|w| {
-                band(w, workers, n)
-                    .map(|t| factory(CellId(t as u32), &topo))
-                    .collect()
+                let own = band(w, workers, n);
+                Worker {
+                    nodes: own
+                        .clone()
+                        .map(|t| factory(CellId(t as u32), &topo))
+                        .collect(),
+                    taken: VecDeque::new(),
+                    batch: VecDeque::new(),
+                    out: Outbox::new(n, own),
+                }
             })
             .collect();
         let inner = Arc::new(Inner {
@@ -706,26 +828,24 @@ where
             }
         });
         let _ = inner.wheel.set(wheel);
-        // Start before the workers exist: startup sends enqueue, and no
-        // node can observe a message before its own start ran.
-        let mut out = Outbox::new(n, 0..n);
-        for (t, node) in bands.iter_mut().flatten().enumerate() {
-            let now = SimTime(inner.elapsed_ticks(inner.epoch));
-            inner.step(CellId(t as u32), now, node, Input::Start, &mut out);
-            inner.flush(&mut out);
+        // Start before the workers exist, so no node can observe a
+        // message before its own start ran; band by band, each through
+        // its worker's outbox, so a start-up send takes the path its
+        // link always takes.
+        for me in &mut bands {
+            for (node, t) in me.nodes.iter_mut().zip(me.out.own.clone()) {
+                let now = SimTime(inner.elapsed_ticks(inner.epoch));
+                inner.step(CellId(t as u32), now, node, Input::Start, &mut me.out);
+                inner.flush(&mut me.out);
+            }
+            me.out.patience = inner.cfg.stall_patience;
         }
         let handles: Vec<JoinHandle<()>> = bands
             .into_iter()
             .enumerate()
-            .map(|(w, mut nodes)| {
-                let own = band(w, workers, n);
+            .map(|(w, me)| {
                 let inner = inner.clone();
-                std::thread::spawn(move || {
-                    let (mut batch, mut out) = (VecDeque::new(), Outbox::new(n, own.clone()));
-                    while let Some(t) = inner.runqs[w].pop() {
-                        inner.run_task(t, &mut nodes[t - own.start], &mut batch, &mut out);
-                    }
-                })
+                std::thread::spawn(move || inner.work(w, me))
             })
             .collect();
         *inner.workers.lock().expect("workers poisoned") = handles;
@@ -1018,6 +1138,29 @@ mod tests {
         // Every queue is closed and every worker joined.
         svc.shutdown();
         assert!(svc.inner.workers.lock().unwrap().is_empty());
+    }
+
+    /// A zero quantum is taken as 1: draining nothing from a non-empty
+    /// mailbox would reschedule the cell forever. A zero tick is taken
+    /// as 1 ns, so holds and timers are as long as the latencies say.
+    #[test]
+    fn a_zero_quantum_or_tick_is_clamped_to_one() {
+        let topo = Arc::new(Topology::builder(2, 2).channels(7).build());
+        let cfg = ProductionConfig {
+            workers: 1,
+            quantum: 0,
+            ns_per_tick: 0,
+            ..Default::default()
+        };
+        let mut svc = ProductionAllocService::new(topo, cfg, FixedNode::new);
+        assert_eq!((svc.inner.cfg.quantum, svc.inner.cfg.ns_per_tick), (1, 1));
+        for c in [0, 1, 2, 3, 0] {
+            svc.request_channel(ChannelRequest::new_call(0, CellId(c), 0))
+                .expect("request accepted");
+        }
+        assert!(svc.quiesce(Duration::from_secs(2)));
+        let stats = svc.stats();
+        assert_eq!(stats.granted + stats.rejected, 5);
     }
 
     /// Exhaustive over every grid size and pool size in range: the

@@ -3,11 +3,12 @@
 //! ground truth (Theorem 1), every request resolved (liveness), every
 //! granted call completed (conservation) — with and without message
 //! loss. Then the executor's own hand-over rules, with probe machines
-//! in place of a scheme: links are FIFO, no wake-up is lost, `quiesce`
-//! means the confirms can be taken, and a call's `Granted` is never
-//! behind its `Released` — on one worker, on even bands and on uneven
-//! ones. Last, what band ownership itself promises: a band loaded
-//! alone completes, and a worker does not wait on its own mailboxes.
+//! in place of a scheme: links are FIFO (start-up sends included), no
+//! wake-up is lost, `quiesce` means the confirms can be taken, and a
+//! call's `Granted` is never behind its `Released` — on one worker, on
+//! even bands and on uneven ones. Last, what band ownership itself
+//! promises: a band loaded alone completes, and a lone worker's
+//! protocol traffic never touches a mailbox.
 
 use adca_baselines::{
     BasicSearchConfig, BasicSearchNode, BasicUpdateConfig, BasicUpdateNode, FixedNode,
@@ -387,6 +388,99 @@ fn links_are_fifo(workers: usize) {
     }
 }
 
+/// A [`Stamper`] that also starts `FANOUT` chains towards every
+/// neighbour from `Input::Start`, before any worker runs.
+struct EagerStamper(Stamper);
+
+impl StateMachine for EagerStamper {
+    type Msg = Stamped;
+
+    fn msg_kind(msg: &Stamped) -> &'static str {
+        Stamper::msg_kind(msg)
+    }
+
+    fn start(&mut self, fx: &mut Effects<Stamped>) {
+        for k in 0..self.0.region.len() {
+            for _ in 0..FANOUT {
+                self.0.post(self.0.region[k], TTL, fx);
+            }
+        }
+    }
+
+    fn acquire(&mut self, req: RequestId, kind: RequestKind, fx: &mut Effects<Stamped>) {
+        self.0.acquire(req, kind, fx);
+    }
+
+    fn release(&mut self, ch: Channel, fx: &mut Effects<Stamped>) {
+        self.0.release(ch, fx);
+    }
+
+    fn message(&mut self, from: CellId, msg: Stamped, fx: &mut Effects<Stamped>) {
+        self.0.message(from, msg, fx);
+    }
+}
+
+/// A link takes one path for the service's whole lifetime, start-up
+/// included: the chains every cell starts from `Input::Start` share
+/// their links with the chains its requests start later. A start-up
+/// send that went the other way than its link's later sends (mailbox
+/// against local inbox) would be overtaken by them as soon as an
+/// activation takes fewer mailbox events than are waiting. One worker
+/// has every link inside its band; two and three (uneven bands) have
+/// links across a band edge too.
+#[test]
+fn start_up_sends_keep_their_links_fifo() {
+    const CALLS_PER_CELL: u64 = 2;
+    for workers in [1, 2, 3] {
+        for quantum in [1, 64] {
+            let probe = Arc::new(LinkProbe::default());
+            let cfg = ProductionConfig {
+                workers,
+                quantum,
+                mailbox_capacity: 1 << 20,
+                ..Default::default()
+            };
+            let factory = {
+                let probe = probe.clone();
+                move |c: CellId, topo: &Topology| {
+                    EagerStamper(Stamper {
+                        region: topo.region(c).to_vec(),
+                        next_out: vec![0; topo.num_cells()],
+                        last_in: vec![0; topo.num_cells()],
+                        turn: 0,
+                        probe: probe.clone(),
+                    })
+                }
+            };
+            let mut svc = ProductionAllocService::new(topo(), cfg, factory);
+            let at_start = probe.sent.load(Ordering::SeqCst);
+            for (_, cell, _) in burst(CALLS_PER_CELL, 0) {
+                svc.request_channel(ChannelRequest::new_call(0, cell, 0))
+                    .expect("request accepted");
+            }
+            assert!(svc.quiesce(DEADLINE), "requests pending at deadline");
+            let deadline = Instant::now() + DEADLINE;
+            let sent = loop {
+                let received = probe.received.load(Ordering::SeqCst);
+                let sent = probe.sent.load(Ordering::SeqCst);
+                if received == sent {
+                    break sent;
+                }
+                assert!(Instant::now() < deadline, "messages still in flight");
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            let first = probe.out_of_order.lock().unwrap().take();
+            let run = format!("{workers} workers, quantum {quantum}");
+            assert_eq!(first, None, "{run}: a link reordered");
+            // Every cell has neighbours, so each started chains.
+            assert!(at_start >= 25 * FANOUT as u64, "{run}: {at_start} at start");
+            let stats = svc.stats();
+            assert_eq!(stats.messages, sent, "{run}");
+            assert_eq!(stats.rejected, 25 * CALLS_PER_CELL, "{run}");
+        }
+    }
+}
+
 /// Rejects every request at once: the executor with no protocol in it.
 struct Refuser;
 
@@ -604,14 +698,16 @@ fn a_hot_band_completes_on_its_own_worker() {
     assert!(granted > 18 * 10, "granted {granted}");
 }
 
-/// A worker never waits on a mailbox only it can drain. With one
-/// worker every mailbox is its own, and with room for two events a
-/// borrowing load overfills them all the time; each such push goes in
-/// over capacity at once. Waiting `stall_patience` for room that only
-/// the waiter could make (as every one of them used to) would take the
-/// run `stalls × stall_patience`.
+/// A lone worker's protocol traffic never touches a mailbox. With one
+/// worker every cell is in its band, so every protocol send goes into a
+/// local inbox, and a borrowing load sends thousands of them. What
+/// still goes through the mailboxes (room for two events each) is what
+/// other threads hand over — the admissions and the call ends — so
+/// only those can find one full. None of them waits out its patience
+/// on a mailbox the worker keeps draining: the run takes well under a
+/// tenth of `stalls × stall_patience`.
 #[test]
-fn a_lone_worker_does_not_wait_on_its_own_mailboxes() {
+fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
     let cfg = ProductionConfig {
         workers: 1,
         ns_per_tick: NS_PER_TICK,
@@ -634,10 +730,21 @@ fn a_lone_worker_does_not_wait_on_its_own_mailboxes() {
     assert_clean(&stats);
     assert_eq!(stats.granted + stats.rejected, 36 * 14);
     assert_eq!(stats.completed, stats.granted);
+    assert!(
+        stats.messages >= 5_000,
+        "the load did not borrow: {} messages",
+        stats.messages
+    );
     let stalls = stats.backpressure_stalls;
     assert!(
-        stalls >= 500,
+        stalls >= 100,
         "the load did not fill the mailboxes: {stalls}"
+    );
+    assert!(
+        stalls <= stats.offered + stats.completed,
+        "{stalls} full-mailbox pushes from {} admissions and {} call ends",
+        stats.offered,
+        stats.completed
     );
     assert!(
         took < patience * stalls as u32 / 10,

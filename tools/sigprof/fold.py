@@ -10,6 +10,8 @@ inclusive (a function counts once a sample, wherever on the stack). With
 --callers, the repository frames directly above any frame matching SYMBOL.
 Frames outside the executable are named by their mapping: [libc.so.6],
 [vdso]. Build the executable with CARGO_PROFILE_RELEASE_DEBUG=line-tables-only.
+A dump names the size and mtime of the executable that ran; folding against
+a file that differs from it (a rebuild since the run) is refused.
 """
 import argparse
 import collections
@@ -19,7 +21,7 @@ import sys
 
 
 def load(path):
-    samples, maps, in_maps = [], [], False
+    samples, maps, in_maps, stamp = [], [], False, None
     for line in open(path):
         if in_maps:
             f = line.split()
@@ -27,12 +29,14 @@ def load(path):
             maps.append((lo, hi, int(f[2], 16), f[5] if len(f) > 5 else "[anon]"))
         elif line.startswith("MAPS"):
             in_maps = True
+        elif line.startswith("EXE"):
+            stamp = tuple(int(x) for x in line.split()[1:3])
         elif line.startswith("DROPPED"):
             if int(line.split()[1]):
                 print("warning:", line.strip().lower(), "samples (buffer full)")
         elif line.strip():
             samples.append([int(x, 16) for x in line.split()])
-    return samples, maps
+    return samples, maps, stamp
 
 
 def symbolize(exe, offsets):
@@ -60,12 +64,18 @@ def main():
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--callers")
     args = ap.parse_args()
-    samples, maps = load(args.dump)
+    samples, maps, stamp = load(args.dump)
     # /proc/self/maps names files by absolute, resolved path.
     exe = os.path.realpath(args.exe) if args.exe else next(m[3] for m in maps if m[3].startswith("/"))
     bases = [lo - off for lo, hi, off, name in maps if name == exe]
     if not bases:
         sys.exit("%s holds no mapping of %s: is --exe the binary that was profiled?" % (args.dump, exe))
+    if stamp is None:
+        sys.exit("%s names no executable (no EXE line), so record it again with this sigprof.so." % args.dump)
+    st = os.stat(exe)
+    if stamp != (st.st_size, st.st_mtime_ns):
+        sys.exit("%s differs in size or mtime from the executable that %s was recorded from,"
+                 " so it was rebuilt or replaced since and would be symbolized wrongly." % (exe, args.dump))
     # A PIE is mapped at a random base: file offset 0 of the executable.
     base = min(bases)
 

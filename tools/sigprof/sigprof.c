@@ -7,6 +7,9 @@
  * dumps about half the expected samples (6 001 where 500 Hz x 24 CPU-s
  * predicts 12 000): the tables are shares, not totals.
  *
+ * The dump also holds the size and mtime of the executable that ran, so that
+ * fold.py can refuse to symbolize against a binary rebuilt since.
+ *
  *   gcc -O2 -shared -fPIC -o sigprof.so sigprof.c
  *   LD_PRELOAD=$PWD/sigprof.so SIGPROF_OUT=run.prof ./program args
  */
@@ -16,6 +19,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 
 #define DEPTH 64
@@ -44,6 +48,7 @@ static void dump(void) {
     FILE *out, *maps;
     unsigned end = used < WORDS ? used : WORDS, at = 0;
     char line[4096];
+    struct stat exe;
     setitimer(ITIMER_PROF, &off, NULL);
     if (!(out = fopen(path ? path : "sigprof.out", "w"))) return;
     while (at < end && at + 1 + (unsigned long)buf[at] <= end) {
@@ -53,7 +58,12 @@ static void dump(void) {
         fputc('\n', out);
         at += n;
     }
-    fprintf(out, "DROPPED %lu\nMAPS\n", dropped);
+    fprintf(out, "DROPPED %lu\n", dropped);
+    /* the running image: a rebuild replaces the file at the path, not this inode */
+    if (stat("/proc/self/exe", &exe) == 0)
+        fprintf(out, "EXE %lld %lld\n", (long long)exe.st_size,
+                (long long)exe.st_mtim.tv_sec * 1000000000LL + exe.st_mtim.tv_nsec);
+    fputs("MAPS\n", out);
     if ((maps = fopen("/proc/self/maps", "r"))) {
         while (fgets(line, sizeof line, maps)) fputs(line, out);
         fclose(maps);
