@@ -86,6 +86,19 @@ mod tests {
         assert!(stats.violations.is_empty());
     }
 
+    /// A wait with no limit is a wait, not a panic on the deadline sum:
+    /// with an answer queued, both calls return at once.
+    #[test]
+    fn des_backend_waits_without_a_limit() {
+        let mut svc = DesAllocService::new(topo(), SimConfig::default(), FixedNode::new);
+        let t = svc
+            .request_channel(ChannelRequest::new_call(0, CellId(0), 100))
+            .unwrap();
+        assert!(svc.quiesce(Duration::MAX));
+        let c = svc.recv_confirm(Duration::MAX).expect("queued");
+        assert!(c.is_granted() && c.ticket() == t);
+    }
+
     #[test]
     fn production_backend_serves_fixed() {
         let topo = topo();

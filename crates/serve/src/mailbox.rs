@@ -1,8 +1,7 @@
-//! Bounded per-cell mailboxes — the backpressure surface of the
+//! Bounded worker mailboxes — the backpressure surface of the
 //! production executor.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -18,34 +17,34 @@ pub(crate) enum Push {
     Forced,
 }
 
-/// A bounded MPSC queue with *blocking* push. Senders exceeding the
-/// capacity wait (that is the backpressure a closed-loop client feels);
-/// a sender that has waited `patience` forces its events in anyway, so
-/// a cycle of full mailboxes can never deadlock the worker pool —
-/// overflow is counted, not fatal.
+/// A bounded MPSC queue with *blocking* push and one consumer, which
+/// takes everything at once and may park until there is something.
+/// Senders exceeding the capacity wait (that is the backpressure a
+/// closed-loop client feels); a sender that has waited `patience`
+/// forces its events in anyway, so a cycle of full mailboxes can never
+/// deadlock the worker pool — overflow is counted, not fatal.
 ///
-/// A push is one event ([`Mailbox::push`], [`Mailbox::push_front`]) or
-/// a run of them ([`Mailbox::push_run`]); capacity is checked once a
-/// push, so the queue holds at most `cap − 1` events plus one run.
+/// A push is one event ([`Mailbox::push`]) or a run of them
+/// ([`Mailbox::push_run`]); capacity is checked once a push, so the
+/// queue holds at most `cap − 1` events plus one run.
 pub(crate) struct Mailbox<T> {
     q: Mutex<Queue<T>>,
+    /// Signalled for a parked consumer by a push or by `close`.
+    filled: Condvar,
+    /// Signalled for stalled senders by a take or by `close`.
     not_full: Condvar,
     cap: usize,
-    /// `q.events.len()`, stored under the lock after every change, so
-    /// that [`Mailbox::is_empty`] need not take it. `SeqCst`, as is
-    /// the owning task's `scheduled` flag: the consumer stores
-    /// `scheduled = false` and then loads `len`, a sender stores `len`
-    /// and then swaps `scheduled`, and in one total order of the four
-    /// at least one of the two sees the other's store — so the task is
-    /// rescheduled. With `Release`/`Acquire` both may miss, and the
-    /// cell sleeps on a non-empty mailbox.
-    len: AtomicUsize,
 }
 
 struct Queue<T> {
     events: VecDeque<T>,
-    /// Senders blocked on `not_full`; a drain signals only for them.
+    /// Senders blocked on `not_full`; a take signals only for them.
     stalled: usize,
+    /// The consumer is waiting on `filled`. A busy consumer looks at
+    /// the queue again before it parks, so a push signals only when
+    /// this is set.
+    parked: bool,
+    closed: bool,
 }
 
 impl<T> Mailbox<T> {
@@ -54,24 +53,18 @@ impl<T> Mailbox<T> {
             q: Mutex::new(Queue {
                 events: VecDeque::new(),
                 stalled: 0,
+                parked: false,
+                closed: false,
             }),
+            filled: Condvar::new(),
             not_full: Condvar::new(),
             cap: cap.max(1),
-            len: AtomicUsize::new(0),
         }
     }
 
     /// Enqueues `v`, blocking up to `patience` while over capacity.
     pub(crate) fn push(&self, v: T, patience: Duration) -> Push {
         self.enqueue(patience, |q| q.push_back(v))
-    }
-
-    /// Priority variant of [`Mailbox::push`]: `v` goes to the *front*
-    /// of the queue (handoff acquires overtake queued new-call work),
-    /// but it obeys the same capacity, stall, and forcing rules —
-    /// priority jumps the line, it does not escape backpressure.
-    pub(crate) fn push_front(&self, v: T, patience: Duration) -> Push {
-        self.enqueue(patience, |q| q.push_front(v))
     }
 
     /// Enqueues all of `run`, in order and with nothing in between,
@@ -81,63 +74,82 @@ impl<T> Mailbox<T> {
         self.enqueue(patience, |q| q.extend(run))
     }
 
+    /// Inserts under the lock, then wakes the consumer if it is parked
+    /// — after the lock is released, so it does not block on it.
     fn enqueue(&self, patience: Duration, insert: impl FnOnce(&mut VecDeque<T>)) -> Push {
         let mut q = self.q.lock().expect("mailbox poisoned");
         let mut how = Push::Fit;
-        if q.events.len() >= self.cap {
+        if q.events.len() >= self.cap && !q.closed {
             (q, how) = self.await_room(q, patience);
         }
         insert(&mut q.events);
-        self.len.store(q.events.len(), Ordering::SeqCst);
+        let wake = q.parked;
+        drop(q);
+        if wake {
+            self.filled.notify_one();
+        }
         how
     }
 
-    /// Waits on a full queue until a drain opens room ([`Push::Stalled`])
-    /// or `patience` runs out ([`Push::Forced`]).
+    /// Waits on a full queue until a take or `close` opens room
+    /// ([`Push::Stalled`]) or `patience` runs out ([`Push::Forced`]); a
+    /// patience too long to reach an `Instant` has no limit (a wait of
+    /// `Duration::MAX` is one without a timeout).
     fn await_room<'a>(
         &self,
         mut q: MutexGuard<'a, Queue<T>>,
         patience: Duration,
     ) -> (MutexGuard<'a, Queue<T>>, Push) {
-        let deadline = Instant::now() + patience;
+        let deadline = Instant::now().checked_add(patience);
         loop {
-            let now = Instant::now();
-            if now >= deadline {
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
                 return (q, Push::Forced);
             }
             q.stalled += 1;
             q = self
                 .not_full
-                .wait_timeout(q, deadline - now)
+                .wait_timeout(q, left)
                 .expect("mailbox poisoned")
                 .0;
             q.stalled -= 1;
-            if q.events.len() < self.cap {
+            if q.events.len() < self.cap || q.closed {
                 return (q, Push::Stalled);
             }
         }
     }
 
-    /// Moves up to `max` events into `out`, which must be empty (a
-    /// queue of at most `max` trades buffers with it, and no event is
-    /// moved); wakes blocked senders when space opens up.
-    pub(crate) fn drain(&self, out: &mut VecDeque<T>, max: usize) {
-        debug_assert!(out.is_empty(), "drain swaps into an empty buffer");
+    /// Swaps everything queued into `into`, which must be empty, after
+    /// parking until there is something if `wait`, and wakes stalled
+    /// senders. False once the mailbox is closed: the consumer stops.
+    pub(crate) fn take(&self, into: &mut VecDeque<T>, wait: bool) -> bool {
+        debug_assert!(into.is_empty(), "take swaps into an empty buffer");
         let mut q = self.q.lock().expect("mailbox poisoned");
-        if q.events.len() <= max {
-            std::mem::swap(&mut q.events, out);
-        } else {
-            out.extend(q.events.drain(..max));
+        while wait && q.events.is_empty() && !q.closed {
+            q.parked = true;
+            q = self.filled.wait(q).expect("mailbox poisoned");
+            q.parked = false;
         }
-        self.len.store(q.events.len(), Ordering::SeqCst);
-        if q.stalled > 0 && q.events.len() < self.cap {
+        if q.closed {
+            return false;
+        }
+        std::mem::swap(&mut q.events, into);
+        let wake = q.stalled > 0;
+        drop(q);
+        if wake {
             self.not_full.notify_all();
         }
+        true
     }
 
-    /// Whether the queue was empty at its last change (no lock taken).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len.load(Ordering::SeqCst) == 0
+    /// Stops the consumer and every stalled sender; later pushes go in
+    /// without waiting and are never taken.
+    pub(crate) fn close(&self) {
+        self.q.lock().expect("mailbox poisoned").closed = true;
+        self.filled.notify_one();
+        self.not_full.notify_all();
     }
 }
 
@@ -146,20 +158,19 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Drains into a fresh buffer, checking the `len` mirror on the way.
-    fn drain<T>(mb: &Mailbox<T>, max: usize) -> Vec<T> {
+    /// Takes everything queued into a fresh buffer, without waiting.
+    fn take<T>(mb: &Mailbox<T>) -> Vec<T> {
         let mut out = VecDeque::new();
-        mb.drain(&mut out, max);
-        assert_mirror(mb);
+        assert!(mb.take(&mut out, false), "open");
         out.into()
     }
 
-    /// `len` is only stored under the lock, so holding it makes the
-    /// comparison exact even while another thread is pushing.
-    fn assert_mirror<T>(mb: &Mailbox<T>) {
-        let q = mb.q.lock().unwrap();
-        assert_eq!(mb.len.load(Ordering::SeqCst), q.events.len());
-        assert_eq!(mb.is_empty(), q.events.is_empty());
+    /// Spins until `pred` holds of the queue, as another thread's wait
+    /// makes it.
+    fn until<T>(mb: &Mailbox<T>, pred: impl Fn(&Queue<T>) -> bool) {
+        while !pred(&mb.q.lock().unwrap()) {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -169,24 +180,8 @@ mod tests {
         assert_eq!(mb.push(2, Duration::ZERO), Push::Fit);
         // Full, zero patience: forced straight in (never lost).
         assert_eq!(mb.push(3, Duration::ZERO), Push::Forced);
-        assert_mirror(&mb);
-        assert_eq!(drain(&mb, 10), vec![1, 2, 3]);
-        assert!(mb.is_empty());
-    }
-
-    #[test]
-    fn push_front_overtakes_queued_work_but_not_capacity() {
-        let mb = Mailbox::new(2);
-        assert_eq!(mb.push(1, Duration::ZERO), Push::Fit);
-        assert_eq!(mb.push_front(0, Duration::ZERO), Push::Fit);
-        assert_mirror(&mb);
-        // Full: priority still obeys the capacity rules.
-        assert_eq!(mb.push_front(9, Duration::ZERO), Push::Forced);
-        assert_mirror(&mb);
-        // ... and overtakes a whole run that was there first.
-        assert_eq!(mb.push_run(2..4, Duration::ZERO), Push::Forced);
-        assert_eq!(mb.push_front(8, Duration::ZERO), Push::Forced);
-        assert_eq!(drain(&mb, 10), vec![8, 9, 0, 1, 2, 3]);
+        assert_eq!(take(&mb), vec![1, 2, 3]);
+        assert_eq!(take(&mb), Vec::<i32>::new());
     }
 
     #[test]
@@ -196,52 +191,41 @@ mod tests {
         // once, and the overshoot is the run's length less one.
         assert_eq!(mb.push_run(0..3, Duration::ZERO), Push::Fit);
         assert_eq!(mb.push_run(3..8, Duration::ZERO), Push::Fit);
-        assert_mirror(&mb);
-        assert_eq!(mb.len.load(Ordering::SeqCst), 4 - 1 + 5);
         // Full: a run with no patience is forced, all of it.
         assert_eq!(mb.push_run(8..10, Duration::ZERO), Push::Forced);
-        assert_mirror(&mb);
-        // Full: a patient run waits, and goes in whole once a drain
-        // has brought the queue under capacity.
+        // Full: a patient run waits, and goes in whole once a take has
+        // emptied the queue.
         let pusher = {
             let mb = mb.clone();
             std::thread::spawn(move || mb.push_run(10..14, Duration::from_secs(10)))
         };
-        while mb.q.lock().unwrap().stalled == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(drain(&mb, 5), (0..5).collect::<Vec<_>>());
-        // Five are left, still over capacity: the run keeps waiting.
-        assert_eq!(mb.len.load(Ordering::SeqCst), 5);
-        assert_eq!(drain(&mb, 2), vec![5, 6]);
+        until(&mb, |q| q.stalled > 0);
+        assert_eq!(take(&mb), (0..10).collect::<Vec<_>>());
         assert_eq!(pusher.join().unwrap(), Push::Stalled);
-        assert_mirror(&mb);
-        assert_eq!(drain(&mb, 100), (7..14).collect::<Vec<_>>());
+        assert_eq!(take(&mb), (10..14).collect::<Vec<_>>());
         // An empty run is a no-op that still reports how it went.
         assert_eq!(mb.push_run(0..0, Duration::ZERO), Push::Fit);
-        assert!(mb.is_empty());
+        assert_eq!(take(&mb), Vec::<i32>::new());
     }
 
     #[test]
-    fn swap_drain_and_partial_drain_keep_order() {
+    fn take_keeps_push_order_and_trades_buffers() {
         let mb = Mailbox::new(100);
-        mb.push_run(0..10, Duration::ZERO);
-        // Partial: the first `max`, the rest stays in order.
-        assert_eq!(drain(&mb, 4), vec![0, 1, 2, 3]);
-        mb.push(10, Duration::ZERO);
-        // Exactly `max` left: swapped out whole.
-        assert_eq!(drain(&mb, 7), vec![4, 5, 6, 7, 8, 9, 10]);
-        assert!(mb.is_empty());
-        // The buffer traded in is empty, and the queue works on.
-        assert_eq!(drain(&mb, 7), Vec::<i32>::new());
-        mb.push_run(11..13, Duration::ZERO);
-        mb.push_front(-1, Duration::ZERO);
-        assert_mirror(&mb);
-        assert_eq!(drain(&mb, 64), vec![-1, 11, 12]);
+        mb.push_run(0..3, Duration::ZERO);
+        mb.push(3, Duration::ZERO);
+        mb.push_run(4..6, Duration::ZERO);
+        let mut out = VecDeque::with_capacity(64);
+        assert!(mb.take(&mut out, false));
+        assert_eq!(out, (0..6).collect::<VecDeque<_>>());
+        // The buffer traded in is the queue now, and works on.
+        out.clear();
+        mb.push(6, Duration::ZERO);
+        assert!(mb.take(&mut out, false));
+        assert_eq!(out, [6]);
     }
 
     #[test]
-    fn blocked_sender_wakes_on_drain() {
+    fn blocked_sender_wakes_on_take() {
         let mb = Arc::new(Mailbox::new(1));
         assert_eq!(mb.push(1u32, Duration::ZERO), Push::Fit);
         let pusher = {
@@ -249,11 +233,65 @@ mod tests {
             std::thread::spawn(move || mb.push(2, Duration::from_secs(10)))
         };
         // Wait until the pusher is blocked, then open space.
-        while mb.q.lock().unwrap().stalled == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(drain(&mb, 1), vec![1]);
+        until(&mb, |q| q.stalled > 0);
+        assert_eq!(take(&mb), vec![1]);
         assert_eq!(pusher.join().unwrap(), Push::Stalled);
-        assert_eq!(drain(&mb, 1), vec![2]);
+        assert_eq!(take(&mb), vec![2]);
+    }
+
+    /// A patience too long to reach an `Instant` waits without a limit
+    /// instead of panicking on the deadline sum.
+    #[test]
+    fn an_endless_patience_waits_for_room() {
+        let mb = Arc::new(Mailbox::new(1));
+        assert_eq!(mb.push(1u32, Duration::ZERO), Push::Fit);
+        let pusher = {
+            let mb = mb.clone();
+            std::thread::spawn(move || mb.push(2, Duration::MAX))
+        };
+        until(&mb, |q| q.stalled > 0);
+        assert_eq!(take(&mb), vec![1]);
+        assert_eq!(pusher.join().unwrap(), Push::Stalled);
+    }
+
+    /// The consumer parks on an empty mailbox and wakes for a push, and
+    /// again, parked once more, for `close` — after which `take` is
+    /// false, whatever is queued.
+    #[test]
+    fn a_parked_consumer_wakes_on_a_push_and_on_close() {
+        let mb = Arc::new(Mailbox::new(8));
+        let consumer = {
+            let mb = mb.clone();
+            std::thread::spawn(move || {
+                let mut taken = Vec::new();
+                let mut out = VecDeque::new();
+                while mb.take(&mut out, true) {
+                    taken.extend(out.drain(..));
+                }
+                taken
+            })
+        };
+        until(&mb, |q| q.parked);
+        mb.push(7u32, Duration::ZERO);
+        until(&mb, |q| q.parked && q.events.is_empty());
+        mb.close();
+        assert_eq!(consumer.join().unwrap(), vec![7]);
+        assert_eq!(mb.push(8, Duration::ZERO), Push::Fit);
+        assert!(!mb.take(&mut VecDeque::new(), false));
+    }
+
+    /// Closing frees a sender stalled on a full mailbox at once, however
+    /// patient it is.
+    #[test]
+    fn close_frees_a_stalled_sender() {
+        let mb = Arc::new(Mailbox::new(1));
+        assert_eq!(mb.push(1u32, Duration::ZERO), Push::Fit);
+        let pusher = {
+            let mb = mb.clone();
+            std::thread::spawn(move || mb.push(2, Duration::MAX))
+        };
+        until(&mb, |q| q.stalled > 0);
+        mb.close();
+        assert_eq!(pusher.join().unwrap(), Push::Stalled);
     }
 }

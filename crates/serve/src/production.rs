@@ -12,47 +12,45 @@
 //! hot spot confined to one band is served by one worker (DESIGN §6 has
 //! the price).
 //!
-//! A cell has **two inboxes**. What its own worker sends it (from a
-//! neighbour in the same band) goes into its *local inbox*, a plain
-//! queue that only that worker touches: no lock, no atomic. What any
-//! other thread hands it — a send across the band edge, an admitted
-//! request, a wheel delivery (protocol timer or call end) — goes into
-//! its bounded *mailbox* (`mailbox::Mailbox`), and the pusher puts the
-//! cell on its home worker's run queue unless the cell's `scheduled`
-//! flag says it is there or held by the worker already. A full mailbox
-//! blocks the sender (real backpressure, surfaced all the way to
+//! A worker has **one mailbox** (`mailbox::Mailbox`) of `(cell, event)`
+//! pairs, and each of its cells **one inbox**, a plain queue that only
+//! the worker touches: no lock, no atomic. What a cell of the band sends
+//! another goes straight into the destination's inbox. What any other
+//! thread hands a cell — a send across the band edge, an admitted
+//! request, a release, a wheel delivery (protocol timer or call end) —
+//! goes into its home worker's mailbox, which is bounded at
+//! `mailbox_capacity` for each cell of the band. A full mailbox blocks
+//! the sender (real backpressure, surfaced all the way to
 //! [`AllocService::request_channel`]) until a stall deadline forces the
 //! event through, keeping the pool deadlock-free under any protocol
 //! messaging pattern. Protocol timers and call-hold expirations share
 //! one [`TimerWheel`].
 //!
-//! A worker serves **one ready list**, a FIFO of its cells that are due
-//! an activation, each on it at most once. A local send appends its
-//! destination. Once a round (the cells that were on the list at the
-//! last refill) the worker takes everything its run queue holds under
-//! one lock and appends that too, so local and remote readiness
-//! interleave and neither waits more than a round behind the other. The
-//! worker parks on its run queue only when the ready list is empty.
+//! A worker serves **one ready list**, a FIFO of its cells with
+//! something in their inbox, each on it at most once. Once a round (the
+//! cells that were on the list at the last refill) the worker takes its
+//! whole mailbox under one lock and files each event into its cell's
+//! inbox — a handoff's acquire at the front, everything else at the
+//! back — so local and remote work interleave and neither waits more
+//! than a round behind the other. The worker parks on its mailbox only
+//! when the ready list is empty.
 //!
 //! The unit of every hand-over to another thread is the **activation**:
-//! one cell's turn, which takes up to `quantum` events from its mailbox
-//! and its whole local inbox. It reads the clock once; what its
-//! transitions emit for another thread collects in the worker's own
-//! `Outbox` and leaves in one flush: the sends as one run a destination
-//! (one mailbox lock, one capacity check, one `schedule`), the confirms
-//! and indications under one `answers` lock with at most one wake, the
-//! counters in one add each. Nothing waits for a batch to fill: an
-//! activation of one event hands over when that event is done.
+//! one cell's turn, which takes its whole inbox. It reads the clock
+//! once; what its transitions emit for another thread collects in the
+//! worker's own `Outbox` and leaves in one flush: the sends as one run a
+//! destination worker (one mailbox lock, one capacity check), the
+//! confirms and indications under one `answers` lock with at most one
+//! wake, the counters in one add each. Nothing waits for a batch to
+//! fill: an activation of one event hands over when that event is done.
 //!
 //! Two ordering rules hold. *Links stay FIFO* (the schemes assume it)
-//! because a link takes one path for the service's whole lifetime,
-//! start-up included: the local inbox within a band, the mailbox across
-//! the band edge. Each path is a FIFO with one consumer, so no argument
-//! about the order between the two paths is needed. *A ticket's
-//! `Granted` is published before the activation that produces its
-//! `Released` begins*, because both come from the ticket's cell, whose
-//! activations run one after the other on one thread, and each flushes
-//! before it returns.
+//! because a link takes one FIFO path for the service's whole lifetime,
+//! start-up included: the inbox within a band, the destination worker's
+//! mailbox across its edge. *A ticket's `Granted` is published before
+//! the activation that produces its `Released` begins*, because all of a
+//! cell's activations run on one thread, and each flushes before it
+//! returns.
 //!
 //! Grants are audited: the Theorem-1 check and the ground-truth commit
 //! happen atomically under the granted channel's lock
@@ -61,10 +59,10 @@
 //!
 //! Handoffs follow the engine's (and the paper's) break-before-make
 //! order: the source channel is relinquished at submission, then the
-//! acquire at the target cell jumps the mailbox queue (priority, same
-//! backpressure). A rejected handoff drops the call — the paper's
-//! forced termination — with nothing left to clean up, because the
-//! source channel was already returned.
+//! acquire at the target cell is filed ahead of what waits in its inbox
+//! (priority, same backpressure). A rejected handoff drops the call —
+//! the paper's forced termination — with nothing left to clean up,
+//! because the source channel was already returned.
 
 use crate::ground::GroundTruth;
 use crate::mailbox::{Mailbox, Push};
@@ -79,7 +77,7 @@ use adca_threadnet::TimerWheel;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -94,21 +92,16 @@ pub struct ProductionConfig {
     /// delays, call holds, and reported latencies. Clamped to at least
     /// 1.
     pub ns_per_tick: u64,
-    /// Bounded capacity of each cell's mailbox (clamped to at least 1).
-    /// Checked once a push, and an activation pushes what it sends to
-    /// one cell as one run, so a mailbox holds fewer than this many
-    /// events plus one run (a run is what one activation's inputs make
-    /// the scheme send one neighbour). Sends within a band do not go
-    /// through a mailbox.
+    /// Mailbox room for each cell (clamped to at least 1): a worker's
+    /// mailbox is bounded at this times its band's length. Checked once
+    /// a push, and an activation pushes what it sends one other worker
+    /// as one run, so a mailbox holds fewer events than its bound plus
+    /// one run. Sends within a band do not go through a mailbox.
     pub mailbox_capacity: usize,
     /// How long a sender stalls on a full mailbox before forcing its
     /// events through (the deadlock-freedom escape valve; forced pushes
     /// are counted in [`ServeStats::backpressure_forced`]).
     pub stall_patience: Duration,
-    /// Maximum mailbox events one activation takes before yielding the
-    /// worker (its local inbox it takes whole). Clamped to at least 1,
-    /// so an activation of a non-empty mailbox always takes an event.
-    pub quantum: usize,
 }
 
 impl Default for ProductionConfig {
@@ -121,7 +114,6 @@ impl Default for ProductionConfig {
             ns_per_tick: 100,
             mailbox_capacity: 1024,
             stall_patience: Duration::from_millis(2),
-            quantum: 64,
         }
     }
 }
@@ -171,20 +163,6 @@ struct TicketRec {
     state: TicketState,
 }
 
-/// The shared half of a cell's task; its protocol node and local inbox
-/// live on the cell's home worker.
-struct Task<M> {
-    mailbox: Mailbox<TaskEvent<M>>,
-    /// True while the cell is on its home's run queue or held by its
-    /// home worker (`Local::held`); cleared after the holding
-    /// activation has flushed, then re-checked against the mailbox so
-    /// no wakeup is ever lost and no cell is on its queue twice.
-    /// `SeqCst`, for the reason given at `Mailbox::len`.
-    scheduled: AtomicBool,
-    /// The worker that owns the cell's node and runs its activations.
-    home: usize,
-}
-
 /// The worker that owns cell `t` of `cells`: contiguous id ranges whose
 /// sizes differ by at most one.
 fn home(t: usize, workers: usize, cells: usize) -> usize {
@@ -194,60 +172,6 @@ fn home(t: usize, workers: usize, cells: usize) -> usize {
 /// The cells whose [`home`] is `w`.
 fn band(w: usize, workers: usize, cells: usize) -> Range<usize> {
     (w * cells).div_ceil(workers)..((w + 1) * cells).div_ceil(workers)
-}
-
-/// One worker's FIFO of cells made ready by other threads: any thread
-/// pushes, the owner takes everything at once.
-#[derive(Default)]
-struct RunQueue {
-    state: Mutex<RunQueueState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct RunQueueState {
-    ready: VecDeque<usize>,
-    closed: bool,
-    /// The owner is waiting on `cv`. A busy worker looks at `ready`
-    /// again before it parks, so a push signals only when this is set.
-    parked: bool,
-}
-
-impl RunQueue {
-    fn push(&self, t: usize) {
-        let mut st = self.state.lock().expect("runq poisoned");
-        if st.closed {
-            return; // shutting down; stray wakeups are fine to drop
-        }
-        st.ready.push_back(t);
-        if st.parked {
-            self.cv.notify_one();
-        }
-    }
-
-    /// Swaps everything queued into `into`, which must be empty, after
-    /// parking until there is something if `wait`. False once the
-    /// queue is closed: the owner stops.
-    fn take(&self, into: &mut VecDeque<usize>, wait: bool) -> bool {
-        debug_assert!(into.is_empty(), "take swaps into an empty buffer");
-        let mut st = self.state.lock().expect("runq poisoned");
-        while wait && st.ready.is_empty() && !st.closed {
-            st.parked = true;
-            st = self.cv.wait(st).expect("runq poisoned");
-            st.parked = false;
-        }
-        if st.closed {
-            return false;
-        }
-        std::mem::swap(&mut st.ready, into);
-        true
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().expect("runq poisoned");
-        st.closed = true;
-        self.cv.notify_one();
-    }
 }
 
 /// Resolved requests and ended calls, waiting for a handle to take them.
@@ -277,10 +201,9 @@ struct Inner<P: StateMachine> {
     topo: Arc<Topology>,
     cfg: ProductionConfig,
     epoch: Instant,
-    tasks: Vec<Task<P::Msg>>,
-    /// One run queue a worker; cell `t` is only ever on
-    /// `runqs[tasks[t].home]`.
-    runqs: Vec<RunQueue>,
+    /// One mailbox a worker; what another thread hands cell `t` goes
+    /// into `mailboxes[home(t, ..)]`.
+    mailboxes: Vec<Mailbox<(usize, TaskEvent<P::Msg>)>>,
     /// Ground-truth channel usage (Theorem-1 audit + commit, atomic
     /// under the channel's lock).
     ground: GroundTruth,
@@ -301,112 +224,99 @@ struct Inner<P: StateMachine> {
 struct Worker<P: StateMachine> {
     /// `nodes[t - out.own.start]` is cell `t`'s.
     nodes: Vec<P>,
-    /// What the last run-queue take brought, on its way to `out.ready`.
-    taken: VecDeque<usize>,
+    /// What the last mailbox take brought, on its way to the inboxes.
+    taken: VecDeque<(usize, TaskEvent<P::Msg>)>,
     batch: VecDeque<TaskEvent<P::Msg>>,
     out: Outbox<P::Msg>,
 }
 
 /// One cell of a band, as its home worker keeps it.
 struct Local<M> {
-    /// What the band's own cells sent this one, in send order.
+    /// What is waiting for the cell's next activation.
     inbox: VecDeque<TaskEvent<M>>,
     /// On the worker's ready list (so not appended again).
     queued: bool,
-    /// The worker holds the task's `scheduled` flag: the cell came off
-    /// the run queue, or its last activation re-scheduled it. Its next
-    /// activation clears the flag and re-checks the mailbox.
-    held: bool,
 }
 
 /// Where a worker's activations put what they emit: sends within the
-/// band straight into the destination's local inbox, everything bound
-/// for another thread collected until [`Inner::flush`] — plus the
-/// buffer the worker lends to every transition it runs.
+/// band straight into the destination's inbox, everything bound for
+/// another thread collected until [`Inner::flush`] — plus the buffer
+/// the worker lends to every transition it runs.
 struct Outbox<M> {
     /// The worker's band; `local[t - own.start]` is cell `t`.
     own: Range<usize>,
     local: Vec<Local<M>>,
+    /// The grid's cell count, which [`home`] divides by.
+    cells: usize,
     /// The band's cells due an activation, in the order they became
     /// due.
     ready: VecDeque<usize>,
-    /// Local sends since the last flush, which counts them.
-    sent_local: usize,
-    /// How long a push into another band's full mailbox waits for
+    /// Sends since the last flush, which counts them.
+    sent: usize,
+    /// How long a push into another worker's full mailbox waits for
     /// room: zero during start-up, when no worker runs yet to make any.
     patience: Duration,
     actions: Vec<Action<M>>,
-    /// The sends to other bands, one run a destination.
-    runs: Vec<Run<M>>,
-    /// Each destination cell's index in `runs`, or `NO_RUN`.
-    run_of: Vec<u32>,
-    /// Emptied event buffers, for the next activation's runs.
-    spare: Vec<Vec<TaskEvent<M>>>,
+    /// The sends to other bands, one run a destination worker:
+    /// `remote[w]` is bound for worker `w`'s mailbox.
+    remote: Vec<Vec<(usize, TaskEvent<M>)>>,
     confirms: Vec<Confirm>,
     indications: Vec<Indication>,
 }
 
-/// What an activation sends to one cell, in emission order.
-struct Run<M> {
-    to: usize,
-    events: Vec<TaskEvent<M>>,
-}
-
-const NO_RUN: u32 = u32::MAX;
-
 impl<M> Outbox<M> {
-    fn new(cells: usize, own: Range<usize>) -> Self {
+    fn new(cells: usize, workers: usize, own: Range<usize>) -> Self {
         Outbox {
             local: own
                 .clone()
                 .map(|_| Local {
                     inbox: VecDeque::new(),
                     queued: false,
-                    held: false,
                 })
                 .collect(),
             own,
+            cells,
             ready: VecDeque::new(),
-            sent_local: 0,
+            sent: 0,
             patience: Duration::ZERO,
             actions: Vec::new(),
-            runs: Vec::new(),
-            run_of: vec![NO_RUN; cells],
-            spare: Vec::new(),
+            remote: (0..workers).map(|_| Vec::new()).collect(),
             confirms: Vec::new(),
             indications: Vec::new(),
         }
     }
 
-    /// Puts band cell `t` on the ready list unless it is on it already.
-    fn make_ready(&mut self, t: usize) {
+    /// Files `ev` into band cell `t`'s inbox — a handoff's acquire
+    /// ahead of everything waiting there (the paper serves handoffs
+    /// before new calls), anything else behind it — and makes the cell
+    /// ready unless it is on the ready list already.
+    fn file(&mut self, t: usize, ev: TaskEvent<M>) {
         let cell = &mut self.local[t - self.own.start];
+        if matches!(
+            ev,
+            TaskEvent::Acquire {
+                kind: RequestKind::Handoff,
+                ..
+            }
+        ) {
+            cell.inbox.insert(0, ev);
+        } else {
+            cell.inbox.push_back(ev);
+        }
         if !cell.queued {
             cell.queued = true;
             self.ready.push_back(t);
         }
     }
 
-    /// Takes over band cell `t`'s `scheduled` flag, which the caller
-    /// has seen set for it, and makes the cell ready.
-    fn hold(&mut self, t: usize) {
-        self.local[t - self.own.start].held = true;
-        self.make_ready(t);
-    }
-
     fn send(&mut self, to: usize, ev: TaskEvent<M>) {
+        self.sent += 1;
         if self.own.contains(&to) {
-            self.local[to - self.own.start].inbox.push_back(ev);
-            self.sent_local += 1;
-            self.make_ready(to);
-            return;
+            self.file(to, ev);
+        } else {
+            let w = home(to, self.remote.len(), self.cells);
+            self.remote[w].push((to, ev));
         }
-        if self.run_of[to] == NO_RUN {
-            self.run_of[to] = self.runs.len() as u32;
-            let events = self.spare.pop().unwrap_or_default();
-            self.runs.push(Run { to, events });
-        }
-        self.runs[self.run_of[to] as usize].events.push(ev);
     }
 }
 
@@ -437,44 +347,43 @@ where
         }
     }
 
-    /// Enqueues `ev` for cell `to` and makes sure the task will run.
+    /// Parks a handle until a flush signals it or `deadline` passes
+    /// (`None`: no limit, and a wait of `Duration::MAX` is one without
+    /// a timeout); `None` once it has passed.
+    fn park<'a>(
+        &self,
+        mut answers: MutexGuard<'a, Answers>,
+        deadline: Option<Instant>,
+    ) -> Option<MutexGuard<'a, Answers>> {
+        let left = deadline.map_or(Duration::MAX, |d| {
+            d.saturating_duration_since(Instant::now())
+        });
+        if left.is_zero() {
+            return None;
+        }
+        answers.waiting += 1;
+        answers = self
+            .answered
+            .wait_timeout(answers, left)
+            .expect("answers poisoned")
+            .0;
+        answers.waiting -= 1;
+        Some(answers)
+    }
+
+    /// Hands `ev` to cell `to`'s home worker.
     fn deliver(&self, to: usize, ev: TaskEvent<P::Msg>, patience: Duration) {
-        self.deliver_with(to, ev, patience, false);
+        let w = home(to, self.mailboxes.len(), self.topo.num_cells());
+        self.pushed(self.mailboxes[w].push((to, ev), patience));
     }
 
-    /// Priority delivery: `ev` jumps the mailbox queue (handoff work
-    /// overtakes waiting new-call work) but obeys the same capacity and
-    /// stall rules — priority does not escape backpressure.
-    fn deliver_front(&self, to: usize, ev: TaskEvent<P::Msg>, patience: Duration) {
-        self.deliver_with(to, ev, patience, true);
-    }
-
-    fn deliver_with(&self, to: usize, ev: TaskEvent<P::Msg>, patience: Duration, front: bool) {
-        let mb = &self.tasks[to].mailbox;
-        let push = if front {
-            mb.push_front(ev, patience)
-        } else {
-            mb.push(ev, patience)
-        };
-        self.pushed(to, push);
-    }
-
-    /// Accounts for one push (an event or a run) into `to`'s mailbox
-    /// and makes sure the task will run.
-    fn pushed(&self, to: usize, push: Push) {
+    /// Accounts for one push (an event or a run) into a mailbox.
+    fn pushed(&self, push: Push) {
         if push != Push::Fit {
             self.counters.stalls.fetch_add(1, Ordering::Relaxed);
         }
         if push == Push::Forced {
             self.counters.forced.fetch_add(1, Ordering::Relaxed);
-        }
-        self.schedule(to);
-    }
-
-    fn schedule(&self, t: usize) {
-        let task = &self.tasks[t];
-        if !task.scheduled.swap(true, Ordering::SeqCst) {
-            self.runqs[task.home].push(t);
         }
     }
 
@@ -489,9 +398,7 @@ where
         };
         // Counted no later than published: `stats()` read after the
         // last confirm was taken agrees with what the handles took.
-        let sent_remote: usize = out.runs.iter().map(|r| r.events.len()).sum();
-        let sent = std::mem::take(&mut out.sent_local) + sent_remote;
-        add(&c.messages, sent);
+        add(&c.messages, std::mem::take(&mut out.sent));
         let resolved = out.confirms.len();
         if resolved + out.indications.len() > 0 {
             let granted = out.confirms.iter().filter(|c| c.is_granted()).count();
@@ -506,30 +413,27 @@ where
             // every confirm can be taken.
             c.pending.fetch_sub(resolved as u64, Ordering::Release);
         }
-        // One run a destination in another band, under one mailbox lock.
-        for mut run in out.runs.drain(..) {
-            out.run_of[run.to] = NO_RUN;
-            let push = self.tasks[run.to]
-                .mailbox
-                .push_run(run.events.drain(..), out.patience);
-            self.pushed(run.to, push);
-            out.spare.push(run.events);
+        // One run a destination worker, under one mailbox lock.
+        for (w, run) in out.remote.iter_mut().enumerate() {
+            if !run.is_empty() {
+                self.pushed(self.mailboxes[w].push_run(run.drain(..), out.patience));
+            }
         }
     }
 
     /// A worker's loop: activations in ready-list order, with what the
-    /// run queue holds appended once a round. Returns once the queue
-    /// is closed.
+    /// mailbox holds filed once a round. Returns once the mailbox is
+    /// closed.
     fn work(&self, w: usize, mut me: Worker<P>) {
         let mut round = 0;
         loop {
             if round == 0 {
                 // Parks only when no cell of the band is ready.
-                if !self.runqs[w].take(&mut me.taken, me.out.ready.is_empty()) {
+                if !self.mailboxes[w].take(&mut me.taken, me.out.ready.is_empty()) {
                     return;
                 }
-                for t in me.taken.drain(..) {
-                    me.out.hold(t);
+                for (t, ev) in me.taken.drain(..) {
+                    me.out.file(t, ev);
                 }
                 round = me.out.ready.len();
             }
@@ -543,60 +447,45 @@ where
         }
     }
 
-    /// One activation of band cell `t`: up to a quantum of its mailbox
-    /// and all of its local inbox into the node, then a flush of what
-    /// that emitted; then, if the worker holds `scheduled`, clear it
-    /// and re-check the mailbox.
+    /// One activation of band cell `t`: its whole inbox into the node,
+    /// then a flush of what that emitted.
     fn run_task(&self, t: usize, me: &mut Worker<P>) {
-        let task = &self.tasks[t];
         let i = t - me.out.own.start;
         let local = &mut me.out.local[i];
         local.queued = false;
-        let held = std::mem::take(&mut local.held);
-        if !task.mailbox.is_empty() {
-            task.mailbox.drain(&mut me.batch, self.cfg.quantum);
+        std::mem::swap(&mut me.batch, &mut local.inbox);
+        let (cell, node) = (CellId(t as u32), &mut me.nodes[i]);
+        // One clock read for the activation: events taken together were
+        // already waiting together.
+        let now = SimTime(self.elapsed_ticks(self.epoch));
+        for ev in me.batch.drain(..) {
+            let input = match ev {
+                TaskEvent::Acquire { ticket, kind } => Input::Acquire {
+                    req: RequestId(ticket),
+                    kind,
+                },
+                TaskEvent::End { ticket } => {
+                    self.end_call(ticket, cell, now, node, &mut me.out);
+                    continue;
+                }
+                TaskEvent::Relinquish { ch } => Input::Release { ch },
+                TaskEvent::Msg { from, msg } => Input::Message { from, msg },
+                TaskEvent::Timer { tag } => Input::Timer { tag },
+            };
+            self.step(cell, now, node, input, &mut me.out);
         }
-        me.batch.append(&mut me.out.local[i].inbox);
-        if !me.batch.is_empty() {
-            let (cell, node) = (CellId(t as u32), &mut me.nodes[i]);
-            // One clock read for the activation: events drained together
-            // were already waiting together.
-            let now = SimTime(self.elapsed_ticks(self.epoch));
-            for ev in me.batch.drain(..) {
-                let input = match ev {
-                    TaskEvent::Acquire { ticket, kind } => Input::Acquire {
-                        req: RequestId(ticket),
-                        kind,
-                    },
-                    TaskEvent::End { ticket } => {
-                        self.end_call(ticket, cell, now, node, &mut me.out);
-                        continue;
-                    }
-                    TaskEvent::Relinquish { ch } => Input::Release { ch },
-                    TaskEvent::Msg { from, msg } => Input::Message { from, msg },
-                    TaskEvent::Timer { tag } => Input::Timer { tag },
-                };
-                self.step(cell, now, node, input, &mut me.out);
-            }
-            // Before this worker takes up the cell again: its next
-            // activation begins after this flush, so no ticket's
-            // `Released` overtakes its `Granted`.
-            self.flush(&mut me.out);
-        }
-        if held {
-            task.scheduled.store(false, Ordering::SeqCst);
-            if !task.mailbox.is_empty() && !task.scheduled.swap(true, Ordering::SeqCst) {
-                me.out.hold(t);
-            }
-        }
+        // Before this worker takes up the cell again: its next
+        // activation begins after this flush, so no ticket's `Released`
+        // overtakes its `Granted`.
+        self.flush(&mut me.out);
     }
 
     fn shutdown(&self) {
         if self.counters.stopping.swap(true, Ordering::AcqRel) {
             return;
         }
-        for q in &self.runqs {
-            q.close();
+        for mb in &self.mailboxes {
+            mb.close();
         }
         let handles = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
         for h in handles {
@@ -772,16 +661,8 @@ where
         let workers = cfg.workers.min(n).max(1);
         let cfg = ProductionConfig {
             ns_per_tick: cfg.ns_per_tick.max(1),
-            quantum: cfg.quantum.max(1),
             ..cfg
         };
-        let tasks = (0..n)
-            .map(|t| Task {
-                mailbox: Mailbox::new(cfg.mailbox_capacity),
-                scheduled: AtomicBool::new(false),
-                home: home(t, workers, n),
-            })
-            .collect();
         // Built a band at a time, in id order, so that a band's nodes
         // are laid out together and move into their worker as they are.
         let mut bands: Vec<Worker<P>> = (0..workers)
@@ -794,8 +675,14 @@ where
                         .collect(),
                     taken: VecDeque::new(),
                     batch: VecDeque::new(),
-                    out: Outbox::new(n, own),
+                    out: Outbox::new(n, workers, own),
                 }
+            })
+            .collect();
+        let mailboxes = (0..workers)
+            .map(|w| {
+                let cells = band(w, workers, n).len();
+                Mailbox::new(cfg.mailbox_capacity.max(1).saturating_mul(cells))
             })
             .collect();
         let inner = Arc::new(Inner {
@@ -803,8 +690,7 @@ where
             topo,
             cfg,
             epoch: Instant::now(),
-            tasks,
-            runqs: (0..workers).map(|_| RunQueue::default()).collect(),
+            mailboxes,
             tickets: Mutex::new(Vec::new()),
             answers: Mutex::default(),
             answered: Condvar::new(),
@@ -899,7 +785,6 @@ where
         if req.cell.index() >= self.inner.topo.num_cells() {
             return Err(ServeError::UnknownCell(req.cell));
         }
-        let priority = req.kind == RequestKind::Handoff;
         // Break-before-make, matching the engine's `Ev::Hop`: claim and
         // retire the source ticket, return its channel, *then* issue the
         // priority acquire at the target. A rejected handoff therefore
@@ -907,7 +792,7 @@ where
         let mut vacated = None;
         let ticket = {
             let mut tickets = self.inner.tickets.lock().expect("tickets poisoned");
-            if priority {
+            if req.kind == RequestKind::Handoff {
                 let Some(src) = req.handoff_of else {
                     return Err(ServeError::BadHandoff(
                         "a handoff needs its source ticket (ChannelRequest::handoff)",
@@ -960,21 +845,18 @@ where
         self.inner.counters.offered.fetch_add(1, Ordering::Relaxed);
         self.inner.counters.pending.fetch_add(1, Ordering::Relaxed);
         // Blocking push: admission is behind the same bounded mailbox
-        // as protocol traffic, so an overloaded cell pushes back on the
-        // client. Handoff acquires jump the target's queue — the paper
-        // prioritizes handoffs over new calls — but feel the same
-        // backpressure.
-        let ev = TaskEvent::Acquire {
-            ticket,
-            kind: req.kind,
-        };
-        if priority {
-            self.inner
-                .deliver_front(req.cell.index(), ev, self.inner.cfg.stall_patience);
-        } else {
-            self.inner
-                .deliver(req.cell.index(), ev, self.inner.cfg.stall_patience);
-        }
+        // as protocol traffic, so an overloaded band pushes back on the
+        // client. A handoff's acquire is filed ahead of what waits at
+        // its target — the paper prioritizes handoffs over new calls —
+        // but feels the same backpressure.
+        self.inner.deliver(
+            req.cell.index(),
+            TaskEvent::Acquire {
+                ticket,
+                kind: req.kind,
+            },
+            self.inner.cfg.stall_patience,
+        );
         Ok(Ticket(ticket))
     }
 
@@ -1017,7 +899,7 @@ where
     /// with `None`, as soon as an indication is queued, so that one
     /// thread can serve both queues: take the indications, call again.
     fn recv_confirm(&mut self, timeout: Duration) -> Option<Confirm> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut answers = self.inner.answers.lock().expect("answers poisoned");
         loop {
             if let Some(c) = answers.confirms.pop_front() {
@@ -1030,18 +912,10 @@ where
                 }
                 return Some(c);
             }
-            let now = Instant::now();
-            if !answers.indications.is_empty() || now >= deadline {
+            if !answers.indications.is_empty() {
                 return None;
             }
-            answers.waiting += 1;
-            answers = self
-                .inner
-                .answered
-                .wait_timeout(answers, deadline - now)
-                .expect("answers poisoned")
-                .0;
-            answers.waiting -= 1;
+            answers = self.inner.park(answers, deadline)?;
         }
     }
 
@@ -1056,30 +930,22 @@ where
         confirms: &mut Vec<Confirm>,
         indications: &mut Vec<Indication>,
     ) {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut answers = self.inner.answers.lock().expect("answers poisoned");
         while answers.confirms.is_empty() && answers.indications.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
+            match self.inner.park(answers, deadline) {
+                Some(parked) => answers = parked,
+                None => return,
             }
-            answers.waiting += 1;
-            answers = self
-                .inner
-                .answered
-                .wait_timeout(answers, deadline - now)
-                .expect("answers poisoned")
-                .0;
-            answers.waiting -= 1;
         }
         confirms.extend(answers.confirms.drain(..));
         indications.extend(answers.indications.drain(..));
     }
 
     fn quiesce(&mut self, limit: Duration) -> bool {
-        let deadline = Instant::now() + limit;
+        let deadline = Instant::now().checked_add(limit);
         while self.inner.counters.pending.load(Ordering::Acquire) > 0 {
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return false;
             }
             std::thread::sleep(Duration::from_micros(200));
@@ -1113,7 +979,8 @@ mod tests {
     use adca_baselines::FixedNode;
 
     /// A pool larger than the grid is cut down to one worker a cell:
-    /// a worker with no band would park on a queue nothing is pushed to.
+    /// a worker with no band would park on a mailbox nothing is pushed
+    /// to.
     #[test]
     fn a_pool_larger_than_the_grid_is_clamped_to_it() {
         let topo = Arc::new(Topology::builder(1, 2).channels(7).build());
@@ -1122,12 +989,9 @@ mod tests {
             ..Default::default()
         };
         let mut svc = ProductionAllocService::new(topo, cfg, FixedNode::new);
-        assert_eq!(svc.inner.runqs.len(), 2);
+        assert_eq!(svc.inner.mailboxes.len(), 2);
         assert_eq!(svc.inner.workers.lock().unwrap().len(), 2);
-        assert_eq!(
-            svc.inner.tasks.iter().map(|t| t.home).collect::<Vec<_>>(),
-            [0, 1]
-        );
+        assert_eq!([home(0, 2, 2), home(1, 2, 2)], [0, 1]);
         for c in [0, 1, 1, 0] {
             svc.request_channel(ChannelRequest::new_call(0, CellId(c), 0))
                 .expect("request accepted");
@@ -1135,25 +999,25 @@ mod tests {
         assert!(svc.quiesce(Duration::from_secs(10)));
         let stats = svc.stats();
         assert_eq!(stats.granted + stats.rejected, 4);
-        // Every queue is closed and every worker joined.
+        // Every mailbox is closed and every worker joined.
         svc.shutdown();
         assert!(svc.inner.workers.lock().unwrap().is_empty());
     }
 
-    /// A zero quantum is taken as 1: draining nothing from a non-empty
-    /// mailbox would reschedule the cell forever. A zero tick is taken
-    /// as 1 ns, so holds and timers are as long as the latencies say.
+    /// A zero tick is taken as 1 ns, so holds and timers are as long as
+    /// the latencies say; a zero mailbox capacity as room for one event
+    /// a cell.
     #[test]
-    fn a_zero_quantum_or_tick_is_clamped_to_one() {
+    fn a_zero_tick_or_capacity_is_clamped_to_one() {
         let topo = Arc::new(Topology::builder(2, 2).channels(7).build());
         let cfg = ProductionConfig {
             workers: 1,
-            quantum: 0,
             ns_per_tick: 0,
+            mailbox_capacity: 0,
             ..Default::default()
         };
         let mut svc = ProductionAllocService::new(topo, cfg, FixedNode::new);
-        assert_eq!((svc.inner.cfg.quantum, svc.inner.cfg.ns_per_tick), (1, 1));
+        assert_eq!(svc.inner.cfg.ns_per_tick, 1);
         for c in [0, 1, 2, 3, 0] {
             svc.request_channel(ChannelRequest::new_call(0, CellId(c), 0))
                 .expect("request accepted");
@@ -1161,6 +1025,41 @@ mod tests {
         assert!(svc.quiesce(Duration::from_secs(2)));
         let stats = svc.stats();
         assert_eq!(stats.granted + stats.rejected, 5);
+    }
+
+    /// The filing rule: a handoff's acquire is taken before the events
+    /// already waiting in its cell's inbox, whichever path brought
+    /// them; everything else is taken in the order it came. A cell is
+    /// made ready once, and a send to another band waits in the outbox
+    /// for the flush.
+    #[test]
+    fn a_handoff_acquire_is_taken_before_what_waits() {
+        let mut out = Outbox::<()>::new(4, 2, 0..2);
+        out.send(
+            1,
+            TaskEvent::Msg {
+                from: CellId(0),
+                msg: (),
+            },
+        );
+        out.file(1, TaskEvent::Timer { tag: 5 });
+        let acquire = |ticket, kind| TaskEvent::Acquire { ticket, kind };
+        out.file(1, acquire(9, RequestKind::Handoff));
+        out.file(1, acquire(10, RequestKind::NewCall));
+        out.send(3, TaskEvent::Timer { tag: 6 });
+        let inbox = &out.local[1].inbox;
+        assert_eq!(inbox.len(), 4);
+        assert!(matches!(inbox[0], TaskEvent::Acquire { ticket: 9, .. }));
+        assert!(matches!(inbox[1], TaskEvent::Msg { .. }));
+        assert!(matches!(inbox[2], TaskEvent::Timer { tag: 5 }));
+        assert!(matches!(inbox[3], TaskEvent::Acquire { ticket: 10, .. }));
+        assert_eq!(out.ready, [1]);
+        assert!(out.local[0].inbox.is_empty() && out.remote[0].is_empty());
+        assert!(matches!(
+            out.remote[1][..],
+            [(3, TaskEvent::Timer { tag: 6 })]
+        ));
+        assert_eq!(out.sent, 2);
     }
 
     /// Exhaustive over every grid size and pool size in range: the

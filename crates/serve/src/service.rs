@@ -232,7 +232,7 @@ pub trait AllocService {
     /// Submits one channel request and returns its [`Ticket`]. The
     /// answer arrives asynchronously as a [`Confirm`] carrying the same
     /// ticket. On the production backend this call *blocks* while the
-    /// target cell's mailbox is over capacity — that is the
+    /// target cell's worker's mailbox is full — that is the
     /// backpressure surface a closed-loop client feels.
     ///
     /// ```
@@ -426,12 +426,13 @@ pub trait AllocService {
     ///
     /// [`confirm`]: AllocService::confirm
     fn recv_confirm(&mut self, timeout: Duration) -> Option<Confirm> {
-        let deadline = Instant::now() + timeout;
+        // A timeout too long to reach an `Instant` has no limit.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if let Some(c) = self.confirm() {
                 return Some(c);
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return None;
             }
             std::thread::sleep(Duration::from_micros(200));

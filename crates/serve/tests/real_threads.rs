@@ -326,12 +326,12 @@ impl StateMachine for Stamper {
     }
 }
 
-/// Links are FIFO whatever the quantum and however the cells are
-/// banded: a cell's activations interleave with its neighbours' on
-/// other workers, and each must have handed its sends over before the
-/// cell's next one can. Four workers is the pool this test has always
-/// run; one worker has no neighbour band at all, and three do not
-/// divide the 25 cells, so the bands are uneven.
+/// Links are FIFO however the cells are banded: a cell's activations
+/// interleave with its neighbours' on other workers, and each must have
+/// handed its sends over before the cell's next one can. Four workers
+/// is the pool this test has always run; one worker has no neighbour
+/// band at all, and three do not divide the 25 cells, so the bands are
+/// uneven.
 #[test]
 fn links_are_fifo_across_activations_and_workers() {
     for workers in [4, 1, 3] {
@@ -341,51 +341,48 @@ fn links_are_fifo_across_activations_and_workers() {
 
 fn links_are_fifo(workers: usize) {
     const CALLS_PER_CELL: u64 = 10;
-    for quantum in [1, 3, 64] {
-        let probe = Arc::new(LinkProbe::default());
-        let cfg = ProductionConfig {
-            workers,
-            quantum,
-            // The probe is about order, not backpressure.
-            mailbox_capacity: 1 << 20,
-            ..Default::default()
-        };
-        let factory = {
-            let probe = probe.clone();
-            move |c: CellId, topo: &Topology| Stamper {
-                region: topo.region(c).to_vec(),
-                next_out: vec![0; topo.num_cells()],
-                last_in: vec![0; topo.num_cells()],
-                turn: 0,
-                probe: probe.clone(),
-            }
-        };
-        let mut svc = ProductionAllocService::new(topo(), cfg, factory);
-        for (_, cell, _) in burst(CALLS_PER_CELL, 0) {
-            svc.request_channel(ChannelRequest::new_call(0, cell, 0))
-                .expect("request accepted");
+    let probe = Arc::new(LinkProbe::default());
+    let cfg = ProductionConfig {
+        workers,
+        // The probe is about order, not backpressure.
+        mailbox_capacity: 1 << 20,
+        ..Default::default()
+    };
+    let factory = {
+        let probe = probe.clone();
+        move |c: CellId, topo: &Topology| Stamper {
+            region: topo.region(c).to_vec(),
+            next_out: vec![0; topo.num_cells()],
+            last_in: vec![0; topo.num_cells()],
+            turn: 0,
+            probe: probe.clone(),
         }
-        assert!(svc.quiesce(DEADLINE), "requests pending at deadline");
-        let deadline = Instant::now() + DEADLINE;
-        let sent = loop {
-            // In this order: a message is counted sent before it can
-            // be counted received.
-            let received = probe.received.load(Ordering::SeqCst);
-            let sent = probe.sent.load(Ordering::SeqCst);
-            if received == sent {
-                break sent;
-            }
-            assert!(Instant::now() < deadline, "messages still in flight");
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        let first = probe.out_of_order.lock().unwrap().take();
-        let run = format!("{workers} workers, quantum {quantum}");
-        assert_eq!(first, None, "{run}: a link reordered");
-        assert!(sent >= 100_000, "{run}: only {sent} messages");
-        let stats = svc.stats();
-        assert_eq!(stats.messages, sent);
-        assert_eq!(stats.rejected, 25 * CALLS_PER_CELL);
+    };
+    let mut svc = ProductionAllocService::new(topo(), cfg, factory);
+    for (_, cell, _) in burst(CALLS_PER_CELL, 0) {
+        svc.request_channel(ChannelRequest::new_call(0, cell, 0))
+            .expect("request accepted");
     }
+    assert!(svc.quiesce(DEADLINE), "requests pending at deadline");
+    let deadline = Instant::now() + DEADLINE;
+    let sent = loop {
+        // In this order: a message is counted sent before it can be
+        // counted received.
+        let received = probe.received.load(Ordering::SeqCst);
+        let sent = probe.sent.load(Ordering::SeqCst);
+        if received == sent {
+            break sent;
+        }
+        assert!(Instant::now() < deadline, "messages still in flight");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let first = probe.out_of_order.lock().unwrap().take();
+    let run = format!("{workers} workers");
+    assert_eq!(first, None, "{run}: a link reordered");
+    assert!(sent >= 100_000, "{run}: only {sent} messages");
+    let stats = svc.stats();
+    assert_eq!(stats.messages, sent);
+    assert_eq!(stats.rejected, 25 * CALLS_PER_CELL);
 }
 
 /// A [`Stamper`] that also starts `FANOUT` chains towards every
@@ -422,62 +419,56 @@ impl StateMachine for EagerStamper {
 
 /// A link takes one path for the service's whole lifetime, start-up
 /// included: the chains every cell starts from `Input::Start` share
-/// their links with the chains its requests start later. A start-up
-/// send that went the other way than its link's later sends (mailbox
-/// against local inbox) would be overtaken by them as soon as an
-/// activation takes fewer mailbox events than are waiting. One worker
-/// has every link inside its band; two and three (uneven bands) have
-/// links across a band edge too.
+/// their links with the chains its requests start later, and must not
+/// be overtaken by them. One worker has every link inside its band;
+/// two and three (uneven bands) have links across a band edge too.
 #[test]
 fn start_up_sends_keep_their_links_fifo() {
     const CALLS_PER_CELL: u64 = 2;
     for workers in [1, 2, 3] {
-        for quantum in [1, 64] {
-            let probe = Arc::new(LinkProbe::default());
-            let cfg = ProductionConfig {
-                workers,
-                quantum,
-                mailbox_capacity: 1 << 20,
-                ..Default::default()
-            };
-            let factory = {
-                let probe = probe.clone();
-                move |c: CellId, topo: &Topology| {
-                    EagerStamper(Stamper {
-                        region: topo.region(c).to_vec(),
-                        next_out: vec![0; topo.num_cells()],
-                        last_in: vec![0; topo.num_cells()],
-                        turn: 0,
-                        probe: probe.clone(),
-                    })
-                }
-            };
-            let mut svc = ProductionAllocService::new(topo(), cfg, factory);
-            let at_start = probe.sent.load(Ordering::SeqCst);
-            for (_, cell, _) in burst(CALLS_PER_CELL, 0) {
-                svc.request_channel(ChannelRequest::new_call(0, cell, 0))
-                    .expect("request accepted");
+        let probe = Arc::new(LinkProbe::default());
+        let cfg = ProductionConfig {
+            workers,
+            mailbox_capacity: 1 << 20,
+            ..Default::default()
+        };
+        let factory = {
+            let probe = probe.clone();
+            move |c: CellId, topo: &Topology| {
+                EagerStamper(Stamper {
+                    region: topo.region(c).to_vec(),
+                    next_out: vec![0; topo.num_cells()],
+                    last_in: vec![0; topo.num_cells()],
+                    turn: 0,
+                    probe: probe.clone(),
+                })
             }
-            assert!(svc.quiesce(DEADLINE), "requests pending at deadline");
-            let deadline = Instant::now() + DEADLINE;
-            let sent = loop {
-                let received = probe.received.load(Ordering::SeqCst);
-                let sent = probe.sent.load(Ordering::SeqCst);
-                if received == sent {
-                    break sent;
-                }
-                assert!(Instant::now() < deadline, "messages still in flight");
-                std::thread::sleep(Duration::from_millis(1));
-            };
-            let first = probe.out_of_order.lock().unwrap().take();
-            let run = format!("{workers} workers, quantum {quantum}");
-            assert_eq!(first, None, "{run}: a link reordered");
-            // Every cell has neighbours, so each started chains.
-            assert!(at_start >= 25 * FANOUT as u64, "{run}: {at_start} at start");
-            let stats = svc.stats();
-            assert_eq!(stats.messages, sent, "{run}");
-            assert_eq!(stats.rejected, 25 * CALLS_PER_CELL, "{run}");
+        };
+        let mut svc = ProductionAllocService::new(topo(), cfg, factory);
+        let at_start = probe.sent.load(Ordering::SeqCst);
+        for (_, cell, _) in burst(CALLS_PER_CELL, 0) {
+            svc.request_channel(ChannelRequest::new_call(0, cell, 0))
+                .expect("request accepted");
         }
+        assert!(svc.quiesce(DEADLINE), "requests pending at deadline");
+        let deadline = Instant::now() + DEADLINE;
+        let sent = loop {
+            let received = probe.received.load(Ordering::SeqCst);
+            let sent = probe.sent.load(Ordering::SeqCst);
+            if received == sent {
+                break sent;
+            }
+            assert!(Instant::now() < deadline, "messages still in flight");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let first = probe.out_of_order.lock().unwrap().take();
+        let run = format!("{workers} workers");
+        assert_eq!(first, None, "{run}: a link reordered");
+        // Every cell has neighbours, so each started chains.
+        assert!(at_start >= 25 * FANOUT as u64, "{run}: {at_start} at start");
+        let stats = svc.stats();
+        assert_eq!(stats.messages, sent, "{run}");
+        assert_eq!(stats.rejected, 25 * CALLS_PER_CELL, "{run}");
     }
 }
 
@@ -500,12 +491,12 @@ impl StateMachine for Refuser {
     fn message(&mut self, _from: CellId, _msg: (), _fx: &mut Effects<()>) {}
 }
 
-/// No lost wake-up: with `quantum = 1` every event is an activation of
-/// its own, so the cell's task clears `scheduled` and looks at its
-/// mailbox again after each one while three threads push at it. A push
-/// that the look misses and that does not reschedule the task either
-/// would strand its event — and, being among the last of its round,
-/// nothing would come to the rescue: `quiesce` would hit the watchdog.
+/// No lost wake-up: three threads push at one cell while its worker
+/// takes its mailbox, runs the cell, finds its ready list empty and
+/// parks on the mailbox again. A push that the worker's last look
+/// misses and that does not wake it either would strand its event —
+/// and, being among the last of its round, nothing would come to the
+/// rescue: `quiesce` would hit the watchdog.
 ///
 /// Two workers is the pool this test has always run; with one the
 /// pushers race the only worker there is, with three the bands are
@@ -523,7 +514,6 @@ fn no_wakeup_is_lost(workers: usize) {
     const PER_ROUND: usize = 6;
     let cfg = ProductionConfig {
         workers,
-        quantum: 1,
         ..Default::default()
     };
     let mut svc = ProductionAllocService::new(topo(), cfg, |_, _: &Topology| Refuser);
@@ -700,23 +690,27 @@ fn a_hot_band_completes_on_its_own_worker() {
 
 /// A lone worker's protocol traffic never touches a mailbox. With one
 /// worker every cell is in its band, so every protocol send goes into a
-/// local inbox, and a borrowing load sends thousands of them. What
-/// still goes through the mailboxes (room for two events each) is what
-/// other threads hand over — the admissions and the call ends — so
-/// only those can find one full. None of them waits out its patience
-/// on a mailbox the worker keeps draining: the run takes well under a
-/// tenth of `stalls × stall_patience`.
+/// cell's inbox, and a borrowing load sends thousands of them. What
+/// still goes through the worker's mailbox — bounded at one event a
+/// cell, 36 for the band — is what other threads hand over: 504
+/// admissions in a burst and, a hold later, the call ends in another.
+/// So only those can find it full, and they do, many times over. None
+/// of them waits out its patience on a mailbox the worker keeps
+/// draining: the run takes its holds and well under a tenth of
+/// `stalls × stall_patience` more.
 #[test]
 fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
+    const HOLD: u64 = 40_000;
     let cfg = ProductionConfig {
         workers: 1,
         ns_per_tick: NS_PER_TICK,
-        mailbox_capacity: 2,
+        mailbox_capacity: 1,
         ..Default::default()
     };
     let patience = cfg.stall_patience;
+    let holds = Duration::from_nanos(HOLD * NS_PER_TICK);
     let arrivals = (0..36u32)
-        .flat_map(|c| (0..14).map(move |k| (k, CellId(c), 40_000)))
+        .flat_map(|c| (0..14).map(move |k| (k, CellId(c), HOLD)))
         .collect();
     let ac = AdaptiveConfig::default();
     let began = Instant::now();
@@ -736,10 +730,7 @@ fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
         stats.messages
     );
     let stalls = stats.backpressure_stalls;
-    assert!(
-        stalls >= 100,
-        "the load did not fill the mailboxes: {stalls}"
-    );
+    assert!(stalls >= 50, "the load did not fill the mailbox: {stalls}");
     assert!(
         stalls <= stats.offered + stats.completed,
         "{stalls} full-mailbox pushes from {} admissions and {} call ends",
@@ -747,7 +738,7 @@ fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
         stats.completed
     );
     assert!(
-        took < patience * stalls as u32 / 10,
-        "{took:?} for {stalls} full-mailbox pushes of patience {patience:?}"
+        took < holds + patience * stalls as u32 / 10,
+        "{took:?} for holds of {holds:?} and {stalls} full-mailbox pushes of patience {patience:?}"
     );
 }

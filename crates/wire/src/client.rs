@@ -432,7 +432,8 @@ impl WireClient {
         mut take: impl FnMut(&mut ClientState) -> Option<T>,
     ) -> Option<T> {
         let mut now = Instant::now();
-        let give_up = now + wait;
+        // A wait too long to reach an `Instant` has no limit.
+        let give_up = now.checked_add(wait);
         let mut st = self.shared.st.lock().expect("client poisoned");
         loop {
             self.retries += st.expire(now, self.cfg.deadline, &mut self.timeouts, &mut self.out);
@@ -448,14 +449,15 @@ impl WireClient {
             if let Some(taken) = take(&mut st) {
                 return Some(taken);
             }
-            if st.closed || now >= give_up {
+            if st.closed || give_up.is_some_and(|g| now >= g) {
                 return None;
             }
+            let nap = give_up.map_or(Duration::MAX, |g| g - now);
             st.receiving = true;
             st = self
                 .shared
                 .cv
-                .wait_timeout(st, (give_up - now).min(Duration::from_millis(5)))
+                .wait_timeout(st, nap.min(Duration::from_millis(5)))
                 .expect("client poisoned")
                 .0;
             st.receiving = false;

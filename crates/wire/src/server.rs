@@ -14,7 +14,7 @@
 //!
 //! **Backpressure** needs no queue of its own: the reader calls
 //! [`AllocService::request_channel`], which on the production backend
-//! blocks while the target cell's bounded mailbox is over capacity.
+//! blocks while the target cell's worker's bounded mailbox is full.
 //! A blocked reader stops reading, the kernel receive buffer fills,
 //! the client's TCP window closes, and the client's `write` stalls —
 //! mailbox pressure propagated to the socket with no unbounded buffer
@@ -489,7 +489,7 @@ fn handle_frame(
                 handoff_of: handoff_of.map(Ticket),
             };
             // On the production backend this call *blocks* while the
-            // cell's mailbox is over capacity — the backpressure path.
+            // cell's worker's mailbox is full — the backpressure path.
             match svc.request_channel(req) {
                 Ok(ticket) => {
                     shared.routes.lock().expect("routes poisoned").insert(

@@ -124,6 +124,15 @@ fn contract<S: AllocService>(svc: &mut S) {
     assert!(confirms.iter().all(Confirm::is_granted));
     assert_eq!((&granted, &released), (&short, &short));
     assert!(svc.quiesce(PATIENCE));
+
+    // A wait with no limit is a wait, not a panic on the deadline sum:
+    // with the answer on its way, both calls return once it is there.
+    let call = svc
+        .request_channel(ChannelRequest::new_call(0, CellId(20), FOREVER))
+        .expect("admitted");
+    assert!(svc.quiesce(Duration::MAX), "the confirm arrives");
+    let confirm = svc.recv_confirm(Duration::MAX).expect("queued");
+    assert!(confirm.is_granted() && confirm.ticket() == call);
 }
 
 #[test]
@@ -154,11 +163,11 @@ fn contract_holds_over_the_wire() {
     .expect("connect");
     contract(&mut client);
     assert_eq!((client.timeouts(), client.refused()), (0, 0));
-    // The client's counts are the backend's: six calls offered and
+    // The client's counts are the backend's: seven calls offered and
     // granted, none lost or doubled on the way.
     let (near, far) = (client.stats(), svc.stats());
-    assert_eq!((near.offered, near.granted), (6, 6));
-    assert_eq!((far.offered, far.granted), (3 + 6, 3 + 6));
+    assert_eq!((near.offered, near.granted), (7, 7));
+    assert_eq!((far.offered, far.granted), (3 + 7, 3 + 7));
     assert!(far.violations.is_empty(), "{:?}", far.violations);
 }
 
