@@ -19,12 +19,15 @@
 //! thread hands a cell — a send across the band edge, an admitted
 //! request, a release, a wheel delivery (protocol timer or call end) —
 //! goes into its home worker's mailbox, which is bounded at
-//! `mailbox_capacity` for each cell of the band. A full mailbox blocks
-//! the sender (real backpressure, surfaced all the way to
-//! [`AllocService::request_channel`]) until a stall deadline forces the
-//! event through, keeping the pool deadlock-free under any protocol
-//! messaging pattern. Protocol timers and call-hold expirations share
-//! one [`TimerWheel`].
+//! `mailbox_capacity` for each cell of the band, and it goes in as **one
+//! run a destination worker**: an activation's sends, a burst of
+//! admissions ([`AllocService::request_channels`]), everything the wheel
+//! found expired together — one mailbox lock and at most one wake each.
+//! A full mailbox blocks the sender (real backpressure, surfaced all the
+//! way to [`AllocService::request_channel`]) until a stall deadline
+//! forces the run through, keeping the pool deadlock-free under any
+//! protocol messaging pattern. Protocol timers and call-hold expirations
+//! share one [`TimerWheel`].
 //!
 //! A worker serves **one ready list**, a FIFO of its cells with
 //! something in their inbox, each on it at most once. Once a round (the
@@ -58,11 +61,12 @@
 //! — and grants of different channels never meet.
 //!
 //! Handoffs follow the engine's (and the paper's) break-before-make
-//! order: the source channel is relinquished at submission, then the
-//! acquire at the target cell is filed ahead of what waits in its inbox
-//! (priority, same backpressure). A rejected handoff drops the call —
-//! the paper's forced termination — with nothing left to clean up,
-//! because the source channel was already returned.
+//! order: the source channel is relinquished at submission — its
+//! `Relinquish` goes into its worker's run ahead of the target's
+//! acquire — then the acquire at the target cell is filed ahead of what
+//! waits in its inbox (priority, same backpressure). A rejected handoff
+//! drops the call — the paper's forced termination — with nothing left
+//! to clean up, because the source channel was already returned.
 
 use crate::ground::GroundTruth;
 use crate::mailbox::{Mailbox, Push};
@@ -94,9 +98,10 @@ pub struct ProductionConfig {
     pub ns_per_tick: u64,
     /// Mailbox room for each cell (clamped to at least 1): a worker's
     /// mailbox is bounded at this times its band's length. Checked once
-    /// a push, and an activation pushes what it sends one other worker
-    /// as one run, so a mailbox holds fewer events than its bound plus
-    /// one run. Sends within a band do not go through a mailbox.
+    /// a push, and every push is one run — what an activation sends one
+    /// other worker, a burst of admissions, a batch of expired timers —
+    /// so a mailbox holds fewer events than its bound plus one run.
+    /// Sends within a band do not go through a mailbox.
     pub mailbox_capacity: usize,
     /// How long a sender stalls on a full mailbox before forcing its
     /// events through (the deadlock-freedom escape valve; forced pushes
@@ -161,6 +166,15 @@ struct TicketRec {
     hold: u64,
     issued: Instant,
     state: TicketState,
+}
+
+/// What one thread hands other workers at once: `runs[w]` is bound for
+/// worker `w`'s mailbox, each event with the band cell it is for.
+type Runs<M> = Vec<Vec<(usize, TaskEvent<M>)>>;
+
+/// One empty run a worker.
+fn runs<M>(workers: usize) -> Runs<M> {
+    (0..workers).map(|_| Vec::new()).collect()
 }
 
 /// The worker that owns cell `t` of `cells`: contiguous id ranges whose
@@ -257,9 +271,8 @@ struct Outbox<M> {
     /// room: zero during start-up, when no worker runs yet to make any.
     patience: Duration,
     actions: Vec<Action<M>>,
-    /// The sends to other bands, one run a destination worker:
-    /// `remote[w]` is bound for worker `w`'s mailbox.
-    remote: Vec<Vec<(usize, TaskEvent<M>)>>,
+    /// The sends to other bands, one run a destination worker.
+    remote: Runs<M>,
     confirms: Vec<Confirm>,
     indications: Vec<Indication>,
 }
@@ -280,7 +293,7 @@ impl<M> Outbox<M> {
             sent: 0,
             patience: Duration::ZERO,
             actions: Vec::new(),
-            remote: (0..workers).map(|_| Vec::new()).collect(),
+            remote: runs(workers),
             confirms: Vec::new(),
             indications: Vec::new(),
         }
@@ -371,10 +384,24 @@ where
         Some(answers)
     }
 
+    /// The worker that owns cell `t`.
+    fn home(&self, t: usize) -> usize {
+        home(t, self.mailboxes.len(), self.topo.num_cells())
+    }
+
     /// Hands `ev` to cell `to`'s home worker.
     fn deliver(&self, to: usize, ev: TaskEvent<P::Msg>, patience: Duration) {
-        let w = home(to, self.mailboxes.len(), self.topo.num_cells());
-        self.pushed(self.mailboxes[w].push((to, ev), patience));
+        self.pushed(self.mailboxes[self.home(to)].push((to, ev), patience));
+    }
+
+    /// Hands every non-empty run to its worker: one push, one mailbox
+    /// lock, a destination, whatever the number of events.
+    fn push_runs(&self, runs: &mut Runs<P::Msg>, patience: Duration) {
+        for (w, run) in runs.iter_mut().enumerate() {
+            if !run.is_empty() {
+                self.pushed(self.mailboxes[w].push_run(run.drain(..), patience));
+            }
+        }
     }
 
     /// Accounts for one push (an event or a run) into a mailbox.
@@ -413,12 +440,7 @@ where
             // every confirm can be taken.
             c.pending.fetch_sub(resolved as u64, Ordering::Release);
         }
-        // One run a destination worker, under one mailbox lock.
-        for (w, run) in out.remote.iter_mut().enumerate() {
-            if !run.is_empty() {
-                self.pushed(self.mailboxes[w].push_run(run.drain(..), out.patience));
-            }
-        }
+        self.push_runs(&mut out.remote, out.patience);
     }
 
     /// A worker's loop: activations in ready-list order, with what the
@@ -622,6 +644,63 @@ where
             cause,
         });
     }
+
+    /// Admits or refuses one request of a burst, under the burst's
+    /// `tickets` lock and at its clock read `issued`. An admitted
+    /// request's acquire goes into `runs`; a handoff's source is
+    /// claimed and retired first, and its `Relinquish` goes into `runs`
+    /// and its `Released` into `released` ahead of the acquire —
+    /// break-before-make, matching the engine's `Ev::Hop`, so a
+    /// rejected handoff drops the call with nothing left to clean up.
+    fn admit(
+        &self,
+        tickets: &mut Vec<TicketRec>,
+        req: &ChannelRequest,
+        issued: Instant,
+        runs: &mut Runs<P::Msg>,
+        released: &mut Vec<Indication>,
+    ) -> Result<Ticket, ServeError> {
+        let t = req.cell.index();
+        if t >= self.topo.num_cells() {
+            return Err(ServeError::UnknownCell(req.cell));
+        }
+        if req.kind == RequestKind::Handoff {
+            let Some(src) = req.handoff_of else {
+                return Err(ServeError::BadHandoff(
+                    "a handoff needs its source ticket (ChannelRequest::handoff)",
+                ));
+            };
+            let Some(rec) = tickets.get_mut(src.0 as usize) else {
+                return Err(ServeError::UnknownTicket(src));
+            };
+            // Claiming under the tickets lock makes concurrent handoffs
+            // of the same source mutually exclusive: the loser sees Done
+            // and is refused.
+            let TicketState::Active(ch) = rec.state else {
+                return Err(ServeError::BadHandoff(
+                    "the source ticket is not holding a channel",
+                ));
+            };
+            rec.state = TicketState::Done;
+            let src_cell = rec.cell.index();
+            runs[self.home(src_cell)].push((src_cell, TaskEvent::Relinquish { ch }));
+            released.push(Indication::Released {
+                ticket: src,
+                cell: rec.cell,
+                channel: ch,
+            });
+        }
+        let ticket = tickets.len() as u64;
+        tickets.push(TicketRec {
+            cell: req.cell,
+            hold: req.hold,
+            issued,
+            state: TicketState::Pending,
+        });
+        let kind = req.kind;
+        runs[self.home(t)].push((t, TaskEvent::Acquire { ticket, kind }));
+        Ok(Ticket(ticket))
+    }
 }
 
 /// [`AllocService`] served live by the bounded-mailbox executor.
@@ -642,6 +721,13 @@ where
     P::Msg: Send + 'static,
 {
     inner: Arc<Inner<P>>,
+    /// The buffers of this handle's admissions, reused burst after
+    /// burst: the acquires (and a handoff's relinquish) one run a
+    /// worker, the handoffs' `Released`, and `request_channel`'s one
+    /// result.
+    runs: Runs<P::Msg>,
+    released: Vec<Indication>,
+    one: Vec<Result<Ticket, ServeError>>,
 }
 
 impl<P> ProductionAllocService<P>
@@ -703,14 +789,19 @@ where
         // The wheel holds only a weak reference, so service teardown is
         // not kept alive by its own timer thread.
         let weak: Weak<Inner<P>> = Arc::downgrade(&inner);
-        let wheel = TimerWheel::new(move |(cell, kind): (usize, WheelKind)| {
+        let mut expired = runs(workers);
+        let wheel = TimerWheel::batched(move |fired: &mut Vec<(usize, WheelKind)>| {
             if let Some(inner) = weak.upgrade() {
-                let ev = match kind {
-                    WheelKind::Timer(tag) => TaskEvent::Timer { tag },
-                    WheelKind::End(ticket) => TaskEvent::End { ticket },
-                };
+                // What expired together goes in as one run a worker.
+                for &(cell, kind) in fired.iter() {
+                    let ev = match kind {
+                        WheelKind::Timer(tag) => TaskEvent::Timer { tag },
+                        WheelKind::End(ticket) => TaskEvent::End { ticket },
+                    };
+                    expired[inner.home(cell)].push((cell, ev));
+                }
                 // The wheel thread never blocks on a full mailbox.
-                inner.deliver(cell, ev, Duration::ZERO);
+                inner.push_runs(&mut expired, Duration::ZERO);
             }
         });
         let _ = inner.wheel.set(wheel);
@@ -735,7 +826,17 @@ where
             })
             .collect();
         *inner.workers.lock().expect("workers poisoned") = handles;
-        ProductionAllocService { inner }
+        ProductionAllocService::handle(inner)
+    }
+
+    /// A handle onto `inner`, with empty buffers.
+    fn handle(inner: Arc<Inner<P>>) -> Self {
+        ProductionAllocService {
+            runs: runs(inner.mailboxes.len()),
+            released: Vec::new(),
+            one: Vec::new(),
+            inner,
+        }
     }
 
     /// Stops the worker pool (idempotent). Called automatically on
@@ -752,9 +853,7 @@ where
 {
     fn clone(&self) -> Self {
         self.inner.handles.fetch_add(1, Ordering::AcqRel);
-        ProductionAllocService {
-            inner: self.inner.clone(),
-        }
+        ProductionAllocService::handle(self.inner.clone())
     }
 }
 
@@ -778,86 +877,76 @@ where
     P: StateMachine + Send + 'static,
     P::Msg: Send + 'static,
 {
+    /// The burst of one.
     fn request_channel(&mut self, req: ChannelRequest) -> Result<Ticket, ServeError> {
-        if self.inner.counters.stopping.load(Ordering::Acquire) {
-            return Err(ServeError::Unsupported("service is shutting down"));
+        let mut one = std::mem::take(&mut self.one);
+        self.request_channels(std::slice::from_ref(&req), &mut one);
+        let result = one.pop().expect("one result a request");
+        self.one = one;
+        result
+    }
+
+    /// One pass over the burst: one `tickets` lock and one clock read
+    /// for all of it, the handoffs' `Released` published under one
+    /// `answers` lock, one add a counter, then one push a destination
+    /// worker. The push is blocking: admission is behind the same
+    /// bounded mailbox as protocol traffic, so an overloaded band pushes
+    /// back on the caller, and a run fits, stalls or is forced as a
+    /// whole — a mailbox overshoots its bound by one burst at most. A
+    /// handoff's acquire is filed ahead of what waits at its target —
+    /// the paper prioritizes handoffs over new calls — but feels the
+    /// same backpressure.
+    fn request_channels(
+        &mut self,
+        reqs: &[ChannelRequest],
+        out: &mut Vec<Result<Ticket, ServeError>>,
+    ) {
+        let inner = &*self.inner;
+        if inner.counters.stopping.load(Ordering::Acquire) {
+            let shutting = ServeError::Unsupported("service is shutting down");
+            out.extend(reqs.iter().map(|_| Err(shutting)));
+            return;
         }
-        if req.cell.index() >= self.inner.topo.num_cells() {
-            return Err(ServeError::UnknownCell(req.cell));
-        }
-        // Break-before-make, matching the engine's `Ev::Hop`: claim and
-        // retire the source ticket, return its channel, *then* issue the
-        // priority acquire at the target. A rejected handoff therefore
-        // drops the call with nothing left to clean up.
-        let mut vacated = None;
-        let ticket = {
-            let mut tickets = self.inner.tickets.lock().expect("tickets poisoned");
-            if req.kind == RequestKind::Handoff {
-                let Some(src) = req.handoff_of else {
-                    return Err(ServeError::BadHandoff(
-                        "a handoff needs its source ticket (ChannelRequest::handoff)",
-                    ));
-                };
-                let Some(rec) = tickets.get_mut(src.0 as usize) else {
-                    return Err(ServeError::UnknownTicket(src));
-                };
-                // Claiming under the tickets lock makes concurrent
-                // handoffs of the same source mutually exclusive: the
-                // loser sees Done and is refused.
-                let TicketState::Active(src_ch) = rec.state else {
-                    return Err(ServeError::BadHandoff(
-                        "the source ticket is not holding a channel",
-                    ));
-                };
-                rec.state = TicketState::Done;
-                vacated = Some((src, rec.cell, src_ch));
+        let admitted = {
+            let issued = Instant::now();
+            let mut tickets = inner.tickets.lock().expect("tickets poisoned");
+            let before = tickets.len();
+            for req in reqs {
+                let admit = inner.admit(
+                    &mut tickets,
+                    req,
+                    issued,
+                    &mut self.runs,
+                    &mut self.released,
+                );
+                out.push(admit);
             }
-            let id = tickets.len() as u64;
-            tickets.push(TicketRec {
-                cell: req.cell,
-                hold: req.hold,
-                issued: Instant::now(),
-                state: TicketState::Pending,
-            });
-            id
+            (tickets.len() - before) as u64
         };
-        if let Some((src, src_cell, src_ch)) = vacated {
-            // The channel is out of the ground truth before the target
-            // search can observe it; the source node hears the release
-            // on its own task; the subscriber sees the usual Released
-            // (the call itself lives on under the new ticket — this is
+        if admitted == 0 {
+            return;
+        }
+        if !self.released.is_empty() {
+            // The vacated channels are out of the ground truth before
+            // any target search can observe them; each source node hears
+            // its release on its own task; the subscriber sees the usual
+            // `Released` (the call lives on under the handoff ticket —
             // a migration, not a completion, so `completed` is not
             // bumped).
-            self.inner.ground.remove(src_cell, src_ch);
-            self.inner.deliver(
-                src_cell.index(),
-                TaskEvent::Relinquish { ch: src_ch },
-                self.inner.cfg.stall_patience,
-            );
-            self.inner.answer(|a| {
-                a.indications.push_back(Indication::Released {
-                    ticket: src,
-                    cell: src_cell,
-                    channel: src_ch,
-                })
-            });
+            for &Indication::Released { cell, channel, .. } in &self.released {
+                inner.ground.remove(cell, channel);
+            }
+            inner.answer(|a| a.indications.extend(self.released.drain(..)));
         }
-        self.inner.counters.offered.fetch_add(1, Ordering::Relaxed);
-        self.inner.counters.pending.fetch_add(1, Ordering::Relaxed);
-        // Blocking push: admission is behind the same bounded mailbox
-        // as protocol traffic, so an overloaded band pushes back on the
-        // client. A handoff's acquire is filed ahead of what waits at
-        // its target — the paper prioritizes handoffs over new calls —
-        // but feels the same backpressure.
-        self.inner.deliver(
-            req.cell.index(),
-            TaskEvent::Acquire {
-                ticket,
-                kind: req.kind,
-            },
-            self.inner.cfg.stall_patience,
-        );
-        Ok(Ticket(ticket))
+        inner
+            .counters
+            .offered
+            .fetch_add(admitted, Ordering::Relaxed);
+        inner
+            .counters
+            .pending
+            .fetch_add(admitted, Ordering::Relaxed);
+        inner.push_runs(&mut self.runs, inner.cfg.stall_patience);
     }
 
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {

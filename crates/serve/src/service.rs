@@ -163,7 +163,8 @@ pub enum Indication {
 /// Service-level counters, uniform across backends.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
-    /// Requests accepted by [`AllocService::request_channel`].
+    /// Requests accepted by [`AllocService::request_channel`] (or
+    /// [`AllocService::request_channels`]).
     pub offered: u64,
     /// Requests confirmed with a grant.
     pub granted: u64,
@@ -173,14 +174,17 @@ pub struct ServeStats {
     pub completed: u64,
     /// Protocol control messages carried by the backend.
     pub messages: u64,
-    /// Sends that found a bounded mailbox full and had to wait
+    /// Pushes that found a bounded mailbox full and had to wait
     /// (production backend only; the deterministic backend never
-    /// stalls).
+    /// stalls). A push is one run — an activation's sends to one
+    /// worker, a burst of admissions, a batch of expired timers — so
+    /// this counts runs, not events.
     pub backpressure_stalls: u64,
-    /// Stalled sends that outlived the stall deadline and were forced
+    /// Stalled pushes that outlived the stall deadline and were forced
     /// into the queue anyway — the escape valve that keeps the executor
-    /// deadlock-free. A nonzero value means the configured capacity is
-    /// too small for the offered load.
+    /// deadlock-free. The timer wheel never waits, so a wheel batch that
+    /// finds its mailbox full is forced at once. A value that grows with
+    /// the load means the configured capacity is too small for it.
     pub backpressure_forced: u64,
     /// Invariant violations observed by the ground-truth audit
     /// (Theorem 1: no co-channel use within the interference region).
@@ -233,7 +237,9 @@ pub trait AllocService {
     /// answer arrives asynchronously as a [`Confirm`] carrying the same
     /// ticket. On the production backend this call *blocks* while the
     /// target cell's worker's mailbox is full — that is the
-    /// backpressure surface a closed-loop client feels.
+    /// backpressure surface a closed-loop client feels — and it is a
+    /// [`request_channels`](AllocService::request_channels) burst of
+    /// one.
     ///
     /// ```
     /// use adca_baselines::FixedNode;
@@ -252,6 +258,46 @@ pub trait AllocService {
     /// assert_eq!(bad, Err(ServeError::UnknownCell(CellId(999))));
     /// ```
     fn request_channel(&mut self, req: ChannelRequest) -> Result<Ticket, ServeError>;
+
+    /// Submits a burst: appends to `out` one result a request, in
+    /// order, each what [`request_channel`] would have returned for it
+    /// had the burst been submitted one request after the other — a
+    /// refusal refuses that request alone, takes no ticket, and the
+    /// burst goes on. The default implementation loops over
+    /// [`request_channel`]; the production backend overrides it with
+    /// one pass over the burst (one lock of its tickets, one clock
+    /// read, one mailbox push a worker), and its backpressure holds up
+    /// the burst as a whole.
+    ///
+    /// ```
+    /// use adca_baselines::FixedNode;
+    /// use adca_hexgrid::{CellId, Topology};
+    /// use adca_serve::{AllocService, ChannelRequest, DesAllocService, ServeError};
+    /// use adca_simkit::SimConfig;
+    /// use std::sync::Arc;
+    ///
+    /// let topo = Arc::new(Topology::default_paper(3, 3));
+    /// let mut svc = DesAllocService::new(topo, SimConfig::default(), FixedNode::new);
+    /// let burst = [
+    ///     ChannelRequest::new_call(0, CellId(0), 100),
+    ///     ChannelRequest::new_call(0, CellId(999), 100),
+    ///     ChannelRequest::new_call(0, CellId(1), 100),
+    /// ];
+    /// let mut out = Vec::new();
+    /// svc.request_channels(&burst, &mut out);
+    /// assert_eq!(out.len(), 3, "one result a request, in order");
+    /// assert_eq!(out[1], Err(ServeError::UnknownCell(CellId(999))));
+    /// assert!(out[0].is_ok() && out[2].is_ok());
+    /// ```
+    ///
+    /// [`request_channel`]: AllocService::request_channel
+    fn request_channels(
+        &mut self,
+        reqs: &[ChannelRequest],
+        out: &mut Vec<Result<Ticket, ServeError>>,
+    ) {
+        out.extend(reqs.iter().map(|&req| self.request_channel(req)));
+    }
 
     /// Ends a call before its declared hold expires. On the production
     /// backend the owning cell returns the channel and emits a

@@ -692,12 +692,17 @@ fn a_hot_band_completes_on_its_own_worker() {
 /// worker every cell is in its band, so every protocol send goes into a
 /// cell's inbox, and a borrowing load sends thousands of them. What
 /// still goes through the worker's mailbox — bounded at one event a
-/// cell, 36 for the band — is what other threads hand over: 504
-/// admissions in a burst and, a hold later, the call ends in another.
-/// So only those can find it full, and they do, many times over. None
-/// of them waits out its patience on a mailbox the worker keeps
-/// draining: the run takes its holds and well under a tenth of
-/// `stalls × stall_patience` more.
+/// cell, 36 for the band — is what other threads hand over, each push
+/// one run: 504 admissions in a burst, a run of one each, and, a hold
+/// later, the call ends, a run for each batch the wheel finds expired.
+/// So only those can find it full, and they do: 14–68 runs in 64 runs
+/// of this test (release and debug, alone and beside the rest of this
+/// file). None of them waits out its patience on a mailbox the worker
+/// keeps draining (the wheel's runs have none to wait): the run takes
+/// its holds and under 40 patiences more (2–31 ms more in those runs).
+/// Were protocol sends to go through the mailbox, the worker would
+/// stall on its own full mailbox until its patience forced each run
+/// in: hundreds of times, 126–334 ms more.
 #[test]
 fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
     const HOLD: u64 = 40_000;
@@ -730,15 +735,15 @@ fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
         stats.messages
     );
     let stalls = stats.backpressure_stalls;
-    assert!(stalls >= 50, "the load did not fill the mailbox: {stalls}");
+    assert!(stalls >= 5, "the load did not fill the mailbox: {stalls}");
     assert!(
         stalls <= stats.offered + stats.completed,
-        "{stalls} full-mailbox pushes from {} admissions and {} call ends",
+        "{stalls} full-mailbox runs from {} admissions and {} call ends",
         stats.offered,
         stats.completed
     );
     assert!(
-        took < holds + patience * stalls as u32 / 10,
-        "{took:?} for holds of {holds:?} and {stalls} full-mailbox pushes of patience {patience:?}"
+        took < holds + patience * 40,
+        "{took:?} for holds of {holds:?} and {stalls} full-mailbox runs of patience {patience:?}"
     );
 }

@@ -7,8 +7,10 @@
 //! condvar wake only when the new timer becomes the earliest deadline
 //! (the dispatcher is asleep until the old earliest one and must be
 //! told to get up sooner; a later timer is found when it gets there).
-//! The dispatcher invokes one caller-supplied callback per expired
-//! timer, in deadline order (FIFO among ties).
+//! The dispatcher hands everything that expired together to one
+//! caller-supplied callback ([`TimerWheel::batched`]), in deadline
+//! order (FIFO among ties); [`TimerWheel::new`] is the same loop with a
+//! callback a timer.
 //!
 //! The production backend in `adca-serve` and the wire client in
 //! `adca-wire` arm their timers here.
@@ -73,10 +75,39 @@ impl<T: Send + 'static> TimerWheel<T> {
     /// Starts the dispatcher thread. `dispatch` is called once per
     /// expired timer, on the wheel's own thread — keep it cheap and
     /// non-blocking (both users post to an unbounded / force-capable
-    /// queue).
+    /// queue). It is [`batched`](Self::batched) with a callback that
+    /// takes the batch apart.
     pub fn new<F>(mut dispatch: F) -> Self
     where
         F: FnMut(T) + Send + 'static,
+    {
+        Self::batched(move |fired: &mut Vec<T>| fired.drain(..).for_each(&mut dispatch))
+    }
+
+    /// Starts the dispatcher thread. `dispatch` is handed everything
+    /// that expired together — every timer due when the dispatcher
+    /// looked, in deadline order (FIFO among ties) — on the wheel's own
+    /// thread, outside the wheel's lock, so it may [`schedule`] again;
+    /// what it leaves in the vector is dropped. Keep it cheap and
+    /// non-blocking.
+    ///
+    /// ```
+    /// use adca_threadnet::TimerWheel;
+    /// use std::sync::mpsc;
+    /// use std::time::Duration;
+    ///
+    /// let (tx, rx) = mpsc::channel();
+    /// let wheel = TimerWheel::batched(move |fired: &mut Vec<u32>| {
+    ///     let _ = tx.send(std::mem::take(fired));
+    /// });
+    /// wheel.schedule(Duration::from_millis(1), 7);
+    /// assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(vec![7]));
+    /// ```
+    ///
+    /// [`schedule`]: Self::schedule
+    pub fn batched<F>(mut dispatch: F) -> Self
+    where
+        F: FnMut(&mut Vec<T>) + Send + 'static,
     {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
@@ -102,9 +133,8 @@ impl<T: Send + 'static> TimerWheel<T> {
                     // Dispatch outside the lock so callbacks can call
                     // `schedule` re-entrantly.
                     drop(st);
-                    for p in fired.drain(..) {
-                        dispatch(p);
-                    }
+                    dispatch(&mut fired);
+                    fired.clear();
                     st = thread_inner.state.lock().expect("wheel poisoned");
                     continue;
                 }
@@ -128,8 +158,12 @@ impl<T: Send + 'static> TimerWheel<T> {
     }
 
     /// Arms one timer: `dispatch(payload)` fires after `after` elapses.
+    /// A delay too long to reach an `Instant` never elapses, so such a
+    /// timer is not armed (and `payload` is dropped).
     pub fn schedule(&self, after: Duration, payload: T) {
-        self.schedule_at(Instant::now() + after, payload);
+        if let Some(due) = Instant::now().checked_add(after) {
+            self.schedule_at(due, payload);
+        }
     }
 
     /// Arms one timer: `dispatch(payload)` fires once `due` has passed.
@@ -248,6 +282,47 @@ mod tests {
         for v in 0..=3 {
             assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(v));
         }
+        assert_eq!(wheel.pending(), 0);
+    }
+
+    /// Timers that fall due while the dispatcher is busy are handed over
+    /// in one call, in deadline order and FIFO among ties. The first
+    /// batch holds the dispatcher (a gate) while the rest are armed
+    /// with deadlines already past, in scrambled order.
+    #[test]
+    fn batched_hands_over_what_fell_due_together_in_order() {
+        let (open, gate) = mpsc::channel::<()>();
+        let (tx, rx) = mpsc::channel();
+        let wheel = TimerWheel::batched(move |fired: &mut Vec<(u32, u32)>| {
+            let at_gate = fired[0] == (0, 0);
+            let _ = tx.send(fired.clone());
+            if at_gate {
+                gate.recv().expect("the test opens the gate");
+            }
+        });
+        wheel.schedule(Duration::ZERO, (0, 0));
+        let first = rx.recv_timeout(Duration::from_secs(5)).expect("gate batch");
+        assert_eq!(first, vec![(0, 0)]);
+        let base = Instant::now();
+        // (deadline in µs after `base`, arming order among its ties)
+        let armed = [(3, 0), (1, 0), (3, 1), (2, 0), (1, 1), (3, 2), (2, 1)];
+        for (at, k) in armed {
+            wheel.schedule_at(base + Duration::from_micros(at.into()), (at, k));
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        open.send(()).expect("the dispatcher waits at the gate");
+        let mut expected = armed.to_vec();
+        expected.sort();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(expected));
+        assert_eq!(wheel.pending(), 0);
+    }
+
+    /// A delay no `Instant` can reach is a timer that never fires: it is
+    /// not armed, where the deadline sum used to panic.
+    #[test]
+    fn an_endless_delay_arms_nothing() {
+        let wheel = TimerWheel::new(|_: u32| panic!("an endless timer fired"));
+        wheel.schedule(Duration::MAX, 1);
         assert_eq!(wheel.pending(), 0);
     }
 

@@ -53,7 +53,9 @@ use std::time::{Duration, Instant};
 /// Tuning for one client connection.
 #[derive(Debug, Clone, Copy)]
 pub struct WireClientConfig {
-    /// Patience for the first answer to each attempt.
+    /// Patience for the first answer to each attempt. One too long to
+    /// reach an `Instant` (`Duration::MAX`) is no deadline: such a
+    /// request is never retransmitted and never times out.
     pub deadline: Duration,
     /// Retransmissions allowed per request before it times out.
     pub max_retries: u32,
@@ -199,8 +201,10 @@ impl ClientState {
     /// Takes every request whose deadline has passed at `now`: one with
     /// budget left gets its next deadline (`patience` plus its next
     /// backoff delay) and its frame is appended to `out` for
-    /// retransmission, one without resolves as a timeout. Returns the
-    /// number of retransmissions.
+    /// retransmission, one without resolves as a timeout. A next
+    /// deadline too far to reach an `Instant` is none: that request
+    /// waits for its answer, unsent again and never timed out. Returns
+    /// the number of retransmissions.
     fn expire(
         &mut self,
         now: Instant,
@@ -219,9 +223,12 @@ impl ClientState {
             };
             match p.backoff.next_delay() {
                 Some(delay) => {
-                    encode_into(out, &p.msg);
-                    resent += 1;
-                    self.set_deadline(now + patience + delay, id);
+                    let next = now.checked_add(patience).and_then(|d| d.checked_add(delay));
+                    if let Some(due) = next {
+                        encode_into(out, &p.msg);
+                        resent += 1;
+                        self.set_deadline(due, id);
+                    }
                 }
                 None => {
                     self.pending.remove(&id);
@@ -333,7 +340,8 @@ impl WireClient {
             hold: req.hold,
             handoff_of: req.handoff_of.map(|t| t.0),
         };
-        let due = Instant::now() + self.cfg.deadline;
+        // `None`: no deadline (see `WireClientConfig::deadline`).
+        let due = Instant::now().checked_add(self.cfg.deadline);
         let arm = {
             let mut st = self.shared.st.lock().expect("client poisoned");
             if st.closed {
@@ -353,7 +361,9 @@ impl WireClient {
                     ),
                 },
             );
-            st.set_deadline(due, id);
+            if let Some(due) = due {
+                st.set_deadline(due, id);
+            }
             st.arm()
         };
         self.next_id += 1;
@@ -848,4 +858,35 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
         WireMsg::Request { .. } | WireMsg::Release { .. } => return,
     };
     st.events.push_back(ev);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A retry whose next deadline lies past what an `Instant` can hold
+    /// is not sent and not timed out: it waits for its answer, where
+    /// the deadline sum used to panic.
+    #[test]
+    fn an_unreachable_retry_deadline_is_none() {
+        let mut st = ClientState {
+            pending: HashMap::new(),
+            deadlines: VecDeque::new(),
+            armed: false,
+            events: VecDeque::new(),
+            refused: 0,
+            receiving: false,
+            closed: false,
+        };
+        let now = Instant::now();
+        let backoff = Backoff::new(Duration::from_millis(1), Duration::MAX, 2);
+        let msg = WireMsg::Release { ticket: 0 };
+        st.pending.insert(7, PendingReq { msg, backoff });
+        st.set_deadline(now, 7);
+        let (mut timeouts, mut out) = (0, Vec::new());
+        assert_eq!(st.expire(now, Duration::MAX, &mut timeouts, &mut out), 0);
+        assert!(out.is_empty() && st.deadlines.is_empty() && st.events.is_empty());
+        assert!(st.pending.contains_key(&7));
+        assert_eq!(timeouts, 0);
+    }
 }

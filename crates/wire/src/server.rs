@@ -4,21 +4,26 @@
 //!
 //! * one **accept** thread on the [`TcpListener`];
 //! * per connection, a **reader**/**writer** worker pair — the reader
-//!   decodes frames and submits requests on its own service clone, the
-//!   writer drains that connection's outbox;
+//!   decodes the frames of one read and admits their requests together
+//!   on its own service clone, the writer drains that connection's
+//!   outbox;
 //! * one **dispatcher** thread that takes everything the backend has
 //!   answered in one [`AllocService::recv_answers`], matches the burst
 //!   with its routes under one lock, and hands each connection its run
 //!   of frames under one outbox lock (the writer then sends them in one
 //!   `write`).
 //!
-//! **Backpressure** needs no queue of its own: the reader calls
-//! [`AllocService::request_channel`], which on the production backend
-//! blocks while the target cell's worker's bounded mailbox is full.
-//! A blocked reader stops reading, the kernel receive buffer fills,
-//! the client's TCP window closes, and the client's `write` stalls —
-//! mailbox pressure propagated to the socket with no unbounded buffer
-//! anywhere on the path.
+//! **Backpressure** needs no queue of its own: the reader admits a
+//! read — the Request frames of one `read`, at most 16 KiB of them — in
+//! one [`AllocService::request_channels`] call, which on the production
+//! backend pushes one run a destination worker and blocks while that
+//! worker's bounded mailbox is full. A blocked reader stops reading,
+//! the kernel receive buffer fills, the client's TCP window closes, and
+//! the client's `write` stalls — mailbox pressure propagated to the
+//! socket with no unbounded buffer anywhere on the path, and a mailbox
+//! overshoots its bound by one read at most. A Release frame, or one
+//! that closes the connection, first admits the requests read before
+//! it, so frames take effect in the order they came.
 //!
 //! **Idempotency**: each connection remembers every client request id
 //! it has seen. A retransmitted id whose answer is still in flight is
@@ -41,13 +46,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a response whose connection has not registered its route
-/// yet is parked before being dropped (covers the instant between
-/// `request_channel` returning on the reader and the route insert).
+/// How long an answer that has no route yet — or a `Released` whose
+/// `Granted` has not been relayed — is parked before being dropped. A
+/// reader registers its routes under the lock it admits them under, so
+/// an answer of this server's own admissions never finds its route
+/// missing; what parks is an answer a backend hands out of that order.
 const PARK_TTL: Duration = Duration::from_secs(5);
 
-/// How often the dispatcher retries answers parked on a route that the
-/// reader is about to register (nothing signals that insert).
+/// How often the dispatcher retries parked answers (nothing signals
+/// the route they wait for).
 const PARK_RETRY: Duration = Duration::from_micros(200);
 
 /// Longest the idle dispatcher waits for the backend before it looks at
@@ -58,7 +65,11 @@ const IDLE_WAIT: Duration = Duration::from_millis(1);
 /// Object-safe face of `AllocService + Clone`, so [`WireServer`] need
 /// not be generic over the backend.
 trait DynService: Send {
-    fn request_channel(&mut self, req: ChannelRequest) -> Result<Ticket, ServeError>;
+    fn request_channels(
+        &mut self,
+        reqs: &[ChannelRequest],
+        out: &mut Vec<Result<Ticket, ServeError>>,
+    );
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError>;
     fn recv_answers(
         &mut self,
@@ -70,8 +81,12 @@ trait DynService: Send {
 }
 
 impl<S: AllocService + Clone + Send + 'static> DynService for S {
-    fn request_channel(&mut self, req: ChannelRequest) -> Result<Ticket, ServeError> {
-        AllocService::request_channel(self, req)
+    fn request_channels(
+        &mut self,
+        reqs: &[ChannelRequest],
+        out: &mut Vec<Result<Ticket, ServeError>>,
+    ) {
+        AllocService::request_channels(self, reqs, out)
     }
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {
         AllocService::release(self, ticket)
@@ -247,7 +262,12 @@ struct ConnState {
 
 struct Shared {
     stopping: AtomicBool,
-    /// Server ticket → where its confirm (and later release) goes.
+    /// Server ticket → where its confirm (and later release) goes. A
+    /// reader holds it across its backend call and registers the read's
+    /// routes before it lets go, so the lock order is `routes`, then the
+    /// backend's own locks (on the production backend `tickets`, then a
+    /// worker's mailbox); the dispatcher takes it with no other lock
+    /// held, and nothing takes it under a backend lock.
     routes: Mutex<HashMap<u64, Route>>,
     /// Live connections by id.
     conns: Mutex<HashMap<u64, Arc<ConnState>>>,
@@ -409,10 +429,14 @@ fn run_accept(
 }
 
 /// Reads and executes one connection's frames until EOF, a protocol
-/// error, or shutdown.
+/// error, or shutdown. The Request frames of one read are admitted
+/// together; a Release, or a frame that ends the connection, first
+/// admits what was collected before it, so frames take effect in the
+/// order they came.
 fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn DynService) {
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
+    let mut burst = Burst::default();
     let mut stream = &conn.stream;
     'conn: loop {
         let n = match stream.read(&mut buf) {
@@ -422,17 +446,50 @@ fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn Dyn
         dec.extend(&buf[..n]);
         loop {
             match dec.next_frame() {
-                Ok(Some(msg)) => {
-                    if !handle_frame(shared, conn_id, conn, svc, msg) {
-                        break 'conn;
-                    }
+                Ok(Some(WireMsg::Request {
+                    id,
+                    at,
+                    cell,
+                    kind,
+                    hold,
+                    handoff_of,
+                })) => burst.ids.push((
+                    id,
+                    ChannelRequest {
+                        at,
+                        cell: CellId(cell),
+                        kind,
+                        hold,
+                        handoff_of: handoff_of.map(Ticket),
+                    },
+                )),
+                Ok(Some(WireMsg::Release { ticket })) => {
+                    burst.admit(shared, conn_id, conn, svc);
+                    // Releasing an unknown or already-ended ticket is
+                    // benign (the service call reports it; the wire
+                    // stays silent — the interesting answer is the
+                    // Released indication).
+                    let _ = svc.release(Ticket(ticket));
                 }
                 Ok(None) => break,
-                // Unrecoverable stream (bad magic/version/checksum/…):
-                // close the connection rather than guess at resync.
-                Err(_) => break 'conn,
+                // Server→client vocabulary arriving at the server is a
+                // protocol violation, and a stream that does not decode
+                // (bad magic/version/checksum/…) cannot be resynced:
+                // either way the connection closes, after what came
+                // before took effect.
+                Ok(Some(
+                    WireMsg::Granted { .. }
+                    | WireMsg::Rejected { .. }
+                    | WireMsg::Refused { .. }
+                    | WireMsg::Released { .. },
+                ))
+                | Err(_) => {
+                    burst.admit(shared, conn_id, conn, svc);
+                    break 'conn;
+                }
             }
         }
+        burst.admit(shared, conn_id, conn, svc);
     }
     shared
         .conns
@@ -443,91 +500,97 @@ fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn Dyn
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
-/// Executes one client frame. Returns `false` when the connection must
-/// close (a client sent a server→client message).
-fn handle_frame(
-    shared: &Shared,
-    conn_id: u64,
-    conn: &ConnState,
-    svc: &mut dyn DynService,
-    msg: WireMsg,
-) -> bool {
-    match msg {
-        WireMsg::Request {
-            id,
-            at,
-            cell,
-            kind,
-            hold,
-            handoff_of,
-        } => {
-            // The guard goes with this statement: a cached answer is
-            // copied out, and sent below with no lock of `conn` held.
-            let seen = match conn.dedup.lock().expect("dedup poisoned").entry(id) {
+/// A reader's Request frames on their way to the backend, and the
+/// buffers their admission reuses read after read.
+#[derive(Default)]
+struct Burst {
+    /// Client id and request of every Request frame collected; once
+    /// the dedup pass is done, of those not seen before.
+    ids: Vec<(u64, ChannelRequest)>,
+    /// The requests of `ids`, for the backend.
+    fresh: Vec<ChannelRequest>,
+    results: Vec<Result<Ticket, ServeError>>,
+    /// Frames for the client: cached answers to replayed ids, then
+    /// refusals.
+    replies: Vec<WireMsg>,
+}
+
+impl Burst {
+    /// Admits what was collected: one dedup lock for the whole burst,
+    /// then one backend call for the ids not seen before, under the one
+    /// `routes` lock that registers their tickets. An id seen twice
+    /// within the burst is a dedup hit like any other.
+    fn admit(&mut self, shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn DynService) {
+        if self.ids.is_empty() {
+            return;
+        }
+        let mut hits = 0;
+        {
+            let mut dedup = conn.dedup.lock().expect("dedup poisoned");
+            self.ids.retain(|&(id, _)| match dedup.entry(id) {
                 Entry::Vacant(unseen) => {
                     unseen.insert(Dedup::InFlight);
-                    None
+                    true
                 }
-                Entry::Occupied(seen) => Some(seen.get().answer(id)),
-            };
-            if let Some(answer) = seen {
-                shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
                 // A retry of an answered request gets the answer again.
                 // One whose answer is still in flight gets nothing: that
                 // answer will arrive, once, and resubmitting is exactly
                 // the double-commit we must prevent.
-                if let Some(msg) = &answer {
-                    conn.out.send([msg]);
+                Entry::Occupied(seen) => {
+                    hits += 1;
+                    self.replies.extend(seen.get().answer(id));
+                    false
                 }
-                return true;
-            }
-            let req = ChannelRequest {
-                at,
-                cell: CellId(cell),
-                kind,
-                hold,
-                handoff_of: handoff_of.map(Ticket),
-            };
-            // On the production backend this call *blocks* while the
-            // cell's worker's mailbox is full — the backpressure path.
-            match svc.request_channel(req) {
-                Ok(ticket) => {
-                    shared.routes.lock().expect("routes poisoned").insert(
-                        ticket.0,
-                        Route {
+            });
+        }
+        if hits > 0 {
+            shared.dedup_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if !self.replies.is_empty() {
+            conn.out.send(&self.replies);
+            self.replies.clear();
+        }
+        if self.ids.is_empty() {
+            return;
+        }
+        self.fresh.extend(self.ids.iter().map(|&(_, req)| req));
+        {
+            // Held across the call, so that no answer the dispatcher
+            // matches can beat its route and park (see `Shared::routes`
+            // for the lock order).
+            let mut routes = shared.routes.lock().expect("routes poisoned");
+            // On the production backend this call *blocks* while a
+            // destination worker's mailbox is full — the backpressure
+            // path.
+            svc.request_channels(&self.fresh, &mut self.results);
+            for (&(id, _), result) in self.ids.iter().zip(&self.results) {
+                match *result {
+                    Ok(ticket) => {
+                        let route = Route {
                             conn: conn_id,
                             id,
                             granted: false,
-                        },
-                    );
-                }
-                Err(e) => {
-                    let refused = WireMsg::Refused {
+                        };
+                        routes.insert(ticket.0, route);
+                    }
+                    Err(e) => self.replies.push(WireMsg::Refused {
                         id,
                         reason: e.to_string(),
-                    };
-                    conn.out.send([&refused]);
-                    conn.dedup
-                        .lock()
-                        .expect("dedup poisoned")
-                        .extend(Dedup::of(&refused));
+                    }),
                 }
             }
-            true
         }
-        WireMsg::Release { ticket } => {
-            // Releasing an unknown or already-ended ticket is benign
-            // (the service call reports it; the wire stays silent —
-            // the interesting answer is the Released indication).
-            let _ = svc.release(Ticket(ticket));
-            true
+        if !self.replies.is_empty() {
+            conn.dedup
+                .lock()
+                .expect("dedup poisoned")
+                .extend(self.replies.iter().filter_map(Dedup::of));
+            conn.out.send(&self.replies);
+            self.replies.clear();
         }
-        // Server→client vocabulary arriving at the server is a protocol
-        // violation; drop the connection.
-        WireMsg::Granted { .. }
-        | WireMsg::Rejected { .. }
-        | WireMsg::Refused { .. }
-        | WireMsg::Released { .. } => false,
+        self.ids.clear();
+        self.fresh.clear();
+        self.results.clear();
     }
 }
 

@@ -125,6 +125,64 @@ fn contract<S: AllocService>(svc: &mut S) {
     assert_eq!((&granted, &released), (&short, &short));
     assert!(svc.quiesce(PATIENCE));
 
+    // A burst: one result a request, in order. A refusal in mid-burst
+    // refuses that request alone and takes no ticket; a handoff in
+    // mid-burst releases its source and is answered once, at its target.
+    let src = svc
+        .request_channel(ChannelRequest::new_call(0, CellId(21), FOREVER))
+        .expect("admitted");
+    assert_eq!(next_confirm(svc).ticket(), src);
+    let offered = svc.stats().offered;
+    let burst = [
+        ChannelRequest::new_call(0, CellId(22), FOREVER),
+        ChannelRequest::handoff(0, Ticket(9_999), CellId(23), FOREVER),
+        ChannelRequest::handoff(0, src, CellId(24), FOREVER),
+        ChannelRequest::new_call(0, CellId(999), FOREVER),
+        ChannelRequest::new_call(0, CellId(25), FOREVER),
+    ];
+    let mut out = Vec::new();
+    svc.request_channels(&burst, &mut out);
+    assert_eq!(out.len(), burst.len(), "one result a request");
+    assert_eq!(out[1], Err(ServeError::UnknownTicket(Ticket(9_999))));
+    let admitted = |r: Result<Ticket, ServeError>| r.expect("admitted");
+    let (first, hop, last) = (admitted(out[0]), admitted(out[2]), admitted(out[4]));
+    assert_eq!(hop.0, first.0 + 1, "the refused handoff took no ticket");
+    let mut expect: HashMap<Ticket, CellId> =
+        HashMap::from([(first, CellId(22)), (hop, CellId(24)), (last, CellId(25))]);
+    // The wire client cannot know the cell: it issues a ticket, the
+    // server refuses the request, and its one confirm is a `Blocked`
+    // rejection.
+    let mut refused = match out[3] {
+        Ok(ticket) => Some(ticket),
+        Err(e) => {
+            assert_eq!(e, ServeError::UnknownCell(CellId(999)));
+            assert_eq!(last.0, hop.0 + 1, "the unknown cell took no ticket");
+            None
+        }
+    };
+    while !expect.is_empty() || refused.is_some() {
+        match next_confirm(svc) {
+            Confirm::Granted { ticket, cell, .. } => {
+                assert_eq!(
+                    expect.remove(&ticket),
+                    Some(cell),
+                    "{ticket}: once, in its cell"
+                )
+            }
+            Confirm::Rejected {
+                ticket,
+                cell: CellId(999),
+                cause: DropCause::Blocked,
+            } if refused == Some(ticket) => refused = None,
+            other => panic!("idle cells grant: {other:?}"),
+        }
+    }
+    let Indication::Released { ticket, cell, .. } = next_indication(svc);
+    assert_eq!((ticket, cell), (src, CellId(21)), "break before make");
+    assert!(svc.quiesce(PATIENCE));
+    assert!(svc.confirm().is_none() && svc.indication().is_none());
+    assert_eq!(svc.stats().offered, offered + 3);
+
     // A wait with no limit is a wait, not a panic on the deadline sum:
     // with the answer on its way, both calls return once it is there.
     let call = svc
@@ -162,12 +220,13 @@ fn contract_holds_over_the_wire() {
     )
     .expect("connect");
     contract(&mut client);
-    assert_eq!((client.timeouts(), client.refused()), (0, 0));
-    // The client's counts are the backend's: seven calls offered and
+    assert_eq!(client.timeouts(), 0);
+    assert_eq!(client.refused(), 1, "the burst's unknown cell");
+    // The client's counts are the backend's: eleven calls offered and
     // granted, none lost or doubled on the way.
     let (near, far) = (client.stats(), svc.stats());
-    assert_eq!((near.offered, near.granted), (7, 7));
-    assert_eq!((far.offered, far.granted), (3 + 7, 3 + 7));
+    assert_eq!((near.offered, near.granted), (11, 11));
+    assert_eq!((far.offered, far.granted), (3 + 11, 3 + 11));
     assert!(far.violations.is_empty(), "{:?}", far.violations);
 }
 

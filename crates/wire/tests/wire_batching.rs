@@ -376,6 +376,65 @@ fn a_replayed_answer_is_byte_identical() {
     assert_eq!(granted + rejected + refused, IDS);
 }
 
+/// The server admits a read together, and in frame order: one read
+/// carries two requests, a retry of the first — still in flight, so
+/// answered by nothing — and a release of the first's ticket. The
+/// backend is offered each id once, and the release, behind the
+/// requests, finds the call it ends: its `Released` comes back. Had it
+/// run ahead of them it would have named a ticket not yet issued, and
+/// the day-long call would have held on.
+#[test]
+fn a_read_is_admitted_together_and_in_frame_order() {
+    let topo = Arc::new(Topology::default_paper(3, 3));
+    let svc = production(&topo, 100);
+    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    // A fresh backend issues tickets from 0: the first request's is 0.
+    let mut read = request_frame(0, 3);
+    read.extend(request_frame(1, 4));
+    read.extend(request_frame(0, 3));
+    read.extend(encode(&WireMsg::Release { ticket: 0 }));
+    raw.write_all(&read).expect("send one read");
+    let (mut dec, mut got, mut buf) = (FrameDecoder::new(), Vec::new(), [0u8; 256]);
+    while got.len() < 3 {
+        let n = raw.read(&mut buf).expect("answers on their way");
+        assert!(n > 0, "closed after {got:?}");
+        dec.extend(&buf[..n]);
+        while let Some(msg) = dec.next_frame().expect("sound answers") {
+            got.push(msg);
+        }
+    }
+    assert_eq!(got.len(), 3, "{got:?}");
+    let granted = |id, cell| {
+        got.iter()
+            .position(|m| matches!(*m, WireMsg::Granted { id: a, ticket, cell: c, .. } if (a, ticket, c) == (id, id, cell)))
+    };
+    let released = got.iter().position(|m| {
+        matches!(
+            *m,
+            WireMsg::Released {
+                ticket: 0,
+                cell: 3,
+                ..
+            }
+        )
+    });
+    let (first, second) = (granted(0, 3), granted(1, 4));
+    assert!(first.is_some() && second.is_some(), "{got:?}");
+    assert!(released > first, "{got:?}");
+    raw.set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("timeout");
+    assert!(
+        raw.read(&mut [0u8; 64]).is_err(),
+        "the retry is answered by nothing"
+    );
+    assert_eq!(server.dedup_hits(), 1);
+    let stats = svc.stats();
+    assert_eq!((stats.offered, stats.granted, stats.completed), (2, 2, 1));
+}
+
 /// Accepts one connection and swallows what it sends until it closes;
 /// returns every byte received.
 fn black_hole() -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<u8>>) {
@@ -458,6 +517,33 @@ fn black_hole_retries_then_times_out_each_request_once() {
         assert_eq!(sent.len(), 3, "id {id}: first send and two retries");
         assert!(sent.iter().all(|f| *f == sent[0]), "id {id}: same bytes");
     }
+}
+
+/// A deadline no `Instant` can reach is none: the request goes out once
+/// and waits for its answer, never retransmitted and never timed out,
+/// and arms nothing on the wheel — where the deadline sum used to panic
+/// in `submit`.
+#[test]
+fn an_endless_deadline_neither_retries_nor_times_out() {
+    let (addr, sink) = black_hole();
+    let wheel = deadline_wheel();
+    let cfg = WireClientConfig {
+        deadline: Duration::MAX,
+        ..WireClientConfig::default()
+    };
+    let mut client = WireClient::connect(addr, cfg, &wheel).expect("connect");
+    let id = client
+        .submit(&ChannelRequest::new_call(0, CellId(1), 10))
+        .expect("submit");
+    assert_eq!(client.recv(Duration::from_millis(100)), None);
+    assert_eq!(wheel.pending(), 0, "no deadline, no timer");
+    assert_eq!(client.in_flight(), 1);
+    assert_eq!((client.retries(), client.timeouts()), (0, 0));
+    drop(client);
+    let bytes = sink.join().expect("sink");
+    let (msg, used) = decode(&bytes).expect("one whole frame");
+    assert!(matches!(msg, WireMsg::Request { id: a, .. } if a == id));
+    assert_eq!(used, bytes.len(), "sent once");
 }
 
 /// The server answers request 0 only once its retry has arrived, and
