@@ -122,15 +122,30 @@ impl<T> Mailbox<T> {
     }
 
     /// Swaps everything queued into `into`, which must be empty, after
-    /// parking until there is something if `wait`, and wakes stalled
-    /// senders. False once the mailbox is closed: the consumer stops.
-    pub(crate) fn take(&self, into: &mut VecDeque<T>, wait: bool) -> bool {
+    /// parking until there is something or `wait` has passed (zero: no
+    /// parking; too long to reach an `Instant`: no limit), and wakes
+    /// stalled senders. What it swaps in may be nothing, once the wait
+    /// is up. False once the mailbox is closed: the consumer stops.
+    pub(crate) fn take(&self, into: &mut VecDeque<T>, wait: Duration) -> bool {
         debug_assert!(into.is_empty(), "take swaps into an empty buffer");
         let mut q = self.q.lock().expect("mailbox poisoned");
-        while wait && q.events.is_empty() && !q.closed {
-            q.parked = true;
-            q = self.filled.wait(q).expect("mailbox poisoned");
-            q.parked = false;
+        if !wait.is_zero() {
+            let deadline = Instant::now().checked_add(wait);
+            while q.events.is_empty() && !q.closed {
+                let left = deadline.map_or(Duration::MAX, |d| {
+                    d.saturating_duration_since(Instant::now())
+                });
+                if left.is_zero() {
+                    break;
+                }
+                q.parked = true;
+                q = self
+                    .filled
+                    .wait_timeout(q, left)
+                    .expect("mailbox poisoned")
+                    .0;
+                q.parked = false;
+            }
         }
         if q.closed {
             return false;
@@ -161,7 +176,7 @@ mod tests {
     /// Takes everything queued into a fresh buffer, without waiting.
     fn take<T>(mb: &Mailbox<T>) -> Vec<T> {
         let mut out = VecDeque::new();
-        assert!(mb.take(&mut out, false), "open");
+        assert!(mb.take(&mut out, Duration::ZERO), "open");
         out.into()
     }
 
@@ -215,12 +230,12 @@ mod tests {
         mb.push(3, Duration::ZERO);
         mb.push_run(4..6, Duration::ZERO);
         let mut out = VecDeque::with_capacity(64);
-        assert!(mb.take(&mut out, false));
+        assert!(mb.take(&mut out, Duration::ZERO));
         assert_eq!(out, (0..6).collect::<VecDeque<_>>());
         // The buffer traded in is the queue now, and works on.
         out.clear();
         mb.push(6, Duration::ZERO);
-        assert!(mb.take(&mut out, false));
+        assert!(mb.take(&mut out, Duration::ZERO));
         assert_eq!(out, [6]);
     }
 
@@ -265,7 +280,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut taken = Vec::new();
                 let mut out = VecDeque::new();
-                while mb.take(&mut out, true) {
+                while mb.take(&mut out, Duration::MAX) {
                     taken.extend(out.drain(..));
                 }
                 taken
@@ -277,7 +292,38 @@ mod tests {
         mb.close();
         assert_eq!(consumer.join().unwrap(), vec![7]);
         assert_eq!(mb.push(8, Duration::ZERO), Push::Fit);
-        assert!(!mb.take(&mut VecDeque::new(), false));
+        assert!(!mb.take(&mut VecDeque::new(), Duration::ZERO));
+    }
+
+    /// A bounded wait parks until its time is up and then takes nothing;
+    /// a push ends it early, and so does `close`.
+    #[test]
+    fn a_bounded_wait_ends_at_its_time_or_at_a_push() {
+        let mb = Arc::new(Mailbox::new(8));
+        let mut out = VecDeque::new();
+        let began = Instant::now();
+        assert!(mb.take(&mut out, Duration::from_millis(20)));
+        assert!(began.elapsed() >= Duration::from_millis(20));
+        assert!(out.is_empty());
+        let consumer = {
+            let mb = mb.clone();
+            std::thread::spawn(move || {
+                let mut out = VecDeque::new();
+                let open = mb.take(&mut out, Duration::from_secs(3600));
+                (open, out)
+            })
+        };
+        until(&mb, |q| q.parked);
+        mb.push(5u32, Duration::ZERO);
+        let (open, out) = consumer.join().unwrap();
+        assert!(open && out == [5], "woken by the push");
+        let closer = {
+            let mb = mb.clone();
+            std::thread::spawn(move || mb.take(&mut VecDeque::new(), Duration::from_secs(3600)))
+        };
+        until(&mb, |q| q.parked);
+        mb.close();
+        assert!(!closer.join().unwrap(), "closed");
     }
 
     /// Closing frees a sender stalled on a full mailbox at once, however

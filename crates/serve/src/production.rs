@@ -17,43 +17,56 @@
 //! the worker touches: no lock, no atomic. What a cell of the band sends
 //! another goes straight into the destination's inbox. What any other
 //! thread hands a cell — a send across the band edge, an admitted
-//! request, a release, a wheel delivery (protocol timer or call end) —
-//! goes into its home worker's mailbox, which is bounded at
-//! `mailbox_capacity` for each cell of the band, and it goes in as **one
-//! run a destination worker**: an activation's sends, a burst of
-//! admissions ([`AllocService::request_channels`]), everything the wheel
-//! found expired together — one mailbox lock and at most one wake each.
-//! A full mailbox blocks the sender (real backpressure, surfaced all the
-//! way to [`AllocService::request_channel`]) until a stall deadline
-//! forces the run through, keeping the pool deadlock-free under any
-//! protocol messaging pattern. Protocol timers and call-hold expirations
-//! share one [`TimerWheel`].
+//! request, a release — goes into its home worker's mailbox, which is
+//! bounded at `mailbox_capacity` for each cell of the band, and it goes
+//! in as **one run a destination worker**: an activation's sends, a
+//! burst of admissions ([`AllocService::request_channels`]) — one
+//! mailbox lock and at most one wake each. A full mailbox blocks the
+//! sender (real backpressure, surfaced all the way to
+//! [`AllocService::request_channel`]) until a stall deadline forces the
+//! run through, keeping the pool deadlock-free under any protocol
+//! messaging pattern.
+//!
+//! A worker **keeps its band's time**. Every timer a cell arms — a
+//! protocol timer, or the end of a granted call's hold — is for that
+//! cell, so it goes into its worker's own deadline heap, with no lock,
+//! due in ticks from the arming activation's clock read. The workers
+//! are the only threads the executor runs; shutdown discards the
+//! timers that have not fired.
 //!
 //! A worker serves **one ready list**, a FIFO of its cells with
-//! something in their inbox, each on it at most once. Once a round (the
-//! cells that were on the list at the last refill) the worker takes its
-//! whole mailbox under one lock and files each event into its cell's
-//! inbox — a handoff's acquire at the front, everything else at the
-//! back — so local and remote work interleave and neither waits more
-//! than a round behind the other. The worker parks on its mailbox only
-//! when the ready list is empty.
+//! something in their inbox, each on it at most once. A round is the
+//! cells that were on the list when it began; at its start the worker
+//! publishes what the last round answered, files the timers that have
+//! fallen due into their cells' inboxes (in deadline order, FIFO among
+//! ties), then takes its whole mailbox under one lock and files each
+//! event — a handoff's acquire behind the handoffs already at the front
+//! of its cell's inbox, everything else at the back — so local and
+//! remote work interleave and neither waits more than a round behind
+//! the other. Only when the ready list is empty does the worker park
+//! on its mailbox, until a push or its earliest due time.
 //!
-//! The unit of every hand-over to another thread is the **activation**:
-//! one cell's turn, which takes its whole inbox. It reads the clock
-//! once; what its transitions emit for another thread collects in the
-//! worker's own `Outbox` and leaves in one flush: the sends as one run a
-//! destination worker (one mailbox lock, one capacity check), the
-//! confirms and indications under one `answers` lock with at most one
-//! wake, the counters in one add each. Nothing waits for a batch to
-//! fill: an activation of one event hands over when that event is done.
+//! **Sends leave an activation; answers leave a round.** An activation
+//! is one cell's turn, which takes its whole inbox. It reads the clock
+//! once; its sends to other bands collect in the worker's own `Outbox`
+//! and leave when it ends, as one run a destination worker (one mailbox
+//! lock, one capacity check), with one add to the `messages` counter.
+//! Its confirms and indications wait in the outbox for the round's end:
+//! the worker publishes a round's answers under one `answers` lock with
+//! at most one wake, the `granted`/`rejected`/`completed` counters and
+//! `pending` moving with them. Nothing waits for a batch to fill: a
+//! round of one activation of one event answers when that event is
+//! done.
 //!
 //! Two ordering rules hold. *Links stay FIFO* (the schemes assume it)
 //! because a link takes one FIFO path for the service's whole lifetime,
 //! start-up included: the inbox within a band, the destination worker's
 //! mailbox across its edge. *A ticket's `Granted` is published before
-//! the activation that produces its `Released` begins*, because all of a
-//! cell's activations run on one thread, and each flushes before it
-//! returns.
+//! its `Released`*, by construction: a cell runs at most once a round,
+//! a round's answers are published before the next round begins, and
+//! the events that end a call — an `End` and a handoff's `Relinquish` —
+//! enter an inbox only at a round start, from the heap or the mailbox,
+//! so the `Released` comes from a later round than the `Granted`.
 //!
 //! Grants are audited: the Theorem-1 check and the ground-truth commit
 //! happen atomically under the granted channel's lock
@@ -61,12 +74,15 @@
 //! — and grants of different channels never meet.
 //!
 //! Handoffs follow the engine's (and the paper's) break-before-make
-//! order: the source channel is relinquished at submission — its
-//! `Relinquish` goes into its worker's run ahead of the target's
-//! acquire — then the acquire at the target cell is filed ahead of what
-//! waits in its inbox (priority, same backpressure). A rejected handoff
-//! drops the call — the paper's forced termination — with nothing left
-//! to clean up, because the source channel was already returned.
+//! order: the source channel is relinquished at submission — claimed
+//! and out of the ground truth under the `tickets` lock, its
+//! `Relinquish` into its worker's run ahead of the target's acquire —
+//! then the acquire at the target cell is filed ahead of what waits in
+//! its inbox (priority, same backpressure). The source's `Released` is
+//! published by the source's worker, with the round that takes the
+//! `Relinquish`. A rejected handoff drops the call — the paper's forced
+//! termination — with nothing left to clean up, because the source
+//! channel was already returned.
 
 use crate::ground::GroundTruth;
 use crate::mailbox::{Mailbox, Push};
@@ -77,11 +93,11 @@ use adca_hexgrid::{CellId, Channel, Topology};
 use adca_simkit::{
     Action, DropCause, Effects, Input, RequestId, RequestKind, SimTime, StateMachine,
 };
-use adca_threadnet::TimerWheel;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -99,9 +115,9 @@ pub struct ProductionConfig {
     /// Mailbox room for each cell (clamped to at least 1): a worker's
     /// mailbox is bounded at this times its band's length. Checked once
     /// a push, and every push is one run — what an activation sends one
-    /// other worker, a burst of admissions, a batch of expired timers —
-    /// so a mailbox holds fewer events than its bound plus one run.
-    /// Sends within a band do not go through a mailbox.
+    /// other worker, a burst of admissions — so a mailbox holds fewer
+    /// events than its bound plus one run. Sends within a band and
+    /// timers do not go through a mailbox.
     pub mailbox_capacity: usize,
     /// How long a sender stalls on a full mailbox before forcing its
     /// events through (the deadlock-freedom escape valve; forced pushes
@@ -131,10 +147,12 @@ enum TaskEvent<M> {
     End {
         ticket: u64,
     },
-    /// A handoff away from this cell committed at its target: feed
-    /// [`Input::Release`] for the vacated channel *without* ending the call
-    /// (the call lives on under the handoff ticket).
+    /// A handoff away from this cell was admitted: feed
+    /// [`Input::Release`] for the vacated channel and publish the source
+    /// `ticket`'s `Released`, *without* ending the call (it lives on
+    /// under the handoff ticket).
     Relinquish {
+        ticket: u64,
         ch: Channel,
     },
     Msg {
@@ -146,13 +164,18 @@ enum TaskEvent<M> {
     },
 }
 
-/// Timer-wheel payloads are non-generic so one wheel serves both
-/// protocol timers and call-hold expirations.
-#[derive(Debug, Clone, Copy)]
-enum WheelKind {
+/// What an armed timer files when it falls due: a protocol timer's
+/// tag, or the ticket whose hold it ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Due {
     Timer(u64),
     End(u64),
 }
+
+/// A worker's armed timers: `(due tick, arming order, band cell,
+/// what)`, earliest first and FIFO among ties (the arming order is
+/// unique, so `what` is never compared).
+type Timers = BinaryHeap<Reverse<(u64, u64, usize, Due)>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TicketState {
@@ -164,7 +187,8 @@ enum TicketState {
 struct TicketRec {
     cell: CellId,
     hold: u64,
-    issued: Instant,
+    /// Ticks since `Inner::epoch` at admission.
+    issued: u64,
     state: TicketState,
 }
 
@@ -225,7 +249,6 @@ struct Inner<P: StateMachine> {
     answers: Mutex<Answers>,
     answered: Condvar,
     violations: Mutex<Vec<String>>,
-    wheel: OnceLock<TimerWheel<(usize, WheelKind)>>,
     counters: Counters,
     /// Live [`ProductionAllocService`] clones sharing this executor;
     /// the last one to drop shuts the pool down.
@@ -234,7 +257,7 @@ struct Inner<P: StateMachine> {
 }
 
 /// What a worker thread owns: its band's protocol nodes, the buffers
-/// its activations reuse, and its outbox.
+/// its activations reuse, and its outbox (timers included).
 struct Worker<P: StateMachine> {
     /// `nodes[t - out.own.start]` is cell `t`'s.
     nodes: Vec<P>,
@@ -253,9 +276,10 @@ struct Local<M> {
 }
 
 /// Where a worker's activations put what they emit: sends within the
-/// band straight into the destination's inbox, everything bound for
-/// another thread collected until [`Inner::flush`] — plus the buffer
-/// the worker lends to every transition it runs.
+/// band straight into the destination's inbox, timers into the heap,
+/// sends to other bands collected until [`Inner::flush`] and answers
+/// until [`Inner::publish`] — plus the buffer the worker lends to every
+/// transition it runs.
 struct Outbox<M> {
     /// The worker's band; `local[t - own.start]` is cell `t`.
     own: Range<usize>,
@@ -273,8 +297,14 @@ struct Outbox<M> {
     actions: Vec<Action<M>>,
     /// The sends to other bands, one run a destination worker.
     remote: Runs<M>,
+    /// The band's armed timers, and how many were ever armed.
+    timers: Timers,
+    armed: u64,
+    /// The round's answers, and how many of its indications end a call
+    /// (the rest are handoffs' migrations).
     confirms: Vec<Confirm>,
     indications: Vec<Indication>,
+    completed: usize,
 }
 
 impl<M> Outbox<M> {
@@ -294,25 +324,28 @@ impl<M> Outbox<M> {
             patience: Duration::ZERO,
             actions: Vec::new(),
             remote: runs(workers),
+            timers: BinaryHeap::new(),
+            armed: 0,
             confirms: Vec::new(),
             indications: Vec::new(),
+            completed: 0,
         }
     }
 
     /// Files `ev` into band cell `t`'s inbox — a handoff's acquire
-    /// ahead of everything waiting there (the paper serves handoffs
-    /// before new calls), anything else behind it — and makes the cell
-    /// ready unless it is on the ready list already.
+    /// behind the handoffs at its front and ahead of everything else
+    /// (the paper serves handoffs before new calls, and in turn), any
+    /// other event at the back — and makes the cell ready unless it is
+    /// on the ready list already.
     fn file(&mut self, t: usize, ev: TaskEvent<M>) {
         let cell = &mut self.local[t - self.own.start];
-        if matches!(
-            ev,
-            TaskEvent::Acquire {
-                kind: RequestKind::Handoff,
-                ..
-            }
-        ) {
-            cell.inbox.insert(0, ev);
+        if is_handoff(&ev) {
+            let at = cell
+                .inbox
+                .iter()
+                .position(|e| !is_handoff(e))
+                .unwrap_or(cell.inbox.len());
+            cell.inbox.insert(at, ev);
         } else {
             cell.inbox.push_back(ev);
         }
@@ -331,6 +364,38 @@ impl<M> Outbox<M> {
             self.remote[w].push((to, ev));
         }
     }
+
+    /// Arms a timer for band cell `t` at tick `due`.
+    fn arm(&mut self, due: u64, t: usize, what: Due) {
+        self.timers.push(Reverse((due, self.armed, t, what)));
+        self.armed += 1;
+    }
+
+    /// Files every timer due by tick `now` into its cell's inbox, in
+    /// deadline order and FIFO among ties.
+    fn fire(&mut self, now: u64) {
+        while let Some(&Reverse((due, _, t, what))) = self.timers.peek() {
+            if due > now {
+                return;
+            }
+            self.timers.pop();
+            let ev = match what {
+                Due::Timer(tag) => TaskEvent::Timer { tag },
+                Due::End(ticket) => TaskEvent::End { ticket },
+            };
+            self.file(t, ev);
+        }
+    }
+}
+
+fn is_handoff<M>(ev: &TaskEvent<M>) -> bool {
+    matches!(
+        ev,
+        TaskEvent::Acquire {
+            kind: RequestKind::Handoff,
+            ..
+        }
+    )
 }
 
 impl<P> Inner<P>
@@ -338,29 +403,12 @@ where
     P: StateMachine + Send + 'static,
     P::Msg: Send + 'static,
 {
-    fn ticks_to_duration(&self, ticks: u64) -> Duration {
-        Duration::from_nanos(ticks.saturating_mul(self.cfg.ns_per_tick))
+    /// Ticks since `epoch`: one clock read.
+    fn ticks(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64 / self.cfg.ns_per_tick
     }
 
-    fn elapsed_ticks(&self, since: Instant) -> u64 {
-        since.elapsed().as_nanos() as u64 / self.cfg.ns_per_tick
-    }
-
-    /// Queues confirms and indications and wakes a parked handle, if
-    /// there is one — after the lock is released, so the woken handle
-    /// does not block on it.
-    fn answer(&self, push: impl FnOnce(&mut Answers)) {
-        let wake = {
-            let mut answers = self.answers.lock().expect("answers poisoned");
-            push(&mut answers);
-            answers.waiting > 0
-        };
-        if wake {
-            self.answered.notify_one();
-        }
-    }
-
-    /// Parks a handle until a flush signals it or `deadline` passes
+    /// Parks a handle until a publication signals it or `deadline` passes
     /// (`None`: no limit, and a wait of `Duration::MAX` is one without
     /// a timeout); `None` once it has passed.
     fn park<'a>(
@@ -414,9 +462,25 @@ where
         }
     }
 
-    /// Hands an activation's output over: counters, then answers, then
-    /// sends.
+    /// Hands an activation's sends over: the count, then one run a
+    /// destination worker.
     fn flush(&self, out: &mut Outbox<P::Msg>) {
+        if out.sent > 0 {
+            let sent = std::mem::take(&mut out.sent) as u64;
+            self.counters.messages.fetch_add(sent, Ordering::Relaxed);
+        }
+        self.push_runs(&mut out.remote, out.patience);
+    }
+
+    /// Publishes a round's answers: counters, then the answers under one
+    /// `answers` lock — waking a parked handle, if there is one, after
+    /// the lock is released so that it does not block on it — then
+    /// `pending`.
+    fn publish(&self, out: &mut Outbox<P::Msg>) {
+        let resolved = out.confirms.len();
+        if resolved + out.indications.len() == 0 {
+            return;
+        }
         let c = &self.counters;
         let add = |counter: &AtomicU64, n: usize| {
             if n > 0 {
@@ -425,37 +489,32 @@ where
         };
         // Counted no later than published: `stats()` read after the
         // last confirm was taken agrees with what the handles took.
-        add(&c.messages, std::mem::take(&mut out.sent));
-        let resolved = out.confirms.len();
-        if resolved + out.indications.len() > 0 {
-            let granted = out.confirms.iter().filter(|c| c.is_granted()).count();
-            add(&c.granted, granted);
-            add(&c.rejected, resolved - granted);
-            add(&c.completed, out.indications.len());
-            self.answer(|a| {
-                a.confirms.extend(out.confirms.drain(..));
-                a.indications.extend(out.indications.drain(..));
-            });
-            // Published, then no longer pending: when `quiesce` returns,
-            // every confirm can be taken.
-            c.pending.fetch_sub(resolved as u64, Ordering::Release);
+        let granted = out.confirms.iter().filter(|c| c.is_granted()).count();
+        add(&c.granted, granted);
+        add(&c.rejected, resolved - granted);
+        add(&c.completed, std::mem::take(&mut out.completed));
+        let wake = {
+            let mut answers = self.answers.lock().expect("answers poisoned");
+            answers.confirms.extend(out.confirms.drain(..));
+            answers.indications.extend(out.indications.drain(..));
+            answers.waiting > 0
+        };
+        if wake {
+            self.answered.notify_one();
         }
-        self.push_runs(&mut out.remote, out.patience);
+        // Published, then no longer pending: when `quiesce` returns,
+        // every confirm can be taken.
+        c.pending.fetch_sub(resolved as u64, Ordering::Release);
     }
 
-    /// A worker's loop: activations in ready-list order, with what the
-    /// mailbox holds filed once a round. Returns once the mailbox is
-    /// closed.
+    /// A worker's loop: rounds of activations in ready-list order.
+    /// Returns once the mailbox is closed.
     fn work(&self, w: usize, mut me: Worker<P>) {
         let mut round = 0;
         loop {
             if round == 0 {
-                // Parks only when no cell of the band is ready.
-                if !self.mailboxes[w].take(&mut me.taken, me.out.ready.is_empty()) {
+                if !self.begin_round(w, &mut me) {
                     return;
-                }
-                for (t, ev) in me.taken.drain(..) {
-                    me.out.file(t, ev);
                 }
                 round = me.out.ready.len();
             }
@@ -469,8 +528,39 @@ where
         }
     }
 
+    /// The start of a round: the last round's answers published, then
+    /// the timers due and the mailbox filed. Parks — until a push or
+    /// the earliest due time — while no cell of the band is ready. False
+    /// once the mailbox is closed.
+    fn begin_round(&self, w: usize, me: &mut Worker<P>) -> bool {
+        // Before any End or Relinquish can be filed: the `Released` of
+        // this round's activations comes no earlier than the next round
+        // publishes, so no ticket's `Released` overtakes its `Granted`.
+        self.publish(&mut me.out);
+        loop {
+            me.out.fire(self.ticks());
+            let wait = match me.out.timers.peek() {
+                _ if !me.out.ready.is_empty() => Duration::ZERO,
+                Some(Reverse((due, ..))) => {
+                    let at = Duration::from_nanos(due.saturating_mul(self.cfg.ns_per_tick));
+                    at.saturating_sub(self.epoch.elapsed())
+                }
+                None => Duration::MAX,
+            };
+            if !self.mailboxes[w].take(&mut me.taken, wait) {
+                return false;
+            }
+            for (t, ev) in me.taken.drain(..) {
+                me.out.file(t, ev);
+            }
+            if !me.out.ready.is_empty() {
+                return true;
+            }
+        }
+    }
+
     /// One activation of band cell `t`: its whole inbox into the node,
-    /// then a flush of what that emitted.
+    /// then a flush of the sends that emitted.
     fn run_task(&self, t: usize, me: &mut Worker<P>) {
         let i = t - me.out.own.start;
         let local = &mut me.out.local[i];
@@ -479,7 +569,7 @@ where
         let (cell, node) = (CellId(t as u32), &mut me.nodes[i]);
         // One clock read for the activation: events taken together were
         // already waiting together.
-        let now = SimTime(self.elapsed_ticks(self.epoch));
+        let now = SimTime(self.ticks());
         for ev in me.batch.drain(..) {
             let input = match ev {
                 TaskEvent::Acquire { ticket, kind } => Input::Acquire {
@@ -490,15 +580,20 @@ where
                     self.end_call(ticket, cell, now, node, &mut me.out);
                     continue;
                 }
-                TaskEvent::Relinquish { ch } => Input::Release { ch },
+                TaskEvent::Relinquish { ticket, ch } => {
+                    // A migration, not a completion: counted nowhere.
+                    me.out.indications.push(Indication::Released {
+                        ticket: Ticket(ticket),
+                        cell,
+                        channel: ch,
+                    });
+                    Input::Release { ch }
+                }
                 TaskEvent::Msg { from, msg } => Input::Message { from, msg },
                 TaskEvent::Timer { tag } => Input::Timer { tag },
             };
             self.step(cell, now, node, input, &mut me.out);
         }
-        // Before this worker takes up the cell again: its next
-        // activation begins after this flush, so no ticket's `Released`
-        // overtakes its `Granted`.
         self.flush(&mut me.out);
     }
 
@@ -532,14 +627,10 @@ where
         for act in actions.drain(..) {
             match act {
                 Action::Send { to, msg } => out.send(to.index(), TaskEvent::Msg { from: me, msg }),
-                Action::Grant { req, ch } => self.grant(me, req, ch, out),
+                Action::Grant { req, ch } => self.grant(me, now, req, ch, out),
                 Action::Reject { req, cause } => self.reject(me, req, cause, out),
                 Action::SetTimer { delay, tag } => {
-                    let after = self.ticks_to_duration(delay);
-                    self.wheel
-                        .get()
-                        .expect("wheel set at construction")
-                        .schedule(after, (me.index(), WheelKind::Timer(tag)));
+                    out.arm(now.0.saturating_add(delay), me.index(), Due::Timer(tag));
                 }
                 // Protocol-local metrics and trace events are not
                 // collected by this backend (the service-level counters
@@ -584,14 +675,23 @@ where
             cell: me,
             channel: ch,
         });
+        out.completed += 1;
     }
 
-    fn grant(&self, me: CellId, req: RequestId, ch: Channel, out: &mut Outbox<P::Msg>) {
+    fn grant(
+        &self,
+        me: CellId,
+        now: SimTime,
+        req: RequestId,
+        ch: Channel,
+        out: &mut Outbox<P::Msg>,
+    ) {
         // Claim the ticket first (guards against a buggy protocol
         // resolving one request twice, which would corrupt the pending
-        // counter), then audit + commit. The End timer is armed last,
-        // so no release can race this grant's ground commit.
-        let (latency, hold) = {
+        // counter), then audit + commit before the claim is let go:
+        // whoever finds the ticket active — a handoff, a release — finds
+        // its channel committed, to take back out of the ground truth.
+        let (latency, hold, audit) = {
             let mut tickets = self.tickets.lock().expect("tickets poisoned");
             let rec = &mut tickets[req.0 as usize];
             debug_assert_eq!(rec.cell, me, "grant from the wrong cell");
@@ -604,11 +704,12 @@ where
                 return;
             }
             rec.state = TicketState::Active(ch);
-            (self.elapsed_ticks(rec.issued), rec.hold)
+            // Audit + commit atomically under the channel's lock, so no
+            // interleaving can slip an interfering grant past the check.
+            let audit = self.ground.commit_grant(&self.topo, me, ch);
+            (now.0.saturating_sub(rec.issued), rec.hold, audit)
         };
-        // Audit + commit atomically under the channel's lock, so no
-        // interleaving can slip an interfering grant past the check.
-        if let Some(v) = self.ground.commit_grant(&self.topo, me, ch) {
+        if let Some(v) = audit {
             self.violations.lock().expect("violations poisoned").push(v);
         }
         out.confirms.push(Confirm::Granted {
@@ -617,11 +718,7 @@ where
             channel: ch,
             latency,
         });
-        let after = self.ticks_to_duration(hold);
-        self.wheel
-            .get()
-            .expect("wheel set at construction")
-            .schedule(after, (me.index(), WheelKind::End(req.0)));
+        out.arm(now.0.saturating_add(hold), me.index(), Due::End(req.0));
     }
 
     fn reject(&self, me: CellId, req: RequestId, cause: DropCause, out: &mut Outbox<P::Msg>) {
@@ -648,17 +745,17 @@ where
     /// Admits or refuses one request of a burst, under the burst's
     /// `tickets` lock and at its clock read `issued`. An admitted
     /// request's acquire goes into `runs`; a handoff's source is
-    /// claimed and retired first, and its `Relinquish` goes into `runs`
-    /// and its `Released` into `released` ahead of the acquire —
-    /// break-before-make, matching the engine's `Ev::Hop`, so a
-    /// rejected handoff drops the call with nothing left to clean up.
+    /// claimed first, its channel taken out of the ground truth before
+    /// any target search can observe it, and its `Relinquish` put into
+    /// `runs` ahead of the acquire — break-before-make, matching the
+    /// engine's `Ev::Hop`, so a rejected handoff drops the call with
+    /// nothing left to clean up.
     fn admit(
         &self,
         tickets: &mut Vec<TicketRec>,
         req: &ChannelRequest,
-        issued: Instant,
+        issued: u64,
         runs: &mut Runs<P::Msg>,
-        released: &mut Vec<Indication>,
     ) -> Result<Ticket, ServeError> {
         let t = req.cell.index();
         if t >= self.topo.num_cells() {
@@ -682,13 +779,10 @@ where
                 ));
             };
             rec.state = TicketState::Done;
+            self.ground.remove(rec.cell, ch);
             let src_cell = rec.cell.index();
-            runs[self.home(src_cell)].push((src_cell, TaskEvent::Relinquish { ch }));
-            released.push(Indication::Released {
-                ticket: src,
-                cell: rec.cell,
-                channel: ch,
-            });
+            let relinquish = TaskEvent::Relinquish { ticket: src.0, ch };
+            runs[self.home(src_cell)].push((src_cell, relinquish));
         }
         let ticket = tickets.len() as u64;
         tickets.push(TicketRec {
@@ -723,10 +817,8 @@ where
     inner: Arc<Inner<P>>,
     /// The buffers of this handle's admissions, reused burst after
     /// burst: the acquires (and a handoff's relinquish) one run a
-    /// worker, the handoffs' `Released`, and `request_channel`'s one
-    /// result.
+    /// worker, and `request_channel`'s one result.
     runs: Runs<P::Msg>,
-    released: Vec<Indication>,
     one: Vec<Result<Ticket, ServeError>>,
 }
 
@@ -736,9 +828,9 @@ where
     P::Msg: Send + 'static,
 {
     /// Starts the executor: builds one `factory`-made node per cell,
-    /// arms the shared timer wheel, feeds every node [`Input::Start`]
-    /// (before any request can be observed), and spawns the worker
-    /// pool, moving each band's nodes into its worker.
+    /// feeds every node [`Input::Start`] (before any request can be
+    /// observed), and spawns the worker pool, moving each band's nodes
+    /// — and the timers their start armed — into its worker.
     pub fn new<F>(topo: Arc<Topology>, cfg: ProductionConfig, mut factory: F) -> Self
     where
         F: FnMut(CellId, &Topology) -> P,
@@ -781,37 +873,17 @@ where
             answers: Mutex::default(),
             answered: Condvar::new(),
             violations: Mutex::new(Vec::new()),
-            wheel: OnceLock::new(),
             counters: Counters::default(),
             handles: AtomicU64::new(1),
             workers: Mutex::new(Vec::new()),
         });
-        // The wheel holds only a weak reference, so service teardown is
-        // not kept alive by its own timer thread.
-        let weak: Weak<Inner<P>> = Arc::downgrade(&inner);
-        let mut expired = runs(workers);
-        let wheel = TimerWheel::batched(move |fired: &mut Vec<(usize, WheelKind)>| {
-            if let Some(inner) = weak.upgrade() {
-                // What expired together goes in as one run a worker.
-                for &(cell, kind) in fired.iter() {
-                    let ev = match kind {
-                        WheelKind::Timer(tag) => TaskEvent::Timer { tag },
-                        WheelKind::End(ticket) => TaskEvent::End { ticket },
-                    };
-                    expired[inner.home(cell)].push((cell, ev));
-                }
-                // The wheel thread never blocks on a full mailbox.
-                inner.push_runs(&mut expired, Duration::ZERO);
-            }
-        });
-        let _ = inner.wheel.set(wheel);
         // Start before the workers exist, so no node can observe a
         // message before its own start ran; band by band, each through
         // its worker's outbox, so a start-up send takes the path its
         // link always takes.
         for me in &mut bands {
             for (node, t) in me.nodes.iter_mut().zip(me.out.own.clone()) {
-                let now = SimTime(inner.elapsed_ticks(inner.epoch));
+                let now = SimTime(inner.ticks());
                 inner.step(CellId(t as u32), now, node, Input::Start, &mut me.out);
                 inner.flush(&mut me.out);
             }
@@ -833,7 +905,6 @@ where
     fn handle(inner: Arc<Inner<P>>) -> Self {
         ProductionAllocService {
             runs: runs(inner.mailboxes.len()),
-            released: Vec::new(),
             one: Vec::new(),
             inner,
         }
@@ -887,8 +958,7 @@ where
     }
 
     /// One pass over the burst: one `tickets` lock and one clock read
-    /// for all of it, the handoffs' `Released` published under one
-    /// `answers` lock, one add a counter, then one push a destination
+    /// for all of it, one add a counter, then one push a destination
     /// worker. The push is blocking: admission is behind the same
     /// bounded mailbox as protocol traffic, so an overloaded band pushes
     /// back on the caller, and a run fits, stalls or is forced as a
@@ -908,35 +978,16 @@ where
             return;
         }
         let admitted = {
-            let issued = Instant::now();
+            let issued = inner.ticks();
             let mut tickets = inner.tickets.lock().expect("tickets poisoned");
             let before = tickets.len();
             for req in reqs {
-                let admit = inner.admit(
-                    &mut tickets,
-                    req,
-                    issued,
-                    &mut self.runs,
-                    &mut self.released,
-                );
-                out.push(admit);
+                out.push(inner.admit(&mut tickets, req, issued, &mut self.runs));
             }
             (tickets.len() - before) as u64
         };
         if admitted == 0 {
             return;
-        }
-        if !self.released.is_empty() {
-            // The vacated channels are out of the ground truth before
-            // any target search can observe them; each source node hears
-            // its release on its own task; the subscriber sees the usual
-            // `Released` (the call lives on under the handoff ticket —
-            // a migration, not a completion, so `completed` is not
-            // bumped).
-            for &Indication::Released { cell, channel, .. } in &self.released {
-                inner.ground.remove(cell, channel);
-            }
-            inner.answer(|a| a.indications.extend(self.released.drain(..)));
         }
         inner
             .counters
@@ -992,7 +1043,7 @@ where
         let mut answers = self.inner.answers.lock().expect("answers poisoned");
         loop {
             if let Some(c) = answers.confirms.pop_front() {
-                // A flush signals once however much it publishes: pass
+                // A round signals once however much it publishes: pass
                 // the wake on while there is more for a parked handle.
                 let more = answers.waiting > 0 && !answers.confirms.is_empty();
                 drop(answers);
@@ -1010,9 +1061,9 @@ where
 
     /// One lock, one wait on both queues, two drains — so a ticket's
     /// `Released` is never taken by an earlier call than its `Granted`.
-    /// Parked under `waiting` like `recv_confirm`, so a flush's one
-    /// wake finds it, for a flush of indications alone too; taking
-    /// everything, it leaves nothing to pass that wake on for.
+    /// Parked under `waiting` like `recv_confirm`, so a publication's
+    /// one wake finds it, for a publication of indications alone too;
+    /// taking everything, it leaves nothing to pass that wake on for.
     fn recv_answers(
         &mut self,
         timeout: Duration,
@@ -1118,9 +1169,9 @@ mod tests {
 
     /// The filing rule: a handoff's acquire is taken before the events
     /// already waiting in its cell's inbox, whichever path brought
-    /// them; everything else is taken in the order it came. A cell is
-    /// made ready once, and a send to another band waits in the outbox
-    /// for the flush.
+    /// them, and after the handoffs filed before it; everything else is
+    /// taken in the order it came. A cell is made ready once, and a send
+    /// to another band waits in the outbox for the flush.
     #[test]
     fn a_handoff_acquire_is_taken_before_what_waits() {
         let mut out = Outbox::<()>::new(4, 2, 0..2);
@@ -1135,13 +1186,15 @@ mod tests {
         let acquire = |ticket, kind| TaskEvent::Acquire { ticket, kind };
         out.file(1, acquire(9, RequestKind::Handoff));
         out.file(1, acquire(10, RequestKind::NewCall));
+        out.file(1, acquire(11, RequestKind::Handoff));
         out.send(3, TaskEvent::Timer { tag: 6 });
         let inbox = &out.local[1].inbox;
-        assert_eq!(inbox.len(), 4);
+        assert_eq!(inbox.len(), 5);
         assert!(matches!(inbox[0], TaskEvent::Acquire { ticket: 9, .. }));
-        assert!(matches!(inbox[1], TaskEvent::Msg { .. }));
-        assert!(matches!(inbox[2], TaskEvent::Timer { tag: 5 }));
-        assert!(matches!(inbox[3], TaskEvent::Acquire { ticket: 10, .. }));
+        assert!(matches!(inbox[1], TaskEvent::Acquire { ticket: 11, .. }));
+        assert!(matches!(inbox[2], TaskEvent::Msg { .. }));
+        assert!(matches!(inbox[3], TaskEvent::Timer { tag: 5 }));
+        assert!(matches!(inbox[4], TaskEvent::Acquire { ticket: 10, .. }));
         assert_eq!(out.ready, [1]);
         assert!(out.local[0].inbox.is_empty() && out.remote[0].is_empty());
         assert!(matches!(
@@ -1149,6 +1202,54 @@ mod tests {
             [(3, TaskEvent::Timer { tag: 6 })]
         ));
         assert_eq!(out.sent, 2);
+    }
+
+    /// A worker's timers fall due in deadline order, FIFO among ties,
+    /// whichever kind they are and however they were armed; each is
+    /// filed into its cell's inbox, a cell made ready once; and nothing
+    /// is filed before its tick.
+    #[test]
+    fn timers_are_filed_in_deadline_order_fifo_among_ties() {
+        let mut out = Outbox::<()>::new(4, 1, 0..4);
+        // (due tick, cell, what), in arming order.
+        let armed = [
+            (30, 2, Due::Timer(1)),
+            (10, 1, Due::End(7)),
+            (30, 1, Due::End(8)),
+            (20, 3, Due::Timer(2)),
+            (10, 1, Due::Timer(3)),
+            (30, 2, Due::Timer(4)),
+        ];
+        for (due, t, what) in armed {
+            out.arm(due, t, what);
+        }
+        out.fire(9);
+        assert!(out.ready.is_empty(), "filed before its tick");
+        out.fire(30);
+        let taken = |t: usize| -> Vec<String> {
+            out.local[t]
+                .inbox
+                .iter()
+                .map(|ev| match ev {
+                    TaskEvent::Timer { tag } => format!("timer {tag}"),
+                    TaskEvent::End { ticket } => format!("end {ticket}"),
+                    _ => unreachable!("only timers were armed"),
+                })
+                .collect()
+        };
+        assert_eq!(taken(1), ["end 7", "timer 3", "end 8"]);
+        assert_eq!(taken(2), ["timer 1", "timer 4"]);
+        assert_eq!(taken(3), ["timer 2"]);
+        // Cells in the order their first timer fell due.
+        assert_eq!(out.ready, [1, 3, 2]);
+        assert!(out.timers.is_empty());
+    }
+
+    /// A ticket's record is 24 bytes: its admission time is a tick
+    /// count, not an `Instant`.
+    #[test]
+    fn a_ticket_record_is_three_words() {
+        assert_eq!(std::mem::size_of::<TicketRec>(), 24);
     }
 
     /// Exhaustive over every grid size and pool size in range: the

@@ -177,14 +177,13 @@ pub struct ServeStats {
     /// Pushes that found a bounded mailbox full and had to wait
     /// (production backend only; the deterministic backend never
     /// stalls). A push is one run — an activation's sends to one
-    /// worker, a burst of admissions, a batch of expired timers — so
-    /// this counts runs, not events.
+    /// worker, a burst of admissions, a release — so this counts runs,
+    /// not events.
     pub backpressure_stalls: u64,
     /// Stalled pushes that outlived the stall deadline and were forced
     /// into the queue anyway — the escape valve that keeps the executor
-    /// deadlock-free. The timer wheel never waits, so a wheel batch that
-    /// finds its mailbox full is forced at once. A value that grows with
-    /// the load means the configured capacity is too small for it.
+    /// deadlock-free. A value that grows with the load means the
+    /// configured capacity is too small for it.
     pub backpressure_forced: u64,
     /// Invariant violations observed by the ground-truth audit
     /// (Theorem 1: no co-channel use within the interference region).

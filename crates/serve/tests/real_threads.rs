@@ -577,7 +577,7 @@ fn quiesce_means_the_confirm_is_visible() {
     assert_clean(&svc.stats());
 }
 
-/// With zero holds a call ends as soon as it is granted, and still its
+/// With zero holds a call ends at its worker's next round, and still its
 /// `Released` never overtakes its `Granted`: whenever the indication is
 /// out, the confirm was taken earlier or is waiting in the queue.
 #[test]
@@ -634,7 +634,8 @@ fn granted_is_published_before_released() {
             taken.note(c);
         }
     }
-    // How many depends on how late the wheel ends the calls; the rule
+    // How many depends on how soon after its grant a call's worker
+    // ends it (at a round start, once the zero hold is due); the rule
     // needs only that plenty were granted and released.
     assert!(taken.granted > CALLS / 10, "granted {}", taken.granted);
     let stats = svc.stats();
@@ -690,19 +691,18 @@ fn a_hot_band_completes_on_its_own_worker() {
 
 /// A lone worker's protocol traffic never touches a mailbox. With one
 /// worker every cell is in its band, so every protocol send goes into a
-/// cell's inbox, and a borrowing load sends thousands of them. What
-/// still goes through the worker's mailbox — bounded at one event a
-/// cell, 36 for the band — is what other threads hand over, each push
-/// one run: 504 admissions in a burst, a run of one each, and, a hold
-/// later, the call ends, a run for each batch the wheel finds expired.
-/// So only those can find it full, and they do: 14–68 runs in 64 runs
-/// of this test (release and debug, alone and beside the rest of this
-/// file). None of them waits out its patience on a mailbox the worker
-/// keeps draining (the wheel's runs have none to wait): the run takes
-/// its holds and under 40 patiences more (2–31 ms more in those runs).
-/// Were protocol sends to go through the mailbox, the worker would
-/// stall on its own full mailbox until its patience forced each run
-/// in: hundreds of times, 126–334 ms more.
+/// cell's inbox, and a borrowing load sends thousands of them; the
+/// timers and call ends are the worker's own too. What still goes
+/// through the worker's mailbox — bounded at one event a cell, 36 for
+/// the band — is what the caller hands over: 504 admissions in a burst,
+/// a run of one each. So only those can find it full, and they do: 9–15
+/// runs in 36 runs of this test (release and debug, alone and beside the
+/// rest of this file). Hardly one waits out its patience on a mailbox
+/// the worker keeps draining: the run takes its holds and under 40
+/// patiences more (2–18 ms more in those runs). Were protocol sends to
+/// go through the mailbox, the worker would stall on its own full
+/// mailbox until its patience forced each run in: dozens of times,
+/// 82–150 ms more, and too few messages to borrow with.
 #[test]
 fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
     const HOLD: u64 = 40_000;
@@ -737,10 +737,9 @@ fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
     let stalls = stats.backpressure_stalls;
     assert!(stalls >= 5, "the load did not fill the mailbox: {stalls}");
     assert!(
-        stalls <= stats.offered + stats.completed,
-        "{stalls} full-mailbox runs from {} admissions and {} call ends",
-        stats.offered,
-        stats.completed
+        stalls <= stats.offered,
+        "{stalls} full-mailbox runs from {} admissions",
+        stats.offered
     );
     assert!(
         took < holds + patience * 40,

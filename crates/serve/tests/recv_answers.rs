@@ -1,16 +1,17 @@
 //! `AllocService::recv_answers`, the draining call: every answer taken
 //! exactly once and in queue order, nothing at timeout, a wake for a
-//! flush of indications alone, and a second handle taking from the same
-//! queues — on the production backend's override and, through the
+//! publication of indications alone, a second handle taking from the
+//! same queues, and a handoff's `Released` never ahead of its source's
+//! `Granted` — on the production backend's override and, through the
 //! default body, on the deterministic backend.
 
 use adca_baselines::FixedNode;
-use adca_hexgrid::{CellId, Topology};
+use adca_hexgrid::{CellId, Channel, Topology};
 use adca_serve::{
     AllocService, ChannelRequest, Confirm, DesAllocService, Indication, ProductionAllocService,
-    ProductionConfig,
+    ProductionConfig, ServeError,
 };
-use adca_simkit::SimConfig;
+use adca_simkit::{Effects, RequestId, RequestKind, SimConfig, StateMachine};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -98,8 +99,8 @@ fn production_times_out_empty() {
     assert!(confirms.is_empty() && indications.is_empty());
 }
 
-/// A flush that publishes an indication and no confirm wakes a handle
-/// waiting in `recv_answers`, long before its timeout.
+/// A publication of an indication and no confirm wakes a handle waiting
+/// in `recv_answers`, long before its timeout.
 #[test]
 fn production_wakes_for_an_indication_alone() {
     let mut svc = production(2);
@@ -127,7 +128,10 @@ fn production_wakes_for_an_indication_alone() {
     let (confirms, indications, waited) = waiter.join().expect("waiter");
     assert!(confirms.is_empty());
     assert!(matches!(indications[..], [Indication::Released { ticket, .. }] if ticket == t));
-    assert!(waited < DEADLINE / 2, "woken by the timeout, not the flush");
+    assert!(
+        waited < DEADLINE / 2,
+        "woken by the timeout, not the publication"
+    );
 }
 
 /// One handle drains with `recv_answers` while another takes confirms
@@ -190,6 +194,95 @@ fn production_two_handles_take_disjoint_sets_that_cover_everything() {
         assert!(granted.remove(&ticket_of(i)), "{i:?} taken twice");
     }
     assert!(granted.is_empty(), "every granted call's release was taken");
+}
+
+/// A [`FixedNode`] that takes its time over an acquire, so that a round
+/// with a few of them lasts long enough for a caller to act inside it.
+struct Slow(FixedNode);
+
+impl StateMachine for Slow {
+    type Msg = <FixedNode as StateMachine>::Msg;
+
+    fn msg_kind(msg: &Self::Msg) -> &'static str {
+        FixedNode::msg_kind(msg)
+    }
+
+    fn acquire(&mut self, req: RequestId, kind: RequestKind, fx: &mut Effects<Self::Msg>) {
+        let began = Instant::now();
+        while began.elapsed() < Duration::from_micros(50) {
+            std::hint::spin_loop();
+        }
+        self.0.acquire(req, kind, fx);
+    }
+
+    fn release(&mut self, ch: Channel, fx: &mut Effects<Self::Msg>) {
+        self.0.release(ch, fx);
+    }
+
+    fn message(&mut self, from: CellId, msg: Self::Msg, fx: &mut Effects<Self::Msg>) {
+        self.0.message(from, msg, fx);
+    }
+}
+
+/// A caller hands a call off the moment the service lets it — as soon
+/// as the call is granted, before its `Granted` is published, because
+/// the rest of the granting round (three slow acquires behind it) is
+/// still running. The source's `Released` must still come no earlier
+/// than its `Granted`: the source's worker publishes it, with a round
+/// after the grant's.
+#[test]
+fn production_never_yields_a_handoffs_released_before_its_granted() {
+    const HOPS: usize = 200;
+    let cfg = ProductionConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let mut svc = ProductionAllocService::new(topo(), cfg, |c, topo: &Topology| {
+        Slow(FixedNode::new(c, topo))
+    });
+    let (mut confirms, mut indications) = (Vec::new(), Vec::new());
+    let mut granted: HashSet<u64> = HashSet::new();
+    let mut results = Vec::new();
+    let deadline = Instant::now() + DEADLINE;
+    for _ in 0..HOPS {
+        // The call first, so its cell runs first in the round.
+        let burst = [
+            ChannelRequest::new_call(0, CellId(0), DAY),
+            ChannelRequest::new_call(0, CellId(6), 0),
+            ChannelRequest::new_call(0, CellId(18), 0),
+            ChannelRequest::new_call(0, CellId(24), 0),
+        ];
+        results.clear();
+        svc.request_channels(&burst, &mut results);
+        let call = results[0].expect("request accepted");
+        let hop = loop {
+            match svc.request_channel(ChannelRequest::handoff(0, call, CellId(12), DAY)) {
+                Ok(hop) => break hop,
+                Err(ServeError::BadHandoff(_)) => assert!(Instant::now() < deadline),
+                Err(e) => panic!("{e:?}"),
+            }
+        };
+        let (mut call_released, mut hop_resolved) = (false, false);
+        while !(call_released && hop_resolved) {
+            assert!(Instant::now() < deadline, "answers missing at deadline");
+            svc.recv_answers(Duration::from_millis(1), &mut confirms, &mut indications);
+            for c in confirms.drain(..) {
+                if c.is_granted() {
+                    granted.insert(c.ticket().0);
+                }
+                hop_resolved |= c.ticket() == hop;
+            }
+            for i in indications.drain(..) {
+                let t = ticket_of(&i);
+                assert!(granted.remove(&t), "{i:?} taken before its grant");
+                call_released |= t == call.0;
+            }
+        }
+        svc.release(hop).expect("known ticket");
+    }
+    assert!(svc.quiesce(DEADLINE));
+    let stats = svc.stats();
+    assert!(stats.violations.is_empty(), "{:?}", stats.violations);
 }
 
 /// The default body on the deterministic backend: the same answers, in

@@ -1,12 +1,11 @@
 //! Wall-clock timing primitives for the threaded serving stack.
 //!
 //! The threaded runtime for the protocols is `adca-serve`'s production
-//! backend; this crate holds the two timing primitives it and the wire
-//! layer share:
+//! backend, whose workers keep their own timers; this crate holds the
+//! two timing primitives of the wire layer:
 //!
 //! * [`TimerWheel`] — one dispatcher thread over a deadline min-heap;
-//!   the production backend arms protocol timers and call-hold
-//!   expirations on it, and the wire layer its retry deadlines.
+//!   the wire client arms its retry deadlines on it.
 //! * [`Backoff`] — the bounded, capped exponential retry schedule the
 //!   wire client advances from its timer callback.
 

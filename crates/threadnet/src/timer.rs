@@ -7,13 +7,13 @@
 //! condvar wake only when the new timer becomes the earliest deadline
 //! (the dispatcher is asleep until the old earliest one and must be
 //! told to get up sooner; a later timer is found when it gets there).
-//! The dispatcher hands everything that expired together to one
-//! caller-supplied callback ([`TimerWheel::batched`]), in deadline
-//! order (FIFO among ties); [`TimerWheel::new`] is the same loop with a
-//! callback a timer.
+//! The dispatcher takes everything that expired together under one
+//! lock and hands it to the caller-supplied callback one timer at a
+//! time, in deadline order (FIFO among ties).
 //!
-//! The production backend in `adca-serve` and the wire client in
-//! `adca-wire` arm their timers here.
+//! The wire client in `adca-wire` arms its deadlines here. (The
+//! production backend in `adca-serve` does not: each of its workers
+//! keeps its own band's timers.)
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -64,8 +64,8 @@ struct Inner<T> {
 /// order.
 ///
 /// Dropping the wheel stops the dispatcher and discards timers that
-/// have not yet expired — exactly the shutdown semantics both drivers
-/// want (a stale protocol timer after the run is over must not fire).
+/// have not yet expired — exactly the shutdown semantics a wire
+/// client wants (a stale deadline after the run is over must not fire).
 pub struct TimerWheel<T: Send + 'static> {
     inner: Arc<Inner<T>>,
     handle: Option<JoinHandle<()>>,
@@ -73,23 +73,10 @@ pub struct TimerWheel<T: Send + 'static> {
 
 impl<T: Send + 'static> TimerWheel<T> {
     /// Starts the dispatcher thread. `dispatch` is called once per
-    /// expired timer, on the wheel's own thread — keep it cheap and
-    /// non-blocking (both users post to an unbounded / force-capable
-    /// queue). It is [`batched`](Self::batched) with a callback that
-    /// takes the batch apart.
-    pub fn new<F>(mut dispatch: F) -> Self
-    where
-        F: FnMut(T) + Send + 'static,
-    {
-        Self::batched(move |fired: &mut Vec<T>| fired.drain(..).for_each(&mut dispatch))
-    }
-
-    /// Starts the dispatcher thread. `dispatch` is handed everything
-    /// that expired together — every timer due when the dispatcher
-    /// looked, in deadline order (FIFO among ties) — on the wheel's own
-    /// thread, outside the wheel's lock, so it may [`schedule`] again;
-    /// what it leaves in the vector is dropped. Keep it cheap and
-    /// non-blocking.
+    /// expired timer, in deadline order (FIFO among ties), on the
+    /// wheel's own thread and outside the wheel's lock, so it may
+    /// [`schedule`] again. Keep it cheap and non-blocking (the wire
+    /// client posts to an unbounded queue).
     ///
     /// ```
     /// use adca_threadnet::TimerWheel;
@@ -97,17 +84,17 @@ impl<T: Send + 'static> TimerWheel<T> {
     /// use std::time::Duration;
     ///
     /// let (tx, rx) = mpsc::channel();
-    /// let wheel = TimerWheel::batched(move |fired: &mut Vec<u32>| {
-    ///     let _ = tx.send(std::mem::take(fired));
+    /// let wheel = TimerWheel::new(move |v: u32| {
+    ///     let _ = tx.send(v);
     /// });
     /// wheel.schedule(Duration::from_millis(1), 7);
-    /// assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(vec![7]));
+    /// assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
     /// ```
     ///
     /// [`schedule`]: Self::schedule
-    pub fn batched<F>(mut dispatch: F) -> Self
+    pub fn new<F>(mut dispatch: F) -> Self
     where
-        F: FnMut(&mut Vec<T>) + Send + 'static,
+        F: FnMut(T) + Send + 'static,
     {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
@@ -133,8 +120,7 @@ impl<T: Send + 'static> TimerWheel<T> {
                     // Dispatch outside the lock so callbacks can call
                     // `schedule` re-entrantly.
                     drop(st);
-                    dispatch(&mut fired);
-                    fired.clear();
+                    fired.drain(..).for_each(&mut dispatch);
                     st = thread_inner.state.lock().expect("wheel poisoned");
                     continue;
                 }
@@ -196,9 +182,8 @@ impl<T: Send + 'static> Drop for TimerWheel<T> {
             if h.thread().id() == std::thread::current().id() {
                 // The wheel can be dropped *on its own dispatcher
                 // thread*: a dispatch callback may upgrade a weak
-                // owner reference and end up holding the last strong
-                // one (adca-serve's production backend does during
-                // shutdown races). Joining ourselves would be an
+                // reference to the wheel and end up holding the last
+                // strong one. Joining ourselves would be an
                 // instant EDEADLK panic; the stop flag is already
                 // set, so detach and let the thread exit on its own.
                 drop(h);
@@ -286,23 +271,21 @@ mod tests {
     }
 
     /// Timers that fall due while the dispatcher is busy are handed over
-    /// in one call, in deadline order and FIFO among ties. The first
-    /// batch holds the dispatcher (a gate) while the rest are armed
-    /// with deadlines already past, in scrambled order.
+    /// in deadline order and FIFO among ties. The first timer holds the
+    /// dispatcher (a gate) while the rest are armed with deadlines
+    /// already past, in scrambled order.
     #[test]
-    fn batched_hands_over_what_fell_due_together_in_order() {
+    fn what_fell_due_together_fires_in_deadline_order_fifo_among_ties() {
         let (open, gate) = mpsc::channel::<()>();
         let (tx, rx) = mpsc::channel();
-        let wheel = TimerWheel::batched(move |fired: &mut Vec<(u32, u32)>| {
-            let at_gate = fired[0] == (0, 0);
-            let _ = tx.send(fired.clone());
-            if at_gate {
+        let wheel = TimerWheel::new(move |fired: (u32, u32)| {
+            let _ = tx.send(fired);
+            if fired == (0, 0) {
                 gate.recv().expect("the test opens the gate");
             }
         });
         wheel.schedule(Duration::ZERO, (0, 0));
-        let first = rx.recv_timeout(Duration::from_secs(5)).expect("gate batch");
-        assert_eq!(first, vec![(0, 0)]);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok((0, 0)));
         let base = Instant::now();
         // (deadline in µs after `base`, arming order among its ties)
         let armed = [(3, 0), (1, 0), (3, 1), (2, 0), (1, 1), (3, 2), (2, 1)];
@@ -313,7 +296,9 @@ mod tests {
         open.send(()).expect("the dispatcher waits at the gate");
         let mut expected = armed.to_vec();
         expected.sort();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(expected));
+        for want in expected {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(want));
+        }
         assert_eq!(wheel.pending(), 0);
     }
 
