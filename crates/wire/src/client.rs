@@ -28,6 +28,15 @@
 //! grant, and a request whose budget runs dry resolves as
 //! [`WireEvent::TimedOut`].
 //!
+//! A connection numbers its requests 0, 1, 2, … and keeps them in a
+//! window over `[base, next id)`: `base` is the oldest request not yet
+//! answered or timed out, and the slots of resolved requests above it
+//! wait there until it moves. When it has moved, the next burst carries
+//! one [`WireMsg::Forget`] naming it, and the server drops its records
+//! of every id below — they will never be sent again. Both ends keep
+//! state for the requests the client can still send, not for every
+//! request the connection has served.
+//!
 //! The client is also an [`AllocService`]: a second view over the same
 //! event queue that speaks [`Ticket`]s, [`Confirm`]s and
 //! [`Indication`]s, so whatever drives the in-process backends drives a
@@ -165,8 +174,50 @@ struct PendingReq {
     backoff: Backoff,
 }
 
+/// The requests of a connection by id: `slots[i]` is id `base + i`,
+/// `None` once it resolved. The front slot is always live, so `base` is
+/// the oldest unresolved id, or the next id when none is.
+#[derive(Default)]
+struct Window {
+    base: u64,
+    slots: VecDeque<Option<PendingReq>>,
+    /// The `Some` slots.
+    live: usize,
+}
+
+impl Window {
+    fn push(&mut self, p: PendingReq) {
+        self.slots.push_back(Some(p));
+        self.live += 1;
+    }
+
+    /// `id`'s slot; `None` below `base` or past the last id sent.
+    fn slot(&mut self, id: u64) -> Option<&mut Option<PendingReq>> {
+        let off = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(off)
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut PendingReq> {
+        self.slot(id)?.as_mut()
+    }
+
+    /// Takes `id`'s request, if it is still unresolved, and moves `base`
+    /// past the resolved slots at the front.
+    fn resolve(&mut self, id: u64) -> Option<PendingReq> {
+        let p = self.slot(id)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(p)
+    }
+}
+
+#[derive(Default)]
 struct ClientState {
-    pending: HashMap<u64, PendingReq>,
+    /// The requests not yet answered or timed out, by id.
+    pending: Window,
     /// When the latest transmission of each request runs out of
     /// patience, earliest first. A first transmission's entry goes on
     /// the back, so this is submit order but for retries. An answered
@@ -191,7 +242,7 @@ impl ClientState {
     /// Drops the entries of answered requests off the front.
     fn trim_deadlines(&mut self) {
         while let Some(&(_, id)) = self.deadlines.front() {
-            if self.pending.contains_key(&id) {
+            if self.pending.get_mut(id).is_some() {
                 break;
             }
             self.deadlines.pop_front();
@@ -218,7 +269,7 @@ impl ClientState {
                 break;
             }
             self.deadlines.pop_front();
-            let Some(p) = self.pending.get_mut(&id) else {
+            let Some(p) = self.pending.get_mut(id) else {
                 continue; // answered in the meantime
             };
             match p.backoff.next_delay() {
@@ -231,7 +282,7 @@ impl ClientState {
                     }
                 }
                 None => {
-                    self.pending.remove(&id);
+                    self.pending.resolve(id);
                     self.events.push_back(WireEvent::TimedOut { id });
                     *timeouts += 1;
                 }
@@ -269,6 +320,9 @@ pub struct WireClient {
     out: Vec<u8>,
     reader: Option<JoinHandle<()>>,
     next_id: u64,
+    /// The `below` of the last Forget queued: the server keeps no
+    /// record under it.
+    forgotten: u64,
     writes: u64,
     retries: u64,
     timeouts: u64,
@@ -287,15 +341,7 @@ impl WireClient {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         let shared = Arc::new(ClientShared {
-            st: Mutex::new(ClientState {
-                pending: HashMap::new(),
-                deadlines: VecDeque::new(),
-                armed: false,
-                events: VecDeque::new(),
-                refused: 0,
-                receiving: false,
-                closed: false,
-            }),
+            st: Mutex::default(),
             cv: Condvar::new(),
         });
         let reader = {
@@ -311,6 +357,7 @@ impl WireClient {
             out: Vec::new(),
             reader: Some(reader),
             next_id: 0,
+            forgotten: 0,
             writes: 0,
             retries: 0,
             timeouts: 0,
@@ -350,17 +397,10 @@ impl WireClient {
                     "wire connection closed",
                 ));
             }
-            st.pending.insert(
-                id,
-                PendingReq {
-                    msg: msg.clone(),
-                    backoff: Backoff::new(
-                        self.cfg.backoff,
-                        self.cfg.deadline,
-                        self.cfg.max_retries,
-                    ),
-                },
-            );
+            st.pending.push(PendingReq {
+                msg: msg.clone(),
+                backoff: Backoff::new(self.cfg.backoff, self.cfg.deadline, self.cfg.max_retries),
+            });
             if let Some(due) = due {
                 st.set_deadline(due, id);
             }
@@ -435,7 +475,9 @@ impl WireClient {
     /// receiving call of the [`AllocService`] view: services expired
     /// deadlines, writes the queue out, and only then asks `take` for
     /// what the caller came for — parking, up to `wait`, while `take`
-    /// finds nothing and the connection is open.
+    /// finds nothing and the connection is open. A queue that goes out
+    /// when the window's `base` has moved since the last Forget carries
+    /// one more, at its end; a Forget is never a write of its own.
     fn wait_for<T>(
         &mut self,
         wait: Duration,
@@ -447,6 +489,15 @@ impl WireClient {
         let mut st = self.shared.st.lock().expect("client poisoned");
         loop {
             self.retries += st.expire(now, self.cfg.deadline, &mut self.timeouts, &mut self.out);
+            if !self.out.is_empty() && st.pending.base != self.forgotten {
+                self.forgotten = st.pending.base;
+                encode_into(
+                    &mut self.out,
+                    &WireMsg::Forget {
+                        below: self.forgotten,
+                    },
+                );
+            }
             let arm = st.arm();
             if !self.out.is_empty() || arm.is_some() {
                 drop(st);
@@ -477,12 +528,7 @@ impl WireClient {
 
     /// Requests submitted but not yet resolved (answered or timed out).
     pub fn in_flight(&self) -> usize {
-        self.shared
-            .st
-            .lock()
-            .expect("client poisoned")
-            .pending
-            .len()
+        self.shared.st.lock().expect("client poisoned").pending.live
     }
 
     /// `write` calls issued so far: one a burst, not one a frame.
@@ -741,7 +787,7 @@ impl AllocService for WireClient {
 
     /// Receives, without taking anything, until no request is in flight.
     fn quiesce(&mut self, limit: Duration) -> bool {
-        self.wait_for(limit, |st| st.pending.is_empty().then_some(()))
+        self.wait_for(limit, |st| (st.pending.live == 0).then_some(()))
             .is_some()
     }
 
@@ -811,7 +857,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             channel,
             latency,
         } => {
-            if st.pending.remove(&id).is_none() {
+            if st.pending.resolve(id).is_none() {
                 return; // stale duplicate or post-timeout answer
             }
             WireEvent::Granted {
@@ -828,7 +874,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             cell,
             cause,
         } => {
-            if st.pending.remove(&id).is_none() {
+            if st.pending.resolve(id).is_none() {
                 return;
             }
             WireEvent::Rejected {
@@ -839,7 +885,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             }
         }
         WireMsg::Refused { id, reason } => {
-            if st.pending.remove(&id).is_none() {
+            if st.pending.resolve(id).is_none() {
                 return;
             }
             st.refused += 1;
@@ -855,7 +901,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             channel,
         },
         // Client→server vocabulary arriving at a client: ignore.
-        WireMsg::Request { .. } | WireMsg::Release { .. } => return,
+        WireMsg::Request { .. } | WireMsg::Release { .. } | WireMsg::Forget { .. } => return,
     };
     st.events.push_back(ev);
 }
@@ -863,30 +909,162 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    fn request(backoff: Backoff) -> PendingReq {
+        let msg = WireMsg::Release { ticket: 0 };
+        PendingReq { msg, backoff }
+    }
 
     /// A retry whose next deadline lies past what an `Instant` can hold
     /// is not sent and not timed out: it waits for its answer, where
     /// the deadline sum used to panic.
     #[test]
     fn an_unreachable_retry_deadline_is_none() {
-        let mut st = ClientState {
-            pending: HashMap::new(),
-            deadlines: VecDeque::new(),
-            armed: false,
-            events: VecDeque::new(),
-            refused: 0,
-            receiving: false,
-            closed: false,
-        };
+        let mut st = ClientState::default();
         let now = Instant::now();
-        let backoff = Backoff::new(Duration::from_millis(1), Duration::MAX, 2);
-        let msg = WireMsg::Release { ticket: 0 };
-        st.pending.insert(7, PendingReq { msg, backoff });
-        st.set_deadline(now, 7);
+        st.pending.push(request(Backoff::new(
+            Duration::from_millis(1),
+            Duration::MAX,
+            2,
+        )));
+        st.set_deadline(now, 0);
         let (mut timeouts, mut out) = (0, Vec::new());
         assert_eq!(st.expire(now, Duration::MAX, &mut timeouts, &mut out), 0);
         assert!(out.is_empty() && st.deadlines.is_empty() && st.events.is_empty());
-        assert!(st.pending.contains_key(&7));
+        assert!(st.pending.get_mut(0).is_some());
+        assert_eq!((st.pending.base, st.pending.live), (0, 1));
         assert_eq!(timeouts, 0);
+    }
+
+    /// The window's floor is the oldest unresolved id: answers out of
+    /// order leave it where it is, the answer it waited for moves it
+    /// past every resolved slot, and a timeout moves it like an answer.
+    /// An id outside the window resolves nothing.
+    #[test]
+    fn the_floor_is_the_oldest_unresolved_id() {
+        let mut st = ClientState::default();
+        for _ in 0..4 {
+            st.pending
+                .push(request(Backoff::new(Duration::ZERO, Duration::ZERO, 0)));
+        }
+        let granted = |id| WireMsg::Granted {
+            id,
+            ticket: id,
+            cell: 0,
+            channel: 0,
+            latency: 0,
+        };
+        deliver(&mut st, granted(2));
+        deliver(&mut st, granted(1));
+        assert_eq!((st.pending.base, st.pending.live), (0, 2), "0 still waits");
+        assert_eq!(st.pending.slots.len(), 4);
+        deliver(&mut st, granted(1));
+        deliver(&mut st, granted(u64::MAX));
+        assert_eq!(
+            st.events.len(),
+            2,
+            "a second answer, or a stranger's, is dropped"
+        );
+        deliver(&mut st, granted(0));
+        assert_eq!((st.pending.base, st.pending.live), (3, 1));
+        assert_eq!(st.pending.slots.len(), 1);
+
+        // Id 3 has no retry left: its deadline times it out.
+        let now = Instant::now();
+        st.set_deadline(now, 3);
+        let (mut timeouts, mut out) = (0, Vec::new());
+        assert_eq!(st.expire(now, Duration::ZERO, &mut timeouts, &mut out), 0);
+        assert_eq!(st.events.back(), Some(&WireEvent::TimedOut { id: 3 }));
+        assert_eq!((st.pending.base, st.pending.live), (4, 0));
+        assert!(st.pending.slots.is_empty());
+        deliver(&mut st, granted(3));
+        assert_eq!(st.events.len(), 4, "a late answer is dropped");
+    }
+
+    /// Reads `peer` until `n` frames have arrived.
+    fn read_frames(peer: &mut TcpStream, dec: &mut FrameDecoder, n: usize) -> Vec<WireMsg> {
+        let mut got = Vec::new();
+        let mut buf = [0u8; 1024];
+        loop {
+            while let Some(msg) = dec.next_frame().expect("sound frames") {
+                got.push(msg);
+            }
+            if got.len() >= n {
+                return got;
+            }
+            let k = peer.read(&mut buf).expect("frames on their way");
+            assert!(k > 0, "closed after {got:?}");
+            dec.extend(&buf[..k]);
+        }
+    }
+
+    /// `in_flight` and `quiesce` count live requests, not the window's
+    /// slots; a floor that moved rides the next burst as one Forget,
+    /// behind its requests, and is never written on its own.
+    #[test]
+    fn in_flight_counts_live_requests_and_the_floor_rides_the_next_burst() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = WireClient::connect(
+            listener.local_addr().expect("addr"),
+            WireClientConfig::default(),
+            &deadline_wheel(),
+        )
+        .expect("connect");
+        let (mut peer, _) = listener.accept().expect("accept");
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut dec = FrameDecoder::new();
+        let req = ChannelRequest::new_call(0, CellId(0), 10);
+        for _ in 0..3 {
+            client.submit(&req).expect("submit");
+        }
+        assert_eq!(client.recv(Duration::ZERO), None);
+        assert_eq!(read_frames(&mut peer, &mut dec, 3).len(), 3);
+
+        let answer = |id| {
+            crate::frame::encode(&WireMsg::Rejected {
+                id,
+                ticket: id,
+                cell: 0,
+                cause: DropCause::Blocked,
+            })
+        };
+        peer.write_all(&answer(1)).expect("answer 1");
+        assert!(matches!(
+            client.recv(Duration::from_secs(10)),
+            Some(WireEvent::Rejected { id: 1, .. })
+        ));
+        assert_eq!(client.in_flight(), 2);
+        assert!(!AllocService::quiesce(&mut client, Duration::ZERO));
+        peer.write_all(&[answer(0), answer(2)].concat())
+            .expect("answers 0 and 2");
+        for want in [0, 2] {
+            assert!(matches!(
+                client.recv(Duration::from_secs(10)),
+                Some(WireEvent::Rejected { id, .. }) if id == want
+            ));
+        }
+        assert_eq!(client.in_flight(), 0);
+        assert!(AllocService::quiesce(&mut client, Duration::ZERO));
+        assert_eq!(
+            client.writes(),
+            1,
+            "the floor moved, and nothing was written"
+        );
+
+        client.submit(&req).expect("submit");
+        assert_eq!(client.recv(Duration::ZERO), None);
+        let got = read_frames(&mut peer, &mut dec, 2);
+        assert!(matches!(got[0], WireMsg::Request { id: 3, .. }), "{got:?}");
+        assert_eq!(got[1], WireMsg::Forget { below: 3 });
+        assert_eq!(client.writes(), 2);
+        client.submit(&req).expect("submit");
+        client.flush().expect("flush");
+        let got = read_frames(&mut peer, &mut dec, 1);
+        assert!(
+            matches!(got[..], [WireMsg::Request { id: 4, .. }]),
+            "{got:?}"
+        );
     }
 }

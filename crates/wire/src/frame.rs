@@ -6,7 +6,7 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 4    | magic `b"ADCW"` |
-//! | 4      | 2    | format version, little-endian (currently 1) |
+//! | 4      | 2    | format version, little-endian (currently 2) |
 //! | 6      | 1    | message kind tag |
 //! | 7      | 1    | reserved, must be 0 |
 //! | 8      | 4    | payload length, little-endian |
@@ -19,6 +19,20 @@
 //! is interpreted. There is no serde and no reflection: every message
 //! is encoded and decoded by hand, and every decode error is a typed
 //! [`FrameError`] — malformed input can never panic the peer.
+//!
+//! | tag | kind | direction | payload |
+//! |----:|------|-----------|---------|
+//! | 0 | [`Request`](WireMsg::Request) | client → server | id u64, at u64, cell u32, kind u8, hold u64, handoff flag u8 [+ ticket u64] |
+//! | 1 | [`Release`](WireMsg::Release) | client → server | ticket u64 |
+//! | 2 | [`Granted`](WireMsg::Granted) | server → client | id u64, ticket u64, cell u32, channel u16, latency u64 |
+//! | 3 | [`Rejected`](WireMsg::Rejected) | server → client | id u64, ticket u64, cell u32, cause u8 |
+//! | 4 | [`Refused`](WireMsg::Refused) | server → client | id u64, reason length u32, reason UTF-8 |
+//! | 5 | [`Released`](WireMsg::Released) | server → client | ticket u64, cell u32, channel u16 |
+//! | 6 | [`Forget`](WireMsg::Forget) | client → server | below u64 |
+//!
+//! Version 2 added `Forget`; the other six kinds are laid out as in
+//! version 1, which a version-2 peer refuses as
+//! [`FrameError::BadVersion`]`(1)`.
 
 use adca_simkit::snapshot::{fnv1a, FNV_OFFSET};
 use adca_simkit::{DropCause, RequestKind};
@@ -26,7 +40,7 @@ use adca_simkit::{DropCause, RequestKind};
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"ADCW";
 /// Wire format version this build speaks.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 /// Fixed header size (magic + version + kind + reserved + payload len).
 pub const HEADER_LEN: usize = 12;
 /// Trailing checksum size.
@@ -38,10 +52,13 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024;
 
 /// One message of the RPC vocabulary, as carried on the wire.
 ///
-/// Client→server messages carry `id`, a client-chosen **idempotency
-/// key**: the server remembers each id per connection and answers a
+/// A `Request` carries `id`, a client-chosen **idempotency key**: a
+/// connection numbers its requests 0, 1, 2, … and the server answers a
 /// retransmitted id from its response cache instead of re-submitting
-/// the request, so a retried grant is never committed twice.
+/// the request, so a retried grant is never committed twice. The cache
+/// is a window the client closes: a [`Forget`](WireMsg::Forget) names
+/// the ids the client will never send again, and the server keeps
+/// records only for the ids above it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
     /// Client → server: one channel request (new call or handoff).
@@ -108,6 +125,14 @@ pub enum WireMsg {
         /// The returned channel number.
         channel: u16,
     },
+    /// Client → server: every request id below `below` is resolved at
+    /// the client and will never be sent again, so the server may drop
+    /// its records of them. A request that names one of them afterwards
+    /// is answered [`WireMsg::Refused`].
+    Forget {
+        /// The client's oldest unresolved id (its next id if none is).
+        below: u64,
+    },
 }
 
 /// Why a frame failed to decode. Every variant is a protocol error the
@@ -163,6 +188,7 @@ const TAG_GRANTED: u8 = 2;
 const TAG_REJECTED: u8 = 3;
 const TAG_REFUSED: u8 = 4;
 const TAG_RELEASED: u8 = 5;
+const TAG_FORGET: u8 = 6;
 
 fn kind_tag(kind: RequestKind) -> u8 {
     match kind {
@@ -188,6 +214,7 @@ impl WireMsg {
             WireMsg::Rejected { .. } => TAG_REJECTED,
             WireMsg::Refused { .. } => TAG_REFUSED,
             WireMsg::Released { .. } => TAG_RELEASED,
+            WireMsg::Forget { .. } => TAG_FORGET,
         }
     }
 }
@@ -232,6 +259,7 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &WireMsg) {
             }
         }
         WireMsg::Release { ticket } => put_u64(out, *ticket),
+        WireMsg::Forget { below } => put_u64(out, *below),
         WireMsg::Granted {
             id,
             ticket,
@@ -395,6 +423,7 @@ fn check_and_parse(frame: &[u8]) -> Result<WireMsg, FrameError> {
             cell: r.u32()?,
             channel: r.u16()?,
         },
+        TAG_FORGET => WireMsg::Forget { below: r.u64()? },
         _ => return Err(FrameError::Corrupt("unknown message tag")),
     };
     if r.pos != r.buf.len() {
@@ -542,6 +571,7 @@ mod tests {
                 cell: 21,
                 channel: 22,
             },
+            WireMsg::Forget { below: 23 },
         ];
         for msg in msgs {
             let frame = encode(&msg);
@@ -574,7 +604,10 @@ mod tests {
         let err = decode(&frame).unwrap_err();
         assert_eq!(err, FrameError::BadVersion(7));
         let text = err.to_string();
-        assert!(text.contains('7') && text.contains('1'), "got {text:?}");
+        assert!(
+            text.contains('7') && text.contains(&WIRE_VERSION.to_string()),
+            "got {text:?}"
+        );
     }
 
     #[test]

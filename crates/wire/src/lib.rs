@@ -20,7 +20,9 @@
 //!   retry-with-backoff. What it submits between two `recv`s leaves in
 //!   one `write`. Requests carry idempotency ids;
 //!   the server answers a retried id from its answer cache, so a
-//!   retry can never double-commit a grant. It is itself an
+//!   retry can never double-commit a grant, and keeps that cache only
+//!   for the ids the client can still send (`Forget` closes it from
+//!   below). It is itself an
 //!   [`AllocService`](adca_serve::AllocService), so anything written
 //!   against the trait drives a socket unchanged.
 

@@ -25,20 +25,26 @@
 //! that closes the connection, first admits the requests read before
 //! it, so frames take effect in the order they came.
 //!
-//! **Idempotency**: each connection remembers every client request id
-//! it has seen. A retransmitted id whose answer is still in flight is
-//! dropped (the answer will arrive once); one that already resolved is
-//! answered again from the cached answer, re-encoded to the same bytes.
-//! Either way the request is
-//! *not* re-submitted to the backend, so a client retry can never
-//! double-commit a grant.
+//! **Idempotency**: a client numbers a connection's requests 0, 1, 2, …
+//! and each connection keeps a record for every id the client can still
+//! send — a window `[base, base + len)` that a new request extends at
+//! its end and a [`Forget`](WireMsg::Forget) frame closes from below.
+//! A retransmitted id whose answer is still in flight is dropped (the
+//! answer will arrive once); one that already resolved is answered again
+//! from the cached answer, re-encoded to the same bytes. Either way the
+//! request is *not* re-submitted to the backend, so a client retry can
+//! never double-commit a grant. An id below the window was forgotten at
+//! the client's word and is answered [`Refused`](WireMsg::Refused); one
+//! past its end skips an id, which no client does, and closes the
+//! connection. So a connection's state is bounded by the requests its
+//! client has in flight, not by the requests it has served.
 
 use crate::frame::{encode_into, FrameDecoder, WireMsg};
 use adca_hexgrid::CellId;
 use adca_serve::{AllocService, ChannelRequest, Confirm, Indication, ServeError, Ticket};
 use adca_simkit::DropCause;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -152,8 +158,8 @@ impl Outbox {
 
 /// What a connection remembers about one client request id: that its
 /// answer is still to come, or the answer itself — not its frame, which
-/// a replay re-encodes (the id is the map key). One of these is kept a
-/// request for the life of the connection, so it is kept small.
+/// a replay re-encodes (the id is the record's place in its [`Window`]).
+/// One is kept for each id the client can still send.
 enum Dedup {
     /// Submitted to the backend; the answer has not come back yet.
     InFlight,
@@ -209,7 +215,10 @@ impl Dedup {
             WireMsg::Refused { id, ref reason } => {
                 Some((id, Dedup::Refused(reason.as_str().into())))
             }
-            WireMsg::Request { .. } | WireMsg::Release { .. } | WireMsg::Released { .. } => None,
+            WireMsg::Request { .. }
+            | WireMsg::Release { .. }
+            | WireMsg::Released { .. }
+            | WireMsg::Forget { .. } => None,
         }
     }
 
@@ -248,14 +257,68 @@ impl Dedup {
     }
 }
 
+/// Where a request id falls against a connection's [`Window`].
+enum Slot {
+    /// Below `base`: forgotten at the client's word.
+    Below,
+    /// Inside: the index of its record.
+    At(usize),
+    /// The window's end: the id a new request carries.
+    End,
+    /// Past the end: an id skipped, which no client does.
+    Past,
+}
+
+/// A connection's idempotency records: `records[i]` is id `base + i`.
+/// Only the reader moves the window — a new request is pushed at its
+/// end, a `Forget` pops records off its front — and the dispatcher only
+/// fills in a record's answer, so its length is bounded by the ids the
+/// client has not yet forgotten, not by the ids it has ever sent.
+#[derive(Default)]
+struct Window {
+    base: u64,
+    records: VecDeque<Dedup>,
+}
+
+impl Window {
+    /// No arithmetic on `id` can overflow: it is only compared, and
+    /// `base` subtracted from it once it is known to be no less.
+    fn slot(&self, id: u64) -> Slot {
+        let Some(off) = id.checked_sub(self.base) else {
+            return Slot::Below;
+        };
+        match off.cmp(&(self.records.len() as u64)) {
+            std::cmp::Ordering::Less => Slot::At(off as usize),
+            std::cmp::Ordering::Equal => Slot::End,
+            std::cmp::Ordering::Greater => Slot::Past,
+        }
+    }
+
+    /// Stores the answer to `id`, if the window still holds its record.
+    fn record(&mut self, id: u64, rec: Dedup) {
+        if let Slot::At(i) = self.slot(id) {
+            self.records[i] = rec;
+        }
+    }
+
+    /// Drops the records below `below`, and never more than there are.
+    fn forget(&mut self, below: u64) {
+        let n = below
+            .saturating_sub(self.base)
+            .min(self.records.len() as u64);
+        self.records.drain(..n as usize);
+        self.base += n;
+    }
+}
+
 /// One connection's state. No thread ever holds two of its locks at
 /// once (the reader copies a cached answer out of `dedup` before it
 /// sends; the dispatcher records in `dedup`, lets go, then fills
 /// `out`), so they have no order to respect.
 struct ConnState {
     out: Outbox,
-    /// Client request id → idempotency record.
-    dedup: Mutex<HashMap<u64, Dedup>>,
+    /// The records of the ids the client can still send.
+    dedup: Mutex<Window>,
     /// Reader-side stream handle, shut down to unblock the reader.
     stream: TcpStream,
 }
@@ -400,7 +463,7 @@ fn run_accept(
         shared.connections.fetch_add(1, Ordering::Relaxed);
         let conn = Arc::new(ConnState {
             out: Outbox::default(),
-            dedup: Mutex::new(HashMap::new()),
+            dedup: Mutex::default(),
             stream,
         });
         shared
@@ -430,9 +493,11 @@ fn run_accept(
 
 /// Reads and executes one connection's frames until EOF, a protocol
 /// error, or shutdown. The Request frames of one read are admitted
-/// together; a Release, or a frame that ends the connection, first
-/// admits what was collected before it, so frames take effect in the
-/// order they came.
+/// together, and a Forget takes effect with them; a Release, or a frame
+/// that ends the connection, first admits what was collected before it,
+/// so frames take effect in the order they came. A Request whose id
+/// skips ahead of the window ends the connection once the frames before
+/// it took effect.
 fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn DynService) {
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
@@ -463,8 +528,11 @@ fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn Dyn
                         handoff_of: handoff_of.map(Ticket),
                     },
                 )),
+                Ok(Some(WireMsg::Forget { below })) => burst.forget = burst.forget.max(below),
                 Ok(Some(WireMsg::Release { ticket })) => {
-                    burst.admit(shared, conn_id, conn, svc);
+                    if !burst.admit(shared, conn_id, conn, svc) {
+                        break 'conn;
+                    }
                     // Releasing an unknown or already-ended ticket is
                     // benign (the service call reports it; the wire
                     // stays silent — the interesting answer is the
@@ -484,12 +552,14 @@ fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn Dyn
                     | WireMsg::Released { .. },
                 ))
                 | Err(_) => {
-                    burst.admit(shared, conn_id, conn, svc);
+                    let _ = burst.admit(shared, conn_id, conn, svc);
                     break 'conn;
                 }
             }
         }
-        burst.admit(shared, conn_id, conn, svc);
+        if !burst.admit(shared, conn_id, conn, svc) {
+            break 'conn;
+        }
     }
     shared
         .conns
@@ -507,6 +577,8 @@ struct Burst {
     /// Client id and request of every Request frame collected; once
     /// the dedup pass is done, of those not seen before.
     ids: Vec<(u64, ChannelRequest)>,
+    /// The highest `below` of the Forget frames collected (0: none).
+    forget: u64,
     /// The requests of `ids`, for the backend.
     fresh: Vec<ChannelRequest>,
     results: Vec<Result<Ticket, ServeError>>,
@@ -517,31 +589,59 @@ struct Burst {
 
 impl Burst {
     /// Admits what was collected: one dedup lock for the whole burst,
-    /// then one backend call for the ids not seen before, under the one
-    /// `routes` lock that registers their tickets. An id seen twice
-    /// within the burst is a dedup hit like any other.
-    fn admit(&mut self, shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn DynService) {
-        if self.ids.is_empty() {
-            return;
+    /// which also applies its Forget, then one backend call for the ids
+    /// not seen before, under the one `routes` lock that registers their
+    /// tickets. An id seen twice within the burst is a dedup hit like
+    /// any other. Returns `false` when a request skipped ahead of the
+    /// window: what came before it is admitted, it and what follows are
+    /// not, and the connection must close.
+    #[must_use]
+    fn admit(
+        &mut self,
+        shared: &Shared,
+        conn_id: u64,
+        conn: &ConnState,
+        svc: &mut dyn DynService,
+    ) -> bool {
+        if self.ids.is_empty() && self.forget == 0 {
+            return true;
         }
-        let mut hits = 0;
+        let (mut hits, mut skipped) = (0, false);
         {
-            let mut dedup = conn.dedup.lock().expect("dedup poisoned");
-            self.ids.retain(|&(id, _)| match dedup.entry(id) {
-                Entry::Vacant(unseen) => {
-                    unseen.insert(Dedup::InFlight);
-                    true
+            let mut window = conn.dedup.lock().expect("dedup poisoned");
+            self.ids.retain(|&(id, _)| {
+                if skipped {
+                    return false;
                 }
-                // A retry of an answered request gets the answer again.
-                // One whose answer is still in flight gets nothing: that
-                // answer will arrive, once, and resubmitting is exactly
-                // the double-commit we must prevent.
-                Entry::Occupied(seen) => {
-                    hits += 1;
-                    self.replies.extend(seen.get().answer(id));
-                    false
+                match window.slot(id) {
+                    Slot::End => {
+                        window.records.push_back(Dedup::InFlight);
+                        true
+                    }
+                    // A retry of an answered request gets the answer
+                    // again. One whose answer is still in flight gets
+                    // nothing: that answer will arrive, once, and
+                    // resubmitting is exactly the double-commit we must
+                    // prevent.
+                    Slot::At(i) => {
+                        hits += 1;
+                        self.replies.extend(window.records[i].answer(id));
+                        false
+                    }
+                    Slot::Below => {
+                        self.replies.push(WireMsg::Refused {
+                            id,
+                            reason: FORGOTTEN.to_owned(),
+                        });
+                        false
+                    }
+                    Slot::Past => {
+                        skipped = true;
+                        false
+                    }
                 }
             });
+            window.forget(std::mem::take(&mut self.forget));
         }
         if hits > 0 {
             shared.dedup_hits.fetch_add(hits, Ordering::Relaxed);
@@ -551,7 +651,7 @@ impl Burst {
             self.replies.clear();
         }
         if self.ids.is_empty() {
-            return;
+            return !skipped;
         }
         self.fresh.extend(self.ids.iter().map(|&(_, req)| req));
         {
@@ -581,18 +681,23 @@ impl Burst {
             }
         }
         if !self.replies.is_empty() {
-            conn.dedup
-                .lock()
-                .expect("dedup poisoned")
-                .extend(self.replies.iter().filter_map(Dedup::of));
+            let mut window = conn.dedup.lock().expect("dedup poisoned");
+            for (id, rec) in self.replies.iter().filter_map(Dedup::of) {
+                window.record(id, rec);
+            }
+            drop(window);
             conn.out.send(&self.replies);
             self.replies.clear();
         }
         self.ids.clear();
         self.fresh.clear();
         self.results.clear();
+        !skipped
     }
 }
+
+/// Why a request whose id the client has forgotten is refused.
+const FORGOTTEN: &str = "request id below the connection's window: the client forgot it";
 
 /// Writes whatever the outbox holds each time it looks, in one
 /// `write_all`: one frame when one is queued, hundreds under load.
@@ -753,8 +858,9 @@ fn route(routes: &mut HashMap<u64, Route>, answer: Answer) -> Option<(u64, WireM
 /// nested. Cached first: a retry the reader handles in between must
 /// find the answer and not `InFlight`, which it would meet with silence
 /// (answered from the cache it may overtake the original — the same
-/// bytes, and the client drops a second answer for an id). A dead
-/// connection drops its frames, and its dedup cache with them.
+/// bytes, and the client drops a second answer for an id). An answer
+/// whose id the client has already forgotten is relayed and not cached.
+/// A dead connection drops its frames, and its dedup cache with them.
 fn relay(shared: &Shared, staged: &mut Vec<(u64, WireMsg)>) {
     for run in staged.chunk_by(|a, b| a.0 == b.0) {
         let conn = shared
@@ -764,10 +870,11 @@ fn relay(shared: &Shared, staged: &mut Vec<(u64, WireMsg)>) {
             .get(&run[0].0)
             .cloned();
         let Some(conn) = conn else { continue };
-        conn.dedup
-            .lock()
-            .expect("dedup poisoned")
-            .extend(run.iter().filter_map(|(_, msg)| Dedup::of(msg)));
+        let mut window = conn.dedup.lock().expect("dedup poisoned");
+        for (id, rec) in run.iter().filter_map(|(_, msg)| Dedup::of(msg)) {
+            window.record(id, rec);
+        }
+        drop(window);
         conn.out.send(run.iter().map(|(_, msg)| msg));
     }
     staged.clear();
@@ -850,5 +957,73 @@ mod tests {
         assert!(conn.out.q.lock().expect("outbox poisoned").closed);
         let n = (&conn.stream).read(&mut buf).unwrap_or(0);
         assert_eq!(n, 0, "the reader's half was shut down");
+    }
+
+    /// The records of the server's one connection.
+    fn records(server: &WireServer) -> usize {
+        let conns = server.shared.conns.lock().expect("conns poisoned");
+        let conn = conns.values().next().expect("one connection");
+        let n = conn.dedup.lock().expect("dedup poisoned").records.len();
+        n
+    }
+
+    /// 20 000 requests on one connection, never more than 16 ids from
+    /// the oldest unanswered to the newest: the connection never holds
+    /// more than 16 + 1 records, however many it has served.
+    #[test]
+    fn a_connections_records_stay_flat_while_it_serves() {
+        use crate::{deadline_wheel, WireClient, WireClientConfig, WireEvent};
+        use adca_baselines::FixedNode;
+        use adca_hexgrid::Topology;
+        use adca_serve::{ProductionAllocService, ProductionConfig};
+
+        const REQUESTS: u64 = 20_000;
+        const IN_FLIGHT: u64 = 16;
+        let topo = std::sync::Arc::new(Topology::default_paper(4, 4));
+        let cfg = ProductionConfig {
+            workers: 2,
+            ns_per_tick: 100,
+            ..ProductionConfig::default()
+        };
+        let svc = ProductionAllocService::new(topo.clone(), cfg, FixedNode::new);
+        let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+        let mut client = WireClient::connect(
+            server.local_addr(),
+            WireClientConfig::default(),
+            &deadline_wheel(),
+        )
+        .expect("connect");
+        let cells = topo.num_cells() as u64;
+        let mut answered = vec![false; REQUESTS as usize];
+        let (mut submitted, mut floor, mut most) = (0u64, 0u64, 0usize);
+        let give_up = Instant::now() + Duration::from_secs(120);
+        while floor < REQUESTS {
+            while submitted < REQUESTS && submitted - floor < IN_FLIGHT {
+                let cell = CellId((submitted % cells) as u32);
+                client
+                    .submit(&ChannelRequest::new_call(0, cell, 200))
+                    .expect("submit");
+                submitted += 1;
+            }
+            assert!(client.in_flight() as u64 <= IN_FLIGHT);
+            assert!(Instant::now() < give_up, "stalled at {floor}");
+            match client.recv(Duration::from_millis(100)) {
+                Some(WireEvent::Granted { id, .. } | WireEvent::Rejected { id, .. }) => {
+                    answered[id as usize] = true;
+                    while floor < REQUESTS && answered[floor as usize] {
+                        floor += 1;
+                    }
+                }
+                Some(WireEvent::Released { .. }) | None => {}
+                Some(other) => panic!("unexpected {other:?}"),
+            }
+            if submitted % 1_000 == 0 {
+                most = most.max(records(&server));
+            }
+        }
+        most = most.max(records(&server));
+        assert!(most <= IN_FLIGHT as usize + 1, "{most} records");
+        assert_eq!(svc.stats().offered, REQUESTS);
+        assert_eq!(server.dedup_hits(), 0);
     }
 }

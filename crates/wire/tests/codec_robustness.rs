@@ -76,11 +76,12 @@ fn msg_strategy() -> impl Strategy<Value = WireMsg> {
                 reason: String::from_utf8(bytes).expect("printable ASCII"),
             }
         }),
-        (any64, cell, chan).prop_map(|(ticket, cell, channel)| WireMsg::Released {
+        (any64.clone(), cell, chan).prop_map(|(ticket, cell, channel)| WireMsg::Released {
             ticket,
             cell,
             channel,
         }),
+        any64.prop_map(|below| WireMsg::Forget { below }),
     ]
 }
 
@@ -195,6 +196,18 @@ fn version_mismatch_is_rejected_by_name() {
         text.contains("version 3") && text.contains(&WIRE_VERSION.to_string()),
         "the error must name the offered and the spoken version, got {text:?}"
     );
+}
+
+/// Version 2 added the Forget kind: a version-1 peer is refused by
+/// name, on the six header bytes alone.
+#[test]
+fn a_version_1_header_is_bad_version_1() {
+    let mut frame = encode(&WireMsg::Forget { below: 9 });
+    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(decode(&frame), Err(FrameError::BadVersion(1)));
+    let mut dec = FrameDecoder::new();
+    dec.extend(&frame[..6]);
+    assert_eq!(dec.next_frame(), Err(FrameError::BadVersion(1)));
 }
 
 #[test]

@@ -4,7 +4,10 @@
 //! connection its own answers, a replayed answer the same bytes, the
 //! client's retry schedule with one wheel entry a client, a failed
 //! `submit` registering nothing, and a `shutdown` that races the accept
-//! loop.
+//! loop. And what must survive the idempotency records being a window
+//! the client closes with `Forget`: a forgotten id is refused without
+//! reaching the backend, an id that skips ahead closes the connection,
+//! and hostile ids get a typed outcome.
 
 use adca_baselines::FixedNode;
 use adca_hexgrid::{CellId, Topology};
@@ -501,15 +504,25 @@ fn black_hole_retries_then_times_out_each_request_once() {
     assert_eq!(client.retries(), 2 * N as u64);
     drop(client);
 
+    // A Forget names only ids that timed out: none of them is sent
+    // again after it.
     let bytes = sink.join().expect("sink");
     let mut copies: HashMap<u64, Vec<&[u8]>> = HashMap::new();
+    let mut forgotten = 0;
     let mut rest = &bytes[..];
     while !rest.is_empty() {
         let (msg, used) = decode(rest).expect("whole, sound frames only");
-        let WireMsg::Request { id, .. } = msg else {
-            panic!("unexpected {msg:?}");
-        };
-        copies.entry(id).or_default().push(&rest[..used]);
+        match msg {
+            WireMsg::Request { id, .. } => {
+                assert!(id >= forgotten, "id {id} sent after Forget {forgotten}");
+                copies.entry(id).or_default().push(&rest[..used]);
+            }
+            WireMsg::Forget { below } => {
+                assert!(below > forgotten && below <= N as u64, "Forget {below}");
+                forgotten = below;
+            }
+            _ => panic!("unexpected {msg:?}"),
+        }
         rest = &rest[used..];
     }
     assert_eq!(copies.len(), N);
@@ -686,4 +699,169 @@ fn shutdown_racing_connects_returns() {
         drop(connector.join().expect("connector"));
         drop(first);
     }
+}
+
+/// Reads `raw` until `n` whole frames have arrived.
+fn read_frames(raw: &mut TcpStream, dec: &mut FrameDecoder, n: usize) -> Vec<WireMsg> {
+    let (mut got, mut buf) = (Vec::new(), [0u8; 256]);
+    loop {
+        while let Some(msg) = dec.next_frame().expect("sound frames") {
+            got.push(msg);
+        }
+        if got.len() >= n {
+            return got;
+        }
+        let k = raw.read(&mut buf).expect("frames on their way");
+        assert!(k > 0, "closed after {got:?}");
+        dec.extend(&buf[..k]);
+    }
+}
+
+/// A raw connection to a fresh 3×3 fixed-scheme server.
+fn raw_server() -> (ProductionAllocService<FixedNode>, WireServer, TcpStream) {
+    let topo = Arc::new(Topology::default_paper(3, 3));
+    let svc = production(&topo, 100);
+    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+    let raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    (svc, server, raw)
+}
+
+/// Reads `raw` to its end, which must come within the read timeout:
+/// the server closed the connection. Returns the frames before it.
+fn read_to_close(raw: &mut TcpStream, dec: &mut FrameDecoder) -> Vec<WireMsg> {
+    let mut bytes = Vec::new();
+    raw.read_to_end(&mut bytes)
+        .expect("the server closes the connection");
+    dec.extend(&bytes);
+    let mut got = Vec::new();
+    while let Some(msg) = dec.next_frame().expect("sound frames") {
+        got.push(msg);
+    }
+    got
+}
+
+/// Once the client has said `Forget { below: 2 }`, the server keeps no
+/// record of ids 0 and 1: a resend of either is refused, and the
+/// backend does not see it. Id 2, inside the window, is still answered
+/// from its record, with the same bytes.
+#[test]
+fn a_forgotten_id_is_refused_and_never_reaches_the_backend() {
+    let (svc, server, mut raw) = raw_server();
+    let mut dec = FrameDecoder::new();
+    for id in 0..2 {
+        raw.write_all(&request_frame(id, id as u32)).expect("send");
+        let got = read_frames(&mut raw, &mut dec, 1);
+        assert!(
+            matches!(got[..], [WireMsg::Granted { id: a, .. }] if a == id),
+            "{got:?}"
+        );
+    }
+    // The Forget takes effect with the request read beside it, and the
+    // reader reads nothing else until it has: once id 2 is answered,
+    // the window starts at 2.
+    let mut read = encode(&WireMsg::Forget { below: 2 });
+    read.extend(request_frame(2, 2));
+    raw.write_all(&read).expect("send");
+    let first = read_frames(&mut raw, &mut dec, 1);
+    assert!(
+        matches!(first[..], [WireMsg::Granted { id: 2, .. }]),
+        "{first:?}"
+    );
+    assert_eq!(svc.stats().offered, 3);
+    for id in [0, 1] {
+        raw.write_all(&request_frame(id, id as u32))
+            .expect("resend");
+        let got = read_frames(&mut raw, &mut dec, 1);
+        assert!(
+            matches!(got[..], [WireMsg::Refused { id: a, .. }] if a == id),
+            "{got:?}"
+        );
+        assert_eq!(svc.stats().offered, 3, "id {id} reached the backend again");
+    }
+    assert_eq!(server.dedup_hits(), 0, "a refusal is not a dedup hit");
+    raw.write_all(&request_frame(2, 2)).expect("resend");
+    assert_eq!(read_frames(&mut raw, &mut dec, 1), first);
+    assert_eq!(server.dedup_hits(), 1);
+    assert_eq!(svc.stats().offered, 3);
+}
+
+/// One read: requests 0 and 1, a release of 0's call, then a request
+/// that skips id 2 and one more behind it. The frames before the skip
+/// take effect — both calls offered, the first released — and then the
+/// connection closes: neither request from the skip on is offered.
+#[test]
+fn a_request_that_skips_an_id_closes_the_connection() {
+    let (svc, _server, mut raw) = raw_server();
+    // A fresh backend issues tickets from 0: the first request's is 0.
+    let mut read = request_frame(0, 3);
+    read.extend(request_frame(1, 4));
+    read.extend(encode(&WireMsg::Release { ticket: 0 }));
+    read.extend(request_frame(3, 5));
+    read.extend(request_frame(4, 6));
+    raw.write_all(&read).expect("send one read");
+    let got = read_to_close(&mut raw, &mut FrameDecoder::new());
+    assert!(
+        got.iter().all(|m| matches!(
+            m,
+            WireMsg::Granted { id: 0 | 1, .. } | WireMsg::Released { ticket: 0, .. }
+        )),
+        "{got:?}"
+    );
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while svc.stats().completed < 1 {
+        assert!(Instant::now() < give_up, "the release never took effect");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.offered, stats.granted), (2, 2));
+}
+
+/// Hostile ids against a window that starts above 0: a Forget past the
+/// window's end stops at the end, so the next id is still admitted; id
+/// 0, below the window, is refused; and `u64::MAX`, past its end,
+/// closes the connection once the requests read before it were
+/// admitted — which a reader that panicked on one of them would not
+/// have done. CI runs this in a release build too, where overflow
+/// would wrap.
+#[test]
+fn hostile_ids_get_a_typed_outcome() {
+    let (svc, server, mut raw) = raw_server();
+    let mut dec = FrameDecoder::new();
+    for id in 0..3 {
+        raw.write_all(&request_frame(id, id as u32)).expect("send");
+        assert_eq!(read_frames(&mut raw, &mut dec, 1).len(), 1);
+    }
+    raw.write_all(&encode(&WireMsg::Forget { below: 2 }))
+        .expect("send");
+    let mut read = encode(&WireMsg::Forget { below: u64::MAX });
+    read.extend(request_frame(3, 3));
+    raw.write_all(&read).expect("send");
+    let got = read_frames(&mut raw, &mut dec, 1);
+    assert!(
+        matches!(got[..], [WireMsg::Granted { id: 3, .. }]),
+        "{got:?}"
+    );
+
+    raw.write_all(&request_frame(0, 0)).expect("send");
+    let got = read_frames(&mut raw, &mut dec, 1);
+    assert!(
+        matches!(got[..], [WireMsg::Refused { id: 0, .. }]),
+        "{got:?}"
+    );
+    assert_eq!(svc.stats().offered, 4);
+
+    let mut read = request_frame(4, 4);
+    read.extend(request_frame(0, 0));
+    read.extend(request_frame(u64::MAX, 0));
+    read.extend(request_frame(5, 5));
+    raw.write_all(&read).expect("send");
+    read_to_close(&mut raw, &mut dec);
+    assert_eq!(
+        svc.stats().offered,
+        5,
+        "id 4 admitted, nothing after the skip"
+    );
+    assert_eq!(server.dedup_hits(), 0);
 }
