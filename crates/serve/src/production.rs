@@ -119,11 +119,12 @@ pub struct ProductionConfig {
     /// events than its bound plus one run. Sends within a band and
     /// timers do not go through a mailbox.
     pub mailbox_capacity: usize,
-    /// How long a sender stalls on a full mailbox before forcing its
-    /// events through (the deadlock-freedom escape valve; forced pushes
-    /// are counted in [`ServeStats::backpressure_forced`]).
-    pub stall_patience: Duration,
 }
+
+/// How long a sender stalls on a full mailbox before forcing its events
+/// through (the deadlock-freedom escape valve; forced pushes are counted
+/// in [`ServeStats::backpressure_forced`]).
+pub const STALL_PATIENCE: Duration = Duration::from_millis(2);
 
 impl Default for ProductionConfig {
     fn default() -> Self {
@@ -134,7 +135,6 @@ impl Default for ProductionConfig {
                 .clamp(2, 16),
             ns_per_tick: 100,
             mailbox_capacity: 1024,
-            stall_patience: Duration::from_millis(2),
         }
     }
 }
@@ -887,7 +887,7 @@ where
                 inner.step(CellId(t as u32), now, node, Input::Start, &mut me.out);
                 inner.flush(&mut me.out);
             }
-            me.out.patience = inner.cfg.stall_patience;
+            me.out.patience = STALL_PATIENCE;
         }
         let handles: Vec<JoinHandle<()>> = bands
             .into_iter()
@@ -997,7 +997,7 @@ where
             .counters
             .pending
             .fetch_add(admitted, Ordering::Relaxed);
-        inner.push_runs(&mut self.runs, inner.cfg.stall_patience);
+        inner.push_runs(&mut self.runs, STALL_PATIENCE);
     }
 
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {
@@ -1020,7 +1020,7 @@ where
         self.inner.deliver(
             cell.index(),
             TaskEvent::End { ticket: ticket.0 },
-            self.inner.cfg.stall_patience,
+            STALL_PATIENCE,
         );
         Ok(())
     }
@@ -1154,7 +1154,6 @@ mod tests {
             workers: 1,
             ns_per_tick: 0,
             mailbox_capacity: 0,
-            ..Default::default()
         };
         let mut svc = ProductionAllocService::new(topo, cfg, FixedNode::new);
         assert_eq!(svc.inner.cfg.ns_per_tick, 1);

@@ -493,6 +493,16 @@ pub trait AllocService {
     /// it notices an indication that arrives alone when that wait ends;
     /// live backends may override it with one wait on both queues.
     ///
+    /// A ticket's `Released` is never handed out by an earlier call than
+    /// its `Granted` (one call may hand out both, the grant in
+    /// `confirms`). The wire server relies on this order and does not
+    /// check it again: it stages a call's confirms before its
+    /// indications and relays them in that order. The order is checked
+    /// by `serve/tests/recv_answers.rs` on the production backend and on
+    /// this default body (the deterministic backend), and by
+    /// `wire/tests/service_contract.rs` on the production backend and on
+    /// a wire client.
+    ///
     /// ```
     /// use adca_baselines::FixedNode;
     /// use adca_hexgrid::{CellId, Topology};

@@ -15,6 +15,7 @@ use adca_baselines::{
 };
 use adca_core::{AdaptiveConfig, AdaptiveNode};
 use adca_hexgrid::{CellId, Channel, Topology};
+use adca_serve::production::STALL_PATIENCE;
 use adca_serve::{
     AllocService, ChannelRequest, Confirm, Indication, ProductionAllocService, ProductionConfig,
     ServeStats,
@@ -710,9 +711,8 @@ fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
         workers: 1,
         ns_per_tick: NS_PER_TICK,
         mailbox_capacity: 1,
-        ..Default::default()
     };
-    let patience = cfg.stall_patience;
+    let patience = STALL_PATIENCE;
     let holds = Duration::from_nanos(HOLD * NS_PER_TICK);
     let arrivals = (0..36u32)
         .flat_map(|c| (0..14).map(move |k| (k, CellId(c), HOLD)))

@@ -13,6 +13,16 @@
 //!   of frames under one outbox lock (the writer then sends them in one
 //!   `write`).
 //!
+//! **Routing trusts two orders** and checks neither. A reader registers
+//! the routes of a read's tickets under the `routes` lock it holds
+//! across the backend call, so no answer to a request admitted here can
+//! reach the dispatcher before its route; an answer that finds none was
+//! not admitted through this server, and it is dropped. And the backend
+//! never hands out a ticket's `Released` by an earlier
+//! [`recv_answers`](AllocService::recv_answers) call than its
+//! `Granted`: the dispatcher stages a burst's confirms before its
+//! indications, so the frames keep that order on the wire.
+//!
 //! **Backpressure** needs no queue of its own: the reader admits a
 //! read — the Request frames of one `read`, at most 16 KiB of them — in
 //! one [`AllocService::request_channels`] call, which on the production
@@ -43,80 +53,23 @@ use crate::frame::{encode_into, FrameDecoder, WireMsg};
 use adca_hexgrid::CellId;
 use adca_serve::{AllocService, ChannelRequest, Confirm, Indication, ServeError, Ticket};
 use adca_simkit::DropCause;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How long an answer that has no route yet — or a `Released` whose
-/// `Granted` has not been relayed — is parked before being dropped. A
-/// reader registers its routes under the lock it admits them under, so
-/// an answer of this server's own admissions never finds its route
-/// missing; what parks is an answer a backend hands out of that order.
-const PARK_TTL: Duration = Duration::from_secs(5);
-
-/// How often the dispatcher retries parked answers (nothing signals
-/// the route they wait for).
-const PARK_RETRY: Duration = Duration::from_micros(200);
+use std::time::Duration;
 
 /// Longest the idle dispatcher waits for the backend before it looks at
 /// the `stopping` flag again (nothing of the server's can wake it out
 /// of the backend's wait, and `shutdown` joins it).
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// Object-safe face of `AllocService + Clone`, so [`WireServer`] need
-/// not be generic over the backend.
-trait DynService: Send {
-    fn request_channels(
-        &mut self,
-        reqs: &[ChannelRequest],
-        out: &mut Vec<Result<Ticket, ServeError>>,
-    );
-    fn release(&mut self, ticket: Ticket) -> Result<(), ServeError>;
-    fn recv_answers(
-        &mut self,
-        timeout: Duration,
-        confirms: &mut Vec<Confirm>,
-        indications: &mut Vec<Indication>,
-    );
-    fn clone_box(&self) -> Box<dyn DynService>;
-}
-
-impl<S: AllocService + Clone + Send + 'static> DynService for S {
-    fn request_channels(
-        &mut self,
-        reqs: &[ChannelRequest],
-        out: &mut Vec<Result<Ticket, ServeError>>,
-    ) {
-        AllocService::request_channels(self, reqs, out)
-    }
-    fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {
-        AllocService::release(self, ticket)
-    }
-    fn recv_answers(
-        &mut self,
-        timeout: Duration,
-        confirms: &mut Vec<Confirm>,
-        indications: &mut Vec<Indication>,
-    ) {
-        AllocService::recv_answers(self, timeout, confirms, indications)
-    }
-    fn clone_box(&self) -> Box<dyn DynService> {
-        Box::new(self.clone())
-    }
-}
-
 /// Where a ticket's answers go: which connection, under which client id.
 struct Route {
     conn: u64,
     id: u64,
-    /// Set once the grant was relayed; the later `Released` indication
-    /// must not retire the route before the grant itself went out.
-    granted: bool,
 }
 
 /// Per-connection outbound bytes: whole frames back to back, taken by
@@ -139,7 +92,7 @@ impl Outbox {
         let mut st = self.q.lock().expect("outbox poisoned");
         if !st.closed {
             // The writer waits only on an empty outbox, so only the
-            // send that ends the emptiness can find it parked.
+            // send that ends the emptiness can find it waiting.
             let wake = st.bytes.is_empty();
             for msg in msgs {
                 encode_into(&mut st.bytes, msg);
@@ -327,10 +280,13 @@ struct Shared {
     stopping: AtomicBool,
     /// Server ticket → where its confirm (and later release) goes. A
     /// reader holds it across its backend call and registers the read's
-    /// routes before it lets go, so the lock order is `routes`, then the
-    /// backend's own locks (on the production backend `tickets`, then a
-    /// worker's mailbox); the dispatcher takes it with no other lock
-    /// held, and nothing takes it under a backend lock.
+    /// routes before it lets go, so the dispatcher, which matches under
+    /// it, never meets an answer to this server's admissions before its
+    /// route. The lock order is `routes`, then the backend's own locks
+    /// (on the production backend `tickets`, then a worker's mailbox);
+    /// the dispatcher takes it with no other lock held, and nothing
+    /// takes it under a backend lock. A grant keeps its route for the
+    /// ticket's `Released`; a rejection or the `Released` removes it.
     routes: Mutex<HashMap<u64, Route>>,
     /// Live connections by id.
     conns: Mutex<HashMap<u64, Arc<ConnState>>>,
@@ -344,8 +300,12 @@ struct Shared {
 ///
 /// The server holds clones of the service (one per connection reader,
 /// one for the dispatcher); with the production backend those clones
-/// share the one executor, so the caller's own handle keeps working and
-/// the backend shuts down only when the last handle drops.
+/// share the one executor, which shuts down only when the last handle
+/// drops. The dispatcher takes every answer the backend publishes, so
+/// the caller's own handle is for [`stats`](AllocService::stats) and
+/// [`shutdown`](adca_serve::ProductionAllocService::shutdown): a request
+/// submitted through it while the server runs is counted, and its
+/// answer is dropped with no connection to go to.
 pub struct WireServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -375,15 +335,14 @@ impl WireServer {
 
         let dispatcher = {
             let shared = shared.clone();
-            let mut svc: Box<dyn DynService> = Box::new(svc.clone());
-            std::thread::spawn(move || run_dispatcher(&shared, svc.as_mut()))
+            let svc = svc.clone();
+            std::thread::spawn(move || run_dispatcher(&shared, svc))
         };
 
         let accept = {
             let shared = shared.clone();
             let workers = workers.clone();
-            let proto: Box<dyn DynService> = Box::new(svc);
-            std::thread::spawn(move || run_accept(listener, &shared, &workers, proto))
+            std::thread::spawn(move || run_accept(listener, &shared, &workers, svc))
         };
 
         Ok(WireServer {
@@ -442,12 +401,14 @@ impl Drop for WireServer {
     }
 }
 
-fn run_accept(
+fn run_accept<S>(
     listener: TcpListener,
     shared: &Arc<Shared>,
     workers: &Mutex<Vec<JoinHandle<()>>>,
-    proto: Box<dyn DynService>,
-) {
+    proto: S,
+) where
+    S: AllocService + Clone + Send + 'static,
+{
     let mut next_conn = 0u64;
     for stream in listener.incoming() {
         if shared.stopping.load(Ordering::SeqCst) {
@@ -481,11 +442,17 @@ fn run_accept(
         let reader = {
             let shared = shared.clone();
             let conn = conn.clone();
-            let mut svc = proto.clone_box();
-            std::thread::spawn(move || run_reader(&shared, conn_id, &conn, svc.as_mut()))
+            let svc = proto.clone();
+            std::thread::spawn(move || run_reader(&shared, conn_id, &conn, svc))
         };
         let writer = std::thread::spawn(move || run_writer(conn, write_half));
         let mut w = workers.lock().expect("workers poisoned");
+        // Join the threads of the connections that have closed, so the
+        // list holds the live connections' threads and not those of
+        // every connection ever accepted.
+        for done in w.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
         w.push(reader);
         w.push(writer);
     }
@@ -498,7 +465,7 @@ fn run_accept(
 /// so frames take effect in the order they came. A Request whose id
 /// skips ahead of the window ends the connection once the frames before
 /// it took effect.
-fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn DynService) {
+fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, mut svc: impl AllocService) {
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
     let mut burst = Burst::default();
@@ -530,7 +497,7 @@ fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn Dyn
                 )),
                 Ok(Some(WireMsg::Forget { below })) => burst.forget = burst.forget.max(below),
                 Ok(Some(WireMsg::Release { ticket })) => {
-                    if !burst.admit(shared, conn_id, conn, svc) {
+                    if !burst.admit(shared, conn_id, conn, &mut svc) {
                         break 'conn;
                     }
                     // Releasing an unknown or already-ended ticket is
@@ -552,12 +519,12 @@ fn run_reader(shared: &Shared, conn_id: u64, conn: &ConnState, svc: &mut dyn Dyn
                     | WireMsg::Released { .. },
                 ))
                 | Err(_) => {
-                    let _ = burst.admit(shared, conn_id, conn, svc);
+                    let _ = burst.admit(shared, conn_id, conn, &mut svc);
                     break 'conn;
                 }
             }
         }
-        if !burst.admit(shared, conn_id, conn, svc) {
+        if !burst.admit(shared, conn_id, conn, &mut svc) {
             break 'conn;
         }
     }
@@ -601,7 +568,7 @@ impl Burst {
         shared: &Shared,
         conn_id: u64,
         conn: &ConnState,
-        svc: &mut dyn DynService,
+        svc: &mut impl AllocService,
     ) -> bool {
         if self.ids.is_empty() && self.forget == 0 {
             return true;
@@ -656,8 +623,8 @@ impl Burst {
         self.fresh.extend(self.ids.iter().map(|&(_, req)| req));
         {
             // Held across the call, so that no answer the dispatcher
-            // matches can beat its route and park (see `Shared::routes`
-            // for the lock order).
+            // matches can beat its route (see `Shared::routes` for the
+            // lock order).
             let mut routes = shared.routes.lock().expect("routes poisoned");
             // On the production backend this call *blocks* while a
             // destination worker's mailbox is full — the backpressure
@@ -666,12 +633,7 @@ impl Burst {
             for (&(id, _), result) in self.ids.iter().zip(&self.results) {
                 match *result {
                     Ok(ticket) => {
-                        let route = Route {
-                            conn: conn_id,
-                            id,
-                            granted: false,
-                        };
-                        routes.insert(ticket.0, route);
+                        routes.insert(ticket.0, Route { conn: conn_id, id });
                     }
                     Err(e) => self.replies.push(WireMsg::Refused {
                         id,
@@ -727,57 +689,27 @@ fn run_writer(conn: Arc<ConnState>, mut stream: TcpStream) {
     }
 }
 
-/// An answer from the backend, on its way to the connection that owns
-/// its ticket.
-#[derive(Clone, Copy)]
-enum Answer {
-    Confirm(Confirm),
-    Indication(Indication),
-}
-
 /// Takes what the backend has answered, a burst at a time, and relays
-/// it to the connections that own the tickets.
-fn run_dispatcher(shared: &Shared, svc: &mut dyn DynService) {
-    // Answers whose route the reader has not registered yet (or, for a
-    // release racing its own grant, whose grant was not relayed yet).
-    let mut parked: Vec<(Instant, Answer)> = Vec::new();
+/// it to the connections that own the tickets: the confirms before the
+/// indications, so a ticket's `Granted` is staged before a `Released`
+/// taken with it.
+fn run_dispatcher(shared: &Shared, mut svc: impl AllocService) {
     let (mut confirms, mut indications) = (Vec::new(), Vec::new());
     let mut staged: Vec<(u64, WireMsg)> = Vec::new();
     loop {
         // Read before the pass, so the pass that sees it set still
         // takes what the backend answered until then.
         let stopping = shared.stopping.load(Ordering::SeqCst);
-        // The production backend signals a push to either queue, others
-        // poll; nothing signals the route insert a parked answer waits for.
-        let wait = if stopping {
-            Duration::ZERO
-        } else if parked.is_empty() {
-            IDLE_WAIT
-        } else {
-            PARK_RETRY
-        };
+        let wait = if stopping { Duration::ZERO } else { IDLE_WAIT };
         svc.recv_answers(wait, &mut confirms, &mut indications);
-        if !(parked.is_empty() && confirms.is_empty() && indications.is_empty()) {
-            let now = Instant::now();
+        if !(confirms.is_empty() && indications.is_empty()) {
             let mut routes = shared.routes.lock().expect("routes poisoned");
-            // The parked answers first, they are older; then the
-            // confirms before the indications, so that a ticket's
-            // `Granted` is staged before its `Released`.
-            parked.retain(|&(since, a)| match route(&mut routes, a) {
-                Some(frame) => {
-                    staged.push(frame);
-                    false
-                }
-                None => now.duration_since(since) < PARK_TTL,
-            });
-            let fresh = (confirms.drain(..).map(Answer::Confirm))
-                .chain(indications.drain(..).map(Answer::Indication));
-            for a in fresh {
-                match route(&mut routes, a) {
-                    Some(frame) => staged.push(frame),
-                    None => parked.push((now, a)),
-                }
-            }
+            staged.extend(confirms.drain(..).filter_map(|c| confirmed(&mut routes, c)));
+            staged.extend(
+                indications
+                    .drain(..)
+                    .filter_map(|i| released(&mut routes, i)),
+            );
             drop(routes);
             relay(shared, &mut staged);
         }
@@ -787,20 +719,18 @@ fn run_dispatcher(shared: &Shared, svc: &mut dyn DynService) {
     }
 }
 
-/// Matches one answer with its ticket's route: the connection it goes
-/// to and the frame it goes as. `None` when it has to wait: the route
-/// is not registered yet, or it is a `Released` whose `Granted` has not
-/// been staged.
-fn route(routes: &mut HashMap<u64, Route>, answer: Answer) -> Option<(u64, WireMsg)> {
-    match answer {
-        Answer::Confirm(Confirm::Granted {
+/// A confirm's connection and frame. A grant keeps its route for the
+/// ticket's `Released`; a rejection ends the ticket and its route.
+/// `None` for a ticket this server did not admit.
+fn confirmed(routes: &mut HashMap<u64, Route>, confirm: Confirm) -> Option<(u64, WireMsg)> {
+    match confirm {
+        Confirm::Granted {
             ticket,
             cell,
             channel,
             latency,
-        }) => {
-            let route = routes.get_mut(&ticket.0)?;
-            route.granted = true;
+        } => {
+            let route = routes.get(&ticket.0)?;
             Some((
                 route.conn,
                 WireMsg::Granted {
@@ -812,11 +742,11 @@ fn route(routes: &mut HashMap<u64, Route>, answer: Answer) -> Option<(u64, WireM
                 },
             ))
         }
-        Answer::Confirm(Confirm::Rejected {
+        Confirm::Rejected {
             ticket,
             cell,
             cause,
-        }) => {
+        } => {
             let route = routes.remove(&ticket.0)?;
             Some((
                 route.conn,
@@ -828,28 +758,26 @@ fn route(routes: &mut HashMap<u64, Route>, answer: Answer) -> Option<(u64, WireM
                 },
             ))
         }
-        Answer::Indication(Indication::Released {
-            ticket,
-            cell,
-            channel,
-        }) => {
-            let Entry::Occupied(route) = routes.entry(ticket.0) else {
-                return None;
-            };
-            if !route.get().granted {
-                return None;
-            }
-            let route = route.remove();
-            Some((
-                route.conn,
-                WireMsg::Released {
-                    ticket: ticket.0,
-                    cell: cell.index() as u32,
-                    channel: channel.0,
-                },
-            ))
-        }
     }
+}
+
+/// A `Released`'s connection and frame; it ends the ticket and its
+/// route. `None` for a ticket this server did not admit.
+fn released(routes: &mut HashMap<u64, Route>, indication: Indication) -> Option<(u64, WireMsg)> {
+    let Indication::Released {
+        ticket,
+        cell,
+        channel,
+    } = indication;
+    let route = routes.remove(&ticket.0)?;
+    Some((
+        route.conn,
+        WireMsg::Released {
+            ticket: ticket.0,
+            cell: cell.index() as u32,
+            channel: channel.0,
+        },
+    ))
 }
 
 /// Hands the staged frames over, a run of equal connection id at a
@@ -883,7 +811,20 @@ fn relay(shared: &Shared, staged: &mut Vec<(u64, WireMsg)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adca_baselines::FixedNode;
+    use adca_hexgrid::Topology;
+    use adca_serve::{ProductionAllocService, ProductionConfig};
     use std::sync::mpsc;
+    use std::time::Instant;
+
+    fn production(topo: &Arc<Topology>) -> ProductionAllocService<FixedNode> {
+        let cfg = ProductionConfig {
+            workers: 2,
+            ns_per_tick: 100,
+            ..ProductionConfig::default()
+        };
+        ProductionAllocService::new(topo.clone(), cfg, FixedNode::new)
+    }
 
     /// A connection as the accept loop would register it, its writer
     /// running, and the peer's end of the socket.
@@ -973,19 +914,11 @@ mod tests {
     #[test]
     fn a_connections_records_stay_flat_while_it_serves() {
         use crate::{deadline_wheel, WireClient, WireClientConfig, WireEvent};
-        use adca_baselines::FixedNode;
-        use adca_hexgrid::Topology;
-        use adca_serve::{ProductionAllocService, ProductionConfig};
 
         const REQUESTS: u64 = 20_000;
         const IN_FLIGHT: u64 = 16;
-        let topo = std::sync::Arc::new(Topology::default_paper(4, 4));
-        let cfg = ProductionConfig {
-            workers: 2,
-            ns_per_tick: 100,
-            ..ProductionConfig::default()
-        };
-        let svc = ProductionAllocService::new(topo.clone(), cfg, FixedNode::new);
+        let topo = Arc::new(Topology::default_paper(4, 4));
+        let svc = production(&topo);
         let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
         let mut client = WireClient::connect(
             server.local_addr(),
@@ -1025,5 +958,44 @@ mod tests {
         assert!(most <= IN_FLIGHT as usize + 1, "{most} records");
         assert_eq!(svc.stats().offered, REQUESTS);
         assert_eq!(server.dedup_hits(), 0);
+    }
+
+    /// 200 connections opened and closed one after another: once each
+    /// reader has left `conns`, its threads are joined at a later
+    /// accept, so the server holds the handles of the last few
+    /// connections and not two for every one it ever accepted.
+    #[test]
+    fn a_closed_connections_threads_are_joined_at_the_next_accept() {
+        const CYCLES: u64 = 200;
+        let topo = Arc::new(Topology::default_paper(2, 2));
+        let server = WireServer::start(production(&topo), "127.0.0.1:0").expect("bind loopback");
+        let conns_empty = || {
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !server
+                .shared
+                .conns
+                .lock()
+                .expect("conns poisoned")
+                .is_empty()
+            {
+                assert!(Instant::now() < give_up, "a reader never left");
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        };
+        for k in 1..=CYCLES {
+            drop(TcpStream::connect(server.local_addr()).expect("connect"));
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while server.connections_accepted() < k {
+                assert!(Instant::now() < give_up, "connection {k} not accepted");
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            conns_empty();
+        }
+        conns_empty();
+        let held = server.workers.lock().expect("workers poisoned").len();
+        assert!(
+            held <= 16,
+            "{held} handles after {CYCLES} closed connections"
+        );
     }
 }

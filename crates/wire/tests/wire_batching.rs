@@ -150,6 +150,55 @@ fn two_connections_each_get_only_their_own_answers() {
     assert_eq!(server.dedup_hits(), 0);
 }
 
+/// Requests submitted through the backend's own handle while a client
+/// pipelines over the wire: the server's dispatcher takes their answers
+/// too, finds no route and drops them, so the client still gets each of
+/// its own answers exactly once and nothing else, and the backend counts
+/// the direct requests like any other.
+#[test]
+fn answers_nobody_on_the_wire_asked_for_are_dropped() {
+    const REQUESTS: u64 = 20_000;
+    let topo = Arc::new(Topology::default_paper(4, 4));
+    let cells = topo.num_cells() as u64;
+    let mut svc = production(&topo, 100);
+    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
+    let wheel = deadline_wheel();
+    let mut client = WireClient::connect(server.local_addr(), WireClientConfig::default(), &wheel)
+        .expect("connect");
+    let (granted, direct) = std::thread::scope(|scope| {
+        let wire = scope.spawn(|| pipeline(&mut client, REQUESTS, |k| CellId((k % cells) as u32)));
+        let burst: Vec<_> = (0..8u32)
+            .map(|c| ChannelRequest::new_call(0, CellId(c), 200))
+            .collect();
+        let (mut direct, mut results) = (0u64, Vec::new());
+        while !wire.is_finished() {
+            svc.request_channels(&burst, &mut results);
+            assert!(
+                results.drain(..).all(|r| r.is_ok()),
+                "a direct request refused"
+            );
+            direct += burst.len() as u64;
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        (wire.join().expect("the wire load"), direct)
+    });
+    assert!(direct > 0, "no request was submitted beside the load");
+    assert!(svc.quiesce(Duration::from_secs(10)), "the backend settles");
+    assert_eq!(
+        client.recv(Duration::from_millis(50)),
+        None,
+        "no direct answer reached the client"
+    );
+    let stats = svc.stats();
+    assert_eq!(stats.offered, REQUESTS + direct);
+    assert_eq!(stats.granted + stats.rejected, REQUESTS + direct);
+    assert!(
+        stats.granted > granted,
+        "the direct requests were served too"
+    );
+    assert!(stats.violations.is_empty(), "Theorem-1 audit clean");
+}
+
 /// The frame of a new call at `cell` that holds for a day (every new
 /// call's frame is as long).
 fn request_frame(id: u64, cell: u32) -> Vec<u8> {
