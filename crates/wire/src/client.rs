@@ -15,9 +15,13 @@
 //! flight writes one frame a `recv`, one that polled 64 answers and
 //! re-submits their subscribers writes 64 frames at once. A driver that
 //! submits and then blocks somewhere other than `recv` must `flush`
-//! first, or its requests wait in the queue while their deadlines run.
+//! first, or its requests wait in the queue.
 //!
-//! Every request carries a deadline. The client keeps them itself,
+//! Every request carries a deadline, which starts when the write that
+//! carries the request goes out: the write reads the clock once and
+//! stamps every request queued since the last one, just before it is
+//! made, so a request behind a failed write still times out, and
+//! `submit` reads no clock. The client keeps the deadlines itself,
 //! earliest first, and keeps **one** entry armed on a shared
 //! [`TimerWheel`] — for the oldest unanswered request — so one wheel
 //! (and one dispatcher thread) serves every client in the process and
@@ -55,6 +59,7 @@ use adca_threadnet::{Backoff, TimerWheel};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -221,7 +226,8 @@ struct ClientState {
     /// When the latest transmission of each request runs out of
     /// patience, earliest first. A first transmission's entry goes on
     /// the back, so this is submit order but for retries. An answered
-    /// request's entry is dropped when it reaches the front.
+    /// request's entry is dropped when it reaches the front. A request
+    /// still queued for its first write has none yet.
     deadlines: VecDeque<(Instant, u64)>,
     /// Whether this client's one entry on the wheel is armed.
     armed: bool,
@@ -234,9 +240,26 @@ struct ClientState {
 }
 
 impl ClientState {
+    /// Files `id`'s deadline behind every entry due no later: on the
+    /// back, unless a retry already waits there for a later one.
     fn set_deadline(&mut self, due: Instant, id: u64) {
-        let at = self.deadlines.partition_point(|&(d, _)| d <= due);
-        self.deadlines.insert(at, (due, id));
+        if self.deadlines.back().is_none_or(|&(d, _)| d <= due) {
+            self.deadlines.push_back((due, id));
+        } else {
+            let at = self.deadlines.partition_point(|&(d, _)| d <= due);
+            self.deadlines.insert(at, (due, id));
+        }
+    }
+
+    /// Starts the deadlines of the requests `ids`, about to go out for
+    /// the first time in a write made at `now`.
+    fn stamp(&mut self, ids: Range<u64>, now: Instant, patience: Duration) {
+        // `None`: no deadline (see `WireClientConfig::deadline`).
+        if let Some(due) = now.checked_add(patience) {
+            for id in ids {
+                self.set_deadline(due, id);
+            }
+        }
     }
 
     /// Drops the entries of answered requests off the front.
@@ -320,6 +343,9 @@ pub struct WireClient {
     out: Vec<u8>,
     reader: Option<JoinHandle<()>>,
     next_id: u64,
+    /// The first id with no deadline yet: `[stamped, next_id)` are
+    /// queued for their first write.
+    stamped: u64,
     /// The `below` of the last Forget queued: the server keeps no
     /// record under it.
     forgotten: u64,
@@ -357,6 +383,7 @@ impl WireClient {
             out: Vec::new(),
             reader: Some(reader),
             next_id: 0,
+            stamped: 0,
             forgotten: 0,
             writes: 0,
             retries: 0,
@@ -373,10 +400,10 @@ impl WireClient {
     /// Submitted means *queued*: the frame is on the wire by the
     /// driver's next [`recv`](Self::recv), [`flush`](Self::flush) or
     /// drop, or at once when the queue reaches 16 KiB. The deadline
-    /// runs from this call, so the time queued counts against the
-    /// request's patience. `Err` means the connection is closed and
-    /// nothing was registered: an id that was never returned never
-    /// times out.
+    /// runs from the write that carries it, so the time queued does not
+    /// count against the request's patience. `Err` means the connection
+    /// is closed and nothing was registered: an id that was never
+    /// returned never times out.
     pub fn submit(&mut self, req: &ChannelRequest) -> io::Result<u64> {
         let id = self.next_id;
         let msg = WireMsg::Request {
@@ -387,9 +414,7 @@ impl WireClient {
             hold: req.hold,
             handoff_of: req.handoff_of.map(|t| t.0),
         };
-        // `None`: no deadline (see `WireClientConfig::deadline`).
-        let due = Instant::now().checked_add(self.cfg.deadline);
-        let arm = {
+        {
             let mut st = self.shared.st.lock().expect("client poisoned");
             if st.closed {
                 return Err(io::Error::new(
@@ -401,20 +426,16 @@ impl WireClient {
                 msg: msg.clone(),
                 backoff: Backoff::new(self.cfg.backoff, self.cfg.deadline, self.cfg.max_retries),
             });
-            if let Some(due) = due {
-                st.set_deadline(due, id);
-            }
-            st.arm()
-        };
+        }
         self.next_id += 1;
-        self.arm_wheel(arm);
         encode_into(&mut self.out, &msg);
         if self.cfg.inject_dup_first_send {
             encode_into(&mut self.out, &msg);
         }
         // The id is registered, so it is returned whatever becomes of
         // this write: should it fail, the reader observes the broken
-        // stream and closes, and the deadline times the request out.
+        // stream and closes, and the deadline, started before the
+        // write, times the request out.
         let _ = self.flush_if_full();
         Ok(id)
     }
@@ -438,10 +459,25 @@ impl WireClient {
 
     /// Writes the queue out in one `write`, if it holds anything. The
     /// driver's `recv` does this itself; call it before blocking
-    /// anywhere else with requests queued.
+    /// anywhere else with requests queued. One clock read starts the
+    /// deadlines of every request queued since the last write, under
+    /// one lock, before the write is made.
     pub fn flush(&mut self) -> io::Result<()> {
         if self.out.is_empty() {
             return Ok(());
+        }
+        if self.stamped < self.next_id {
+            let arm = {
+                let mut st = self.shared.st.lock().expect("client poisoned");
+                st.stamp(
+                    self.stamped..self.next_id,
+                    Instant::now(),
+                    self.cfg.deadline,
+                );
+                st.arm()
+            };
+            self.stamped = self.next_id;
+            self.arm_wheel(arm);
         }
         self.writes += 1;
         let written = self.stream.write_all(&self.out);
@@ -475,9 +511,11 @@ impl WireClient {
     /// receiving call of the [`AllocService`] view: services expired
     /// deadlines, writes the queue out, and only then asks `take` for
     /// what the caller came for — parking, up to `wait`, while `take`
-    /// finds nothing and the connection is open. A queue that goes out
-    /// when the window's `base` has moved since the last Forget carries
-    /// one more, at its end; a Forget is never a write of its own.
+    /// finds nothing and the connection is open. The queue's new
+    /// requests take their deadlines from the clock read that serviced
+    /// the expired ones. A queue that goes out when the window's `base`
+    /// has moved since the last Forget carries one more, at its end; a
+    /// Forget is never a write of its own.
     fn wait_for<T>(
         &mut self,
         wait: Duration,
@@ -489,6 +527,8 @@ impl WireClient {
         let mut st = self.shared.st.lock().expect("client poisoned");
         loop {
             self.retries += st.expire(now, self.cfg.deadline, &mut self.timeouts, &mut self.out);
+            st.stamp(self.stamped..self.next_id, now, self.cfg.deadline);
+            self.stamped = self.next_id;
             if !self.out.is_empty() && st.pending.base != self.forgotten {
                 self.forgotten = st.pending.base;
                 encode_into(
@@ -980,6 +1020,40 @@ mod tests {
         assert!(st.pending.slots.is_empty());
         deliver(&mut st, granted(3));
         assert_eq!(st.events.len(), 4, "a late answer is dropped");
+    }
+
+    /// A request's patience starts at the write that carries it, not at
+    /// `submit`: queued past its whole deadline, it is written out and
+    /// waits, where it used to time out before it was ever sent.
+    #[test]
+    fn a_deadline_starts_at_the_write() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let cfg = WireClientConfig {
+            deadline: Duration::from_millis(20),
+            max_retries: 0,
+            ..WireClientConfig::default()
+        };
+        let mut client =
+            WireClient::connect(listener.local_addr().expect("addr"), cfg, &deadline_wheel())
+                .expect("connect");
+        let (mut peer, _) = listener.accept().expect("accept");
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        client
+            .submit(&ChannelRequest::new_call(0, CellId(0), 10))
+            .expect("submit");
+        std::thread::sleep(cfg.deadline * 2);
+        assert_eq!(client.recv(Duration::ZERO), None, "timed out unsent");
+        let got = read_frames(&mut peer, &mut FrameDecoder::new(), 1);
+        assert!(
+            matches!(got[..], [WireMsg::Request { id: 0, .. }]),
+            "{got:?}"
+        );
+        assert_eq!(
+            client.recv(Duration::from_secs(10)),
+            Some(WireEvent::TimedOut { id: 0 }),
+            "the deadline that started at the write still runs out"
+        );
     }
 
     /// Reads `peer` until `n` frames have arrived.

@@ -6,19 +6,19 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 4    | magic `b"ADCW"` |
-//! | 4      | 2    | format version, little-endian (currently 2) |
+//! | 4      | 2    | format version, little-endian (currently 3) |
 //! | 6      | 1    | message kind tag |
 //! | 7      | 1    | reserved, must be 0 |
 //! | 8      | 4    | payload length, little-endian |
 //! | 12     | n    | payload (fields little-endian, in declaration order) |
-//! | 12 + n | 8    | FNV-1a64 checksum of bytes `[0, 12 + n)` |
+//! | 12 + n | 8    | [`checksum`] of bytes `[0, 12 + n)` |
 //!
-//! The checksum is the same FNV-1a64 used by `simkit`'s ADCASNAP
-//! snapshot envelope ([`adca_simkit::snapshot::fnv1a`]), so a flipped
-//! bit anywhere in the header or payload is caught before the payload
-//! is interpreted. There is no serde and no reflection: every message
-//! is encoded and decoded by hand, and every decode error is a typed
-//! [`FrameError`] — malformed input can never panic the peer.
+//! The [`checksum`] runs a multiply an 8-byte word, and any corrupted
+//! byte changes it, so a flipped bit anywhere in the header or payload
+//! is caught before the payload is interpreted. There is no serde and
+//! no reflection: every message is encoded and decoded by hand, and
+//! every decode error is a typed [`FrameError`] — malformed input can
+//! never panic the peer.
 //!
 //! | tag | kind | direction | payload |
 //! |----:|------|-----------|---------|
@@ -30,17 +30,17 @@
 //! | 5 | [`Released`](WireMsg::Released) | server → client | ticket u64, cell u32, channel u16 |
 //! | 6 | [`Forget`](WireMsg::Forget) | client → server | below u64 |
 //!
-//! Version 2 added `Forget`; the other six kinds are laid out as in
-//! version 1, which a version-2 peer refuses as
-//! [`FrameError::BadVersion`]`(1)`.
+//! Version 2 added `Forget`; version 3 replaced version 2's FNV-1a64
+//! (a multiply a byte) with the word-at-a-time [`checksum`]. The seven
+//! kinds are laid out as before, and a peer of an earlier version is
+//! refused as [`FrameError::BadVersion`] naming its version.
 
-use adca_simkit::snapshot::{fnv1a, FNV_OFFSET};
 use adca_simkit::{DropCause, RequestKind};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"ADCW";
 /// Wire format version this build speaks.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 /// Fixed header size (magic + version + kind + reserved + payload len).
 pub const HEADER_LEN: usize = 12;
 /// Trailing checksum size.
@@ -49,6 +49,37 @@ pub const TRAILER_LEN: usize = 8;
 /// the header alone, *before* any buffer grows to hold the payload, so
 /// a hostile length field cannot balloon memory.
 pub const MAX_PAYLOAD: u32 = 64 * 1024;
+
+/// The checksum's odd multiplier (2⁶⁴ over the golden ratio).
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The checksum a frame carries in its trailer, over its header and
+/// payload: one multiply a little-endian 8-byte word, the tail
+/// zero-padded, from a seed that mixes in the length (so padding cannot
+/// pass for data). `h ↦ ((h ^ w) · K) ^ (… >> 29)` is a bijection of
+/// the state for every word and one-to-one in the word for every state,
+/// so two inputs of one length that differ in a single word never share
+/// a sum. The xorshift carries a multiply's high bits back down; a
+/// rotate in its place misses pairs of flipped bits.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    fn step(h: u64, w: u64) -> u64 {
+        let h = (h ^ w).wrapping_mul(K);
+        h ^ (h >> 29)
+    }
+    let mut h = step(K, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte word")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        // The tail as a zero-padded little-endian word, shifted in a
+        // byte at a time: a copy of a run-time length is a `memcpy` call.
+        let w = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+        h = step(h, w);
+    }
+    h
+}
 
 /// One message of the RPC vocabulary, as carried on the wire.
 ///
@@ -148,7 +179,7 @@ pub enum FrameError {
     BadMagic,
     /// The peer speaks a different format version (named in the error).
     BadVersion(u16),
-    /// The trailing FNV-1a64 does not match the received bytes.
+    /// The trailing [`checksum`] does not match the received bytes.
     BadChecksum,
     /// The header claims a payload larger than [`MAX_PAYLOAD`].
     Oversized(u32),
@@ -303,7 +334,7 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &WireMsg) {
     let payload = (out.len() - start - HEADER_LEN) as u32;
     debug_assert!(payload <= MAX_PAYLOAD);
     out[start + 8..start + HEADER_LEN].copy_from_slice(&payload.to_le_bytes());
-    let sum = fnv1a(FNV_OFFSET, &out[start..]);
+    let sum = checksum(&out[start..]);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -355,7 +386,7 @@ fn frame_len(buf: &[u8]) -> Result<Option<usize>, FrameError> {
 fn check_and_parse(frame: &[u8]) -> Result<WireMsg, FrameError> {
     let body_end = frame.len() - TRAILER_LEN;
     let want = u64::from_le_bytes(frame[body_end..].try_into().expect("8-byte trailer"));
-    if fnv1a(FNV_OFFSET, &frame[..body_end]) != want {
+    if checksum(&frame[..body_end]) != want {
         return Err(FrameError::BadChecksum);
     }
     if frame[7] != 0 {
@@ -491,6 +522,9 @@ impl Cursor<'_> {
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Where the first byte not yet consumed is: a frame is taken by
+    /// moving it, and the bytes before it leave at the next `extend`.
+    pos: usize,
 }
 
 impl FrameDecoder {
@@ -499,8 +533,11 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Appends freshly received bytes.
+    /// Appends freshly received bytes, after dropping the consumed ones:
+    /// the bytes still waiting move once a read, not once a frame.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -510,18 +547,19 @@ impl FrameDecoder {
     /// connection should be closed — resynchronising an ADCW stream
     /// after garbage is not attempted).
     pub fn next_frame(&mut self) -> Result<Option<WireMsg>, FrameError> {
-        let total = match frame_len(&self.buf)? {
+        let rest = &self.buf[self.pos..];
+        let total = match frame_len(rest)? {
             Some(total) => total,
             None => return Ok(None),
         };
-        let msg = check_and_parse(&self.buf[..total])?;
-        self.buf.drain(..total);
+        let msg = check_and_parse(&rest[..total])?;
+        self.pos += total;
         Ok(Some(msg))
     }
 
     /// Bytes buffered but not yet consumed by a complete frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 }
 
@@ -529,9 +567,9 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_trips_every_variant() {
-        let msgs = [
+    /// One message of each kind, a Request with and without a handoff.
+    fn one_of_each() -> [WireMsg; 8] {
+        [
             WireMsg::Request {
                 id: 1,
                 at: 2,
@@ -572,8 +610,12 @@ mod tests {
                 channel: 22,
             },
             WireMsg::Forget { below: 23 },
-        ];
-        for msg in msgs {
+        ]
+    }
+
+    #[test]
+    fn round_trips_every_variant() {
+        for msg in one_of_each() {
             let frame = encode(&msg);
             let (back, used) = decode(&frame).expect("round trip");
             assert_eq!(back, msg);
@@ -581,19 +623,40 @@ mod tests {
         }
     }
 
+    /// On a frame of each kind, every flipped bit, every pair of flipped
+    /// bits and every other value of any one byte — header, payload or
+    /// trailer — decodes to an error: the word-at-a-time checksum misses
+    /// none of what FNV-1a64 caught on the wire's own messages.
     #[test]
-    fn flipped_bit_anywhere_is_rejected() {
-        let frame = encode(&WireMsg::Granted {
-            id: 1,
-            ticket: 2,
-            cell: 3,
-            channel: 4,
-            latency: 5,
-        });
-        for byte in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[byte] ^= 0x01;
-            assert!(decode(&bad).is_err(), "flipping byte {byte} went unnoticed");
+    fn every_flip_pair_of_flips_and_byte_change_is_rejected() {
+        for msg in one_of_each() {
+            let mut bad = encode(&msg);
+            let bits = bad.len() * 8;
+            let flip = |bad: &mut Vec<u8>, i: usize| bad[i / 8] ^= 1 << (i % 8);
+            for i in 0..bits {
+                flip(&mut bad, i);
+                assert!(decode(&bad).is_err(), "{msg:?}: bit {i} went unnoticed");
+                for j in i + 1..bits {
+                    flip(&mut bad, j);
+                    assert!(
+                        decode(&bad).is_err(),
+                        "{msg:?}: bits {i} and {j} went unnoticed"
+                    );
+                    flip(&mut bad, j);
+                }
+                flip(&mut bad, i);
+            }
+            for at in 0..bad.len() {
+                let was = bad[at];
+                for v in (0..=u8::MAX).filter(|&v| v != was) {
+                    bad[at] = v;
+                    assert!(
+                        decode(&bad).is_err(),
+                        "{msg:?}: byte {at} = {v} went unnoticed"
+                    );
+                }
+                bad[at] = was;
+            }
         }
     }
 
@@ -635,6 +698,52 @@ mod tests {
         assert_eq!(dec.next_frame(), Ok(Some(WireMsg::Release { ticket: 1 })));
         assert_eq!(dec.next_frame(), Ok(Some(WireMsg::Release { ticket: 2 })));
         assert_eq!(dec.next_frame(), Ok(None));
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    /// The checksum as the format states it, over an explicitly
+    /// zero-padded copy: every length of tail gives the same sum.
+    #[test]
+    fn the_checksum_is_the_stated_word_recurrence() {
+        let step = |h: u64, w: u64| {
+            let h = (h ^ w).wrapping_mul(K);
+            h ^ (h >> 29)
+        };
+        let bytes: Vec<u8> = (1..=17).collect();
+        for n in 0..=bytes.len() {
+            let mut padded = bytes[..n].to_vec();
+            padded.resize(n.div_ceil(8) * 8, 0);
+            let want = padded.chunks(8).fold(step(K, n as u64), |h, w| {
+                step(h, u64::from_le_bytes(w.try_into().expect("8-byte word")))
+            });
+            assert_eq!(checksum(&bytes[..n]), want, "{n} bytes");
+        }
+    }
+
+    /// A read of 1 000 frames and half of one more: every frame decodes
+    /// with the buffer left where it was, the half waits, and the next
+    /// read drops what was consumed before it completes the frame.
+    #[test]
+    fn a_read_is_consumed_in_place_and_compacted_at_the_next() {
+        let frame = |ticket| encode(&WireMsg::Release { ticket });
+        let mut read: Vec<u8> = (0..1_000).flat_map(frame).collect();
+        let last = frame(1_000);
+        let half = last.len() / 2;
+        read.extend_from_slice(&last[..half]);
+        let mut dec = FrameDecoder::new();
+        dec.extend(&read);
+        for ticket in 0..1_000 {
+            assert_eq!(dec.next_frame(), Ok(Some(WireMsg::Release { ticket })));
+        }
+        assert_eq!(dec.next_frame(), Ok(None));
+        assert_eq!(dec.buffered(), half);
+        assert_eq!(dec.buf.len(), read.len(), "no frame moved the buffer");
+        dec.extend(&last[half..]);
+        assert_eq!(dec.buf.len(), last.len());
+        assert_eq!(
+            dec.next_frame(),
+            Ok(Some(WireMsg::Release { ticket: 1_000 }))
+        );
         assert_eq!(dec.buffered(), 0);
     }
 }

@@ -4,7 +4,7 @@
 //! this crate puts the service on an actual socket:
 //!
 //! * [`frame`] — the hand-rolled ADCW frame codec: length-prefixed,
-//!   versioned, FNV-1a64-checksummed binary envelopes for the full
+//!   versioned binary envelopes with a word-at-a-time checksum for the full
 //!   request/confirm/indication vocabulary (including handoffs), in
 //!   the style of `simkit`'s ADCASNAP snapshot envelope. No serde;
 //!   malformed bytes decode to typed errors, never panics.

@@ -54,6 +54,7 @@ use adca_hexgrid::CellId;
 use adca_serve::{AllocService, ChannelRequest, Confirm, Indication, ServeError, Ticket};
 use adca_simkit::DropCause;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,6 +71,32 @@ const IDLE_WAIT: Duration = Duration::from_millis(1);
 struct Route {
     conn: u64,
     id: u64,
+}
+
+/// Server ticket → its [`Route`].
+type Routes = HashMap<u64, Route, BuildHasherDefault<TicketHasher>>;
+
+/// Hashes a ticket with one multiply. Tickets are issued by the
+/// backend, never chosen by a peer, so no key is picked to collide and
+/// a keyed hash buys nothing; an odd multiplier keeps consecutive
+/// tickets apart in the low bits and spreads them into the high ones.
+#[derive(Default)]
+struct TicketHasher(u64);
+
+impl Hasher for TicketHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// Per-connection outbound bytes: whole frames back to back, taken by
@@ -287,7 +314,7 @@ struct Shared {
     /// the dispatcher takes it with no other lock held, and nothing
     /// takes it under a backend lock. A grant keeps its route for the
     /// ticket's `Released`; a rejection or the `Released` removes it.
-    routes: Mutex<HashMap<u64, Route>>,
+    routes: Mutex<Routes>,
     /// Live connections by id.
     conns: Mutex<HashMap<u64, Arc<ConnState>>>,
     /// Duplicate submissions absorbed by the idempotency layer.
@@ -326,7 +353,7 @@ impl WireServer {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             stopping: AtomicBool::new(false),
-            routes: Mutex::new(HashMap::new()),
+            routes: Mutex::default(),
             conns: Mutex::new(HashMap::new()),
             dedup_hits: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -722,7 +749,7 @@ fn run_dispatcher(shared: &Shared, mut svc: impl AllocService) {
 /// A confirm's connection and frame. A grant keeps its route for the
 /// ticket's `Released`; a rejection ends the ticket and its route.
 /// `None` for a ticket this server did not admit.
-fn confirmed(routes: &mut HashMap<u64, Route>, confirm: Confirm) -> Option<(u64, WireMsg)> {
+fn confirmed(routes: &mut Routes, confirm: Confirm) -> Option<(u64, WireMsg)> {
     match confirm {
         Confirm::Granted {
             ticket,
@@ -763,7 +790,7 @@ fn confirmed(routes: &mut HashMap<u64, Route>, confirm: Confirm) -> Option<(u64,
 
 /// A `Released`'s connection and frame; it ends the ticket and its
 /// route. `None` for a ticket this server did not admit.
-fn released(routes: &mut HashMap<u64, Route>, indication: Indication) -> Option<(u64, WireMsg)> {
+fn released(routes: &mut Routes, indication: Indication) -> Option<(u64, WireMsg)> {
     let Indication::Released {
         ticket,
         cell,

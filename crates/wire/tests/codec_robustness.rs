@@ -187,13 +187,15 @@ proptest! {
 
 #[test]
 fn version_mismatch_is_rejected_by_name() {
+    // Derived from the spoken version, so no later bump collides with it.
+    let foreign = WIRE_VERSION + 1;
     let mut frame = encode(&WireMsg::Release { ticket: 9 });
-    frame[4..6].copy_from_slice(&3u16.to_le_bytes());
+    frame[4..6].copy_from_slice(&foreign.to_le_bytes());
     let err = decode(&frame).unwrap_err();
-    assert_eq!(err, FrameError::BadVersion(3));
+    assert_eq!(err, FrameError::BadVersion(foreign));
     let text = err.to_string();
     assert!(
-        text.contains("version 3") && text.contains(&WIRE_VERSION.to_string()),
+        text.contains(&format!("version {foreign}")) && text.contains(&WIRE_VERSION.to_string()),
         "the error must name the offered and the spoken version, got {text:?}"
     );
 }
@@ -208,6 +210,20 @@ fn a_version_1_header_is_bad_version_1() {
     let mut dec = FrameDecoder::new();
     dec.extend(&frame[..6]);
     assert_eq!(dec.next_frame(), Err(FrameError::BadVersion(1)));
+}
+
+/// Version 3 replaced version 2's FNV-1a64 trailer with the
+/// word-at-a-time checksum and kept every layout: a version-2 peer is
+/// refused by name, on the six header bytes alone, and not met with a
+/// checksum error.
+#[test]
+fn a_version_2_header_is_bad_version_2() {
+    let mut frame = encode(&WireMsg::Forget { below: 9 });
+    frame[4..6].copy_from_slice(&2u16.to_le_bytes());
+    assert_eq!(decode(&frame), Err(FrameError::BadVersion(2)));
+    let mut dec = FrameDecoder::new();
+    dec.extend(&frame[..6]);
+    assert_eq!(dec.next_frame(), Err(FrameError::BadVersion(2)));
 }
 
 #[test]
@@ -255,8 +271,7 @@ fn refresh_checksum(frame: &[u8]) -> Vec<u8> {
 
 /// Appends a fresh checksum to header+payload bytes.
 fn refresh_checksum_no_trailer(body: &[u8]) -> Vec<u8> {
-    use adca_simkit::snapshot::{fnv1a, FNV_OFFSET};
     let mut out = body.to_vec();
-    out.extend_from_slice(&fnv1a(FNV_OFFSET, body).to_le_bytes());
+    out.extend_from_slice(&adca_wire::frame::checksum(body).to_le_bytes());
     out
 }
