@@ -25,15 +25,17 @@
 //!   any moment — the superset of all latency assignments),
 //! * per-cell operation scripts (call arrivals/hang-ups to inject),
 //! * crash flags, cut links, and the remaining fault [`Budgets`], and
-//! * the ground-truth channel usage per cell, maintained from the
+//! * the ground-truth channel usage, an [`adca_simkit::Ground`] (the
+//!   engine's and the production backend's too), maintained from the
 //!   grant/release actions the nodes emit.
 //!
 //! # Checked properties
 //!
-//! * **Theorem 1 safety** — every `Grant` is audited against the ground
-//!   truth: the granted channel must be unused across the granting
-//!   cell's interference region ([`Defect::Interference`]) and unused in
-//!   the cell itself ([`Defect::DoubleAssign`]).
+//! * **Theorem 1 safety** — every `Grant` is audited by
+//!   [`Ground::grant`]: the granted channel must be unused in the cell
+//!   itself ([`Defect::DoubleAssign`]) and across the granting cell's
+//!   interference region ([`Defect::Interference`], naming the
+//!   lowest-id user) — the first conflict is the defect.
 //! * **Resolution discipline** — every grant/reject must resolve the
 //!   cell's outstanding request exactly once ([`Defect::BadResolution`]).
 //! * **Deadlock freedom / eventual acquisition** — in every *terminal*
@@ -53,10 +55,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use adca_hexgrid::{CellId, Channel, ChannelSet, Topology};
+use adca_hexgrid::{CellId, Channel, Topology};
 use adca_simkit::sm::{Action, Effects, Input, StateMachine};
 use adca_simkit::{
-    ProtocolState, Reader, RequestId, RequestKind, SimTime, TraceEvent, TraceRecord, Writer,
+    Ground, ProtocolState, Reader, RequestId, RequestKind, SimTime, TraceEvent, TraceRecord,
+    Violation, Writer,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -453,7 +456,7 @@ struct State<M> {
     next_op: Vec<usize>,
     pending: Vec<Option<RequestId>>,
     active: Vec<Vec<Channel>>,
-    usage: Vec<ChannelSet>,
+    ground: Ground,
     grants: Vec<u32>,
     rejects: Vec<u32>,
     next_req: u64,
@@ -555,7 +558,6 @@ impl<N: CheckNode> Model<N> {
 
     fn initial(&self) -> Result<State<MsgOf<N>>, Defect> {
         let n = self.topo.num_cells();
-        let empty = self.topo.spectrum().empty_set();
         let mut st = State {
             nodes: (0..n)
                 .map(|i| Self::encode_node(&self.build_node(CellId(i as u32))))
@@ -567,7 +569,7 @@ impl<N: CheckNode> Model<N> {
             next_op: vec![0; n],
             pending: vec![None; n],
             active: vec![Vec::new(); n],
-            usage: vec![empty; n],
+            ground: Ground::new(&self.topo),
             grants: vec![0; n],
             rejects: vec![0; n],
             next_req: 0,
@@ -622,22 +624,16 @@ impl<N: CheckNode> Model<N> {
                         return Err(Defect::BadResolution { cell });
                     }
                     st.pending[i] = None;
-                    if st.usage[i].contains(ch) {
-                        return Err(Defect::DoubleAssign { cell, ch });
-                    }
-                    for j in 0..st.usage.len() {
-                        if j != i
-                            && st.usage[j].contains(ch)
-                            && self.topo.in_region(cell, CellId(j as u32))
-                        {
-                            return Err(Defect::Interference {
+                    if let Some(v) = st.ground.grant(&self.topo, SimTime(0), cell, ch) {
+                        return Err(match v {
+                            Violation::Interference { conflicting, .. } => Defect::Interference {
                                 cell,
-                                other: CellId(j as u32),
+                                other: conflicting,
                                 ch,
-                            });
-                        }
+                            },
+                            _ => Defect::DoubleAssign { cell, ch },
+                        });
                     }
-                    st.usage[i].insert(ch);
                     st.active[i].push(ch);
                     st.grants[i] += 1;
                     obs.on_event(TraceEvent::Granted {
@@ -774,7 +770,7 @@ impl<N: CheckNode> Model<N> {
                     Op::EndCall => {
                         if !s.active[i].is_empty() {
                             let ch = s.active[i].remove(0);
-                            s.usage[i].remove(ch);
+                            s.ground.release(cell, ch);
                             obs.on_event(TraceEvent::Released {
                                 cell,
                                 ch,
@@ -857,7 +853,7 @@ impl<N: CheckNode> Model<N> {
                 s.down[i] = true;
                 // Active calls die with the cell; their channels free.
                 s.active[i].clear();
-                s.usage[i] = self.topo.spectrum().empty_set();
+                s.ground.vacate(cell);
                 // The pending request (if any) is force-rejected, as the
                 // engine does for calls served by a crashed MSS.
                 if s.pending[i].take().is_some() {
@@ -935,7 +931,7 @@ impl<N: CheckNode> Model<N> {
                 buf.extend_from_slice(&ch.0.to_le_bytes());
             }
         }
-        for set in &st.usage {
+        for set in st.ground.usage() {
             put_u64(&mut buf, set.len() as u64);
             for ch in set.iter() {
                 buf.extend_from_slice(&ch.0.to_le_bytes());

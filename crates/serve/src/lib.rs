@@ -17,7 +17,8 @@
 //! * [`ProductionAllocService`] — the live backend. Each cell's
 //!   protocol node is a task on a bounded-mailbox executor
 //!   ([`production`]); confirms arrive at wall-clock time, grants are
-//!   audited against ground truth under a lock, and full mailboxes
+//!   audited by the engine's [`adca_simkit::Ground`] under the ticket
+//!   ledger's lock, and full mailboxes
 //!   exert real backpressure on senders — including the subscriber
 //!   calling [`AllocService::request_channel`].
 //!
@@ -27,7 +28,6 @@
 #![forbid(unsafe_code)]
 
 pub mod des;
-mod ground;
 mod mailbox;
 pub mod production;
 pub mod service;

@@ -68,14 +68,14 @@
 //! enter an inbox only at a round start, from the heap or the mailbox,
 //! so the `Released` comes from a later round than the `Granted`.
 //!
-//! Grants are audited: the Theorem-1 check and the ground-truth commit
-//! happen atomically under the granted channel's lock
-//! (`crate::ground`), so no interleaving can produce a false-clean run
-//! — and grants of different channels never meet.
+//! Grants are audited by the engine's and the checker's Theorem-1
+//! check, [`adca_simkit::Ground`], kept with the tickets in one ledger
+//! under one lock: a grant's claim, audit and commit are one critical
+//! section, so no interleaving can produce a false-clean run.
 //!
 //! Handoffs follow the engine's (and the paper's) break-before-make
 //! order: the source channel is relinquished at submission — claimed
-//! and out of the ground truth under the `tickets` lock, its
+//! and out of the ground truth under the ledger lock, its
 //! `Relinquish` into its worker's run ahead of the target's acquire —
 //! then the acquire at the target cell is filed ahead of what waits in
 //! its inbox (priority, same backpressure). The source's `Released` is
@@ -84,14 +84,13 @@
 //! termination — with nothing left to clean up, because the source
 //! channel was already returned.
 
-use crate::ground::GroundTruth;
 use crate::mailbox::{Mailbox, Push};
 use crate::service::{
     AllocService, ChannelRequest, Confirm, Indication, ServeError, ServeStats, Ticket,
 };
 use adca_hexgrid::{CellId, Channel, Topology};
 use adca_simkit::{
-    Action, DropCause, Effects, Input, RequestId, RequestKind, SimTime, StateMachine,
+    Action, DropCause, Effects, Ground, Input, RequestId, RequestKind, SimTime, StateMachine,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -192,6 +191,30 @@ struct TicketRec {
     state: TicketState,
 }
 
+/// The tickets, the ground truth and what the audit found, under one
+/// lock: a grant's claim, audit and commit are one critical section,
+/// and so are a handoff's claim of its source and that channel's
+/// return.
+struct Ledger {
+    tickets: Vec<TicketRec>,
+    ground: Ground,
+    violations: Vec<String>,
+}
+
+impl Ledger {
+    /// Pending ticket `req`, for `me` to resolve. A ticket resolved
+    /// already is a violation, and `None`.
+    fn resolve(&mut self, me: CellId, req: RequestId) -> Option<&mut TicketRec> {
+        let rec = &mut self.tickets[req.0 as usize];
+        if rec.state == TicketState::Pending {
+            return Some(rec);
+        }
+        self.violations
+            .push(format!("{me} resolved ticket#{} twice", req.0));
+        None
+    }
+}
+
 /// What one thread hands other workers at once: `runs[w]` is bound for
 /// worker `w`'s mailbox, each event with the band cell it is for.
 type Runs<M> = Vec<Vec<(usize, TaskEvent<M>)>>;
@@ -242,13 +265,9 @@ struct Inner<P: StateMachine> {
     /// One mailbox a worker; what another thread hands cell `t` goes
     /// into `mailboxes[home(t, ..)]`.
     mailboxes: Vec<Mailbox<(usize, TaskEvent<P::Msg>)>>,
-    /// Ground-truth channel usage (Theorem-1 audit + commit, atomic
-    /// under the channel's lock).
-    ground: GroundTruth,
-    tickets: Mutex<Vec<TicketRec>>,
+    ledger: Mutex<Ledger>,
     answers: Mutex<Answers>,
     answered: Condvar,
-    violations: Mutex<Vec<String>>,
     counters: Counters,
     /// Live [`ProductionAllocService`] clones sharing this executor;
     /// the last one to drop shuts the pool down.
@@ -656,19 +675,17 @@ where
         out: &mut Outbox<P::Msg>,
     ) {
         let ch = {
-            let mut tickets = self.tickets.lock().expect("tickets poisoned");
-            let rec = &mut tickets[ticket as usize];
-            match rec.state {
-                TicketState::Active(ch) => {
-                    rec.state = TicketState::Done;
-                    ch
-                }
+            let mut ledger = self.ledger.lock().expect("ledger poisoned");
+            let rec = &mut ledger.tickets[ticket as usize];
+            let TicketState::Active(ch) = rec.state else {
                 // Benign race: released twice, or released while still
                 // pending (the release path truncated the hold instead).
-                _ => return,
-            }
+                return;
+            };
+            rec.state = TicketState::Done;
+            ledger.ground.release(me, ch);
+            ch
         };
-        self.ground.remove(me, ch);
         self.step(me, now, node, Input::Release { ch }, out);
         out.indications.push(Indication::Released {
             ticket: Ticket(ticket),
@@ -691,27 +708,19 @@ where
         // counter), then audit + commit before the claim is let go:
         // whoever finds the ticket active — a handoff, a release — finds
         // its channel committed, to take back out of the ground truth.
-        let (latency, hold, audit) = {
-            let mut tickets = self.tickets.lock().expect("tickets poisoned");
-            let rec = &mut tickets[req.0 as usize];
-            debug_assert_eq!(rec.cell, me, "grant from the wrong cell");
-            if rec.state != TicketState::Pending {
-                drop(tickets);
-                self.violations
-                    .lock()
-                    .expect("violations poisoned")
-                    .push(format!("{} resolved ticket#{} twice", me, req.0));
+        let (latency, hold) = {
+            let mut ledger = self.ledger.lock().expect("ledger poisoned");
+            let Some(rec) = ledger.resolve(me, req) else {
                 return;
-            }
+            };
+            debug_assert_eq!(rec.cell, me, "grant from the wrong cell");
             rec.state = TicketState::Active(ch);
-            // Audit + commit atomically under the channel's lock, so no
-            // interleaving can slip an interfering grant past the check.
-            let audit = self.ground.commit_grant(&self.topo, me, ch);
-            (now.0.saturating_sub(rec.issued), rec.hold, audit)
+            let (latency, hold) = (now.0.saturating_sub(rec.issued), rec.hold);
+            if let Some(v) = ledger.ground.grant(&self.topo, now, me, ch) {
+                ledger.violations.push(v.to_string());
+            }
+            (latency, hold)
         };
-        if let Some(v) = audit {
-            self.violations.lock().expect("violations poisoned").push(v);
-        }
         out.confirms.push(Confirm::Granted {
             ticket: Ticket(req.0),
             cell: me,
@@ -723,16 +732,10 @@ where
 
     fn reject(&self, me: CellId, req: RequestId, cause: DropCause, out: &mut Outbox<P::Msg>) {
         {
-            let mut tickets = self.tickets.lock().expect("tickets poisoned");
-            let rec = &mut tickets[req.0 as usize];
-            if rec.state != TicketState::Pending {
-                drop(tickets);
-                self.violations
-                    .lock()
-                    .expect("violations poisoned")
-                    .push(format!("{} resolved ticket#{} twice", me, req.0));
+            let mut ledger = self.ledger.lock().expect("ledger poisoned");
+            let Some(rec) = ledger.resolve(me, req) else {
                 return;
-            }
+            };
             rec.state = TicketState::Done;
         }
         out.confirms.push(Confirm::Rejected {
@@ -743,7 +746,7 @@ where
     }
 
     /// Admits or refuses one request of a burst, under the burst's
-    /// `tickets` lock and at its clock read `issued`. An admitted
+    /// `ledger` lock and at its clock read `issued`. An admitted
     /// request's acquire goes into `runs`; a handoff's source is
     /// claimed first, its channel taken out of the ground truth before
     /// any target search can observe it, and its `Relinquish` put into
@@ -752,7 +755,7 @@ where
     /// nothing left to clean up.
     fn admit(
         &self,
-        tickets: &mut Vec<TicketRec>,
+        ledger: &mut Ledger,
         req: &ChannelRequest,
         issued: u64,
         runs: &mut Runs<P::Msg>,
@@ -767,10 +770,10 @@ where
                     "a handoff needs its source ticket (ChannelRequest::handoff)",
                 ));
             };
-            let Some(rec) = tickets.get_mut(src.0 as usize) else {
+            let Some(rec) = ledger.tickets.get_mut(src.0 as usize) else {
                 return Err(ServeError::UnknownTicket(src));
             };
-            // Claiming under the tickets lock makes concurrent handoffs
+            // Claiming under the ledger lock makes concurrent handoffs
             // of the same source mutually exclusive: the loser sees Done
             // and is refused.
             let TicketState::Active(ch) = rec.state else {
@@ -779,13 +782,13 @@ where
                 ));
             };
             rec.state = TicketState::Done;
-            self.ground.remove(rec.cell, ch);
+            ledger.ground.release(rec.cell, ch);
             let src_cell = rec.cell.index();
             let relinquish = TaskEvent::Relinquish { ticket: src.0, ch };
             runs[self.home(src_cell)].push((src_cell, relinquish));
         }
-        let ticket = tickets.len() as u64;
-        tickets.push(TicketRec {
+        let ticket = ledger.tickets.len() as u64;
+        ledger.tickets.push(TicketRec {
             cell: req.cell,
             hold: req.hold,
             issued,
@@ -864,15 +867,17 @@ where
             })
             .collect();
         let inner = Arc::new(Inner {
-            ground: GroundTruth::new(&topo),
+            ledger: Mutex::new(Ledger {
+                tickets: Vec::new(),
+                ground: Ground::new(&topo),
+                violations: Vec::new(),
+            }),
             topo,
             cfg,
             epoch: Instant::now(),
             mailboxes,
-            tickets: Mutex::new(Vec::new()),
             answers: Mutex::default(),
             answered: Condvar::new(),
-            violations: Mutex::new(Vec::new()),
             counters: Counters::default(),
             handles: AtomicU64::new(1),
             workers: Mutex::new(Vec::new()),
@@ -957,7 +962,7 @@ where
         result
     }
 
-    /// One pass over the burst: one `tickets` lock and one clock read
+    /// One pass over the burst: one `ledger` lock and one clock read
     /// for all of it, one add a counter, then one push a destination
     /// worker. The push is blocking: admission is behind the same
     /// bounded mailbox as protocol traffic, so an overloaded band pushes
@@ -979,12 +984,12 @@ where
         }
         let admitted = {
             let issued = inner.ticks();
-            let mut tickets = inner.tickets.lock().expect("tickets poisoned");
-            let before = tickets.len();
+            let mut ledger = inner.ledger.lock().expect("ledger poisoned");
+            let before = ledger.tickets.len();
             for req in reqs {
-                out.push(inner.admit(&mut tickets, req, issued, &mut self.runs));
+                out.push(inner.admit(&mut ledger, req, issued, &mut self.runs));
             }
-            (tickets.len() - before) as u64
+            (ledger.tickets.len() - before) as u64
         };
         if admitted == 0 {
             return;
@@ -1002,8 +1007,8 @@ where
 
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {
         let cell = {
-            let mut tickets = self.inner.tickets.lock().expect("tickets poisoned");
-            let Some(rec) = tickets.get_mut(ticket.0 as usize) else {
+            let mut ledger = self.inner.ledger.lock().expect("ledger poisoned");
+            let Some(rec) = ledger.tickets.get_mut(ticket.0 as usize) else {
                 return Err(ServeError::UnknownTicket(ticket));
             };
             match rec.state {
@@ -1105,9 +1110,10 @@ where
             backpressure_forced: c.forced.load(Ordering::Relaxed),
             violations: self
                 .inner
-                .violations
+                .ledger
                 .lock()
-                .expect("violations poisoned")
+                .expect("ledger poisoned")
+                .violations
                 .clone(),
         }
     }

@@ -186,7 +186,10 @@ pub struct ServeStats {
     /// configured capacity is too small for it.
     pub backpressure_forced: u64,
     /// Invariant violations observed by the ground-truth audit
-    /// (Theorem 1: no co-channel use within the interference region).
+    /// (Theorem 1: no co-channel use within the interference region),
+    /// each worded by [`adca_simkit::Violation`]'s `Display` under both
+    /// backends; the production backend also reports a ticket resolved
+    /// twice.
     pub violations: Vec<String>,
 }
 

@@ -3,7 +3,8 @@
 //! ground truth (Theorem 1), every request resolved (liveness), every
 //! granted call completed (conservation) — with and without message
 //! loss. Then the executor's own hand-over rules, with probe machines
-//! in place of a scheme: links are FIFO (start-up sends included), no
+//! in place of a scheme: two interfering grants raced on two workers
+//! are audited one after the other, links are FIFO (start-up sends included), no
 //! wake-up is lost, `quiesce` means the confirms can be taken, and a
 //! call's `Granted` is never behind its `Released` — on one worker, on
 //! even bands and on uneven ones. Last, what band ownership itself
@@ -643,6 +644,81 @@ fn granted_is_published_before_released() {
     assert_clean(&stats);
     assert_eq!(stats.granted, taken.granted as u64);
     assert_eq!(stats.completed, released as u64);
+}
+
+/// Grants channel 0 to every request: a protocol that breaks Theorem 1
+/// whenever two interfering cells hold a call at once.
+struct Greedy;
+
+impl StateMachine for Greedy {
+    type Msg = ();
+
+    fn msg_kind(_: &()) -> &'static str {
+        "NONE"
+    }
+
+    fn acquire(&mut self, req: RequestId, _kind: RequestKind, fx: &mut Effects<()>) {
+        fx.grant(req, Channel(0));
+    }
+
+    fn release(&mut self, _ch: Channel, _fx: &mut Effects<()>) {}
+
+    fn message(&mut self, _from: CellId, _msg: (), _fx: &mut Effects<()>) {}
+}
+
+/// Two interfering cells on two workers are granted the same channel in
+/// the same burst, a round at a time: whichever grant is audited second
+/// must see the first. Exactly one violation a round — never none (a
+/// check that is not one critical section with its commit lets both
+/// pass), never two.
+#[test]
+fn racing_interferers_on_two_workers_get_one_verdict_a_round() {
+    const ROUNDS: usize = 2_000;
+    /// Longer than the test: only the releases end a call.
+    const HOLD: u64 = 60_000_000_000;
+    let topo = Arc::new(Topology::builder(1, 2).channels(7).build());
+    let (a, b) = (CellId(0), CellId(1));
+    assert!(topo.in_region(a, b), "the two cells must interfere");
+    let cfg = ProductionConfig {
+        workers: 2,
+        ns_per_tick: 1,
+        ..Default::default()
+    };
+    let mut svc = ProductionAllocService::new(topo, cfg, |_, _: &Topology| Greedy);
+    let burst = [
+        ChannelRequest::new_call(0, a, HOLD),
+        ChannelRequest::new_call(0, b, HOLD),
+    ];
+    let (mut tickets, mut confirms, mut released) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..ROUNDS {
+        tickets.clear();
+        svc.request_channels(&burst, &mut tickets);
+        for _ in 0..2 {
+            let c = svc.recv_confirm(DEADLINE).expect("confirmed in time");
+            assert!(c.is_granted(), "round {round}: {c:?}");
+        }
+        for t in &tickets {
+            svc.release(*t.as_ref().expect("request accepted"))
+                .expect("a granted ticket releases");
+        }
+        released.clear();
+        let deadline = Instant::now() + DEADLINE;
+        while released.len() < 2 {
+            assert!(Instant::now() < deadline, "round {round}: not released");
+            svc.recv_answers(DEADLINE, &mut confirms, &mut released);
+        }
+        assert!(confirms.is_empty(), "round {round}: {confirms:?}");
+    }
+    let violations = svc.stats().violations;
+    assert_eq!(
+        violations.len(),
+        ROUNDS,
+        "{:?}",
+        &violations[..4.min(violations.len())]
+    );
+    for v in &violations {
+        assert!(v.starts_with("interference at t"), "{v}");
+    }
 }
 
 fn six_by_six() -> Arc<Topology> {

@@ -2,6 +2,7 @@
 
 use crate::equeue::{EqEntry, EventQueue};
 use crate::faults::{Crash, FaultPlan, Partition};
+use crate::ground::Ground;
 use crate::latency::{LatencyModel, MsgMeta};
 use crate::report::{AuditMode, DropCause, SimReport, Violation};
 use crate::rng::SplitMix64;
@@ -10,7 +11,7 @@ use crate::snapshot::{fnv1a, DecodeError, ProtocolState, Reader, Writer, FNV_OFF
 use crate::time::SimTime;
 use crate::trace::{NoopSink, TraceEvent, TraceSink};
 use crate::workload::Arrival;
-use adca_hexgrid::{CellId, Channel, ChannelSet, Topology};
+use adca_hexgrid::{CellId, Channel, Topology};
 use adca_metrics::{CounterMap, SampleSeries};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -322,8 +323,8 @@ pub struct Shared<M, S: TraceSink = NoopSink> {
     /// Which cells are currently crashed (all `false` unless the plan
     /// schedules crashes).
     down: Vec<bool>,
-    /// Ground-truth channel usage per cell (for the Theorem-1 audit).
-    usage: Vec<ChannelSet>,
+    /// Ground-truth channel usage (the Theorem-1 audit).
+    ground: Ground,
     /// `None` under a constant latency, where deliveries take the
     /// queue's in-order lane instead (see [`Shared::deliver`]).
     link_horizon: Option<LinkHorizons>,
@@ -572,29 +573,9 @@ impl<M: Clone, S: TraceSink> Shared<M, S> {
             self.push(now, Ev::AutoRelease { node: cell, ch });
             return;
         }
-        // Theorem 1 audit: the channel must be unused in the whole
-        // interference region, and in this cell.
-        if self.usage[cell.index()].contains(ch) {
-            let at = self.now;
-            self.violation(Violation::DoubleAssign {
-                at,
-                cell,
-                channel: ch,
-            });
+        if let Some(v) = self.ground.grant(&self.topo, self.now, cell, ch) {
+            self.violation(v);
         }
-        for idx in 0..self.topo.region(cell).len() {
-            let j = self.topo.region(cell)[idx];
-            if self.usage[j.index()].contains(ch) {
-                let at = self.now;
-                self.violation(Violation::Interference {
-                    at,
-                    cell,
-                    conflicting: j,
-                    channel: ch,
-                });
-            }
-        }
-        self.usage[cell.index()].insert(ch);
         let now = self.now;
         let call_rec = &mut self.calls[call as usize];
         call_rec.state = CallState::Active(ch);
@@ -722,7 +703,7 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
             now: SimTime::ZERO,
             msg_seq: 0,
             queue: EventQueue::with_capacity(arrivals.len() + total_hops),
-            usage: vec![topo.spectrum().empty_set(); n],
+            ground: Ground::new(&topo),
             calls: Vec::with_capacity(arrivals.len()),
             reqs: Vec::with_capacity(arrivals.len() + total_hops),
             pending_reqs: 0,
@@ -929,7 +910,7 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
                         CallState::Active(ch) => {
                             let cell = rec.cell;
                             rec.state = CallState::Done;
-                            self.sh.usage[cell.index()].remove(ch);
+                            self.sh.ground.release(cell, ch);
                             self.sh.report.completed_calls += 1;
                             self.step(cell, Input::Release { ch });
                         }
@@ -954,7 +935,7 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
                             // Free the old channel first (the paper's
                             // handoff: relinquish in the old cell, acquire
                             // in the new one).
-                            self.sh.usage[old.index()].remove(ch);
+                            self.sh.ground.release(old, ch);
                             self.step(old, Input::Release { ch });
                             let req = self.sh.issue_request(call, target, RequestKind::Handoff);
                             if self.sh.down[target.index()] {
@@ -1003,14 +984,14 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
                     // Kill the cell's active calls (their channels go
                     // silent with the transmitter) and force-reject its
                     // in-flight requests.
+                    self.sh.ground.vacate(node);
                     for idx in 0..self.sh.calls.len() {
                         if self.sh.calls[idx].cell != node {
                             continue;
                         }
                         match self.sh.calls[idx].state {
-                            CallState::Active(ch) => {
+                            CallState::Active(_) => {
                                 self.sh.calls[idx].state = CallState::Done;
-                                self.sh.usage[node.index()].remove(ch);
                                 self.sh.custom.incr("crash_killed_calls");
                             }
                             CallState::Waiting(req) => {
@@ -1600,8 +1581,8 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             w.put_bool(d);
         }
         w.mark("usage");
-        w.put_len(sh.usage.len());
-        for set in &sh.usage {
+        w.put_len(sh.ground.usage().len());
+        for set in sh.ground.usage() {
             w.put_channel_set(set);
         }
         w.mark("links");
@@ -1788,6 +1769,7 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             }
             usage.push(set);
         }
+        let ground = Ground::from_usage(usage);
         let mut link_horizon = LinkHorizons::for_latency(&cfg.latency, &topo);
         get_links(&mut r, link_horizon.as_mut(), &topo)?;
 
@@ -1953,7 +1935,7 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             fault_rng: SplitMix64::new(fault_rng_state),
             faults_on,
             down,
-            usage,
+            ground,
             link_horizon,
             calls,
             reqs,
@@ -2012,7 +1994,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adca_hexgrid::Topology;
+    use adca_hexgrid::{ChannelSet, Topology};
 
     /// A trivial protocol: grant the lowest primary channel free in this
     /// cell (per ground-truth-free local bookkeeping), no messages.

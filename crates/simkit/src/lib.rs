@@ -18,9 +18,9 @@
 //!   plus mobility handoffs) driven by a [`workload::Arrival`] list,
 //! * an *auditor* that checks the paper's Theorem 1 (no co-channel
 //!   interference within the reuse distance) as an executable invariant on
-//!   every grant, and a liveness check corresponding to Theorem 2: the
-//!   run fails if any request is still pending when the event queue
-//!   drains ([`report`]),
+//!   every grant ([`ground`], the one copy every driver calls), and a
+//!   liveness check corresponding to Theorem 2: the run fails if any
+//!   request is still pending when the event queue drains ([`report`]),
 //! * a zero-cost-when-disabled structured trace layer ([`trace`]):
 //!   typed per-message / per-mode-transition / per-borrow events into a
 //!   pluggable [`trace::TraceSink`] (no-op, bounded ring, or JSONL),
@@ -36,6 +36,7 @@
 pub mod engine;
 pub mod equeue;
 pub mod faults;
+pub mod ground;
 pub mod latency;
 pub mod report;
 pub mod rng;
@@ -47,6 +48,7 @@ pub mod workload;
 
 pub use engine::{Engine, ReqOutcome, SimConfig};
 pub use faults::{Crash, FaultPlan, Partition};
+pub use ground::Ground;
 pub use latency::LatencyModel;
 pub use report::{AuditMode, DropCause, SimReport, Violation};
 pub use sm::{Action, Effects, Input, RequestId, RequestKind, StateMachine};
