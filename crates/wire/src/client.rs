@@ -35,11 +35,11 @@
 //! A connection numbers its requests 0, 1, 2, … and keeps them in a
 //! window over `[base, next id)`: `base` is the oldest request not yet
 //! answered or timed out, and the slots of resolved requests above it
-//! wait there until it moves. When it has moved, the next burst carries
-//! one [`WireMsg::Forget`] naming it, and the server drops its records
-//! of every id below — they will never be sent again. Both ends keep
-//! state for the requests the client can still send, not for every
-//! request the connection has served.
+//! wait there until it moves. So the client holds state for the
+//! requests it can still send, not for every request the connection
+//! has served, and each id resolves once: an answer to an id no longer
+//! in the window is dropped. The server keeps one number a connection,
+//! the id it expects next, and drops a retransmission below it.
 //!
 //! The client is also an [`AllocService`]: a second view over the same
 //! event queue that speaks [`Ticket`]s, [`Confirm`]s and
@@ -346,9 +346,6 @@ pub struct WireClient {
     /// The first id with no deadline yet: `[stamped, next_id)` are
     /// queued for their first write.
     stamped: u64,
-    /// The `below` of the last Forget queued: the server keeps no
-    /// record under it.
-    forgotten: u64,
     writes: u64,
     retries: u64,
     timeouts: u64,
@@ -384,7 +381,6 @@ impl WireClient {
             reader: Some(reader),
             next_id: 0,
             stamped: 0,
-            forgotten: 0,
             writes: 0,
             retries: 0,
             timeouts: 0,
@@ -513,9 +509,7 @@ impl WireClient {
     /// what the caller came for — parking, up to `wait`, while `take`
     /// finds nothing and the connection is open. The queue's new
     /// requests take their deadlines from the clock read that serviced
-    /// the expired ones. A queue that goes out when the window's `base`
-    /// has moved since the last Forget carries one more, at its end; a
-    /// Forget is never a write of its own.
+    /// the expired ones.
     fn wait_for<T>(
         &mut self,
         wait: Duration,
@@ -529,15 +523,6 @@ impl WireClient {
             self.retries += st.expire(now, self.cfg.deadline, &mut self.timeouts, &mut self.out);
             st.stamp(self.stamped..self.next_id, now, self.cfg.deadline);
             self.stamped = self.next_id;
-            if !self.out.is_empty() && st.pending.base != self.forgotten {
-                self.forgotten = st.pending.base;
-                encode_into(
-                    &mut self.out,
-                    &WireMsg::Forget {
-                        below: self.forgotten,
-                    },
-                );
-            }
             let arm = st.arm();
             if !self.out.is_empty() || arm.is_some() {
                 drop(st);
@@ -941,7 +926,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             channel,
         },
         // Client→server vocabulary arriving at a client: ignore.
-        WireMsg::Request { .. } | WireMsg::Release { .. } | WireMsg::Forget { .. } => return,
+        WireMsg::Request { .. } | WireMsg::Release { .. } => return,
     };
     st.events.push_back(ev);
 }
@@ -1074,10 +1059,9 @@ mod tests {
     }
 
     /// `in_flight` and `quiesce` count live requests, not the window's
-    /// slots; a floor that moved rides the next burst as one Forget,
-    /// behind its requests, and is never written on its own.
+    /// slots, and a `recv` with nothing queued writes nothing.
     #[test]
-    fn in_flight_counts_live_requests_and_the_floor_rides_the_next_burst() {
+    fn in_flight_counts_live_requests_and_an_idle_recv_writes_nothing() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let mut client = WireClient::connect(
             listener.local_addr().expect("addr"),
@@ -1129,16 +1113,11 @@ mod tests {
 
         client.submit(&req).expect("submit");
         assert_eq!(client.recv(Duration::ZERO), None);
-        let got = read_frames(&mut peer, &mut dec, 2);
-        assert!(matches!(got[0], WireMsg::Request { id: 3, .. }), "{got:?}");
-        assert_eq!(got[1], WireMsg::Forget { below: 3 });
-        assert_eq!(client.writes(), 2);
-        client.submit(&req).expect("submit");
-        client.flush().expect("flush");
         let got = read_frames(&mut peer, &mut dec, 1);
         assert!(
-            matches!(got[..], [WireMsg::Request { id: 4, .. }]),
+            matches!(got[..], [WireMsg::Request { id: 3, .. }]),
             "{got:?}"
         );
+        assert_eq!(client.writes(), 2);
     }
 }

@@ -6,7 +6,7 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 4    | magic `b"ADCW"` |
-//! | 4      | 2    | format version, little-endian (currently 3) |
+//! | 4      | 2    | format version, little-endian (currently 4) |
 //! | 6      | 1    | message kind tag |
 //! | 7      | 1    | reserved, must be 0 |
 //! | 8      | 4    | payload length, little-endian |
@@ -28,19 +28,20 @@
 //! | 3 | [`Rejected`](WireMsg::Rejected) | server → client | id u64, ticket u64, cell u32, cause u8 |
 //! | 4 | [`Refused`](WireMsg::Refused) | server → client | id u64, reason length u32, reason UTF-8 |
 //! | 5 | [`Released`](WireMsg::Released) | server → client | ticket u64, cell u32, channel u16 |
-//! | 6 | [`Forget`](WireMsg::Forget) | client → server | below u64 |
 //!
-//! Version 2 added `Forget`; version 3 replaced version 2's FNV-1a64
-//! (a multiply a byte) with the word-at-a-time [`checksum`]. The seven
-//! kinds are laid out as before, and a peer of an earlier version is
-//! refused as [`FrameError::BadVersion`] naming its version.
+//! Version 2 added a `Forget` kind (6), which let the server drop cached
+//! answers; version 3 replaced version 2's FNV-1a64 (a multiply a byte)
+//! with the word-at-a-time [`checksum`]; version 4 removed `Forget`
+//! with the cache. Kinds 0–5 are laid out as in version 1, and a peer
+//! of another version is refused as [`FrameError::BadVersion`] naming
+//! its version.
 
 use adca_simkit::{DropCause, RequestKind};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"ADCW";
 /// Wire format version this build speaks.
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 /// Fixed header size (magic + version + kind + reserved + payload len).
 pub const HEADER_LEN: usize = 12;
 /// Trailing checksum size.
@@ -84,12 +85,11 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// One message of the RPC vocabulary, as carried on the wire.
 ///
 /// A `Request` carries `id`, a client-chosen **idempotency key**: a
-/// connection numbers its requests 0, 1, 2, … and the server answers a
-/// retransmitted id from its response cache instead of re-submitting
-/// the request, so a retried grant is never committed twice. The cache
-/// is a window the client closes: a [`Forget`](WireMsg::Forget) names
-/// the ids the client will never send again, and the server keeps
-/// records only for the ids above it.
+/// connection numbers its requests 0, 1, 2, … and the server admits
+/// each id once. A retransmitted id, below the next one the server
+/// expects, is dropped and never re-submitted, so a retried grant is
+/// never committed twice; the original's answer travels the same
+/// connection and arrives once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
     /// Client → server: one channel request (new call or handoff).
@@ -156,14 +156,6 @@ pub enum WireMsg {
         /// The returned channel number.
         channel: u16,
     },
-    /// Client → server: every request id below `below` is resolved at
-    /// the client and will never be sent again, so the server may drop
-    /// its records of them. A request that names one of them afterwards
-    /// is answered [`WireMsg::Refused`].
-    Forget {
-        /// The client's oldest unresolved id (its next id if none is).
-        below: u64,
-    },
 }
 
 /// Why a frame failed to decode. Every variant is a protocol error the
@@ -219,7 +211,6 @@ const TAG_GRANTED: u8 = 2;
 const TAG_REJECTED: u8 = 3;
 const TAG_REFUSED: u8 = 4;
 const TAG_RELEASED: u8 = 5;
-const TAG_FORGET: u8 = 6;
 
 fn kind_tag(kind: RequestKind) -> u8 {
     match kind {
@@ -245,7 +236,6 @@ impl WireMsg {
             WireMsg::Rejected { .. } => TAG_REJECTED,
             WireMsg::Refused { .. } => TAG_REFUSED,
             WireMsg::Released { .. } => TAG_RELEASED,
-            WireMsg::Forget { .. } => TAG_FORGET,
         }
     }
 }
@@ -290,7 +280,6 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &WireMsg) {
             }
         }
         WireMsg::Release { ticket } => put_u64(out, *ticket),
-        WireMsg::Forget { below } => put_u64(out, *below),
         WireMsg::Granted {
             id,
             ticket,
@@ -454,7 +443,6 @@ fn check_and_parse(frame: &[u8]) -> Result<WireMsg, FrameError> {
             cell: r.u32()?,
             channel: r.u16()?,
         },
-        TAG_FORGET => WireMsg::Forget { below: r.u64()? },
         _ => return Err(FrameError::Corrupt("unknown message tag")),
     };
     if r.pos != r.buf.len() {
@@ -568,7 +556,7 @@ mod tests {
     use super::*;
 
     /// One message of each kind, a Request with and without a handoff.
-    fn one_of_each() -> [WireMsg; 8] {
+    fn one_of_each() -> [WireMsg; 7] {
         [
             WireMsg::Request {
                 id: 1,
@@ -609,7 +597,6 @@ mod tests {
                 cell: 21,
                 channel: 22,
             },
-            WireMsg::Forget { below: 23 },
         ]
     }
 

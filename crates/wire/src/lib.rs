@@ -18,11 +18,11 @@
 //!   (one entry a client on a process-shared
 //!   [`TimerWheel`](adca_threadnet::TimerWheel)) and bounded
 //!   retry-with-backoff. What it submits between two `recv`s leaves in
-//!   one `write`. Requests carry idempotency ids;
-//!   the server answers a retried id from its answer cache, so a
-//!   retry can never double-commit a grant, and keeps that cache only
-//!   for the ids the client can still send (`Forget` closes it from
-//!   below). It is itself an
+//!   one `write`. Requests carry idempotency ids, and the server keeps
+//!   one a connection, the id it expects next: it drops a retried id
+//!   below it, so a retry can never double-commit a grant, and the
+//!   original's answer arrives once on the same connection. It is
+//!   itself an
 //!   [`AllocService`](adca_serve::AllocService), so anything written
 //!   against the trait drives a socket unchanged.
 

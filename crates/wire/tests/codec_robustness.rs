@@ -76,12 +76,11 @@ fn msg_strategy() -> impl Strategy<Value = WireMsg> {
                 reason: String::from_utf8(bytes).expect("printable ASCII"),
             }
         }),
-        (any64.clone(), cell, chan).prop_map(|(ticket, cell, channel)| WireMsg::Released {
+        (any64, cell, chan).prop_map(|(ticket, cell, channel)| WireMsg::Released {
             ticket,
             cell,
             channel,
         }),
-        any64.prop_map(|below| WireMsg::Forget { below }),
     ]
 }
 
@@ -200,11 +199,11 @@ fn version_mismatch_is_rejected_by_name() {
     );
 }
 
-/// Version 2 added the Forget kind: a version-1 peer is refused by
-/// name, on the six header bytes alone.
+/// Version 2 added a Forget kind: a version-1 peer is refused by name,
+/// on the six header bytes alone.
 #[test]
 fn a_version_1_header_is_bad_version_1() {
-    let mut frame = encode(&WireMsg::Forget { below: 9 });
+    let mut frame = encode(&WireMsg::Release { ticket: 9 });
     frame[4..6].copy_from_slice(&1u16.to_le_bytes());
     assert_eq!(decode(&frame), Err(FrameError::BadVersion(1)));
     let mut dec = FrameDecoder::new();
@@ -218,12 +217,25 @@ fn a_version_1_header_is_bad_version_1() {
 /// checksum error.
 #[test]
 fn a_version_2_header_is_bad_version_2() {
-    let mut frame = encode(&WireMsg::Forget { below: 9 });
+    let mut frame = encode(&WireMsg::Release { ticket: 9 });
     frame[4..6].copy_from_slice(&2u16.to_le_bytes());
     assert_eq!(decode(&frame), Err(FrameError::BadVersion(2)));
     let mut dec = FrameDecoder::new();
     dec.extend(&frame[..6]);
     assert_eq!(dec.next_frame(), Err(FrameError::BadVersion(2)));
+}
+
+/// Version 4 removed the Forget kind and kept every other layout: a
+/// version-3 peer, whose frames are otherwise the same bytes, is
+/// refused by name, on the six header bytes alone.
+#[test]
+fn a_version_3_header_is_bad_version_3() {
+    let mut frame = encode(&WireMsg::Release { ticket: 9 });
+    frame[4..6].copy_from_slice(&3u16.to_le_bytes());
+    assert_eq!(decode(&frame), Err(FrameError::BadVersion(3)));
+    let mut dec = FrameDecoder::new();
+    dec.extend(&frame[..6]);
+    assert_eq!(dec.next_frame(), Err(FrameError::BadVersion(3)));
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! What must survive the burst being the unit on the wire — one write
 //! a burst of submits, one wake and one write a batch of answers: every
 //! request answered exactly once and in order under pipelining, each
-//! connection its own answers, a replayed answer the same bytes, the
-//! client's retry schedule with one wheel entry a client, a failed
-//! `submit` registering nothing, and a `shutdown` that races the accept
-//! loop. And what must survive the idempotency records being a window
-//! the client closes with `Forget`: a forgotten id is refused without
-//! reaching the backend, an id that skips ahead closes the connection,
-//! and hostile ids get a typed outcome.
+//! connection its own answers, the client's retry schedule with one
+//! wheel entry a client, a failed `submit` registering nothing, and a
+//! `shutdown` that races the accept loop. And what must survive the
+//! server's idempotency state being one expected id a connection: a
+//! retry of an answered id is dropped without reaching the backend, an
+//! id that skips ahead closes the connection, and hostile ids get a
+//! typed outcome.
 
 use adca_baselines::FixedNode;
 use adca_hexgrid::{CellId, Topology};
@@ -369,36 +369,17 @@ fn one_in_flight_is_one_write_a_request() {
     assert_eq!(client.retries(), 0);
 }
 
-/// Reads one whole frame off `stream` and returns its bytes.
-fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    let mut buf = [0u8; 256];
-    loop {
-        if let Ok((_, used)) = decode(&bytes) {
-            assert_eq!(used, bytes.len(), "one frame was expected, not more");
-            return bytes;
-        }
-        let n = stream.read(&mut buf).expect("an answer on its way");
-        assert!(n > 0, "closed mid-answer");
-        bytes.extend_from_slice(&buf[..n]);
-    }
-}
-
-/// A retry of a *completed* id is answered from the connection's cache,
-/// which keeps the answer and not its frame: the replay is the same
-/// bytes, and the backend never sees the request again. Likewise for a
-/// request refused at admission. Each id is resent the moment its
-/// answer has been read, so an answer handed over before it is cached
-/// would leave that retry unanswered.
+/// A retry of an *answered* id is dropped: no frame comes back, the
+/// backend never sees the request again, and it counts as a dedup hit.
+/// Likewise for a request refused at admission. Each id is resent the
+/// moment its answer has been read, and the next id's answer is the
+/// next frame on the connection, so a reply to a retry would be read
+/// in its place.
 #[test]
-fn a_replayed_answer_is_byte_identical() {
+fn a_retry_of_an_answered_id_is_dropped() {
     const IDS: u64 = 200;
-    let topo = Arc::new(Topology::default_paper(3, 3));
-    let svc = production(&topo, 100);
-    let server = WireServer::start(svc.clone(), "127.0.0.1:0").expect("bind loopback");
-    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
-    raw.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
+    let (svc, server, mut raw) = raw_server();
+    let mut dec = FrameDecoder::new();
     // Day-long calls, twenty a cell against ten primaries, and every
     // tenth to a cell that does not exist.
     let (mut granted, mut rejected, mut refused) = (0, 0, 0);
@@ -406,26 +387,35 @@ fn a_replayed_answer_is_byte_identical() {
         let cell = if id % 10 == 9 { 999 } else { (id % 9) as u32 };
         let frame = request_frame(id, cell);
         raw.write_all(&frame).expect("send");
-        let first = read_frame(&mut raw);
-        let (answer, _) = decode(&first).expect("sound answer");
-        match answer {
-            WireMsg::Granted { id: a, cell: c, .. } if (a, c) == (id, cell) => granted += 1,
-            WireMsg::Rejected { id: a, cell: c, .. } if (a, c) == (id, cell) => rejected += 1,
-            WireMsg::Refused { id: a, .. } if (a, cell) == (id, 999) => refused += 1,
-            _ => panic!("unexpected {answer:?}"),
+        let got = read_frames(&mut raw, &mut dec, 1);
+        match got[..] {
+            [WireMsg::Granted { id: a, cell: c, .. }] if (a, c) == (id, cell) => granted += 1,
+            [WireMsg::Rejected { id: a, cell: c, .. }] if (a, c) == (id, cell) => rejected += 1,
+            [WireMsg::Refused { id: a, .. }] if (a, cell) == (id, 999) => refused += 1,
+            _ => panic!("unexpected {got:?}"),
         }
         assert_eq!(server.dedup_hits(), id);
+        let offered = svc.stats().offered;
+        assert_eq!(offered, granted + rejected, "each admitted id offered once");
         raw.write_all(&frame).expect("send again");
-        assert_eq!(read_frame(&mut raw), first, "id {id}: same bytes");
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while server.dedup_hits() == id && svc.stats().offered == offered {
+            assert!(
+                Instant::now() < give_up,
+                "id {id}: the retry was never read"
+            );
+            std::thread::sleep(Duration::from_micros(50));
+        }
         assert_eq!(server.dedup_hits(), id + 1);
         assert_eq!(
             svc.stats().offered,
-            granted + rejected,
-            "the backend saw each admitted id once"
+            offered,
+            "id {id} reached the backend again"
         );
     }
     assert!(granted > 0 && rejected > 0 && refused > 0);
     assert_eq!(granted + rejected + refused, IDS);
+    assert!(nothing_arrived(&mut raw), "a retry was answered");
 }
 
 /// The server admits a read together, and in frame order: one read
@@ -553,25 +543,15 @@ fn black_hole_retries_then_times_out_each_request_once() {
     assert_eq!(client.retries(), 2 * N as u64);
     drop(client);
 
-    // A Forget names only ids that timed out: none of them is sent
-    // again after it.
     let bytes = sink.join().expect("sink");
     let mut copies: HashMap<u64, Vec<&[u8]>> = HashMap::new();
-    let mut forgotten = 0;
     let mut rest = &bytes[..];
     while !rest.is_empty() {
         let (msg, used) = decode(rest).expect("whole, sound frames only");
-        match msg {
-            WireMsg::Request { id, .. } => {
-                assert!(id >= forgotten, "id {id} sent after Forget {forgotten}");
-                copies.entry(id).or_default().push(&rest[..used]);
-            }
-            WireMsg::Forget { below } => {
-                assert!(below > forgotten && below <= N as u64, "Forget {below}");
-                forgotten = below;
-            }
-            _ => panic!("unexpected {msg:?}"),
-        }
+        let WireMsg::Request { id, .. } = msg else {
+            panic!("unexpected {msg:?}");
+        };
+        copies.entry(id).or_default().push(&rest[..used]);
         rest = &rest[used..];
     }
     assert_eq!(copies.len(), N);
@@ -791,51 +771,6 @@ fn read_to_close(raw: &mut TcpStream, dec: &mut FrameDecoder) -> Vec<WireMsg> {
     got
 }
 
-/// Once the client has said `Forget { below: 2 }`, the server keeps no
-/// record of ids 0 and 1: a resend of either is refused, and the
-/// backend does not see it. Id 2, inside the window, is still answered
-/// from its record, with the same bytes.
-#[test]
-fn a_forgotten_id_is_refused_and_never_reaches_the_backend() {
-    let (svc, server, mut raw) = raw_server();
-    let mut dec = FrameDecoder::new();
-    for id in 0..2 {
-        raw.write_all(&request_frame(id, id as u32)).expect("send");
-        let got = read_frames(&mut raw, &mut dec, 1);
-        assert!(
-            matches!(got[..], [WireMsg::Granted { id: a, .. }] if a == id),
-            "{got:?}"
-        );
-    }
-    // The Forget takes effect with the request read beside it, and the
-    // reader reads nothing else until it has: once id 2 is answered,
-    // the window starts at 2.
-    let mut read = encode(&WireMsg::Forget { below: 2 });
-    read.extend(request_frame(2, 2));
-    raw.write_all(&read).expect("send");
-    let first = read_frames(&mut raw, &mut dec, 1);
-    assert!(
-        matches!(first[..], [WireMsg::Granted { id: 2, .. }]),
-        "{first:?}"
-    );
-    assert_eq!(svc.stats().offered, 3);
-    for id in [0, 1] {
-        raw.write_all(&request_frame(id, id as u32))
-            .expect("resend");
-        let got = read_frames(&mut raw, &mut dec, 1);
-        assert!(
-            matches!(got[..], [WireMsg::Refused { id: a, .. }] if a == id),
-            "{got:?}"
-        );
-        assert_eq!(svc.stats().offered, 3, "id {id} reached the backend again");
-    }
-    assert_eq!(server.dedup_hits(), 0, "a refusal is not a dedup hit");
-    raw.write_all(&request_frame(2, 2)).expect("resend");
-    assert_eq!(read_frames(&mut raw, &mut dec, 1), first);
-    assert_eq!(server.dedup_hits(), 1);
-    assert_eq!(svc.stats().offered, 3);
-}
-
 /// One read: requests 0 and 1, a release of 0's call, then a request
 /// that skips id 2 and one more behind it. The frames before the skip
 /// take effect — both calls offered, the first released — and then the
@@ -867,13 +802,12 @@ fn a_request_that_skips_an_id_closes_the_connection() {
     assert_eq!((stats.offered, stats.granted), (2, 2));
 }
 
-/// Hostile ids against a window that starts above 0: a Forget past the
-/// window's end stops at the end, so the next id is still admitted; id
-/// 0, below the window, is refused; and `u64::MAX`, past its end,
-/// closes the connection once the requests read before it were
-/// admitted — which a reader that panicked on one of them would not
-/// have done. CI runs this in a release build too, where overflow
-/// would wrap.
+/// Hostile ids after ids 0–2 were admitted: one read carries the next
+/// id, 3, which is admitted; 0, a retry, which is dropped; `u64::MAX`,
+/// which skips ahead and closes the connection; and 4, which comes too
+/// late to be admitted. A reader that panicked on one of them would not
+/// have admitted id 3. CI runs this in a release build too, where
+/// overflow would wrap.
 #[test]
 fn hostile_ids_get_a_typed_outcome() {
     let (svc, server, mut raw) = raw_server();
@@ -882,35 +816,16 @@ fn hostile_ids_get_a_typed_outcome() {
         raw.write_all(&request_frame(id, id as u32)).expect("send");
         assert_eq!(read_frames(&mut raw, &mut dec, 1).len(), 1);
     }
-    raw.write_all(&encode(&WireMsg::Forget { below: 2 }))
-        .expect("send");
-    let mut read = encode(&WireMsg::Forget { below: u64::MAX });
-    read.extend(request_frame(3, 3));
-    raw.write_all(&read).expect("send");
-    let got = read_frames(&mut raw, &mut dec, 1);
-    assert!(
-        matches!(got[..], [WireMsg::Granted { id: 3, .. }]),
-        "{got:?}"
-    );
-
-    raw.write_all(&request_frame(0, 0)).expect("send");
-    let got = read_frames(&mut raw, &mut dec, 1);
-    assert!(
-        matches!(got[..], [WireMsg::Refused { id: 0, .. }]),
-        "{got:?}"
-    );
-    assert_eq!(svc.stats().offered, 4);
-
-    let mut read = request_frame(4, 4);
+    let mut read = request_frame(3, 3);
     read.extend(request_frame(0, 0));
     read.extend(request_frame(u64::MAX, 0));
-    read.extend(request_frame(5, 5));
+    read.extend(request_frame(4, 4));
     raw.write_all(&read).expect("send");
     read_to_close(&mut raw, &mut dec);
     assert_eq!(
         svc.stats().offered,
-        5,
-        "id 4 admitted, nothing after the skip"
+        4,
+        "id 3 admitted, nothing after the skip"
     );
-    assert_eq!(server.dedup_hits(), 0);
+    assert_eq!(server.dedup_hits(), 1, "id 0 was a dedup hit");
 }
