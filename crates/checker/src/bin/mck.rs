@@ -14,10 +14,12 @@
 //! fragment the crash space combinatorially); they are exhaustive up to
 //! the cap and still fail loudly on any violation found within it.
 //!
-//! Run with `--smoke` for the CI-sized subset. On a violation the
-//! minimized counterexample schedule is printed and written next to the
-//! results file (`e16_counterexample.sched`) for artifact upload, and
-//! the process exits non-zero.
+//! The results table goes to stdout (no wall clock: a function of the
+//! tree); per-row progress with wall times goes to stderr. Run with
+//! `--smoke` for the CI-sized subset. On a violation the minimized
+//! counterexample schedule is printed to stderr and written to
+//! `e16_counterexample.sched` in the working directory for artifact
+//! upload, and the process exits non-zero.
 
 use adca_baselines::{
     AdvancedSearchNode, AdvancedUpdateNode, BasicSearchConfig, BasicSearchNode, BasicUpdateConfig,
@@ -26,7 +28,6 @@ use adca_baselines::{
 use adca_checker::{Budgets, CheckNode, CheckOutcome, Model, Op};
 use adca_core::{AdaptiveConfig, AdaptiveNode};
 use adca_hexgrid::{CellId, ReusePattern, Topology};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,11 +84,6 @@ struct Spec {
     cap: Option<usize>,
 }
 
-struct Row {
-    spec: Spec,
-    out: CheckOutcome,
-}
-
 fn explore(spec: &Spec) -> CheckOutcome {
     let retry_ticks = spec.hardened.then_some(DEADLINE);
     match spec.scheme {
@@ -127,10 +123,7 @@ fn explore(spec: &Spec) -> CheckOutcome {
     }
 }
 
-fn run<N: CheckNode>(
-    spec: &Spec,
-    factory: impl Fn(CellId, &Topology) -> N + Send + Sync + 'static,
-) -> CheckOutcome {
+fn run<N: CheckNode>(spec: &Spec, factory: impl Fn(CellId, &Topology) -> N) -> CheckOutcome {
     Model::new(strip(spec.cells, 3), factory)
         .with_uniform_script(spec.script)
         .with_budgets(spec.budgets)
@@ -166,10 +159,6 @@ fn result_str(spec: &Spec, out: &CheckOutcome) -> &'static str {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let out_path = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "results/e16_model_check.txt".to_owned());
 
     let zero = Budgets::none();
     let loss_dup = Budgets {
@@ -309,105 +298,56 @@ fn main() {
     println!("BFS over all deliveries/losses/dups/timers/crashes/partitions on 1xN strips");
     println!("================================================================");
     println!();
+    println!(
+        "  {:<28} {:>15} {:>10} {:>12} {:>9}  result",
+        "config", "budget(l/d/c/p)", "states", "transitions", "terminals"
+    );
+    println!("{}", "-".repeat(100));
 
-    let mut rows: Vec<Row> = Vec::new();
     let mut failed = false;
+    let mut first_violation = None;
     for spec in specs {
         let start = Instant::now();
         let out = explore(&spec);
         let wall_ms = start.elapsed().as_millis();
         let res = result_str(&spec, &out);
         failed |= out.violation.is_some() || res == "BLOWUP";
-        println!(
-            "  {:<28} budget(l/d/c/p)={}/{}/{}/{}  states={:>9}  terminals={:>6}  wall={:>7}ms  {}",
+        let budget = format!(
+            "{}/{}/{}/{}",
+            spec.budgets.losses, spec.budgets.dups, spec.budgets.crashes, spec.budgets.partitions
+        );
+        eprintln!(
+            "  {:<28} budget(l/d/c/p)={budget}  states={:>9}  terminals={:>6}  wall={:>7}ms  {res}",
             label(&spec),
-            spec.budgets.losses,
-            spec.budgets.dups,
-            spec.budgets.crashes,
-            spec.budgets.partitions,
             out.states,
             out.terminals,
             wall_ms,
-            res,
         );
-        rows.push(Row { spec, out });
+        println!(
+            "  {:<28} {:>15} {:>10} {:>12} {:>9}  {res}",
+            label(&spec),
+            budget,
+            out.states,
+            out.transitions,
+            out.terminals,
+        );
+        if first_violation.is_none() {
+            first_violation = out.violation.map(|cex| (label(&spec), cex));
+        }
     }
     println!();
-
-    // ---- results file (no wall clock: a function of the tree) ---------
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "================================================================"
-    );
-    let _ = writeln!(
-        text,
-        "experiment e16_model_check — exhaustive fault-interleaving model check"
-    );
-    let _ = writeln!(
-        text,
-        "BFS over all deliveries/losses/dups/timers/crashes/partitions on 1xN strips"
-    );
-    let _ = writeln!(
-        text,
-        "================================================================"
-    );
-    let _ = writeln!(text);
-    let _ = writeln!(
-        text,
-        "  {:<28} {:>15} {:>10} {:>12} {:>9}  result",
-        "config", "budget(l/d/c/p)", "states", "transitions", "terminals"
-    );
-    let _ = writeln!(text, "{}", "-".repeat(100));
-    for r in &rows {
-        let _ = writeln!(
-            text,
-            "  {:<28} {:>15} {:>10} {:>12} {:>9}  {}",
-            label(&r.spec),
-            format!(
-                "{}/{}/{}/{}",
-                r.spec.budgets.losses,
-                r.spec.budgets.dups,
-                r.spec.budgets.crashes,
-                r.spec.budgets.partitions
-            ),
-            r.out.states,
-            r.out.transitions,
-            r.out.terminals,
-            result_str(&r.spec, &r.out),
-        );
-    }
-    let _ = writeln!(text);
-    let _ = writeln!(
-        text,
-        "'exhaustive' rows are completed BFS exhaustions: no Theorem 1 violation,"
-    );
-    let _ = writeln!(
-        text,
-        "no double assignment, no unresolved request in any terminal state."
-    );
-    let _ = writeln!(
-        text,
-        "'clean (bounded)' rows are exhaustive up to the per-row state cap."
-    );
-    if let Err(e) = std::fs::write(&out_path, &text) {
-        eprintln!("warning: could not write {out_path}: {e}");
-    } else {
-        println!("wrote {out_path}");
-    }
+    println!("'exhaustive' rows are completed BFS exhaustions: no Theorem 1 violation,");
+    println!("no double assignment, no unresolved request in any terminal state.");
+    println!("'clean (bounded)' rows are exhaustive up to the per-row state cap.");
 
     // ---- counterexample artifact ------------------------------------
-    if let Some(bad) = rows.iter().find(|r| r.out.violation.is_some()) {
-        let cex = bad.out.violation.as_ref().unwrap();
-        let sched_path = std::path::Path::new(&out_path)
-            .with_file_name("e16_counterexample.sched")
-            .display()
-            .to_string();
+    if let Some((label, cex)) = first_violation {
+        let sched_path = "e16_counterexample.sched";
         eprintln!();
-        eprintln!("VIOLATION in {}: {}", label(&bad.spec), cex.defect);
+        eprintln!("VIOLATION in {label}: {}", cex.defect);
         eprintln!("minimized schedule ({} choices):", cex.schedule.len());
         eprint!("{}", cex.schedule.to_text());
-        if let Err(e) = std::fs::write(&sched_path, cex.schedule.to_text()) {
+        if let Err(e) = std::fs::write(sched_path, cex.schedule.to_text()) {
             eprintln!("warning: could not write {sched_path}: {e}");
         } else {
             eprintln!("schedule written to {sched_path}");
@@ -417,5 +357,5 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    println!("all explorations clean");
+    eprintln!("all explorations clean");
 }

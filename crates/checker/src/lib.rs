@@ -17,8 +17,8 @@
 //! draws, the checker spreads over *orderings*. Concretely a [`Model`]
 //! state is
 //!
-//! * every node's serialized protocol state (via `ProtocolState`, the
-//!   same codec snapshots use),
+//! * every node, live (a step runs the node's own transition in
+//!   place; successors clone it),
 //! * one FIFO queue of in-flight messages per directed link (the
 //!   engine's per-link FIFO horizon, abstracted from delivery times),
 //! * a multiset of armed timers per cell (any armed timer may fire at
@@ -46,11 +46,14 @@
 //!   cut) are excluded from the fairness frontier: budgets bound them,
 //!   so every maximal fair schedule ends in a terminal state.
 //!
-//! Exploration is breadth-first with canonical state hashing, so the
-//! first counterexample found is a *shortest* one; it is returned as a
-//! replayable [`Schedule`] that [`Model::replay`] re-executes
-//! deterministically (unit tests pin that the defect reproduces, and
-//! `examples/trace_replay.rs` renders the replay as a trace timeline).
+//! A state is identified by one canonical payload of [`Writer`] puts:
+//! each node's `ProtocolState::encode_state`, each queued message's
+//! `encode_msg`, and the rest of the state. Exploration is breadth-first
+//! over those identities, so the first counterexample found is a
+//! *shortest* one; it is returned as a replayable [`Schedule`] that
+//! [`Model::replay`] re-executes deterministically (unit tests pin that
+//! the defect reproduces, and `examples/trace_replay.rs` renders the
+//! replay as a trace timeline).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,11 +61,13 @@
 use adca_hexgrid::{CellId, Channel, Topology};
 use adca_simkit::sm::{Action, Effects, Input, StateMachine};
 use adca_simkit::{
-    Ground, ProtocolState, Reader, RequestId, RequestKind, SimTime, TraceEvent, TraceRecord,
-    Violation, Writer,
+    Ground, ProtocolState, RequestId, RequestKind, SimTime, TraceEvent, TraceRecord, Violation,
+    Writer,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{DefaultHasher, Hasher};
 use std::sync::Arc;
 
 /// One scripted call-level operation at a cell.
@@ -422,34 +427,30 @@ pub struct Replay {
 }
 
 /// A node type the checker can drive: a pure [`StateMachine`] whose
-/// state and wire messages serialize through the snapshot codec — all
-/// six schemes. Blanket-implemented; never implement it by hand.
-pub trait CheckNode: StateMachine + ProtocolState {}
+/// state and wire messages serialize through the snapshot codec (the
+/// serialization is a state's identity) and that clones (a successor
+/// state owns its nodes) — all six schemes. Blanket-implemented; never
+/// implement it by hand.
+pub trait CheckNode: StateMachine + ProtocolState + Clone {}
 
-impl<T> CheckNode for T where T: StateMachine + ProtocolState {}
+impl<T> CheckNode for T where T: StateMachine + ProtocolState + Clone {}
 
-type MsgOf<N> = <N as StateMachine>::Msg;
-
-/// Node-builder closure: the same shape the engine's factories have.
-type Factory<N> = Box<dyn Fn(CellId, &Topology) -> N + Send + Sync>;
-
-/// Explorable model: a topology, a node factory, per-cell op scripts,
-/// and a fault budget.
+/// Explorable model: a topology, the nodes as built, per-cell op
+/// scripts, and a fault budget.
 pub struct Model<N: CheckNode> {
     topo: Arc<Topology>,
-    factory: Factory<N>,
+    nodes: Vec<N>,
     scripts: Vec<Vec<Op>>,
     budgets: Budgets,
     max_states: usize,
 }
 
-/// Checker-internal state. Nodes ride serialized (the `ProtocolState`
-/// codec is the cloning and hashing mechanism); queues carry live
-/// messages.
+/// Checker-internal state: live nodes and live queued messages. Its
+/// identity is `Model::hash`, not the values' `Eq`.
 #[derive(Clone)]
-struct State<M> {
-    nodes: Vec<Vec<u8>>,
-    queues: BTreeMap<(u32, u32), VecDeque<M>>,
+struct State<N: StateMachine> {
+    nodes: Vec<N>,
+    queues: BTreeMap<(u32, u32), VecDeque<N::Msg>>,
     timers: BTreeMap<(u32, u64), u32>,
     down: Vec<bool>,
     cuts: BTreeSet<(u32, u32)>,
@@ -471,30 +472,15 @@ fn norm_link(a: CellId, b: CellId) -> (u32, u32) {
     }
 }
 
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 impl<N: CheckNode> Model<N> {
-    /// A model over `topo` whose nodes are built by `factory` — the same
-    /// closure shape the engine takes, so checker and engine are
+    /// A model over `topo` whose nodes are built once by `factory` — the
+    /// same closure shape the engine takes, so checker and engine are
     /// guaranteed to run identical protocol code.
-    pub fn new(
-        topo: Arc<Topology>,
-        factory: impl Fn(CellId, &Topology) -> N + Send + Sync + 'static,
-    ) -> Self {
+    pub fn new(topo: Arc<Topology>, factory: impl Fn(CellId, &Topology) -> N) -> Self {
         let n = topo.num_cells();
         Model {
+            nodes: topo.cells().map(|cell| factory(cell, &topo)).collect(),
             topo,
-            factory: Box::new(factory),
             scripts: vec![Vec::new(); n],
             budgets: Budgets::none(),
             max_states: 5_000_000,
@@ -534,34 +520,12 @@ impl<N: CheckNode> Model<N> {
         &self.topo
     }
 
-    // ---- node (de)serialization --------------------------------------
-
-    fn build_node(&self, cell: CellId) -> N {
-        (self.factory)(cell, &self.topo)
-    }
-
-    fn encode_node(node: &N) -> Vec<u8> {
-        let mut w = Writer::new();
-        node.encode_state(&mut w);
-        w.finish()
-    }
-
-    fn materialize(&self, cell: CellId, bytes: &[u8]) -> N {
-        let mut node = self.build_node(cell);
-        let mut r = Reader::new(bytes).expect("checker-internal node snapshot must validate");
-        node.decode_state(&mut r)
-            .expect("checker-internal node state must decode");
-        node
-    }
-
     // ---- initial state -----------------------------------------------
 
-    fn initial(&self) -> Result<State<MsgOf<N>>, Defect> {
+    fn initial(&self) -> Result<State<N>, Defect> {
         let n = self.topo.num_cells();
         let mut st = State {
-            nodes: (0..n)
-                .map(|i| Self::encode_node(&self.build_node(CellId(i as u32))))
-                .collect(),
+            nodes: self.nodes.clone(),
             queues: BTreeMap::new(),
             timers: BTreeMap::new(),
             down: vec![false; n],
@@ -587,16 +551,14 @@ impl<N: CheckNode> Model<N> {
     /// into the state, auditing grants against ground truth.
     fn step_node(
         &self,
-        st: &mut State<MsgOf<N>>,
+        st: &mut State<N>,
         cell: CellId,
-        input: Input<MsgOf<N>>,
+        input: Input<N::Msg>,
         obs: &mut dyn ReplayObserver,
     ) -> Result<(), Defect> {
         let i = cell.index();
-        let mut node = self.materialize(cell, &st.nodes[i]);
         let mut fx = Effects::new(cell, SimTime(0), false);
-        node.step(input, &mut fx);
-        st.nodes[i] = Self::encode_node(&node);
+        st.nodes[i].step(input, &mut fx);
         for act in fx.into_actions() {
             match act {
                 Action::Send { to, msg } => {
@@ -664,7 +626,7 @@ impl<N: CheckNode> Model<N> {
     }
 
     /// All choices enabled in `st`, in a deterministic order.
-    fn enabled(&self, st: &State<MsgOf<N>>) -> Vec<Choice> {
+    fn enabled(&self, st: &State<N>) -> Vec<Choice> {
         let mut out = Vec::new();
         let n = self.topo.num_cells();
         // Script injections.
@@ -742,10 +704,10 @@ impl<N: CheckNode> Model<N> {
     /// the step produced.
     fn apply(
         &self,
-        st: &State<MsgOf<N>>,
+        st: &State<N>,
         choice: Choice,
         obs: &mut dyn ReplayObserver,
-    ) -> Result<State<MsgOf<N>>, Defect> {
+    ) -> Result<State<N>, Defect> {
         let mut s = st.clone();
         match choice {
             Choice::Inject { cell } => {
@@ -879,81 +841,70 @@ impl<N: CheckNode> Model<N> {
 
     // ---- canonical hashing -------------------------------------------
 
-    fn canonical_bytes(&self, st: &State<MsgOf<N>>) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(256);
-        let put_u64 = |buf: &mut Vec<u8>, v: u64| buf.extend_from_slice(&v.to_le_bytes());
+    /// A state's identity: every field written through `w` (cleared
+    /// first, so one writer serves every state) and the payload hashed
+    /// on two salted lanes. The hash never leaves the process and the
+    /// BFS order does not depend on it, so any 128-bit hash of a
+    /// canonical form does.
+    fn hash(st: &State<N>, w: &mut Writer) -> u128 {
+        w.clear();
         for node in &st.nodes {
-            put_u64(&mut buf, node.len() as u64);
-            buf.extend_from_slice(node);
+            node.encode_state(w);
         }
-        put_u64(&mut buf, st.queues.len() as u64);
+        w.put_len(st.queues.len());
         for (&(from, to), q) in &st.queues {
-            put_u64(&mut buf, u64::from(from));
-            put_u64(&mut buf, u64::from(to));
-            put_u64(&mut buf, q.len() as u64);
+            w.put_u32(from);
+            w.put_u32(to);
+            w.put_len(q.len());
             for msg in q {
-                let mut w = Writer::new();
-                <N as ProtocolState>::encode_msg(msg, &mut w);
-                let bytes = w.finish();
-                put_u64(&mut buf, bytes.len() as u64);
-                buf.extend_from_slice(&bytes);
+                N::encode_msg(msg, w);
             }
         }
-        put_u64(&mut buf, st.timers.len() as u64);
+        w.put_len(st.timers.len());
         for (&(cell, tag), &count) in &st.timers {
-            put_u64(&mut buf, u64::from(cell));
-            put_u64(&mut buf, tag);
-            put_u64(&mut buf, u64::from(count));
+            w.put_u32(cell);
+            w.put_u64(tag);
+            w.put_u32(count);
         }
         for &d in &st.down {
-            buf.push(u8::from(d));
+            w.put_bool(d);
         }
-        put_u64(&mut buf, st.cuts.len() as u64);
+        w.put_len(st.cuts.len());
         for &(a, b) in &st.cuts {
-            put_u64(&mut buf, u64::from(a));
-            put_u64(&mut buf, u64::from(b));
+            w.put_u32(a);
+            w.put_u32(b);
         }
         for &op in &st.next_op {
-            put_u64(&mut buf, op as u64);
+            w.put_len(op);
         }
         for p in &st.pending {
-            match p {
-                Some(r) => {
-                    buf.push(1);
-                    put_u64(&mut buf, r.0);
-                }
-                None => buf.push(0),
-            }
+            w.put_opt_u64(p.map(|r| r.0));
         }
         for act in &st.active {
-            put_u64(&mut buf, act.len() as u64);
-            for ch in act {
-                buf.extend_from_slice(&ch.0.to_le_bytes());
+            w.put_len(act.len());
+            for &ch in act {
+                w.put_channel(ch);
             }
         }
         for set in st.ground.usage() {
-            put_u64(&mut buf, set.len() as u64);
-            for ch in set.iter() {
-                buf.extend_from_slice(&ch.0.to_le_bytes());
-            }
+            w.put_channel_set(set);
         }
-        for i in 0..st.grants.len() {
-            put_u64(&mut buf, u64::from(st.grants[i]));
-            put_u64(&mut buf, u64::from(st.rejects[i]));
+        for (&g, &r) in st.grants.iter().zip(&st.rejects) {
+            w.put_u32(g);
+            w.put_u32(r);
         }
-        put_u64(&mut buf, st.next_req);
-        put_u64(&mut buf, u64::from(st.budgets.losses));
-        put_u64(&mut buf, u64::from(st.budgets.dups));
-        put_u64(&mut buf, u64::from(st.budgets.crashes));
-        put_u64(&mut buf, u64::from(st.budgets.partitions));
-        buf
-    }
-
-    fn hash(&self, st: &State<MsgOf<N>>) -> u128 {
-        let bytes = self.canonical_bytes(st);
-        let a = fnv1a(FNV_OFFSET_A, &bytes);
-        let b = fnv1a(FNV_OFFSET_B, &bytes);
-        (u128::from(a) << 64) | u128::from(b)
+        w.put_u64(st.next_req);
+        let b = st.budgets;
+        for v in [b.losses, b.dups, b.crashes, b.partitions] {
+            w.put_u32(v);
+        }
+        let lane = |salt: u64| {
+            let mut h = DefaultHasher::new();
+            h.write_u64(salt);
+            h.write(w.payload());
+            h.finish()
+        };
+        (u128::from(lane(0)) << 64) | u128::from(lane(1))
     }
 
     // ---- exploration --------------------------------------------------
@@ -981,15 +932,16 @@ impl<N: CheckNode> Model<N> {
                 return outcome;
             }
         };
-        let h0 = self.hash(&init);
-        let mut seen: HashSet<u128> = HashSet::from([h0]);
-        let mut parents: HashMap<u128, (u128, Choice)> = HashMap::new();
-        let mut frontier: VecDeque<(u128, State<MsgOf<N>>)> = VecDeque::from([(h0, init)]);
+        let mut w = Writer::new();
+        let h0 = Self::hash(&init, &mut w);
+        // Every state seen, with the edge that first reached it.
+        let mut parents: HashMap<u128, Option<(u128, Choice)>> = HashMap::from([(h0, None)]);
+        let mut frontier: VecDeque<(u128, State<N>)> = VecDeque::from([(h0, init)]);
         outcome.states = 1;
 
-        let path_to = |parents: &HashMap<u128, (u128, Choice)>, mut h: u128| -> Schedule {
+        let path_to = |parents: &HashMap<u128, Option<(u128, Choice)>>, mut h: u128| {
             let mut rev = Vec::new();
-            while let Some(&(ph, c)) = parents.get(&h) {
+            while let Some(&Some((ph, c))) = parents.get(&h) {
                 rev.push(c);
                 h = ph;
             }
@@ -1030,9 +982,9 @@ impl<N: CheckNode> Model<N> {
                         return outcome;
                     }
                     Ok(next) => {
-                        let nh = self.hash(&next);
-                        if seen.insert(nh) {
-                            parents.insert(nh, (h, choice));
+                        let nh = Self::hash(&next, &mut w);
+                        if let Entry::Vacant(slot) = parents.entry(nh) {
+                            slot.insert(Some((h, choice)));
                             outcome.states += 1;
                             if outcome.states >= self.max_states {
                                 outcome.truncated = true;
@@ -1099,10 +1051,10 @@ impl<N: CheckNode> Model<N> {
     }
 }
 
-impl<M> State<M> {
+impl<N: StateMachine> State<N> {
     /// Pops the head of the `from → to` queue, removing the queue when
     /// it empties (canonical form for hashing).
-    fn pop_msg(&mut self, from: CellId, to: CellId) -> M {
+    fn pop_msg(&mut self, from: CellId, to: CellId) -> N::Msg {
         let key = (from.0, to.0);
         let q = self
             .queues

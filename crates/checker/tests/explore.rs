@@ -1,5 +1,6 @@
-//! Exhaustive exploration suites: clean proofs on tiny topologies, the
-//! seeded-mutation counterexample, and the loss-stranding demonstration.
+//! Exhaustive exploration suites: clean proofs of the quick `mck` rows
+//! with their state counts pinned, the seeded-mutation counterexample,
+//! and the loss-stranding demonstration.
 
 use adca_baselines::{
     AdvancedSearchNode, AdvancedUpdateNode, BasicSearchNode, BasicUpdateConfig, BasicUpdateNode,
@@ -25,6 +26,115 @@ fn strip(cells: u32, channels: u16) -> Arc<Topology> {
 
 const CALL: &[Op] = &[Op::StartCall, Op::EndCall];
 
+/// `mck`'s response deadline for its hardened rows.
+const DEADLINE: u64 = 400;
+
+/// The adaptive node `mck` builds, hardened when `retry_ticks` is set.
+fn adaptive(retry_ticks: Option<u64>) -> impl Fn(CellId, &Topology) -> AdaptiveNode {
+    move |cell, topo| {
+        AdaptiveNode::new(
+            cell,
+            topo,
+            AdaptiveConfig {
+                retry_ticks,
+                ..AdaptiveConfig::default()
+            },
+        )
+    }
+}
+
+/// `(states, transitions, terminals)` of one call per cell on `mck`'s
+/// strip of `cells`, which must exhaust cleanly.
+fn counts<N: CheckNode>(
+    cells: u32,
+    budgets: Budgets,
+    factory: impl Fn(CellId, &Topology) -> N,
+) -> (usize, usize, usize) {
+    let out = Model::new(strip(cells, 3), factory)
+        .with_uniform_script(CALL)
+        .with_budgets(budgets)
+        .explore();
+    assert!(out.violation.is_none(), "{:?}", out.violation);
+    assert!(!out.truncated);
+    (out.states, out.transitions, out.terminals)
+}
+
+/// The rows of `results/e16_model_check.txt` that exhaust in well under
+/// a second: each must exhaust with no violation, and the exact counts
+/// pin the checker's state identity — a canonical form that merges two
+/// states or splits one moves a count.
+#[test]
+fn quick_e16_rows_keep_their_state_counts() {
+    let none = Budgets::none();
+    let loss_dup = Budgets {
+        losses: 1,
+        dups: 1,
+        ..none
+    };
+    let part1 = Budgets {
+        partitions: 1,
+        ..none
+    };
+    let got = [
+        ("adaptive/2-cell", counts(2, none, adaptive(None))),
+        ("basic-search/2-cell", counts(2, none, BasicSearchNode::new)),
+        (
+            "basic-update/2-cell",
+            counts(2, none, |cell, topo| {
+                BasicUpdateNode::new(cell, topo, BasicUpdateConfig::default())
+            }),
+        ),
+        ("fixed/2-cell", counts(2, none, FixedNode::new)),
+        (
+            "advanced-update/2-cell",
+            counts(2, none, AdvancedUpdateNode::new),
+        ),
+        (
+            "advanced-search/2-cell",
+            counts(2, none, AdvancedSearchNode::new),
+        ),
+        ("adaptive/3-cell", counts(3, none, adaptive(None))),
+        ("basic-search/3-cell", counts(3, none, BasicSearchNode::new)),
+        (
+            "adaptive+hard/2-cell 1/1/0/0",
+            counts(2, loss_dup, adaptive(Some(DEADLINE))),
+        ),
+        (
+            "adaptive+hard/2-cell 0/0/0/1",
+            counts(2, part1, adaptive(Some(DEADLINE))),
+        ),
+    ];
+    let want = [
+        ("adaptive/2-cell", (124, 262, 1)),
+        ("basic-search/2-cell", (44, 60, 2)),
+        ("basic-update/2-cell", (116, 188, 1)),
+        ("fixed/2-cell", (9, 12, 1)),
+        ("advanced-update/2-cell", (36, 72, 1)),
+        ("advanced-search/2-cell", (9, 12, 1)),
+        ("adaptive/3-cell", (7306, 27699, 1)),
+        ("basic-search/3-cell", (1212, 2648, 6)),
+        ("adaptive+hard/2-cell 1/1/0/0", (1435, 4246, 12)),
+        ("adaptive+hard/2-cell 0/0/0/1", (763, 1883, 8)),
+    ];
+    assert_eq!(got, want);
+
+    // In the rows above the armed timers follow from the nodes' states;
+    // across a crash and restart they do not. The first 30 000 states of
+    // the adaptive+hard/2-cell/start crash row pin the timers' place in
+    // a state's identity (hashed without them, this run reads 89 925
+    // transitions and 13 terminals).
+    let out = Model::new(strip(2, 3), adaptive(Some(DEADLINE)))
+        .with_uniform_script(&[Op::StartCall])
+        .with_budgets(Budgets { crashes: 1, ..none })
+        .with_max_states(30_000)
+        .explore();
+    assert!(out.violation.is_none() && out.truncated);
+    assert_eq!(
+        (out.states, out.transitions, out.terminals),
+        (30_000, 75_020, 23)
+    );
+}
+
 #[test]
 fn adaptive_two_cell_interleavings_are_clean() {
     let model = Model::new(strip(2, 3), |cell, topo| {
@@ -45,150 +155,6 @@ fn adaptive_two_cell_interleavings_are_clean() {
             assert_eq!(g + r, 1, "each cell issued exactly one request");
         }
     }
-}
-
-/// Fault-free exhaustion of one call per cell on the two-cell strip.
-fn assert_two_cell_call_is_clean<N: CheckNode>(
-    factory: impl Fn(CellId, &Topology) -> N + Send + Sync + 'static,
-) {
-    let out = Model::new(strip(2, 3), factory)
-        .with_uniform_script(CALL)
-        .explore();
-    assert!(
-        out.violation.is_none(),
-        "unexpected violation: {:?}",
-        out.violation
-    );
-    assert!(!out.truncated);
-    assert!(out.terminals > 0);
-}
-
-#[test]
-fn basic_search_two_cell_interleavings_are_clean() {
-    assert_two_cell_call_is_clean(BasicSearchNode::new);
-}
-
-#[test]
-fn basic_update_two_cell_interleavings_are_clean() {
-    assert_two_cell_call_is_clean(|cell, topo| {
-        BasicUpdateNode::new(cell, topo, BasicUpdateConfig::default())
-    });
-}
-
-#[test]
-fn fixed_two_cell_interleavings_are_clean() {
-    assert_two_cell_call_is_clean(FixedNode::new);
-}
-
-#[test]
-fn advanced_update_two_cell_interleavings_are_clean() {
-    assert_two_cell_call_is_clean(AdvancedUpdateNode::new);
-}
-
-#[test]
-fn advanced_search_two_cell_interleavings_are_clean() {
-    assert_two_cell_call_is_clean(AdvancedSearchNode::new);
-}
-
-#[test]
-fn adaptive_three_cell_contention_is_clean() {
-    // 3 cells, 3 channels: each color owns one primary; neighbors
-    // compete through search/update rounds.
-    let model = Model::new(strip(3, 3), |cell, topo| {
-        AdaptiveNode::new(cell, topo, AdaptiveConfig::default())
-    })
-    .with_uniform_script(CALL);
-    let out = model.explore();
-    assert!(
-        out.violation.is_none(),
-        "unexpected violation: {:?}",
-        out.violation
-    );
-    assert!(!out.truncated);
-}
-
-#[test]
-fn hardened_adaptive_survives_loss_and_dup_budget() {
-    let hardened = AdaptiveConfig {
-        retry_ticks: Some(400),
-        ..AdaptiveConfig::default()
-    };
-    let model = Model::new(strip(2, 3), move |cell, topo| {
-        AdaptiveNode::new(cell, topo, hardened.clone())
-    })
-    .with_uniform_script(CALL)
-    .with_budgets(Budgets {
-        losses: 1,
-        dups: 1,
-        crashes: 0,
-        partitions: 0,
-    });
-    let out = model.explore();
-    assert!(
-        out.violation.is_none(),
-        "hardened adaptive violated under loss+dup: {:?}",
-        out.violation
-    );
-    assert!(!out.truncated);
-}
-
-#[test]
-fn hardened_adaptive_crash_search_is_clean_within_bound() {
-    // The crash space fragments combinatorially (Lamport clocks +
-    // deadline timers), so this is a bounded search: exhaustive up to
-    // the cap, and any violation inside it would still surface.
-    let hardened = AdaptiveConfig {
-        retry_ticks: Some(400),
-        ..AdaptiveConfig::default()
-    };
-    let model = Model::new(strip(2, 3), move |cell, topo| {
-        AdaptiveNode::new(cell, topo, hardened.clone())
-    })
-    .with_uniform_script(&[Op::StartCall])
-    .with_budgets(Budgets {
-        losses: 0,
-        dups: 0,
-        crashes: 1,
-        partitions: 0,
-    })
-    .with_max_states(30_000);
-    let out = model.explore();
-    assert!(
-        out.violation.is_none(),
-        "hardened adaptive violated under crash: {:?}",
-        out.violation
-    );
-}
-
-#[test]
-fn hardened_adaptive_survives_partition_budget() {
-    // One link-partition window (cut at any point, healed at any later
-    // point, both directions dropping at send time). Only the adaptive
-    // scheme's partition space is exhaustible — the basic baselines'
-    // retry timers re-fire into the cut link and fragment past 1M
-    // states even on 2 cells, so their coverage lives in `mck`'s
-    // bounded rows.
-    let hardened = AdaptiveConfig {
-        retry_ticks: Some(400),
-        ..AdaptiveConfig::default()
-    };
-    let model = Model::new(strip(2, 3), move |cell, topo| {
-        AdaptiveNode::new(cell, topo, hardened.clone())
-    })
-    .with_uniform_script(CALL)
-    .with_budgets(Budgets {
-        losses: 0,
-        dups: 0,
-        crashes: 0,
-        partitions: 1,
-    });
-    let out = model.explore();
-    assert!(
-        out.violation.is_none(),
-        "hardened adaptive violated under partition: {:?}",
-        out.violation
-    );
-    assert!(!out.truncated);
 }
 
 #[test]

@@ -1315,10 +1315,9 @@ fn get_report(r: &mut Reader<'_>, n: usize) -> Result<SimReport, DecodeError> {
 
 /// Link horizons serialize sparsely (non-zero slots only); the spill
 /// map — the one `HashMap` in engine state — is sorted first so snapshot
-/// bytes are deterministic. The leading tag names the index space of the
-/// slots: 1 is this table's (CSR position, then the spill list); 0 is
-/// `from * n + to`, which is what an engine without a table writes (no
-/// entry) and what the dense table of earlier format-2 writers wrote.
+/// bytes are deterministic. The leading tag says whether a table
+/// follows: 1 is this table (CSR positions, then the spill list); 0 is
+/// an engine without one, and carries an empty entry list.
 fn put_links(w: &mut Writer, lh: Option<&LinkHorizons>) {
     let Some(lh) = lh else {
         w.put_u8(0);
@@ -1349,40 +1348,34 @@ fn put_links(w: &mut Writer, lh: Option<&LinkHorizons>) {
     }
 }
 
-/// Reads the `links` section into `lh`. Every entry is range-checked
-/// either way; without a table (a constant latency needs no horizon)
-/// the section is read and dropped.
+/// Reads the `links` section into `lh`. The tag must name the engine's
+/// own layout (a table exactly when its latency keeps one): decoders
+/// never migrate, so any other tag, or a tag 0 with entries, is
+/// corrupt. Every entry is range-checked.
 fn get_links(
     r: &mut Reader<'_>,
-    mut lh: Option<&mut LinkHorizons>,
+    lh: Option<&mut LinkHorizons>,
     topo: &Topology,
 ) -> Result<(), DecodeError> {
-    let n = topo.num_cells();
-    let dense = match r.get_u8()? {
-        0 => true,
-        1 => false,
-        _ => return Err(DecodeError::Corrupt("link layout tag")),
+    let tag = r.get_u8()?;
+    let Some(lh) = lh else {
+        return if tag == 0 && r.get_len()? == 0 {
+            Ok(())
+        } else {
+            Err(DecodeError::Corrupt("link table under a constant latency"))
+        };
     };
-    let slots = if dense {
-        n.saturating_mul(n)
-    } else {
-        topo.cells().map(|c| topo.region(c).len()).sum()
-    };
+    if tag != 1 {
+        return Err(DecodeError::Corrupt("link layout tag"));
+    }
     for _ in 0..r.get_len()? {
         let i = r.get_u64()? as usize;
         let t = r.get_time()?;
-        if i >= slots {
-            return Err(DecodeError::Corrupt("link slot index out of range"));
-        }
-        match &mut lh {
-            Some(lh) if dense => *lh.slot(CellId((i / n) as u32), CellId((i % n) as u32)) = t,
-            Some(lh) => lh.slots[i] = t,
-            None => {}
-        }
+        *lh.slots
+            .get_mut(i)
+            .ok_or(DecodeError::Corrupt("link slot index out of range"))? = t;
     }
-    if dense {
-        return Ok(());
-    }
+    let n = topo.num_cells();
     for _ in 0..r.get_len()? {
         let a = r.get_cell()?;
         let b = r.get_cell()?;
@@ -1390,9 +1383,7 @@ fn get_links(
             return Err(DecodeError::Corrupt("spill link cell out of range"));
         }
         let t = r.get_time()?;
-        if let Some(lh) = &mut lh {
-            lh.spill.insert((a, b), t);
-        }
+        lh.spill.insert((a, b), t);
     }
     Ok(())
 }
@@ -2380,12 +2371,13 @@ mod tests {
         }
     }
 
-    /// The `links` section in both index spaces: a table reads back its
-    /// own bytes, reads the `from * n + to` entries an earlier format-2
-    /// writer left (an out-of-region one lands in the spill map), and an
-    /// engine without a table reads either and keeps nothing.
+    /// The `links` section reads only its own layout: a table reads back
+    /// its own bytes (an out-of-region link rides the spill list), an
+    /// engine without a table reads the empty tag-0 section, and a tag
+    /// that disagrees with the engine, a tag 0 with entries, or an
+    /// out-of-range entry is corrupt.
     #[test]
-    fn links_section_reads_both_index_spaces() {
+    fn links_section_reads_only_its_own_layout() {
         let topo = Topology::default_paper(6, 6);
         let n = topo.num_cells();
         let (from, near, far) = (CellId(0), topo.region(CellId(0))[0], CellId(35));
@@ -2393,44 +2385,59 @@ mod tests {
         let read = |bytes: &[u8], keep: bool| {
             let mut links = keep.then(|| LinkHorizons::new(&topo));
             let mut r = Reader::new(bytes).unwrap();
-            get_links(&mut r, links.as_mut(), &topo).unwrap();
-            assert_eq!(r.remaining(), 0);
-            links
+            get_links(&mut r, links.as_mut(), &topo).map(|()| {
+                assert_eq!(r.remaining(), 0);
+                links
+            })
+        };
+        let section = |put: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            put(&mut w);
+            w.finish()
         };
         let horizons =
             |links: &mut LinkHorizons| [near, far].map(|to| links.clamp(from, to, SimTime::ZERO));
 
-        let mut dense = Writer::new();
-        dense.put_u8(0);
-        dense.put_len(2);
-        for (to, t) in [(near, 70), (far, 90)] {
-            dense.put_u64((from.index() * n + to.index()) as u64);
-            dense.put_time(SimTime(t));
-        }
-        let dense = dense.finish();
-        let mut links = read(&dense, true).unwrap();
-        assert_eq!(horizons(&mut links), [SimTime(70), SimTime(90)]);
-        assert!(read(&dense, false).is_none());
-
-        let mut own = Writer::new();
-        put_links(&mut own, Some(&links));
-        let own = own.finish();
+        let mut links = LinkHorizons::new(&topo);
+        links.clamp(from, near, SimTime(70));
+        links.clamp(from, far, SimTime(90));
+        let own = section(&|w| put_links(w, Some(&links)));
         assert_eq!(
-            horizons(&mut read(&own, true).unwrap()),
+            horizons(&mut read(&own, true).unwrap().unwrap()),
             [SimTime(70), SimTime(90)]
         );
-        assert!(read(&own, false).is_none());
+        let none = section(&|w| put_links(w, None));
+        assert!(read(&none, false).unwrap().is_none());
 
-        let mut beyond = Writer::new();
-        beyond.put_u8(0);
-        beyond.put_len(1);
-        beyond.put_u64((n * n) as u64);
-        beyond.put_time(SimTime(1));
-        let beyond = beyond.finish();
-        let mut r = Reader::new(&beyond).unwrap();
-        assert!(matches!(
-            get_links(&mut r, None, &topo),
-            Err(DecodeError::Corrupt(_))
-        ));
+        let corrupt = |bytes: &[u8], keep: bool| {
+            assert!(matches!(read(bytes, keep), Err(DecodeError::Corrupt(_))));
+        };
+        corrupt(&own, false);
+        corrupt(&none, true);
+        let dense = section(&|w| {
+            w.put_u8(0);
+            w.put_len(1);
+            w.put_u64((from.index() * n + near.index()) as u64);
+            w.put_time(SimTime(70));
+        });
+        corrupt(&dense, false);
+        corrupt(&dense, true);
+        let slot_beyond = section(&|w| {
+            w.put_u8(1);
+            w.put_len(1);
+            w.put_u64(links.slots.len() as u64);
+            w.put_time(SimTime(1));
+            w.put_len(0);
+        });
+        corrupt(&slot_beyond, true);
+        let spill_beyond = section(&|w| {
+            w.put_u8(1);
+            w.put_len(0);
+            w.put_len(1);
+            w.put_cell(from);
+            w.put_cell(CellId(n as u32));
+            w.put_time(SimTime(1));
+        });
+        corrupt(&spill_beyond, true);
     }
 }

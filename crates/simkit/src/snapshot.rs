@@ -134,7 +134,7 @@ pub fn intern(s: &str) -> &'static str {
 #[derive(Default)]
 pub struct Writer {
     payload: Vec<u8>,
-    marks: Vec<(String, u64)>,
+    marks: Vec<(&'static str, u64)>,
 }
 
 impl Writer {
@@ -146,9 +146,20 @@ impl Writer {
     /// Records a named mark at the current payload offset. Repeated names
     /// are allowed (e.g. one `"adaptive.mode"` per node); their regions
     /// fold into one digest per name.
-    pub fn mark(&mut self, name: &str) {
-        self.marks
-            .push((name.to_owned(), self.payload.len() as u64));
+    pub fn mark(&mut self, name: &'static str) {
+        self.marks.push((name, self.payload.len() as u64));
+    }
+
+    /// Empties the payload and marks, keeping their allocations, so one
+    /// writer can serialize many values in turn.
+    pub fn clear(&mut self) {
+        self.payload.clear();
+        self.marks.clear();
+    }
+
+    /// The payload written so far: the raw puts, with no envelope.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
     }
 
     /// Appends one byte.
