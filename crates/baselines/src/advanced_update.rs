@@ -39,6 +39,10 @@ use adca_simkit::{
 };
 use std::collections::BTreeMap;
 
+/// Give up (drop the call) after this many rejected attempts, as
+/// [`crate::basic_update::MAX_ATTEMPTS`] does for the basic scheme.
+const MAX_ATTEMPTS: u32 = 16;
+
 /// Wire messages of the advanced update scheme.
 #[derive(Debug, Clone)]
 pub enum AdvancedUpdateMsg {
@@ -112,8 +116,6 @@ pub struct AdvancedUpdateNode {
     borrowable: ChannelSet,
     /// When service of the head request began (protocol latency metric).
     serving_since: Option<adca_simkit::SimTime>,
-    /// Retry cap, as in [`crate::basic_update::BasicUpdateConfig`].
-    max_attempts: u32,
 }
 
 impl AdvancedUpdateNode {
@@ -135,7 +137,6 @@ impl AdvancedUpdateNode {
             pending_grants: BTreeMap::new(),
             borrowable,
             serving_since: None,
-            max_attempts: 16,
         }
     }
 
@@ -256,7 +257,7 @@ impl AdvancedUpdateNode {
         tried: ChannelSet,
         ctx: &mut Effects<AdvancedUpdateMsg>,
     ) {
-        if attempts_so_far >= self.max_attempts {
+        if attempts_so_far >= MAX_ATTEMPTS {
             ctx.count("update_gaveup");
             self.finish_failure(ctx);
             return;

@@ -22,25 +22,18 @@ use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
 use adca_simkit::{DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, Writer};
 use std::collections::VecDeque;
 
+/// With hardening on: resends (same timestamp, outstanding responders
+/// only) before the search gives up and rejects the call.
+pub const MAX_RETRIES: u32 = 3;
+
 /// Timeout/retry hardening knobs for the basic search scheme.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BasicSearchConfig {
     /// Response deadline in ticks. `None` (default) arms no timers —
     /// bit-identical to the unhardened scheme. Pick ≥ `2T` so an
-    /// undisturbed round trip never times out.
+    /// undisturbed round trip never times out. A search is resent at
+    /// most [`MAX_RETRIES`] times.
     pub retry_ticks: Option<u64>,
-    /// Resends (same timestamp, outstanding responders only) before the
-    /// search gives up and rejects the call.
-    pub max_retries: u32,
-}
-
-impl Default for BasicSearchConfig {
-    fn default() -> Self {
-        BasicSearchConfig {
-            retry_ticks: None,
-            max_retries: 3,
-        }
-    }
 }
 
 /// Wire messages of the basic search scheme.
@@ -70,7 +63,7 @@ pub enum BasicSearchMsg {
     /// legitimately outlast any fixed deadline, so without this signal
     /// the searcher cannot tell "deferred" from "lost" and
     /// retry-exhausts live rounds. A matching echo resets the retry
-    /// budget; exhaustion then means `max_retries` *silent* deadlines.
+    /// budget; exhaustion then means [`MAX_RETRIES`] *silent* deadlines.
     Busy {
         /// Echo of the request's timestamp.
         ts: Timestamp,
@@ -386,7 +379,7 @@ impl StateMachine for BasicSearchNode {
             let Some(s) = self.search.as_mut() else {
                 return;
             };
-            let retry = s.retries < self.cfg.max_retries;
+            let retry = s.retries < MAX_RETRIES;
             if retry {
                 s.retries += 1;
             }

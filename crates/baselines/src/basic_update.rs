@@ -22,33 +22,26 @@ use adca_simkit::{
     DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, SimTime, Writer,
 };
 
+/// Safety valve: give up (drop the call) after this many rejected
+/// attempts. The original scheme retries forever — `m` is unbounded
+/// (Table 3) — which a simulation cannot admit verbatim; the cap is set
+/// high enough that it only triggers under loads where the pure scheme
+/// would starve. Give-ups are counted in the `update_gaveup` metric so
+/// experiments can report them.
+pub const MAX_ATTEMPTS: u32 = 64;
+
+/// With hardening on: resends (same channel, same timestamp, outstanding
+/// responders only) before a round is abandoned and the call rejected.
+pub const MAX_RETRIES: u32 = 3;
+
 /// Configuration of the basic update baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BasicUpdateConfig {
-    /// Safety valve: give up (drop the call) after this many rejected
-    /// attempts. The original scheme retries forever — `m` is unbounded
-    /// (Table 3) — which a simulation cannot admit verbatim; the cap is
-    /// set high enough (default 64) that it only triggers under loads
-    /// where the pure scheme would starve. Give-ups are counted in the
-    /// `update_gaveup` metric so experiments can report them.
-    pub max_attempts: u32,
     /// Response deadline per permission round, in ticks. `None`
     /// (default) arms no timers — bit-identical to the unhardened
-    /// scheme. Pick ≥ `2T`.
+    /// scheme. Pick ≥ `2T`. A round is resent at most [`MAX_RETRIES`]
+    /// times.
     pub retry_ticks: Option<u64>,
-    /// Resends (same channel, same timestamp, outstanding responders
-    /// only) before a round is abandoned and the call rejected.
-    pub max_retries: u32,
-}
-
-impl Default for BasicUpdateConfig {
-    fn default() -> Self {
-        BasicUpdateConfig {
-            max_attempts: 64,
-            retry_ticks: None,
-            max_retries: 3,
-        }
-    }
 }
 
 /// Wire messages of the basic update scheme.
@@ -180,7 +173,7 @@ impl BasicUpdateNode {
         tried: &ChannelSet,
         ctx: &mut Effects<BasicUpdateMsg>,
     ) {
-        if attempts_so_far >= self.cfg.max_attempts {
+        if attempts_so_far >= MAX_ATTEMPTS {
             ctx.count("update_gaveup");
             self.finish(None, attempts_so_far, DropCause::Blocked, ctx);
             return;
@@ -443,7 +436,7 @@ impl StateMachine for BasicUpdateNode {
             let Some(a) = self.attempt.as_mut() else {
                 return;
             };
-            let retry = a.retries < self.cfg.max_retries;
+            let retry = a.retries < MAX_RETRIES;
             if retry {
                 a.retries += 1;
             }

@@ -98,24 +98,10 @@ fn explore(spec: &Spec) -> CheckOutcome {
             )
         }),
         Scheme::BasicSearch => run(spec, move |cell, t| {
-            BasicSearchNode::with_config(
-                cell,
-                t,
-                BasicSearchConfig {
-                    retry_ticks,
-                    ..BasicSearchConfig::default()
-                },
-            )
+            BasicSearchNode::with_config(cell, t, BasicSearchConfig { retry_ticks })
         }),
         Scheme::BasicUpdate => run(spec, move |cell, t| {
-            BasicUpdateNode::new(
-                cell,
-                t,
-                BasicUpdateConfig {
-                    retry_ticks,
-                    ..BasicUpdateConfig::default()
-                },
-            )
+            BasicUpdateNode::new(cell, t, BasicUpdateConfig { retry_ticks })
         }),
         Scheme::Fixed => run(spec, FixedNode::new),
         Scheme::AdvancedUpdate => run(spec, AdvancedUpdateNode::new),

@@ -55,7 +55,8 @@ pub struct AdaptiveConfig {
     /// the node's own pending request *regardless of channel*; the prose
     /// only requires rejecting requests for the *same* channel. `true`
     /// (default) follows the pseudocode; `false` follows the prose
-    /// (documented deviation #5, exercised by the ablation bench).
+    /// (documented deviation #5; `tests/theorems.rs`'s
+    /// `mode2_variants_equivalent_service` runs both).
     pub strict_mode2_reject: bool,
     /// Seeded fault for checker validation — see [`Mutation`]. `None`
     /// (the default, and the only value any scheme ships with) leaves

@@ -199,7 +199,7 @@ fn put_view_bytes_are_pinned() {
     let hex: String = w.finish().iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(
         hex,
-        "41444341534e4150020000003800000000000000030000000000000001000000460000004600010040000200\
-         00004600030003000a004100460000000500000046000100010046000100070000000000cfbf7e34dad836de"
+        "41444341534e4150030000003800000000000000030000000000000001000000460000004600010040000200\
+         00004600030003000a004100460000000500000046000100010046000100070000000000de7c32ac9d9c40c9"
     );
 }

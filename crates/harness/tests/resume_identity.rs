@@ -23,7 +23,10 @@ use adca_core::AdaptiveNode;
 use adca_harness::{CheckpointError, RunSummary, Scenario, SchemeKind};
 use adca_hexgrid::{CellId, Topology};
 use adca_simkit::trace::{RingSink, TraceRecord};
-use adca_simkit::{AuditMode, DecodeError, Engine, FaultPlan, ProtocolState, SimReport, SimTime};
+use adca_simkit::{
+    AuditMode, DecodeError, Engine, FaultPlan, LatencyModel, ProtocolState, SimConfig, SimReport,
+    SimTime,
+};
 use adca_traffic::WorkloadSpec;
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -243,26 +246,57 @@ fn resume_after_periodic_checkpoints_is_bit_identical() {
     assert_eq!(left, ["adaptive.ckpt"], "a temporary was left behind");
 }
 
+/// Runs `sc`'s workload under jittered latency cold, and split at tick
+/// `at` through a snapshot, and requires messages and the same report
+/// from both.
+fn jittered_resume<P, F>(sc: &Scenario, at: u64, factory: F)
+where
+    P: ProtocolState,
+    F: FnMut(CellId, &Topology) -> P + Clone,
+{
+    let topo = sc.topology();
+    let arrivals = sc.arrivals(&topo);
+    let cfg = SimConfig {
+        latency: LatencyModel::Jitter { min: 50, max: 200 },
+        ..sc.sim_config()
+    };
+    let cold = Engine::new(topo.clone(), cfg.clone(), factory.clone(), arrivals.clone()).run();
+    let mut first = Engine::new(topo.clone(), cfg.clone(), factory.clone(), arrivals);
+    assert!(
+        first.run_until(SimTime(at)),
+        "events must remain at the split"
+    );
+    let snap = first.snapshot();
+    let mut second = Engine::restore(topo, cfg, factory, &snap)
+        .expect("an engine's own snapshot restores under the same config");
+    let again = second.snapshot();
+    assert_eq!(second.run(), cold, "split run diverged from the cold run");
+    assert!(
+        again == snap,
+        "snapshot → restore → snapshot changed the bytes"
+    );
+    assert!(cold.messages_total > 0, "no link was used");
+}
+
 #[test]
-fn resume_above_the_dense_link_limit_is_bit_identical() {
-    // Past 256 cells the engine's link horizons use the region layout
-    // (its own snapshot tag and slot numbering): 18×18 round-trips it,
-    // for the paper's scheme and for the message-heaviest baseline.
+fn resume_under_jitter_carries_link_horizons() {
+    // Under a latency that varies the engine keeps a FIFO horizon per
+    // link, and a snapshot carries them: a restored engine that lost one
+    // could deliver a message ahead of one sent before it on its link.
     // A mean hold of a third of the horizon, so that cells fill up and
     // borrow (adaptive is message-free until they do).
     let horizon = 3_000;
     let sc = Scenario::uniform(0.9, horizon)
         .with_grid(18, 18)
         .with_workload(WorkloadSpec::uniform(0.9, 1_000.0, horizon));
-    for kind in [SchemeKind::Adaptive, SchemeKind::BasicUpdate] {
-        let cold = sc.run(kind);
-        let split = run_split(&sc, kind, horizon / 2);
-        assert_eq!(
-            cold.report, split.report,
-            "{kind}: 18×18 snapshot/restore at T/2 diverged from the cold run"
-        );
-        assert!(cold.report.messages_total > 0, "{kind}: no link was used");
-    }
+    let ac = sc.adaptive.clone();
+    jittered_resume(&sc, horizon / 2, move |c, t: &Topology| {
+        AdaptiveNode::new(c, t, ac.clone())
+    });
+    let bu = sc.basic_update.clone();
+    jittered_resume(&sc, horizon / 2, move |c, t: &Topology| {
+        BasicUpdateNode::new(c, t, bu.clone())
+    });
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! §6).
 
 use adca_harness::{Scenario, SchemeKind};
+use adca_hexgrid::CellId;
 use adca_serve::ChannelRequest;
+use adca_simkit::FaultPlan;
 use std::time::Duration;
 
 /// A stationary scenario (the service trait expresses new-call requests;
@@ -71,4 +73,41 @@ fn des_backend_confirms_match_report_totals() {
         released += 1;
     }
     assert_eq!(released, granted, "every granted call ends");
+}
+
+/// A call a crash kills still ends: the replay gives it a `Released` at
+/// its end tick, so `stats().completed` counts it with the calls that
+/// ran their hold out, and every grant is released exactly once.
+#[test]
+fn des_backend_completed_counts_crash_killed_calls() {
+    let sc = Scenario::uniform(0.8, 40_000)
+        .with_grid(6, 6)
+        .with_hardening(400)
+        .with_faults(FaultPlan::none().with_crash(CellId(7), 10_000, 5_000));
+    let topo = sc.topology();
+    let arrivals = sc.arrivals(&topo);
+    for kind in [
+        SchemeKind::Fixed,
+        SchemeKind::Adaptive,
+        SchemeKind::BasicSearch,
+    ] {
+        let mut svc = sc.serve(kind);
+        for a in &arrivals {
+            svc.request_channel(ChannelRequest::new_call(a.at, a.cell, a.duration))
+                .unwrap();
+        }
+        assert!(svc.quiesce(Duration::from_secs(120)));
+        let report = svc.sim_report().unwrap();
+        assert!(
+            report.custom.get("crash_killed_calls") > 0,
+            "{kind:?}: the crash must kill a call"
+        );
+        let mut released = 0u64;
+        while svc.indication().is_some() {
+            released += 1;
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.completed, released, "{kind:?}");
+        assert_eq!(stats.completed, stats.granted, "{kind:?}");
+    }
 }

@@ -309,7 +309,9 @@ where
         if let Some(r) = &self.report {
             stats.granted = r.granted;
             stats.rejected = r.dropped_new + r.dropped_handoff + self.synthesized_rejects;
-            stats.completed = r.completed_calls;
+            // A call a crash killed still ends (its `Released` comes at
+            // its end tick), though the report counts it apart.
+            stats.completed = r.completed_calls + r.custom.get("crash_killed_calls");
             stats.messages = r.messages_total;
             stats.violations = r.violations.iter().map(|v| v.to_string()).collect();
         }

@@ -224,7 +224,6 @@ fn adaptive_survives_message_loss_with_retries() {
 fn basic_search_survives_message_loss_with_retries() {
     let bc = BasicSearchConfig {
         retry_ticks: Some(2_000),
-        max_retries: 8,
     };
     let (factory, lost) = lossy(move |c, topo| BasicSearchNode::with_config(c, topo, bc.clone()));
     let stats = run(factory, burst(4, 20_000));

@@ -13,7 +13,7 @@ use crate::trace::{NoopSink, TraceEvent, TraceSink};
 use crate::workload::Arrival;
 use adca_hexgrid::{CellId, Channel, Topology};
 use adca_metrics::{CounterMap, SampleSeries};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -150,80 +150,6 @@ pub struct ReqOutcome {
     pub result: Result<Channel, DropCause>,
 }
 
-/// Per-link FIFO clamps: the latest delivery time scheduled on each
-/// `(from, to)` link. Distributed channel-allocation protocols of this
-/// family assume FIFO channels (a RELEASE must not overtake the GRANT
-/// that preceded it); under jittered latency the clamp enforces it.
-///
-/// Only an engine whose latency varies has one: under
-/// [`LatencyModel::Fixed`] a delivery is wanted at `now + T`, no earlier
-/// than anything sent before it, so the clamp would return its argument
-/// on every send and the table is never built.
-///
-/// The table holds interference-region links only (CSR, ~30 a cell:
-/// 245 KB at 32×32) — the only links any of the paper's protocols use —
-/// with a spill map for protocols that message outside their region.
-struct LinkHorizons {
-    /// CSR offsets: links of `from` live at `starts[from]..starts[from+1]`.
-    starts: Vec<u32>,
-    /// Region members of each `from`, sorted by id.
-    targets: Vec<CellId>,
-    slots: Vec<SimTime>,
-    spill: HashMap<(CellId, CellId), SimTime>,
-}
-
-impl LinkHorizons {
-    /// The table an engine under `latency` clamps with: none when the
-    /// latency is one constant.
-    fn for_latency(latency: &LatencyModel, topo: &Topology) -> Option<Self> {
-        (!matches!(latency, LatencyModel::Fixed(_))).then(|| Self::new(topo))
-    }
-
-    fn new(topo: &Topology) -> Self {
-        let mut starts = Vec::with_capacity(topo.num_cells() + 1);
-        let mut targets = Vec::new();
-        for cell in topo.cells() {
-            starts.push(targets.len() as u32);
-            targets.extend_from_slice(topo.region(cell));
-        }
-        starts.push(targets.len() as u32);
-        let slots = vec![SimTime::ZERO; targets.len()];
-        LinkHorizons {
-            starts,
-            targets,
-            slots,
-            spill: HashMap::new(),
-        }
-    }
-
-    /// The horizon of link `from → to`.
-    #[inline]
-    fn slot(&mut self, from: CellId, to: CellId) -> &mut SimTime {
-        let lo = self.starts[from.index()] as usize;
-        let row = &self.targets[lo..self.starts[from.index() + 1] as usize];
-        // A row is a few dozen sorted ids: counting the smaller ones is
-        // branch-free and vectorizes, where a binary search is a chain of
-        // dependent loads.
-        let i = row.iter().filter(|&&t| t < to).count();
-        if row.get(i) == Some(&to) {
-            &mut self.slots[lo + i]
-        } else {
-            self.spill.entry((from, to)).or_insert(SimTime::ZERO)
-        }
-    }
-
-    /// Applies the FIFO clamp for a delivery on `from → to` wanted at
-    /// `at`: returns the actual (clamped) delivery time and records it as
-    /// the link's new horizon.
-    #[inline]
-    fn clamp(&mut self, from: CellId, to: CellId, at: SimTime) -> SimTime {
-        let slot = self.slot(from, to);
-        let at = at.max(*slot);
-        *slot = at;
-        at
-    }
-}
-
 /// Append-only interning table for `&'static str`-keyed values.
 ///
 /// Protocols label messages, counters and sample series with string
@@ -325,9 +251,16 @@ pub struct Shared<M, S: TraceSink = NoopSink> {
     down: Vec<bool>,
     /// Ground-truth channel usage (the Theorem-1 audit).
     ground: Ground,
-    /// `None` under a constant latency, where deliveries take the
+    /// Per-link FIFO horizons: the latest delivery time scheduled on
+    /// each `(from, to)` link. Distributed channel-allocation protocols
+    /// of this family assume FIFO channels (a RELEASE must not overtake
+    /// the GRANT that preceded it); under a latency that varies the
+    /// clamp in [`Shared::send`] enforces it. `None` under
+    /// [`LatencyModel::Fixed`], where a delivery is wanted at `now + T`,
+    /// no earlier than anything sent before it, so the clamp would
+    /// return its argument on every send; those deliveries take the
     /// queue's in-order lane instead (see [`Shared::deliver`]).
-    link_horizon: Option<LinkHorizons>,
+    link_horizon: Option<BTreeMap<(CellId, CellId), SimTime>>,
     calls: Vec<CallRecord>,
     reqs: Vec<ReqRecord>,
     pending_reqs: u64,
@@ -488,10 +421,12 @@ impl<M: Clone, S: TraceSink> Shared<M, S> {
         // any fault decision, so the latency RNG stream — and with it
         // every fault-free delivery time — is independent of the plan.
         let lat = self.cfg.latency.latency(&meta, &mut self.rng);
-        let at = match &mut self.link_horizon {
-            Some(links) => links.clamp(me, to, self.now + lat),
-            None => self.now + lat,
-        };
+        let mut at = self.now + lat;
+        if let Some(links) = &mut self.link_horizon {
+            let horizon = links.entry((me, to)).or_insert(SimTime::ZERO);
+            at = at.max(*horizon);
+            *horizon = at;
+        }
         self.report.messages_total += 1;
         self.msg_kinds.incr(kind);
         self.report.per_cell_msgs[me.index()] += 1;
@@ -697,7 +632,7 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
             fault_rng: SplitMix64::new(cfg.faults.seed),
             faults_on,
             down: vec![false; n],
-            link_horizon: LinkHorizons::for_latency(&cfg.latency, &topo),
+            link_horizon: link_horizons(&cfg.latency),
             topo: topo.clone(),
             cfg,
             now: SimTime::ZERO,
@@ -1313,77 +1248,55 @@ fn get_report(r: &mut Reader<'_>, n: usize) -> Result<SimReport, DecodeError> {
     })
 }
 
-/// Link horizons serialize sparsely (non-zero slots only); the spill
-/// map — the one `HashMap` in engine state — is sorted first so snapshot
-/// bytes are deterministic. The leading tag says whether a table
-/// follows: 1 is this table (CSR positions, then the spill list); 0 is
-/// an engine without one, and carries an empty entry list.
-fn put_links(w: &mut Writer, lh: Option<&LinkHorizons>) {
-    let Some(lh) = lh else {
-        w.put_u8(0);
-        w.put_len(0);
-        return;
-    };
-    w.put_u8(1);
-    let nonzero: Vec<(usize, SimTime)> = lh
-        .slots
-        .iter()
-        .enumerate()
-        .filter(|&(_, &t)| t != SimTime::ZERO)
-        .map(|(i, &t)| (i, t))
-        .collect();
-    w.put_len(nonzero.len());
-    for (i, t) in nonzero {
-        w.put_u64(i as u64);
-        w.put_time(t);
-    }
-    let mut entries: Vec<((CellId, CellId), SimTime)> =
-        lh.spill.iter().map(|(&k, &v)| (k, v)).collect();
-    entries.sort();
-    w.put_len(entries.len());
-    for ((a, b), t) in entries {
+/// The link horizons an engine under `latency` clamps with: none when
+/// the latency is one constant.
+fn link_horizons(latency: &LatencyModel) -> Option<BTreeMap<(CellId, CellId), SimTime>> {
+    (!matches!(latency, LatencyModel::Fixed(_))).then(BTreeMap::new)
+}
+
+/// The `links` section: a tag saying whether the engine keeps link
+/// horizons (1) or not (0), then the entries in key order — none for
+/// tag 0.
+fn put_links(w: &mut Writer, links: Option<&BTreeMap<(CellId, CellId), SimTime>>) {
+    w.put_u8(links.is_some() as u8);
+    w.put_len(links.map_or(0, BTreeMap::len));
+    for (&(a, b), &t) in links.into_iter().flatten() {
         w.put_cell(a);
         w.put_cell(b);
         w.put_time(t);
     }
 }
 
-/// Reads the `links` section into `lh`. The tag must name the engine's
-/// own layout (a table exactly when its latency keeps one): decoders
-/// never migrate, so any other tag, or a tag 0 with entries, is
-/// corrupt. Every entry is range-checked.
+/// Reads the `links` section into `links`. The tag must name the
+/// engine's own layout (horizons exactly when its latency keeps them):
+/// decoders never migrate, so any other tag, or a tag 0 with entries, is
+/// corrupt — as is a cell outside the `n`-cell grid or a key not
+/// strictly above the one before it.
 fn get_links(
     r: &mut Reader<'_>,
-    lh: Option<&mut LinkHorizons>,
-    topo: &Topology,
+    links: Option<&mut BTreeMap<(CellId, CellId), SimTime>>,
+    n: usize,
 ) -> Result<(), DecodeError> {
     let tag = r.get_u8()?;
-    let Some(lh) = lh else {
+    let Some(links) = links else {
         return if tag == 0 && r.get_len()? == 0 {
             Ok(())
         } else {
-            Err(DecodeError::Corrupt("link table under a constant latency"))
+            Err(DecodeError::Corrupt("link map under a constant latency"))
         };
     };
     if tag != 1 {
         return Err(DecodeError::Corrupt("link layout tag"));
     }
     for _ in 0..r.get_len()? {
-        let i = r.get_u64()? as usize;
-        let t = r.get_time()?;
-        *lh.slots
-            .get_mut(i)
-            .ok_or(DecodeError::Corrupt("link slot index out of range"))? = t;
-    }
-    let n = topo.num_cells();
-    for _ in 0..r.get_len()? {
-        let a = r.get_cell()?;
-        let b = r.get_cell()?;
-        if a.index() >= n || b.index() >= n {
-            return Err(DecodeError::Corrupt("spill link cell out of range"));
+        let key = (r.get_cell()?, r.get_cell()?);
+        if key.0.index() >= n || key.1.index() >= n {
+            return Err(DecodeError::Corrupt("link cell out of range"));
         }
-        let t = r.get_time()?;
-        lh.spill.insert((a, b), t);
+        if links.last_key_value().is_some_and(|(&last, _)| key <= last) {
+            return Err(DecodeError::Corrupt("link keys out of order"));
+        }
+        links.insert(key, r.get_time()?);
     }
     Ok(())
 }
@@ -1761,8 +1674,8 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
             usage.push(set);
         }
         let ground = Ground::from_usage(usage);
-        let mut link_horizon = LinkHorizons::for_latency(&cfg.latency, &topo);
-        get_links(&mut r, link_horizon.as_mut(), &topo)?;
+        let mut link_horizon = link_horizons(&cfg.latency);
+        get_links(&mut r, link_horizon.as_mut(), n)?;
 
         let ncalls = r.get_len()?;
         let mut calls = Vec::with_capacity(ncalls);
@@ -2337,55 +2250,45 @@ mod tests {
         assert_eq!(engine.node(CellId(0)).fired, vec![1, 2, 3]);
     }
 
-    proptest::proptest! {
-        /// The region table and its spill map are one function, the map
-        /// the engine once kept: driven by a jittered send sequence —
-        /// in-region links and out-of-region ones — every delivery is
-        /// clamped to the latest time its link has seen.
-        #[test]
-        fn link_clamp_matches_a_map(
-            // 18×18 = 324 cells, from a few senders so that links are
-            // revisited and the clamp actually bites.
-            sends in proptest::collection::vec(
-                (0u32..12, 0usize..64, 0u32..324, 0u8..4, 0u64..3, 1u64..40),
-                1..600,
-            ),
-        ) {
-            let topo = Topology::default_paper(18, 18);
-            let mut links = LinkHorizons::new(&topo);
-            let mut reference: HashMap<(CellId, CellId), SimTime> = HashMap::new();
-            let mut now = 0u64;
-            for (from, pick, anywhere, out_of_region, step, latency) in sends {
-                let from = CellId(from * 27);
-                let members = topo.region(from);
-                let to = if out_of_region == 0 {
-                    CellId(anywhere)
-                } else {
-                    members[pick % members.len()]
-                };
-                now += step;
-                let horizon = reference.entry((from, to)).or_insert(SimTime::ZERO);
-                *horizon = SimTime(now + latency).max(*horizon);
-                assert_eq!(links.clamp(from, to, SimTime(now + latency)), *horizon);
-            }
-        }
+    /// The runaway guard: the event past `max_events` is not processed,
+    /// it records one `EventBudget` violation, and the engine stays
+    /// halted — through later runs and through a snapshot.
+    #[test]
+    fn event_budget_halts_the_run_for_good() {
+        let t = topo();
+        let cfg = SimConfig {
+            audit: AuditMode::Record,
+            max_events: 50,
+            ..SimConfig::default()
+        };
+        let mut engine = Engine::new(t.clone(), cfg.clone(), LocalOnly::new, busy_arrivals());
+        assert!(!engine.run_until(SimTime(u64::MAX)));
+        let report = engine.run();
+        assert_eq!(report.events_processed, 51);
+        let budget = Violation::EventBudget { processed: 51 };
+        assert_eq!(report.violations, [budget]);
+        let now = engine.now();
+        assert_eq!(engine.run(), report, "a second run processes no event");
+        assert_eq!(engine.now(), now);
+
+        let mut restored = Engine::restore(t, cfg, LocalOnly::new, &engine.snapshot())
+            .expect("restore must succeed");
+        assert!(restored.sh.halted);
+        assert_eq!(restored.run(), report);
     }
 
-    /// The `links` section reads only its own layout: a table reads back
-    /// its own bytes (an out-of-region link rides the spill list), an
-    /// engine without a table reads the empty tag-0 section, and a tag
-    /// that disagrees with the engine, a tag 0 with entries, or an
-    /// out-of-range entry is corrupt.
+    /// The `links` section reads only its own layout: horizons read back
+    /// their own bytes, an engine without horizons reads the empty tag-0
+    /// section, and a tag that disagrees with the engine, a tag 0 with
+    /// entries, a cell out of range, or a key not strictly above the one
+    /// before it is corrupt.
     #[test]
     fn links_section_reads_only_its_own_layout() {
-        let topo = Topology::default_paper(6, 6);
-        let n = topo.num_cells();
-        let (from, near, far) = (CellId(0), topo.region(CellId(0))[0], CellId(35));
-        assert!(!topo.in_region(from, far));
+        let n = 36;
         let read = |bytes: &[u8], keep: bool| {
-            let mut links = keep.then(|| LinkHorizons::new(&topo));
+            let mut links = keep.then(BTreeMap::new);
             let mut r = Reader::new(bytes).unwrap();
-            get_links(&mut r, links.as_mut(), &topo).map(|()| {
+            get_links(&mut r, links.as_mut(), n).map(|()| {
                 assert_eq!(r.remaining(), 0);
                 links
             })
@@ -2395,49 +2298,39 @@ mod tests {
             put(&mut w);
             w.finish()
         };
-        let horizons =
-            |links: &mut LinkHorizons| [near, far].map(|to| links.clamp(from, to, SimTime::ZERO));
+        let entries = |tag: u8, keys: &[(u32, u32)]| {
+            section(&|w| {
+                w.put_u8(tag);
+                w.put_len(keys.len());
+                for &(a, b) in keys {
+                    w.put_cell(CellId(a));
+                    w.put_cell(CellId(b));
+                    w.put_time(SimTime(1));
+                }
+            })
+        };
 
-        let mut links = LinkHorizons::new(&topo);
-        links.clamp(from, near, SimTime(70));
-        links.clamp(from, far, SimTime(90));
+        let links = BTreeMap::from([
+            ((CellId(0), CellId(1)), SimTime(70)),
+            ((CellId(0), CellId(35)), SimTime(90)),
+            ((CellId(3), CellId(0)), SimTime(5)),
+        ]);
         let own = section(&|w| put_links(w, Some(&links)));
-        assert_eq!(
-            horizons(&mut read(&own, true).unwrap().unwrap()),
-            [SimTime(70), SimTime(90)]
-        );
+        assert_eq!(read(&own, true).unwrap(), Some(links));
         let none = section(&|w| put_links(w, None));
-        assert!(read(&none, false).unwrap().is_none());
+        assert_eq!(read(&none, false).unwrap(), None);
 
         let corrupt = |bytes: &[u8], keep: bool| {
             assert!(matches!(read(bytes, keep), Err(DecodeError::Corrupt(_))));
         };
         corrupt(&own, false);
         corrupt(&none, true);
-        let dense = section(&|w| {
-            w.put_u8(0);
-            w.put_len(1);
-            w.put_u64((from.index() * n + near.index()) as u64);
-            w.put_time(SimTime(70));
-        });
-        corrupt(&dense, false);
-        corrupt(&dense, true);
-        let slot_beyond = section(&|w| {
-            w.put_u8(1);
-            w.put_len(1);
-            w.put_u64(links.slots.len() as u64);
-            w.put_time(SimTime(1));
-            w.put_len(0);
-        });
-        corrupt(&slot_beyond, true);
-        let spill_beyond = section(&|w| {
-            w.put_u8(1);
-            w.put_len(0);
-            w.put_len(1);
-            w.put_cell(from);
-            w.put_cell(CellId(n as u32));
-            w.put_time(SimTime(1));
-        });
-        corrupt(&spill_beyond, true);
+        corrupt(&entries(0, &[(0, 1)]), false);
+        corrupt(&entries(0, &[(0, 1)]), true);
+        corrupt(&entries(1, &[(0, n as u32)]), true);
+        corrupt(&entries(1, &[(n as u32, 0)]), true);
+        corrupt(&entries(1, &[(0, 1), (0, 1)]), true);
+        corrupt(&entries(1, &[(0, 2), (0, 1)]), true);
+        corrupt(&entries(1, &[(1, 0), (0, 5)]), true);
     }
 }

@@ -46,7 +46,7 @@ use std::sync::{OnceLock, RwLock};
 pub const MAGIC: [u8; 8] = *b"ADCASNAP";
 
 /// Current snapshot format version (see the module docs for the policy).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -596,8 +596,10 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let bytes = Writer::new().finish();
-        // 1 is the retired layout (trace fields, optional partitions).
-        for version in [1u8, 99] {
+        // 1 and 2 are retired layouts (1: trace fields, optional
+        // partitions; 2: link horizons as a region table and a spill
+        // list).
+        for version in [1u8, 2, 99] {
             let mut bad = bytes.clone();
             bad[8] = version;
             // Re-seal so only the version differs.
