@@ -21,25 +21,26 @@
 //! carries the request goes out: the write reads the clock once and
 //! stamps every request queued since the last one, just before it is
 //! made, so a request behind a failed write still times out, and
-//! `submit` reads no clock. The client keeps the deadlines itself,
-//! earliest first, and keeps **one** entry armed on a shared
-//! [`TimerWheel`] — for the oldest unanswered request — so one wheel
-//! (and one dispatcher thread) serves every client in the process and
-//! holds one timer a client, not one a request. When a deadline passes
-//! the request is retransmitted under the **same id** with the next
-//! delay from its bounded [`Backoff`] schedule; the server's
-//! idempotency layer guarantees the retry can never double-commit a
-//! grant, and a request whose budget runs dry resolves as
+//! `submit` reads no clock. A request is written **once**: the
+//! connection is one TCP stream, a reliable FIFO link, so a second copy
+//! could only reach the server behind the first, where it is dropped.
+//! A request whose deadline passes with no answer resolves as
 //! [`WireEvent::TimedOut`].
 //!
 //! A connection numbers its requests 0, 1, 2, … and keeps them in a
 //! window over `[base, next id)`: `base` is the oldest request not yet
 //! answered or timed out, and the slots of resolved requests above it
-//! wait there until it moves. So the client holds state for the
-//! requests it can still send, not for every request the connection
-//! has served, and each id resolves once: an answer to an id no longer
-//! in the window is dropped. The server keeps one number a connection,
-//! the id it expects next, and drops a retransmission below it.
+//! wait there until it moves. Each slot holds its request's one
+//! deadline, and deadlines are stamped in id order from clock reads
+//! that never go back, so the window is also the deadline queue: the
+//! requests due are a prefix of it, and the client keeps **one** entry
+//! armed on a shared [`TimerWheel`] — for the window's front — so one
+//! wheel (and one dispatcher thread) serves every client in the process
+//! and holds one timer a client, not one a request. The client holds
+//! state for the requests still in flight, not for every request the
+//! connection has served, and each id resolves once: an answer to an
+//! id no longer in the window is dropped. The server keeps one number
+//! a connection, the id it expects next, and drops an id below it.
 //!
 //! The client is also an [`AllocService`]: a second view over the same
 //! event queue that speaks [`Ticket`]s, [`Confirm`]s and
@@ -55,7 +56,7 @@ use adca_serve::{
     AllocService, ChannelRequest, Confirm, Indication, ServeError, ServeStats, Ticket,
 };
 use adca_simkit::DropCause;
-use adca_threadnet::{Backoff, TimerWheel};
+use adca_threadnet::TimerWheel;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -67,16 +68,10 @@ use std::time::{Duration, Instant};
 /// Tuning for one client connection.
 #[derive(Debug, Clone, Copy)]
 pub struct WireClientConfig {
-    /// Patience for the first answer to each attempt. One too long to
-    /// reach an `Instant` (`Duration::MAX`) is no deadline: such a
-    /// request is never retransmitted and never times out.
+    /// Patience for each request's answer, from the write that carries
+    /// it. One too long to reach an `Instant` (`Duration::MAX`) is no
+    /// deadline: such a request never times out.
     pub deadline: Duration,
-    /// Retransmissions allowed per request before it times out.
-    pub max_retries: u32,
-    /// Base of the per-request backoff schedule: attempt *k* is given
-    /// `deadline` plus the *k*-th delay of a [`Backoff`] starting here
-    /// (doubling, capped at `deadline`).
-    pub backoff: Duration,
     /// Test knob: transmit every request frame **twice** on first send,
     /// simulating an aggressive retry. With an idempotent server this
     /// must change nothing but its dedup counter.
@@ -86,9 +81,7 @@ pub struct WireClientConfig {
 impl Default for WireClientConfig {
     fn default() -> Self {
         WireClientConfig {
-            deadline: Duration::from_secs(2),
-            max_retries: 2,
-            backoff: Duration::from_millis(100),
+            deadline: Duration::from_millis(6300),
             inject_dup_first_send: false,
         }
     }
@@ -138,7 +131,7 @@ pub enum WireEvent {
         /// Returned channel number.
         channel: u16,
     },
-    /// The request's retry budget ran dry with no answer.
+    /// The request's deadline passed with no answer.
     TimedOut {
         /// The request's idempotency id.
         id: u64,
@@ -154,8 +147,8 @@ pub struct WireDeadline {
 /// Builds the shared deadline wheel every [`WireClient`] in a process
 /// should be handed. The dispatch callback only disarms its client and
 /// wakes it — cheap and non-blocking, as the wheel requires; the
-/// retransmit, and arming the entry for the next deadline, happen on
-/// the client's own thread inside [`WireClient::recv`].
+/// timeouts, and arming the entry for the next deadline, happen on the
+/// client's own thread inside [`WireClient::recv`].
 pub fn deadline_wheel() -> Arc<TimerWheel<WireDeadline>> {
     Arc::new(TimerWheel::new(|d: WireDeadline| {
         if let Some(shared) = d.client.upgrade() {
@@ -172,63 +165,57 @@ pub fn deadline_wheel() -> Arc<TimerWheel<WireDeadline>> {
 /// once it holds this much: what the server's reader takes in one read.
 const FLUSH_AT: usize = 16 * 1024;
 
-struct PendingReq {
-    /// The request, re-encoded for retransmission: byte-identical,
-    /// because a frame is a function of its message.
-    msg: WireMsg,
-    backoff: Backoff,
-}
-
 /// The requests of a connection by id: `slots[i]` is id `base + i`,
-/// `None` once it resolved. The front slot is always live, so `base` is
-/// the oldest unresolved id, or the next id when none is.
+/// `None` once it resolved, `Some(None)` while it waits for its write
+/// (or always, when the deadline is endless) and `Some(Some(due))`
+/// once written. The front slot is always live, so `base` is the
+/// oldest unresolved id, or the next id when none is.
 #[derive(Default)]
 struct Window {
     base: u64,
-    slots: VecDeque<Option<PendingReq>>,
+    slots: VecDeque<Option<Option<Instant>>>,
     /// The `Some` slots.
     live: usize,
 }
 
 impl Window {
-    fn push(&mut self, p: PendingReq) {
-        self.slots.push_back(Some(p));
+    /// Opens the slot of the next id, unwritten.
+    fn push(&mut self) {
+        self.slots.push_back(Some(None));
         self.live += 1;
     }
 
     /// `id`'s slot; `None` below `base` or past the last id sent.
-    fn slot(&mut self, id: u64) -> Option<&mut Option<PendingReq>> {
+    fn slot(&mut self, id: u64) -> Option<&mut Option<Option<Instant>>> {
         let off = usize::try_from(id.checked_sub(self.base)?).ok()?;
         self.slots.get_mut(off)
     }
 
-    fn get_mut(&mut self, id: u64) -> Option<&mut PendingReq> {
-        self.slot(id)?.as_mut()
-    }
-
-    /// Takes `id`'s request, if it is still unresolved, and moves `base`
-    /// past the resolved slots at the front.
-    fn resolve(&mut self, id: u64) -> Option<PendingReq> {
-        let p = self.slot(id)?.take()?;
+    /// Resolves `id`, if it is still unresolved, and moves `base` past
+    /// the resolved slots at the front. Whether it was unresolved.
+    fn resolve(&mut self, id: u64) -> bool {
+        if self.slot(id).and_then(Option::take).is_none() {
+            return false;
+        }
         self.live -= 1;
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.base += 1;
         }
-        Some(p)
+        true
+    }
+
+    /// The front request's deadline, if it has one.
+    fn front_due(&self) -> Option<Instant> {
+        self.slots.front().copied().flatten().flatten()
     }
 }
 
 #[derive(Default)]
 struct ClientState {
-    /// The requests not yet answered or timed out, by id.
+    /// The requests not yet answered or timed out, by id, each with its
+    /// deadline.
     pending: Window,
-    /// When the latest transmission of each request runs out of
-    /// patience, earliest first. A first transmission's entry goes on
-    /// the back, so this is submit order but for retries. An answered
-    /// request's entry is dropped when it reaches the front. A request
-    /// still queued for its first write has none yet.
-    deadlines: VecDeque<(Instant, u64)>,
     /// Whether this client's one entry on the wheel is armed.
     armed: bool,
     events: VecDeque<WireEvent>,
@@ -240,87 +227,39 @@ struct ClientState {
 }
 
 impl ClientState {
-    /// Files `id`'s deadline behind every entry due no later: on the
-    /// back, unless a retry already waits there for a later one.
-    fn set_deadline(&mut self, due: Instant, id: u64) {
-        if self.deadlines.back().is_none_or(|&(d, _)| d <= due) {
-            self.deadlines.push_back((due, id));
-        } else {
-            let at = self.deadlines.partition_point(|&(d, _)| d <= due);
-            self.deadlines.insert(at, (due, id));
-        }
-    }
-
-    /// Starts the deadlines of the requests `ids`, about to go out for
-    /// the first time in a write made at `now`.
+    /// Starts the deadlines of the requests `ids`, about to go out in a
+    /// write made at `now`. A request answered before its write (only a
+    /// peer that answers ahead of the request can do that) stays
+    /// resolved.
     fn stamp(&mut self, ids: Range<u64>, now: Instant, patience: Duration) {
         // `None`: no deadline (see `WireClientConfig::deadline`).
-        if let Some(due) = now.checked_add(patience) {
-            for id in ids {
-                self.set_deadline(due, id);
+        let due = now.checked_add(patience);
+        for id in ids {
+            if let Some(Some(slot)) = self.pending.slot(id) {
+                *slot = due;
             }
         }
     }
 
-    /// Drops the entries of answered requests off the front.
-    fn trim_deadlines(&mut self) {
-        while let Some(&(_, id)) = self.deadlines.front() {
-            if self.pending.get_mut(id).is_some() {
-                break;
-            }
-            self.deadlines.pop_front();
+    /// Times out every request whose deadline has passed at `now`: a
+    /// prefix of the window, since deadlines are stamped in id order
+    /// from clock reads that never go back.
+    fn expire(&mut self, now: Instant, timeouts: &mut u64) {
+        while self.pending.front_due().is_some_and(|due| due <= now) {
+            let id = self.pending.base;
+            self.pending.resolve(id);
+            self.events.push_back(WireEvent::TimedOut { id });
+            *timeouts += 1;
         }
     }
 
-    /// Takes every request whose deadline has passed at `now`: one with
-    /// budget left gets its next deadline (`patience` plus its next
-    /// backoff delay) and its frame is appended to `out` for
-    /// retransmission, one without resolves as a timeout. A next
-    /// deadline too far to reach an `Instant` is none: that request
-    /// waits for its answer, unsent again and never timed out. Returns
-    /// the number of retransmissions.
-    fn expire(
-        &mut self,
-        now: Instant,
-        patience: Duration,
-        timeouts: &mut u64,
-        out: &mut Vec<u8>,
-    ) -> u64 {
-        let mut resent = 0;
-        while let Some(&(due, id)) = self.deadlines.front() {
-            if due > now {
-                break;
-            }
-            self.deadlines.pop_front();
-            let Some(p) = self.pending.get_mut(id) else {
-                continue; // answered in the meantime
-            };
-            match p.backoff.next_delay() {
-                Some(delay) => {
-                    let next = now.checked_add(patience).and_then(|d| d.checked_add(delay));
-                    if let Some(due) = next {
-                        encode_into(out, &p.msg);
-                        resent += 1;
-                        self.set_deadline(due, id);
-                    }
-                }
-                None => {
-                    self.pending.resolve(id);
-                    self.events.push_back(WireEvent::TimedOut { id });
-                    *timeouts += 1;
-                }
-            }
-        }
-        resent
-    }
-
-    /// The instant to arm the wheel for, when it is not armed and a
-    /// request is waiting; the caller must then arm it.
+    /// The instant to arm the wheel for, when it is not armed and the
+    /// front request has a deadline; the caller must then arm it.
     fn arm(&mut self) -> Option<Instant> {
         if self.armed {
             return None;
         }
-        let &(due, _) = self.deadlines.front()?;
+        let due = self.pending.front_due()?;
         self.armed = true;
         Some(due)
     }
@@ -347,7 +286,6 @@ pub struct WireClient {
     /// queued for their first write.
     stamped: u64,
     writes: u64,
-    retries: u64,
     timeouts: u64,
     view: View,
 }
@@ -382,7 +320,6 @@ impl WireClient {
             next_id: 0,
             stamped: 0,
             writes: 0,
-            retries: 0,
             timeouts: 0,
             view: View::default(),
         })
@@ -418,10 +355,7 @@ impl WireClient {
                     "wire connection closed",
                 ));
             }
-            st.pending.push(PendingReq {
-                msg: msg.clone(),
-                backoff: Backoff::new(self.cfg.backoff, self.cfg.deadline, self.cfg.max_retries),
-            });
+            st.pending.push();
         }
         self.next_id += 1;
         encode_into(&mut self.out, &msg);
@@ -495,10 +429,9 @@ impl WireClient {
     /// [`submit`](Self::submit) and [`release`](Self::release) queued:
     /// it never looks for events or parks with bytes in the queue.
     /// Expired deadlines are serviced here, on the driver's own thread:
-    /// a request with budget left is retransmitted byte-identically
-    /// under the same id (through the same queue); one without resolves
-    /// as [`WireEvent::TimedOut`]. Returns `None` on timeout, or when
-    /// the connection is closed and fully drained.
+    /// each such request resolves as [`WireEvent::TimedOut`]. Returns
+    /// `None` on timeout, or when the connection is closed and fully
+    /// drained.
     pub fn recv(&mut self, wait: Duration) -> Option<WireEvent> {
         self.wait_for(wait, |st| st.events.pop_front())
     }
@@ -520,7 +453,7 @@ impl WireClient {
         let give_up = now.checked_add(wait);
         let mut st = self.shared.st.lock().expect("client poisoned");
         loop {
-            self.retries += st.expire(now, self.cfg.deadline, &mut self.timeouts, &mut self.out);
+            st.expire(now, &mut self.timeouts);
             st.stamp(self.stamped..self.next_id, now, self.cfg.deadline);
             self.stamped = self.next_id;
             let arm = st.arm();
@@ -561,12 +494,13 @@ impl WireClient {
         self.writes
     }
 
-    /// Retransmissions performed so far.
+    /// Always 0: a request is written once. Kept only for the
+    /// benchmark's `wire.retries`, which still reads it.
     pub fn retries(&self) -> u64 {
-        self.retries
+        0
     }
 
-    /// Requests that exhausted their retry budget.
+    /// Requests whose deadline passed with no answer.
     pub fn timeouts(&self) -> u64 {
         self.timeouts
     }
@@ -736,7 +670,7 @@ const CLOSED: ServeError = ServeError::Unsupported("wire connection closed");
 /// |---|---|
 /// | `request_channel(req)` | [`submit`](WireClient::submit); the [`Ticket`] is the idempotency id, issued in submission order. `Err(Unsupported("wire connection closed"))` when `submit` fails — nothing was registered |
 /// | `Confirm::Granted` / `Rejected { ticket, .. }` | [`WireEvent::Granted`] / [`Rejected`](WireEvent::Rejected) `{ id, .. }` with `ticket = Ticket(id)`; cell, channel, latency and cause carried over. A grant records `id ↔ server ticket` |
-/// | `Confirm::Rejected { cause: RetryExhausted }` | [`WireEvent::TimedOut`]: the retry budget ran dry. Counted in [`timeouts`](WireClient::timeouts) |
+/// | `Confirm::Rejected { cause: RetryExhausted }` | [`WireEvent::TimedOut`]: the deadline passed with no answer. Counted in [`timeouts`](WireClient::timeouts) |
 /// | `Confirm::Rejected { cause: Blocked }` | [`WireEvent::Refused`]: the server refused the request at admission (the reason string is `recv`'s to show). Counted in [`refused`](WireClient::refused) |
 /// | `release(Ticket(id))` | [`release`](WireClient::release) of the recorded server ticket; `Ok` and nothing sent for a call that is not holding, `Err(UnknownTicket)` for an id never issued |
 /// | `handoff_of: Some(Ticket(id))` | the recorded server ticket; `Err(BadHandoff)` for a source this view has not seen granted |
@@ -749,7 +683,7 @@ const CLOSED: ServeError = ServeError::Unsupported("wire connection closed");
 /// `indication`, `recv_confirm`, `recv_answers`, `quiesce` — first
 /// services expired deadlines and writes out what was queued, exactly as
 /// `recv` does, so a loop that only polls `confirm()` still sends and
-/// still retries. [`stats`](AllocService::stats) are this client's own
+/// still times out. [`stats`](AllocService::stats) are this client's own
 /// counts, not the backend's.
 ///
 /// One name means two things: on a `WireClient` value, method syntax
@@ -857,7 +791,6 @@ fn run_reader(shared: &ClientShared, mut stream: TcpStream) {
         for msg in msgs.drain(..) {
             deliver(&mut st, msg);
         }
-        st.trim_deadlines();
         if st.receiving && st.events.len() > had {
             shared.cv.notify_all();
         }
@@ -871,8 +804,8 @@ fn run_reader(shared: &ClientShared, mut stream: TcpStream) {
 }
 
 /// Queues the event `msg` stands for. An answer whose id is no longer
-/// pending — it already timed out, or a retry raced its original
-/// response — is dropped: exactly-once delivery to the driver.
+/// pending — it already timed out, or the peer sent it twice — is
+/// dropped: exactly-once delivery to the driver.
 fn deliver(st: &mut ClientState, msg: WireMsg) {
     let ev = match msg {
         WireMsg::Granted {
@@ -882,7 +815,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             channel,
             latency,
         } => {
-            if st.pending.resolve(id).is_none() {
+            if !st.pending.resolve(id) {
                 return; // stale duplicate or post-timeout answer
             }
             WireEvent::Granted {
@@ -899,7 +832,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             cell,
             cause,
         } => {
-            if st.pending.resolve(id).is_none() {
+            if !st.pending.resolve(id) {
                 return;
             }
             WireEvent::Rejected {
@@ -910,7 +843,7 @@ fn deliver(st: &mut ClientState, msg: WireMsg) {
             }
         }
         WireMsg::Refused { id, reason } => {
-            if st.pending.resolve(id).is_none() {
+            if !st.pending.resolve(id) {
                 return;
             }
             st.refused += 1;
@@ -936,30 +869,14 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    fn request(backoff: Backoff) -> PendingReq {
-        let msg = WireMsg::Release { ticket: 0 };
-        PendingReq { msg, backoff }
-    }
-
-    /// A retry whose next deadline lies past what an `Instant` can hold
-    /// is not sent and not timed out: it waits for its answer, where
-    /// the deadline sum used to panic.
-    #[test]
-    fn an_unreachable_retry_deadline_is_none() {
-        let mut st = ClientState::default();
-        let now = Instant::now();
-        st.pending.push(request(Backoff::new(
-            Duration::from_millis(1),
-            Duration::MAX,
-            2,
-        )));
-        st.set_deadline(now, 0);
-        let (mut timeouts, mut out) = (0, Vec::new());
-        assert_eq!(st.expire(now, Duration::MAX, &mut timeouts, &mut out), 0);
-        assert!(out.is_empty() && st.deadlines.is_empty() && st.events.is_empty());
-        assert!(st.pending.get_mut(0).is_some());
-        assert_eq!((st.pending.base, st.pending.live), (0, 1));
-        assert_eq!(timeouts, 0);
+    fn granted(id: u64) -> WireMsg {
+        WireMsg::Granted {
+            id,
+            ticket: id,
+            cell: 0,
+            channel: 0,
+            latency: 0,
+        }
     }
 
     /// The window's floor is the oldest unresolved id: answers out of
@@ -970,16 +887,10 @@ mod tests {
     fn the_floor_is_the_oldest_unresolved_id() {
         let mut st = ClientState::default();
         for _ in 0..4 {
-            st.pending
-                .push(request(Backoff::new(Duration::ZERO, Duration::ZERO, 0)));
+            st.pending.push();
         }
-        let granted = |id| WireMsg::Granted {
-            id,
-            ticket: id,
-            cell: 0,
-            channel: 0,
-            latency: 0,
-        };
+        let now = Instant::now();
+        st.stamp(0..4, now, Duration::ZERO);
         deliver(&mut st, granted(2));
         deliver(&mut st, granted(1));
         assert_eq!((st.pending.base, st.pending.live), (0, 2), "0 still waits");
@@ -995,16 +906,66 @@ mod tests {
         assert_eq!((st.pending.base, st.pending.live), (3, 1));
         assert_eq!(st.pending.slots.len(), 1);
 
-        // Id 3 has no retry left: its deadline times it out.
-        let now = Instant::now();
-        st.set_deadline(now, 3);
-        let (mut timeouts, mut out) = (0, Vec::new());
-        assert_eq!(st.expire(now, Duration::ZERO, &mut timeouts, &mut out), 0);
+        // Id 3's deadline has passed: it times out.
+        let mut timeouts = 0;
+        st.expire(now, &mut timeouts);
         assert_eq!(st.events.back(), Some(&WireEvent::TimedOut { id: 3 }));
         assert_eq!((st.pending.base, st.pending.live), (4, 0));
         assert!(st.pending.slots.is_empty());
         deliver(&mut st, granted(3));
         assert_eq!(st.events.len(), 4, "a late answer is dropped");
+        assert_eq!(timeouts, 1);
+    }
+
+    /// Four requests, two written at `t0` and one at `t1`, one still
+    /// unwritten; the second is answered. `expire` times out exactly
+    /// the prefix that is due, in id order, past the answered slot; the
+    /// unwritten request never times out, and the wheel is armed for
+    /// the front's deadline.
+    #[test]
+    fn expire_times_out_the_due_prefix_of_the_window() {
+        let mut st = ClientState::default();
+        let patience = Duration::from_millis(10);
+        let t0 = Instant::now();
+        let t1 = t0 + Duration::from_millis(5);
+        for _ in 0..4 {
+            st.pending.push();
+        }
+        st.stamp(0..2, t0, patience);
+        st.stamp(2..3, t1, patience);
+        assert_eq!(st.arm(), Some(t0 + patience), "armed for the front");
+        assert_eq!(st.arm(), None, "one entry a client");
+        deliver(&mut st, granted(1));
+
+        let mut timeouts = 0;
+        st.expire(t0 + patience - Duration::from_nanos(1), &mut timeouts);
+        assert!(st.events.len() == 1 && timeouts == 0, "nothing due yet");
+        st.expire(t0 + patience, &mut timeouts);
+        st.armed = false;
+        assert_eq!(st.arm(), Some(t1 + patience), "the next front");
+        st.expire(t1 + patience, &mut timeouts);
+        let timed_out: Vec<_> = st
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                WireEvent::TimedOut { id } => Some(id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(timed_out, [0, 2], "the due prefix, in id order");
+        assert_eq!((st.pending.base, st.pending.live), (3, 1));
+
+        st.expire(t0 + Duration::from_secs(3600), &mut timeouts);
+        assert_eq!(timeouts, 2, "an unwritten request never times out");
+        st.armed = false;
+        assert_eq!(st.arm(), None, "and arms nothing");
+
+        let events = st.events.len();
+        deliver(&mut st, granted(0));
+        deliver(&mut st, granted(2));
+        assert_eq!(st.events.len(), events, "a late answer is dropped");
+        deliver(&mut st, granted(3));
+        assert_eq!(st.pending.live, 0);
     }
 
     /// A request's patience starts at the write that carries it, not at
@@ -1015,7 +976,6 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let cfg = WireClientConfig {
             deadline: Duration::from_millis(20),
-            max_retries: 0,
             ..WireClientConfig::default()
         };
         let mut client =

@@ -86,10 +86,10 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 ///
 /// A `Request` carries `id`, a client-chosen **idempotency key**: a
 /// connection numbers its requests 0, 1, 2, … and the server admits
-/// each id once. A retransmitted id, below the next one the server
-/// expects, is dropped and never re-submitted, so a retried grant is
-/// never committed twice; the original's answer travels the same
-/// connection and arrives once.
+/// each id once. A repeated id, below the next one the server expects,
+/// is dropped and never re-submitted, so a duplicated request is never
+/// committed twice; the original's answer travels the same connection
+/// and arrives once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
     /// Client → server: one channel request (new call or handoff).

@@ -16,13 +16,14 @@
 //!   queue anywhere.
 //! * [`WireClient`] — a pipelining client with per-request deadlines
 //!   (one entry a client on a process-shared
-//!   [`TimerWheel`](adca_threadnet::TimerWheel)) and bounded
-//!   retry-with-backoff. What it submits between two `recv`s leaves in
-//!   one `write`. Requests carry idempotency ids, and the server keeps
-//!   one a connection, the id it expects next: it drops a retried id
-//!   below it, so a retry can never double-commit a grant, and the
-//!   original's answer arrives once on the same connection. It is
-//!   itself an
+//!   [`TimerWheel`](adca_threadnet::TimerWheel)). What it submits
+//!   between two `recv`s leaves in one `write`, and each request is
+//!   written once: the connection is a reliable FIFO link, and a
+//!   request with no answer by its deadline times out. Requests carry
+//!   idempotency ids, and the server keeps one a connection, the id it
+//!   expects next: it drops a repeated id below it, so a duplicate can
+//!   never double-commit a grant, and the original's answer arrives
+//!   once on the same connection. It is itself an
 //!   [`AllocService`](adca_serve::AllocService), so anything written
 //!   against the trait drives a socket unchanged.
 

@@ -39,12 +39,13 @@
 //! and the connection's reader keeps one number, the id it expects
 //! next. A request that carries it is admitted. One below it was
 //! admitted before and is dropped, with no reply and no backend call,
-//! so a client retry can never double-commit a grant. The retry needs
-//! no answer of its own: the connection is one TCP stream, so the
-//! original's answer reaches the client once, in order, or not at all
-//! when the connection is gone. An id above the expected one skips an
-//! id, which no client does, and closes the connection. So a
-//! connection's idempotency state is one `u64`, whatever it has served.
+//! so a duplicated request can never double-commit a grant. The
+//! duplicate needs no answer of its own: the connection is one TCP
+//! stream, so the original's answer reaches the client once, in order,
+//! or not at all when the connection is gone. An id above the
+//! expected one skips an id, which no client does, and closes the
+//! connection. So a connection's idempotency state is one `u64`,
+//! whatever it has served.
 
 use crate::frame::{encode_into, FrameDecoder, WireMsg};
 use adca_hexgrid::CellId;
@@ -224,8 +225,8 @@ impl WireServer {
     }
 
     /// Duplicate request submissions absorbed by the per-connection
-    /// idempotency layer (each one a retry that did **not** reach the
-    /// backend a second time).
+    /// idempotency layer (each one a duplicate that did **not** reach
+    /// the backend a second time).
     pub fn dedup_hits(&self) -> u64 {
         self.shared.dedup_hits.load(Ordering::Relaxed)
     }

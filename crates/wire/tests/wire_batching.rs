@@ -1,8 +1,9 @@
 //! What must survive the burst being the unit on the wire — one write
 //! a burst of submits, one wake and one write a batch of answers: every
 //! request answered exactly once and in order under pipelining, each
-//! connection its own answers, the client's retry schedule with one
-//! wheel entry a client, a failed `submit` registering nothing, and a
+//! connection its own answers, each request written once and timed out
+//! once with one wheel entry a client, a failed `submit` registering
+//! nothing, and a
 //! `shutdown` that races the accept loop. And what must survive the
 //! server's idempotency state being one expected id a connection: a
 //! retry of an answered id is dropped without reaching the backend, an
@@ -18,7 +19,7 @@ use adca_wire::{
 };
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -494,18 +495,16 @@ fn black_hole() -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<u8>>) {
 }
 
 /// Against a server that never answers, each of N pipelined requests is
-/// sent `1 + max_retries` times, byte for byte the same, and then times
-/// out exactly once, while the shared wheel holds at most one entry for
-/// the client whatever N is.
+/// written once and then times out exactly once, no earlier than its
+/// deadline, while the shared wheel holds at most one entry for the
+/// client whatever N is.
 #[test]
-fn black_hole_retries_then_times_out_each_request_once() {
+fn black_hole_sends_once_then_times_out_each_request_once() {
     const N: usize = 64;
     let (addr, sink) = black_hole();
     let wheel = deadline_wheel();
     let cfg = WireClientConfig {
         deadline: Duration::from_millis(40),
-        max_retries: 2,
-        backoff: Duration::from_millis(5),
         ..WireClientConfig::default()
     };
     let mut client = WireClient::connect(addr, cfg, &wheel).expect("connect");
@@ -526,38 +525,39 @@ fn black_hole_retries_then_times_out_each_request_once() {
         assert!(started.elapsed() < Duration::from_secs(20), "stalled");
         assert!(wheel.pending() <= 1);
         match client.recv(Duration::from_millis(20)) {
-            Some(WireEvent::TimedOut { id }) => assert!(timed_out.insert(id), "id {id} twice"),
+            Some(WireEvent::TimedOut { id }) => {
+                // The write that carried it came after `started`.
+                assert!(started.elapsed() >= cfg.deadline, "id {id} early");
+                assert!(timed_out.insert(id), "id {id} twice");
+            }
             Some(other) => panic!("unexpected {other:?}"),
             None => {}
         }
     }
-    // Attempt k waits `deadline` plus the k-th backoff delay.
-    assert!(started.elapsed() >= Duration::from_millis(40 + 45 + 50));
     assert_eq!(
         client.recv(Duration::from_millis(100)),
         None,
         "nothing extra"
     );
+    assert!(wheel.pending() <= 1);
     assert_eq!(client.in_flight(), 0);
     assert_eq!(client.timeouts(), N as u64);
-    assert_eq!(client.retries(), 2 * N as u64);
     drop(client);
 
     let bytes = sink.join().expect("sink");
-    let mut copies: HashMap<u64, Vec<&[u8]>> = HashMap::new();
+    let mut copies: HashMap<u64, usize> = HashMap::new();
     let mut rest = &bytes[..];
     while !rest.is_empty() {
         let (msg, used) = decode(rest).expect("whole, sound frames only");
         let WireMsg::Request { id, .. } = msg else {
             panic!("unexpected {msg:?}");
         };
-        copies.entry(id).or_default().push(&rest[..used]);
+        *copies.entry(id).or_default() += 1;
         rest = &rest[used..];
     }
     assert_eq!(copies.len(), N);
     for (id, sent) in copies {
-        assert_eq!(sent.len(), 3, "id {id}: first send and two retries");
-        assert!(sent.iter().all(|f| *f == sent[0]), "id {id}: same bytes");
+        assert_eq!(sent, 1, "id {id}: written once");
     }
 }
 
@@ -588,27 +588,18 @@ fn an_endless_deadline_neither_retries_nor_times_out() {
     assert_eq!(used, bytes.len(), "sent once");
 }
 
-/// The server answers request 0 only once its retry has arrived, and
-/// then twice (the original's answer racing the retry's): the driver
-/// sees one grant, no timeout.
+/// The peer answers request 0 twice once it has arrived: the driver
+/// sees one grant and no timeout, and the request was written once —
+/// the peer's next read is the end of the stream, not a second copy.
 #[test]
-fn answer_racing_its_retry_is_delivered_once() {
+fn a_duplicated_answer_is_delivered_once() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("addr");
     let server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
         let mut dec = FrameDecoder::new();
-        let mut buf = [0u8; 1024];
-        let mut seen = 0;
-        while seen < 2 {
-            let n = stream.read(&mut buf).expect("read");
-            assert!(n > 0, "client went away early");
-            dec.extend(&buf[..n]);
-            while let Some(msg) = dec.next_frame().expect("sound frames") {
-                assert!(matches!(msg, WireMsg::Request { id: 0, .. }));
-                seen += 1;
-            }
-        }
+        let ids = read_request_ids(&mut stream, &mut dec, 1);
+        assert_eq!(ids, [0]);
         let grant = encode(&WireMsg::Granted {
             id: 0,
             ticket: 7,
@@ -620,13 +611,14 @@ fn answer_racing_its_retry_is_delivered_once() {
             .write_all(&[&grant[..], &grant[..]].concat())
             .expect("write");
         // Hold the connection until the client is done with it.
-        let _ = stream.read(&mut buf);
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("read until EOF");
+        dec.extend(&rest);
+        assert_eq!(dec.next_frame().expect("sound frames"), None, "sent once");
     });
     let wheel = deadline_wheel();
     let cfg = WireClientConfig {
         deadline: Duration::from_millis(30),
-        max_retries: 3,
-        backoff: Duration::from_millis(5),
         ..WireClientConfig::default()
     };
     let mut client = WireClient::connect(addr, cfg, &wheel).expect("connect");
@@ -639,38 +631,43 @@ fn answer_racing_its_retry_is_delivered_once() {
         "got {ev:?}"
     );
     assert_eq!(client.recv(Duration::from_millis(200)), None, "once only");
-    // One retry, unless the host stalled this test past a second deadline.
-    assert!(client.retries() >= 1);
     assert_eq!(client.timeouts(), 0);
     assert_eq!(client.in_flight(), 0);
     drop(client);
     server.join().expect("server");
 }
 
-/// A `submit` that fails registered nothing. The peer leaves with ten
-/// requests in flight; further submits succeed until the reader has
-/// seen the connection close and fail from then on. Every id that times
-/// out afterwards is one a `submit` returned, each exactly once.
+/// A `submit` that fails registered nothing. The peer closes its end
+/// with ten requests in flight; further submits succeed until the
+/// reader has seen the connection close and fail from then on. Every id
+/// that times out afterwards is one a `submit` returned, each exactly
+/// once, and the peer, still reading, got each of them once.
 #[test]
 fn a_failed_submit_registers_nothing() {
     let cfg = WireClientConfig {
         deadline: Duration::from_millis(20),
-        max_retries: 1,
-        backoff: Duration::from_millis(1),
         ..WireClientConfig::default()
     };
-    let (mut client, peer) = client_and_peer(cfg);
+    let (mut client, mut peer) = client_and_peer(cfg);
     let request = ChannelRequest::new_call(0, CellId(0), 10);
     let mut returned: HashSet<u64> = (0..10)
         .map(|_| client.submit(&request).expect("connected"))
         .collect();
-    drop(peer);
+    peer.shutdown(Shutdown::Write)
+        .expect("close the peer's end");
+    let sink = std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        peer.read_to_end(&mut bytes)
+            .expect("read until the client closes");
+        bytes
+    });
     let started = Instant::now();
     while let Ok(id) = client.submit(&request) {
         assert!(returned.insert(id), "id {id} returned twice");
         assert!(started.elapsed() < Duration::from_secs(10), "never closed");
     }
     assert!(client.submit(&request).is_err(), "closed stays closed");
+    let mut sent = returned.clone();
     while client.in_flight() > 0 {
         assert!(started.elapsed() < Duration::from_secs(20), "stalled");
         match client.recv(Duration::from_millis(5)) {
@@ -690,6 +687,19 @@ fn a_failed_submit_registers_nothing() {
     }
     assert!(returned.is_empty(), "unresolved: {returned:?}");
     assert_eq!(client.in_flight(), 0);
+    drop(client);
+
+    let bytes = sink.join().expect("sink");
+    let mut rest = &bytes[..];
+    while !rest.is_empty() {
+        let (msg, used) = decode(rest).expect("whole, sound frames only");
+        let WireMsg::Request { id, .. } = msg else {
+            panic!("unexpected {msg:?}");
+        };
+        assert!(sent.remove(&id), "id {id}: never returned, or sent twice");
+        rest = &rest[used..];
+    }
+    assert!(sent.is_empty(), "never sent: {sent:?}");
 }
 
 /// `shutdown` while connections are still arriving: one that the accept

@@ -7,9 +7,12 @@ use adca_baselines::FixedNode;
 use adca_core::{AdaptiveConfig, AdaptiveNode};
 use adca_hexgrid::{CellId, Topology};
 use adca_serve::{AllocService, ChannelRequest, ProductionAllocService, ProductionConfig, Ticket};
-use adca_wire::{deadline_wheel, WireClient, WireClientConfig, WireEvent, WireServer};
+use adca_wire::{
+    deadline_wheel, decode, WireClient, WireClientConfig, WireEvent, WireMsg, WireServer,
+};
+use std::io::Read;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A day of ticks: "holds forever" at any ns_per_tick used here.
 const FOREVER: u64 = 86_400_000;
@@ -266,34 +269,38 @@ fn unknown_cell_is_refused_with_the_service_error() {
     assert!(reason.contains("unknown cell"), "got {reason:?}");
 }
 
-/// A request whose answers never arrive (the "server" accepts the
-/// connection and then stays mute) is retransmitted on its backoff
-/// schedule and finally resolves as a timeout — bounded, not forever.
+/// A request whose answer never arrives (the "server" accepts the
+/// connection and then stays mute) is written once and resolves as a
+/// timeout no earlier than its deadline — bounded, not forever.
 #[test]
-fn mute_server_times_out_after_bounded_retries() {
+fn mute_server_times_out_at_the_deadline() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let mute = std::thread::spawn(move || {
-        // Hold the connection open without ever answering.
-        let (stream, _) = listener.accept().expect("accept");
-        std::thread::sleep(Duration::from_secs(2));
-        drop(stream);
+        // Hold the connection open without ever answering, and keep
+        // what arrives until the client closes.
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).expect("read until EOF");
+        bytes
     });
     let wheel = deadline_wheel();
     let cfg = WireClientConfig {
         deadline: Duration::from_millis(50),
-        max_retries: 2,
-        backoff: Duration::from_millis(10),
         ..WireClientConfig::default()
     };
     let mut client = WireClient::connect(addr, cfg, &wheel).expect("connect");
+    let started = Instant::now();
     let id = client
         .submit(&ChannelRequest::new_call(0, CellId(0), 10))
         .expect("submit");
     let ev = client.recv(Duration::from_secs(10));
     assert_eq!(ev, Some(WireEvent::TimedOut { id }));
+    assert!(started.elapsed() >= cfg.deadline, "timed out early");
     assert_eq!(client.timeouts(), 1);
-    assert_eq!(client.retries(), 2, "the full bounded budget was spent");
     drop(client);
-    mute.join().unwrap();
+    let bytes = mute.join().unwrap();
+    let (msg, used) = decode(&bytes).expect("one whole frame");
+    assert!(matches!(msg, WireMsg::Request { id: a, .. } if a == id));
+    assert_eq!(used, bytes.len(), "written once");
 }
