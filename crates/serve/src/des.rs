@@ -81,16 +81,6 @@ where
             _protocol: PhantomData,
         }
     }
-
-    /// Number of buffered, not-yet-replayed requests (new calls and
-    /// hops alike).
-    pub fn buffered(&self) -> usize {
-        if self.report.is_some() {
-            0
-        } else {
-            self.tickets.len()
-        }
-    }
 }
 
 impl<P, F> AllocService for DesAllocService<P, F>

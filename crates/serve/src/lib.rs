@@ -19,8 +19,8 @@
 //!   ([`production`]); confirms arrive at wall-clock time, grants are
 //!   audited by the engine's [`adca_simkit::Ground`] under the ticket
 //!   ledger's lock, and full mailboxes
-//!   exert real backpressure on senders — including the subscriber
-//!   calling [`AllocService::request_channel`].
+//!   exert real backpressure on the callers outside the executor — the
+//!   subscriber calling [`AllocService::request_channel`] among them.
 //!
 //! [`SimReport`]: adca_simkit::SimReport
 

@@ -1,44 +1,34 @@
 //! Bounded worker mailboxes — the backpressure surface of the
-//! production executor.
+//! production executor, bounded for the threads outside it only.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// What a push had to do to get its events in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Push {
-    /// Space was available immediately.
-    Fit,
-    /// The queue was full; the sender waited and then fit.
-    Stalled,
-    /// The sender outwaited its patience and the events were forced in
-    /// over capacity — the deadlock-freedom escape valve.
-    Forced,
-}
-
-/// A bounded MPSC queue with *blocking* push and one consumer, which
-/// takes everything at once and may park until there is something.
-/// Senders exceeding the capacity wait (that is the backpressure a
-/// closed-loop client feels); a sender that has waited `patience`
-/// forces its events in anyway, so a cycle of full mailboxes can never
-/// deadlock the worker pool — overflow is counted, not fatal.
+/// A bounded MPSC queue with one consumer, which takes everything at
+/// once and may park until there is something. The bound holds for
+/// callers only, the threads outside the executor: a caller's push
+/// waits while the queue is full, with no deadline, and that wait is
+/// the backpressure a closed-loop client feels. A worker's push goes in
+/// at once, over the bound if need be. Only callers wait and only the
+/// consumer makes room, so no cycle of waits can form, and `close`
+/// frees a waiting caller.
 ///
-/// A push is one event ([`Mailbox::push`]) or a run of them
-/// ([`Mailbox::push_run`]); capacity is checked once a push, so the
-/// queue holds at most `cap − 1` events plus one run.
+/// Every push is a run of events ([`Mailbox::push_run`]); capacity is
+/// checked once a push, so a caller leaves the queue holding at most
+/// `cap − 1` events plus its run.
 pub(crate) struct Mailbox<T> {
     q: Mutex<Queue<T>>,
     /// Signalled for a parked consumer by a push or by `close`.
     filled: Condvar,
-    /// Signalled for stalled senders by a take or by `close`.
+    /// Signalled for stalled callers by a take or by `close`.
     not_full: Condvar,
     cap: usize,
 }
 
 struct Queue<T> {
     events: VecDeque<T>,
-    /// Senders blocked on `not_full`; a take signals only for them.
+    /// Callers blocked on `not_full`; a take signals only for them.
     stalled: usize,
     /// The consumer is waiting on `filled`. A busy consumer looks at
     /// the queue again before it parks, so a push signals only when
@@ -62,69 +52,35 @@ impl<T> Mailbox<T> {
         }
     }
 
-    /// Enqueues `v`, blocking up to `patience` while over capacity.
-    pub(crate) fn push(&self, v: T, patience: Duration) -> Push {
-        self.enqueue(patience, |q| q.push_back(v))
-    }
-
     /// Enqueues all of `run`, in order and with nothing in between,
-    /// under one lock and one capacity check: the run waits while the
-    /// queue is full and then goes in whole.
-    pub(crate) fn push_run(&self, run: impl Iterator<Item = T>, patience: Duration) -> Push {
-        self.enqueue(patience, |q| q.extend(run))
-    }
-
-    /// Inserts under the lock, then wakes the consumer if it is parked
-    /// — after the lock is released, so it does not block on it.
-    fn enqueue(&self, patience: Duration, insert: impl FnOnce(&mut VecDeque<T>)) -> Push {
+    /// under one lock, then wakes the consumer if it is parked — after
+    /// the lock is released, so it does not block on it. With `wait`
+    /// (a caller's push) the run first waits while the queue is full,
+    /// until a take or `close` opens room, and then goes in whole;
+    /// without it (a worker's) it goes in at once. True if it waited.
+    pub(crate) fn push_run(&self, run: impl IntoIterator<Item = T>, wait: bool) -> bool {
         let mut q = self.q.lock().expect("mailbox poisoned");
-        let mut how = Push::Fit;
-        if q.events.len() >= self.cap && !q.closed {
-            (q, how) = self.await_room(q, patience);
+        let waited = wait && q.events.len() >= self.cap && !q.closed;
+        if waited {
+            q.stalled += 1;
+            while q.events.len() >= self.cap && !q.closed {
+                q = self.not_full.wait(q).expect("mailbox poisoned");
+            }
+            q.stalled -= 1;
         }
-        insert(&mut q.events);
+        q.events.extend(run);
         let wake = q.parked;
         drop(q);
         if wake {
             self.filled.notify_one();
         }
-        how
-    }
-
-    /// Waits on a full queue until a take or `close` opens room
-    /// ([`Push::Stalled`]) or `patience` runs out ([`Push::Forced`]); a
-    /// patience too long to reach an `Instant` has no limit (a wait of
-    /// `Duration::MAX` is one without a timeout).
-    fn await_room<'a>(
-        &self,
-        mut q: MutexGuard<'a, Queue<T>>,
-        patience: Duration,
-    ) -> (MutexGuard<'a, Queue<T>>, Push) {
-        let deadline = Instant::now().checked_add(patience);
-        loop {
-            let left = deadline.map_or(Duration::MAX, |d| {
-                d.saturating_duration_since(Instant::now())
-            });
-            if left.is_zero() {
-                return (q, Push::Forced);
-            }
-            q.stalled += 1;
-            q = self
-                .not_full
-                .wait_timeout(q, left)
-                .expect("mailbox poisoned")
-                .0;
-            q.stalled -= 1;
-            if q.events.len() < self.cap || q.closed {
-                return (q, Push::Stalled);
-            }
-        }
+        waited
     }
 
     /// Swaps everything queued into `into`, which must be empty, after
     /// parking until there is something or `wait` has passed (zero: no
     /// parking; too long to reach an `Instant`: no limit), and wakes
-    /// stalled senders. What it swaps in may be nothing, once the wait
+    /// stalled callers. What it swaps in may be nothing, once the wait
     /// is up. False once the mailbox is closed: the consumer stops.
     pub(crate) fn take(&self, into: &mut VecDeque<T>, wait: Duration) -> bool {
         debug_assert!(into.is_empty(), "take swaps into an empty buffer");
@@ -159,7 +115,7 @@ impl<T> Mailbox<T> {
         true
     }
 
-    /// Stops the consumer and every stalled sender; later pushes go in
+    /// Stops the consumer and every stalled caller; later pushes go in
     /// without waiting and are never taken.
     pub(crate) fn close(&self) {
         self.q.lock().expect("mailbox poisoned").closed = true;
@@ -188,53 +144,63 @@ mod tests {
         }
     }
 
+    /// A worker's push goes in at once, whatever the queue holds: at
+    /// capacity, over it, and beside a caller waiting for room.
     #[test]
-    fn fit_until_capacity_then_force() {
-        let mb = Mailbox::new(2);
-        assert_eq!(mb.push(1, Duration::ZERO), Push::Fit);
-        assert_eq!(mb.push(2, Duration::ZERO), Push::Fit);
-        // Full, zero patience: forced straight in (never lost).
-        assert_eq!(mb.push(3, Duration::ZERO), Push::Forced);
-        assert_eq!(take(&mb), vec![1, 2, 3]);
+    fn a_workers_push_never_waits_even_over_capacity() {
+        let mb = Arc::new(Mailbox::new(2));
+        assert!(!mb.push_run([1], false));
+        assert!(!mb.push_run([2], false));
+        // Full: in straight away, all of the run (never lost).
+        assert!(!mb.push_run([3, 4, 5], false));
+        let caller = {
+            let mb = mb.clone();
+            std::thread::spawn(move || mb.push_run([7], true))
+        };
+        until(&mb, |q| q.stalled > 0);
+        assert!(!mb.push_run([6], false), "past a waiting caller");
+        assert_eq!(take(&mb), vec![1, 2, 3, 4, 5, 6]);
+        assert!(caller.join().unwrap());
+        assert_eq!(take(&mb), vec![7]);
         assert_eq!(take(&mb), Vec::<i32>::new());
     }
 
+    /// A caller's run fits while there is room, and on a full queue
+    /// waits, with no deadline, until a take opens room; then it goes
+    /// in whole.
     #[test]
-    fn a_run_fits_stalls_or_is_forced_as_a_whole() {
+    fn an_admission_waits_as_a_whole_run_until_a_take_opens_room() {
         let mb = Arc::new(Mailbox::new(4));
         // One free slot is room for the whole run: capacity is checked
         // once, and the overshoot is the run's length less one.
-        assert_eq!(mb.push_run(0..3, Duration::ZERO), Push::Fit);
-        assert_eq!(mb.push_run(3..8, Duration::ZERO), Push::Fit);
-        // Full: a run with no patience is forced, all of it.
-        assert_eq!(mb.push_run(8..10, Duration::ZERO), Push::Forced);
-        // Full: a patient run waits, and goes in whole once a take has
-        // emptied the queue.
-        let pusher = {
+        assert!(!mb.push_run(0..3, true));
+        assert!(!mb.push_run(3..8, true));
+        let caller = {
             let mb = mb.clone();
-            std::thread::spawn(move || mb.push_run(10..14, Duration::from_secs(10)))
+            std::thread::spawn(move || mb.push_run(8..12, true))
         };
         until(&mb, |q| q.stalled > 0);
-        assert_eq!(take(&mb), (0..10).collect::<Vec<_>>());
-        assert_eq!(pusher.join().unwrap(), Push::Stalled);
-        assert_eq!(take(&mb), (10..14).collect::<Vec<_>>());
+        assert_eq!(mb.q.lock().unwrap().events.len(), 8, "none of it went in");
+        assert_eq!(take(&mb), (0..8).collect::<Vec<_>>());
+        assert!(caller.join().unwrap(), "it waited");
+        assert_eq!(take(&mb), (8..12).collect::<Vec<_>>());
         // An empty run is a no-op that still reports how it went.
-        assert_eq!(mb.push_run(0..0, Duration::ZERO), Push::Fit);
+        assert!(!mb.push_run(0..0, true));
         assert_eq!(take(&mb), Vec::<i32>::new());
     }
 
     #[test]
     fn take_keeps_push_order_and_trades_buffers() {
         let mb = Mailbox::new(100);
-        mb.push_run(0..3, Duration::ZERO);
-        mb.push(3, Duration::ZERO);
-        mb.push_run(4..6, Duration::ZERO);
+        mb.push_run(0..3, true);
+        mb.push_run([3], false);
+        mb.push_run(4..6, true);
         let mut out = VecDeque::with_capacity(64);
         assert!(mb.take(&mut out, Duration::ZERO));
         assert_eq!(out, (0..6).collect::<VecDeque<_>>());
         // The buffer traded in is the queue now, and works on.
         out.clear();
-        mb.push(6, Duration::ZERO);
+        mb.push_run([6], true);
         assert!(mb.take(&mut out, Duration::ZERO));
         assert_eq!(out, [6]);
     }
@@ -242,31 +208,16 @@ mod tests {
     #[test]
     fn blocked_sender_wakes_on_take() {
         let mb = Arc::new(Mailbox::new(1));
-        assert_eq!(mb.push(1u32, Duration::ZERO), Push::Fit);
+        assert!(!mb.push_run([1u32], true));
         let pusher = {
             let mb = mb.clone();
-            std::thread::spawn(move || mb.push(2, Duration::from_secs(10)))
+            std::thread::spawn(move || mb.push_run([2], true))
         };
         // Wait until the pusher is blocked, then open space.
         until(&mb, |q| q.stalled > 0);
         assert_eq!(take(&mb), vec![1]);
-        assert_eq!(pusher.join().unwrap(), Push::Stalled);
+        assert!(pusher.join().unwrap());
         assert_eq!(take(&mb), vec![2]);
-    }
-
-    /// A patience too long to reach an `Instant` waits without a limit
-    /// instead of panicking on the deadline sum.
-    #[test]
-    fn an_endless_patience_waits_for_room() {
-        let mb = Arc::new(Mailbox::new(1));
-        assert_eq!(mb.push(1u32, Duration::ZERO), Push::Fit);
-        let pusher = {
-            let mb = mb.clone();
-            std::thread::spawn(move || mb.push(2, Duration::MAX))
-        };
-        until(&mb, |q| q.stalled > 0);
-        assert_eq!(take(&mb), vec![1]);
-        assert_eq!(pusher.join().unwrap(), Push::Stalled);
     }
 
     /// The consumer parks on an empty mailbox and wakes for a push, and
@@ -287,11 +238,11 @@ mod tests {
             })
         };
         until(&mb, |q| q.parked);
-        mb.push(7u32, Duration::ZERO);
+        mb.push_run([7u32], false);
         until(&mb, |q| q.parked && q.events.is_empty());
         mb.close();
         assert_eq!(consumer.join().unwrap(), vec![7]);
-        assert_eq!(mb.push(8, Duration::ZERO), Push::Fit);
+        assert!(!mb.push_run([8], true), "closed: no wait");
         assert!(!mb.take(&mut VecDeque::new(), Duration::ZERO));
     }
 
@@ -314,7 +265,7 @@ mod tests {
             })
         };
         until(&mb, |q| q.parked);
-        mb.push(5u32, Duration::ZERO);
+        mb.push_run([5u32], false);
         let (open, out) = consumer.join().unwrap();
         assert!(open && out == [5], "woken by the push");
         let closer = {
@@ -326,18 +277,18 @@ mod tests {
         assert!(!closer.join().unwrap(), "closed");
     }
 
-    /// Closing frees a sender stalled on a full mailbox at once, however
-    /// patient it is.
+    /// Closing frees a caller stalled on a full mailbox at once, though
+    /// its wait has no deadline.
     #[test]
     fn close_frees_a_stalled_sender() {
         let mb = Arc::new(Mailbox::new(1));
-        assert_eq!(mb.push(1u32, Duration::ZERO), Push::Fit);
+        assert!(!mb.push_run([1u32], true));
         let pusher = {
             let mb = mb.clone();
-            std::thread::spawn(move || mb.push(2, Duration::MAX))
+            std::thread::spawn(move || mb.push_run([2], true))
         };
         until(&mb, |q| q.stalled > 0);
         mb.close();
-        assert_eq!(pusher.join().unwrap(), Push::Stalled);
+        assert!(pusher.join().unwrap());
     }
 }

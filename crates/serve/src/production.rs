@@ -21,11 +21,14 @@
 //! bounded at `mailbox_capacity` for each cell of the band, and it goes
 //! in as **one run a destination worker**: an activation's sends, a
 //! burst of admissions ([`AllocService::request_channels`]) — one
-//! mailbox lock and at most one wake each. A full mailbox blocks the
-//! sender (real backpressure, surfaced all the way to
-//! [`AllocService::request_channel`]) until a stall deadline forces the
-//! run through, keeping the pool deadlock-free under any protocol
-//! messaging pattern.
+//! mailbox lock and at most one wake each. The bound holds for the
+//! threads outside the executor only. A full mailbox blocks a caller —
+//! an admission, a release, a wire reader — until its worker takes it
+//! (real backpressure, surfaced all the way to
+//! [`AllocService::request_channel`]); a worker's run goes in at once,
+//! as a send within its band goes into an inbox. Only callers wait and
+//! only workers make room, never waiting on a caller, so no cycle of
+//! waits can form under any protocol messaging pattern.
 //!
 //! A worker **keeps its band's time**. Every timer a cell arms — a
 //! protocol timer, or the end of a granted call's hold — is for that
@@ -50,7 +53,7 @@
 //! is one cell's turn, which takes its whole inbox. It reads the clock
 //! once; its sends to other bands collect in the worker's own `Outbox`
 //! and leave when it ends, as one run a destination worker (one mailbox
-//! lock, one capacity check), with one add to the `messages` counter.
+//! lock, no wait for room), with one add to the `messages` counter.
 //! Its confirms and indications wait in the outbox for the round's end:
 //! the worker publishes a round's answers under one `answers` lock with
 //! at most one wake, the `granted`/`rejected`/`completed` counters and
@@ -84,7 +87,7 @@
 //! termination — with nothing left to clean up, because the source
 //! channel was already returned.
 
-use crate::mailbox::{Mailbox, Push};
+use crate::mailbox::Mailbox;
 use crate::service::{
     AllocService, ChannelRequest, Confirm, Indication, ServeError, ServeStats, Ticket,
 };
@@ -112,18 +115,15 @@ pub struct ProductionConfig {
     /// 1.
     pub ns_per_tick: u64,
     /// Mailbox room for each cell (clamped to at least 1): a worker's
-    /// mailbox is bounded at this times its band's length. Checked once
-    /// a push, and every push is one run — what an activation sends one
-    /// other worker, a burst of admissions — so a mailbox holds fewer
-    /// events than its bound plus one run. Sends within a band and
-    /// timers do not go through a mailbox.
+    /// mailbox is bounded at this times its band's length, for the
+    /// threads outside the executor — admissions, releases — which wait
+    /// for room. Checked once a push, and every push is one run — a
+    /// burst of admissions, a release — so a caller leaves a mailbox
+    /// holding fewer events than its bound plus its run. What a worker
+    /// sends another goes in at once, past the bound if need be; sends
+    /// within a band and timers do not go through a mailbox.
     pub mailbox_capacity: usize,
 }
-
-/// How long a sender stalls on a full mailbox before forcing its events
-/// through (the deadlock-freedom escape valve; forced pushes are counted
-/// in [`ServeStats::backpressure_forced`]).
-pub const STALL_PATIENCE: Duration = Duration::from_millis(2);
 
 impl Default for ProductionConfig {
     fn default() -> Self {
@@ -253,7 +253,6 @@ struct Counters {
     completed: AtomicU64,
     messages: AtomicU64,
     stalls: AtomicU64,
-    forced: AtomicU64,
     pending: AtomicU64,
     stopping: AtomicBool,
 }
@@ -310,9 +309,6 @@ struct Outbox<M> {
     ready: VecDeque<usize>,
     /// Sends since the last flush, which counts them.
     sent: usize,
-    /// How long a push into another worker's full mailbox waits for
-    /// room: zero during start-up, when no worker runs yet to make any.
-    patience: Duration,
     actions: Vec<Action<M>>,
     /// The sends to other bands, one run a destination worker.
     remote: Runs<M>,
@@ -340,7 +336,6 @@ impl<M> Outbox<M> {
             cells,
             ready: VecDeque::new(),
             sent: 0,
-            patience: Duration::ZERO,
             actions: Vec::new(),
             remote: runs(workers),
             timers: BinaryHeap::new(),
@@ -456,39 +451,26 @@ where
         home(t, self.mailboxes.len(), self.topo.num_cells())
     }
 
-    /// Hands `ev` to cell `to`'s home worker.
-    fn deliver(&self, to: usize, ev: TaskEvent<P::Msg>, patience: Duration) {
-        self.pushed(self.mailboxes[self.home(to)].push((to, ev), patience));
-    }
-
     /// Hands every non-empty run to its worker: one push, one mailbox
-    /// lock, a destination, whatever the number of events.
-    fn push_runs(&self, runs: &mut Runs<P::Msg>, patience: Duration) {
+    /// lock, a destination, whatever the number of events. A caller
+    /// (`wait`) waits for room and counts each push that had to; a
+    /// worker's runs go in at once.
+    fn push_runs(&self, runs: &mut Runs<P::Msg>, wait: bool) {
         for (w, run) in runs.iter_mut().enumerate() {
-            if !run.is_empty() {
-                self.pushed(self.mailboxes[w].push_run(run.drain(..), patience));
+            if !run.is_empty() && self.mailboxes[w].push_run(run.drain(..), wait) {
+                self.counters.stalls.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Accounts for one push (an event or a run) into a mailbox.
-    fn pushed(&self, push: Push) {
-        if push != Push::Fit {
-            self.counters.stalls.fetch_add(1, Ordering::Relaxed);
-        }
-        if push == Push::Forced {
-            self.counters.forced.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Hands an activation's sends over: the count, then one run a
-    /// destination worker.
+    /// destination worker, none of which waits for room.
     fn flush(&self, out: &mut Outbox<P::Msg>) {
         if out.sent > 0 {
             let sent = std::mem::take(&mut out.sent) as u64;
             self.counters.messages.fetch_add(sent, Ordering::Relaxed);
         }
-        self.push_runs(&mut out.remote, out.patience);
+        self.push_runs(&mut out.remote, false);
     }
 
     /// Publishes a round's answers: counters, then the answers under one
@@ -892,7 +874,6 @@ where
                 inner.step(CellId(t as u32), now, node, Input::Start, &mut me.out);
                 inner.flush(&mut me.out);
             }
-            me.out.patience = STALL_PATIENCE;
         }
         let handles: Vec<JoinHandle<()>> = bands
             .into_iter()
@@ -964,13 +945,12 @@ where
 
     /// One pass over the burst: one `ledger` lock and one clock read
     /// for all of it, one add a counter, then one push a destination
-    /// worker. The push is blocking: admission is behind the same
-    /// bounded mailbox as protocol traffic, so an overloaded band pushes
-    /// back on the caller, and a run fits, stalls or is forced as a
-    /// whole — a mailbox overshoots its bound by one burst at most. A
-    /// handoff's acquire is filed ahead of what waits at its target —
-    /// the paper prioritizes handoffs over new calls — but feels the
-    /// same backpressure.
+    /// worker. The push is blocking: an overloaded band pushes back on
+    /// the caller, which waits for room with no deadline, and a run
+    /// fits or waits as a whole — a burst overshoots a mailbox's bound
+    /// by itself at most. A handoff's acquire is filed ahead of what
+    /// waits at its target — the paper prioritizes handoffs over new
+    /// calls — but feels the same backpressure.
     fn request_channels(
         &mut self,
         reqs: &[ChannelRequest],
@@ -1002,7 +982,7 @@ where
             .counters
             .pending
             .fetch_add(admitted, Ordering::Relaxed);
-        inner.push_runs(&mut self.runs, STALL_PATIENCE);
+        inner.push_runs(&mut self.runs, true);
     }
 
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {
@@ -1019,14 +999,13 @@ where
                     return Ok(());
                 }
                 TicketState::Done => return Ok(()), // benign double release
-                TicketState::Active(_) => rec.cell,
+                TicketState::Active(_) => rec.cell.index(),
             }
         };
-        self.inner.deliver(
-            cell.index(),
-            TaskEvent::End { ticket: ticket.0 },
-            STALL_PATIENCE,
-        );
+        // A run of one, behind the same bound as an admission.
+        let end = TaskEvent::End { ticket: ticket.0 };
+        self.runs[self.inner.home(cell)].push((cell, end));
+        self.inner.push_runs(&mut self.runs, true);
         Ok(())
     }
 
@@ -1107,7 +1086,7 @@ where
             completed: c.completed.load(Ordering::Relaxed),
             messages: c.messages.load(Ordering::Relaxed),
             backpressure_stalls: c.stalls.load(Ordering::Relaxed),
-            backpressure_forced: c.forced.load(Ordering::Relaxed),
+            backpressure_forced: 0,
             violations: self
                 .inner
                 .ledger

@@ -174,16 +174,15 @@ pub struct ServeStats {
     pub completed: u64,
     /// Protocol control messages carried by the backend.
     pub messages: u64,
-    /// Pushes that found a bounded mailbox full and had to wait
-    /// (production backend only; the deterministic backend never
-    /// stalls). A push is one run — an activation's sends to one
-    /// worker, a burst of admissions, a release — so this counts runs,
-    /// not events.
+    /// Callers' pushes that found a bounded mailbox full and had to
+    /// wait (production backend only; the deterministic backend never
+    /// stalls). Only a thread outside the executor waits — a burst of
+    /// admissions, a release, a wire reader's read — and each push is
+    /// one run, so this counts runs, not events; a worker's send never
+    /// waits.
     pub backpressure_stalls: u64,
-    /// Stalled pushes that outlived the stall deadline and were forced
-    /// into the queue anyway — the escape valve that keeps the executor
-    /// deadlock-free. A value that grows with the load means the
-    /// configured capacity is too small for it.
+    /// Always 0: no push is forced past a full mailbox, because a
+    /// caller waits for room with no deadline and a worker never waits.
     pub backpressure_forced: u64,
     /// Invariant violations observed by the ground-truth audit
     /// (Theorem 1: no co-channel use within the interference region),

@@ -30,8 +30,8 @@
 //! worker's bounded mailbox is full. A blocked reader stops reading,
 //! the kernel receive buffer fills, the client's TCP window closes, and
 //! the client's `write` stalls — mailbox pressure propagated to the
-//! socket with no unbounded buffer anywhere on the path, and a mailbox
-//! overshoots its bound by one read at most. A Release frame, or one
+//! socket with no unbounded buffer anywhere on the path, and a reader
+//! overshoots a mailbox's bound by one read at most. A Release frame, or one
 //! that closes the connection, first admits the requests read before
 //! it, so frames take effect in the order they came.
 //!
@@ -471,7 +471,9 @@ impl Burst {
             let mut routes = shared.routes.lock().expect("routes poisoned");
             // On the production backend this call *blocks* while a
             // destination worker's mailbox is full — the backpressure
-            // path.
+            // path — with no deadline, until that worker's next round
+            // takes its mailbox. The dispatcher waits as long for
+            // `routes`; a worker makes room holding nothing taken here.
             svc.request_channels(&self.fresh, &mut self.results);
             for (&(id, _), result) in self.ids.iter().zip(&self.results) {
                 match *result {
