@@ -770,13 +770,13 @@ fn a_hot_band_completes_on_its_own_worker() {
     assert!(granted > 18 * 10, "granted {granted}");
 }
 
-/// A lone worker's protocol traffic never touches a mailbox. With one
-/// worker every cell is in its band, so every protocol send goes into a
-/// cell's inbox, and a borrowing load sends thousands of them; the
-/// timers and call ends are the worker's own too. What still goes
-/// through the worker's mailbox — bounded at one event a cell, 36 for
-/// the band — is what the caller hands over: 504 admissions, one at a
-/// time, a run of one each. So only those can find it full, and they
+/// With one worker, only admissions meet a full mailbox, and the run
+/// ends within its holds. Every cell is in the worker's band, so every
+/// protocol send goes into a cell's inbox, and a borrowing load sends
+/// thousands of them; the timers and call ends are the worker's own
+/// too. What still goes through the worker's mailbox — bounded at one
+/// event a cell, 36 for the band — is what the caller hands over: 504
+/// admissions, one at a time, a run of one each. So only those can find it full, and they
 /// do: 13 times in each of 20 runs of this test (release and debug). A
 /// caller waits on a full mailbox only until the worker's next round
 /// takes it, so the run takes its holds and under 80 ms more (2–16 ms
@@ -786,7 +786,7 @@ fn a_hot_band_completes_on_its_own_worker() {
 /// `production`) pins that a send within the band is filed in the
 /// inbox.
 #[test]
-fn a_lone_workers_protocol_traffic_never_touches_a_mailbox() {
+fn only_admissions_meet_a_full_mailbox_and_the_run_ends_within_its_holds() {
     const HOLD: u64 = 40_000;
     let cfg = ProductionConfig {
         workers: 1,

@@ -1,10 +1,11 @@
 //! Wall-clock timing primitives for the threaded serving stack.
 //!
 //! The threaded runtime for the protocols is `adca-serve`'s production
-//! backend, whose workers keep their own timers; this crate holds the
-//! wire layer's one timing primitive, [`TimerWheel`]: one dispatcher
-//! thread over a deadline min-heap, on which every wire client keeps
-//! one entry for its oldest request's deadline.
+//! backend, whose workers keep their own timers; this crate holds
+//! [`TimerWheel`]: one dispatcher thread over a deadline min-heap. The
+//! wire layer's `deadline_wheel()` builds one, which `WireClient::connect`
+//! takes and no client arms: a client services its deadlines in its own
+//! socket reads.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

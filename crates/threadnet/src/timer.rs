@@ -11,9 +11,11 @@
 //! lock and hands it to the caller-supplied callback one timer at a
 //! time, in deadline order (FIFO among ties).
 //!
-//! The wire client in `adca-wire` arms its deadlines here. (The
-//! production backend in `adca-serve` does not: each of its workers
-//! keeps its own band's timers.)
+//! Nothing in the workspace arms one: the wire client in
+//! `adca-wire` services its deadlines in its own socket reads (its
+//! `connect` still takes a wheel, and holds it unarmed), and each worker
+//! of the production backend in `adca-serve` keeps its own band's
+//! timers.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -9,7 +9,7 @@
 //! when it turns to listen. [`submit`](WireClient::submit) and
 //! [`release`](WireClient::release) encode into one byte queue, and the
 //! queue leaves in one `write` at the first of: the next
-//! [`recv`](WireClient::recv) (before it looks for events or parks),
+//! [`recv`](WireClient::recv) (before it looks for events or waits),
 //! [`flush`](WireClient::flush), drop, or the queue reaching 16 KiB.
 //! Nothing waits for a burst to fill: a driver with one request in
 //! flight writes one frame a `recv`, one that polled 64 answers and
@@ -33,14 +33,33 @@
 //! wait there until it moves. Each slot holds its request's one
 //! deadline, and deadlines are stamped in id order from clock reads
 //! that never go back, so the window is also the deadline queue: the
-//! requests due are a prefix of it, and the client keeps **one** entry
-//! armed on a shared [`TimerWheel`] — for the window's front — so one
-//! wheel (and one dispatcher thread) serves every client in the process
-//! and holds one timer a client, not one a request. The client holds
-//! state for the requests still in flight, not for every request the
-//! connection has served, and each id resolves once: an answer to an
-//! id no longer in the window is dropped. The server keeps one number
-//! a connection, the id it expects next, and drops an id below it.
+//! requests due are a prefix of it, and a wait need only end for the
+//! front's deadline. The client holds state for the requests still in
+//! flight, not for every request the connection has served, and each
+//! id resolves once: an answer to an id no longer in the window is
+//! dropped. The server keeps one number a connection, the id it expects
+//! next, and drops an id below it.
+//!
+//! **The driver reads its own socket.** A client starts no thread and
+//! takes no lock: every receiving call — [`recv`](WireClient::recv) and
+//! those of the [`AllocService`] view — reads the socket on the
+//! driver's thread, and only when the events already read hold nothing
+//! for it. A call that does not wait makes one non-blocking read. One
+//! that waits puts the socket in blocking mode with a read timeout that
+//! ends at the earlier of the wait's end and the front request's
+//! deadline, rounded up to a whole millisecond, so it wakes when bytes
+//! arrive or a deadline passes, and services expired deadlines on
+//! waking. The socket's mode and timeout are set only when they change.
+//! A `submit` that fills the queue writes it and then makes one
+//! non-blocking read, so a driver that only submits still sees the
+//! connection close; a failed write closes the client at once.
+//!
+//! This cannot wedge, though the client does not read while it writes.
+//! Its `write` blocks only while the server's reader does not read; that
+//! reader blocks only on a full worker mailbox; and the workers drain
+//! their mailboxes without waiting on any client, because the answers
+//! go to the server's unbounded per-connection outbox. So a client that
+//! writes without reading leaves its answers queued on the server.
 //!
 //! The client is also an [`AllocService`]: a second view over the same
 //! event queue that speaks [`Ticket`]s, [`Confirm`]s and
@@ -58,11 +77,10 @@ use adca_serve::{
 use adca_simkit::DropCause;
 use adca_threadnet::TimerWheel;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning for one client connection.
@@ -138,31 +156,21 @@ pub enum WireEvent {
     },
 }
 
-/// Payload armed on the shared deadline wheel: *which client's* oldest
-/// unanswered request was due to run out of patience.
-pub struct WireDeadline {
-    client: Weak<ClientShared>,
-}
+/// The payload type of the wheel [`WireClient::connect`] takes. No
+/// client arms a timer, so it carries nothing.
+pub struct WireDeadline;
 
-/// Builds the shared deadline wheel every [`WireClient`] in a process
-/// should be handed. The dispatch callback only disarms its client and
-/// wakes it — cheap and non-blocking, as the wheel requires; the
-/// timeouts, and arming the entry for the next deadline, happen on the
-/// client's own thread inside [`WireClient::recv`].
+/// Builds the wheel [`WireClient::connect`] takes. No client arms it:
+/// each services its deadlines in its own socket reads. A client holds
+/// the handle until it is dropped, so a caller that passes a temporary
+/// joins the wheel's thread at the drop, not at the connect.
 pub fn deadline_wheel() -> Arc<TimerWheel<WireDeadline>> {
-    Arc::new(TimerWheel::new(|d: WireDeadline| {
-        if let Some(shared) = d.client.upgrade() {
-            let mut st = shared.st.lock().expect("client poisoned");
-            st.armed = false;
-            if st.receiving {
-                shared.cv.notify_all();
-            }
-        }
-    }))
+    Arc::new(TimerWheel::new(|_: WireDeadline| {}))
 }
 
 /// The queue is written out, without waiting for the driver's `recv`,
 /// once it holds this much: what the server's reader takes in one read.
+/// It is also the most one socket read of the client's takes.
 const FLUSH_AT: usize = 16 * 1024;
 
 /// The requests of a connection by id: `slots[i]` is id `base + i`,
@@ -216,13 +224,9 @@ struct ClientState {
     /// The requests not yet answered or timed out, by id, each with its
     /// deadline.
     pending: Window,
-    /// Whether this client's one entry on the wheel is armed.
-    armed: bool,
     events: VecDeque<WireEvent>,
     /// Requests the server refused at admission.
     refused: u64,
-    /// Whether the driver is parked on the condvar.
-    receiving: bool,
     closed: bool,
 }
 
@@ -252,35 +256,75 @@ impl ClientState {
             *timeouts += 1;
         }
     }
+}
 
-    /// The instant to arm the wheel for, when it is not armed and the
-    /// front request has a deadline; the caller must then arm it.
-    fn arm(&mut self) -> Option<Instant> {
-        if self.armed {
-            return None;
+/// The client's socket and the mode it was last put in, so that no
+/// call repeats a `set_*`.
+struct Socket {
+    stream: TcpStream,
+    nonblocking: bool,
+    /// The read timeout, which only a blocking read heeds.
+    timeout: Option<Duration>,
+}
+
+impl Socket {
+    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
+        if self.nonblocking != on {
+            self.stream.set_nonblocking(on)?;
+            self.nonblocking = on;
         }
-        let due = self.pending.front_due()?;
-        self.armed = true;
-        Some(due)
+        Ok(())
+    }
+
+    /// One read, waiting up to `nap` for bytes to arrive: not at all
+    /// when it is zero, for as long as it takes when it is `None`.
+    fn read(&mut self, buf: &mut [u8], nap: Option<Duration>) -> io::Result<usize> {
+        if nap.is_some_and(|nap| nap.is_zero()) {
+            self.set_nonblocking(true)?;
+        } else {
+            // A zero timeout is none to the socket: round up to whole
+            // milliseconds, so a wait never wakes before its end and
+            // waits that end alike ask for the same timeout.
+            let timeout = nap.map(|nap| {
+                let ms = nap.as_nanos().div_ceil(1_000_000);
+                Duration::from_millis(u64::try_from(ms).unwrap_or(u64::MAX))
+            });
+            if self.timeout != timeout {
+                self.stream.set_read_timeout(timeout)?;
+                self.timeout = timeout;
+            }
+            self.set_nonblocking(false)?;
+        }
+        self.stream.read(buf)
+    }
+
+    /// Writes all of `bytes`. A full send buffer makes the rest of the
+    /// write blocking, as a blocking `write_all` would be.
+    fn write_all(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            match self.stream.write(bytes) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if e.kind() == ErrorKind::WouldBlock => self.set_nonblocking(false)?,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
-/// State shared between the driver thread, the reader thread, and the
-/// wheel's dispatch callback.
-pub struct ClientShared {
-    st: Mutex<ClientState>,
-    cv: Condvar,
-}
-
-/// A connected wire client. Not `Sync`: one driver thread owns it.
+/// A connected wire client. One driver thread owns it and reads its
+/// socket.
 pub struct WireClient {
-    shared: Arc<ClientShared>,
-    wheel: Arc<TimerWheel<WireDeadline>>,
     cfg: WireClientConfig,
-    stream: TcpStream,
+    sock: Socket,
     /// Whole frames queued for the next write.
     out: Vec<u8>,
-    reader: Option<JoinHandle<()>>,
+    /// What one socket read lands in, before `dec` takes it.
+    rbuf: Box<[u8]>,
+    dec: FrameDecoder,
+    st: ClientState,
     next_id: u64,
     /// The first id with no deadline yet: `[stamped, next_id)` are
     /// queued for their first write.
@@ -288,12 +332,15 @@ pub struct WireClient {
     writes: u64,
     timeouts: u64,
     view: View,
+    /// Held, never armed, until the client drops: see
+    /// [`deadline_wheel`].
+    _wheel: Arc<TimerWheel<WireDeadline>>,
 }
 
 impl WireClient {
-    /// Connects to a [`WireServer`](crate::WireServer) at `addr`,
-    /// arming deadlines on the process-shared `wheel` (from
-    /// [`deadline_wheel`]).
+    /// Connects to a [`WireServer`](crate::WireServer) at `addr`. The
+    /// client arms nothing on `wheel` (from [`deadline_wheel`]): it
+    /// holds the handle until it drops.
     pub fn connect(
         addr: impl ToSocketAddrs,
         cfg: WireClientConfig,
@@ -301,27 +348,23 @@ impl WireClient {
     ) -> io::Result<WireClient> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let shared = Arc::new(ClientShared {
-            st: Mutex::default(),
-            cv: Condvar::new(),
-        });
-        let reader = {
-            let shared = shared.clone();
-            let stream = stream.try_clone()?;
-            std::thread::spawn(move || run_reader(&shared, stream))
-        };
         Ok(WireClient {
-            shared,
-            wheel: wheel.clone(),
             cfg,
-            stream,
+            sock: Socket {
+                stream,
+                nonblocking: false,
+                timeout: None,
+            },
             out: Vec::new(),
-            reader: Some(reader),
+            rbuf: vec![0; FLUSH_AT].into_boxed_slice(),
+            dec: FrameDecoder::new(),
+            st: ClientState::default(),
             next_id: 0,
             stamped: 0,
             writes: 0,
             timeouts: 0,
             view: View::default(),
+            _wheel: wheel.clone(),
         })
     }
 
@@ -338,6 +381,12 @@ impl WireClient {
     /// is closed and nothing was registered: an id that was never
     /// returned never times out.
     pub fn submit(&mut self, req: &ChannelRequest) -> io::Result<u64> {
+        if self.st.closed {
+            return Err(io::Error::new(
+                ErrorKind::BrokenPipe,
+                "wire connection closed",
+            ));
+        }
         let id = self.next_id;
         let msg = WireMsg::Request {
             id,
@@ -347,34 +396,17 @@ impl WireClient {
             hold: req.hold,
             handoff_of: req.handoff_of.map(|t| t.0),
         };
-        {
-            let mut st = self.shared.st.lock().expect("client poisoned");
-            if st.closed {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "wire connection closed",
-                ));
-            }
-            st.pending.push();
-        }
+        self.st.pending.push();
         self.next_id += 1;
         encode_into(&mut self.out, &msg);
         if self.cfg.inject_dup_first_send {
             encode_into(&mut self.out, &msg);
         }
         // The id is registered, so it is returned whatever becomes of
-        // this write: should it fail, the reader observes the broken
-        // stream and closes, and the deadline, started before the
-        // write, times the request out.
+        // this write: should it fail, the client is closed, and the
+        // deadline, started before the write, times the request out.
         let _ = self.flush_if_full();
         Ok(id)
-    }
-
-    fn arm_wheel(&self, due: Option<Instant>) {
-        if let Some(due) = due {
-            let client = Arc::downgrade(&self.shared);
-            self.wheel.schedule_at(due, WireDeadline { client });
-        }
     }
 
     /// Ends the call behind server `ticket` early (fire and forget; the
@@ -389,45 +421,74 @@ impl WireClient {
 
     /// Writes the queue out in one `write`, if it holds anything. The
     /// driver's `recv` does this itself; call it before blocking
-    /// anywhere else with requests queued. One clock read starts the
-    /// deadlines of every request queued since the last write, under
-    /// one lock, before the write is made.
+    /// anywhere else with requests queued.
     pub fn flush(&mut self) -> io::Result<()> {
+        self.write_out(Instant::now)
+    }
+
+    /// Writes the queue out, if it holds anything, after starting the
+    /// deadlines of the requests queued since the last write with one
+    /// clock read, `now`. A failed write closes the client.
+    fn write_out(&mut self, now: impl FnOnce() -> Instant) -> io::Result<()> {
         if self.out.is_empty() {
             return Ok(());
         }
         if self.stamped < self.next_id {
-            let arm = {
-                let mut st = self.shared.st.lock().expect("client poisoned");
-                st.stamp(
-                    self.stamped..self.next_id,
-                    Instant::now(),
-                    self.cfg.deadline,
-                );
-                st.arm()
-            };
+            let ids = self.stamped..self.next_id;
+            self.st.stamp(ids, now(), self.cfg.deadline);
             self.stamped = self.next_id;
-            self.arm_wheel(arm);
         }
         self.writes += 1;
-        let written = self.stream.write_all(&self.out);
+        let written = self.sock.write_all(&self.out);
         // After a failed write the stream is broken mid-frame: nothing
         // of the queue can be sent again.
         self.out.clear();
+        self.st.closed |= written.is_err();
         written
     }
 
+    /// Writes a full queue out, then makes one read that does not wait,
+    /// so that a driver that only submits still sees the connection
+    /// close.
     fn flush_if_full(&mut self) -> io::Result<()> {
-        if self.out.len() >= FLUSH_AT {
-            self.flush()
-        } else {
-            Ok(())
+        if self.out.len() < FLUSH_AT {
+            return Ok(());
+        }
+        let written = self.flush();
+        self.read(Some(Duration::ZERO));
+        written
+    }
+
+    /// One socket read, waiting up to `nap` as [`Socket::read`] does,
+    /// and the events of every frame it completes. The end of the
+    /// stream, a socket error or a frame that does not decode closes the
+    /// client.
+    fn read(&mut self, nap: Option<Duration>) {
+        match self.sock.read(&mut self.rbuf, nap) {
+            Ok(0) => self.st.closed = true,
+            Ok(n) => {
+                self.dec.extend(&self.rbuf[..n]);
+                loop {
+                    match self.dec.next_frame() {
+                        Ok(Some(msg)) => deliver(&mut self.st, msg),
+                        Ok(None) => break,
+                        Err(_) => break self.st.closed = true,
+                    }
+                }
+            }
+            // Nothing arrived within the nap, or a signal cut it short.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.st.closed = true,
         }
     }
 
     /// Waits up to `wait` for the next event, after writing out what
     /// [`submit`](Self::submit) and [`release`](Self::release) queued:
-    /// it never looks for events or parks with bytes in the queue.
+    /// it never looks for events or waits with bytes in the queue.
     /// Expired deadlines are serviced here, on the driver's own thread:
     /// each such request resolves as [`WireEvent::TimedOut`]. Returns
     /// `None` on timeout, or when the connection is closed and fully
@@ -439,54 +500,54 @@ impl WireClient {
     /// The one receiving path, under [`recv`](Self::recv) and every
     /// receiving call of the [`AllocService`] view: services expired
     /// deadlines, writes the queue out, and only then asks `take` for
-    /// what the caller came for — parking, up to `wait`, while `take`
-    /// finds nothing and the connection is open. The queue's new
-    /// requests take their deadlines from the clock read that serviced
-    /// the expired ones.
+    /// what the caller came for — reading the socket, up to `wait`,
+    /// while `take` finds nothing and the connection is open. A read
+    /// ends at the front request's deadline too, and a zero `wait` makes
+    /// one read that does not wait. The queue's new requests take their
+    /// deadlines from the clock read that serviced the expired ones.
     fn wait_for<T>(
         &mut self,
         wait: Duration,
         mut take: impl FnMut(&mut ClientState) -> Option<T>,
     ) -> Option<T> {
+        // With nothing to write, what has arrived is handed out with no
+        // clock read: deadlines are serviced once it runs out.
+        if self.out.is_empty() {
+            if let Some(taken) = take(&mut self.st) {
+                return Some(taken);
+            }
+        }
         let mut now = Instant::now();
         // A wait too long to reach an `Instant` has no limit.
         let give_up = now.checked_add(wait);
-        let mut st = self.shared.st.lock().expect("client poisoned");
+        let mut read = false;
         loop {
-            st.expire(now, &mut self.timeouts);
-            st.stamp(self.stamped..self.next_id, now, self.cfg.deadline);
-            self.stamped = self.next_id;
-            let arm = st.arm();
-            if !self.out.is_empty() || arm.is_some() {
-                drop(st);
-                // A failed write is the reader's to observe, as in
-                // `submit`.
-                let _ = self.flush();
-                self.arm_wheel(arm);
-                st = self.shared.st.lock().expect("client poisoned");
-            }
-            if let Some(taken) = take(&mut st) {
+            self.st.expire(now, &mut self.timeouts);
+            // A failed write closes the client, as in `submit`.
+            let _ = self.write_out(|| now);
+            if let Some(taken) = take(&mut self.st) {
                 return Some(taken);
             }
-            if st.closed || give_up.is_some_and(|g| now >= g) {
+            let spent = give_up.is_some_and(|g| now >= g);
+            if self.st.closed || (spent && read) {
                 return None;
             }
-            let nap = give_up.map_or(Duration::MAX, |g| g - now);
-            st.receiving = true;
-            st = self
-                .shared
-                .cv
-                .wait_timeout(st, nap.min(Duration::from_millis(5)))
-                .expect("client poisoned")
-                .0;
-            st.receiving = false;
-            now = Instant::now();
+            let wake = match (give_up, self.st.pending.front_due()) {
+                (Some(g), Some(due)) => Some(g.min(due)),
+                (g, due) => g.or(due),
+            };
+            self.read(wake.map(|w| w.saturating_duration_since(now)));
+            read = true;
+            // A spent wait made its one read: the clock need not move.
+            if !spent {
+                now = Instant::now();
+            }
         }
     }
 
     /// Requests submitted but not yet resolved (answered or timed out).
     pub fn in_flight(&self) -> usize {
-        self.shared.st.lock().expect("client poisoned").pending.live
+        self.st.pending.live
     }
 
     /// `write` calls issued so far: one a burst, not one a frame.
@@ -508,19 +569,14 @@ impl WireClient {
     /// Requests the server refused at admission (an unknown cell, a
     /// spent handoff source, a backend shutting down).
     pub fn refused(&self) -> u64 {
-        self.shared.st.lock().expect("client poisoned").refused
+        self.st.refused
     }
 }
 
 impl Drop for WireClient {
     fn drop(&mut self) {
         let _ = self.flush();
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.shared.st.lock().expect("client poisoned").closed = true;
-        self.shared.cv.notify_all();
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
+        let _ = self.sock.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -544,9 +600,6 @@ struct View {
     calls: HashMap<u64, Call>,
     /// Server ticket → idempotency id of every call in `Holding`.
     holding: HashMap<u64, u64>,
-    /// Swapped with the shared event queue under its lock, translated
-    /// with the lock let go.
-    taken: VecDeque<WireEvent>,
     confirms: VecDeque<Confirm>,
     indications: VecDeque<Indication>,
     granted: u64,
@@ -635,14 +688,10 @@ impl WireClient {
         } else {
             Duration::ZERO
         };
-        let mut taken = std::mem::take(&mut self.view.taken);
-        self.wait_for(wait, |st| {
-            (!st.events.is_empty()).then(|| std::mem::swap(&mut st.events, &mut taken))
-        });
-        for ev in taken.drain(..) {
+        self.wait_for(wait, |st| (!st.events.is_empty()).then_some(()));
+        for ev in self.st.events.drain(..) {
             self.view.translate(ev);
         }
-        self.view.taken = taken;
     }
 
     /// The server ticket behind the view's `ticket`, if that call is
@@ -730,7 +779,7 @@ impl AllocService for WireClient {
         self.view.confirms.pop_front()
     }
 
-    /// One lock of the event queue takes the burst whole; it is split in
+    /// One pump takes the event queue whole; it is split in
     /// arrival order, so a ticket's `Granted` is never handed out by a
     /// later call than its `Released`.
     fn recv_answers(
@@ -765,42 +814,6 @@ impl AllocService for WireClient {
             ..ServeStats::default()
         }
     }
-}
-
-/// Decodes server frames into events: every frame of one socket read,
-/// then one lock and at most one wake for all of them.
-fn run_reader(shared: &ClientShared, mut stream: TcpStream) {
-    let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    let mut msgs = Vec::new();
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        dec.extend(&buf[..n]);
-        let broken = loop {
-            match dec.next_frame() {
-                Ok(Some(msg)) => msgs.push(msg),
-                Ok(None) => break false,
-                Err(_) => break true,
-            }
-        };
-        let mut st = shared.st.lock().expect("client poisoned");
-        let had = st.events.len();
-        for msg in msgs.drain(..) {
-            deliver(&mut st, msg);
-        }
-        if st.receiving && st.events.len() > had {
-            shared.cv.notify_all();
-        }
-        drop(st);
-        if broken {
-            break;
-        }
-    }
-    shared.st.lock().expect("client poisoned").closed = true;
-    shared.cv.notify_all();
 }
 
 /// Queues the event `msg` stands for. An answer whose id is no longer
@@ -920,8 +933,8 @@ mod tests {
     /// Four requests, two written at `t0` and one at `t1`, one still
     /// unwritten; the second is answered. `expire` times out exactly
     /// the prefix that is due, in id order, past the answered slot; the
-    /// unwritten request never times out, and the wheel is armed for
-    /// the front's deadline.
+    /// unwritten request never times out, and a wait ends at the
+    /// front's deadline.
     #[test]
     fn expire_times_out_the_due_prefix_of_the_window() {
         let mut st = ClientState::default();
@@ -933,16 +946,18 @@ mod tests {
         }
         st.stamp(0..2, t0, patience);
         st.stamp(2..3, t1, patience);
-        assert_eq!(st.arm(), Some(t0 + patience), "armed for the front");
-        assert_eq!(st.arm(), None, "one entry a client");
+        assert_eq!(st.pending.front_due(), Some(t0 + patience), "the front's");
         deliver(&mut st, granted(1));
 
         let mut timeouts = 0;
         st.expire(t0 + patience - Duration::from_nanos(1), &mut timeouts);
         assert!(st.events.len() == 1 && timeouts == 0, "nothing due yet");
         st.expire(t0 + patience, &mut timeouts);
-        st.armed = false;
-        assert_eq!(st.arm(), Some(t1 + patience), "the next front");
+        assert_eq!(
+            st.pending.front_due(),
+            Some(t1 + patience),
+            "the next front"
+        );
         st.expire(t1 + patience, &mut timeouts);
         let timed_out: Vec<_> = st
             .events
@@ -957,8 +972,7 @@ mod tests {
 
         st.expire(t0 + Duration::from_secs(3600), &mut timeouts);
         assert_eq!(timeouts, 2, "an unwritten request never times out");
-        st.armed = false;
-        assert_eq!(st.arm(), None, "and arms nothing");
+        assert_eq!(st.pending.front_due(), None, "and sets no wake");
 
         let events = st.events.len();
         deliver(&mut st, granted(0));

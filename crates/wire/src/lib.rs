@@ -15,8 +15,9 @@
 //!   window — backpressure propagates socket-deep with no unbounded
 //!   queue anywhere.
 //! * [`WireClient`] — a pipelining client with per-request deadlines
-//!   (one entry a client on a process-shared
-//!   [`TimerWheel`](adca_threadnet::TimerWheel)). What it submits
+//!   that reads its own socket on the driver's thread: no thread of
+//!   its own and no lock, and a wait that ends at the earlier of its
+//!   own end and the oldest request's deadline. What it submits
 //!   between two `recv`s leaves in one `write`, and each request is
 //!   written once: the connection is a reliable FIFO link, and a
 //!   request with no answer by its deadline times out. Requests carry

@@ -1,9 +1,10 @@
 //! What must survive the burst being the unit on the wire — one write
-//! a burst of submits, one wake and one write a batch of answers: every
-//! request answered exactly once and in order under pipelining, each
-//! connection its own answers, each request written once and timed out
-//! once with one wheel entry a client, a failed `submit` registering
-//! nothing, and a
+//! a burst of submits, one write a batch of answers — and the client
+//! reading its own socket: every request answered exactly once and in
+//! order under pipelining, each connection its own answers, each
+//! request written once and timed out once with nothing armed on the
+//! wheel, a long wait woken by the front's deadline, a zero wait that
+//! reads what arrived, a failed `submit` registering nothing, and a
 //! `shutdown` that races the accept loop. And what must survive the
 //! server's idempotency state being one expected id a connection: a
 //! retry of an answered id is dropped without reaching the backend, an
@@ -90,7 +91,7 @@ fn pipeline(client: &mut WireClient, requests: u64, cell_of: impl Fn(u64) -> Cel
 }
 
 /// 20 000 requests over one connection: the server's dispatcher and
-/// writer and the client's reader all work in batches of whatever has
+/// writer and the client's reads all work in batches of whatever has
 /// queued up (this driver re-submits after every answer, so its own
 /// bursts are of one).
 #[test]
@@ -108,10 +109,7 @@ fn pipelined_answers_come_exactly_once_and_in_order() {
     assert_eq!(stats.offered, REQUESTS);
     assert_eq!(stats.granted, granted);
     assert!(stats.violations.is_empty(), "Theorem-1 audit clean");
-    assert!(
-        wheel.pending() <= 1,
-        "one wheel entry a client, not one a request"
-    );
+    assert_eq!(wheel.pending(), 0, "the client arms nothing");
 }
 
 /// Two connections pipelining at once, so that the dispatcher's bursts
@@ -496,8 +494,8 @@ fn black_hole() -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<u8>>) {
 
 /// Against a server that never answers, each of N pipelined requests is
 /// written once and then times out exactly once, no earlier than its
-/// deadline, while the shared wheel holds at most one entry for the
-/// client whatever N is.
+/// deadline, while the wheel the client was handed holds nothing: the
+/// client services its deadlines in its own reads.
 #[test]
 fn black_hole_sends_once_then_times_out_each_request_once() {
     const N: usize = 64;
@@ -513,17 +511,14 @@ fn black_hole_sends_once_then_times_out_each_request_once() {
         client
             .submit(&ChannelRequest::new_call(0, CellId(s as u32), 10))
             .expect("submit");
-        assert!(
-            wheel.pending() <= 1,
-            "one entry a client, not one a request"
-        );
+        assert_eq!(wheel.pending(), 0, "the client arms nothing");
     }
     assert_eq!(client.in_flight(), N);
 
     let mut timed_out = HashSet::new();
     while timed_out.len() < N {
         assert!(started.elapsed() < Duration::from_secs(20), "stalled");
-        assert!(wheel.pending() <= 1);
+        assert_eq!(wheel.pending(), 0);
         match client.recv(Duration::from_millis(20)) {
             Some(WireEvent::TimedOut { id }) => {
                 // The write that carried it came after `started`.
@@ -539,7 +534,7 @@ fn black_hole_sends_once_then_times_out_each_request_once() {
         None,
         "nothing extra"
     );
-    assert!(wheel.pending() <= 1);
+    assert_eq!(wheel.pending(), 0);
     assert_eq!(client.in_flight(), 0);
     assert_eq!(client.timeouts(), N as u64);
     drop(client);
@@ -562,9 +557,9 @@ fn black_hole_sends_once_then_times_out_each_request_once() {
 }
 
 /// A deadline no `Instant` can reach is none: the request goes out once
-/// and waits for its answer, never retransmitted and never timed out,
-/// and arms nothing on the wheel — where the deadline sum used to panic
-/// in `submit`.
+/// and waits for its answer, never retransmitted and never timed out —
+/// where the deadline sum used to panic in `submit`. The client arms
+/// nothing on the wheel, as for any deadline.
 #[test]
 fn an_endless_deadline_neither_retries_nor_times_out() {
     let (addr, sink) = black_hole();
@@ -578,7 +573,7 @@ fn an_endless_deadline_neither_retries_nor_times_out() {
         .submit(&ChannelRequest::new_call(0, CellId(1), 10))
         .expect("submit");
     assert_eq!(client.recv(Duration::from_millis(100)), None);
-    assert_eq!(wheel.pending(), 0, "no deadline, no timer");
+    assert_eq!(wheel.pending(), 0, "the client arms nothing");
     assert_eq!(client.in_flight(), 1);
     assert_eq!((client.retries(), client.timeouts()), (0, 0));
     drop(client);
@@ -586,6 +581,88 @@ fn an_endless_deadline_neither_retries_nor_times_out() {
     let (msg, used) = decode(&bytes).expect("one whole frame");
     assert!(matches!(msg, WireMsg::Request { id: a, .. } if a == id));
     assert_eq!(used, bytes.len(), "sent once");
+}
+
+/// A wait ends at the front request's deadline, not at its own end:
+/// against a peer that never answers, a 10 s `recv` returns the
+/// request's `TimedOut` no earlier than the 40 ms deadline and long
+/// before the 10 s are up.
+#[test]
+fn a_long_recv_wakes_at_the_front_deadline() {
+    let (addr, sink) = black_hole();
+    let cfg = WireClientConfig {
+        deadline: Duration::from_millis(40),
+        ..WireClientConfig::default()
+    };
+    let mut client = WireClient::connect(addr, cfg, &deadline_wheel()).expect("connect");
+    let id = client
+        .submit(&ChannelRequest::new_call(0, CellId(1), 10))
+        .expect("submit");
+    let started = Instant::now();
+    assert_eq!(
+        client.recv(Duration::from_secs(10)),
+        Some(WireEvent::TimedOut { id })
+    );
+    let waited = started.elapsed();
+    assert!(waited >= cfg.deadline, "timed out early, after {waited:?}");
+    assert!(
+        waited < Duration::from_secs(2),
+        "woke only at the wait's end, after {waited:?}"
+    );
+    drop(client);
+    sink.join().expect("sink");
+}
+
+/// A `recv` that does not wait reads the socket itself, and does not
+/// wait for it: before the peer answers it returns `None`, and once the
+/// grant is in the socket a poll returns it — no thread of the
+/// client's reads it in between. The peer answers when the first poll
+/// is over, or after `PATIENCE` should that poll wait for it instead.
+#[test]
+fn a_zero_wait_recv_reads_what_arrived() {
+    const PATIENCE: Duration = Duration::from_secs(5);
+    let (mut client, mut peer) = client_and_peer(WireClientConfig::default());
+    let id = client
+        .submit(&ChannelRequest::new_call(0, CellId(3), 10))
+        .expect("submit");
+    client.flush().expect("flush");
+    assert_eq!(
+        read_request_ids(&mut peer, &mut FrameDecoder::new(), 1),
+        [id]
+    );
+    let (polled, answer_now) = mpsc::channel::<()>();
+    let answer = std::thread::spawn(move || {
+        let _ = answer_now.recv_timeout(PATIENCE);
+        let grant = encode(&WireMsg::Granted {
+            id,
+            ticket: 7,
+            cell: 3,
+            channel: 5,
+            latency: 1,
+        });
+        peer.write_all(&grant).expect("answer");
+        peer
+    });
+    assert_eq!(
+        client.recv(Duration::ZERO),
+        None,
+        "nothing had arrived: the poll waited for the answer"
+    );
+    let _ = polled.send(());
+    let give_up = Instant::now() + Duration::from_secs(10);
+    let ev = loop {
+        if let Some(ev) = client.recv(Duration::ZERO) {
+            break ev;
+        }
+        assert!(Instant::now() < give_up, "the grant was never read");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(
+        matches!(ev, WireEvent::Granted { id: got, ticket: 7, .. } if got == id),
+        "got {ev:?}"
+    );
+    assert_eq!(client.in_flight(), 0);
+    drop(answer.join().expect("peer"));
 }
 
 /// The peer answers request 0 twice once it has arrived: the driver
@@ -639,7 +716,8 @@ fn a_duplicated_answer_is_delivered_once() {
 
 /// A `submit` that fails registered nothing. The peer closes its end
 /// with ten requests in flight; further submits succeed until the
-/// reader has seen the connection close and fail from then on. Every id
+/// client's first read after the close — the one after the write of a
+/// full queue — and fail from then on. Every id
 /// that times out afterwards is one a `submit` returned, each exactly
 /// once, and the peer, still reading, got each of them once.
 #[test]

@@ -3,10 +3,14 @@
 
     fold.py run.prof [--exe PATH] [--repo /crates/] [--top 30] [--callers SYMBOL]
 
-Prints three tables, each in samples and percent of all samples: by leaf
+Prints four tables, each in samples and percent of all samples: by leaf
 function (innermost inlined frame at the interrupted pc), by the first
-frame whose source file is in this repository (path contains --repo), and
-inclusive (a function counts once a sample, wherever on the stack). With
+frame whose source file is in this repository (path contains --repo),
+inclusive (a function counts once a sample, wherever on the stack), and by
+thread (samples grouped by the closure the thread was spawned with, and
+named by the function they most often show it running: the outermost
+repository frame under `thread_start` that is not a closure; `main` for
+stacks with no `thread_start`). With
 --callers, the repository frames directly above any frame matching SYMBOL.
 Frames outside the executable are named by their mapping: [libc.so.6],
 [vdso]. Build the executable with CARGO_PROFILE_RELEASE_DEBUG=line-tables-only.
@@ -56,6 +60,23 @@ def symbolize(exe, offsets):
     return table
 
 
+def spawned(stack, repo):
+    """What a stack (leaf first) ran under: None on the main thread (no
+    `thread_start` frame); else the closure the thread was spawned with,
+    as std's `__rust_begin_short_backtrace<F, _>` frame names it, and the
+    outermost repository frame under it that is not a closure (None when
+    inlining left none in this stack)."""
+    start = next((k for k, (fn, _) in enumerate(stack) if "thread_start" in fn), None)
+    if start is None:
+        return None, None
+    under = stack[:start]
+    closure = next((fn for fn, _ in reversed(under) if fn.startswith("__rust_begin_short_backtrace<")),
+                   under[-1][0] if under else "??")
+    named = next((fn for fn, file in reversed(under) if repo in file
+                  and not fn.startswith("{closure") and "__rust_begin_short_backtrace" not in fn), None)
+    return closure, named
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("dump")
@@ -96,11 +117,16 @@ def main():
                        for fr in (table.get(off) or [("??", "??")] if lib is None else [(lib, lib)])])
 
     total = len(stacks)
-    leaf, first_repo, inclusive, callers = (collections.Counter() for _ in range(4))
+    leaf, first_repo, inclusive, by_closure, callers = (collections.Counter() for _ in range(5))
+    names = collections.defaultdict(collections.Counter)
     for st in stacks:
         if not st:
             continue
         leaf[st[0][0]] += 1
+        closure, named = spawned(st, args.repo)
+        by_closure[closure] += 1
+        if named:
+            names[closure][named] += 1
         first_repo[next((fn for fn, file in st if args.repo in file), "(none)")] += 1
         inclusive.update({fn for fn, _ in st})
         if args.callers:
@@ -118,6 +144,13 @@ def main():
     show("leaf", leaf)
     show("first frame in " + args.repo, first_repo)
     show("inclusive", inclusive)
+    # A thread is named by the function its samples most often show it
+    # spawned to run: inlining drops that frame from some stacks.
+    threads = collections.Counter()
+    for closure, n in by_closure.items():
+        name = "main" if closure is None else (names[closure].most_common(1) or [(closure,)])[0][0]
+        threads[name] += n
+    show("thread", threads)
     if args.callers:
         show("callers of " + args.callers, callers)
 
