@@ -24,13 +24,11 @@ use adca_core::codec;
 use adca_core::{CallQueue, LamportClock, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{
-    DecodeError, Effects, ProtocolState, Reader, RequestId, RequestKind, StateMachine, Writer,
-};
+use adca_simkit::{Effects, ProtocolState, RequestId, RequestKind, StateMachine, Writer};
 use std::collections::VecDeque;
 
 /// Wire messages of the advanced search scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(clippy::large_enum_variant)]
 pub enum AdvancedSearchMsg {
     /// Third leg of the transfer handshake (the RELEASE of the paper's
@@ -77,7 +75,7 @@ pub enum AdvancedSearchMsg {
 }
 
 /// The post-collect decision work list.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum SearchPhase {
     Collect {
         remaining: RegionMask,
@@ -103,7 +101,7 @@ enum SearchPhase {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Search {
     req: RequestId,
     ts: Timestamp,
@@ -112,7 +110,7 @@ struct Search {
 }
 
 /// A mobile service station running advanced search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdvancedSearchNode {
     me: CellId,
     spectrum: Spectrum,
@@ -640,88 +638,6 @@ impl ProtocolState for AdvancedSearchNode {
         }
     }
 
-    fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.allocated = r.get_channel_set()?;
-        self.used = r.get_channel_set()?;
-        self.lent = r.get_channel_set()?;
-        self.clock = LamportClock::restore(self.me, r.get_u64()?);
-        self.call_q = codec::get_call_queue(r)?;
-        self.search = if r.get_bool()? {
-            let req = RequestId(r.get_u64()?);
-            let ts = codec::get_timestamp(r)?;
-            let started = r.get_time()?;
-            let phase = match r.get_u8()? {
-                0 => {
-                    let remaining = codec::get_region_mask(r, &self.region)?;
-                    let alloc_union = r.get_channel_set()?;
-                    let used_union = r.get_channel_set()?;
-                    let k = r.get_len()?;
-                    let mut idle_by_owner = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        let owner = r.get_cell()?;
-                        let idle = r.get_channel_set()?;
-                        idle_by_owner.push((owner, idle));
-                    }
-                    SearchPhase::Collect {
-                        remaining,
-                        alloc_union,
-                        used_union,
-                        idle_by_owner,
-                    }
-                }
-                1 => {
-                    let ch = r.get_channel()?;
-                    let remaining = codec::get_region_mask(r, &self.region)?;
-                    let g = r.get_len()?;
-                    let mut agreed = Vec::with_capacity(g);
-                    for _ in 0..g {
-                        agreed.push(r.get_cell()?);
-                    }
-                    let kept = r.get_bool()?;
-                    let c = r.get_len()?;
-                    let mut candidates = VecDeque::with_capacity(c);
-                    for _ in 0..c {
-                        let cand = r.get_channel()?;
-                        let o = r.get_len()?;
-                        let mut owners = Vec::with_capacity(o);
-                        for _ in 0..o {
-                            let owner = r.get_cell()?;
-                            if self.region.binary_search(&owner).is_err() {
-                                return Err(DecodeError::Corrupt(
-                                    "transfer owner outside the region",
-                                ));
-                            }
-                            owners.push(owner);
-                        }
-                        candidates.push_back((cand, owners));
-                    }
-                    SearchPhase::Transfer {
-                        ch,
-                        remaining,
-                        agreed,
-                        kept,
-                        candidates,
-                    }
-                }
-                _ => return Err(DecodeError::Corrupt("advanced-search phase tag")),
-            };
-            Some(Search {
-                req,
-                ts,
-                started,
-                phase,
-            })
-        } else {
-            None
-        };
-        let n = r.get_len()?;
-        self.deferred = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            self.deferred.push_back(r.get_cell()?);
-        }
-        Ok(())
-    }
-
     fn encode_msg(msg: &AdvancedSearchMsg, w: &mut Writer) {
         match msg {
             AdvancedSearchMsg::Confirm { ch, take } => {
@@ -751,32 +667,6 @@ impl ProtocolState for AdvancedSearchNode {
                 w.put_channel(*ch);
             }
         }
-    }
-
-    fn decode_msg(r: &mut Reader<'_>) -> Result<AdvancedSearchMsg, DecodeError> {
-        Ok(match r.get_u8()? {
-            0 => AdvancedSearchMsg::Confirm {
-                ch: r.get_channel()?,
-                take: r.get_bool()?,
-            },
-            1 => AdvancedSearchMsg::Request {
-                ts: codec::get_timestamp(r)?,
-            },
-            2 => AdvancedSearchMsg::Response {
-                allocated: r.get_channel_set()?,
-                used: r.get_channel_set()?,
-            },
-            3 => AdvancedSearchMsg::Transfer {
-                ch: r.get_channel()?,
-            },
-            4 => AdvancedSearchMsg::Agree {
-                ch: r.get_channel()?,
-            },
-            5 => AdvancedSearchMsg::Keep {
-                ch: r.get_channel()?,
-            },
-            _ => return Err(DecodeError::Corrupt("advanced-search msg tag")),
-        })
     }
 }
 

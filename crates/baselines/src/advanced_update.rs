@@ -33,10 +33,7 @@ use adca_core::codec;
 use adca_core::{CallQueue, LamportClock, NeighborView, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{
-    DecodeError, Effects, ProtocolState, Reader, RequestId, RequestKind, SimTime, StateMachine,
-    Writer,
-};
+use adca_simkit::{Effects, ProtocolState, RequestId, RequestKind, StateMachine, Writer};
 use std::collections::BTreeMap;
 
 /// Give up (drop the call) after this many rejected attempts, as
@@ -44,7 +41,7 @@ use std::collections::BTreeMap;
 const MAX_ATTEMPTS: u32 = 16;
 
 /// Wire messages of the advanced update scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdvancedUpdateMsg {
     /// Permission request for borrowing channel `ch`, sent to `NP(c, ch)`.
     Request {
@@ -81,7 +78,7 @@ pub enum AdvancedUpdateMsg {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Attempt {
     req: RequestId,
     ch: Channel,
@@ -116,6 +113,38 @@ pub struct AdvancedUpdateNode {
     borrowable: ChannelSet,
     /// When service of the head request began (protocol latency metric).
     serving_since: Option<adca_simkit::SimTime>,
+}
+
+/// Every field but `topo`, the system model every node of a run is built
+/// from (it has no `PartialEq`, and two states of one run share it).
+impl PartialEq for AdvancedUpdateNode {
+    fn eq(&self, other: &Self) -> bool {
+        let AdvancedUpdateNode {
+            me,
+            spectrum,
+            topo: _,
+            primary,
+            used,
+            view,
+            clock,
+            call_q,
+            attempt,
+            pending_grants,
+            borrowable,
+            serving_since,
+        } = self;
+        *me == other.me
+            && *spectrum == other.spectrum
+            && *primary == other.primary
+            && *used == other.used
+            && *view == other.view
+            && *clock == other.clock
+            && *call_q == other.call_q
+            && *attempt == other.attempt
+            && *pending_grants == other.pending_grants
+            && *borrowable == other.borrowable
+            && *serving_since == other.serving_since
+    }
 }
 
 impl AdvancedUpdateNode {
@@ -505,43 +534,6 @@ impl ProtocolState for AdvancedUpdateNode {
         w.put_opt_u64(self.serving_since.map(|t| t.ticks()));
     }
 
-    fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.used = r.get_channel_set()?;
-        codec::get_view(r, &mut self.view)?;
-        self.clock = LamportClock::restore(self.me, r.get_u64()?);
-        self.call_q = codec::get_call_queue(r)?;
-        self.attempt = if r.get_bool()? {
-            let req = RequestId(r.get_u64()?);
-            let ch = r.get_channel()?;
-            let remaining = codec::get_region_mask(r, self.view.members())?;
-            let g = r.get_len()?;
-            let mut granted = Vec::with_capacity(g);
-            for _ in 0..g {
-                granted.push(r.get_cell()?);
-            }
-            Some(Attempt {
-                req,
-                ch,
-                remaining,
-                granted,
-                failed: r.get_bool()?,
-                attempts_so_far: r.get_u32()?,
-                tried: r.get_channel_set()?,
-            })
-        } else {
-            None
-        };
-        let n = r.get_len()?;
-        self.pending_grants = BTreeMap::new();
-        for _ in 0..n {
-            let ch = r.get_channel()?;
-            let holder = r.get_cell()?;
-            self.pending_grants.insert(ch, holder);
-        }
-        self.serving_since = r.get_opt_u64()?.map(SimTime);
-        Ok(())
-    }
-
     fn encode_msg(msg: &AdvancedUpdateMsg, w: &mut Writer) {
         match msg {
             AdvancedUpdateMsg::Request { ch, ts } => {
@@ -570,31 +562,6 @@ impl ProtocolState for AdvancedUpdateNode {
                 w.put_channel(*ch);
             }
         }
-    }
-
-    fn decode_msg(r: &mut Reader<'_>) -> Result<AdvancedUpdateMsg, DecodeError> {
-        Ok(match r.get_u8()? {
-            0 => AdvancedUpdateMsg::Request {
-                ch: r.get_channel()?,
-                ts: codec::get_timestamp(r)?,
-            },
-            1 => AdvancedUpdateMsg::Grant {
-                ch: r.get_channel()?,
-            },
-            2 => AdvancedUpdateMsg::CondGrant {
-                ch: r.get_channel()?,
-            },
-            3 => AdvancedUpdateMsg::Reject {
-                ch: r.get_channel()?,
-            },
-            4 => AdvancedUpdateMsg::Acquisition {
-                ch: r.get_channel()?,
-            },
-            5 => AdvancedUpdateMsg::Release {
-                ch: r.get_channel()?,
-            },
-            _ => return Err(DecodeError::Corrupt("advanced-update msg tag")),
-        })
     }
 }
 

@@ -19,7 +19,7 @@ use adca_core::{CallQueue, LamportClock, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, Writer};
+use adca_simkit::{DropCause, ProtocolState, RequestId, RequestKind, Writer};
 use std::collections::VecDeque;
 
 /// With hardening on: resends (same timestamp, outstanding responders
@@ -37,7 +37,7 @@ pub struct BasicSearchConfig {
 }
 
 /// Wire messages of the basic search scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BasicSearchMsg {
     /// Search request with the requester's timestamp.
     Request {
@@ -71,7 +71,7 @@ pub enum BasicSearchMsg {
 }
 
 /// One in-flight search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Search {
     req: RequestId,
     ts: Timestamp,
@@ -84,7 +84,7 @@ struct Search {
 }
 
 /// A mobile service station running basic search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasicSearchNode {
     me: CellId,
     cfg: BasicSearchConfig,
@@ -446,38 +446,6 @@ impl ProtocolState for BasicSearchNode {
         w.put_opt_u64(self.armed);
     }
 
-    fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.used = r.get_channel_set()?;
-        self.clock = LamportClock::restore(self.me, r.get_u64()?);
-        self.call_q = codec::get_call_queue(r)?;
-        self.search = if r.get_bool()? {
-            let req = RequestId(r.get_u64()?);
-            let ts = codec::get_timestamp(r)?;
-            let started = r.get_time()?;
-            let remaining = codec::get_region_mask(r, &self.region)?;
-            Some(Search {
-                req,
-                ts,
-                started,
-                remaining,
-                seen_used: r.get_channel_set()?,
-                retries: r.get_u32()?,
-            })
-        } else {
-            None
-        };
-        let n = r.get_len()?;
-        self.deferred = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let j = r.get_cell()?;
-            let ts = codec::get_timestamp(r)?;
-            self.deferred.push_back((j, ts));
-        }
-        self.timer_epoch = r.get_u64()?;
-        self.armed = r.get_opt_u64()?;
-        Ok(())
-    }
-
     fn encode_msg(msg: &BasicSearchMsg, w: &mut Writer) {
         match msg {
             BasicSearchMsg::Request { ts } => {
@@ -494,22 +462,6 @@ impl ProtocolState for BasicSearchNode {
                 codec::put_timestamp(w, *ts);
             }
         }
-    }
-
-    fn decode_msg(r: &mut Reader<'_>) -> Result<BasicSearchMsg, DecodeError> {
-        Ok(match r.get_u8()? {
-            0 => BasicSearchMsg::Request {
-                ts: codec::get_timestamp(r)?,
-            },
-            1 => BasicSearchMsg::Response {
-                used: r.get_channel_set()?,
-                ts: codec::get_timestamp(r)?,
-            },
-            2 => BasicSearchMsg::Busy {
-                ts: codec::get_timestamp(r)?,
-            },
-            _ => return Err(DecodeError::Corrupt("basic-search msg tag")),
-        })
     }
 }
 

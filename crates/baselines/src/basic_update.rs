@@ -18,9 +18,7 @@ use adca_core::{CallQueue, LamportClock, NeighborView, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{
-    DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, SimTime, Writer,
-};
+use adca_simkit::{DropCause, ProtocolState, RequestId, RequestKind, Writer};
 
 /// Safety valve: give up (drop the call) after this many rejected
 /// attempts. The original scheme retries forever — `m` is unbounded
@@ -45,7 +43,7 @@ pub struct BasicUpdateConfig {
 }
 
 /// Wire messages of the basic update scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BasicUpdateMsg {
     /// Permission request for a channel.
     Request {
@@ -85,7 +83,7 @@ pub enum BasicUpdateMsg {
 }
 
 /// One permission round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Attempt {
     req: RequestId,
     ts: Timestamp,
@@ -102,7 +100,7 @@ struct Attempt {
 }
 
 /// A mobile service station running basic update.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasicUpdateNode {
     me: CellId,
     cfg: BasicUpdateConfig,
@@ -521,41 +519,6 @@ impl ProtocolState for BasicUpdateNode {
         w.put_opt_u64(self.armed);
     }
 
-    fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.used = r.get_channel_set()?;
-        codec::get_view(r, &mut self.view)?;
-        self.clock = LamportClock::restore(self.me, r.get_u64()?);
-        self.call_q = codec::get_call_queue(r)?;
-        self.attempt = if r.get_bool()? {
-            let req = RequestId(r.get_u64()?);
-            let ts = codec::get_timestamp(r)?;
-            let ch = r.get_channel()?;
-            let remaining = codec::get_region_mask(r, self.view.members())?;
-            let g = r.get_len()?;
-            let mut granted = Vec::with_capacity(g);
-            for _ in 0..g {
-                granted.push(r.get_cell()?);
-            }
-            Some(Attempt {
-                req,
-                ts,
-                ch,
-                remaining,
-                granted,
-                rejected: r.get_bool()?,
-                aborted: r.get_bool()?,
-                attempts_so_far: r.get_u32()?,
-                retries: r.get_u32()?,
-            })
-        } else {
-            None
-        };
-        self.serving_since = r.get_opt_u64()?.map(SimTime);
-        self.timer_epoch = r.get_u64()?;
-        self.armed = r.get_opt_u64()?;
-        Ok(())
-    }
-
     fn encode_msg(msg: &BasicUpdateMsg, w: &mut Writer) {
         match msg {
             BasicUpdateMsg::Request { ch, ts } => {
@@ -582,30 +545,6 @@ impl ProtocolState for BasicUpdateNode {
                 w.put_channel(*ch);
             }
         }
-    }
-
-    fn decode_msg(r: &mut Reader<'_>) -> Result<BasicUpdateMsg, DecodeError> {
-        Ok(match r.get_u8()? {
-            0 => BasicUpdateMsg::Request {
-                ch: r.get_channel()?,
-                ts: codec::get_timestamp(r)?,
-            },
-            1 => BasicUpdateMsg::Grant {
-                ch: r.get_channel()?,
-                ts: codec::get_timestamp(r)?,
-            },
-            2 => BasicUpdateMsg::Reject {
-                ch: r.get_channel()?,
-                ts: codec::get_timestamp(r)?,
-            },
-            3 => BasicUpdateMsg::Acquisition {
-                ch: r.get_channel()?,
-            },
-            4 => BasicUpdateMsg::Release {
-                ch: r.get_channel()?,
-            },
-            _ => return Err(DecodeError::Corrupt("basic-update msg tag")),
-        })
     }
 }
 

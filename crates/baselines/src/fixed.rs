@@ -9,12 +9,10 @@
 
 use adca_hexgrid::{CellId, Channel, ChannelSet, Topology};
 use adca_simkit::trace::{AcqPath, TraceEvent};
-use adca_simkit::{
-    DecodeError, Effects, ProtocolState, Reader, RequestId, RequestKind, StateMachine, Writer,
-};
+use adca_simkit::{Effects, ProtocolState, RequestId, RequestKind, StateMachine, Writer};
 
 /// A mobile service station running fixed allocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixedNode {
     me: CellId,
     primary: ChannelSet,
@@ -98,16 +96,7 @@ impl ProtocolState for FixedNode {
         w.put_channel_set(&self.used);
     }
 
-    fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.used = r.get_channel_set()?;
-        Ok(())
-    }
-
     fn encode_msg(_msg: &(), _w: &mut Writer) {}
-
-    fn decode_msg(_r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        Ok(())
-    }
 }
 
 #[cfg(test)]

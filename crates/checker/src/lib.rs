@@ -914,6 +914,13 @@ impl<N: CheckNode> Model<N> {
     /// frontier exhaustion (a completed proof over the bounded model),
     /// or at the state cap (`truncated = true`).
     pub fn explore(&self) -> CheckOutcome {
+        self.explore_seeing(|_, _, _| {})
+    }
+
+    /// [`Model::explore`], calling `seen(identity, state, first)` on the
+    /// initial state and on every successor, `first` telling a new
+    /// identity from a repeat.
+    fn explore_seeing(&self, mut seen: impl FnMut(u128, &State<N>, bool)) -> CheckOutcome {
         let mut outcome = CheckOutcome {
             states: 0,
             transitions: 0,
@@ -934,6 +941,7 @@ impl<N: CheckNode> Model<N> {
         };
         let mut w = Writer::new();
         let h0 = Self::hash(&init, &mut w);
+        seen(h0, &init, true);
         // Every state seen, with the edge that first reached it.
         let mut parents: HashMap<u128, Option<(u128, Choice)>> = HashMap::from([(h0, None)]);
         let mut frontier: VecDeque<(u128, State<N>)> = VecDeque::from([(h0, init)]);
@@ -983,7 +991,9 @@ impl<N: CheckNode> Model<N> {
                     }
                     Ok(next) => {
                         let nh = Self::hash(&next, &mut w);
-                        if let Entry::Vacant(slot) = parents.entry(nh) {
+                        let entry = parents.entry(nh);
+                        seen(nh, &next, matches!(entry, Entry::Vacant(_)));
+                        if let Entry::Vacant(slot) = entry {
                             slot.insert(Some((h, choice)));
                             outcome.states += 1;
                             if outcome.states >= self.max_states {
@@ -1099,6 +1109,150 @@ impl ReplayObserver for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adca_baselines::{
+        AdvancedSearchNode, AdvancedUpdateNode, BasicSearchNode, BasicUpdateConfig,
+        BasicUpdateNode, FixedNode,
+    };
+    use adca_core::{AdaptiveConfig, AdaptiveNode};
+    use adca_hexgrid::ReusePattern;
+
+    /// The first line where two `{:#?}` renderings part, after the lines
+    /// that enclose it: they name the field that differs.
+    fn first_difference(a: &str, b: &str) -> String {
+        let (a, b): (Vec<_>, Vec<_>) = (a.lines().collect(), b.lines().collect());
+        let Some(i) = (0..a.len().min(b.len())).find(|&i| a[i] != b[i]) else {
+            return format!("{} lines | {} lines", a.len(), b.len());
+        };
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        let mut depth = indent(a[i]);
+        let mut path = Vec::new();
+        for l in a[..i].iter().rev() {
+            if indent(l) < depth {
+                depth = indent(l);
+                path.push(l.trim());
+            }
+        }
+        path.reverse();
+        format!("{} {} | {}", path.join(" "), a[i].trim(), b[i].trim())
+    }
+
+    /// Explores `model` keeping every state by its identity, and requires
+    /// a state whose identity repeats to equal the kept one in its nodes
+    /// and queues by value: an `encode_state` or `encode_msg` that leaves
+    /// a field out merges states that differ in it, and fails here.
+    /// Returns the outcome and how many repeats were compared.
+    fn explore_comparing<N>(model: &Model<N>) -> (CheckOutcome, usize)
+    where
+        N: CheckNode + PartialEq + fmt::Debug,
+        N::Msg: PartialEq,
+    {
+        let mut kept: HashMap<u128, State<N>> = HashMap::new();
+        let mut repeats = 0;
+        let out = model.explore_seeing(|h, st, first| {
+            if first {
+                kept.insert(h, st.clone());
+                return;
+            }
+            repeats += 1;
+            let was = &kept[&h];
+            for (i, (a, b)) in was.nodes.iter().zip(&st.nodes).enumerate() {
+                assert!(
+                    a == b,
+                    "two states share an identity, but node {i} differs: {}",
+                    first_difference(&format!("{a:#?}"), &format!("{b:#?}"))
+                );
+            }
+            assert!(
+                was.queues == st.queues,
+                "two states share an identity, but their queues differ: {:?} | {:?}",
+                was.queues,
+                st.queues
+            );
+        });
+        (out, repeats)
+    }
+
+    /// `mck`'s 1×n strip (3-cell reuse at radius 1, 3 channels).
+    fn strip(cells: u32) -> Arc<Topology> {
+        Arc::new(
+            Topology::builder(1, cells)
+                .channels(3)
+                .pattern(ReusePattern::three_cell())
+                .interference_radius(1)
+                .build(),
+        )
+    }
+
+    /// `model` explored with every repeated identity compared by value.
+    fn compare<N>(model: Model<N>)
+    where
+        N: CheckNode + PartialEq + fmt::Debug,
+        N::Msg: PartialEq,
+    {
+        let (out, repeats) = explore_comparing(&model);
+        assert!(out.violation.is_none(), "{:?}", out.violation);
+        assert!(repeats > 0, "no identity repeated: nothing was compared");
+    }
+
+    /// One call per cell on `mck`'s strip of `cells`.
+    fn row<N: CheckNode>(
+        cells: u32,
+        budgets: Budgets,
+        factory: impl Fn(CellId, &Topology) -> N,
+    ) -> Model<N> {
+        Model::new(strip(cells), factory)
+            .with_uniform_script(&[Op::StartCall, Op::EndCall])
+            .with_budgets(budgets)
+    }
+
+    /// The rows of `quick_e16_rows_keep_their_state_counts`: the
+    /// deduplication behind their counts is sound only if the encodings
+    /// are complete, which is what [`explore_comparing`] checks. The
+    /// crash row is the one that reaches a restart, and with it the
+    /// adaptive node's `force_search`.
+    #[test]
+    fn a_repeated_identity_is_an_equal_state() {
+        let adaptive = |retry_ticks| {
+            move |cell, topo: &Topology| {
+                AdaptiveNode::new(
+                    cell,
+                    topo,
+                    AdaptiveConfig {
+                        retry_ticks,
+                        ..AdaptiveConfig::default()
+                    },
+                )
+            }
+        };
+        let none = Budgets::none();
+        let loss_dup = Budgets {
+            losses: 1,
+            dups: 1,
+            ..none
+        };
+        let part1 = Budgets {
+            partitions: 1,
+            ..none
+        };
+        compare(row(2, none, adaptive(None)));
+        compare(row(2, none, BasicSearchNode::new));
+        compare(row(2, none, |cell, topo| {
+            BasicUpdateNode::new(cell, topo, BasicUpdateConfig::default())
+        }));
+        compare(row(2, none, FixedNode::new));
+        compare(row(2, none, AdvancedUpdateNode::new));
+        compare(row(2, none, AdvancedSearchNode::new));
+        compare(row(3, none, adaptive(None)));
+        compare(row(3, none, BasicSearchNode::new));
+        compare(row(2, loss_dup, adaptive(Some(400))));
+        compare(row(2, part1, adaptive(Some(400))));
+        compare(
+            Model::new(strip(2), adaptive(Some(400)))
+                .with_uniform_script(&[Op::StartCall])
+                .with_budgets(Budgets { crashes: 1, ..none })
+                .with_max_states(30_000),
+        );
+    }
 
     #[test]
     fn schedule_round_trips_through_text() {

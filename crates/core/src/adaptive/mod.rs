@@ -51,9 +51,7 @@ use crate::view::NeighborView;
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{
-    DecodeError, DropCause, ProtocolState, Reader, RequestId, RequestKind, SimTime, Writer,
-};
+use adca_simkit::{DropCause, ProtocolState, RequestId, RequestKind, SimTime, Writer};
 use std::collections::{BTreeSet, VecDeque};
 
 #[cfg(test)]
@@ -87,7 +85,7 @@ impl Mode {
 }
 
 /// Wire messages of the adaptive protocol (Section 3.2).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdaptiveMsg {
     /// `REQUEST(req_type, r, ts_j, j)`: `update = Some(r)` is an update
     /// request for channel `r`; `update = None` is a search request.
@@ -173,7 +171,7 @@ pub enum AdaptiveMsg {
 
 /// A request deferred for later response (`DeferQ_i`). The requester's
 /// `(ts, round)` tags are stored so the eventual response echoes them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Deferred {
     /// A deferred update request for a channel.
     Update {
@@ -199,7 +197,7 @@ impl Deferred {
 }
 
 /// How the current acquisition attempt is waiting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Phase {
     /// Local mode, blocked on `waiting_i = 0`.
     WaitQuiet,
@@ -226,7 +224,7 @@ enum Via {
 }
 
 /// The in-flight acquisition attempt (at most one per node).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Attempt {
     req: RequestId,
     ts: Timestamp,
@@ -293,6 +291,52 @@ pub struct AdaptiveNode {
     /// deadline, so stale timer firings are ignored by tag mismatch.
     timer_epoch: u64,
     armed: Option<u64>,
+}
+
+/// Every field but `topo`, the system model every node of a run is built
+/// from (it has no `PartialEq`, and two states of one run share it).
+impl PartialEq for AdaptiveNode {
+    fn eq(&self, other: &Self) -> bool {
+        let AdaptiveNode {
+            cfg,
+            me,
+            spectrum,
+            topo: _,
+            pr,
+            used,
+            view,
+            nfc,
+            mode,
+            update_subs,
+            defer_q,
+            owed,
+            rounds,
+            clock,
+            call_q,
+            attempt,
+            force_search,
+            timer_epoch,
+            armed,
+        } = self;
+        *cfg == other.cfg
+            && *me == other.me
+            && *spectrum == other.spectrum
+            && *pr == other.pr
+            && *used == other.used
+            && *view == other.view
+            && *nfc == other.nfc
+            && *mode == other.mode
+            && *update_subs == other.update_subs
+            && *defer_q == other.defer_q
+            && *owed == other.owed
+            && *rounds == other.rounds
+            && *clock == other.clock
+            && *call_q == other.call_q
+            && *attempt == other.attempt
+            && *force_search == other.force_search
+            && *timer_epoch == other.timer_epoch
+            && *armed == other.armed
+    }
 }
 
 impl AdaptiveNode {
@@ -1632,38 +1676,6 @@ fn put_phase(w: &mut Writer, phase: &Phase) {
     }
 }
 
-fn get_phase(r: &mut Reader<'_>, region_len: usize) -> Result<Phase, DecodeError> {
-    let get_mask = |r: &mut Reader<'_>| -> Result<RegionMask, DecodeError> {
-        RegionMask::from_bits(r.get_u64()?, region_len)
-            .ok_or(DecodeError::Corrupt("region mask out of range"))
-    };
-    Ok(match r.get_u8()? {
-        0 => Phase::WaitQuiet,
-        1 => Phase::AwaitStatus {
-            remaining: get_mask(r)?,
-        },
-        2 => {
-            let ch = r.get_channel()?;
-            let remaining = get_mask(r)?;
-            let n = r.get_len()?;
-            let mut granted = Vec::with_capacity(n);
-            for _ in 0..n {
-                granted.push(r.get_cell()?);
-            }
-            Phase::Update {
-                ch,
-                remaining,
-                granted,
-                rejected: r.get_bool()?,
-            }
-        }
-        3 => Phase::Search {
-            remaining: get_mask(r)?,
-        },
-        _ => return Err(DecodeError::Corrupt("adaptive phase tag")),
-    })
-}
-
 fn put_opt_channel(w: &mut Writer, ch: Option<Channel>) {
     match ch {
         None => w.put_bool(false),
@@ -1672,14 +1684,6 @@ fn put_opt_channel(w: &mut Writer, ch: Option<Channel>) {
             w.put_channel(c);
         }
     }
-}
-
-fn get_opt_channel(r: &mut Reader<'_>) -> Result<Option<Channel>, DecodeError> {
-    Ok(if r.get_bool()? {
-        Some(r.get_channel()?)
-    } else {
-        None
-    })
 }
 
 impl ProtocolState for AdaptiveNode {
@@ -1750,70 +1754,6 @@ impl ProtocolState for AdaptiveNode {
         w.put_opt_u64(self.armed);
     }
 
-    fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.used = r.get_channel_set()?;
-        codec::get_view(r, &mut self.view)?;
-        self.nfc = codec::get_nfc(r, self.cfg.window)?;
-        self.mode = match r.get_u8()? {
-            0 => Mode::Local,
-            1 => Mode::Borrowing,
-            2 => Mode::BorrowUpdate,
-            3 => Mode::BorrowSearch,
-            _ => return Err(DecodeError::Corrupt("adaptive mode tag")),
-        };
-        let n = r.get_len()?;
-        self.update_subs = BTreeSet::new();
-        for _ in 0..n {
-            self.update_subs.insert(r.get_cell()?);
-        }
-        let n = r.get_len()?;
-        self.defer_q = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let d = match r.get_u8()? {
-                0 => Deferred::Update {
-                    from: r.get_cell()?,
-                    ch: r.get_channel()?,
-                    ts: codec::get_timestamp(r)?,
-                    round: r.get_u32()?,
-                },
-                1 => Deferred::Search {
-                    from: r.get_cell()?,
-                    ts: codec::get_timestamp(r)?,
-                    round: r.get_u32()?,
-                },
-                _ => return Err(DecodeError::Corrupt("adaptive deferred tag")),
-            };
-            self.defer_q.push_back(d);
-        }
-        let n = r.get_len()?;
-        self.owed = Vec::with_capacity(n);
-        for _ in 0..n {
-            let j = r.get_cell()?;
-            let ts = codec::get_timestamp(r)?;
-            let at = r.get_time()?;
-            self.owed.push((j, ts, at));
-        }
-        self.rounds = r.get_u32()?;
-        self.clock = LamportClock::restore(self.me, r.get_u64()?);
-        self.call_q = codec::get_call_queue(r)?;
-        self.attempt = if r.get_bool()? {
-            Some(Attempt {
-                req: RequestId(r.get_u64()?),
-                ts: codec::get_timestamp(r)?,
-                started: r.get_time()?,
-                phase: get_phase(r, self.view.members().len())?,
-                retries: r.get_u32()?,
-                round_seq: r.get_u32()?,
-            })
-        } else {
-            None
-        };
-        self.force_search = r.get_bool()?;
-        self.timer_epoch = r.get_u64()?;
-        self.armed = r.get_opt_u64()?;
-        Ok(())
-    }
-
     fn encode_msg(msg: &AdaptiveMsg, w: &mut Writer) {
         match msg {
             AdaptiveMsg::Request { update, ts, round } => {
@@ -1863,48 +1803,5 @@ impl ProtocolState for AdaptiveNode {
                 put_opt_channel(w, *ch);
             }
         }
-    }
-
-    fn decode_msg(r: &mut Reader<'_>) -> Result<AdaptiveMsg, DecodeError> {
-        Ok(match r.get_u8()? {
-            0 => AdaptiveMsg::Request {
-                update: get_opt_channel(r)?,
-                ts: codec::get_timestamp(r)?,
-                round: r.get_u32()?,
-            },
-            1 => AdaptiveMsg::Reject {
-                ch: r.get_channel()?,
-                ts: codec::get_timestamp(r)?,
-                round: r.get_u32()?,
-            },
-            2 => AdaptiveMsg::Grant {
-                ch: r.get_channel()?,
-                ts: codec::get_timestamp(r)?,
-                round: r.get_u32()?,
-            },
-            3 => AdaptiveMsg::SearchUse {
-                used: r.get_channel_set()?,
-                ts: codec::get_timestamp(r)?,
-                round: r.get_u32()?,
-            },
-            4 => AdaptiveMsg::Status {
-                used: r.get_channel_set()?,
-            },
-            5 => AdaptiveMsg::Busy {
-                ts: codec::get_timestamp(r)?,
-                round: r.get_u32()?,
-            },
-            6 => AdaptiveMsg::ChangeMode {
-                borrowing: r.get_bool()?,
-            },
-            7 => AdaptiveMsg::Release {
-                ch: r.get_channel()?,
-            },
-            8 => AdaptiveMsg::Acquisition {
-                search: r.get_bool()?,
-                ch: get_opt_channel(r)?,
-            },
-            _ => return Err(DecodeError::Corrupt("adaptive msg tag")),
-        })
     }
 }

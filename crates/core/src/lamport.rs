@@ -25,7 +25,7 @@ impl std::fmt::Display for Timestamp {
 }
 
 /// A per-node Lamport clock.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LamportClock {
     counter: u64,
     node: u32,
@@ -59,16 +59,6 @@ impl LamportClock {
     /// The current counter value (for tests/diagnostics).
     pub fn counter(&self) -> u64 {
         self.counter
-    }
-
-    /// Reconstructs a clock at an exact counter position (checkpoint
-    /// restore). Equivalent to `new` followed by the same tick/observe
-    /// history.
-    pub fn restore(node: CellId, counter: u64) -> Self {
-        LamportClock {
-            counter,
-            node: node.0,
-        }
     }
 }
 

@@ -33,12 +33,6 @@ impl RegionMask {
         RegionMask(if n >= 64 { u64::MAX } else { (1u64 << n) - 1 })
     }
 
-    /// The mask with exactly the bits of `bits`, or `None` if any lies
-    /// past a region of `n` members (decoding a checkpoint).
-    pub fn from_bits(bits: u64, n: usize) -> Option<Self> {
-        (bits & !Self::full(n).0 == 0).then_some(RegionMask(bits))
-    }
-
     /// The raw bits (bit `s` = slot `s` outstanding).
     pub fn bits(self) -> u64 {
         self.0
@@ -118,8 +112,6 @@ mod tests {
         assert_eq!(m, RegionMask::default());
         assert_eq!(m.len(), 0);
         assert_eq!(m.iter().count(), 0);
-        assert_eq!(RegionMask::from_bits(0, 0), Some(m));
-        assert_eq!(RegionMask::from_bits(1, 0), None);
     }
 
     #[test]
@@ -131,11 +123,6 @@ mod tests {
         assert!(m.remove(63) && m.remove(0));
         assert_eq!(m.iter().next(), Some(1));
         assert_eq!(m.iter().last(), Some(62));
-        assert_eq!(
-            RegionMask::from_bits(u64::MAX, 64).map(|m| m.len()),
-            Some(64)
-        );
-        assert_eq!(RegionMask::from_bits(1 << 63, 63), None);
     }
 
     #[test]

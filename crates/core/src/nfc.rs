@@ -18,7 +18,7 @@ use adca_simkit::SimTime;
 use std::collections::VecDeque;
 
 /// Sliding-window history of the number of free primary channels.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NfcWindow {
     /// Window size `W` in ticks.
     window: u64,
@@ -105,17 +105,9 @@ impl NfcWindow {
         self.entries.is_empty()
     }
 
-    /// The retained `(t, s)` entries, oldest first (checkpoint encode).
+    /// The retained `(t, s)` entries, oldest first (snapshot encode).
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u32)> + '_ {
         self.entries.iter().copied()
-    }
-
-    /// Appends an entry verbatim, bypassing coalescing and pruning
-    /// (checkpoint restore). Entries must be replayed oldest first,
-    /// exactly as yielded by [`NfcWindow::entries`].
-    pub fn restore_entry(&mut self, t: SimTime, s: u32) {
-        debug_assert!(self.entries.back().is_none_or(|&(lt, _)| lt <= t));
-        self.entries.push_back((t, s));
     }
 }
 

@@ -9,7 +9,7 @@ use adca_simkit::{RequestId, RequestKind};
 use std::collections::VecDeque;
 
 /// FIFO of `(request, kind)` pairs awaiting service at one MSS.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CallQueue {
     q: VecDeque<(RequestId, RequestKind)>,
 }

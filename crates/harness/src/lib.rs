@@ -11,12 +11,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod scenario;
 pub mod summary;
 pub mod sweep;
 
-pub use checkpoint::CheckpointError;
 pub use scenario::{CheckpointProbe, Scenario, SchemeKind};
 pub use summary::RunSummary;
 pub use sweep::{run_jobs, run_jobs_on, Replicated, SweepRunner};

@@ -1,6 +1,5 @@
 //! Scenario description and scheme dispatch.
 
-use crate::checkpoint::CheckpointError;
 use crate::summary::RunSummary;
 use adca_baselines::{
     AdvancedSearchNode, AdvancedUpdateNode, BasicSearchConfig, BasicSearchNode, BasicUpdateConfig,
@@ -11,17 +10,16 @@ use adca_hexgrid::Topology;
 use adca_serve::{AllocService, DesAllocService, ProductionAllocService, ProductionConfig};
 use adca_simkit::engine::{run_protocol, run_traced, Engine};
 use adca_simkit::trace::TraceSink;
-use adca_simkit::{Arrival, AuditMode, DecodeError, FaultPlan, LatencyModel, SimConfig, SimTime};
+use adca_simkit::{Arrival, AuditMode, FaultPlan, LatencyModel, SimConfig, SimTime};
 use adca_traffic::WorkloadSpec;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Expands `$body` once per scheme with `$factory` bound to that
-/// scheme's node factory (a `Clone` closure/fn suitable for
-/// `Engine::new` *and* `Engine::restore*`), so run, trace, snapshot,
-/// and restore entry points all dispatch through one definition instead
-/// of six hand-copied match arms each.
+/// scheme's node factory (a `Clone` closure/fn, so one body can build
+/// two engines), so the run, trace, serve and checkpoint entry points
+/// all dispatch through one definition instead of six hand-copied match
+/// arms each.
 macro_rules! dispatch_scheme {
     ($sc:expr, $kind:expr, $factory:ident => $body:expr) => {{
         match $kind {
@@ -359,7 +357,7 @@ impl Scenario {
     }
 
     /// Runs `kind` up to tick `warmup` (inclusive) and returns the
-    /// engine snapshot.
+    /// engine snapshot: the input of the golden-digest test.
     pub fn warmup_snapshot(&self, kind: SchemeKind, warmup: u64) -> Vec<u8> {
         let topo = self.topology();
         let arrivals = self.arrivals(&topo);
@@ -371,69 +369,15 @@ impl Scenario {
         })
     }
 
-    /// Restores exact-checkpoint bytes (as produced by
-    /// [`Scenario::warmup_snapshot`] or [`Scenario::run_checkpointed`])
-    /// and runs to completion. The scenario must match the one the
-    /// snapshot was taken under — including seeds — or the restore
-    /// reports a [`DecodeError::Mismatch`] naming the differing field.
-    pub fn resume_bytes(&self, kind: SchemeKind, snap: &[u8]) -> Result<RunSummary, DecodeError> {
-        let topo = self.topology();
-        let cfg = self.sim_config();
-        let started = Instant::now();
-        let report = dispatch_scheme!(self, kind, factory => {
-            Engine::restore(topo, cfg, factory, snap)?.run()
-        });
-        Ok(RunSummary::new(kind, report, self.t_ticks).with_wall(started.elapsed()))
-    }
-
-    /// Reads a checkpoint file and resumes it to completion.
-    pub fn resume_from(
-        &self,
-        kind: SchemeKind,
-        path: &Path,
-    ) -> Result<RunSummary, CheckpointError> {
-        let bytes = std::fs::read(path)?;
-        Ok(self.resume_bytes(kind, &bytes)?)
-    }
-
-    /// Runs `kind` to completion while writing a snapshot of the full
-    /// engine state to `path` every `every` ticks, plus once at
-    /// quiescence. A killed run resumes from the last
-    /// written checkpoint via [`Scenario::resume_from`] and finishes
-    /// with a report bit-identical to the uninterrupted run. Each
-    /// snapshot goes to a sibling `<path>.tmp` that is then renamed over
-    /// `path`, so a kill or a reader in mid-write finds the previous
-    /// checkpoint whole.
+    /// Timing probe behind `des_faulted`'s checkpoint: runs to tick
+    /// `at` and times `snapshot()`; then builds a second engine from the
+    /// same inputs, runs it to `at` and requires its snapshot to equal
+    /// the first's bytes (timed together as `restore`); then drops the
+    /// first engine and runs the second to completion.
     ///
     /// # Panics
-    /// Panics if `every` is zero.
-    pub fn run_checkpointed(
-        &self,
-        kind: SchemeKind,
-        path: &Path,
-        every: u64,
-    ) -> std::io::Result<RunSummary> {
-        assert!(every >= 1, "checkpoint interval must be positive");
-        let topo = self.topology();
-        let arrivals = self.arrivals(&topo);
-        let cfg = self.sim_config();
-        let started = Instant::now();
-        let report = dispatch_scheme!(self, kind, factory => {
-            let mut engine = Engine::new(topo, cfg, factory, arrivals);
-            let mut until = every;
-            while engine.run_until(SimTime(until)) {
-                replace_file(path, &engine.snapshot())?;
-                until = until.saturating_add(every);
-            }
-            replace_file(path, &engine.snapshot())?;
-            engine.run()
-        });
-        Ok(RunSummary::new(kind, report, self.t_ticks).with_wall(started.elapsed()))
-    }
-
-    /// Timing probe behind the `e14_checkpoint` bench: runs to tick
-    /// `at`, times `snapshot()` and `restore()`, then runs the restored
-    /// engine to completion.
+    /// Panics if the two snapshots differ: a run to `at` is not a pure
+    /// function of the scenario.
     pub fn checkpoint_probe(&self, kind: SchemeKind, at: u64) -> CheckpointProbe {
         let topo = self.topology();
         let arrivals = self.arrivals(&topo);
@@ -442,17 +386,21 @@ impl Scenario {
             // Some arms bind `Copy` fn items, others `Clone`-only
             // closures; `clone()` is the one spelling that covers both.
             #[allow(clippy::clone_on_copy)]
-            let restore_factory = factory.clone();
-            let mut engine = Engine::new(topo.clone(), cfg.clone(), factory, arrivals);
+            let replay_factory = factory.clone();
+            let mut engine = Engine::new(topo.clone(), cfg.clone(), factory, arrivals.clone());
             engine.run_until(SimTime(at));
             let t_save = Instant::now();
             let snap = engine.snapshot();
             let save = t_save.elapsed();
             let t_restore = Instant::now();
-            let mut resumed = Engine::restore(topo, cfg, restore_factory, &snap)
-                .expect("an engine's own snapshot restores under the same scenario");
+            let mut resumed = Engine::new(topo, cfg, replay_factory, arrivals);
+            resumed.run_until(SimTime(at));
+            assert!(
+                resumed.snapshot() == snap,
+                "{kind}: a replay to tick {at} reached another state than the run it replays"
+            );
             let restore = t_restore.elapsed();
-            // Drop the warmup engine before timing the resumed run: a
+            // Drop the first engine before timing the resumed run: a
             // second live engine's worth of state doubles the cache
             // footprint and taxes the run being measured.
             drop(engine);
@@ -468,16 +416,6 @@ impl Scenario {
     }
 }
 
-/// Writes `bytes` to `<path>.tmp` and renames that over `path`:
-/// `std::fs::write(path, …)` truncates first, which loses the previous
-/// file to a kill in mid-write.
-fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// What [`Scenario::checkpoint_probe`] measured.
 #[derive(Debug)]
 pub struct CheckpointProbe {
@@ -485,10 +423,11 @@ pub struct CheckpointProbe {
     pub snapshot_len: usize,
     /// Wall-clock time `Engine::snapshot` took.
     pub save: Duration,
-    /// Wall-clock time `Engine::restore` took.
+    /// Wall-clock time the replay took: building the second engine,
+    /// running it to the checkpoint and comparing its snapshot.
     pub restore: Duration,
-    /// The run finished from the restored engine (its `wall` covers only
-    /// the post-restore portion).
+    /// The run finished by the replayed engine (its `wall` covers only
+    /// the part after the checkpoint).
     pub resumed: RunSummary,
 }
 

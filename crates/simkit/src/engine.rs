@@ -1,13 +1,13 @@
 //! The deterministic discrete-event engine.
 
 use crate::equeue::{EqEntry, EventQueue};
-use crate::faults::{Crash, FaultPlan, Partition};
+use crate::faults::FaultPlan;
 use crate::ground::Ground;
 use crate::latency::{LatencyModel, MsgMeta};
 use crate::report::{AuditMode, DropCause, SimReport, Violation};
 use crate::rng::SplitMix64;
 use crate::sm::{Action, Effects, Input, RequestId, RequestKind, StateMachine};
-use crate::snapshot::{fnv1a, DecodeError, ProtocolState, Reader, Writer, FNV_OFFSET};
+use crate::snapshot::{fnv1a, ProtocolState, Writer, FNV_OFFSET};
 use crate::time::SimTime;
 use crate::trace::{NoopSink, TraceEvent, TraceSink};
 use crate::workload::Arrival;
@@ -130,8 +130,7 @@ struct ReqRecord {
 /// [`RequestId`], so traces cannot drive per-ticket confirms, and the
 /// log is deliberately kept *out* of [`SimReport`] (reports stay
 /// bit-identical whether or not anyone drains outcomes) and out of
-/// snapshots (a restored engine starts with an empty log). Drain it with
-/// [`Engine::take_outcomes`].
+/// snapshots. Drain it with [`Engine::take_outcomes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReqOutcome {
     /// The request this record resolves.
@@ -177,11 +176,9 @@ impl<V: Default> Slots<V> {
         }
     }
 
-    /// No key is `name`'s pointer: a first use, a literal another codegen
-    /// unit holds a copy of, or a restored slot, whose re-interned label
-    /// lives at another address than the caller's literal. Re-key a
-    /// textual match to the live pointer, so that later probes take the
-    /// identity scan.
+    /// No key is `name`'s pointer: a first use, or a literal another
+    /// codegen unit holds a copy of. Re-key a textual match to the live
+    /// pointer, so that later probes take the identity scan.
     #[cold]
     fn slot_by_text(&mut self, name: &'static str) -> &mut V {
         let i = match self.0.iter().position(|(k, _)| *k == name) {
@@ -264,13 +261,12 @@ pub struct Shared<M, S: TraceSink = NoopSink> {
     calls: Vec<CallRecord>,
     reqs: Vec<ReqRecord>,
     pending_reqs: u64,
-    /// Whether the `Input::Start` hooks have fired (exactly once per engine
-    /// lifetime; a restored engine skips them).
+    /// Whether the `Input::Start` hooks have fired (once, at the first
+    /// `run_until`).
     started: bool,
     /// Whether the event-budget guard tripped; pumping never resumes.
     halted: bool,
-    /// Events processed so far (across `run_until` calls and, via
-    /// snapshots, across engine lifetimes).
+    /// Events processed so far (across `run_until` calls).
     events_processed: u64,
     /// Per-event counters, folded into `report` at the end of the run.
     msg_kinds: SlotCounters,
@@ -750,9 +746,8 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
         self.actions = actions;
     }
 
-    /// Fires the [`Input::Start`] hooks exactly once per engine *lifetime* — a
-    /// restored engine skips them, because they already ran before the
-    /// snapshot was taken (their effects are part of the captured state).
+    /// Fires the [`Input::Start`] hooks exactly once, before the first
+    /// event.
     fn ensure_started(&mut self) {
         if self.sh.started {
             return;
@@ -768,7 +763,7 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
     ///
     /// Pausing is invisible to the simulation: `run_until(t)` then
     /// `run()` processes the exact event sequence `run()` alone would.
-    /// This is the checkpoint hook — pause, [`Engine::snapshot`], resume.
+    /// This is the checkpoint hook — pause, [`Engine::snapshot`], go on.
     pub fn run_until(&mut self, until: SimTime) -> bool {
         self.ensure_started();
         while !self.sh.halted {
@@ -976,13 +971,13 @@ impl<P: StateMachine, S: TraceSink> Engine<P, S> {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint / restore. Wire format in `crate::snapshot`; the engine-side
-// layout (section order, tags) is part of `snapshot::FORMAT_VERSION`.
+// Snapshot. Wire format in `crate::snapshot`; the engine-side layout
+// (section order, tags) is part of `snapshot::FORMAT_VERSION`.
 // ---------------------------------------------------------------------------
 
 /// `(tag, param, param)` summary of a latency model for the config
 /// fingerprint. `Custom` closures cannot be compared, so only the kind is
-/// pinned — restoring under a *different* custom model is on the caller.
+/// pinned.
 fn latency_fingerprint(l: &LatencyModel) -> (u8, u64, u64) {
     match l {
         LatencyModel::Fixed(t) => (0, *t, 0),
@@ -999,8 +994,8 @@ fn audit_fingerprint(a: &AuditMode) -> u8 {
 }
 
 /// Digest of the topology's interference structure (region membership per
-/// cell). Cheap, and catches restoring onto a different grid or wrap mode
-/// even when cell/spectrum counts happen to match.
+/// cell). Cheap, and tells grids or wrap modes apart even when cell and
+/// spectrum counts happen to match.
 fn topo_fingerprint(topo: &Topology) -> u64 {
     let mut h = FNV_OFFSET;
     for cell in topo.cells() {
@@ -1012,37 +1007,15 @@ fn topo_fingerprint(topo: &Topology) -> u64 {
     h
 }
 
-fn check_field<T: PartialEq + std::fmt::Debug>(
-    got: T,
-    want: T,
-    what: &str,
-) -> Result<(), DecodeError> {
-    if got != want {
-        return Err(DecodeError::Mismatch(format!(
-            "{what}: snapshot has {got:?}, engine has {want:?}"
-        )));
-    }
-    Ok(())
-}
-
-/// Sample series travel as their raw sample list; rebuilding by replaying
-/// `push` reproduces the Welford accumulator (and internal flags) exactly,
-/// because the engine never reorders a live series mid-run.
+/// Sample series travel as their raw sample list: the Welford
+/// accumulator is a function of it, because the engine never reorders a
+/// live series mid-run.
 fn put_series(w: &mut Writer, s: &SampleSeries) {
     let samples = s.samples();
     w.put_len(samples.len());
     for &v in samples {
         w.put_f64(v);
     }
-}
-
-fn get_series(r: &mut Reader<'_>) -> Result<SampleSeries, DecodeError> {
-    let n = r.get_len()?;
-    let mut s = SampleSeries::new();
-    for _ in 0..n {
-        s.push(r.get_f64()?);
-    }
-    Ok(s)
 }
 
 fn put_counter_map(w: &mut Writer, m: &CounterMap) {
@@ -1053,33 +1026,11 @@ fn put_counter_map(w: &mut Writer, m: &CounterMap) {
     }
 }
 
-fn get_counter_map(r: &mut Reader<'_>) -> Result<CounterMap, DecodeError> {
-    let n = r.get_len()?;
-    let mut m = CounterMap::new();
-    for _ in 0..n {
-        let k = r.get_label()?;
-        m.add(k, r.get_u64()?);
-    }
-    Ok(m)
-}
-
 fn put_u64_vec(w: &mut Writer, v: &[u64]) {
     w.put_len(v.len());
     for &x in v {
         w.put_u64(x);
     }
-}
-
-fn get_u64_vec(
-    r: &mut Reader<'_>,
-    want_len: usize,
-    what: &'static str,
-) -> Result<Vec<u64>, DecodeError> {
-    let n = r.get_len()?;
-    if n != want_len {
-        return Err(DecodeError::Corrupt(what));
-    }
-    (0..n).map(|_| r.get_u64()).collect()
 }
 
 fn put_violation(w: &mut Writer, v: &Violation) {
@@ -1123,34 +1074,6 @@ fn put_violation(w: &mut Writer, v: &Violation) {
     }
 }
 
-fn get_violation(r: &mut Reader<'_>) -> Result<Violation, DecodeError> {
-    Ok(match r.get_u8()? {
-        0 => Violation::Interference {
-            at: r.get_time()?,
-            cell: r.get_cell()?,
-            conflicting: r.get_cell()?,
-            channel: r.get_channel()?,
-        },
-        1 => Violation::DoubleAssign {
-            at: r.get_time()?,
-            cell: r.get_cell()?,
-            channel: r.get_channel()?,
-        },
-        2 => Violation::Liveness {
-            pending: r.get_u64()?,
-        },
-        3 => Violation::Watchdog {
-            cell: r.get_cell()?,
-            latency: r.get_u64()?,
-            bound: r.get_u64()?,
-        },
-        4 => Violation::EventBudget {
-            processed: r.get_u64()?,
-        },
-        _ => return Err(DecodeError::Corrupt("violation tag")),
-    })
-}
-
 fn put_report(w: &mut Writer, rep: &SimReport) {
     w.put_time(rep.end_time);
     w.put_u64(rep.events_processed);
@@ -1186,68 +1109,6 @@ fn put_report(w: &mut Writer, rep: &SimReport) {
     }
 }
 
-fn get_report(r: &mut Reader<'_>, n: usize) -> Result<SimReport, DecodeError> {
-    let end_time = r.get_time()?;
-    let events_processed = r.get_u64()?;
-    let offered_calls = r.get_u64()?;
-    let completed_calls = r.get_u64()?;
-    let dropped_new = r.get_u64()?;
-    let dropped_handoff = r.get_u64()?;
-    let granted = r.get_u64()?;
-    let acq_latency = get_series(r)?;
-    let messages_total = r.get_u64()?;
-    let msg_kinds = get_counter_map(r)?;
-    let per_cell_msgs = get_u64_vec(r, n, "per_cell_msgs length")?;
-    let per_cell_arrivals = get_u64_vec(r, n, "per_cell_arrivals length")?;
-    let per_cell_drops = get_u64_vec(r, n, "per_cell_drops length")?;
-    let drops_blocked = r.get_u64()?;
-    let drops_retry_exhausted = r.get_u64()?;
-    let drops_crashed = r.get_u64()?;
-    let messages_lost = r.get_u64()?;
-    let messages_duplicated = r.get_u64()?;
-    let messages_crash_dropped = r.get_u64()?;
-    let crashes = r.get_u64()?;
-    let restarts = r.get_u64()?;
-    let per_cell_grants = get_u64_vec(r, n, "per_cell_grants length")?;
-    let custom = get_counter_map(r)?;
-    let mut custom_samples = BTreeMap::new();
-    for _ in 0..r.get_len()? {
-        let name = r.get_label()?;
-        custom_samples.insert(name, get_series(r)?);
-    }
-    let mut violations = Vec::new();
-    for _ in 0..r.get_len()? {
-        violations.push(get_violation(r)?);
-    }
-    Ok(SimReport {
-        end_time,
-        events_processed,
-        offered_calls,
-        completed_calls,
-        dropped_new,
-        dropped_handoff,
-        granted,
-        acq_latency,
-        messages_total,
-        msg_kinds,
-        per_cell_msgs,
-        per_cell_arrivals,
-        per_cell_drops,
-        drops_blocked,
-        drops_retry_exhausted,
-        drops_crashed,
-        messages_lost,
-        messages_duplicated,
-        messages_crash_dropped,
-        crashes,
-        restarts,
-        per_cell_grants,
-        custom,
-        custom_samples,
-        violations,
-    })
-}
-
 /// The link horizons an engine under `latency` clamps with: none when
 /// the latency is one constant.
 fn link_horizons(latency: &LatencyModel) -> Option<BTreeMap<(CellId, CellId), SimTime>> {
@@ -1265,40 +1126,6 @@ fn put_links(w: &mut Writer, links: Option<&BTreeMap<(CellId, CellId), SimTime>>
         w.put_cell(b);
         w.put_time(t);
     }
-}
-
-/// Reads the `links` section into `links`. The tag must name the
-/// engine's own layout (horizons exactly when its latency keeps them):
-/// decoders never migrate, so any other tag, or a tag 0 with entries, is
-/// corrupt — as is a cell outside the `n`-cell grid or a key not
-/// strictly above the one before it.
-fn get_links(
-    r: &mut Reader<'_>,
-    links: Option<&mut BTreeMap<(CellId, CellId), SimTime>>,
-    n: usize,
-) -> Result<(), DecodeError> {
-    let tag = r.get_u8()?;
-    let Some(links) = links else {
-        return if tag == 0 && r.get_len()? == 0 {
-            Ok(())
-        } else {
-            Err(DecodeError::Corrupt("link map under a constant latency"))
-        };
-    };
-    if tag != 1 {
-        return Err(DecodeError::Corrupt("link layout tag"));
-    }
-    for _ in 0..r.get_len()? {
-        let key = (r.get_cell()?, r.get_cell()?);
-        if key.0.index() >= n || key.1.index() >= n {
-            return Err(DecodeError::Corrupt("link cell out of range"));
-        }
-        if links.last_key_value().is_some_and(|(&last, _)| key <= last) {
-            return Err(DecodeError::Corrupt("link keys out of order"));
-        }
-        links.insert(key, r.get_time()?);
-    }
-    Ok(())
 }
 
 fn put_ev<P: ProtocolState>(w: &mut Writer, ev: &Ev<P::Msg>) {
@@ -1343,97 +1170,17 @@ fn put_ev<P: ProtocolState>(w: &mut Writer, ev: &Ev<P::Msg>) {
     }
 }
 
-fn get_ev<P: ProtocolState>(
-    r: &mut Reader<'_>,
-    calls: &[CallRecord],
-    n_cells: usize,
-    spectrum_bits: u16,
-) -> Result<Ev<P::Msg>, DecodeError> {
-    let check_cell = |c: CellId| {
-        if c.index() >= n_cells {
-            Err(DecodeError::Corrupt("event cell out of range"))
-        } else {
-            Ok(c)
-        }
-    };
-    let check_call = |call: u32| {
-        if call as usize >= calls.len() {
-            Err(DecodeError::Corrupt("event call out of range"))
-        } else {
-            Ok(call)
-        }
-    };
-    Ok(match r.get_u8()? {
-        0 => {
-            let from = check_cell(r.get_cell()?)?;
-            let to = check_cell(r.get_cell()?)?;
-            let msg = P::decode_msg(r)?;
-            Ev::Deliver { from, to, msg }
-        }
-        1 => Ev::Arrive {
-            call: check_call(r.get_u32()?)?,
-        },
-        2 => Ev::End {
-            call: check_call(r.get_u32()?)?,
-        },
-        3 => {
-            let call = check_call(r.get_u32()?)?;
-            let idx = r.get_u32()?;
-            if idx as usize >= calls[call as usize].hops.len() {
-                return Err(DecodeError::Corrupt("hop index out of range"));
-            }
-            Ev::Hop { call, idx }
-        }
-        4 => Ev::Timer {
-            node: check_cell(r.get_cell()?)?,
-            tag: r.get_u64()?,
-        },
-        5 => {
-            let node = check_cell(r.get_cell()?)?;
-            let ch = r.get_channel()?;
-            if ch.0 >= spectrum_bits {
-                return Err(DecodeError::Corrupt("event channel out of range"));
-            }
-            Ev::AutoRelease { node, ch }
-        }
-        6 => Ev::CrashDown {
-            node: check_cell(r.get_cell()?)?,
-        },
-        7 => Ev::CrashUp {
-            node: check_cell(r.get_cell()?)?,
-        },
-        _ => return Err(DecodeError::Corrupt("event tag")),
-    })
-}
-
-impl<P: ProtocolState> Engine<P> {
-    /// Restores an engine from [`Engine::snapshot`] bytes, with tracing
-    /// compiled out. `topo`, `cfg`, and `factory` must be the ones the
-    /// snapshotted engine was built with — the embedded config fingerprint
-    /// is verified and any difference is a [`DecodeError::Mismatch`].
-    pub fn restore<F>(
-        topo: Arc<Topology>,
-        cfg: SimConfig,
-        factory: F,
-        bytes: &[u8],
-    ) -> Result<Self, DecodeError>
-    where
-        F: FnMut(CellId, &Topology) -> P,
-    {
-        Engine::restore_with_sink(topo, cfg, factory, bytes, NoopSink)
-    }
-}
-
 impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
     /// Serializes the complete engine state: clock, RNG streams, event
     /// calendar (with in-flight messages), call/request tables, fault
     /// state, link horizons, partial report, and — via [`ProtocolState`] —
     /// every node's protocol state.
     ///
-    /// The contract is bit-identical resume: `run()` on the original and
-    /// `restore(...)` + `run()` on the snapshot produce equal
-    /// [`SimReport`]s. Trace sinks are pure observers and are *not*
-    /// captured; see [`Engine::restore_with_sink`].
+    /// Two engines built from the same inputs and run to the same tick
+    /// snapshot to the same bytes (`Scenario::checkpoint_probe` checks
+    /// it); a field left out of the snapshot is a state the comparison
+    /// cannot see. Trace sinks are pure observers and are *not*
+    /// captured.
     pub fn snapshot(&self) -> Vec<u8> {
         let sh = &self.sh;
         let mut w = Writer::new();
@@ -1566,303 +1313,6 @@ impl<P: ProtocolState, S: TraceSink> Engine<P, S> {
         }
         w.finish()
     }
-
-    /// [`Engine::restore`] with a trace sink attached. Sinks are not part
-    /// of snapshots: pass a fresh one, or the snapshotted engine's own
-    /// ([`Engine::into_sink`]) to continue its record stream where the
-    /// snapshot was taken.
-    pub fn restore_with_sink<F>(
-        topo: Arc<Topology>,
-        cfg: SimConfig,
-        mut factory: F,
-        bytes: &[u8],
-        sink: S,
-    ) -> Result<Self, DecodeError>
-    where
-        F: FnMut(CellId, &Topology) -> P,
-    {
-        let mut r = Reader::new(bytes)?;
-        let n = topo.num_cells();
-        let spectrum_bits = topo.spectrum().empty_set().capacity();
-
-        let scheme = r.get_str()?;
-        if scheme != P::STATE_ID {
-            return Err(DecodeError::Mismatch(format!(
-                "scheme: snapshot is {scheme:?}, engine is {:?}",
-                P::STATE_ID
-            )));
-        }
-        let (lt, lp0, lp1) = latency_fingerprint(&cfg.latency);
-        check_field(r.get_u8()?, lt, "config.latency.kind")?;
-        check_field(r.get_u64()?, lp0, "config.latency.param0")?;
-        check_field(r.get_u64()?, lp1, "config.latency.param1")?;
-        check_field(r.get_u8()?, audit_fingerprint(&cfg.audit), "config.audit")?;
-        check_field(
-            r.get_opt_u64()?,
-            cfg.watchdog_ticks,
-            "config.watchdog_ticks",
-        )?;
-        check_field(r.get_u64()?, cfg.max_events, "config.max_events")?;
-        check_field(r.get_u64()?, n as u64, "topology.num_cells")?;
-        check_field(r.get_u16()?, spectrum_bits, "topology.spectrum")?;
-        check_field(r.get_u64()?, topo_fingerprint(&topo), "topology.regions")?;
-        check_field(r.get_u64()?, cfg.seed, "config.seed")?;
-        check_field(
-            r.get_u64()?,
-            cfg.faults.loss.to_bits(),
-            "config.faults.loss",
-        )?;
-        check_field(
-            r.get_u64()?,
-            cfg.faults.duplicate.to_bits(),
-            "config.faults.duplicate",
-        )?;
-        check_field(r.get_u64()?, cfg.faults.seed, "config.faults.seed")?;
-        let ncrash = r.get_len()?;
-        let mut snap_crashes = Vec::with_capacity(ncrash);
-        for _ in 0..ncrash {
-            snap_crashes.push(Crash {
-                cell: r.get_cell()?,
-                at: r.get_u64()?,
-                down_for: r.get_u64()?,
-            });
-        }
-        if snap_crashes != cfg.faults.crashes {
-            return Err(DecodeError::Mismatch("config.faults.crashes differ".into()));
-        }
-        let np = r.get_len()?;
-        let mut snap_partitions = Vec::with_capacity(np);
-        for _ in 0..np {
-            snap_partitions.push(Partition {
-                a: r.get_cell()?,
-                b: r.get_cell()?,
-                at: r.get_u64()?,
-                down_for: r.get_u64()?,
-            });
-        }
-        if snap_partitions != cfg.faults.partitions {
-            return Err(DecodeError::Mismatch(
-                "config.faults.partitions differ".into(),
-            ));
-        }
-
-        let now = r.get_time()?;
-        let msg_seq = r.get_u64()?;
-        let events_processed = r.get_u64()?;
-        let started = r.get_bool()?;
-        let halted = r.get_bool()?;
-        let pending_reqs = r.get_u64()?;
-        let rng_state = r.get_u64()?;
-        let fault_rng_state = r.get_u64()?;
-
-        if r.get_len()? != n {
-            return Err(DecodeError::Corrupt("down vector length"));
-        }
-        let mut down = Vec::with_capacity(n);
-        for _ in 0..n {
-            down.push(r.get_bool()?);
-        }
-        if r.get_len()? != n {
-            return Err(DecodeError::Corrupt("usage vector length"));
-        }
-        let mut usage = Vec::with_capacity(n);
-        for _ in 0..n {
-            let set = r.get_channel_set()?;
-            if set.capacity() != spectrum_bits {
-                return Err(DecodeError::Corrupt("usage set capacity"));
-            }
-            usage.push(set);
-        }
-        let ground = Ground::from_usage(usage);
-        let mut link_horizon = link_horizons(&cfg.latency);
-        get_links(&mut r, link_horizon.as_mut(), n)?;
-
-        let ncalls = r.get_len()?;
-        let mut calls = Vec::with_capacity(ncalls);
-        for _ in 0..ncalls {
-            let cell = r.get_cell()?;
-            if cell.index() >= n {
-                return Err(DecodeError::Corrupt("call cell out of range"));
-            }
-            let duration = r.get_u64()?;
-            let state = match r.get_u8()? {
-                0 => CallState::Done,
-                1 => CallState::Waiting(RequestId(r.get_u64()?)),
-                2 => {
-                    let ch = r.get_channel()?;
-                    if ch.0 >= spectrum_bits {
-                        return Err(DecodeError::Corrupt("call channel out of range"));
-                    }
-                    CallState::Active(ch)
-                }
-                _ => return Err(DecodeError::Corrupt("call state tag")),
-            };
-            let end_at = if r.get_bool()? {
-                Some(r.get_time()?)
-            } else {
-                None
-            };
-            let nh = r.get_len()?;
-            let mut hops = Vec::with_capacity(nh);
-            for _ in 0..nh {
-                let at = r.get_time()?;
-                let tgt = r.get_cell()?;
-                if tgt.index() >= n {
-                    return Err(DecodeError::Corrupt("hop target out of range"));
-                }
-                hops.push((at, tgt));
-            }
-            calls.push(CallRecord {
-                cell,
-                duration,
-                state,
-                end_at,
-                hops,
-            });
-        }
-
-        let nreqs = r.get_len()?;
-        // Pre-size like `Engine::new`: the run ahead issues one request
-        // per not-yet-arrived call and hop, so sizing to the snapshot's
-        // current count alone would re-grow the vector mid-run.
-        let total_hops: usize = calls.iter().map(|c| c.hops.len()).sum();
-        let mut reqs = Vec::with_capacity(nreqs.max(ncalls + total_hops));
-        let mut pending_count = 0u64;
-        for _ in 0..nreqs {
-            let call = r.get_u32()?;
-            if call as usize >= ncalls {
-                return Err(DecodeError::Corrupt("request call out of range"));
-            }
-            let cell = r.get_cell()?;
-            if cell.index() >= n {
-                return Err(DecodeError::Corrupt("request cell out of range"));
-            }
-            let issued = r.get_time()?;
-            let kind = match r.get_u8()? {
-                0 => RequestKind::NewCall,
-                1 => RequestKind::Handoff,
-                _ => return Err(DecodeError::Corrupt("request kind tag")),
-            };
-            let state = if r.get_bool()? {
-                ReqState::Done
-            } else {
-                pending_count += 1;
-                ReqState::Pending
-            };
-            reqs.push(ReqRecord {
-                call,
-                cell,
-                issued,
-                kind,
-                state,
-            });
-        }
-        if pending_count != pending_reqs {
-            return Err(DecodeError::Corrupt("pending request count"));
-        }
-        for c in &calls {
-            if let CallState::Waiting(req) = c.state {
-                if req.0 as usize >= reqs.len() {
-                    return Err(DecodeError::Corrupt("waiting call request out of range"));
-                }
-            }
-        }
-
-        let mut msg_kinds = SlotCounters::default();
-        for _ in 0..r.get_len()? {
-            let k = r.get_label()?;
-            msg_kinds.0.push((k, r.get_u64()?));
-        }
-        let mut custom = SlotCounters::default();
-        for _ in 0..r.get_len()? {
-            let k = r.get_label()?;
-            custom.0.push((k, r.get_u64()?));
-        }
-        let mut custom_samples = SlotSamples::default();
-        for _ in 0..r.get_len()? {
-            let k = r.get_label()?;
-            custom_samples.0.push((k, get_series(&mut r)?));
-        }
-        let report = get_report(&mut r, n)?;
-
-        let queue_seq = r.get_u64()?;
-        let nentries = r.get_len()?;
-        let mut entries: Vec<(SimTime, u64, Ev<P::Msg>)> = Vec::with_capacity(nentries);
-        let mut prev_key: Option<(SimTime, u64)> = None;
-        for _ in 0..nentries {
-            let at = r.get_time()?;
-            let seq = r.get_u64()?;
-            if at < now {
-                return Err(DecodeError::Corrupt("queued event before now"));
-            }
-            if seq >= queue_seq {
-                return Err(DecodeError::Corrupt("queued event seq beyond counter"));
-            }
-            if let Some(prev) = prev_key {
-                if (at, seq) <= prev {
-                    return Err(DecodeError::Corrupt("queue entries out of order"));
-                }
-            }
-            prev_key = Some((at, seq));
-            let ev = get_ev::<P>(&mut r, &calls, n, spectrum_bits)?;
-            entries.push((at, seq, ev));
-        }
-
-        let mut nodes: Vec<P> = topo.cells().map(|c| factory(c, &topo)).collect();
-        for node in &mut nodes {
-            node.decode_state(&mut r)?;
-        }
-        if r.remaining() != 0 {
-            return Err(DecodeError::Corrupt("trailing payload bytes"));
-        }
-
-        let faults_on = cfg.faults.is_active();
-        if faults_on {
-            cfg.faults.validate();
-        }
-        // The slab is sized as `Engine::with_sink` sizes it, so a warm
-        // engine regrows it no more often than a cold one.
-        let mut queue: EventQueue<Ev<P::Msg>> =
-            EventQueue::with_capacity(entries.len().max(ncalls + total_hops));
-        queue.restore_cursor(now, queue_seq);
-        for (at, seq, ev) in entries {
-            queue.push_with_seq(at, seq, ev);
-        }
-
-        let sh = Shared {
-            topo,
-            cfg,
-            now,
-            msg_seq,
-            queue,
-            rng: SplitMix64::new(rng_state),
-            fault_rng: SplitMix64::new(fault_rng_state),
-            faults_on,
-            down,
-            ground,
-            link_horizon,
-            calls,
-            reqs,
-            pending_reqs,
-            msg_kinds,
-            custom,
-            custom_samples,
-            report,
-            // Outcomes are not part of a snapshot; a restored engine
-            // logs only resolutions it processes itself.
-            outcomes: Vec::new(),
-            sink,
-            started,
-            halted,
-            events_processed,
-        };
-
-        Ok(Engine {
-            nodes,
-            sh,
-            actions: Vec::new(),
-        })
-    }
 }
 
 /// Convenience wrapper: build, run, and return the report in one call.
@@ -1951,16 +1401,7 @@ mod tests {
             w.put_channel_set(&self.used);
         }
 
-        fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-            self.used = r.get_channel_set()?;
-            Ok(())
-        }
-
         fn encode_msg(_msg: &(), _w: &mut Writer) {}
-
-        fn decode_msg(_r: &mut Reader<'_>) -> Result<(), DecodeError> {
-            Ok(())
-        }
     }
 
     fn topo() -> Arc<Topology> {
@@ -2167,50 +1608,31 @@ mod tests {
             .collect()
     }
 
+    /// Two engines built alike and paused at one tick snapshot to the
+    /// same bytes, and each finishes as the unpaused run does.
     #[test]
-    fn snapshot_resume_is_bit_identical() {
+    fn a_replay_to_the_pause_snapshots_alike_and_finishes_alike() {
         let t = topo();
         let cfg = SimConfig {
             latency: LatencyModel::Jitter { min: 50, max: 150 },
             ..Default::default()
         };
         let cold = run_protocol(t.clone(), cfg.clone(), LocalOnly::new, busy_arrivals());
-
-        let mut first = Engine::new(t.clone(), cfg.clone(), LocalOnly::new, busy_arrivals());
-        let more = first.run_until(SimTime(2000));
-        assert!(more, "events must remain at the midpoint");
-        let snap = first.snapshot();
-        let mut resumed = Engine::restore(t.clone(), cfg.clone(), LocalOnly::new, &snap)
-            .expect("restore must succeed");
-        // Restoring is lossless: re-snapshotting reproduces the bytes.
-        assert_eq!(resumed.snapshot(), snap, "snapshot → restore → snapshot");
-        let warm = resumed.run();
-        assert_eq!(warm, cold, "resumed report differs from cold run");
-
-        // The paused original must also finish identically.
-        assert_eq!(first.run(), cold);
-    }
-
-    #[test]
-    fn restore_rejects_config_mismatch() {
-        let t = topo();
-        let cfg = SimConfig::default();
-        let mut e = Engine::new(t.clone(), cfg.clone(), LocalOnly::new, busy_arrivals());
-        e.run_until(SimTime(1000));
-        let snap = e.snapshot();
-        let other = SimConfig {
-            seed: cfg.seed ^ 1,
-            ..cfg.clone()
+        let paused = || {
+            let mut e = Engine::new(t.clone(), cfg.clone(), LocalOnly::new, busy_arrivals());
+            assert!(
+                e.run_until(SimTime(2000)),
+                "events must remain at the pause"
+            );
+            e
         };
-        match Engine::<LocalOnly>::restore(t.clone(), other, LocalOnly::new, &snap) {
-            Err(DecodeError::Mismatch(what)) => assert!(what.contains("config.seed"), "{what}"),
-            other => panic!("expected seed mismatch, got {:?}", other.err()),
-        }
-        let small = Arc::new(Topology::default_paper(4, 4));
-        assert!(matches!(
-            Engine::<LocalOnly>::restore(small, cfg, LocalOnly::new, &snap),
-            Err(DecodeError::Mismatch(_))
-        ));
+        let (mut first, mut second) = (paused(), paused());
+        assert!(
+            first.snapshot() == second.snapshot(),
+            "a replay reached another state"
+        );
+        assert_eq!(first.run(), cold);
+        assert_eq!(second.run(), cold);
     }
 
     #[test]
@@ -2252,7 +1674,7 @@ mod tests {
 
     /// The runaway guard: the event past `max_events` is not processed,
     /// it records one `EventBudget` violation, and the engine stays
-    /// halted — through later runs and through a snapshot.
+    /// halted through later runs.
     #[test]
     fn event_budget_halts_the_run_for_good() {
         let t = topo();
@@ -2261,7 +1683,7 @@ mod tests {
             max_events: 50,
             ..SimConfig::default()
         };
-        let mut engine = Engine::new(t.clone(), cfg.clone(), LocalOnly::new, busy_arrivals());
+        let mut engine = Engine::new(t, cfg, LocalOnly::new, busy_arrivals());
         assert!(!engine.run_until(SimTime(u64::MAX)));
         let report = engine.run();
         assert_eq!(report.events_processed, 51);
@@ -2270,67 +1692,5 @@ mod tests {
         let now = engine.now();
         assert_eq!(engine.run(), report, "a second run processes no event");
         assert_eq!(engine.now(), now);
-
-        let mut restored = Engine::restore(t, cfg, LocalOnly::new, &engine.snapshot())
-            .expect("restore must succeed");
-        assert!(restored.sh.halted);
-        assert_eq!(restored.run(), report);
-    }
-
-    /// The `links` section reads only its own layout: horizons read back
-    /// their own bytes, an engine without horizons reads the empty tag-0
-    /// section, and a tag that disagrees with the engine, a tag 0 with
-    /// entries, a cell out of range, or a key not strictly above the one
-    /// before it is corrupt.
-    #[test]
-    fn links_section_reads_only_its_own_layout() {
-        let n = 36;
-        let read = |bytes: &[u8], keep: bool| {
-            let mut links = keep.then(BTreeMap::new);
-            let mut r = Reader::new(bytes).unwrap();
-            get_links(&mut r, links.as_mut(), n).map(|()| {
-                assert_eq!(r.remaining(), 0);
-                links
-            })
-        };
-        let section = |put: &dyn Fn(&mut Writer)| {
-            let mut w = Writer::new();
-            put(&mut w);
-            w.finish()
-        };
-        let entries = |tag: u8, keys: &[(u32, u32)]| {
-            section(&|w| {
-                w.put_u8(tag);
-                w.put_len(keys.len());
-                for &(a, b) in keys {
-                    w.put_cell(CellId(a));
-                    w.put_cell(CellId(b));
-                    w.put_time(SimTime(1));
-                }
-            })
-        };
-
-        let links = BTreeMap::from([
-            ((CellId(0), CellId(1)), SimTime(70)),
-            ((CellId(0), CellId(35)), SimTime(90)),
-            ((CellId(3), CellId(0)), SimTime(5)),
-        ]);
-        let own = section(&|w| put_links(w, Some(&links)));
-        assert_eq!(read(&own, true).unwrap(), Some(links));
-        let none = section(&|w| put_links(w, None));
-        assert_eq!(read(&none, false).unwrap(), None);
-
-        let corrupt = |bytes: &[u8], keep: bool| {
-            assert!(matches!(read(bytes, keep), Err(DecodeError::Corrupt(_))));
-        };
-        corrupt(&own, false);
-        corrupt(&none, true);
-        corrupt(&entries(0, &[(0, 1)]), false);
-        corrupt(&entries(0, &[(0, 1)]), true);
-        corrupt(&entries(1, &[(0, n as u32)]), true);
-        corrupt(&entries(1, &[(n as u32, 0)]), true);
-        corrupt(&entries(1, &[(0, 1), (0, 1)]), true);
-        corrupt(&entries(1, &[(0, 2), (0, 1)]), true);
-        corrupt(&entries(1, &[(1, 0), (0, 5)]), true);
     }
 }

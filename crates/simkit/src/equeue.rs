@@ -211,31 +211,21 @@ impl<T> EventQueue<T> {
     /// Schedules `item` at `at`, after everything already scheduled for
     /// `at`. Returns the entry's tie-break sequence number.
     pub fn push(&mut self, at: SimTime, item: T) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        self.push_with_seq(at, seq, item);
-        seq
-    }
-
-    /// Schedules `item` at `(at, seq)` with a caller-supplied tie-break.
-    /// The engine uses this to keep one global event-sequence counter.
-    ///
-    /// `seq` values must be monotone in push order (as a single shared
-    /// counter guarantees): a tick's list is FIFO and relies on same-tick
-    /// entries arriving in ascending `seq`.
-    pub fn push_with_seq(&mut self, at: SimTime, seq: u64, item: T) {
         debug_assert!(
             at.ticks() >= self.cur,
             "monotonicity violated: pushed tick {} before serving tick {}",
             at.ticks(),
             self.cur
         );
+        let seq = self.seq;
+        self.seq += 1;
         let entry = EqEntry { at, seq, item };
         if at.ticks() - self.cur >= RING as u64 {
             self.overflow.push(Reverse(entry));
         } else {
             self.append(entry);
         }
+        seq
     }
 
     /// Schedules `item` at `at` like [`EventQueue::push`], for a caller
@@ -293,8 +283,7 @@ impl<T> EventQueue<T> {
         self.ring_len += 1;
     }
 
-    /// `(ring_resident, overflow_resident)` entry counts — diagnostics for
-    /// the restore path, which must land near-future events in the ring.
+    /// `(ring_resident, overflow_resident)` entry counts (diagnostics).
     /// Lane entries are in neither.
     pub fn residency(&self) -> (usize, usize) {
         (self.ring_len, self.overflow.len())
@@ -313,8 +302,7 @@ impl<T> EventQueue<T> {
     }
 
     /// The current value of the internal tie-break counter (the `seq` the
-    /// next [`EventQueue::push`] would assign). Captured by checkpoints so
-    /// a restored queue keeps numbering where the original left off.
+    /// next [`EventQueue::push`] would assign), part of a snapshot.
     #[inline]
     pub fn next_seq(&self) -> u64 {
         self.seq
@@ -327,19 +315,6 @@ impl<T> EventQueue<T> {
         let ring = self.slots.iter().filter_map(|s| s.entry.as_ref());
         ring.chain(self.overflow.iter().map(|Reverse(e)| e))
             .chain(&self.lane)
-    }
-
-    /// Positions a freshly built queue for a checkpoint restore: the
-    /// serving cursor moves to `now` and the tie-break counter to `seq`.
-    /// Must be called on an empty queue, *before* replaying the
-    /// snapshot's entries (in ascending `(at, seq)` order, via
-    /// [`EventQueue::push_with_seq`]) — replayed pushes land relative to
-    /// this cursor just as live pushes would, and pop order depends only
-    /// on `(at, seq)`, so the restored queue drains identically.
-    pub fn restore_cursor(&mut self, now: SimTime, seq: u64) {
-        assert!(self.is_empty(), "restore_cursor on a non-empty queue");
-        self.cur = now.ticks();
-        self.seq = seq;
     }
 
     /// The earliest `(at, seq)` key without removing its entry, or `None`
@@ -567,30 +542,6 @@ mod tests {
         assert!(q.pop().is_none());
         let empty: Option<(SimTime, u64)> = q.peek_key();
         assert!(empty.is_none());
-    }
-
-    #[test]
-    fn restore_replay_drains_identically() {
-        // Build a queue, drain it halfway, then rebuild the remainder via
-        // restore_cursor + push_with_seq and check the drains match.
-        let far = RING as u64;
-        let mut q = EventQueue::new();
-        for (at, item) in [(5u64, 1u32), (5, 2), (90, 3), (far * 2, 4), (91, 5)] {
-            q.push(SimTime(at), item);
-        }
-        let next_seq = q.next_seq();
-        assert_eq!(q.pop().unwrap().item, 1);
-        assert_eq!(q.pop().unwrap().item, 2);
-        let now = SimTime(5);
-        let mut entries: Vec<_> = q.iter_entries().map(|e| (e.at, e.seq, e.item)).collect();
-        entries.sort_by_key(|&(at, seq, _)| (at, seq));
-        let mut restored = EventQueue::new();
-        restored.restore_cursor(now, next_seq);
-        for (at, seq, item) in entries {
-            restored.push_with_seq(at, seq, item);
-        }
-        assert_eq!(restored.next_seq(), next_seq);
-        assert_eq!(drain(&mut restored), drain(&mut q));
     }
 
     #[test]

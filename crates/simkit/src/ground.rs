@@ -18,12 +18,9 @@ pub struct Ground {
 impl Ground {
     /// Nothing in use on `topo`.
     pub fn new(topo: &Topology) -> Self {
-        Self::from_usage(vec![topo.spectrum().empty_set(); topo.num_cells()])
-    }
-
-    /// `usage[i]` in use at cell `i` (a restored snapshot).
-    pub fn from_usage(usage: Vec<ChannelSet>) -> Self {
-        Ground { usage }
+        Ground {
+            usage: vec![topo.spectrum().empty_set(); topo.num_cells()],
+        }
     }
 
     /// Audits and commits `cell`'s grant of `channel` at `at`, returning

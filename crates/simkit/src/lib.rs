@@ -52,7 +52,7 @@ pub use ground::Ground;
 pub use latency::LatencyModel;
 pub use report::{AuditMode, DropCause, SimReport, Violation};
 pub use sm::{Action, Effects, Input, RequestId, RequestKind, StateMachine};
-pub use snapshot::{DecodeError, ProtocolState, Reader, Writer};
+pub use snapshot::{DecodeError, ProtocolState, Writer};
 pub use time::SimTime;
 pub use trace::{
     AcqPath, CellTimeline, JsonlSink, NoopSink, RingSink, RoundKind, TraceEvent, TraceRecord,

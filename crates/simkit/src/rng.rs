@@ -19,7 +19,7 @@ impl SplitMix64 {
 
     /// The current internal state. Because `new` installs the seed as the
     /// state verbatim, `SplitMix64::new(rng.state())` is an exact clone of
-    /// the stream position — this is how checkpoints capture RNG streams.
+    /// the stream position — this is how snapshots capture RNG streams.
     #[inline]
     pub fn state(&self) -> u64 {
         self.state

@@ -187,96 +187,6 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Snapshot → restore mid-stream keeps the queue's behavior *and*
-    /// layout: the rebuilt queue pops identically to the reference heap
-    /// for the rest of the run, and every replayed entry lands where a
-    /// live push would put it — near-future events calendar-ring
-    /// resident, far-future events in the overflow heap. (PR 5's restore
-    /// funneled everything through one path; warm-path parity needs the
-    /// cold layout back.)
-    #[test]
-    fn restore_preserves_pop_order_and_ring_residency(
-        ops in proptest::collection::vec(op_strategy(), 1..400),
-        cut in 0usize..400,
-        lat in lat_strategy(),
-    ) {
-        let mut q: EventQueue<usize> = EventQueue::new();
-        let mut reference: BinaryHeap<Reverse<EqEntry<usize>>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        let cut = cut.min(ops.len());
-        for (i, op) in ops[..cut].iter().enumerate() {
-            match op {
-                Op::Push(_) | Op::PushInOrder => {
-                    let (at, _) = apply_push(&mut q, op, now, lat, i);
-                    reference.push(Reverse(EqEntry { at, seq, item: i }));
-                    seq += 1;
-                }
-                Op::Pop => {
-                    if let Some(g) = q.pop() {
-                        let Reverse(w) = reference.pop().expect("reference ran dry first");
-                        prop_assert_eq!((g.at, g.seq, g.item), (w.at, w.seq, w.item));
-                        now = g.at.ticks();
-                    } else {
-                        prop_assert!(reference.pop().is_none());
-                    }
-                }
-            }
-        }
-        // Snapshot: collect + sort the live entries, as Engine::snapshot
-        // does, then replay into a fresh queue. Lane entries are among
-        // them and, replayed, are ring or overflow entries like the rest.
-        let next_seq = q.next_seq();
-        let mut entries: Vec<(SimTime, u64, usize)> =
-            q.iter_entries().map(|e| (e.at, e.seq, e.item)).collect();
-        prop_assert_eq!(entries.len(), q.len());
-        prop_assert_eq!(entries.len(), reference.len());
-        entries.sort_by_key(|&(at, s, _)| (at, s));
-        let mut q = {
-            let mut restored: EventQueue<usize> = EventQueue::with_capacity(entries.len());
-            restored.restore_cursor(SimTime(now), next_seq);
-            for &(at, s, item) in &entries {
-                restored.push_with_seq(at, s, item);
-            }
-            restored
-        };
-        prop_assert_eq!(q.next_seq(), next_seq);
-        // Residency: replayed pushes must classify ring-vs-overflow
-        // exactly like live pushes against the restored cursor.
-        let want_ring = entries.iter().filter(|&&(at, _, _)| q.ring_covers(at)).count();
-        let (ring, overflow) = q.residency();
-        prop_assert_eq!(ring, want_ring, "near-future entries must be ring-resident");
-        prop_assert_eq!(ring + overflow, entries.len());
-        // Behavior: the restored queue finishes the run exactly like the
-        // reference heap, including fresh pushes.
-        for (i, op) in ops[cut..].iter().enumerate() {
-            match op {
-                Op::Push(_) | Op::PushInOrder => {
-                    let (at, assigned) = apply_push(&mut q, op, now, lat, i);
-                    prop_assert_eq!(assigned, seq, "restored queue must keep numbering");
-                    reference.push(Reverse(EqEntry { at, seq, item: i }));
-                    seq += 1;
-                }
-                Op::Pop => {
-                    let got = q.pop();
-                    let want = reference.pop().map(|Reverse(e)| e);
-                    prop_assert_eq!(got.is_some(), want.is_some());
-                    if let (Some(g), Some(w)) = (got, want) {
-                        prop_assert_eq!((g.at, g.seq, g.item), (w.at, w.seq, w.item));
-                        now = g.at.ticks();
-                    }
-                }
-            }
-        }
-        loop {
-            let got = q.pop();
-            let want = reference.pop().map(|Reverse(e)| e);
-            prop_assert_eq!(got.is_some(), want.is_some(), "tail lengths diverge");
-            let (Some(g), Some(w)) = (got, want) else { break };
-            prop_assert_eq!((g.at, g.seq, g.item), (w.at, w.seq, w.item));
-        }
-    }
-
     /// Same-tick entries of *mixed kinds* pop in scheduling order.
     /// The engine pushes `Ev::Deliver` and `Ev::Timer` into this one
     /// queue, so this is the executable form of the documented rule
