@@ -5,8 +5,9 @@
 //! and advanced update unbounded (∞) in both messages and time under
 //! contention; adaptive bounded by `2αN + 4N` messages and `(2αN + 1)T`.
 //! We sweep load from 0.1 to 3.0 Erlangs/primary and report the observed
-//! extremes of *per-acquisition* cost (protocol scope: attempt latency,
-//! excluding MSS queueing).
+//! extremes: of each run's *mean* messages per acquisition, and of the
+//! *per-acquisition* time (protocol scope: attempt latency, excluding
+//! MSS queueing).
 
 use adca_bench::{banner, f2, opt2, scheme_model, TextTable};
 use adca_harness::{RunSummary, Scenario, SchemeKind, SweepRunner};
@@ -45,7 +46,8 @@ fn main() {
     banner(
         "table3",
         "Table 3 (bounds for different algorithms)",
-        "observed min/max per-acquisition cost over a 0.1..3.0 Erlang load sweep\n\
+        "observed min/max cost over a 0.1..3.0 Erlang load sweep: msg_min/max(meas) are the\n\
+         least and greatest per-run mean messages per acquisition, T_min/max(meas) per acquisition\n\
          (update-scheme 'unbounded' shows as attempt counts growing with load + give-ups)",
     );
     let loads = [0.1, 0.3, 0.6, 0.9, 1.2, 1.6, 2.0, 3.0];
@@ -112,7 +114,7 @@ fn main() {
     }
     println!();
     println!(
-        "adaptive bound check: msgs/acq max observed {:.2} <= 2aN+4N = {:.0}; \
+        "adaptive bound check: per-run mean msgs/acq max observed {:.2} <= 2aN+4N = {:.0}; \
          attempt time max observed {:.1}T <= (2aN+1)T = {:.0}T",
         per_scheme[3].msgs.max().unwrap_or(0.0),
         2.0 * alpha * n + 4.0 * n,

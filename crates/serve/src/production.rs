@@ -195,22 +195,71 @@ struct TicketRec {
 /// lock: a grant's claim, audit and commit are one critical section,
 /// and so are a handoff's claim of its source and that channel's
 /// return.
+///
+/// The table is a window, as an MSS keeps a call only while it waits
+/// for a channel or holds one: ticket `t` is `tickets[t - base]`, from
+/// the oldest unended ticket to the newest. A ticket that ends while it
+/// is the oldest takes the ended ones behind it off the front, so the
+/// front record is never `Done` and the window spans the tickets in
+/// flight and the ended ones between them. The one limit: a call held
+/// for a day pins the front, and every ticket issued that day stays.
 struct Ledger {
-    tickets: Vec<TicketRec>,
+    tickets: VecDeque<TicketRec>,
+    base: u64,
     ground: Ground,
     violations: Vec<String>,
 }
 
 impl Ledger {
-    /// Pending ticket `req`, for `me` to resolve. A ticket resolved
-    /// already is a violation, and `None`.
-    fn resolve(&mut self, me: CellId, req: RequestId) -> Option<&mut TicketRec> {
-        let rec = &mut self.tickets[req.0 as usize];
-        if rec.state == TicketState::Pending {
-            return Some(rec);
+    /// The ticket the next admission is issued.
+    fn next(&self) -> u64 {
+        self.base + self.tickets.len() as u64
+    }
+
+    /// Ticket `t`'s state: below the window it has ended; `None` if it
+    /// was never issued.
+    fn state(&self, t: u64) -> Option<TicketState> {
+        match t.checked_sub(self.base) {
+            None => Some(TicketState::Done),
+            Some(i) => usize::try_from(i)
+                .ok()
+                .and_then(|i| self.tickets.get(i))
+                .map(|rec| rec.state),
         }
-        self.violations
-            .push(format!("{me} resolved ticket#{} twice", req.0));
+    }
+
+    /// Ticket `t`'s record; `t` is in the window (it has not ended).
+    fn rec(&mut self, t: u64) -> &mut TicketRec {
+        &mut self.tickets[(t - self.base) as usize]
+    }
+
+    /// Ends ticket `t`; if it is the oldest, trims the ended records
+    /// off the front. Any other leaves the front as it was, not `Done`.
+    fn end(&mut self, t: u64) {
+        self.rec(t).state = TicketState::Done;
+        if t != self.base {
+            return;
+        }
+        while self
+            .tickets
+            .front()
+            .is_some_and(|rec| rec.state == TicketState::Done)
+        {
+            self.tickets.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Pending ticket `req`, for `me` to resolve. A ticket resolved
+    /// already, or never issued, is a violation, and `None`.
+    fn resolve(&mut self, me: CellId, req: RequestId) -> Option<&mut TicketRec> {
+        let t = req.0;
+        let v = match self.state(t) {
+            Some(TicketState::Pending) => return Some(self.rec(t)),
+            Some(_) => format!("{me} resolved ticket#{t} twice"),
+            None => format!("{me} resolved ticket#{t}, never issued"),
+        };
+        self.violations.push(v);
         None
     }
 }
@@ -658,13 +707,12 @@ where
     ) {
         let ch = {
             let mut ledger = self.ledger.lock().expect("ledger poisoned");
-            let rec = &mut ledger.tickets[ticket as usize];
-            let TicketState::Active(ch) = rec.state else {
+            let Some(TicketState::Active(ch)) = ledger.state(ticket) else {
                 // Benign race: released twice, or released while still
                 // pending (the release path truncated the hold instead).
                 return;
             };
-            rec.state = TicketState::Done;
+            ledger.end(ticket);
             ledger.ground.release(me, ch);
             ch
         };
@@ -715,10 +763,10 @@ where
     fn reject(&self, me: CellId, req: RequestId, cause: DropCause, out: &mut Outbox<P::Msg>) {
         {
             let mut ledger = self.ledger.lock().expect("ledger poisoned");
-            let Some(rec) = ledger.resolve(me, req) else {
+            if ledger.resolve(me, req).is_none() {
                 return;
-            };
-            rec.state = TicketState::Done;
+            }
+            ledger.end(req.0);
         }
         out.confirms.push(Confirm::Rejected {
             ticket: Ticket(req.0),
@@ -752,25 +800,27 @@ where
                     "a handoff needs its source ticket (ChannelRequest::handoff)",
                 ));
             };
-            let Some(rec) = ledger.tickets.get_mut(src.0 as usize) else {
-                return Err(ServeError::UnknownTicket(src));
-            };
             // Claiming under the ledger lock makes concurrent handoffs
             // of the same source mutually exclusive: the loser sees Done
             // and is refused.
-            let TicketState::Active(ch) = rec.state else {
-                return Err(ServeError::BadHandoff(
-                    "the source ticket is not holding a channel",
-                ));
+            let ch = match ledger.state(src.0) {
+                None => return Err(ServeError::UnknownTicket(src)),
+                Some(TicketState::Active(ch)) => ch,
+                Some(_) => {
+                    return Err(ServeError::BadHandoff(
+                        "the source ticket is not holding a channel",
+                    ))
+                }
             };
-            rec.state = TicketState::Done;
-            ledger.ground.release(rec.cell, ch);
-            let src_cell = rec.cell.index();
+            let src_cell = ledger.rec(src.0).cell;
+            ledger.end(src.0);
+            ledger.ground.release(src_cell, ch);
+            let src_cell = src_cell.index();
             let relinquish = TaskEvent::Relinquish { ticket: src.0, ch };
             runs[self.home(src_cell)].push((src_cell, relinquish));
         }
-        let ticket = ledger.tickets.len() as u64;
-        ledger.tickets.push(TicketRec {
+        let ticket = ledger.next();
+        ledger.tickets.push_back(TicketRec {
             cell: req.cell,
             hold: req.hold,
             issued,
@@ -788,6 +838,15 @@ where
 /// requests are answered at wall-clock time (latencies are reported in
 /// ticks of [`ProductionConfig::ns_per_tick`]). Granted calls
 /// auto-release when their hold expires.
+///
+/// Its ticket table holds 24 B a ticket from the oldest unended one to
+/// the newest, not a record for every request ever issued, so a
+/// service that runs forever holds its calls in flight and the ended
+/// tickets issued since the oldest of them. The limit: a call held for
+/// a day keeps every ticket issued that day in the table until it ends.
+/// Tickets are numbered in submission order all the same, and an ended
+/// ticket answers as it did: a release is `Ok(())`, a handoff from it
+/// is a [`ServeError::BadHandoff`].
 ///
 /// The service is [`Clone`]: every clone is a handle onto the *same*
 /// executor (shared tickets, confirms, stats), so independent driver
@@ -850,7 +909,8 @@ where
             .collect();
         let inner = Arc::new(Inner {
             ledger: Mutex::new(Ledger {
-                tickets: Vec::new(),
+                tickets: VecDeque::new(),
+                base: 0,
                 ground: Ground::new(&topo),
                 violations: Vec::new(),
             }),
@@ -965,11 +1025,11 @@ where
         let admitted = {
             let issued = inner.ticks();
             let mut ledger = inner.ledger.lock().expect("ledger poisoned");
-            let before = ledger.tickets.len();
+            let before = ledger.next();
             for req in reqs {
                 out.push(inner.admit(&mut ledger, req, issued, &mut self.runs));
             }
-            (ledger.tickets.len() - before) as u64
+            ledger.next() - before
         };
         if admitted == 0 {
             return;
@@ -988,18 +1048,16 @@ where
     fn release(&mut self, ticket: Ticket) -> Result<(), ServeError> {
         let cell = {
             let mut ledger = self.inner.ledger.lock().expect("ledger poisoned");
-            let Some(rec) = ledger.tickets.get_mut(ticket.0 as usize) else {
-                return Err(ServeError::UnknownTicket(ticket));
-            };
-            match rec.state {
+            match ledger.state(ticket.0) {
+                None => return Err(ServeError::UnknownTicket(ticket)),
                 // Not granted yet: truncate the hold so the eventual
                 // grant auto-releases immediately.
-                TicketState::Pending => {
-                    rec.hold = 0;
+                Some(TicketState::Pending) => {
+                    ledger.rec(ticket.0).hold = 0;
                     return Ok(());
                 }
-                TicketState::Done => return Ok(()), // benign double release
-                TicketState::Active(_) => rec.cell.index(),
+                Some(TicketState::Done) => return Ok(()), // benign double release
+                Some(TicketState::Active(_)) => ledger.rec(ticket.0).cell.index(),
             }
         };
         // A run of one, behind the same bound as an admission.
@@ -1234,6 +1292,176 @@ mod tests {
     #[test]
     fn a_ticket_record_is_three_words() {
         assert_eq!(std::mem::size_of::<TicketRec>(), 24);
+    }
+
+    /// The ticket table holds the tickets in flight, not every ticket
+    /// issued: 200 000 zero-hold calls in bursts on 12×12, their answers
+    /// drained as they come, never take it past 10 000 records, nor its
+    /// allocation.
+    #[test]
+    fn the_ticket_table_stays_flat() {
+        const CALLS: u64 = 200_000;
+        const BURST: u64 = 500;
+        const IN_FLIGHT: u64 = 1_000;
+        let topo = Arc::new(Topology::builder(12, 12).channels(70).build());
+        let cells = topo.num_cells() as u64;
+        let cfg = ProductionConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let mut svc = ProductionAllocService::new(topo, cfg, FixedNode::new);
+        let (mut issued, mut ended, mut widest) = (0, 0, 0);
+        let (mut results, mut confirms, mut indications) = (Vec::new(), Vec::new(), Vec::new());
+        while issued < CALLS {
+            let reqs: Vec<ChannelRequest> = (issued..issued + BURST)
+                .map(|i| ChannelRequest::new_call(0, CellId((i % cells) as u32), 0))
+                .collect();
+            svc.request_channels(&reqs, &mut results);
+            assert!(results.drain(..).all(|r| r.is_ok()));
+            issued += BURST;
+            {
+                let ledger = svc.inner.ledger.lock().unwrap();
+                widest = widest
+                    .max(ledger.tickets.len())
+                    .max(ledger.tickets.capacity());
+            }
+            // A call ends with its rejection or its release.
+            while issued - ended > IN_FLIGHT {
+                svc.recv_answers(Duration::from_secs(10), &mut confirms, &mut indications);
+                assert!(
+                    !confirms.is_empty() || !indications.is_empty(),
+                    "no answer in 10 s"
+                );
+                let rejected = confirms.drain(..).filter(|c| !c.is_granted()).count();
+                ended += (rejected + indications.drain(..).count()) as u64;
+            }
+        }
+        assert!(widest <= 10_000, "the ticket table reached {widest}");
+    }
+
+    /// Grants cell 0's requests a channel each, in turn. Any other cell
+    /// rejects each request, then re-grants the next old ticket of its
+    /// script: a protocol that resolves a request twice.
+    struct Regrant {
+        script: VecDeque<u64>,
+        next: u16,
+    }
+
+    impl StateMachine for Regrant {
+        type Msg = ();
+
+        fn msg_kind(_: &()) -> &'static str {
+            "NONE"
+        }
+
+        fn acquire(&mut self, req: RequestId, _kind: RequestKind, fx: &mut Effects<()>) {
+            match self.script.pop_front() {
+                None => {
+                    fx.grant(req, Channel(self.next));
+                    self.next += 1;
+                }
+                Some(old) => {
+                    fx.reject(req);
+                    fx.grant(RequestId(old), Channel(0));
+                }
+            }
+        }
+
+        fn release(&mut self, _ch: Channel, _fx: &mut Effects<()>) {}
+
+        fn message(&mut self, _from: CellId, _msg: (), _fx: &mut Effects<()>) {}
+    }
+
+    /// Waits for ticket `t`'s `Released`.
+    fn await_release(svc: &mut ProductionAllocService<Regrant>, t: u64) {
+        let (mut confirms, mut indications) = (Vec::new(), Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !indications
+            .iter()
+            .any(|i: &Indication| matches!(i, Indication::Released { ticket, .. } if ticket.0 == t))
+        {
+            assert!(Instant::now() < deadline, "ticket#{t} never released");
+            svc.recv_answers(Duration::from_millis(100), &mut confirms, &mut indications);
+        }
+    }
+
+    /// A ticket below the window has ended and one past it was never
+    /// issued: a second resolution is one violation, whether the window
+    /// still holds the ticket or has trimmed past it, and touches no
+    /// channel; a trimmed ticket releases as an ended one and hands
+    /// nothing off; an unissued one is unknown.
+    #[test]
+    fn tickets_outside_the_window_answer_as_ended_or_unknown() {
+        let topo = Arc::new(Topology::builder(1, 2).channels(7).build());
+        let cfg = ProductionConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let mut svc =
+            ProductionAllocService::new(topo, cfg, |cell: CellId, _: &Topology| Regrant {
+                script: if cell.0 == 0 {
+                    VecDeque::new()
+                } else {
+                    [1, 1, 7_000].into()
+                },
+                next: 0,
+            });
+        let call = |cell, hold| ChannelRequest::new_call(0, CellId(cell), hold);
+        let violations = |svc: &ProductionAllocService<Regrant>| svc.stats().violations;
+        let window = |svc: &ProductionAllocService<Regrant>| {
+            let ledger = svc.inner.ledger.lock().unwrap();
+            let usage: Vec<usize> = ledger.ground.usage().iter().map(|u| u.len()).collect();
+            (ledger.base, ledger.tickets.len(), usage)
+        };
+        // Ticket 0 holds channel 0 and pins the front; ticket 1 ends
+        // behind it, in the window.
+        assert_eq!(svc.request_channel(call(0, 1 << 40)), Ok(Ticket(0)));
+        assert_eq!(svc.request_channel(call(0, 0)), Ok(Ticket(1)));
+        await_release(&mut svc, 1);
+        assert_eq!(window(&svc), (0, 2, vec![1, 0]));
+
+        // Cell 1 rejects ticket 2 and re-grants ticket 1.
+        assert_eq!(svc.request_channel(call(1, 0)), Ok(Ticket(2)));
+        assert!(svc.quiesce(Duration::from_secs(10)));
+        assert_eq!(violations(&svc), ["cell1 resolved ticket#1 twice"]);
+        assert_eq!(window(&svc), (0, 3, vec![1, 0]));
+
+        // Ticket 0 ends and the window trims past 0, 1 and 2; cell 1
+        // re-grants ticket 1 again, then one never issued.
+        assert_eq!(svc.release(Ticket(0)), Ok(()));
+        await_release(&mut svc, 0);
+        assert_eq!(window(&svc), (3, 0, vec![0, 0]));
+        assert_eq!(svc.request_channel(call(1, 0)), Ok(Ticket(3)));
+        assert_eq!(svc.request_channel(call(1, 0)), Ok(Ticket(4)));
+        assert!(svc.quiesce(Duration::from_secs(10)));
+        assert_eq!(
+            violations(&svc),
+            [
+                "cell1 resolved ticket#1 twice",
+                "cell1 resolved ticket#1 twice",
+                "cell1 resolved ticket#7000, never issued"
+            ]
+        );
+        assert_eq!(window(&svc), (5, 0, vec![0, 0]));
+
+        // Below the window: ended.
+        assert_eq!(svc.release(Ticket(1)), Ok(()));
+        assert!(matches!(
+            svc.request_channel(ChannelRequest::handoff(0, Ticket(1), CellId(1), 0)),
+            Err(ServeError::BadHandoff(_))
+        ));
+        // Past it: never issued.
+        let unissued = Ticket(7_000);
+        assert_eq!(
+            svc.release(unissued),
+            Err(ServeError::UnknownTicket(unissued))
+        );
+        assert_eq!(
+            svc.request_channel(ChannelRequest::handoff(0, unissued, CellId(1), 0)),
+            Err(ServeError::UnknownTicket(unissued))
+        );
+        assert_eq!(violations(&svc).len(), 3);
+        assert_eq!(window(&svc), (5, 0, vec![0, 0]));
     }
 
     /// Exhaustive over every grid size and pool size in range: the
