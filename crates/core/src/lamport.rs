@@ -25,7 +25,7 @@ impl std::fmt::Display for Timestamp {
 }
 
 /// A per-node Lamport clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LamportClock {
     counter: u64,
     node: u32,

@@ -8,7 +8,7 @@ use adca_hexgrid::CellId;
 /// regions are small — 18 members at the paper's radius 2 — so one word
 /// replaces a per-round `BTreeSet<CellId>`. Iteration is in slot order,
 /// which is ascending cell-id order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct RegionMask(u64);
 
 impl RegionMask {

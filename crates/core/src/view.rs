@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 /// Tracks `U_j` (uses + pledges) for every `j ∈ IN_i` and derives
 /// `I_i = ∪_j (U_j ∪ pledged_j)` with per-channel reference counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NeighborView {
     /// Region members, sorted by id; shared by clones (it never changes).
     members: Arc<[CellId]>,

@@ -26,7 +26,7 @@ impl fmt::Display for Channel {
 }
 
 /// The full set of channels in the system: `Spectrum = {0, 1, …, n-1}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Spectrum {
     len: u16,
 }

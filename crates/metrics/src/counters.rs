@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 /// (`"REQUEST"`, `"acq_local"`, `"mode_0_to_1"`, …); the simulator and the
 /// harness aggregate them here. `BTreeMap` keeps report output
 /// deterministic and alphabetical.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct CounterMap {
     counters: BTreeMap<&'static str, u64>,
 }

@@ -16,7 +16,7 @@ pub enum AuditMode {
 }
 
 /// An invariant violation detected by the engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Violation {
     /// Two cells within the interference distance held the same channel
     /// (the paper's Theorem 1 broken).

@@ -35,7 +35,7 @@ use adca_hexgrid::{CellId, Channel};
 pub struct RequestId(pub u64);
 
 /// Why the driver is asking for a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// A newly arriving call.
     NewCall,
