@@ -4,8 +4,8 @@
 //! The DES engine samples *one* schedule per seed; this crate explores
 //! *all* of them. It drives the same unmodified protocol transition
 //! functions — any node implementing
-//! [`adca_simkit::sm::StateMachine`] +
-//! [`adca_simkit::ProtocolState`] — through a breadth-first
+//! [`adca_simkit::sm::StateMachine`] whose state and messages are
+//! [`Hash`] — through a breadth-first
 //! enumeration of every message delivery order, message loss, message
 //! duplication, timer firing, crash/restart point, and link-partition
 //! window reachable within a configurable fault budget, on the small
@@ -46,14 +46,13 @@
 //!   cut) are excluded from the fairness frontier: budgets bound them,
 //!   so every maximal fair schedule ends in a terminal state.
 //!
-//! A state is identified by one canonical payload of [`Writer`] puts:
-//! each node's `ProtocolState::encode_state`, each queued message's
-//! `encode_msg`, and the rest of the state. Exploration is breadth-first
-//! over those identities, so the first counterexample found is a
-//! *shortest* one; it is returned as a replayable [`Schedule`] that
-//! [`Model::replay`] re-executes deterministically (unit tests pin that
-//! the defect reproduces, and `examples/trace_replay.rs` renders the
-//! replay as a trace timeline).
+//! A state is identified by the [`adca_simkit::StateHasher`] digest of
+//! its [`Hash`]: each node's, each queued message's, and the rest of the
+//! state's. Exploration is breadth-first over those identities, so the
+//! first counterexample found is a *shortest* one; it is returned as a
+//! replayable [`Schedule`] that [`Model::replay`] re-executes
+//! deterministically (unit tests pin that the defect reproduces, and
+//! `examples/trace_replay.rs` renders the replay as a trace timeline).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,13 +60,12 @@
 use adca_hexgrid::{CellId, Channel, Topology};
 use adca_simkit::sm::{Action, Effects, Input, StateMachine};
 use adca_simkit::{
-    Ground, ProtocolState, RequestId, RequestKind, SimTime, TraceEvent, TraceRecord, Violation,
-    Writer,
+    Ground, RequestId, RequestKind, SimTime, StateHasher, TraceEvent, TraceRecord, Violation,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
-use std::hash::{DefaultHasher, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// One scripted call-level operation at a cell.
@@ -86,7 +84,7 @@ pub enum Op {
 /// Remaining fault budget: how many of each fault class the exploration
 /// may still inject. All-zero budgets reduce the checker to pure
 /// delivery/timer/op interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct Budgets {
     /// Messages that may still be lost (`Choice::Drop`).
     pub losses: u32,
@@ -427,13 +425,12 @@ pub struct Replay {
 }
 
 /// A node type the checker can drive: a pure [`StateMachine`] whose
-/// state and wire messages serialize through the snapshot codec (the
-/// serialization is a state's identity) and that clones (a successor
-/// state owns its nodes) — all six schemes. Blanket-implemented; never
-/// implement it by hand.
-pub trait CheckNode: StateMachine + ProtocolState + Clone {}
+/// state and wire messages are [`Hash`] (the hash is part of a state's
+/// identity) and that clones (a successor state owns its nodes) — all
+/// six schemes. Blanket-implemented; never implement it by hand.
+pub trait CheckNode: StateMachine<Msg: Hash> + Hash + Clone {}
 
-impl<T> CheckNode for T where T: StateMachine + ProtocolState + Clone {}
+impl<T> CheckNode for T where T: StateMachine<Msg: Hash> + Hash + Clone {}
 
 /// Explorable model: a topology, the nodes as built, per-cell op
 /// scripts, and a fault budget.
@@ -446,7 +443,7 @@ pub struct Model<N: CheckNode> {
 }
 
 /// Checker-internal state: live nodes and live queued messages. Its
-/// identity is `Model::hash`, not the values' `Eq`.
+/// identity is its [`StateHasher`] digest, not the values' `Eq`.
 #[derive(Clone)]
 struct State<N: StateMachine> {
     nodes: Vec<N>,
@@ -462,6 +459,42 @@ struct State<N: StateMachine> {
     rejects: Vec<u32>,
     next_req: u64,
     budgets: Budgets,
+}
+
+/// A state's identity: every field, destructured so that a new one is a
+/// compile error here. The digest never leaves the process and the BFS
+/// order does not depend on it, so any 128-bit hash of the value does.
+impl<N: CheckNode> Hash for State<N> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let State {
+            nodes,
+            queues,
+            timers,
+            down,
+            cuts,
+            next_op,
+            pending,
+            active,
+            ground,
+            grants,
+            rejects,
+            next_req,
+            budgets,
+        } = self;
+        nodes.hash(h);
+        queues.hash(h);
+        timers.hash(h);
+        down.hash(h);
+        cuts.hash(h);
+        next_op.hash(h);
+        pending.hash(h);
+        active.hash(h);
+        ground.usage().hash(h);
+        grants.hash(h);
+        rejects.hash(h);
+        next_req.hash(h);
+        budgets.hash(h);
+    }
 }
 
 fn norm_link(a: CellId, b: CellId) -> (u32, u32) {
@@ -839,74 +872,6 @@ impl<N: CheckNode> Model<N> {
         Ok(s)
     }
 
-    // ---- canonical hashing -------------------------------------------
-
-    /// A state's identity: every field written through `w` (cleared
-    /// first, so one writer serves every state) and the payload hashed
-    /// on two salted lanes. The hash never leaves the process and the
-    /// BFS order does not depend on it, so any 128-bit hash of a
-    /// canonical form does.
-    fn hash(st: &State<N>, w: &mut Writer) -> u128 {
-        w.clear();
-        for node in &st.nodes {
-            node.encode_state(w);
-        }
-        w.put_len(st.queues.len());
-        for (&(from, to), q) in &st.queues {
-            w.put_u32(from);
-            w.put_u32(to);
-            w.put_len(q.len());
-            for msg in q {
-                N::encode_msg(msg, w);
-            }
-        }
-        w.put_len(st.timers.len());
-        for (&(cell, tag), &count) in &st.timers {
-            w.put_u32(cell);
-            w.put_u64(tag);
-            w.put_u32(count);
-        }
-        for &d in &st.down {
-            w.put_bool(d);
-        }
-        w.put_len(st.cuts.len());
-        for &(a, b) in &st.cuts {
-            w.put_u32(a);
-            w.put_u32(b);
-        }
-        for &op in &st.next_op {
-            w.put_len(op);
-        }
-        for p in &st.pending {
-            w.put_opt_u64(p.map(|r| r.0));
-        }
-        for act in &st.active {
-            w.put_len(act.len());
-            for &ch in act {
-                w.put_channel(ch);
-            }
-        }
-        for set in st.ground.usage() {
-            w.put_channel_set(set);
-        }
-        for (&g, &r) in st.grants.iter().zip(&st.rejects) {
-            w.put_u32(g);
-            w.put_u32(r);
-        }
-        w.put_u64(st.next_req);
-        let b = st.budgets;
-        for v in [b.losses, b.dups, b.crashes, b.partitions] {
-            w.put_u32(v);
-        }
-        let lane = |salt: u64| {
-            let mut h = DefaultHasher::new();
-            h.write_u64(salt);
-            h.write(w.payload());
-            h.finish()
-        };
-        (u128::from(lane(0)) << 64) | u128::from(lane(1))
-    }
-
     // ---- exploration --------------------------------------------------
 
     /// Exhaustively explores the model breadth-first. Stops at the first
@@ -939,8 +904,7 @@ impl<N: CheckNode> Model<N> {
                 return outcome;
             }
         };
-        let mut w = Writer::new();
-        let h0 = Self::hash(&init, &mut w);
+        let h0 = StateHasher::digest(&init);
         seen(h0, &init, true);
         // Every state seen, with the edge that first reached it.
         let mut parents: HashMap<u128, Option<(u128, Choice)>> = HashMap::from([(h0, None)]);
@@ -990,7 +954,7 @@ impl<N: CheckNode> Model<N> {
                         return outcome;
                     }
                     Ok(next) => {
-                        let nh = Self::hash(&next, &mut w);
+                        let nh = StateHasher::digest(&next);
                         let entry = parents.entry(nh);
                         seen(nh, &next, matches!(entry, Entry::Vacant(_)));
                         if let Entry::Vacant(slot) = entry {
@@ -1138,8 +1102,8 @@ mod tests {
 
     /// Explores `model` keeping every state by its identity, and requires
     /// a state whose identity repeats to equal the kept one in its nodes
-    /// and queues by value: an `encode_state` or `encode_msg` that leaves
-    /// a field out merges states that differ in it, and fails here.
+    /// and queues by value: a node's or message's `Hash` that leaves a
+    /// field out merges states that differ in it, and fails here.
     /// Returns the outcome and how many repeats were compared.
     fn explore_comparing<N>(model: &Model<N>) -> (CheckOutcome, usize)
     where

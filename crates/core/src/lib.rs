@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adaptive;
-pub mod codec;
 pub mod config;
 pub mod lamport;
 pub mod mask;
