@@ -5,9 +5,8 @@
 //!
 //! * [`frame`] — the hand-rolled ADCW frame codec: length-prefixed,
 //!   versioned binary envelopes with a word-at-a-time checksum for the full
-//!   request/confirm/indication vocabulary (including handoffs), in
-//!   the style of `simkit`'s ADCASNAP snapshot envelope. No serde;
-//!   malformed bytes decode to typed errors, never panics.
+//!   request/confirm/indication vocabulary (including handoffs). No
+//!   serde; malformed bytes decode to typed errors, never panics.
 //! * [`WireServer`] — a [`TcpListener`](std::net::TcpListener) front
 //!   for any `AllocService + Clone` backend. Each connection gets a
 //!   reader/writer worker pair; a reader submitting into a full
