@@ -32,9 +32,8 @@
 use adca_core::{CallQueue, LamportClock, NeighborView, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{Effects, RequestId, RequestKind, StateMachine};
+use adca_simkit::{Effects, RequestId, RequestKind, RunInput, StateMachine};
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 
 /// Give up (drop the call) after this many rejected attempts, as
 /// [`crate::basic_update::MAX_ATTEMPTS`] does for the basic scheme.
@@ -91,12 +90,12 @@ struct Attempt {
 }
 
 /// A mobile service station running advanced update.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdvancedUpdateNode {
     me: CellId,
     spectrum: Spectrum,
     /// The shared system model: `PR_j` of region members.
-    topo: Topology,
+    topo: RunInput<Topology>,
     /// `PR_i`.
     primary: ChannelSet,
     used: ChannelSet,
@@ -115,71 +114,6 @@ pub struct AdvancedUpdateNode {
     serving_since: Option<adca_simkit::SimTime>,
 }
 
-/// Every field but `topo`, the system model every node of a run is built
-/// from (it has no `PartialEq`, and two states of one run share it).
-impl PartialEq for AdvancedUpdateNode {
-    fn eq(&self, other: &Self) -> bool {
-        let AdvancedUpdateNode {
-            me,
-            spectrum,
-            topo: _,
-            primary,
-            used,
-            view,
-            clock,
-            call_q,
-            attempt,
-            pending_grants,
-            borrowable,
-            serving_since,
-        } = self;
-        *me == other.me
-            && *spectrum == other.spectrum
-            && *primary == other.primary
-            && *used == other.used
-            && *view == other.view
-            && *clock == other.clock
-            && *call_q == other.call_q
-            && *attempt == other.attempt
-            && *pending_grants == other.pending_grants
-            && *borrowable == other.borrowable
-            && *serving_since == other.serving_since
-    }
-}
-
-/// Every field [`PartialEq`] compares: equal nodes hash alike, and a
-/// field added to the node is a compile error here until it is hashed
-/// or skipped by name.
-impl Hash for AdvancedUpdateNode {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        let AdvancedUpdateNode {
-            me,
-            spectrum,
-            topo: _,
-            primary,
-            used,
-            view,
-            clock,
-            call_q,
-            attempt,
-            pending_grants,
-            borrowable,
-            serving_since,
-        } = self;
-        me.hash(h);
-        spectrum.hash(h);
-        primary.hash(h);
-        used.hash(h);
-        view.hash(h);
-        clock.hash(h);
-        call_q.hash(h);
-        attempt.hash(h);
-        pending_grants.hash(h);
-        borrowable.hash(h);
-        serving_since.hash(h);
-    }
-}
-
 impl AdvancedUpdateNode {
     /// Creates the node for `cell`.
     pub fn new(cell: CellId, topo: &Topology) -> Self {
@@ -189,7 +123,7 @@ impl AdvancedUpdateNode {
         AdvancedUpdateNode {
             me: cell,
             spectrum: topo.spectrum(),
-            topo: topo.clone(),
+            topo: RunInput::new(topo.clone()),
             primary: topo.primary(cell).clone(),
             used: topo.spectrum().empty_set(),
             view: NeighborView::new(topo.spectrum(), region),

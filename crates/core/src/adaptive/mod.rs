@@ -50,9 +50,8 @@ use crate::view::NeighborView;
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{DropCause, RequestId, RequestKind, SimTime};
+use adca_simkit::{DropCause, RequestId, RequestKind, RunInput, SimTime};
 use std::collections::{BTreeSet, VecDeque};
-use std::hash::{Hash, Hasher};
 
 #[cfg(test)]
 mod tests;
@@ -241,14 +240,14 @@ struct Attempt {
 }
 
 /// One mobile service station running the adaptive scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdaptiveNode {
-    cfg: AdaptiveConfig,
+    cfg: RunInput<AdaptiveConfig>,
     me: CellId,
     spectrum: Spectrum,
     /// The shared system model: `PR_j` and `IN_j` of region members,
     /// for `Best()`.
-    topo: Topology,
+    topo: RunInput<Topology>,
     /// `PR_i`.
     pr: ChannelSet,
     /// `Use_i`.
@@ -293,98 +292,6 @@ pub struct AdaptiveNode {
     armed: Option<u64>,
 }
 
-/// Every field but `topo`, the system model every node of a run is built
-/// from (it has no `PartialEq`, and two states of one run share it).
-impl PartialEq for AdaptiveNode {
-    fn eq(&self, other: &Self) -> bool {
-        let AdaptiveNode {
-            cfg,
-            me,
-            spectrum,
-            topo: _,
-            pr,
-            used,
-            view,
-            nfc,
-            mode,
-            update_subs,
-            defer_q,
-            owed,
-            rounds,
-            clock,
-            call_q,
-            attempt,
-            force_search,
-            timer_epoch,
-            armed,
-        } = self;
-        *cfg == other.cfg
-            && *me == other.me
-            && *spectrum == other.spectrum
-            && *pr == other.pr
-            && *used == other.used
-            && *view == other.view
-            && *nfc == other.nfc
-            && *mode == other.mode
-            && *update_subs == other.update_subs
-            && *defer_q == other.defer_q
-            && *owed == other.owed
-            && *rounds == other.rounds
-            && *clock == other.clock
-            && *call_q == other.call_q
-            && *attempt == other.attempt
-            && *force_search == other.force_search
-            && *timer_epoch == other.timer_epoch
-            && *armed == other.armed
-    }
-}
-
-/// Every field [`PartialEq`] compares but `cfg`, fixed for the run (and
-/// holding `f64`s): equal nodes hash alike, and a field added to the
-/// node is a compile error here until it is hashed or skipped by name.
-impl Hash for AdaptiveNode {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        let AdaptiveNode {
-            cfg: _,
-            me,
-            spectrum,
-            topo: _,
-            pr,
-            used,
-            view,
-            nfc,
-            mode,
-            update_subs,
-            defer_q,
-            owed,
-            rounds,
-            clock,
-            call_q,
-            attempt,
-            force_search,
-            timer_epoch,
-            armed,
-        } = self;
-        me.hash(h);
-        spectrum.hash(h);
-        pr.hash(h);
-        used.hash(h);
-        view.hash(h);
-        nfc.hash(h);
-        mode.hash(h);
-        update_subs.hash(h);
-        defer_q.hash(h);
-        owed.hash(h);
-        rounds.hash(h);
-        clock.hash(h);
-        call_q.hash(h);
-        attempt.hash(h);
-        force_search.hash(h);
-        timer_epoch.hash(h);
-        armed.hash(h);
-    }
-}
-
 impl AdaptiveNode {
     /// Creates the node for `cell` with the given tunables.
     pub fn new(cell: CellId, topo: &Topology, cfg: AdaptiveConfig) -> Self {
@@ -394,7 +301,7 @@ impl AdaptiveNode {
         AdaptiveNode {
             me: cell,
             spectrum: topo.spectrum(),
-            topo: topo.clone(),
+            topo: RunInput::new(topo.clone()),
             pr: topo.primary(cell).clone(),
             used: topo.spectrum().empty_set(),
             view: NeighborView::new(topo.spectrum(), region),
@@ -410,7 +317,7 @@ impl AdaptiveNode {
             force_search: false,
             timer_epoch: 0,
             armed: None,
-            cfg,
+            cfg: RunInput::new(cfg),
         }
     }
 

@@ -27,7 +27,8 @@
 //!   plus per-cell mode-occupancy timelines ([`trace::CellTimeline`]),
 //! * a state's identity, the [`std::hash::Hash`] of its value taken with
 //!   [`StateHasher`] ([`state_hash`]): one digest a section of the
-//!   engine ([`Engine::state_digests`]), and the model checker's state.
+//!   engine ([`Engine::state_digests`]), and the model checker's state;
+//!   a node's [`RunInput`] fields, fixed for the run, are outside it.
 //!
 //! Determinism: two runs with the same topology, workload, seed and
 //! configuration produce identical event interleavings and identical
@@ -55,7 +56,7 @@ pub use ground::Ground;
 pub use latency::LatencyModel;
 pub use report::{AuditMode, DropCause, SimReport, Violation};
 pub use sm::{Action, Effects, Input, RequestId, RequestKind, StateMachine};
-pub use state_hash::StateHasher;
+pub use state_hash::{RunInput, StateHasher};
 pub use time::SimTime;
 pub use trace::{
     AcqPath, CellTimeline, JsonlSink, NoopSink, RingSink, RoundKind, TraceEvent, TraceRecord,

@@ -1,9 +1,11 @@
 //! A state's identity: a 128-bit digest of the value's [`Hash`].
 //!
 //! A state is named by its value, not by a byte form of it. Nodes,
-//! messages and the engine's records derive (or hand-write) [`Hash`],
-//! so a field cannot be left out of the identity: a derived impl lists
-//! every field, and the two hand impls destructure theirs. The model
+//! messages and the engine's records derive [`Hash`], so a field cannot
+//! be left out of the identity: a derived impl lists every field. What
+//! a node is given when it is built, the same in every state of a run,
+//! is wrapped in a [`RunInput`], which compares equal and hashes to
+//! nothing; what it holds is hashed. The model
 //! checker merges states by [`StateHasher::finish128`];
 //! [`Engine::state_digests`](crate::Engine::state_digests) gives one
 //! digest per engine section, which the golden-digest tests pin and
@@ -17,7 +19,9 @@
 //! a pinned golden, so it needs no stability across toolchains beyond
 //! what those pins record.
 
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 /// Multipliers of the two lanes (odd, with bits spread over the word).
 const K0: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -151,6 +155,60 @@ impl Hasher for StateHasher {
     }
 }
 
+/// A value a node is given when it is built and that is the same in
+/// every state of one run (its spectrum, its primary set, its region,
+/// the run's configuration), so it is not part of a state's identity:
+/// every `RunInput` equals every other and its [`Hash`] writes nothing.
+/// A node wraps each field that no transition assigns and derives
+/// `PartialEq`, `Eq` and `Hash`; everything else it holds is compared
+/// and hashed.
+///
+/// It reads through [`Deref`] and has no `DerefMut`, so a transition
+/// cannot change what it holds:
+///
+/// ```compile_fail,E0594
+/// let alpha = adca_simkit::RunInput::new(3u32);
+/// *alpha = 4;
+/// ```
+#[repr(transparent)]
+#[derive(Clone, Copy)]
+pub struct RunInput<T>(T);
+
+impl<T> RunInput<T> {
+    /// Wraps a value fixed for the run.
+    pub const fn new(value: T) -> Self {
+        RunInput(value)
+    }
+}
+
+impl<T> Deref for RunInput<T> {
+    type Target = T;
+
+    #[inline(always)]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> PartialEq for RunInput<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> Eq for RunInput<T> {}
+
+impl<T> Hash for RunInput<T> {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
+}
+
+/// The wrapped value's rendering: a node prints as it did unwrapped.
+impl<T: fmt::Debug> fmt::Debug for RunInput<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +276,20 @@ mod tests {
         explicit.write(&bytes);
         assert_eq!(StateHasher::digest(&v), explicit.finish128());
         assert_eq!(explicit.bytes(), 8 + 6);
+    }
+
+    /// A `RunInput` field changes neither `==`, nor the digest, nor the
+    /// count of bytes hashed.
+    #[test]
+    fn a_run_input_is_outside_the_identity() {
+        let (a, b) = ((1u32, RunInput::new(5u64)), (1u32, RunInput::new(6u64)));
+        assert_eq!(a, b);
+        assert_eq!(StateHasher::digest(&a), StateHasher::digest(&1u32));
+        assert_eq!(StateHasher::digest(&a), StateHasher::digest(&b));
+        let mut h = StateHasher::new();
+        a.hash(&mut h);
+        assert_eq!(h.bytes(), 4);
+        assert_ne!((1u32, RunInput::new(5u64)), (2u32, RunInput::new(5u64)));
     }
 
     /// The byte count keeps a string's terminator from moving across
