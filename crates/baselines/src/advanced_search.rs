@@ -23,8 +23,9 @@
 use adca_core::{CallQueue, LamportClock, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{Effects, RequestId, RequestKind, StateMachine};
+use adca_simkit::{Effects, RequestId, RequestKind, RunInput, StateMachine};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Wire messages of the advanced search scheme.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -112,12 +113,12 @@ struct Search {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdvancedSearchNode {
     me: CellId,
-    spectrum: Spectrum,
+    spectrum: RunInput<Spectrum>,
     /// The initial (reuse-pattern) allotment — channels outside it are
     /// flagged as borrowed in trace events.
-    initial: ChannelSet,
+    initial: RunInput<ChannelSet>,
     /// `IN_i`, sorted: a member's index is its [`RegionMask`] slot.
-    region: Vec<CellId>,
+    region: RunInput<Arc<[CellId]>>,
     /// Channels this cell owns.
     allocated: ChannelSet,
     /// Channels in use (`⊆ allocated`).
@@ -138,9 +139,9 @@ impl AdvancedSearchNode {
         RegionMask::assert_fits(cell, topo.region(cell).len());
         AdvancedSearchNode {
             me: cell,
-            spectrum: topo.spectrum(),
-            initial: topo.primary(cell).clone(),
-            region: topo.region(cell).to_vec(),
+            spectrum: RunInput::new(topo.spectrum()),
+            initial: RunInput::new(topo.primary(cell).clone()),
+            region: RunInput::new(topo.region(cell).into()),
             allocated: topo.primary(cell).clone(),
             used: topo.spectrum().empty_set(),
             lent: topo.spectrum().empty_set(),
@@ -219,7 +220,7 @@ impl AdvancedSearchNode {
             self.conclude_collect(ctx);
             return;
         }
-        for &j in &self.region {
+        for &j in self.region.iter() {
             ctx.send(j, AdvancedSearchMsg::Request { ts });
         }
     }

@@ -93,11 +93,11 @@ struct Attempt {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdvancedUpdateNode {
     me: CellId,
-    spectrum: Spectrum,
+    spectrum: RunInput<Spectrum>,
     /// The shared system model: `PR_j` of region members.
     topo: RunInput<Topology>,
     /// `PR_i`.
-    primary: ChannelSet,
+    primary: RunInput<ChannelSet>,
     used: ChannelSet,
     /// The region mirror; its `members()` is `IN_i`, sorted.
     view: NeighborView,
@@ -109,7 +109,7 @@ pub struct AdvancedUpdateNode {
     pending_grants: BTreeMap<Channel, CellId>,
     /// Channels this cell may borrow at all: the witness condition holds
     /// against every region member (see module docs).
-    borrowable: ChannelSet,
+    borrowable: RunInput<ChannelSet>,
     /// When service of the head request began (protocol latency metric).
     serving_since: Option<adca_simkit::SimTime>,
 }
@@ -122,16 +122,16 @@ impl AdvancedUpdateNode {
         let borrowable = Self::compute_borrowable(cell, topo);
         AdvancedUpdateNode {
             me: cell,
-            spectrum: topo.spectrum(),
+            spectrum: RunInput::new(topo.spectrum()),
             topo: RunInput::new(topo.clone()),
-            primary: topo.primary(cell).clone(),
+            primary: RunInput::new(topo.primary(cell).clone()),
             used: topo.spectrum().empty_set(),
             view: NeighborView::new(topo.spectrum(), region),
             clock: LamportClock::new(cell),
             call_q: CallQueue::new(),
             attempt: None,
             pending_grants: BTreeMap::new(),
-            borrowable,
+            borrowable: RunInput::new(borrowable),
             serving_since: None,
         }
     }

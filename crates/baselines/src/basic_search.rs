@@ -18,8 +18,9 @@ use adca_core::{CallQueue, LamportClock, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{DropCause, RequestId, RequestKind};
+use adca_simkit::{DropCause, RequestId, RequestKind, RunInput};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// With hardening on: resends (same timestamp, outstanding responders
 /// only) before the search gives up and rejects the call.
@@ -86,14 +87,14 @@ struct Search {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BasicSearchNode {
     me: CellId,
-    cfg: BasicSearchConfig,
-    spectrum: Spectrum,
+    cfg: RunInput<BasicSearchConfig>,
+    spectrum: RunInput<Spectrum>,
     /// The cell's nominal primary allotment — unused by the scheme's
     /// logic, kept so trace events can flag borrowed (non-primary)
     /// channels.
-    primary: ChannelSet,
+    primary: RunInput<ChannelSet>,
     /// `IN_i`, sorted: a member's index is its [`RegionMask`] slot.
-    region: Vec<CellId>,
+    region: RunInput<Arc<[CellId]>>,
     used: ChannelSet,
     clock: LamportClock,
     call_q: CallQueue,
@@ -118,10 +119,10 @@ impl BasicSearchNode {
         RegionMask::assert_fits(cell, topo.region(cell).len());
         BasicSearchNode {
             me: cell,
-            cfg,
-            spectrum: topo.spectrum(),
-            primary: topo.primary(cell).clone(),
-            region: topo.region(cell).to_vec(),
+            cfg: RunInput::new(cfg),
+            spectrum: RunInput::new(topo.spectrum()),
+            primary: RunInput::new(topo.primary(cell).clone()),
+            region: RunInput::new(topo.region(cell).into()),
             used: topo.spectrum().empty_set(),
             clock: LamportClock::new(cell),
             call_q: CallQueue::new(),
@@ -169,7 +170,7 @@ impl BasicSearchNode {
             self.conclude(ctx);
             return;
         }
-        for &j in &self.region {
+        for &j in self.region.iter() {
             ctx.send(j, BasicSearchMsg::Request { ts });
         }
         self.search = Some(Search {

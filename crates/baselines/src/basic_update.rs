@@ -17,7 +17,7 @@ use adca_core::{CallQueue, LamportClock, NeighborView, RegionMask, Timestamp};
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum, Topology};
 use adca_simkit::sm::{Effects, StateMachine};
 use adca_simkit::trace::{AcqPath, RoundKind, TraceEvent};
-use adca_simkit::{DropCause, RequestId, RequestKind};
+use adca_simkit::{DropCause, RequestId, RequestKind, RunInput};
 
 /// Safety valve: give up (drop the call) after this many rejected
 /// attempts. The original scheme retries forever — `m` is unbounded
@@ -102,11 +102,11 @@ struct Attempt {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BasicUpdateNode {
     me: CellId,
-    cfg: BasicUpdateConfig,
-    spectrum: Spectrum,
+    cfg: RunInput<BasicUpdateConfig>,
+    spectrum: RunInput<Spectrum>,
     /// Nominal primary allotment — unused by the scheme's logic, kept so
     /// trace events can flag borrowed (non-primary) channels.
-    primary: ChannelSet,
+    primary: RunInput<ChannelSet>,
     used: ChannelSet,
     /// The region mirror; its `members()` is `IN_i`, sorted.
     view: NeighborView,
@@ -127,9 +127,9 @@ impl BasicUpdateNode {
         RegionMask::assert_fits(cell, region.len());
         BasicUpdateNode {
             me: cell,
-            cfg,
-            spectrum: topo.spectrum(),
-            primary: topo.primary(cell).clone(),
+            cfg: RunInput::new(cfg),
+            spectrum: RunInput::new(topo.spectrum()),
+            primary: RunInput::new(topo.primary(cell).clone()),
             used: topo.spectrum().empty_set(),
             view: NeighborView::new(topo.spectrum(), region),
             clock: LamportClock::new(cell),

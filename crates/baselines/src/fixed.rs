@@ -9,13 +9,13 @@
 
 use adca_hexgrid::{CellId, Channel, ChannelSet, Topology};
 use adca_simkit::trace::{AcqPath, TraceEvent};
-use adca_simkit::{Effects, RequestId, RequestKind, StateMachine};
+use adca_simkit::{Effects, RequestId, RequestKind, RunInput, StateMachine};
 
 /// A mobile service station running fixed allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FixedNode {
     me: CellId,
-    primary: ChannelSet,
+    primary: RunInput<ChannelSet>,
     used: ChannelSet,
 }
 
@@ -24,7 +24,7 @@ impl FixedNode {
     pub fn new(cell: CellId, topo: &Topology) -> Self {
         FixedNode {
             me: cell,
-            primary: topo.primary(cell).clone(),
+            primary: RunInput::new(topo.primary(cell).clone()),
             used: topo.spectrum().empty_set(),
         }
     }

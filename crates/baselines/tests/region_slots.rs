@@ -4,9 +4,12 @@
 //!
 //! 1. **State** — a node driven to the middle of a round by a fixed
 //!    script hashes to a pinned [`StateHasher`] digest. The digests were
-//!    recorded in the commit where the byte encoding's section digests,
-//!    themselves recorded from the `BTreeSet` implementation, still
-//!    passed beside them.
+//!    first recorded in the commit where the byte encoding's section
+//!    digests, themselves recorded from the `BTreeSet` implementation,
+//!    still passed beside them; they were re-recorded once, when the
+//!    nodes' run inputs (`RunInput` fields: spectrum, primary set,
+//!    region, configuration) left the hash, with the model checker's
+//!    output and every `results/` table unchanged.
 //! 2. **Foreign senders** — a response from a cell outside the region
 //!    credits nobody and leaves the node's state untouched, as
 //!    `BTreeSet::remove` of an absent id did.
@@ -102,7 +105,7 @@ fn basic_update_mid_round() {
         &mut out,
     );
     assert!(out.actions().is_empty());
-    assert_pinned(&node, 0x170e_6631_992d_3b18_a8a9_c070_c577_b318);
+    assert_pinned(&node, 0x8407_7b3c_0274_c7ec_4dcf_791b_8ce0_2615);
 
     // A fresh round, one answer short of done.
     let mut node = new();
@@ -142,7 +145,7 @@ fn basic_search_mid_round() {
         node.message(region[s], reply(region[s]), &mut out);
     }
     assert!(out.actions().is_empty());
-    assert_pinned(&node, 0xd21f_4ac9_f3d5_7c5c_5e7d_91dc_7cb8_b7f1);
+    assert_pinned(&node, 0xbac7_fbd0_a036_c114_d9f5_2931_4d21_f9c8);
 
     for s in (0..17).filter(|s| ![16, 2, 7].contains(s)) {
         node.message(region[s], reply(region[s]), &mut out);
@@ -194,7 +197,7 @@ fn advanced_update_mid_round() {
     let mut out = fx(me);
     node.message(asked[last].0, AdvancedUpdateMsg::Grant { ch }, &mut out);
     assert!(out.actions().is_empty());
-    assert_pinned(&node, 0x5ea6_5a6d_999a_10ae_1fc4_e216_b66a_1d3a);
+    assert_pinned(&node, 0x904e_583e_cc9c_1240_aa8b_762e_fad9_b53b);
 
     for (owner, _) in &asked[1..last] {
         node.message(*owner, AdvancedUpdateMsg::Grant { ch }, &mut out);
@@ -239,7 +242,7 @@ fn advanced_search_mid_round() {
         node.message(region[s], reply(region[s]), &mut out);
     }
     assert!(out.actions().is_empty());
-    assert_pinned(&node, 0x814a_6754_aaa2_a2c8_b3a3_bfcf_7ff5_b3fd);
+    assert_pinned(&node, 0xda78_a72e_cb24_49e9_c8e1_5144_c9c7_b4fa);
 
     let before = node.clone();
     let mut out = fx(me);
@@ -262,7 +265,7 @@ fn advanced_search_mid_round() {
     let mut out = fx(me);
     node.message(owners[last].0, AdvancedSearchMsg::Agree { ch }, &mut out);
     assert!(out.actions().is_empty());
-    assert_pinned(&node, 0x4c18_e231_728d_fac5_a34b_8044_7288_5534);
+    assert_pinned(&node, 0x2e4c_ac47_4ffb_daee_9d0a_74d8_8015_3044);
 
     for (owner, _) in &owners[1..last] {
         node.message(*owner, AdvancedSearchMsg::Agree { ch }, &mut out);

@@ -244,12 +244,12 @@ struct Attempt {
 pub struct AdaptiveNode {
     cfg: RunInput<AdaptiveConfig>,
     me: CellId,
-    spectrum: Spectrum,
+    spectrum: RunInput<Spectrum>,
     /// The shared system model: `PR_j` and `IN_j` of region members,
     /// for `Best()`.
     topo: RunInput<Topology>,
     /// `PR_i`.
-    pr: ChannelSet,
+    pr: RunInput<ChannelSet>,
     /// `Use_i`.
     used: ChannelSet,
     /// `U_j` and derived `I_i`; its `members()` is `IN_i`, sorted.
@@ -300,9 +300,9 @@ impl AdaptiveNode {
         RegionMask::assert_fits(cell, region.len());
         AdaptiveNode {
             me: cell,
-            spectrum: topo.spectrum(),
+            spectrum: RunInput::new(topo.spectrum()),
             topo: RunInput::new(topo.clone()),
-            pr: topo.primary(cell).clone(),
+            pr: RunInput::new(topo.primary(cell).clone()),
             used: topo.spectrum().empty_set(),
             view: NeighborView::new(topo.spectrum(), region),
             nfc: NfcWindow::new(cfg.window),
@@ -337,7 +337,7 @@ impl AdaptiveNode {
 
     /// The spectrum this node allocates from.
     pub fn spectrum(&self) -> Spectrum {
-        self.spectrum
+        *self.spectrum
     }
 
     /// Current use set.

@@ -41,16 +41,27 @@
 
 use crate::mask::set_bits;
 use adca_hexgrid::{CellId, Channel, ChannelSet, Spectrum};
+use adca_simkit::RunInput;
 use std::sync::Arc;
 
 /// Tracks `U_j` (uses + pledges) for every `j ∈ IN_i` and derives
 /// `I_i = ∪_j (U_j ∪ pledged_j)` with per-channel reference counts.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NeighborView {
-    /// Region members, sorted by id; shared by clones (it never changes).
-    members: Arc<[CellId]>,
+    /// The region and the block's layout, fixed when the view is built.
+    layout: RunInput<Layout>,
     /// The flat state block (see the module docs).
     block: Box<[u64]>,
+    /// Cached `I_i`: channels with a non-zero refcount.
+    interference: ChannelSet,
+}
+
+/// What a view is built from: the region and where each part of the
+/// block starts.
+#[derive(Debug, Clone)]
+struct Layout {
+    /// Region members, sorted by id; shared by clones.
+    members: Arc<[CellId]>,
     /// Words per channel set.
     set_words: usize,
     /// Word offset of the refcount bytes: how many members currently
@@ -62,8 +73,6 @@ pub struct NeighborView {
     /// Lowest member id and the number of ids the slot bytes cover.
     lo: usize,
     span: usize,
-    /// Cached `I_i`: channels with a non-zero refcount.
-    interference: ChannelSet,
 }
 
 /// Slots and refcounts are bytes (`slot + 1 ≤ 255`, refcount ≤ members).
@@ -101,13 +110,15 @@ impl NeighborView {
             block[slot_off + i / 8] |= (s as u64 + 1) << (i % 8 * 8);
         }
         NeighborView {
-            members: region.into(),
+            layout: RunInput::new(Layout {
+                members: region.into(),
+                set_words,
+                rc_off,
+                slot_off,
+                lo,
+                span,
+            }),
             block,
-            set_words,
-            rc_off,
-            slot_off,
-            lo,
-            span,
             interference: spectrum.empty_set(),
         }
     }
@@ -116,11 +127,11 @@ impl NeighborView {
     /// or `None` for a cell outside the region. O(1).
     #[inline]
     pub fn slot(&self, j: CellId) -> Option<usize> {
-        let i = j.index().wrapping_sub(self.lo);
-        if i >= self.span {
+        let i = j.index().wrapping_sub(self.layout.lo);
+        if i >= self.layout.span {
             return None;
         }
-        (byte_at(&self.block, self.slot_off, i) as usize).checked_sub(1)
+        (byte_at(&self.block, self.layout.slot_off, i) as usize).checked_sub(1)
     }
 
     #[inline]
@@ -138,21 +149,21 @@ impl NeighborView {
             "channel {ch} out of range {}",
             self.interference.capacity()
         );
-        let i = 2 * (s * self.set_words + ch.index() / 64);
+        let i = 2 * (s * self.layout.set_words + ch.index() / 64);
         (i, 1u64 << (ch.index() % 64))
     }
 
     #[inline]
     fn incr(&mut self, ch: Channel) {
-        self.block[self.rc_off + ch.index() / 8] += 1 << (ch.index() % 8 * 8);
+        self.block[self.layout.rc_off + ch.index() / 8] += 1 << (ch.index() % 8 * 8);
         self.interference.insert(ch);
     }
 
     #[inline]
     fn decr(&mut self, ch: Channel) {
-        debug_assert!(byte_at(&self.block, self.rc_off, ch.index()) > 0);
-        self.block[self.rc_off + ch.index() / 8] -= 1 << (ch.index() % 8 * 8);
-        if byte_at(&self.block, self.rc_off, ch.index()) == 0 {
+        debug_assert!(byte_at(&self.block, self.layout.rc_off, ch.index()) > 0);
+        self.block[self.layout.rc_off + ch.index() / 8] -= 1 << (ch.index() % 8 * 8);
+        if byte_at(&self.block, self.layout.rc_off, ch.index()) == 0 {
             self.interference.remove(ch);
         }
     }
@@ -211,7 +222,7 @@ impl NeighborView {
     /// (in which case they upgrade to uses).
     pub fn replace(&mut self, j: CellId, new_set: &ChannelSet) {
         debug_assert_eq!(new_set.capacity(), self.interference.capacity());
-        let base = 2 * self.member_slot(j) * self.set_words;
+        let base = 2 * self.member_slot(j) * self.layout.set_words;
         for (w, &new) in new_set.words().iter().enumerate() {
             let i = base + 2 * w;
             let (old, pledged) = (self.block[i], self.block[i + 1]);
@@ -236,7 +247,7 @@ impl NeighborView {
 
     /// Forgets every use and pledge (a restarted node's view).
     pub fn clear(&mut self) {
-        self.block[..self.slot_off].fill(0);
+        self.block[..self.layout.slot_off].fill(0);
         self.interference.clear();
     }
 
@@ -247,10 +258,10 @@ impl NeighborView {
     }
 
     fn set_of(&self, j: CellId, pledged: usize) -> ChannelSet {
-        let base = 2 * self.member_slot(j) * self.set_words + pledged;
+        let base = 2 * self.member_slot(j) * self.layout.set_words + pledged;
         ChannelSet::from_words(
             self.interference.capacity(),
-            (0..self.set_words).map(|w| self.block[base + 2 * w]),
+            (0..self.layout.set_words).map(|w| self.block[base + 2 * w]),
         )
     }
 
@@ -267,7 +278,7 @@ impl NeighborView {
     /// The region membership, sorted by id (index = region slot).
     #[inline]
     pub fn members(&self) -> &[CellId] {
-        &self.members
+        &self.layout.members
     }
 
     /// Whether `j` is a region member.
@@ -283,7 +294,7 @@ impl NeighborView {
     pub fn check_invariants(&self) -> bool {
         let nch = self.interference.capacity() as usize;
         let mut counts = vec![0u8; nch];
-        for &j in self.members.iter() {
+        for &j in self.layout.members.iter() {
             let (u, p) = (self.used_by(j), self.pledged_to(j));
             if !u.is_disjoint(&p) {
                 return false;
@@ -292,13 +303,13 @@ impl NeighborView {
                 counts[ch.index()] += 1;
             }
         }
-        let slots_ok = (0..self.span).all(|i| {
-            let id = CellId((self.lo + i) as u32);
-            self.slot(id) == self.members.binary_search(&id).ok()
+        let slots_ok = (0..self.layout.span).all(|i| {
+            let id = CellId((self.layout.lo + i) as u32);
+            self.slot(id) == self.layout.members.binary_search(&id).ok()
         });
         slots_ok
             && (0..nch).all(|c| {
-                let rc = byte_at(&self.block, self.rc_off, c);
+                let rc = byte_at(&self.block, self.layout.rc_off, c);
                 rc == counts[c] && (rc > 0) == self.interference.contains(Channel(c as u16))
             })
     }
