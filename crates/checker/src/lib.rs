@@ -60,7 +60,8 @@
 use adca_hexgrid::{CellId, Channel, Topology};
 use adca_simkit::sm::{Action, Effects, Input, StateMachine};
 use adca_simkit::{
-    Ground, RequestId, RequestKind, SimTime, StateHasher, TraceEvent, TraceRecord, Violation,
+    Ground, NoopSink, RequestId, RequestKind, SimTime, StateHasher, TraceEvent, TraceRecord,
+    TraceSink, Violation,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -573,7 +574,13 @@ impl<N: CheckNode> Model<N> {
             budgets: self.budgets,
         };
         for i in 0..n {
-            self.step_node(&mut st, CellId(i as u32), Input::Start, &mut NoObserver)?;
+            self.step_node(
+                &mut st,
+                CellId(i as u32),
+                Input::Start,
+                SimTime(0),
+                &mut NoopSink,
+            )?;
         }
         Ok(st)
     }
@@ -581,13 +588,16 @@ impl<N: CheckNode> Model<N> {
     // ---- transition function -----------------------------------------
 
     /// Applies `input` to `cell`'s node and folds the emitted actions
-    /// into the state, auditing grants against ground truth.
+    /// into the state, auditing grants against ground truth. What the
+    /// step does goes to `sink`, each record at `at` (a replay's
+    /// schedule position).
     fn step_node(
         &self,
         st: &mut State<N>,
         cell: CellId,
         input: Input<N::Msg>,
-        obs: &mut dyn ReplayObserver,
+        at: SimTime,
+        sink: &mut impl TraceSink,
     ) -> Result<(), Defect> {
         let i = cell.index();
         let mut fx = Effects::new(cell, SimTime(0), false);
@@ -599,14 +609,14 @@ impl<N: CheckNode> Model<N> {
                     if st.cuts.contains(&norm_link(cell, to)) {
                         // Partition: dropped at send time, both
                         // directions, exactly like the engine.
-                        obs.on_event(TraceEvent::MsgLost {
+                        note(sink, at, || TraceEvent::MsgLost {
                             from: cell,
                             to,
                             kind,
                         });
                         continue;
                     }
-                    obs.on_event(TraceEvent::MsgSend {
+                    note(sink, at, || TraceEvent::MsgSend {
                         from: cell,
                         to,
                         kind,
@@ -631,7 +641,7 @@ impl<N: CheckNode> Model<N> {
                     }
                     st.active[i].push(ch);
                     st.grants[i] += 1;
-                    obs.on_event(TraceEvent::Granted {
+                    note(sink, at, || TraceEvent::Granted {
                         cell,
                         ch,
                         latency: 0,
@@ -643,7 +653,7 @@ impl<N: CheckNode> Model<N> {
                     }
                     st.pending[i] = None;
                     st.rejects[i] += 1;
-                    obs.on_event(TraceEvent::Rejected {
+                    note(sink, at, || TraceEvent::Rejected {
                         cell,
                         cause: cause.label(),
                     });
@@ -734,12 +744,13 @@ impl<N: CheckNode> Model<N> {
     }
 
     /// Applies one choice, returning the successor state or the defect
-    /// the step produced.
+    /// the step produced; what it does goes to `sink` at `at`.
     fn apply(
         &self,
         st: &State<N>,
         choice: Choice,
-        obs: &mut dyn ReplayObserver,
+        at: SimTime,
+        sink: &mut impl TraceSink,
     ) -> Result<State<N>, Defect> {
         let mut s = st.clone();
         match choice {
@@ -759,19 +770,20 @@ impl<N: CheckNode> Model<N> {
                                 req,
                                 kind: RequestKind::NewCall,
                             },
-                            obs,
+                            at,
+                            sink,
                         )?;
                     }
                     Op::EndCall => {
                         if !s.active[i].is_empty() {
                             let ch = s.active[i].remove(0);
                             s.ground.release(cell, ch);
-                            obs.on_event(TraceEvent::Released {
+                            note(sink, at, || TraceEvent::Released {
                                 cell,
                                 ch,
                                 borrowed: !self.topo.primary(cell).contains(ch),
                             });
-                            self.step_node(&mut s, cell, Input::Release { ch }, obs)?;
+                            self.step_node(&mut s, cell, Input::Release { ch }, at, sink)?;
                         }
                         // else: the call was rejected — nothing to free.
                     }
@@ -782,24 +794,24 @@ impl<N: CheckNode> Model<N> {
                 if s.down[to.index()] {
                     // Inbound delivery to a crashed cell is discarded
                     // (the engine's crash semantics).
-                    obs.on_event(TraceEvent::MsgLost {
+                    note(sink, at, || TraceEvent::MsgLost {
                         from,
                         to,
                         kind: <N as StateMachine>::msg_kind(&msg),
                     });
                 } else {
-                    obs.on_event(TraceEvent::MsgRecv {
+                    note(sink, at, || TraceEvent::MsgRecv {
                         from,
                         to,
                         kind: <N as StateMachine>::msg_kind(&msg),
                     });
-                    self.step_node(&mut s, to, Input::Message { from, msg }, obs)?;
+                    self.step_node(&mut s, to, Input::Message { from, msg }, at, sink)?;
                 }
             }
             Choice::Drop { from, to } => {
                 let msg = s.pop_msg(from, to);
                 s.budgets.losses -= 1;
-                obs.on_event(TraceEvent::MsgLost {
+                note(sink, at, || TraceEvent::MsgLost {
                     from,
                     to,
                     kind: <N as StateMachine>::msg_kind(&msg),
@@ -815,17 +827,17 @@ impl<N: CheckNode> Model<N> {
                     .and_then(|q| q.front().cloned())
                     .expect("enabled() guarantees a queued message");
                 s.budgets.dups -= 1;
-                obs.on_event(TraceEvent::MsgDup {
+                note(sink, at, || TraceEvent::MsgDup {
                     from,
                     to,
                     kind: <N as StateMachine>::msg_kind(&msg),
                 });
-                obs.on_event(TraceEvent::MsgRecv {
+                note(sink, at, || TraceEvent::MsgRecv {
                     from,
                     to,
                     kind: <N as StateMachine>::msg_kind(&msg),
                 });
-                self.step_node(&mut s, to, Input::Message { from, msg }, obs)?;
+                self.step_node(&mut s, to, Input::Message { from, msg }, at, sink)?;
             }
             Choice::Fire { cell, tag } => {
                 let slot = s
@@ -837,7 +849,7 @@ impl<N: CheckNode> Model<N> {
                     s.timers.remove(&(cell.0, tag));
                 }
                 if !s.down[cell.index()] {
-                    self.step_node(&mut s, cell, Input::Timer { tag }, obs)?;
+                    self.step_node(&mut s, cell, Input::Timer { tag }, at, sink)?;
                 }
                 // else: timers of a crashed cell are discarded, as in
                 // the engine.
@@ -854,12 +866,12 @@ impl<N: CheckNode> Model<N> {
                 if s.pending[i].take().is_some() {
                     s.rejects[i] += 1;
                 }
-                obs.on_event(TraceEvent::Crash { cell });
+                note(sink, at, || TraceEvent::Crash { cell });
             }
             Choice::Restart { cell } => {
                 s.down[cell.index()] = false;
-                obs.on_event(TraceEvent::Recover { cell });
-                self.step_node(&mut s, cell, Input::Restart, obs)?;
+                note(sink, at, || TraceEvent::Recover { cell });
+                self.step_node(&mut s, cell, Input::Restart, at, sink)?;
             }
             Choice::Cut { a, b } => {
                 s.budgets.partitions -= 1;
@@ -946,7 +958,7 @@ impl<N: CheckNode> Model<N> {
             }
             for choice in choices {
                 outcome.transitions += 1;
-                match self.apply(&st, choice, &mut NoObserver) {
+                match self.apply(&st, choice, SimTime(0), &mut NoopSink) {
                     Err(defect) => {
                         let mut schedule = path_to(&parents, h);
                         schedule.0.push(choice);
@@ -979,30 +991,29 @@ impl<N: CheckNode> Model<N> {
     /// enabled in the state it is applied to — a schedule from
     /// [`Model::explore`] on the same model always is.
     pub fn replay(&self, schedule: &Schedule) -> Replay {
-        let mut rec = Recorder::default();
+        let mut rec = Recorder(Vec::new());
         let mut st = match self.initial() {
             Ok(st) => st,
             Err(defect) => {
                 return Replay {
                     defect: Some(defect),
-                    trace: rec.records,
+                    trace: rec.0,
                 }
             }
         };
         for (idx, &choice) in schedule.0.iter().enumerate() {
-            rec.at = idx as u64 + 1;
             let enabled = self.enabled(&st);
             assert!(
                 enabled.contains(&choice),
                 "schedule step {idx} ({choice}) is not enabled — \
                  schedule does not belong to this model"
             );
-            match self.apply(&st, choice, &mut rec) {
+            match self.apply(&st, choice, SimTime(idx as u64 + 1), &mut rec) {
                 Ok(next) => st = next,
                 Err(defect) => {
                     return Replay {
                         defect: Some(defect),
-                        trace: rec.records,
+                        trace: rec.0,
                     }
                 }
             }
@@ -1020,7 +1031,7 @@ impl<N: CheckNode> Model<N> {
         };
         Replay {
             defect,
-            trace: rec.records,
+            trace: rec.0,
         }
     }
 }
@@ -1042,31 +1053,24 @@ impl<N: StateMachine> State<N> {
     }
 }
 
-/// Observer of replay-relevant events during a step (trace synthesis).
-trait ReplayObserver {
-    fn on_event(&mut self, ev: TraceEvent);
+/// Records the event `ev` builds at `at`, if `sink` is on: exploring
+/// passes [`NoopSink`] and builds none.
+fn note(sink: &mut impl TraceSink, at: SimTime, ev: impl FnOnce() -> TraceEvent) {
+    if sink.enabled() {
+        sink.record(at, ev());
+    }
 }
 
-/// The exploring observer: discards events.
-struct NoObserver;
+/// The replaying sink: a step-indexed timeline.
+struct Recorder(Vec<TraceRecord>);
 
-impl ReplayObserver for NoObserver {
-    fn on_event(&mut self, _ev: TraceEvent) {}
-}
+impl TraceSink for Recorder {
+    fn enabled(&self) -> bool {
+        true
+    }
 
-/// The replaying observer: records a step-indexed timeline.
-#[derive(Default)]
-struct Recorder {
-    at: u64,
-    records: Vec<TraceRecord>,
-}
-
-impl ReplayObserver for Recorder {
-    fn on_event(&mut self, ev: TraceEvent) {
-        self.records.push(TraceRecord {
-            at: SimTime(self.at),
-            ev,
-        });
+    fn record(&mut self, at: SimTime, ev: TraceEvent) {
+        self.0.push(TraceRecord { at, ev });
     }
 }
 
