@@ -1222,6 +1222,61 @@ mod tests {
         );
     }
 
+    /// Two states that share an identity render alike with `{:#?}`,
+    /// which prints a node's `RunInput` fields too. A transition can
+    /// replace a `RunInput` field whole (`RunInput::new` compiles where
+    /// a write through one does not); states that then differ only in
+    /// it share an identity, and `==`, which skips the field as well,
+    /// cannot see it. The rows are every scheme's 2-cell row and the
+    /// crash row, which reaches the adaptive node's restart.
+    #[test]
+    fn a_repeated_identity_renders_alike() {
+        fn renders_alike<N: CheckNode + fmt::Debug>(model: Model<N>) {
+            let mut kept: HashMap<u128, State<N>> = HashMap::new();
+            let mut repeats = 0;
+            let out = model.explore_seeing(|h, st, first| {
+                if first {
+                    kept.insert(h, st.clone());
+                    return;
+                }
+                repeats += 1;
+                for (i, (a, b)) in kept[&h].nodes.iter().zip(&st.nodes).enumerate() {
+                    let (a, b) = (format!("{a:#?}"), format!("{b:#?}"));
+                    assert!(
+                        a == b,
+                        "two states share an identity, but node {i} renders apart: {}",
+                        first_difference(&a, &b)
+                    );
+                }
+            });
+            assert!(out.violation.is_none(), "{:?}", out.violation);
+            assert!(repeats > 0, "no identity repeated: nothing was compared");
+        }
+        let none = Budgets::none();
+        renders_alike(row(2, none, BasicSearchNode::new));
+        renders_alike(row(2, none, |cell, topo| {
+            BasicUpdateNode::new(cell, topo, BasicUpdateConfig::default())
+        }));
+        renders_alike(row(2, none, FixedNode::new));
+        renders_alike(row(2, none, AdvancedUpdateNode::new));
+        renders_alike(row(2, none, AdvancedSearchNode::new));
+        renders_alike(
+            Model::new(strip(2), |cell, topo: &Topology| {
+                AdaptiveNode::new(
+                    cell,
+                    topo,
+                    AdaptiveConfig {
+                        retry_ticks: Some(400),
+                        ..AdaptiveConfig::default()
+                    },
+                )
+            })
+            .with_uniform_script(&[Op::StartCall])
+            .with_budgets(Budgets { crashes: 1, ..none })
+            .with_max_states(30_000),
+        );
+    }
+
     #[test]
     fn schedule_round_trips_through_text() {
         let sched = Schedule(vec![

@@ -10,6 +10,13 @@
 //! section** — e.g. `nodes` or `queue` — instead of a bare "state
 //! differs".
 //!
+//! The `nodes` section covers what each node holds and a transition
+//! changes: its cell id, use set, view block and interference set,
+//! queues, clocks, phases and timers. What it is given when it is built
+//! — spectrum, primary and borrowable sets, region list, configuration,
+//! topology, the view's layout — is a `RunInput`, the same in every
+//! state of a run, and writes nothing.
+//!
 //! A derived `Hash` writes an enum's discriminant as an `isize`, whose
 //! value the language does not promise across compiler versions: a
 //! toolchain change can move the goldens with no change in behaviour.
