@@ -167,7 +167,7 @@ impl Hasher for StateHasher {
 /// cannot change what it holds:
 ///
 /// ```compile_fail,E0594
-/// let alpha = adca_simkit::RunInput::new(3u32);
+/// let mut alpha = adca_simkit::RunInput::new(3u32);
 /// *alpha = 4;
 /// ```
 #[repr(transparent)]
